@@ -7,9 +7,9 @@ arrivals at 10 swaps/s) and varies only ``num_swaps``, so the points are
 directly comparable and any regression is an engine/hot-path regression,
 not a workload change.
 
-The 10^3 point is the gate: the pre-optimization engine ran it at
-2.00 swaps/s of wall-clock time (see docs/performance.md), and this
-benchmark asserts at least 3x that.  The 10^4 point proves the engine
+The 10^3 point is the gate: it must sustain at least half the
+wall-clock swaps/s measured when the gate was last re-based (PR 12's
+curve kernel, see docs/performance.md).  The 10^4 point proves the engine
 *completes* at that scale without superlinear blowup; it takes minutes,
 so it only runs when ``RUN_SCALE_10K=1`` (nightly / local profiling, not
 per-PR CI).
@@ -35,10 +35,11 @@ from repro.experiment.spec import TrafficSpec
 
 from conftest import print_table
 
-# Wall-clock swaps/sec of the pre-optimization engine at the 10^3 point
-# (recorded in docs/performance.md); the gate below requires 3x this.
-BASELINE_1K_SWAPS_PER_SEC = 2.00
-REQUIRED_SPEEDUP = 3.0
+# Wall-clock swaps/sec at the 10^3 point, measured after PR 12 (recorded
+# in docs/performance.md).  The floor is a fixed fraction of it:
+# re-measure and re-base when a PR moves it.
+MEASURED_1K_SWAPS_PER_SEC = 34.3
+MIN_1K_SWAPS_PER_SEC = 0.5 * MEASURED_1K_SWAPS_PER_SEC
 
 ARRIVAL_RATE = 10.0
 
@@ -168,16 +169,16 @@ def test_scale_100(benchmark, table_printer):
 
 
 def test_scale_1000(benchmark, table_printer):
-    """10^3 swaps: the throughput gate — at least 3x the pre-PR engine."""
+    """10^3 swaps: the throughput gate — at least half the last measurement."""
     result, wall = benchmark.pedantic(
         lambda: _run_point(1000), rounds=1, iterations=1
     )
     _check_and_report(1000, result, wall, table_printer)
     swaps_per_sec = 1000 / wall
-    assert swaps_per_sec >= REQUIRED_SPEEDUP * BASELINE_1K_SWAPS_PER_SEC, (
+    assert swaps_per_sec >= MIN_1K_SWAPS_PER_SEC, (
         f"10^3-swap run sustained {swaps_per_sec:.2f} swaps/s of wall time; "
-        f"the gate is {REQUIRED_SPEEDUP:.0f}x the pre-optimization baseline "
-        f"of {BASELINE_1K_SWAPS_PER_SEC:.2f}"
+        f"the floor is {MIN_1K_SWAPS_PER_SEC:.2f} (half the "
+        f"{MEASURED_1K_SWAPS_PER_SEC:.1f} measured at the last re-base)"
     )
 
 

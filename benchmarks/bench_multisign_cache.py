@@ -24,8 +24,9 @@ SIGNERS = 6
 REPEATS = 50
 
 #: The cached path must beat uncached verification by at least this
-#: factor; measured locally it is >1000x (ECDSA vs one dict hit), so
-#: the pin has three orders of magnitude of slack against CI noise.
+#: factor.  Since PR 6 a multisig-memo miss is answered per component by
+#: the ECDSA memo in ``crypto/keys.py``, so the curve never runs here;
+#: the measured ratio is 17-100x.
 MIN_SPEEDUP = 5.0
 
 

@@ -8,8 +8,14 @@ and the sign/verify algorithms from first principles — no external crypto
 dependency — with deterministic RFC-6979-style nonces so that every run
 of the simulator is reproducible.
 
-The implementation favours clarity over speed; signing costs a few
-hundred microseconds, which is ample for simulation workloads.
+Every multiplication runs on one Jacobian-coordinate kernel: ``k·G`` is
+read out of a lazily built fixed-window table of multiples of ``G`` (no
+doublings), ``k·Q`` for any other point uses width-5 wNAF, and a
+verification accumulates ``u2·Q + u1·G`` in one Jacobian point that is
+converted to affine once.  No cost is quoted here because it is a
+property of the host; the ledger measures it as ``crypto.sign_per_s``,
+``crypto.verify_first_sight_per_s`` and ``crypto.keygen_per_s``
+(``python3 benchmarks/ledger/run.py --only micro``).
 """
 
 from __future__ import annotations
@@ -55,6 +61,10 @@ def is_on_curve(point: Point) -> bool:
     if point.is_infinity:
         return True
     x, y = point.x, point.y
+    # One representation per point: (x + P, y) would compare unequal to
+    # (x, y), compress differently and split the verification memo.
+    if not (0 <= x < P and 0 <= y < P):
+        return False
     return (y * y - (x * x * x + A * x + B)) % P == 0
 
 
@@ -91,12 +101,16 @@ def point_neg(point: Point) -> Point:
 
 
 def _jacobian_double(x: int, y: int, z: int) -> tuple[int, int, int]:
-    """Double a Jacobian point (X, Y, Z) where x = X/Z², y = Y/Z³."""
+    """Double a Jacobian point (X, Y, Z) where x = X/Z², y = Y/Z³.
+
+    The curve coefficient ``A`` is 0 on secp256k1, so the slope numerator
+    is just ``3·X²``.
+    """
     if y == 0:
         return 0, 1, 0  # infinity
     ysq = y * y % P
     s = 4 * x * ysq % P
-    m = (3 * x * x + A * pow(z, 4, P)) % P
+    m = 3 * x * x % P
     nx = (m * m - 2 * s) % P
     ny = (m * (s - nx) - 8 * ysq * ysq) % P
     nz = 2 * y * z % P
@@ -127,32 +141,132 @@ def _jacobian_add_affine(
     return nx, ny, nz
 
 
-def scalar_mult(k: int, point: Point) -> Point:
-    """Compute ``k * point``.
+def _batch_to_affine(points: list[tuple[int, int, int]]) -> list[tuple[int, int]]:
+    """Convert finite Jacobian points to affine with one shared inversion.
 
-    Uses a left-to-right double-and-add ladder in Jacobian coordinates,
-    so the whole multiplication needs exactly one modular inversion (the
-    final conversion back to affine) instead of one per group operation —
-    the difference between ~20 ms and well under a millisecond per
-    multiplication in pure Python, which is what makes simulating
-    hundreds of concurrent signature-verifying swaps tractable.
+    Montgomery's trick: invert the product of all Z, then peel the
+    individual inverses off back to front with two multiplications each.
     """
-    if k % N == 0 or point.is_infinity:
-        return INFINITY
-    if k < 0:
-        return scalar_mult(-k, point_neg(point))
-    ax, ay = point.x, point.y
+    prefixes = []
+    product = 1
+    for _, _, z in points:
+        prefixes.append(product)
+        product = product * z % P
+    inverse = _inverse_mod(product, P)
+    affine = []
+    for (x, y, z), prefix in zip(reversed(points), reversed(prefixes)):
+        zinv = inverse * prefix % P
+        inverse = inverse * z % P
+        zinv_sq = zinv * zinv % P
+        affine.append((x * zinv_sq % P, y * zinv_sq * zinv % P))
+    affine.reverse()
+    return affine
+
+
+# Fixed-window table for the generator, built by the first multiplication
+# by G (never at import): row i holds j · 16^i · G for j = 1..15 in affine
+# coordinates — 64 rows, ~0.3 MB, published by one assignment.
+_G_TABLE: tuple[list[tuple[int, int]], ...] = ()
+
+
+def _generator_table() -> tuple[list[tuple[int, int]], ...]:
+    global _G_TABLE
+    if not _G_TABLE:
+        bases = [(GX, GY, 1)]
+        for _ in range(63):
+            base = bases[-1]
+            for _ in range(4):
+                base = _jacobian_double(*base)
+            bases.append(base)
+        multiples = []
+        for bx, by in _batch_to_affine(bases):
+            multiples.append((bx, by, 1))
+            for _ in range(14):
+                multiples.append(_jacobian_add_affine(*multiples[-1], bx, by))
+        flat = _batch_to_affine(multiples)
+        _G_TABLE = tuple(flat[i : i + 15] for i in range(0, len(flat), 15))
+    return _G_TABLE
+
+
+def _add_generator_multiple(
+    k: int, jx: int, jy: int, jz: int
+) -> tuple[int, int, int]:
+    """Add ``k·G`` (``0 <= k < 2**256``) to a Jacobian accumulator.
+
+    One table lookup and at most one mixed addition per 4-bit window of
+    ``k``; no doublings.
+    """
+    for row in _generator_table():
+        digit = k & 15
+        if digit:
+            jx, jy, jz = _jacobian_add_affine(jx, jy, jz, *row[digit - 1])
+        k >>= 4
+        if not k:
+            break
+    return jx, jy, jz
+
+
+def _wnaf_mult(k: int, x: int, y: int) -> tuple[int, int, int]:
+    """Jacobian ``k·(x, y)`` for ``0 < k < N`` and a point of order ``N``.
+
+    Width-5 non-adjacent form: ``k`` is recoded into odd digits in
+    ``[-15, 15]`` with at least four zeros between non-zero ones, so the
+    ~256 doublings carry ~43 mixed additions of the eight precomputed odd
+    multiples ``Q, 3Q, ..., 15Q`` (negated for free by flipping ``y``).
+    """
+    doubled = point_add(Point(x, y), Point(x, y))
+    odd = [(x, y, 1)]
+    for _ in range(7):
+        odd.append(_jacobian_add_affine(*odd[-1], doubled.x, doubled.y))
+    table = _batch_to_affine(odd)
+
+    digits = []
+    while k:
+        digit = 0
+        if k & 1:
+            digit = k & 31
+            if digit > 16:
+                digit -= 32
+            k -= digit
+        digits.append(digit)
+        k >>= 1
+
     jx, jy, jz = 0, 1, 0  # Jacobian infinity
-    for shift in range(k.bit_length() - 1, -1, -1):
+    for digit in reversed(digits):
         if jz:
             jx, jy, jz = _jacobian_double(jx, jy, jz)
-        if (k >> shift) & 1:
-            jx, jy, jz = _jacobian_add_affine(jx, jy, jz, ax, ay)
+        if digit:
+            ax, ay = table[abs(digit) >> 1]
+            jx, jy, jz = _jacobian_add_affine(
+                jx, jy, jz, ax, ay if digit > 0 else P - ay
+            )
+    return jx, jy, jz
+
+
+def _jacobian_to_point(jx: int, jy: int, jz: int) -> Point:
+    """Convert a Jacobian point to an affine :class:`Point` (one inversion)."""
     if jz == 0:
         return INFINITY
-    zinv = _inverse_mod(jz, P)
-    zinv_sq = zinv * zinv % P
-    return Point(jx * zinv_sq % P, jy * zinv_sq * zinv % P)
+    return Point(*_batch_to_affine([(jx, jy, jz)])[0])
+
+
+def scalar_mult(k: int, point: Point) -> Point:
+    """Compute ``k * point`` for a point on the curve.
+
+    ``k`` is reduced modulo the group order (so negative scalars negate).
+    Multiples of ``G`` — key derivation and signing — come from the
+    fixed-window table: at most 64 mixed additions and no doublings.
+    Any other point takes the width-5 wNAF path.  Both stay in Jacobian
+    coordinates and pay one modular inversion for the final conversion;
+    the ledger's ``crypto.keygen_per_s`` and ``crypto.sign_per_s`` track
+    the first path, ``crypto.verify_first_sight_per_s`` the second.
+    """
+    k %= N
+    if k == 0 or point.is_infinity:
+        return INFINITY
+    if point == G:
+        return _jacobian_to_point(*_add_generator_multiple(k, 0, 1, 0))
+    return _jacobian_to_point(*_wnaf_mult(k, point.x, point.y))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +408,10 @@ def verify_digest(public_point: Point, digest: bytes, signature: EcdsaSignature)
     w = _inverse_mod(s, N)
     u1 = z * w % N
     u2 = r * w % N
-    point = point_add(scalar_mult(u1, G), scalar_mult(u2, public_point))
+    # u2·Q first (u2 != 0), then u1·G from the table into the same
+    # Jacobian accumulator: one conversion to affine for the whole sum.
+    accumulator = _wnaf_mult(u2, public_point.x, public_point.y)
+    point = _jacobian_to_point(*_add_generator_multiple(u1, *accumulator))
     if point.is_infinity:
         return False
     return point.x % N == r

@@ -22,10 +22,14 @@ from .hashing import sha256, tagged_hash
 #
 # A chain message's signature is re-verified at every state application:
 # the miner's template trial-apply, the block connect, and every fork
-# trial repeat the exact same double-scalar multiplication (~9 ms each).
-# The verdict is a pure function of (public point, digest, signature), so
-# it is memoized content-keyed and bounded, same idiom as the
-# multisignature memo in :mod:`repro.crypto.signatures`.
+# trial repeat the exact same ``u2·Q + u1·G`` (a full wNAF pass over the
+# key plus the generator-table additions; the ledger reports the miss as
+# ``crypto.verify_first_sight_per_s`` and the hit as
+# ``crypto.verify_memo_hit_per_s``).  The verdict is a pure function of
+# (public point, digest, signature), so it is memoized content-keyed and
+# bounded, same idiom as the multisignature memo in
+# :mod:`repro.crypto.signatures`.  ``is_on_curve`` admits one
+# representation per point, so one key never occupies two memo entries.
 
 _VERIFY_CACHE: "OrderedDict[tuple, bool]" = OrderedDict()
 _VERIFY_CACHE_MAX = 8192

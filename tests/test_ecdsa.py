@@ -1,15 +1,51 @@
 """Unit + property tests for the pure-Python secp256k1 ECDSA."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import ecdsa
 from repro.crypto.hashing import sha256
+from repro.crypto.keys import PublicKey
 from repro.errors import InvalidKeyError, InvalidSignatureError
 
-scalars = st.integers(min_value=1, max_value=ecdsa.N - 1)
+N, P, G = ecdsa.N, ecdsa.P, ecdsa.G
+
+scalars = st.integers(min_value=1, max_value=N - 1)
 digests = st.binary(min_size=32, max_size=32)
+
+
+def reference_mult(k, point):
+    """Affine double-and-add over ``point_add`` only: the oracle for the kernel.
+
+    One modular inversion per group operation and none of the kernel's
+    machinery (no Jacobian coordinates, no table, no wNAF), so an error in
+    either is visible as a disagreement.
+    """
+    k %= N
+    result = ecdsa.INFINITY
+    addend = point
+    while k:
+        if k & 1:
+            result = ecdsa.point_add(result, addend)
+        addend = ecdsa.point_add(addend, addend)
+        k >>= 1
+    return result
+
+
+def reference_verify(public_point, digest, signature):
+    """Textbook ECDSA verification over :func:`reference_mult`."""
+    z = int.from_bytes(digest, "big") % N
+    w = pow(signature.s, -1, N)
+    point = ecdsa.point_add(
+        reference_mult(z * w % N, G),
+        reference_mult(signature.r * w % N, public_point),
+    )
+    return not point.is_infinity and point.x % N == signature.r
 
 
 class TestCurveArithmetic:
@@ -43,6 +79,82 @@ class TestCurveArithmetic:
     @settings(max_examples=10, deadline=None)
     def test_derived_points_on_curve(self, d):
         assert ecdsa.is_on_curve(ecdsa.derive_public_point(d))
+
+
+class TestKernelAgainstReference:
+    EDGE_SCALARS = [0, 1, 2, 15, 16, 17, N - 1, N, N + 1, 2**255]
+
+    @given(st.integers(min_value=-N, max_value=2**257))
+    @settings(max_examples=25, deadline=None)
+    def test_generator_multiples_match_reference(self, k):
+        assert ecdsa.scalar_mult(k, G) == reference_mult(k, G)
+
+    @given(st.integers(min_value=-N, max_value=2**257), scalars)
+    @settings(max_examples=25, deadline=None)
+    def test_arbitrary_point_multiples_match_reference(self, k, d):
+        q = reference_mult(d, G)
+        assert ecdsa.scalar_mult(k, q) == reference_mult(k, q)
+
+    @pytest.mark.parametrize("k", EDGE_SCALARS + [-k for k in EDGE_SCALARS])
+    @pytest.mark.parametrize(
+        "point",
+        [G, ecdsa.point_neg(G), reference_mult(0xC0FFEE, G), ecdsa.INFINITY],
+        ids=["G", "-G", "Q", "infinity"],
+    )
+    def test_edge_scalars(self, k, point):
+        assert ecdsa.scalar_mult(k, point) == reference_mult(k, point)
+
+    def test_known_multiples_of_g(self):
+        assert ecdsa.scalar_mult(2, G) == ecdsa.Point(
+            0xC6047F9441ED7D6D3045406E95C07CD85C778E4B8CEF3CA7ABAC09B95C709EE5,
+            0x1AE168FEA63DC339A3C58419466CEAEEF7F632653266D0E1236431A950CFE52A,
+        )
+        assert ecdsa.scalar_mult(3, G) == ecdsa.Point(
+            0xF9308A019258C31049344F85F89D5229B531C845836F99B08601F113BCE036F9,
+            0x388F7B0F632DE8140FE337E62A37F3566500A99934C2231B6CB9FD7584B8E672,
+        )
+        assert ecdsa.scalar_mult(N - 1, G) == ecdsa.Point(ecdsa.GX, P - ecdsa.GY)
+
+    def test_table_is_built_on_first_use_not_at_import(self):
+        script = (
+            "import repro.crypto\n"
+            "from repro.crypto import ecdsa\n"
+            "assert ecdsa._G_TABLE == (), 'table built at import'\n"
+            "ecdsa.sign_digest(7, bytes(32))\n"
+            "assert len(ecdsa._G_TABLE) == 64\n"
+            "assert all(len(row) == 15 for row in ecdsa._G_TABLE)\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=60)
+
+
+class TestCanonicalPoints:
+    """One representation per point: coordinates outside [0, P) are off-curve."""
+
+    NON_CANONICAL = [
+        ecdsa.Point(ecdsa.GX + P, ecdsa.GY),
+        ecdsa.Point(ecdsa.GX, ecdsa.GY + P),
+        ecdsa.Point(ecdsa.GX - P, ecdsa.GY),
+        ecdsa.Point(ecdsa.GX, ecdsa.GY - P),
+    ]
+
+    @pytest.mark.parametrize("point", NON_CANONICAL)
+    def test_not_on_curve(self, point):
+        assert not ecdsa.is_on_curve(point)
+
+    @pytest.mark.parametrize("point", NON_CANONICAL)
+    def test_public_key_raises_named_error(self, point):
+        with pytest.raises(InvalidKeyError):
+            PublicKey(point)
+
+    @pytest.mark.parametrize("point", NON_CANONICAL)
+    def test_verify_rejects(self, point):
+        digest = sha256(b"m")
+        signature = ecdsa.sign_digest(1, digest)
+        assert ecdsa.verify_digest(G, digest, signature)
+        assert not ecdsa.verify_digest(point, digest, signature)
 
 
 class TestPointEncoding:
@@ -148,6 +260,85 @@ class TestSignVerify:
             return
         sig = ecdsa.sign_digest(d, d1)
         assert not ecdsa.verify_digest(ecdsa.derive_public_point(d), d2, sig)
+
+
+class TestVerifyAccumulatorCollisions:
+    """``u2·Q`` meeting ``±u1·G`` inside the shared Jacobian accumulator.
+
+    With ``Q = d·G`` and digest ``z = ±r·d`` the two halves of the
+    verification sum are ``±t·G`` and ``t·G`` for ``t = z/s``; when ``t``
+    fills a single table window the fixed-base addition lands exactly on
+    the accumulator (doubling branch) or on its negation (infinity).
+    """
+
+    @staticmethod
+    def colliding(t, d, sign):
+        r = ecdsa.scalar_mult(2 * t, G).x % N
+        z = sign * r * d % N
+        s = z * pow(t, -1, N) % N
+        return reference_mult(d, G), z.to_bytes(32, "big"), ecdsa.EcdsaSignature(r, s)
+
+    @pytest.mark.parametrize("t", [5, 5 << 12, 0xABCDEF, N - 2])
+    def test_equal_halves_double(self, t):
+        public, digest, signature = self.colliding(t, 0xC0FFEE, +1)
+        assert reference_verify(public, digest, signature)
+        assert ecdsa.verify_digest(public, digest, signature)
+
+    @pytest.mark.parametrize("t", [5, 5 << 12, 0xABCDEF, N - 2])
+    def test_opposite_halves_cancel_to_infinity(self, t):
+        public, digest, signature = self.colliding(t, 0xC0FFEE, -1)
+        assert not reference_verify(public, digest, signature)
+        assert not ecdsa.verify_digest(public, digest, signature)
+
+    def test_single_window_addition_takes_the_collision_branches(self):
+        five_g = reference_mult(5, G)
+        doubled = ecdsa._add_generator_multiple(5, five_g.x, five_g.y, 1)
+        assert ecdsa._jacobian_to_point(*doubled) == reference_mult(10, G)
+        cancelled = ecdsa._add_generator_multiple(5, five_g.x, P - five_g.y, 1)
+        assert ecdsa._jacobian_to_point(*cancelled).is_infinity
+
+
+class TestKnownAnswerSignatures:
+    """``(d, digest) -> (r, s)`` captured from the pre-kernel ladder (PR 11)."""
+
+    VECTORS = [
+        (
+            1,
+            b"satoshi",
+            0xC9C915566D59F8A2C10DC31953EBA4A9F3DD5F88BDDBF297CF846C33F7B33933,
+            0x27F327A00AD433DDFF08326411BD9FD365B1511E3936AA7E650FEFA781104F2C,
+        ),
+        (
+            7,
+            b"message",
+            0x53E58975147B0C89C45070B0FCAD33D1835DFBABFC48C693B86674C563F507FF,
+            0x0F730E5032289B85BC20E9A15E3917D511F6A977FD975235FE94EC612CFD7896,
+        ),
+        (
+            N - 1,
+            b"ac2t",
+            0x6345B84C8ED94956C04BF0F9CE6CBACC45ADA32F6251A930161C967DE3EA775A,
+            0x495397BD9B5608273FF6215E2BE709C787604253FDCB74B39B95066DAD2CB259,
+        ),
+        (
+            0xC0FFEE,
+            b"atomic commitment across blockchains",
+            0xB1B7AC9B7CAA7AF3FDF3D24D0B41A3DA163CB119708587CB549F4DA343820FA5,
+            0x10258046EFC7D749FEB97D50F10A8D9FC309B48B701F66B0FD127E4DBDAC0D77,
+        ),
+        (
+            2**255,
+            b"",
+            0x688DD0667360F8854B3CABFE4B0F67B95389F79D475DD19A64F0067867A10188,
+            0x1D9ABDCFA636EFF340279447C28B44D4CC4A94239E2D1EB67A7BC60F314FB97F,
+        ),
+    ]
+
+    @pytest.mark.parametrize("d, message, r, s", VECTORS)
+    def test_signature_is_pinned(self, d, message, r, s):
+        digest = sha256(message)
+        assert ecdsa.sign_digest(d, digest) == ecdsa.EcdsaSignature(r, s)
+        assert ecdsa.verify_digest(ecdsa.derive_public_point(d), digest, ecdsa.EcdsaSignature(r, s))
 
 
 class TestSignatureEncoding:

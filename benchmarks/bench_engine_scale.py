@@ -33,7 +33,7 @@ import pytest
 from repro.experiment import preset_spec, run_experiment
 from repro.experiment.spec import TrafficSpec
 
-from conftest import print_table
+from conftest import print_table, record_store_timing
 
 # Wall-clock swaps/sec at the 10^3 point, measured after PR 12 (recorded
 # in docs/performance.md).  The floor is a fixed fraction of it:
@@ -64,37 +64,6 @@ def _run_point(num_swaps: int):
     return result, wall
 
 
-# One campaign per benchmark run: the first recorded point creates it,
-# later points (in this process) append to it, and successive runs of
-# the suite form the perf trajectory `repro compare` diffs.
-_STORE_STATE = {"campaign_id": None, "points": 0}
-
-
-def _record_store_timing(num_swaps: int, entry: dict) -> None:
-    """Append this point's timing row to the campaign database, if set."""
-    db = os.environ.get("BENCH_STORE_DB")
-    if not db:
-        return
-    from repro.store import CampaignStore
-
-    os.makedirs(os.path.dirname(db) or ".", exist_ok=True)
-    with CampaignStore(db) as store:
-        if _STORE_STATE["campaign_id"] is None:
-            _STORE_STATE["campaign_id"] = store.create_campaign(
-                "engine-scale", kind="bench"
-            )
-        index = _STORE_STATE["points"]
-        _STORE_STATE["points"] += 1
-        store.append_point(
-            _STORE_STATE["campaign_id"],
-            index,
-            name=f"engine-scale[{num_swaps}]",
-            coords={"num_swaps": num_swaps},
-            row={"index": index, **entry},
-            artifact=json.dumps(entry, sort_keys=True),
-        )
-
-
 def _record_timing(num_swaps: int, wall: float, result) -> None:
     """Append this point's timing to the configured artifacts (the
     ``ENGINE_SCALE_JSON`` file and/or the ``BENCH_STORE_DB`` campaign
@@ -122,7 +91,9 @@ def _record_timing(num_swaps: int, wall: float, result) -> None:
         with open(path, "w") as fh:
             json.dump(timings, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    _record_store_timing(num_swaps, entry)
+    record_store_timing(
+        "engine-scale", f"engine-scale[{num_swaps}]", {"num_swaps": num_swaps}, entry
+    )
 
 
 def _check_and_report(num_swaps: int, result, wall, table_printer) -> None:

@@ -22,12 +22,12 @@ against the previous one.
 """
 
 import dataclasses
-import json
-import os
 import time
 
 from repro.service import SwapService, service_preset_spec
 from repro.service.spec import SourceSpec
+
+from conftest import record_store_timing
 
 #: Accepted swaps per wall-second measured after PR 12; the floor is a
 #: fixed fraction of it (re-measure and re-base when a PR moves it).
@@ -57,26 +57,6 @@ def _run_session():
     result = SwapService(steady_spec()).run()
     wall = time.perf_counter() - start
     return result, wall
-
-
-def _record_store_timing(entry: dict) -> None:
-    """Append this run's timing row to the campaign database, if set."""
-    db = os.environ.get("BENCH_STORE_DB")
-    if not db:
-        return
-    from repro.store import CampaignStore
-
-    os.makedirs(os.path.dirname(db) or ".", exist_ok=True)
-    with CampaignStore(db) as store:
-        campaign_id = store.create_campaign("service-steady-state", kind="bench")
-        store.append_point(
-            campaign_id,
-            0,
-            name="service-steady-state",
-            coords={"rate": ARRIVAL_RATE, "duration": DURATION_S},
-            row=entry,
-            artifact=json.dumps(entry, sort_keys=True),
-        )
 
 
 def test_steady_state_throughput_and_tail(benchmark, table_printer):
@@ -117,7 +97,10 @@ def test_steady_state_throughput_and_tail(benchmark, table_printer):
         f"windowed p99 peaked at {max_p99:.2f}s; ceiling {P99_CEILING_S}s"
     )
 
-    _record_store_timing(
+    record_store_timing(
+        "service-steady-state",
+        "service-steady-state",
+        {"rate": ARRIVAL_RATE, "duration": DURATION_S},
         {
             "accepted": result.accepted,
             "wall_seconds": round(wall, 3),

@@ -19,11 +19,12 @@ trajectory.
 
 import dataclasses
 import multiprocessing
-import os
 import time
 
 from repro.experiment import apply_overrides
 from repro.sweeps import SweepAxis, SweepRunner, sweep_spec
+
+from conftest import record_store_timing
 
 #: Trimmed campaign: the stock 6-rate congestion sweep over fewer swaps,
 #: so the benchmark measures orchestration, not one giant simulation.
@@ -50,32 +51,6 @@ def _smoke_sweep():
     )
 
 
-def _record_store_timing(points: int, rows) -> None:
-    """Append (workers, wall, points/s) rows to the campaign DB, if set."""
-    db = os.environ.get("BENCH_STORE_DB")
-    if not db:
-        return
-    from repro.store import CampaignStore
-
-    os.makedirs(os.path.dirname(db) or ".", exist_ok=True)
-    with CampaignStore(db) as store:
-        campaign_id = store.create_campaign("sweep-scaling", kind="bench")
-        for index, (workers, wall) in enumerate(rows):
-            store.append_point(
-                campaign_id,
-                index,
-                name=f"sweep-scaling[workers={workers}]",
-                coords={"workers": workers},
-                row={
-                    "index": index,
-                    "workers": workers,
-                    "num_points": points,
-                    "wall_seconds": round(wall, 3),
-                    "points_per_second": round(points / wall, 3),
-                },
-            )
-
-
 def test_sweep_scaling(table_printer):
     """1 worker vs a pool: identical bytes, measured points/sec."""
     spec = _smoke_sweep()
@@ -89,7 +64,18 @@ def test_sweep_scaling(table_printer):
     pooled = SweepRunner(spec, workers=POOL_WORKERS).run()
     pooled_s = time.perf_counter() - t0
 
-    _record_store_timing(points, [(1, serial_s), (POOL_WORKERS, pooled_s)])
+    for workers, wall in ((1, serial_s), (POOL_WORKERS, pooled_s)):
+        record_store_timing(
+            "sweep-scaling",
+            f"sweep-scaling[workers={workers}]",
+            {"workers": workers},
+            {
+                "workers": workers,
+                "num_points": points,
+                "wall_seconds": round(wall, 3),
+                "points_per_second": round(points / wall, 3),
+            },
+        )
 
     table_printer(
         f"Sweep scaling: {points}-point congestion campaign "

@@ -18,13 +18,11 @@ benchmark run), so ``repro compare DB`` diffs this run's overhead
 ratios against the previous one.
 """
 
-import json
-import os
 import time
 
 from repro.experiment import apply_overrides, preset_spec, run_experiment
 
-from conftest import print_table
+from conftest import print_table, record_store_timing
 
 #: Wall-clock budget of each armed mode relative to the disabled run.
 MAX_OVERHEAD = 1.10
@@ -39,9 +37,6 @@ _ARM_OVERRIDES = {
         "obs.sample_interval": 1.0,
     },
 }
-
-_STORE_STATE: dict = {"campaign_id": None, "points": 0}
-
 
 def _run(arm: str):
     spec = preset_spec("engine-smoke")
@@ -58,31 +53,6 @@ def _best_of(rounds: int, arm: str) -> float:
         _run(arm)
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def _record_store_timing(arm: str, entry: dict) -> None:
-    """Append one arm's timing row to the campaign database, if set."""
-    db = os.environ.get("BENCH_STORE_DB")
-    if not db:
-        return
-    from repro.store import CampaignStore
-
-    os.makedirs(os.path.dirname(db) or ".", exist_ok=True)
-    with CampaignStore(db) as store:
-        if _STORE_STATE["campaign_id"] is None:
-            _STORE_STATE["campaign_id"] = store.create_campaign(
-                "trace-overhead", kind="bench"
-            )
-        index = _STORE_STATE["points"]
-        _STORE_STATE["points"] += 1
-        store.append_point(
-            _STORE_STATE["campaign_id"],
-            index,
-            name=f"trace-overhead[{arm}]",
-            coords={"arm": arm},
-            row={"index": index, **entry},
-            artifact=json.dumps(entry, sort_keys=True),
-        )
 
 
 def _timed_arms() -> dict:
@@ -114,8 +84,10 @@ def test_observability_overhead_within_budget(table_printer):
                 f"budget {MAX_OVERHEAD:.2f}x",
             ]
         )
-        _record_store_timing(
-            arm,
+        record_store_timing(
+            "trace-overhead",
+            f"trace-overhead[{arm}]",
+            {"arm": arm},
             {
                 "arm": arm,
                 "base_ms": round(base * 1000, 3),

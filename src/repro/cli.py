@@ -3,7 +3,7 @@
 ::
 
     python -m repro run --preset congestion --set traffic.num_swaps=60 --json out.json
-    python -m repro run --spec my_experiment.json --set engine.eager=false
+    python -m repro run --spec my_experiment.json --set traffic.rate=12.0
     python -m repro run --preset security --trace out.jsonl
     python -m repro run --preset security --metrics out.prom --alert-stderr
     python -m repro run --list-presets [--json]
@@ -16,7 +16,6 @@
     python -m repro trace out.jsonl --series series.csv
     python -m repro alerts out.jsonl
     python -m repro sweep --preset figure10 --workers 4 --csv out.csv
-    python -m repro sweep --preset security-matrix --workers 4 --resume runs/sec
     python -m repro sweep --preset security-smoke --workers 2 --store camp.db
     python -m repro sweep --spec my_sweep.json --workers 2 --json out.json
     python -m repro sweep --list-presets [--json]
@@ -25,10 +24,6 @@
     python -m repro store ingest --db camp.db runs/security bench-timings.json
     python -m repro store list --db camp.db
     python -m repro store artifact --db camp.db --point 3 -o point3.json
-    python -m repro swap --protocol ac3wn --diameter 3
-    python -m repro engine --swaps 50 --rate 10
-    python -m repro congestion --fee-shock 32
-    python -m repro crash-sweep
     python -m repro figure10 --max-diameter 8
     python -m repro table1
     python -m repro witness-depth --value-at-risk 1000000
@@ -51,11 +46,8 @@ database (:mod:`repro.store`): ``sweep --store`` archives every point
 durably, ``query`` evaluates an indexed predicate over stored points,
 ``compare`` joins two campaigns and flags metric regressions, and
 ``store ingest|list|artifact`` import and inspect existing artifacts.
-The legacy scenario subcommands (``swap``, ``engine``,
-``congestion``, ``crash-sweep``) are thin aliases that translate their
-flags into preset overrides and call the same pipeline; the analytic
-printouts (``figure10``, ``table1``, ``witness-depth``) need no
-simulation at all.  Seeds default to 0 for reproducibility.
+The analytic printouts (``figure10``, ``table1``, ``witness-depth``)
+need no simulation at all.
 """
 
 from __future__ import annotations
@@ -780,15 +772,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.list_presets:
         _print_catalog(sweep_names(), sweep_description, args.json is not None)
         return 0
-    if args.resume and args.store:
-        print(
-            "repro sweep: --resume DIR and --store DB are mutually "
-            "exclusive: both archive the campaign's per-point artifacts, "
-            "so pick one backend ('repro store ingest' migrates a resume "
-            "directory into a database)",
-            file=sys.stderr,
-        )
-        return 2
     try:
         spec = _load_sweep(args)
 
@@ -840,7 +823,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             spec,
             workers=args.workers,
             on_progress=progress if args.progress else None,
-            resume_dir=args.resume,
             store=args.store,
         )
         print(
@@ -851,10 +833,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         result = _profiled(args.profile, runner.run)
         if args.progress and worker_walls:
             throughput_summary()
-        if args.resume or args.store:
-            source = args.resume or args.store
+        if args.store:
             print(
-                f"resumed {len(runner.resumed)} point(s) from {source}",
+                f"resumed {len(runner.resumed)} point(s) from {args.store}",
                 file=narrate,
             )
     except (SpecError, StoreError, OSError) as exc:
@@ -888,136 +869,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             return 2
         print(f"wrote {path}", file=narrate)
     return status
-
-
-# ---------------------------------------------------------------------------
-# Legacy scenario subcommands: thin preset aliases
-# ---------------------------------------------------------------------------
-
-
-def _run_alias(
-    command: str,
-    preset: str,
-    overrides: dict,
-    json_path: str | None = None,
-    printer=print_result,
-) -> int:
-    try:
-        spec = apply_overrides(preset_spec(preset), overrides)
-        result = run_experiment(spec)
-    except SpecError as exc:
-        print(f"repro {command}: {exc}", file=sys.stderr)
-        return 2
-    printer(result)
-    return _finish_run(result, json_path)
-
-
-def _cmd_swap(args: argparse.Namespace) -> int:
-    """Run one AC2T end to end and print the outcome."""
-    if args.diameter < 2:
-        print("repro swap: --diameter must be at least 2", file=sys.stderr)
-        return 2
-    overrides: dict = {"protocol": args.protocol, "seed": args.seed}
-    overrides["chains.validator_mode"] = args.validator_mode
-    if args.diameter != 2:
-        overrides["chains.ids"] = [f"chain-{i}" for i in range(args.diameter)]
-        overrides["traffic.participants_per_swap"] = args.diameter
-
-    def print_outcome(result: ExperimentResult) -> None:
-        (outcome,) = result.outcomes
-        print(outcome.summary())
-        for name, ts in sorted(outcome.phase_times.items(), key=lambda kv: kv[1]):
-            print(f"  {name:20s} t={ts:8.2f}")
-
-    return _run_alias("swap", "swap", overrides, printer=print_outcome)
-
-
-def _cmd_engine(args: argparse.Namespace) -> int:
-    """Run N concurrent AC2Ts through the SwapEngine; print metrics."""
-    if args.chains < 1:
-        print("repro engine: --chains must be at least 1", file=sys.stderr)
-        return 2
-    overrides: dict = {
-        "protocol": args.protocol,
-        "seed": args.seed,
-        "chains.ids": [f"chain-{i}" for i in range(args.chains)],
-        "chains.validator_mode": args.validator_mode,
-        "traffic.num_swaps": args.swaps,
-        "traffic.rate": args.rate,
-        "traffic.participants_per_swap": args.participants,
-    }
-    if args.eager is not None:
-        overrides["engine.eager"] = args.eager
-    return _run_alias("engine", "engine-smoke", overrides, json_path=args.json)
-
-
-def _cmd_congestion(args: argparse.Namespace) -> int:
-    """Oversubscribed fee-market run: congestion prices swaps out."""
-    if args.chains < 1:
-        print("repro congestion: --chains must be at least 1", file=sys.stderr)
-        return 2
-    overrides: dict = {
-        "protocol": args.protocol,
-        "seed": args.seed,
-        "chains.ids": [f"chain-{i}" for i in range(args.chains)],
-        "chains.validator_mode": args.validator_mode,
-        "traffic.num_swaps": args.swaps,
-        "traffic.rate": args.rate,
-        "traffic.low_fee_share": args.low_share,
-        "traffic.crash.rate": args.crash_rate,
-        "fee_market.block_weight_budget": args.block_budget,
-        "fee_market.capacity_weight": args.capacity,
-    }
-    if args.eager is not None:
-        overrides["engine.eager"] = args.eager
-    if args.fee_shock > 0:
-        overrides["fee_shocks"] = [
-            {
-                "at": args.shock_at,
-                "count": args.fee_shock,
-                "fee_rate": args.shock_fee_rate,
-                "chain_id": args.shock_chain,
-            }
-        ]
-    return _run_alias("congestion", "congestion", overrides, json_path=args.json)
-
-
-def _cmd_crash_sweep(args: argparse.Namespace) -> int:
-    """Sweep Bob's crash onset under Nolan and AC3WN (Section 1).
-
-    Each cell is one single-swap experiment spec: the ``swap`` preset
-    with a deterministic crash plan against the swap's ``b`` role.
-    """
-    print(f"{'crash at':>9} | {'Nolan (HTLC)':>24} | {'AC3WN':>22}")
-    violations = 0
-    for i, start in enumerate(args.onsets):
-        results = []
-        for protocol in ("nolan", "ac3wn"):
-            try:
-                spec = apply_overrides(
-                    preset_spec("swap"),
-                    {
-                        "protocol": protocol,
-                        "seed": args.seed + i,
-                        "traffic.crash.participant": "b",
-                        "traffic.crash.delay": start,
-                        "traffic.crash.down_for": 500.0,
-                    },
-                )
-                (outcome,) = run_experiment(spec).outcomes
-            except SpecError as exc:
-                print(f"repro crash-sweep: {exc}", file=sys.stderr)
-                return 2
-            results.append(outcome)
-            if protocol == "nolan" and not outcome.is_atomic:
-                violations += 1
-        nolan, ac3wn = results
-        print(
-            f"{start:>8.1f}s | {nolan.decision:>12}/atomic={str(nolan.is_atomic):<5} "
-            f"| {ac3wn.decision:>10}/atomic={str(ac3wn.is_atomic):<5}"
-        )
-    print(f"\nHTLC atomicity violations: {violations}; AC3WN: 0")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -1057,13 +908,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         f"(bottleneck: {example.bottleneck})"
     )
     return 0
-
-
-# ---------------------------------------------------------------------------
-# Parser
-# ---------------------------------------------------------------------------
-
-PROTOCOL_CHOICES = ["nolan", "herlihy", "ac3tw", "ac3wn", "mixed"]
 
 
 # ---------------------------------------------------------------------------
@@ -1299,13 +1143,9 @@ def _cmd_store(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--validator-mode",
-        choices=["anchor", "full-replica", "light-client"],
-        default="anchor",
-    )
+# ---------------------------------------------------------------------------
+# Parser
+# ---------------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1522,21 +1362,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (1 = in-process; N = multiprocessing pool)",
     )
     sweep.add_argument(
-        "--resume",
-        default=None,
-        metavar="DIR",
-        help="per-point artifact directory: points whose artifact already "
-        "exists there are merged from disk instead of re-executed, and "
-        "every fresh point is stored for the next resume",
-    )
-    sweep.add_argument(
         "--store",
         default=None,
         metavar="DB",
-        help="campaign database (SQLite): the durable sibling of --resume "
-        "with identical per-point resume semantics, plus indexed metrics "
-        "for 'repro query' and 'repro compare' (mutually exclusive with "
-        "--resume)",
+        help="campaign database (SQLite): points whose stored spec echo "
+        "still matches are merged from it instead of re-executed, every "
+        "fresh point is appended for the next resume, and metrics are "
+        "indexed for 'repro query' and 'repro compare'",
     )
     sweep.add_argument(
         "--csv", default=None, metavar="PATH",
@@ -1570,100 +1402,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-presets", action="store_true", help="list the sweep catalog and exit"
     )
     sweep.set_defaults(func=_cmd_sweep)
-
-    swap = sub.add_parser("swap", help="run one AC2T end to end (preset alias)")
-    swap.add_argument("--protocol", choices=["ac3wn", "herlihy", "nolan"], default="ac3wn")
-    swap.add_argument("--diameter", type=int, default=2)
-    _add_common_scenario_flags(swap)
-    swap.set_defaults(func=_cmd_swap)
-
-    engine = sub.add_parser(
-        "engine", help="run N concurrent AC2Ts through the SwapEngine (preset alias)"
-    )
-    engine.add_argument(
-        "--protocol",
-        choices=PROTOCOL_CHOICES,
-        default="ac3wn",
-        help="protocol for every swap, or 'mixed' to round-robin all four",
-    )
-    engine.add_argument("--swaps", type=int, default=50)
-    engine.add_argument("--rate", type=float, default=5.0, help="arrivals per second")
-    engine.add_argument("--chains", type=int, default=3, help="number of asset chains")
-    engine.add_argument("--participants", type=int, default=2, help="per swap")
-    engine.add_argument(
-        "--eager",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="advance drivers on block hooks (default: on; --no-eager for A/B)",
-    )
-    engine.add_argument("--json", default=None, help="write the result JSON here")
-    _add_common_scenario_flags(engine)
-    engine.set_defaults(func=_cmd_engine)
-
-    congestion = sub.add_parser(
-        "congestion",
-        help="oversubscribed fee-market run (preset alias)",
-    )
-    congestion.add_argument(
-        "--protocol",
-        choices=PROTOCOL_CHOICES,
-        default="ac3wn",
-        help="protocol for every swap, or 'mixed' to round-robin all four",
-    )
-    congestion.add_argument("--swaps", type=int, default=60)
-    congestion.add_argument("--rate", type=float, default=12.0, help="arrivals per second")
-    congestion.add_argument("--chains", type=int, default=2, help="number of asset chains")
-    congestion.add_argument(
-        "--block-budget", type=int, default=16, help="block space per block (weight units)"
-    )
-    congestion.add_argument(
-        "--capacity", type=int, default=96, help="mempool capacity (weight units)"
-    )
-    congestion.add_argument(
-        "--low-share", type=float, default=0.5, help="fraction of price-insensitive swaps"
-    )
-    congestion.add_argument(
-        "--crash-rate", type=float, default=0.0, help="fraction of swaps crashed mid-protocol"
-    )
-    congestion.add_argument(
-        "--fee-shock", type=int, default=0, help="burst size of whale spam (0 = off)"
-    )
-    congestion.add_argument(
-        "--shock-at", type=float, default=5.0, help="burst time, seconds after warm-up"
-    )
-    congestion.add_argument(
-        "--shock-chain",
-        default=None,
-        help="chain to flood (default: the protocol's contended chain)",
-    )
-    congestion.add_argument(
-        "--shock-fee-rate", type=int, default=8, help="fee rate the whale pays"
-    )
-    congestion.add_argument(
-        "--eager",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="advance drivers on block hooks (preset default: off — re-baselined)",
-    )
-    congestion.add_argument("--json", default=None, help="write the result JSON here")
-    _add_common_scenario_flags(congestion)
-    congestion.set_defaults(func=_cmd_congestion)
-
-    crash_sweep = sub.add_parser(
-        "crash-sweep", help="Section 1 crash comparison (spec-driven sweep)"
-    )
-    crash_sweep.add_argument("--seed", type=int, default=0)
-    crash_sweep.add_argument(
-        "--onsets",
-        type=float,
-        nargs="+",
-        # Under the eager cadence the HTLC vulnerability window sits
-        # ~2-3.5s after the swap's arrival: onsets 2.0/3.0 produce the
-        # paper's mixed settlements, the rest abort or commit cleanly.
-        default=[0.0, 2.0, 3.0, 4.5, 12.0],
-        help="crash onsets (seconds after the swap's arrival)",
-    )
-    crash_sweep.set_defaults(func=_cmd_crash_sweep)
 
     fig10 = sub.add_parser("figure10", help="print Figure 10's latency curves")
     fig10.add_argument("--max-diameter", type=int, default=14)
@@ -1760,7 +1498,7 @@ def build_parser() -> argparse.ArgumentParser:
     store_sub = store.add_subparsers(dest="action", required=True)
     ingest = store_sub.add_parser(
         "ingest",
-        help="import resume directories, result JSONs, or bench timing "
+        help="import point directories, result JSONs, or bench timing "
         "JSONs into a campaign database",
     )
     ingest.add_argument(

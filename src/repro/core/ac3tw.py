@@ -18,6 +18,7 @@ stepping stone) and as an experimental baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 from ..chain.contracts import ExecutionContext, register_contract
@@ -29,7 +30,7 @@ from ..crypto.commitment import (
 from ..crypto.ecdsa import EcdsaSignature
 from ..crypto.keys import KeyPair, PublicKey
 from ..crypto.signatures import Multisignature, multisign
-from ..errors import FeeTooLowError, InsufficientFundsError, WitnessError
+from ..errors import WitnessError
 from .contract_template import AtomicSwapContract
 from .driver import ProtocolDriver
 from .graph import GRAPH_SIGNING_DOMAIN, SwapGraph
@@ -235,7 +236,6 @@ class AC3TWDriver(ProtocolDriver):
         graph: SwapGraph,
         witness: TrustedWitness,
         config: AC3TWConfig | None = None,
-        eager: bool = True,
         fee_budget=None,
         jitter_span: float | None = None,
     ) -> None:
@@ -244,7 +244,6 @@ class AC3TWDriver(ProtocolDriver):
             env,
             graph,
             poll_interval=self.config.poll_interval,
-            eager=eager,
             fee_budget=fee_budget,
             jitter_span=jitter_span,
         )
@@ -263,38 +262,16 @@ class AC3TWDriver(ProtocolDriver):
             key = edge_key(edge)
             if key in self._deploys or edge.source in self.config.decliners:
                 continue
-            participant = self.env.participant(edge.source)
-            if participant.crashed:
+            if self.env.participant(edge.source).crashed:
                 continue
-            if not self._fee_ok(edge.chain_id, "deploy"):
-                continue  # priced out of publishing
-            try:
-                deploy = participant.deploy_contract(
-                    edge.chain_id,
-                    CENTRALIZED_CONTRACT_CLASS,
-                    args=(
-                        self._address_of(edge.recipient).raw,
-                        self._ms_id,
-                        self.witness.public_key.to_bytes(),
-                    ),
-                    value=edge.amount,
-                    fee=self._fee_for(edge.chain_id, "deploy"),
-                )
-            except InsufficientFundsError:
-                continue  # change is in flight; retry next tick
-            except FeeTooLowError:
-                self._raise_rate_floor(edge.chain_id)
-                continue  # outbid at submission; retry at a higher rate
-            self._deploys[key] = deploy
-            record = self.outcome.contracts[key]
-            record.contract_id = deploy.contract_id()
-            record.deploy_message_id = deploy.message_id()
-            record.deployed_at = self.sim.now
-            self._track(
-                edge.chain_id,
-                deploy,
-                sender=edge.source,
-                on_replace=lambda new, key=key: self._replace_deploy(key, new),
+            self._deploy_edge(
+                edge,
+                CENTRALIZED_CONTRACT_CLASS,
+                args=(
+                    self._address_of(edge.recipient).raw,
+                    self._ms_id,
+                    self.witness.public_key.to_bytes(),
+                ),
             )
 
     # -- settlement ----------------------------------------------------------
@@ -305,30 +282,15 @@ class AC3TWDriver(ProtocolDriver):
             if key in self._settle_calls or key not in self._deploys:
                 continue
             actor_name = edge.recipient if function == "redeem" else edge.source
-            actor = self.env.participant(actor_name)
-            if actor.crashed:
+            if self.env.participant(actor_name).crashed:
                 continue
-            if not self._fee_ok(edge.chain_id, "call"):
-                continue
-            try:
-                call = actor.call_contract(
-                    edge.chain_id,
-                    self._deploys[key].contract_id(),
-                    function,
-                    args=(signature,),
-                    fee=self._fee_for(edge.chain_id, "call"),
-                )
-            except InsufficientFundsError:
-                continue  # retry next tick
-            except FeeTooLowError:
-                self._raise_rate_floor(edge.chain_id)
-                continue  # outbid at submission; retry at a higher rate
-            self._settle_calls[key] = call
-            self._track(
+            self._call_contract(
                 edge.chain_id,
-                call,
-                sender=actor_name,
-                on_replace=lambda new, key=key: self._replace_settle_call(key, new),
+                actor_name,
+                self._deploys[key].contract_id(),
+                function,
+                args=(signature,),
+                record=partial(self._settle_calls.__setitem__, key),
             )
 
     def _settle_step(self) -> None:

@@ -22,6 +22,7 @@ headline improvement over Herlihy's 2·Δ·Diam(D).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 from ..chain.block import BlockHeader
@@ -34,7 +35,7 @@ from ..chain.contracts import (
 from ..chain.messages import CallMessage, DeployMessage
 from ..crypto.keys import PublicKey
 from ..crypto.signatures import Multisignature, multisign
-from ..errors import FeeTooLowError, InsufficientFundsError, EvidenceError, ProtocolError
+from ..errors import EvidenceError, FeeTooLowError, ProtocolError
 from .contract_template import AtomicSwapContract
 from .driver import ProtocolDriver
 from .evidence import (
@@ -333,7 +334,6 @@ class AC3WNDriver(ProtocolDriver):
         env: SwapEnvironment,
         graph: SwapGraph,
         config: AC3WNConfig,
-        eager: bool = True,
         fee_budget=None,
         jitter_span: float | None = None,
     ) -> None:
@@ -345,7 +345,6 @@ class AC3WNDriver(ProtocolDriver):
             graph,
             poll_interval=config.poll_interval,
             extra_chain_ids=(config.witness_chain_id,),
-            eager=eager,
             fee_budget=fee_budget,
             jitter_span=jitter_span,
         )
@@ -469,40 +468,18 @@ class AC3WNDriver(ProtocolDriver):
                 continue
             if edge.source in self.config.decliners:
                 continue
-            participant = self.env.participant(edge.source)
-            if participant.crashed:
+            if self.env.participant(edge.source).crashed:
                 continue
-            if not self._fee_ok(edge.chain_id, "deploy"):
-                continue  # priced out of publishing
-            try:
-                deploy = participant.deploy_contract(
-                    edge.chain_id,
-                    PERMISSIONLESS_CONTRACT_CLASS,
-                    args=(
-                        self._address_of(edge.recipient).raw,
-                        self.config.witness_chain_id,
-                        self._scw_id,
-                        self.witness_chain.params.confirmation_depth,
-                        self._witness_anchor,
-                    ),
-                    value=edge.amount,
-                    fee=self._fee_for(edge.chain_id, "deploy"),
-                )
-            except InsufficientFundsError:
-                continue  # change is in flight; retry next tick
-            except FeeTooLowError:
-                self._raise_rate_floor(edge.chain_id)
-                continue  # outbid at submission; retry at a higher rate
-            self._deploys[key] = deploy
-            record = self.outcome.contracts[key]
-            record.contract_id = deploy.contract_id()
-            record.deploy_message_id = deploy.message_id()
-            record.deployed_at = self.sim.now
-            self._track(
-                edge.chain_id,
-                deploy,
-                sender=edge.source,
-                on_replace=lambda new, key=key: self._replace_deploy(key, new),
+            self._deploy_edge(
+                edge,
+                PERMISSIONLESS_CONTRACT_CLASS,
+                args=(
+                    self._address_of(edge.recipient).raw,
+                    self.config.witness_chain_id,
+                    self._scw_id,
+                    self.witness_chain.params.confirmation_depth,
+                    self._witness_anchor,
+                ),
             )
 
     # -- phase 3: decision -----------------------------------------------------
@@ -512,7 +489,6 @@ class AC3WNDriver(ProtocolDriver):
         submitter_name = self._first_alive()
         if submitter_name is None:
             return False
-        submitter = self.env.participant(submitter_name)
         # The witness chain's miners are the verifiers of these evidences;
         # skip the header runs entirely when they won't read them.
         include_headers = headers_required(self.witness_chain.validators)
@@ -525,58 +501,28 @@ class AC3WNDriver(ProtocolDriver):
             )
             for edge in self.graph.edges
         )
-        if not self._fee_ok(self.config.witness_chain_id, "call"):
-            return False
-        try:
-            call = submitter.call_contract(
-                self.config.witness_chain_id,
-                self._scw_id,
-                "authorize_redeem",
-                args=(evidences,),
-                fee=self._fee_for(self.config.witness_chain_id, "call"),
-            )
-        except FeeTooLowError:
-            self._raise_rate_floor(self.config.witness_chain_id)
-            return False  # decision-wait retries at the higher rate
-        self._decision_call = call
-        self._track(
-            self.config.witness_chain_id,
-            call,
-            sender=submitter_name,
-            on_replace=self._replace_decision_call,
-        )
-        return True
-
-    def _replace_decision_call(self, new: CallMessage) -> None:
-        self._decision_call = new
+        return self._authorize(submitter_name, "authorize_redeem", (evidences,))
 
     def _submit_refund_authorization(self) -> bool:
         self._decision_intent = "refund"
         submitter_name = self._first_alive()
         if submitter_name is None:
             return False
-        submitter = self.env.participant(submitter_name)
-        if not self._fee_ok(self.config.witness_chain_id, "call"):
-            return False
-        try:
-            call = submitter.call_contract(
-                self.config.witness_chain_id,
-                self._scw_id,
-                "authorize_refund",
-                args=(),
-                fee=self._fee_for(self.config.witness_chain_id, "call"),
-            )
-        except FeeTooLowError:
-            self._raise_rate_floor(self.config.witness_chain_id)
-            return False  # decision-wait retries at the higher rate
-        self._decision_call = call
-        self._track(
+        return self._authorize(submitter_name, "authorize_refund", ())
+
+    def _authorize(self, submitter_name: str, function: str, args: tuple) -> bool:
+        """Flip SCw; a refused call is retried by decision-wait."""
+        return self._call_contract(
             self.config.witness_chain_id,
-            call,
-            sender=submitter_name,
-            on_replace=self._replace_decision_call,
+            submitter_name,
+            self._scw_id,
+            function,
+            args=args,
+            record=self._record_decision_call,
         )
-        return True
+
+    def _record_decision_call(self, call: CallMessage) -> None:
+        self._decision_call = call
 
     def _decision_confirmed(self) -> bool:
         if self._decision_call is None:
@@ -602,8 +548,7 @@ class AC3WNDriver(ProtocolDriver):
             if key in self._settle_calls or key not in self._deploys:
                 continue
             actor_name = edge.recipient if function == "redeem" else edge.source
-            actor = self.env.participant(actor_name)
-            if actor.crashed:
+            if self.env.participant(actor_name).crashed:
                 continue
             include_headers = headers_required(self.env.chain(edge.chain_id).validators)
             evidence = evidence_variants.get(include_headers)
@@ -617,28 +562,13 @@ class AC3WNDriver(ProtocolDriver):
                     include_headers=include_headers,
                 )
                 evidence_variants[include_headers] = evidence
-            deploy = self._deploys[key]
-            if not self._fee_ok(edge.chain_id, "call"):
-                continue
-            try:
-                call = actor.call_contract(
-                    edge.chain_id,
-                    deploy.contract_id(),
-                    function,
-                    args=(evidence,),
-                    fee=self._fee_for(edge.chain_id, "call"),
-                )
-            except InsufficientFundsError:
-                continue  # retry next tick
-            except FeeTooLowError:
-                self._raise_rate_floor(edge.chain_id)
-                continue  # outbid at submission; retry at a higher rate
-            self._settle_calls[key] = call
-            self._track(
+            self._call_contract(
                 edge.chain_id,
-                call,
-                sender=actor_name,
-                on_replace=lambda new, key=key: self._replace_settle_call(key, new),
+                actor_name,
+                self._deploys[key].contract_id(),
+                function,
+                args=(evidence,),
+                record=partial(self._settle_calls.__setitem__, key),
             )
 
     def _settle_step(self) -> None:

@@ -1,15 +1,10 @@
 """The shared non-blocking protocol-driver lifecycle.
 
-Historically every protocol driver (Nolan, Herlihy, AC3TW, AC3WN) ran its
-AC2T by monopolizing the shared simulator inside blocking
-``Simulator.run_until`` / ``run_until_true`` loops, so exactly one swap
-could be in flight at a time.  :class:`ProtocolDriver` replaces that with
-an event-driven state machine:
+:class:`ProtocolDriver` runs one AC2T as an event-driven state machine:
 
 * the driver never advances the simulator itself — it *schedules* its
   next activation as a simulator callback and returns;
-* by default (``eager=True``) the driver is purely event-driven: it
-  subscribes to the involved chains' on-block-mined hooks
+* it subscribes to the involved chains' on-block-mined hooks
   (:meth:`repro.chain.chain.Blockchain.add_block_listener`) and to its
   participants' recovery hooks
   (:meth:`repro.sim.node.Node.add_recovery_listener`), and the only
@@ -17,30 +12,20 @@ an event-driven state machine:
   state change a driver can act on materializes either when a block
   connects (confirmations, receipts, released change, expired on-chain
   timelocks, mempool evictions) or when a crashed participant comes
-  back, so self-scheduled polling between those moments is pure
-  overhead — removing it is what lets one simulation multiplex far past
-  10³ concurrent swaps;
-* ``eager=False`` reverts to the historical self-scheduled poll ticks
-  (a tick every quarter block interval, clamped to the phase deadline)
-  for A/B cadence runs;
+  back;
 * when the protocol reaches a terminal state the driver finalizes its
   :class:`~repro.core.protocol.SwapOutcome` and fires ``on_complete``
   callbacks — which is what lets :class:`repro.engine.SwapEngine`
   multiplex hundreds of concurrent AC2Ts over one simulation.
 
-The poll cadence of the non-eager mode reproduces the historical blocking
-loops tick for tick, so ``eager=False`` single-swap runs (``driver.run()``
-— an engine of one) behave exactly as before the refactor.
-
-**Submission jitter (fee-budgeted swaps).**  Eager block hooks fire for
+**Submission jitter (fee-budgeted swaps).**  Block hooks fire for
 every co-hosted driver at the same instant a block connects, so under a
 congested fee market hundreds of swaps would otherwise submit (and
 fee-bump) in one synchronized burst, evicting each other and timing out
 witness-chain decisions.  Drivers carrying a :class:`~repro.economy.FeeBudget`
 therefore react to block hooks after a small deterministic per-swap
 delay in ``[0, jitter_span)``, derived from the swap's identity (its
-graph digest) — the de-herding the staggered poll cadence used to
-provide for free, now explicit, seeded, and reproducible.
+graph digest): explicit, seeded, and reproducible.
 
 Subclasses implement three hooks:
 
@@ -57,6 +42,7 @@ Subclasses implement three hooks:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from ..chain.block import Block
@@ -64,7 +50,12 @@ from ..chain.chain import Blockchain
 from ..chain.messages import CallMessage, DeployMessage, sign_message
 from ..crypto.keys import Address
 from ..economy import DEFAULT_POLICY, FeeBudget, FeePolicy, bump_fee
-from ..errors import FeeError, FeeTooLowError, ValidationError
+from ..errors import (
+    FeeError,
+    FeeTooLowError,
+    InsufficientFundsError,
+    ValidationError,
+)
 from ..sim.events import Event
 from .graph import AssetEdge, SwapGraph
 from .protocol import ContractRecord, SwapEnvironment, SwapOutcome, edge_key
@@ -77,7 +68,7 @@ class TrackedSubmission:
     chain_id: str
     message: DeployMessage | CallMessage
     sender: str
-    on_replace: Callable[[DeployMessage | CallMessage], None] | None
+    on_replace: Callable[[DeployMessage | CallMessage], None]
     fee_rate: int
     bumps: int = 0
 
@@ -93,7 +84,6 @@ class ProtocolDriver:
         graph: SwapGraph,
         poll_interval: float | None = None,
         extra_chain_ids: tuple[str, ...] = (),
-        eager: bool = True,
         fee_budget: FeeBudget | None = None,
         jitter_span: float | None = None,
     ) -> None:
@@ -135,7 +125,6 @@ class ProtocolDriver:
         self.collector = None
         self.trace_swap_id: int | None = None
 
-        self._eager = eager
         self._watched: list[Blockchain] = []
         self._watched_participants: list = []
         self._watched_mempools: list = []
@@ -158,7 +147,7 @@ class ProtocolDriver:
         # zero-delay hook reaction (and its pinned baselines).
         span = self._poll if jitter_span is None else jitter_span
         self._jitter = 0.0
-        if eager and fee_budget is not None and span > 0.0:
+        if fee_budget is not None and span > 0.0:
             digest = graph.digest()
             self._jitter = (
                 (int.from_bytes(digest[:8], "big") / float(1 << 64)) * span
@@ -214,17 +203,15 @@ class ProtocolDriver:
     def _track(
         self,
         chain_id: str,
-        message,
-        sender: str | None = None,
-        on_replace: Callable[[DeployMessage | CallMessage], None] | None = None,
+        message: DeployMessage | CallMessage,
+        sender: str,
+        on_replace: Callable[[DeployMessage | CallMessage], None],
     ) -> None:
         """Record a submitted message (for fee collection), and — when a
         fee budget governs this swap — watch it for mempool eviction so
         the bump-or-abort rebroadcast policy can react."""
         self._submitted.append((chain_id, message.message_id()))
-        if self.fee_budget is None or sender is None:
-            return
-        if not isinstance(message, (DeployMessage, CallMessage)):
+        if self.fee_budget is None:
             return
         self._fee_committed += message.fee
         self._tracked[message.message_id()] = TrackedSubmission(
@@ -318,6 +305,69 @@ class ProtocolDriver:
             return False
         return True
 
+    # -- the one submission path ---------------------------------------------
+    #
+    # Budget check, submission, refusal policy and tracking for every
+    # message a protocol sends after registration.  A refused submission
+    # is not an error: the next activation re-attempts whatever is still
+    # missing.  Callers build ``args`` first; nothing is constructed here.
+
+    def _deploy_edge(self, edge: AssetEdge, contract_class: str, args: tuple) -> None:
+        """Publish ``edge``'s asset contract from its source participant."""
+        chain_id = edge.chain_id
+        if not self._fee_ok(chain_id, "deploy"):
+            return  # priced out of publishing
+        try:
+            deploy = self.env.participant(edge.source).deploy_contract(
+                chain_id,
+                contract_class,
+                args=args,
+                value=edge.amount,
+                fee=self._fee_for(chain_id, "deploy"),
+            )
+        except InsufficientFundsError:
+            return  # change is in flight
+        except FeeTooLowError:
+            self._raise_rate_floor(chain_id)  # outbid; retry at a higher rate
+            return
+        key = edge_key(edge)
+        self._record_deploy(key, deploy)
+        self.outcome.contracts[key].deployed_at = self.sim.now
+        self._track(chain_id, deploy, edge.source, partial(self._record_deploy, key))
+
+    def _call_contract(
+        self,
+        chain_id: str,
+        sender: str,
+        contract_id: bytes,
+        function: str,
+        args: tuple,
+        record: Callable[[CallMessage], None],
+    ) -> bool:
+        """Submit one contract call from ``sender``; False when refused.
+
+        ``record`` receives the submitted call, and again every
+        fee-bumped rebroadcast that replaces it.
+        """
+        if not self._fee_ok(chain_id, "call"):
+            return False
+        try:
+            call = self.env.participant(sender).call_contract(
+                chain_id,
+                contract_id,
+                function,
+                args=args,
+                fee=self._fee_for(chain_id, "call"),
+            )
+        except InsufficientFundsError:
+            return False  # change is in flight
+        except FeeTooLowError:
+            self._raise_rate_floor(chain_id)  # outbid; retry at a higher rate
+            return False
+        record(call)
+        self._track(chain_id, call, sender, record)
+        return True
+
     def _maintain_submissions(self) -> None:
         """Detect evicted submissions and apply bump-or-abort to each."""
         for message_id in list(self._tracked):
@@ -390,8 +440,7 @@ class ProtocolDriver:
             )
         self._tracked[bumped.message_id()] = new_sub
         self._submitted.append((sub.chain_id, bumped.message_id()))
-        if sub.on_replace is not None:
-            sub.on_replace(bumped)
+        sub.on_replace(bumped)
 
     def _abandon(
         self, sub: TrackedSubmission, priced_out: bool = True, reason: str = ""
@@ -428,15 +477,12 @@ class ProtocolDriver:
 
     # -- replace bookkeeping shared by the protocols -------------------------
 
-    def _replace_deploy(self, key: str, new: DeployMessage) -> None:
-        """Repoint a contract record at a fee-bumped deployment."""
+    def _record_deploy(self, key: str, new: DeployMessage) -> None:
+        """Point a contract record at a (possibly fee-bumped) deployment."""
         self._deploys[key] = new
         record = self.outcome.contracts[key]
         record.contract_id = new.contract_id()
         record.deploy_message_id = new.message_id()
-
-    def _replace_settle_call(self, key: str, new: CallMessage) -> None:
-        self._settle_calls[key] = new
 
     def _edge_confirmed(self, edge: AssetEdge) -> bool:
         key = edge_key(edge)
@@ -528,26 +574,24 @@ class ProtocolDriver:
             return self
         self.started = True
         self.outcome.started_at = self.sim.now
-        if self._eager:
+        for chain_id in self._involved_chain_ids:
+            chain = self.env.chain(chain_id)
+            chain.add_block_listener(self._on_block)
+            self._watched.append(chain)
+        # A recovered participant can act again between blocks.
+        for name in self.graph.participant_names():
+            participant = self.env.participant(name)
+            participant.add_recovery_listener(self._on_recover)
+            self._watched_participants.append(participant)
+        # Fee-budgeted swaps also hear about their submissions being
+        # evicted the moment it happens, so bump-or-abort reacts
+        # between blocks.
+        if self.fee_budget is not None:
             for chain_id in self._involved_chain_ids:
-                chain = self.env.chain(chain_id)
-                chain.add_block_listener(self._on_block)
-                self._watched.append(chain)
-            # A recovered participant can act again between blocks; the
-            # recovery hook replaces the poll tick that used to notice.
-            for name in self.graph.participant_names():
-                participant = self.env.participant(name)
-                participant.add_recovery_listener(self._on_recover)
-                self._watched_participants.append(participant)
-            # Fee-budgeted swaps also hear about their submissions being
-            # evicted the moment it happens, so bump-or-abort reacts
-            # between blocks exactly as the poll cadence used to.
-            if self.fee_budget is not None:
-                for chain_id in self._involved_chain_ids:
-                    pool = self.env.mempools.get(chain_id)
-                    if pool is not None:
-                        pool.add_eviction_listener(self._on_eviction)
-                        self._watched_mempools.append(pool)
+                pool = self.env.mempools.get(chain_id)
+                if pool is not None:
+                    pool.add_eviction_listener(self._on_eviction)
+                    self._watched_mempools.append(pool)
         self._begin()
         if not self.finished:
             self._advance()
@@ -584,8 +628,8 @@ class ProtocolDriver:
             self._advance()
 
     def _on_recover(self) -> None:
-        """Participant-recovery hook (eager mode): the recovered actor can
-        submit again right now — no need to wait for the next block."""
+        """Participant-recovery hook: the recovered actor can submit
+        again right now — no need to wait for the next block."""
         if self.finished:
             return
         self._maintain_submissions()
@@ -593,7 +637,7 @@ class ProtocolDriver:
             self._advance()
 
     def _on_eviction(self, message_id: bytes) -> None:
-        """Mempool-eviction hook (eager, fee-budgeted swaps only).
+        """Mempool-eviction hook (fee-budgeted swaps only).
 
         Fired synchronously from inside another submission's admission,
         so never re-enter the mempool here — schedule the (jittered)
@@ -608,40 +652,31 @@ class ProtocolDriver:
                 label=f"{self.protocol_name} eviction reaction",
             )
 
-    def _eager_deadline(self) -> float | None:
+    def _phase_deadline(self) -> float | None:
         """The phase deadline to arm when :meth:`_schedule_tick` got none.
 
-        Eager drivers advance on block/recovery hooks; the only timer
-        they need is the current phase's deadline.  Subclasses whose
+        Drivers advance on block/recovery hooks; the only timer they
+        need is the current phase's deadline.  Subclasses whose
         ``_advance`` does not pass one (Herlihy's single rolling phase)
         supply it here; None falls back to one poll interval.
         """
         return None
 
     def _schedule_tick(self, deadline: float | None = None) -> None:
-        """Arm the next self-scheduled activation.
+        """Arm the one *timeout* event at the phase deadline.
 
-        Eager mode schedules exactly one *timeout* event at the phase
-        deadline — everything before that is driven by block/recovery
-        hooks.  Non-eager mode keeps the historical poll cadence:
-        ``min(deadline, now + poll)``.  At most one timer is ever
-        outstanding; rescheduling cancels the previous one.
+        Everything before the deadline is driven by block/recovery
+        hooks.  At most one timer is ever outstanding; rescheduling
+        cancels the previous one.
         """
         if self.finished:
             return
-        if self._eager:
-            target = deadline if deadline is not None else self._eager_deadline()
-            if target is None or target <= self.sim.now:
-                target = self.sim.now + self._poll
-            if self._pending_tick is not None and self._pending_tick.time == target:
-                return  # the wanted wake-up is already armed
-        else:
+        target = deadline if deadline is not None else self._phase_deadline()
+        if target is None or target <= self.sim.now:
             target = self.sim.now + self._poll
-            if deadline is not None:
-                target = min(deadline, target)
-            if target <= self.sim.now:
-                target = self.sim.now + self._poll
         if self._pending_tick is not None:
+            if self._pending_tick.time == target:
+                return  # the wanted wake-up is already armed
             self._pending_tick.cancel()
         self._pending_tick = self.sim.schedule_at(
             target, self._tick, label=f"{self.protocol_name} driver tick"

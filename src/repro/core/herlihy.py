@@ -27,17 +27,18 @@ Section 5.3's claims.
 The driver is a non-blocking :class:`~repro.core.driver.ProtocolDriver`
 state machine: every activation attempts publishes, redemptions, and
 refunds that the wave discipline currently permits, then yields the
-simulator until the next tick (or block, in eager mode).
+simulator until the next block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..chain.block import encode_time
 from ..chain.messages import CallMessage
 from ..crypto.hashing import hashlock
-from ..errors import FeeTooLowError, InsufficientFundsError, GraphError
+from ..errors import GraphError
 from .driver import ProtocolDriver
 from .graph import AssetEdge, SwapGraph
 from .htlc import HTLCContract  # noqa: F401  (registers the contract class)
@@ -118,7 +119,6 @@ class HerlihyDriver(ProtocolDriver):
         env: SwapEnvironment,
         graph: SwapGraph,
         config: HerlihyConfig | None = None,
-        eager: bool = True,
         fee_budget=None,
         jitter_span: float | None = None,
     ) -> None:
@@ -127,7 +127,6 @@ class HerlihyDriver(ProtocolDriver):
             env,
             graph,
             poll_interval=self.config.poll_interval,
-            eager=eager,
             fee_budget=fee_budget,
             jitter_span=jitter_span,
         )
@@ -194,35 +193,14 @@ class HerlihyDriver(ProtocolDriver):
             timelock = self.timelock_for(edge, t0, delta)
             if self.sim.now >= timelock:
                 continue  # too late to publish meaningfully
-            if not self._fee_ok(edge.chain_id, "deploy"):
-                continue  # priced out of publishing
-            try:
-                deploy = participant.deploy_contract(
-                    edge.chain_id,
-                    HTLC_CONTRACT_CLASS,
-                    args=(
-                        self._address_of(edge.recipient).raw,
-                        self.lock,
-                        encode_time(timelock),
-                    ),
-                    value=edge.amount,
-                    fee=self._fee_for(edge.chain_id, "deploy"),
-                )
-            except InsufficientFundsError:
-                continue  # change is in flight; retry next tick
-            except FeeTooLowError:
-                self._raise_rate_floor(edge.chain_id)
-                continue  # outbid at submission; retry at a higher rate
-            self._deploys[key] = deploy
-            record = self.outcome.contracts[key]
-            record.contract_id = deploy.contract_id()
-            record.deploy_message_id = deploy.message_id()
-            record.deployed_at = self.sim.now
-            self._track(
-                edge.chain_id,
-                deploy,
-                sender=edge.source,
-                on_replace=lambda new, key=key: self._replace_deploy(key, new),
+            self._deploy_edge(
+                edge,
+                HTLC_CONTRACT_CLASS,
+                args=(
+                    self._address_of(edge.recipient).raw,
+                    self.lock,
+                    encode_time(timelock),
+                ),
             )
 
     # -- redeem phase -------------------------------------------------------------
@@ -269,29 +247,13 @@ class HerlihyDriver(ProtocolDriver):
             # Publishing a redeem that lands after the timelock is futile.
             if self.sim.now + chain.params.block_interval >= timelock:
                 continue
-            if not self._fee_ok(edge.chain_id, "call"):
-                continue
-            try:
-                call = recipient.call_contract(
-                    edge.chain_id,
-                    self._deploys[key].contract_id(),
-                    "redeem",
-                    args=(self.secret,),
-                    fee=self._fee_for(edge.chain_id, "call"),
-                )
-            except InsufficientFundsError:
-                continue  # retry next tick
-            except FeeTooLowError:
-                self._raise_rate_floor(edge.chain_id)
-                continue  # outbid at submission; retry at a higher rate
-            self._redeem_calls[key] = call
-            self._track(
+            self._call_contract(
                 edge.chain_id,
-                call,
-                sender=edge.recipient,
-                on_replace=lambda new, key=key: self._redeem_calls.__setitem__(
-                    key, new
-                ),
+                edge.recipient,
+                self._deploys[key].contract_id(),
+                "redeem",
+                args=(self.secret,),
+                record=partial(self._redeem_calls.__setitem__, key),
             )
 
     def _observe_reveals(self) -> None:
@@ -321,29 +283,13 @@ class HerlihyDriver(ProtocolDriver):
             sender = self.env.participant(edge.source)
             if sender.crashed:
                 continue
-            if not self._fee_ok(edge.chain_id, "call"):
-                continue
-            try:
-                call = sender.call_contract(
-                    edge.chain_id,
-                    self._deploys[key].contract_id(),
-                    "refund",
-                    args=(b"",),
-                    fee=self._fee_for(edge.chain_id, "call"),
-                )
-            except InsufficientFundsError:
-                continue  # retry next tick
-            except FeeTooLowError:
-                self._raise_rate_floor(edge.chain_id)
-                continue  # outbid at submission; retry at a higher rate
-            self._refund_calls[key] = call
-            self._track(
+            self._call_contract(
                 edge.chain_id,
-                call,
-                sender=edge.source,
-                on_replace=lambda new, key=key: self._refund_calls.__setitem__(
-                    key, new
-                ),
+                edge.source,
+                self._deploys[key].contract_id(),
+                "refund",
+                args=(b"",),
+                record=partial(self._refund_calls.__setitem__, key),
             )
 
     # -- bookkeeping ------------------------------------------------------------------
@@ -380,10 +326,10 @@ class HerlihyDriver(ProtocolDriver):
         )
         self._set_phase("publish")
 
-    def _eager_deadline(self) -> float | None:
+    def _phase_deadline(self) -> float | None:
         # One rolling phase: publishes, reveals, redeems, and refunds are
         # all enabled by chain growth (block hooks); the only timer the
-        # eager driver needs is the protocol's hard horizon.
+        # driver needs is the protocol's hard horizon.
         return self._horizon
 
     def _advance(self) -> None:

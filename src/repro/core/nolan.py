@@ -42,7 +42,6 @@ class NolanDriver(HerlihyDriver):
         env: SwapEnvironment,
         graph: SwapGraph,
         config: HerlihyConfig | None = None,
-        eager: bool = True,
         fee_budget=None,
         jitter_span: float | None = None,
     ) -> None:
@@ -51,7 +50,6 @@ class NolanDriver(HerlihyDriver):
             env,
             graph,
             config,
-            eager=eager,
             fee_budget=fee_budget,
             jitter_span=jitter_span,
         )

@@ -73,7 +73,7 @@ def register_protocol(
     """Register a protocol so engines (and specs) can run it by name.
 
     New protocols plug in without editing this module: the factory
-    receives the engine (for ``env``, ``eager``, witness services) and
+    receives the engine (for ``env``, ``jitter_span``, witness services) and
     the :class:`SwapRequest` (graph, config, fee budget).
     """
     if name in _PROTOCOL_REGISTRY and not replace:
@@ -125,7 +125,7 @@ class EngineResult:
     by_protocol: dict[str, EngineMetrics]
     requests: list[SwapRequest] = field(repr=False, default_factory=list)
     #: Simulator events executed by :meth:`SwapEngine.run` — the cadence
-    #: observability hook behind the eager-mode event-budget pins.
+    #: observability hook behind the event-budget pins.
     events_processed: int = 0
     #: Reorgs observed per chain (the Blockchain reorg listeners).
     chain_reorgs: dict[str, int] = field(default_factory=dict)
@@ -160,16 +160,13 @@ class SwapEngine:
         trusted_witness: shared Trent instance for AC3TW swaps (default:
             one Trent with full-node access to every chain — shared
             across swaps, like the real single-witness deployment).
-        eager: if True (the default), drivers are purely event-driven —
-            block-mined and participant-recovery hooks plus one timeout
-            event per phase deadline, no self-scheduled poll ticks
-            (lower observation latency and far fewer simulator events;
-            identical safety).  Pass False for A/B runs against the
-            historical poll-tick cadence.
+        eager: must be True.  Drivers are event-driven only (the poll
+            cadence is gone); the keyword stays because persisted specs
+            and ``benchmarks/ledger`` still pass it.
         jitter_span: width (seconds) of the deterministic per-swap
             submission jitter applied to fee-budgeted swaps' block-hook
             reactions (None = a quarter of the fastest involved chain's
-            block interval, mirroring the old poll cadence; 0 disables).
+            block interval; 0 disables).
     """
 
     def __init__(
@@ -186,13 +183,17 @@ class SwapEngine:
                 f"unknown protocol {default_protocol!r}; "
                 f"expected one of: {_known_protocols()}"
             )
+        if not eager:
+            raise ProtocolError(
+                "SwapEngine(eager=False): the poll-tick driver cadence was "
+                "removed; drivers are event-driven only"
+            )
         self.env = env
         self.default_protocol = default_protocol
         self.witness_chain_id = witness_chain_id or getattr(
             env, "witness_chain_id", "witness"
         )
         self._trusted_witness = trusted_witness
-        self.eager = eager
         self.jitter_span = jitter_span
         self.requests: list[SwapRequest] = []
         self._completed = 0
@@ -558,7 +559,6 @@ def _nolan_factory(engine: SwapEngine, request: SwapRequest) -> ProtocolDriver:
         engine.env,
         request.graph,
         request.config or HerlihyConfig(),
-        eager=engine.eager,
         fee_budget=request.fee_budget,
         jitter_span=engine.jitter_span,
     )
@@ -569,7 +569,6 @@ def _herlihy_factory(engine: SwapEngine, request: SwapRequest) -> ProtocolDriver
         engine.env,
         request.graph,
         request.config or HerlihyConfig(),
-        eager=engine.eager,
         fee_budget=request.fee_budget,
         jitter_span=engine.jitter_span,
     )
@@ -581,7 +580,6 @@ def _ac3tw_factory(engine: SwapEngine, request: SwapRequest) -> ProtocolDriver:
         request.graph,
         engine.trusted_witness,
         request.config or AC3TWConfig(),
-        eager=engine.eager,
         fee_budget=request.fee_budget,
         jitter_span=engine.jitter_span,
     )
@@ -592,7 +590,6 @@ def _ac3wn_factory(engine: SwapEngine, request: SwapRequest) -> ProtocolDriver:
         engine.env,
         request.graph,
         request.config or AC3WNConfig(witness_chain_id=engine.witness_chain_id),
-        eager=engine.eager,
         fee_budget=request.fee_budget,
         jitter_span=engine.jitter_span,
     )

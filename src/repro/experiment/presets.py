@@ -13,7 +13,6 @@ Register project-specific presets with :func:`register_preset`.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable
 
 from ..adversary import AdversarySpec, ReorgAttackSpec
@@ -21,7 +20,6 @@ from ..errors import SpecError
 from .spec import (
     ChainsSpec,
     CrashSpec,
-    EngineSpec,
     ExperimentSpec,
     FeeMarketSpec,
     FeeShockSpec,
@@ -91,11 +89,9 @@ def _congestion() -> ExperimentSpec:
     """Oversubscribed fee market: 60 swaps at 12/s against a block
     budget of 16 — congestion prices the low-budget class out.
 
-    Runs the default event-driven cadence: mempool-eviction hooks plus
-    the deterministic per-swap submission jitter de-herd the post-block
-    bursts, so the eager run reproduces the poll-cadence fee-market
-    baseline (~9% low-budget / ~96% high-budget commit) that used to
-    require pinning ``engine.eager=False``.
+    Mempool-eviction hooks plus the deterministic per-swap submission
+    jitter de-herd the post-block bursts: ~9% low-budget / ~96%
+    high-budget commit.
     """
     return ExperimentSpec(
         name="congestion",
@@ -197,14 +193,6 @@ def _security() -> ExperimentSpec:
     )
 
 
-def _lazy_engine_smoke() -> ExperimentSpec:
-    """The engine-smoke workload with eager block hooks disabled — the
-    A/B baseline for the poll-tick-only driver cadence."""
-    return dataclasses.replace(
-        _engine_smoke(), name="engine-smoke-lazy", engine=EngineSpec(eager=False)
-    )
-
-
 register_preset("swap", _swap, "one two-party AC3WN swap")
 register_preset(
     "engine-smoke", _engine_smoke, "50 mixed-protocol concurrent AC2Ts (CI tripwire)"
@@ -219,6 +207,3 @@ register_preset(
     "security", _security, "traffic under a budgeted witness-reorg attacker"
 )
 register_preset("fee-shock", _fee_shock, "congestion plus a whale demand burst")
-register_preset(
-    "engine-smoke-lazy", _lazy_engine_smoke, "engine smoke with eager=False (A/B)"
-)

@@ -382,16 +382,15 @@ class TrafficSpec:
 class EngineSpec:
     """Execution options for the :class:`~repro.engine.SwapEngine`."""
 
-    #: Event-driven driving (block/recovery hooks plus phase-deadline
-    #: timeouts, the default); False reverts to pure poll ticks for A/B
-    #: cadence comparisons.
+    #: Must be true: drivers are event-driven only.  The field stays so
+    #: persisted spec echoes, checkpoints and request logs still load.
     eager: bool = True
     warm_up_blocks: int = 2
     max_events: int = 50_000_000
     #: Width (seconds) of the deterministic per-swap submission jitter
     #: applied to fee-budgeted swaps' block-hook reactions.  None = a
-    #: quarter of the fastest involved chain's block interval (the old
-    #: poll cadence's natural stagger); 0 disables jitter.
+    #: quarter of the fastest involved chain's block interval; 0
+    #: disables jitter.
     jitter: float | None = None
 
 
@@ -625,6 +624,11 @@ class ExperimentSpec:
             fail(
                 f"protocol {self.protocol!r} includes Nolan, which is strictly "
                 f"two-party: traffic.participants_per_swap must be 2"
+            )
+        if not self.engine.eager:
+            fail(
+                "engine.eager must be true: the poll-tick driver cadence "
+                "was removed, drivers are event-driven only"
             )
         if self.engine.warm_up_blocks < 0:
             fail("engine.warm_up_blocks must be non-negative")

@@ -47,6 +47,7 @@ from ..experiment.runner import (
 from ..workloads.scenarios import (
     TrafficItem,
     schedule_fee_shock,
+    swap_graph,
     swap_traffic_graphs,
 )
 from .requestlog import RequestRecord, dump_request_log
@@ -332,29 +333,16 @@ class SwapService:
     # -- the accept path (shared by live serving, replay, and restore) -----
 
     def _slot_graph(self, index: int, amount: int):
-        if amount == self.spec.world.traffic.amount:
+        traffic = self.spec.world.traffic
+        if amount == traffic.amount:
             return self._slots[index]
-        from ..core.graph import AssetEdge, SwapGraph
-        from ..workloads.graphs import participant_keys
-
-        world = self.spec.world
-        chain_ids = list(world.chains.asset_ids())
-        count = world.traffic.participants_per_swap
-        names = [
-            f"{world.traffic.prefix}{index:04d}.{chr(ord('a') + j)}"
-            for j in range(count)
-        ]
-        keys = participant_keys(names)
-        edges = [
-            AssetEdge(
-                source=names[j],
-                recipient=names[(j + 1) % count],
-                chain_id=chain_ids[(index + j) % len(chain_ids)],
-                amount=amount,
-            )
-            for j in range(count)
-        ]
-        return SwapGraph.build(keys, edges, timestamp=index)
+        return swap_graph(
+            index,
+            list(self.spec.world.chains.asset_ids()),
+            traffic.participants_per_swap,
+            amount,
+            traffic.prefix,
+        )
 
     def _accept(self, source_name: str, item: SourceItem) -> SwapHandle:
         if self._closed:
@@ -756,12 +744,25 @@ class SwapService:
                 f"unsupported checkpoint schema {data['schema']!r} "
                 f"(expected {CKPT_SCHEMA!r})"
             )
+        for name, types, label in (
+            ("clock", (int, float), "a number"),
+            ("epoch", int, "an int"),
+            ("accepted", int, "an int"),
+            ("records", list, "a list"),
+            ("cursors", dict, "an object"),
+        ):
+            value = data[name]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ServiceError(
+                    f"malformed checkpoint {path!r}: {name} must be {label}, "
+                    f"got {value!r}"
+                )
         try:
             spec = ServiceSpec.from_dict(data["spec"])
         except Exception as exc:
             raise ServiceError(f"malformed checkpoint spec echo: {exc}") from exc
         records = [RequestRecord.from_dict(raw) for raw in data["records"]]
-        if len(records) != int(data["accepted"]):
+        if len(records) != data["accepted"]:
             raise ServiceError(
                 f"checkpoint {path!r} declares {data['accepted']} accepted "
                 f"requests but carries {len(records)} records"
@@ -769,7 +770,7 @@ class SwapService:
         service = cls(spec)
         service._replay_records(records)
         service._advance_to(float(data["clock"]))
-        service.epoch = int(data["epoch"])
+        service.epoch = data["epoch"]
         digest = service._digest()
         if digest != data["digest"]:
             raise ServiceError(
@@ -778,11 +779,8 @@ class SwapService:
                 f"code version, or checkpoint file changed"
             )
         service._ensure_sources()
-        cursors = data["cursors"]
-        if not isinstance(cursors, dict):
-            raise ServiceError("checkpoint cursors must be an object")
-        for index, source in enumerate(service._sources):
-            count = cursors.get(source.name, 0)
+        for source in service._sources:
+            count = data["cursors"].get(source.name, 0)
             if count:
                 source.skip(int(count))
         return service

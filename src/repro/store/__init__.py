@@ -16,7 +16,7 @@ WAL mode, foreign keys, indexed metric columns) behind a typed
   ``"commit_rate < 0.5 AND protocol='nolan'"`` (:mod:`repro.store.query`)
   into indexed SQL;
 * resume-from-store — ``SweepRunner(spec, store=...)`` skips points
-  whose stored spec echo matches, byte-identical to ``--resume DIR``;
+  whose stored spec echo matches, byte-identical to a fresh run;
 * cross-run regression tracking — :func:`compare_campaigns`
   (:mod:`repro.store.compare`) joins two campaigns by expansion
   coordinates and flags directed metric regressions;

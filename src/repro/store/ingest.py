@@ -3,11 +3,11 @@
 ``repro store ingest`` recognizes three shapes and files each under a
 campaign of the matching kind:
 
-* a **resume directory** of ``point-NNNNN.json`` files (what
-  ``repro sweep --resume DIR`` writes) — each file is one serialized
-  ``ExperimentResult``; the bytes are stored verbatim, so recovery
-  stays byte-exact and a later ``--store`` resume of the same sweep
-  can reuse the imported points;
+* a **point directory** of ``point-NNNNN.json`` files (the per-point
+  archive ``repro sweep --resume DIR`` wrote before ``--store`` replaced
+  it) — each file is one serialized ``ExperimentResult``; the bytes are
+  stored verbatim, so recovery stays byte-exact and a later ``--store``
+  resume of the same sweep can reuse the imported points;
 * a single **ExperimentResult JSON** file (``repro run --json OUT``) —
   a one-point campaign;
 * a **bench timing JSON** (the ``ENGINE_SCALE_JSON`` artifact of

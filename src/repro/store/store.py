@@ -10,9 +10,8 @@ keyed by a shared campaign id without losing rows.
 
 The store is also the sweep subsystem's durable resume archive:
 :meth:`stored_artifact` only returns bytes whose stored spec echo still
-matches the freshly expanded point — exactly the validation the
-``--resume DIR`` path applies — so editing a sweep invalidates exactly
-the stale points, never the whole campaign.
+matches the freshly expanded point, so editing a sweep invalidates
+exactly the stale points, never the whole campaign.
 """
 
 from __future__ import annotations
@@ -366,9 +365,8 @@ class CampaignStore:
         self, campaign_id: int, index: int, spec: dict
     ) -> str | None:
         """The stored artifact text for a point whose spec echo still
-        matches ``spec``, or None (execute it) — the same validation the
-        directory resume path applies, so stale points are invalidated
-        identically."""
+        matches ``spec``, or None (execute it): a stale, corrupt or
+        missing point is re-executed alone."""
         point = self._point_row(campaign_id, index)
         if point is None or point["status"] != "ok" or point["spec_json"] is None:
             return None

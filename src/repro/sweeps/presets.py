@@ -121,7 +121,7 @@ def _crash_matrix() -> SweepSpec:
     Nolan (HTLC) and AC3WN.
 
     Seeds ride on the onset axis (one seed per onset, shared by both
-    protocols) to reproduce the CLI crash-sweep's re-baselined cells:
+    protocols) to reproduce the pinned cells:
     onsets 2.0/3.0 land in the HTLC vulnerability window and settle
     non-atomically; AC3WN aborts or commits cleanly everywhere.
     """

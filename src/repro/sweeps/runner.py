@@ -15,13 +15,11 @@ is pinned against.  Worker processes are forked where the platform
 allows it, so plug-in protocols and traffic generators registered by
 the parent are visible to the children.
 
-Campaigns archive to exactly one of two durable backends, with the
-same per-point resume semantics: ``resume_dir`` (one ``point-NNNNN.json``
-file per point) or ``store`` (a :class:`~repro.store.CampaignStore`
-SQLite database, which additionally indexes every point's metrics for
-``repro query`` / ``repro compare``).  Both validate the stored spec
-echo before reusing a point, so editing the sweep invalidates exactly
-the stale points either way.
+Campaigns archive to ``store``, a :class:`~repro.store.CampaignStore`
+SQLite database that also indexes every point's metrics for ``repro
+query`` / ``repro compare``.  A re-run resumes from it point by point:
+the store validates the stored spec echo before reusing a point, so
+editing the sweep invalidates exactly the stale points.
 """
 
 from __future__ import annotations
@@ -77,20 +75,13 @@ class SweepRunner:
             (points still in flight, capped by the worker count) — what
             ``repro sweep --progress`` renders as completed/ETA/
             per-worker throughput lines.
-        resume_dir: per-point artifact directory for resumable
-            campaigns.  Every executed point writes its serialized
-            ``ExperimentResult`` to ``point-NNNNN.json`` there; on a
-            re-run, points whose artifact already exists (and whose
-            stored spec echo still matches the expanded point) are
-            loaded from disk instead of executed — the merged
-            :class:`SweepResult` is byte-identical to a fresh run
-            because the stored bytes *are* the worker payloads.
         store: path to (or an open) :class:`~repro.store.CampaignStore`
-            campaign database — the SQLite sibling of ``resume_dir``,
-            with identical resume semantics (stored artifacts reused
-            only when their spec echo matches the freshly expanded
-            point) plus indexed metrics for ``repro query`` and
-            ``repro compare``.  Mutually exclusive with ``resume_dir``.
+            campaign database.  Every executed point appends its
+            serialized ``ExperimentResult`` there; on a re-run, points
+            whose stored spec echo still matches the expanded point are
+            loaded instead of executed — the merged :class:`SweepResult`
+            is byte-identical to a fresh run because the stored bytes
+            *are* the worker payloads.
     """
 
     def __init__(
@@ -99,23 +90,14 @@ class SweepRunner:
         workers: int = 1,
         on_point: Callable[[PointResult], None] | None = None,
         on_progress: "Callable[[PointResult, dict], None] | None" = None,
-        resume_dir: str | None = None,
         store: "str | CampaignStore | None" = None,
     ) -> None:
         if workers < 1:
             raise SpecError(f"workers must be at least 1, got {workers}")
-        if resume_dir is not None and store is not None:
-            raise SpecError(
-                "--resume DIR and --store DB are mutually exclusive: both "
-                "archive the campaign's per-point artifacts, so pick one "
-                "backend (ingest the directory with 'repro store ingest' "
-                "to migrate it into a database)"
-            )
         self.spec = spec
         self.workers = workers
         self.on_point = on_point
         self.on_progress = on_progress
-        self.resume_dir = resume_dir
         self.store = store
         #: Point indices loaded from the archive on the last run.
         self.resumed: list[int] = []
@@ -148,13 +130,8 @@ class SweepRunner:
 
             def collect(item: tuple[int, str, dict | None]) -> None:
                 index, result_json, heartbeat = item
-                if index not in resumed_set:
-                    if self.resume_dir is not None:
-                        self._store_artifact(index, result_json)
-                    if store is not None:
-                        self._store_point(
-                            store, campaign_id, by_index[index], result_json
-                        )
+                if store is not None and index not in resumed_set:
+                    self._store_point(store, campaign_id, by_index[index], result_json)
                 joined = self._join(by_index[index], result_json)
                 finished[index] = joined
                 if self.on_point is not None:
@@ -172,12 +149,11 @@ class SweepRunner:
             payloads = []
             for point in expansion.points:
                 spec_json = point.spec.to_json(indent=None)
-                if store is not None:
-                    cached = store.stored_artifact(
-                        campaign_id, point.index, point.spec.to_dict()
-                    )
-                else:
-                    cached = self._load_artifact(point)
+                cached = (
+                    store.stored_artifact(campaign_id, point.index, point.spec.to_dict())
+                    if store is not None
+                    else None
+                )
                 if cached is not None:
                     self.resumed.append(point.index)
                     resumed_set.add(point.index)
@@ -271,38 +247,6 @@ class SweepRunner:
 
         return dict(MetricsRegistry.from_dict(snapshot).scalar_items())
 
-    # -- resumable campaigns -----------------------------------------------
-
-    def _artifact_path(self, index: int) -> str:
-        return os.path.join(self.resume_dir, f"point-{index:05d}.json")
-
-    def _load_artifact(self, point: SweepPoint) -> str | None:
-        """The stored result bytes for ``point``, or None to execute it.
-
-        A stored artifact is only trusted when its spec echo matches
-        the freshly expanded point — editing the sweep (axes, seeds,
-        base) invalidates stale points individually instead of
-        poisoning the merge.
-        """
-        if self.resume_dir is None:
-            return None
-        path = self._artifact_path(point.index)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-            stored_spec = json.loads(text).get("spec")
-        except (OSError, json.JSONDecodeError):
-            return None
-        if stored_spec != point.spec.to_dict():
-            return None
-        return text
-
-    def _store_artifact(self, index: int, result_json: str) -> None:
-        os.makedirs(self.resume_dir, exist_ok=True)
-        path = self._artifact_path(index)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(result_json)
-
     def _join(self, point: SweepPoint, result_json: str) -> PointResult:
         return PointResult(
             index=point.index,
@@ -319,7 +263,6 @@ def run_sweep(
     workers: int = 1,
     on_point: Callable[[PointResult], None] | None = None,
     on_progress: "Callable[[PointResult, dict], None] | None" = None,
-    resume_dir: str | None = None,
     store: "str | CampaignStore | None" = None,
 ) -> SweepResult:
     """Convenience wrapper: ``SweepRunner(spec, workers).run()``."""
@@ -328,6 +271,5 @@ def run_sweep(
         workers=workers,
         on_point=on_point,
         on_progress=on_progress,
-        resume_dir=resume_dir,
         store=store,
     ).run()

@@ -296,6 +296,32 @@ def poisson_arrivals(
     return arrivals
 
 
+def swap_graph(
+    index: int,
+    chain_ids: list[str],
+    participants_per_swap: int,
+    amount: int,
+    prefix: str,
+) -> SwapGraph:
+    """The ``index``-th traffic AC2T: a directed ring over its own
+    namespaced participants (``swap0007.a`` …), chains assigned
+    round-robin with a per-swap rotation, ``timestamp=index``."""
+    names = [
+        f"{prefix}{index:04d}.{chr(ord('a') + j)}"
+        for j in range(participants_per_swap)
+    ]
+    edges = [
+        AssetEdge(
+            source=names[j],
+            recipient=names[(j + 1) % len(names)],
+            chain_id=chain_ids[(index + j) % len(chain_ids)],
+            amount=amount,
+        )
+        for j in range(len(names))
+    ]
+    return SwapGraph.build(participant_keys(names), edges, timestamp=index)
+
+
 def swap_traffic_graphs(
     num_swaps: int,
     chain_ids: list[str],
@@ -305,35 +331,20 @@ def swap_traffic_graphs(
 ) -> list[SwapGraph]:
     """Independent AC2T graphs for engine traffic, one per user group.
 
-    Every swap gets its own namespaced participants (``swap0007.a`` …),
-    mirroring distinct end-users, so concurrent swaps never contend for
-    each other's keys or UTXOs — contention happens where it should, on
-    the shared chains and mempools.  Edges form a directed ring over the
-    swap's participants; chains are assigned round-robin with a per-swap
-    rotation so load spreads across ``chain_ids``.
+    Every swap gets its own namespaced participants, mirroring distinct
+    end-users, so concurrent swaps never contend for each other's keys
+    or UTXOs — contention happens where it should, on the shared chains
+    and mempools; the per-swap chain rotation spreads load across
+    ``chain_ids`` (see :func:`swap_graph`).
     """
     if participants_per_swap < 2:
         raise ProtocolError("a swap needs at least two participants")
     if not chain_ids:
         raise ProtocolError("swap traffic needs at least one asset chain")
-    graphs: list[SwapGraph] = []
-    for index in range(num_swaps):
-        names = [
-            f"{prefix}{index:04d}.{chr(ord('a') + j)}"
-            for j in range(participants_per_swap)
-        ]
-        keys = participant_keys(names)
-        edges = [
-            AssetEdge(
-                source=names[j],
-                recipient=names[(j + 1) % len(names)],
-                chain_id=chain_ids[(index + j) % len(chain_ids)],
-                amount=amount,
-            )
-            for j in range(len(names))
-        ]
-        graphs.append(SwapGraph.build(keys, edges, timestamp=index))
-    return graphs
+    return [
+        swap_graph(index, chain_ids, participants_per_swap, amount, prefix)
+        for index in range(num_swaps)
+    ]
 
 
 def swap_traffic(

@@ -13,24 +13,39 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_swap_defaults(self):
-        args = build_parser().parse_args(["swap"])
-        assert args.protocol == "ac3wn"
-        assert args.diameter == 2
+        """The removed ``swap`` command's defaults live in the preset."""
+        from repro.cli import _load_spec
 
-    def test_bad_protocol_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["swap", "--protocol", "magic"])
+        spec = _load_spec(build_parser().parse_args(["run", "--preset", "swap"]))
+        assert spec.protocol == "ac3wn"
+        assert spec.traffic.participants_per_swap == 2
+
+    def test_bad_protocol_rejected(self, capsys):
+        assert main(["run", "--preset", "swap", "--set", "protocol=magic"]) == 2
+        assert "unknown protocol 'magic'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["swap"],
+            ["engine"],
+            ["congestion"],
+            ["crash-sweep"],
+            ["sweep", "--preset", "table1", "--resume", "dir"],
+        ],
+    )
+    def test_removed_commands_and_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err or "unrecognized arguments" in err
 
     def test_run_set_is_repeatable(self):
         args = build_parser().parse_args(
             ["run", "--preset", "swap", "--set", "seed=1", "--set", "traffic.rate=2"]
         )
         assert args.set == ["seed=1", "traffic.rate=2"]
-
-    def test_eager_flag_is_tri_state(self):
-        assert build_parser().parse_args(["engine"]).eager is None
-        assert build_parser().parse_args(["engine", "--eager"]).eager is True
-        assert build_parser().parse_args(["engine", "--no-eager"]).eager is False
 
 
 class TestCommands:
@@ -52,20 +67,30 @@ class TestCommands:
         assert "bitcoin: d =     21" in out
 
     def test_swap_ac3wn(self, capsys):
-        assert main(["swap", "--protocol", "ac3wn", "--seed", "5"]) == 0
+        assert main(["run", "--preset", "swap", "--set", "seed=5"]) == 0
         out = capsys.readouterr().out
-        assert "decision=commit" in out
-        assert "scw_confirmed" in out
+        assert "ac3wn |     1 | 100.0%" in out
+        assert "0 atomicity violations" in out
 
     def test_swap_nolan(self, capsys):
-        assert main(["swap", "--protocol", "nolan", "--seed", "6"]) == 0
-        out = capsys.readouterr().out
-        assert "decision=commit" in out
+        assert (
+            main(["run", "--preset", "swap", "--set", "protocol=nolan", "--set", "seed=6"])
+            == 0
+        )
+        assert "nolan |     1 | 100.0%" in capsys.readouterr().out
 
     def test_swap_ring_herlihy(self, capsys):
-        assert main(["swap", "--protocol", "herlihy", "--diameter", "3", "--seed", "7"]) == 0
-        out = capsys.readouterr().out
-        assert "decision=commit" in out
+        """A diameter-3 ring: one chain and one participant per hop."""
+        assert (
+            main(
+                ["run", "--preset", "swap", "--set", "protocol=herlihy",
+                 "--set", "seed=7",
+                 "--set", 'chains.ids=["chain-0","chain-1","chain-2"]',
+                 "--set", "traffic.participants_per_swap=3"]
+            )
+            == 0
+        )
+        assert "herlihy |     1 | 100.0%" in capsys.readouterr().out
 
 
 class TestRun:
@@ -296,11 +321,16 @@ class TestSweep:
 
 
 class TestAliases:
+    """What the removed alias subcommands did, spelled as presets: every
+    flag they took is a ``--set`` on ``run`` or ``sweep``."""
+
     def test_engine_alias_maps_flags_onto_the_spec(self, capsys):
         assert (
             main(
-                ["engine", "--swaps", "4", "--rate", "5", "--chains", "2",
-                 "--protocol", "mixed", "--seed", "1"]
+                ["run", "--preset", "engine-smoke",
+                 "--set", "traffic.num_swaps=4", "--set", "traffic.rate=5",
+                 "--set", 'chains.ids=["chain-0","chain-1"]',
+                 "--set", "protocol=mixed", "--set", "seed=1"]
             )
             == 0
         )
@@ -309,15 +339,24 @@ class TestAliases:
         assert "0 atomicity violations" in out
 
     def test_engine_alias_rejects_bad_counts(self, capsys):
-        assert main(["engine", "--swaps", "0"]) == 2
-        assert main(["engine", "--chains", "0"]) == 2
+        run = ["run", "--preset", "engine-smoke", "--set"]
+        assert main(run + ["traffic.num_swaps=0"]) == 2
+        assert main(run + ["chains.ids=[]", "--set", "chains.count=0"]) == 2
 
     def test_engine_alias_rejects_mixed_multiparty(self, capsys):
-        assert main(["engine", "--protocol", "mixed", "--participants", "3"]) == 2
+        assert (
+            main(["run", "--preset", "engine-smoke",
+                  "--set", "traffic.participants_per_swap=3"])
+            == 2
+        )
         assert "two-party" in capsys.readouterr().err
 
     def test_congestion_alias_rejects_bad_budget(self, capsys):
-        assert main(["congestion", "--block-budget", "0"]) == 2
+        assert (
+            main(["run", "--preset", "congestion",
+                  "--set", "fee_market.block_weight_budget=0"])
+            == 2
+        )
         assert "block_weight_budget" in capsys.readouterr().err
 
     def test_unwritable_json_path_is_a_clean_error(self, capsys):
@@ -328,20 +367,41 @@ class TestAliases:
         assert "cannot write" in capsys.readouterr().err
 
     def test_congestion_alias(self, capsys):
-        assert main(["congestion", "--swaps", "10", "--rate", "10", "--seed", "2"]) == 0
+        assert (
+            main(["run", "--preset", "congestion", "--set", "traffic.num_swaps=10",
+                  "--set", "traffic.rate=10", "--set", "seed=2"])
+            == 0
+        )
         out = capsys.readouterr().out
         assert "class" in out  # fee-class breakdown table
         assert "miner fees" in out
 
-    def test_crash_sweep_reproduces_the_paper_story(self, capsys):
-        assert main(["crash-sweep"]) == 0
-        out = capsys.readouterr().out
-        assert "HTLC atomicity violations: 2; AC3WN: 0" in out
-        assert "mixed/atomic=False" in out
+    def test_crash_sweep_reproduces_the_paper_story(self, tmp_path, capsys):
+        """Section 1's table is ``sweep --preset crash-matrix``: it exits
+        1 because the HTLC cells violate atomicity, AC3WN's never do."""
+        json_path = tmp_path / "crash.json"
+        assert (
+            main(["sweep", "--preset", "crash-matrix", "--no-progress",
+                  "--json", str(json_path)])
+            == 1
+        )
+        assert "2 atomicity violations" in capsys.readouterr().out
+        violating = {
+            (point["coords"]["onset"], point["coords"]["protocol"])
+            for point in json.loads(json_path.read_text())["points"]
+            if point["result"]["metrics"]["atomicity_violations"]
+        }
+        assert violating == {("2.0", "nolan"), ("3.0", "nolan")}
 
     def test_crash_sweep_rejects_bad_onset(self, capsys):
-        assert main(["crash-sweep", "--onsets", "-1"]) == 2
-        assert "repro crash-sweep:" in capsys.readouterr().err
+        onset = {"traffic.crash.participant": "b", "traffic.crash.delay": -1.0}
+        axes = [{"name": "onset", "values": [onset], "labels": ["-1"]}]
+        assert (
+            main(["sweep", "--preset", "crash-matrix", "--no-progress",
+                  "--set", f"axes={json.dumps(axes)}"])
+            == 2
+        )
+        assert "repro sweep:" in capsys.readouterr().err
 
 
 class TestSweepResume:
@@ -363,22 +423,22 @@ class TestSweepResume:
         return path
 
     def test_resume_skips_stored_points(self, tmp_path, capsys):
+        """A half-archived campaign re-executes only what is missing."""
+        from repro.store import CampaignStore
+
         spec_path = self._tiny_spec(tmp_path)
-        resume = tmp_path / "campaign"
+        db = str(tmp_path / "camp.db")
         fresh_json = tmp_path / "fresh.json"
         resumed_json = tmp_path / "resumed.json"
-        args = ["sweep", "--spec", str(spec_path), "--no-progress",
-                "--resume", str(resume)]
+        args = ["sweep", "--spec", str(spec_path), "--no-progress", "--store", db]
         assert main(args + ["--json", str(fresh_json)]) == 0
-        out = capsys.readouterr().out
-        assert "resumed 0 point(s)" in out
-        assert sorted(p.name for p in resume.iterdir()) == [
-            "point-00000.json",
-            "point-00001.json",
-        ]
+        assert "resumed 0 point(s)" in capsys.readouterr().out
+        with CampaignStore(db) as store:
+            (campaign,) = store.campaigns()
+            assert [p["index"] for p in store.points(campaign.campaign_id)] == [0, 1]
+            store.conn.execute("DELETE FROM points WHERE point_index = 1")
         assert main(args + ["--json", str(resumed_json)]) == 0
-        out = capsys.readouterr().out
-        assert "resumed 2 point(s)" in out
+        assert "resumed 1 point(s)" in capsys.readouterr().out
         assert fresh_json.read_bytes() == resumed_json.read_bytes()
 
 
@@ -449,18 +509,6 @@ class TestStoreCli:
             == 0
         )
         return db
-
-    def test_store_and_resume_flags_mutually_exclusive(self, tmp_path, capsys):
-        spec_path = self._tiny_spec(tmp_path)
-        assert (
-            main(
-                ["sweep", "--spec", str(spec_path),
-                 "--resume", str(tmp_path / "dir"),
-                 "--store", str(tmp_path / "camp.db")]
-            )
-            == 2
-        )
-        assert "mutually exclusive" in capsys.readouterr().err
 
     def test_sweep_store_roundtrip_and_resume(self, tmp_path, capsys):
         spec_path = self._tiny_spec(tmp_path)
@@ -563,10 +611,14 @@ class TestStoreCli:
         assert main(["store", "artifact", "--db", db, "--point", "9"]) == 2
 
     def test_store_ingest_directory(self, tmp_path, capsys):
-        spec_path = self._tiny_spec(tmp_path)
+        """The migration path for ``point-NNNNN.json`` directories that
+        the removed ``sweep --resume DIR`` left on disk."""
+        source = self._run_store_sweep(tmp_path)
         resume = tmp_path / "campaign"
-        assert main(["sweep", "--spec", str(spec_path), "--no-progress",
-                     "--resume", str(resume)]) == 0
+        resume.mkdir()
+        for index in range(2):
+            assert main(["store", "artifact", "--db", source, "--point", str(index),
+                         "-o", str(resume / f"point-{index:05d}.json")]) == 0
         capsys.readouterr()
         db = str(tmp_path / "ingested.db")
         assert main(["store", "ingest", str(resume), "--db", db,

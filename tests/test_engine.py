@@ -24,13 +24,13 @@ from repro.workloads.scenarios import (
 )
 
 
-def run_engine(protocol, num_swaps=12, rate=6.0, seed=17, eager=True):
+def run_engine(protocol, num_swaps=12, rate=6.0, seed=17):
     traffic = poisson_swap_traffic(
         num_swaps, rate=rate, seed=seed, chain_ids=["x", "y"]
     )
     env = build_multi_scenario([graph for _, graph in traffic], seed=seed)
     env.warm_up(2)
-    engine = SwapEngine(env, default_protocol=protocol, eager=eager)
+    engine = SwapEngine(env, default_protocol=protocol)
     engine.submit_many(traffic, offset=env.simulator.now)
     result = engine.run()
     return engine, result, env
@@ -160,18 +160,20 @@ class TestEngineDeterminism:
         ]
 
     def test_lazy_mode_deterministic_and_atomic(self):
-        """The poll-tick-only cadence (eager=False) stays reachable for
-        A/B runs: deterministic, atomic, and slower than eager."""
-        _, first, _ = run_engine("ac3wn", seed=43, eager=False)
-        _, second, _ = run_engine("ac3wn", seed=43, eager=False)
+        """The poll-tick cadence (eager=False) is gone: the engine names
+        the removal, and the event-driven run that replaced the A/B stays
+        deterministic, atomic, and inside its event budget (32 simulator
+        events for these twelve swaps)."""
+        env = build_multi_scenario(swap_traffic_graphs(1, ["x", "y"]))
+        with pytest.raises(ProtocolError, match="eager=False.*removed"):
+            SwapEngine(env, eager=False)
+        _, first, _ = run_engine("ac3wn", seed=43)
+        _, second, _ = run_engine("ac3wn", seed=43)
         assert first.trace() == second.trace()
         assert first.metrics == second.metrics
         assert first.metrics.atomicity_violations == 0
-        assert first.metrics.committed == first.metrics.total
-        _, eager, _ = run_engine("ac3wn", seed=43, eager=True)
-        assert eager.metrics.committed == eager.metrics.total
-        # Block hooks observe confirmations no later than poll ticks do.
-        assert eager.metrics.mean_latency <= first.metrics.mean_latency
+        assert first.metrics.committed == first.metrics.total == 12
+        assert first.events_processed / 12 <= 3
 
 
 class TestSingleSwapEquivalence:

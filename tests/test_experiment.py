@@ -83,7 +83,7 @@ class TestSerde:
         with pytest.raises(SpecError, match="expected an int"):
             ExperimentSpec.from_dict({"seed": "zero"})
         with pytest.raises(SpecError, match="expected a bool"):
-            ExperimentSpec.from_dict({"engine": {"eager": "yes"}})
+            ExperimentSpec.from_dict({"fee_market": {"enabled": "yes"}})
 
     def test_not_json_rejected(self):
         with pytest.raises(SpecError, match="not valid JSON"):
@@ -195,14 +195,14 @@ class TestOverrides:
             {
                 "traffic.num_swaps": 60,
                 "traffic.rate": "12.0",
-                "engine.eager": "false",
+                "fee_market.enabled": "true",
                 "chains.witness": "hub",
                 "fee_market.capacity_weight": "null",
             },
         )
         assert spec.traffic.num_swaps == 60
         assert spec.traffic.rate == 12.0
-        assert spec.engine.eager is False
+        assert spec.fee_market.enabled is True
         assert spec.chains.witness == "hub"
         assert spec.fee_market.capacity_weight is None
 
@@ -257,10 +257,6 @@ class TestPresets:
         assert spec.fee_market.capacity_weight == 96
         assert spec.traffic.generator == "congestion"
         assert spec.traffic.num_swaps == 60
-        # The eager=False cadence pin is gone: eviction hooks + per-swap
-        # submission jitter recover the fee-market baseline under the
-        # default event-driven cadence.
-        assert spec.engine.eager is True
 
 
 class TestRegistries:
@@ -295,7 +291,6 @@ class TestRegistries:
                 engine.env,
                 request.graph,
                 request.config or HerlihyConfig(),
-                eager=engine.eager,
                 fee_budget=request.fee_budget,
             )
 
@@ -345,12 +340,19 @@ class TestRunExperiment:
         assert result.metrics.total == 6
 
     def test_lazy_vs_eager_spec_ab(self):
-        """engine.eager=False is reachable via the spec and changes the
-        cadence, not the decisions."""
-        eager = run_experiment(small_spec())
-        lazy = run_experiment(small_spec(**{"engine.eager": "false"}))
-        assert eager.metrics.committed == lazy.metrics.committed == 6
-        assert eager.metrics.mean_latency <= lazy.metrics.mean_latency
+        """The A/B is over: engine.eager=false is a spec error naming the
+        removal (whether set by override, dict or JSON), and the one
+        cadence left commits everything inside its event budget."""
+        for spec in (
+            small_spec(**{"engine.eager": "false"}),
+            ExperimentSpec.from_dict({"engine": {"eager": False}}),
+            ExperimentSpec(engine=EngineSpec(eager=False)),
+        ):
+            with pytest.raises(SpecError, match="engine.eager must be true"):
+                spec.validate()
+        result = run_experiment(small_spec())
+        assert result.metrics.committed == 6
+        assert result.engine_result.events_processed / 6 <= 4
 
     def test_fee_market_spec_runs_congestion(self):
         spec = apply_overrides(

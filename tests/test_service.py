@@ -446,6 +446,31 @@ class TestCheckpointRestore:
             SwapService.restore(str(tmp_path / "missing.json"))
         assert CKPT_SCHEMA == good["schema"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("clock", None), ("epoch", "x"), ("accepted", None), ("records", 5)],
+    )
+    def test_mistyped_checkpoint_field_is_named(self, tmp_path, field, value):
+        service = SwapService(make_spec(seed=35))
+        service.serve(max_swaps=2)
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps({**json.loads(service.checkpoint()), field: value}))
+        with pytest.raises(ServiceError, match=f"{field} must be"):
+            SwapService.restore(str(path))
+
+    def test_pre_removal_checkpoint_and_log_still_load(self, tmp_path):
+        """Checkpoints and request-log headers written before the poll
+        cadence was removed echo ``"eager": true``; both still load."""
+        service = SwapService(make_spec(seed=36))
+        service.serve(max_swaps=3)
+        path = tmp_path / "ck.json"
+        checkpoint = service.checkpoint(str(path))
+        header = service.request_log().splitlines()[0]
+        assert '"eager":true' in checkpoint and '"eager":true' in header
+        assert SwapService.restore(str(path)).accepted == 3
+        log_spec, records = load_request_log(service.request_log())
+        assert log_spec.world.engine.eager is True and len(records) == 3
+
 
 class TestReplay:
     def test_replay_reproduces_a_live_session(self):

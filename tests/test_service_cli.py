@@ -192,3 +192,19 @@ class TestServeCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("repro serve:") or err.startswith("repro replay:")
+
+    def test_mistyped_checkpoint_exits_two_without_traceback(
+        self, tmp_path, spec_path, capsys
+    ):
+        ckpt = tmp_path / "ck.json"
+        assert (
+            main(["serve", "--spec", spec_path, "--max-swaps", "2",
+                  "--checkpoint", str(ckpt)])
+            == 0
+        )
+        ckpt.write_text(json.dumps({**json.loads(ckpt.read_text()), "clock": None}))
+        capsys.readouterr()
+        assert main(["serve", "--restore", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro serve:") and "clock must be a number" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1

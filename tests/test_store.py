@@ -4,7 +4,7 @@ Pins the subsystem's contracts: a versioned schema that rejects
 newer-than-me databases, transactional appends that survive concurrent
 multi-process writers, byte-exact artifact recovery, the predicate
 grammar compiling to indexed SQL, store-backed sweep resume that is
-byte-identical to ``--resume DIR``, coordinate-joined campaign
+byte-identical to a fresh run, coordinate-joined campaign
 comparison with directed regressions, and the importers.
 """
 
@@ -15,7 +15,7 @@ import sqlite3
 
 import pytest
 
-from repro.errors import QueryError, SpecError, StoreError
+from repro.errors import QueryError, StoreError
 from repro.experiment import ChainsSpec, ExperimentSpec, TrafficSpec
 from repro.store import (
     SCHEMA_VERSION,
@@ -26,6 +26,7 @@ from repro.store import (
     parse_query,
 )
 from repro.sweeps import SweepAxis, SweepRunner, SweepSpec
+from repro.sweeps.runner import run_point_payload
 
 
 def small_base(**kwargs) -> ExperimentSpec:
@@ -326,14 +327,6 @@ class TestQueryGrammar:
 
 
 class TestStoreBackedResume:
-    def test_store_and_resume_dir_mutually_exclusive(self, tmp_path):
-        with pytest.raises(SpecError, match="mutually exclusive"):
-            SweepRunner(
-                tiny_sweep(),
-                resume_dir=str(tmp_path / "dir"),
-                store=str(tmp_path / "c.db"),
-            )
-
     def test_fresh_store_run_matches_plain_run(self, tmp_path):
         spec = tiny_sweep()
         fresh = SweepRunner(spec).run()
@@ -357,15 +350,16 @@ class TestStoreBackedResume:
             assert len(store.campaigns()) == 1
 
     def test_store_artifacts_equal_resume_dir_artifacts(self, tmp_path):
+        """Stored bytes are exactly the worker payloads — what the
+        removed ``resume_dir`` backend wrote to ``point-NNNNN.json``."""
         spec = tiny_sweep()
-        resume = tmp_path / "campaign"
-        SweepRunner(spec, resume_dir=str(resume)).run()
         SweepRunner(spec, store=str(tmp_path / "c.db")).run()
         with CampaignStore(str(tmp_path / "c.db")) as store:
             cid = store.campaigns()[0].campaign_id
-            for index in range(4):
-                disk = (resume / f"point-{index:05d}.json").read_text()
-                assert store.get_artifact(cid, index) == disk
+            for point in spec.expand().points:
+                payload = (point.index, point.spec.to_json(indent=None))
+                _, worker_bytes, _ = run_point_payload(payload)
+                assert store.get_artifact(cid, point.index) == worker_bytes
 
     def test_stale_spec_invalidates_exactly_stale_points(self, tmp_path):
         path = str(tmp_path / "c.db")
@@ -517,7 +511,10 @@ class TestCompare:
 class TestIngest:
     def test_point_directory_round_trips_bytes(self, tmp_path):
         resume = tmp_path / "campaign"
-        SweepRunner(tiny_sweep(), resume_dir=str(resume)).run()
+        resume.mkdir()
+        for point in SweepRunner(tiny_sweep()).run().points:
+            path = resume / f"point-{point.index:05d}.json"
+            path.write_text(json.dumps(point.artifact, sort_keys=True))
         with CampaignStore(str(tmp_path / "c.db")) as store:
             report = ingest_path(store, str(resume))
             assert report.points == 4 and report.kind == "ingest"

@@ -15,6 +15,7 @@ import pytest
 
 from repro.errors import SpecError
 from repro.experiment import ChainsSpec, ExperimentSpec, TrafficSpec
+from repro.store import CampaignStore
 from repro.sweeps import (
     SweepAxis,
     SweepRunner,
@@ -489,75 +490,91 @@ class TestExtractors:
 
 
 class TestResumableCampaigns:
-    """`--resume DIR`: per-point artifacts merged byte-identically."""
+    """``store=``: per-point artifacts merged byte-identically."""
+
+    @staticmethod
+    def _drop(db, *indices):
+        with CampaignStore(db) as store:
+            store.conn.executemany(
+                "DELETE FROM points WHERE point_index = ?", [(i,) for i in indices]
+            )
 
     def test_fresh_run_stores_one_artifact_per_point(self, tmp_path):
-        resume = tmp_path / "campaign"
-        runner = SweepRunner(tiny_sweep(), resume_dir=str(resume))
+        db = str(tmp_path / "campaign.db")
+        runner = SweepRunner(tiny_sweep(), store=db)
         result = runner.run()
         assert runner.resumed == []
-        stored = sorted(p.name for p in resume.iterdir())
-        assert stored == [f"point-{i:05d}.json" for i in range(4)]
-        # Stored bytes are the worker payloads: each echoes its spec.
-        artifact = json.loads((resume / "point-00000.json").read_text())
-        assert artifact["spec"] == result.points[0].artifact["spec"]
+        with CampaignStore(db) as store:
+            (campaign,) = store.campaigns()
+            cid = campaign.campaign_id
+            assert [p["index"] for p in store.points(cid)] == [0, 1, 2, 3]
+            # Stored bytes are the worker payloads: each echoes its spec.
+            for point in result.points:
+                artifact = json.loads(store.get_artifact(cid, point.index))
+                assert artifact == point.artifact
 
     def test_resume_skips_stored_points_byte_identically(self, tmp_path):
-        resume = tmp_path / "campaign"
+        db = str(tmp_path / "campaign.db")
         spec = tiny_sweep()
         fresh = SweepRunner(spec).run()
-        SweepRunner(spec, resume_dir=str(resume)).run()
-        # Drop one artifact: only that point re-runs.
-        (resume / "point-00002.json").unlink()
-        runner = SweepRunner(spec, resume_dir=str(resume))
+        SweepRunner(spec, store=db).run()
+        # Drop one point: only that point re-runs.
+        self._drop(db, 2)
+        runner = SweepRunner(spec, store=db)
         merged = runner.run()
         assert runner.resumed == [0, 1, 3]
         assert merged.to_json() == fresh.to_json()
         assert merged.to_csv() == fresh.to_csv()
         # The re-run point was stored again for the next resume.
-        full = SweepRunner(spec, resume_dir=str(resume))
+        full = SweepRunner(spec, store=db)
         assert full.run().to_json() == fresh.to_json()
         assert full.resumed == [0, 1, 2, 3]
 
     def test_stale_artifact_is_re_executed(self, tmp_path):
-        resume = tmp_path / "campaign"
+        db = str(tmp_path / "campaign.db")
         spec = tiny_sweep()
-        SweepRunner(spec, resume_dir=str(resume)).run()
+        SweepRunner(spec, store=db).run()
         # A sweep edit that changes a point's spec invalidates exactly
         # the stored artifacts whose echo no longer matches.
         edited = dataclasses.replace(
             spec,
             axes=(
-                SweepAxis(name="rate", path="traffic.rate", values=(5.0, 8.0)),
-                spec.axes[1],
+                spec.axes[0],
+                SweepAxis(name="protocol", path="protocol", values=("ac3wn", "ac3tw")),
             ),
         )
-        runner = SweepRunner(edited, resume_dir=str(resume))
+        runner = SweepRunner(edited, store=db)
         merged = runner.run()
-        # rate=8.0 points (indices 2, 3) were still valid; rate=5.0 re-ran.
-        assert runner.resumed == [2, 3]
+        # The ac3wn points (indices 0, 2) were still valid; ac3tw re-ran.
+        assert runner.resumed == [0, 2]
         assert merged.to_json() == SweepRunner(edited).run().to_json()
 
     def test_corrupt_artifact_is_re_executed(self, tmp_path):
-        resume = tmp_path / "campaign"
+        db = str(tmp_path / "campaign.db")
         spec = tiny_sweep()
         fresh = SweepRunner(spec).run()
-        SweepRunner(spec, resume_dir=str(resume)).run()
-        (resume / "point-00001.json").write_text("{not json")
-        runner = SweepRunner(spec, resume_dir=str(resume))
+        SweepRunner(spec, store=db).run()
+        with CampaignStore(db) as store:
+            store.conn.execute(
+                "UPDATE artifacts SET body = ? WHERE point_id ="
+                " (SELECT point_id FROM points WHERE point_index = 1)",
+                (b"{not json",),
+            )
+        runner = SweepRunner(spec, store=db)
         assert runner.run().to_json() == fresh.to_json()
-        assert 1 not in runner.resumed
+        assert runner.resumed == [0, 2, 3]
+        # The re-executed point replaced the corrupt bytes.
+        assert SweepRunner(spec, store=db).run().to_json() == fresh.to_json()
 
     def test_resume_with_workers_matches_serial(self, tmp_path):
-        resume = tmp_path / "campaign"
+        db = str(tmp_path / "campaign.db")
         spec = tiny_sweep()
         fresh = SweepRunner(spec).run()
-        (resume).mkdir()
-        # Pre-populate half the campaign, then finish with a pool.
-        partial = SweepRunner(spec, resume_dir=str(resume))
-        partial.run()
-        (resume / "point-00000.json").unlink()
-        (resume / "point-00003.json").unlink()
-        runner = SweepRunner(spec, workers=2, resume_dir=str(resume))
-        assert runner.run().to_json() == fresh.to_json()
-        assert runner.resumed == [1, 2]
+        # Pre-populate the campaign with a pool, drop the middle, then
+        # finish it serially through an already-open store.
+        SweepRunner(spec, workers=2, store=db).run()
+        self._drop(db, 1, 2)
+        with CampaignStore(db) as store:
+            runner = SweepRunner(spec, store=store)
+            assert runner.run().to_json() == fresh.to_json()
+            assert runner.resumed == [0, 3]

@@ -1,6 +1,7 @@
 """Setup shim: enables legacy editable installs in offline environments
 (no `wheel` package available, so PEP 660 builds are impossible).
-All real metadata lives in pyproject.toml."""
+This file is the only packaging metadata; the tests additionally need
+pytest, pytest-benchmark and hypothesis (see .github/workflows/ci.yml)."""
 
 from setuptools import find_packages, setup
 

@@ -99,7 +99,7 @@ class ReplicaMiner(Node):
         if not self._running or self.crashed:
             self._schedule_next()
             return
-        batch = self.mempool.take(self.chain.params.max_messages_per_block)
+        batch = self.mempool.take_block(self.chain.params.max_messages_per_block)
         valid = self._filter_valid(batch)
         block = self.chain.make_block(valid, self.address, self.simulator.now)
         try:

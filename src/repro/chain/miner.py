@@ -41,16 +41,11 @@ class MinerNode(Node):
         name: str | None = None,
         network: Network | None = None,
         address: Address | None = None,
-        weight_budget: int | None = None,
     ) -> None:
         super().__init__(simulator, name or f"miner/{chain.params.chain_id}", network)
         self.chain = chain
         self.mempool = mempool
         self.address = address or KeyPair.from_seed(self.name).address
-        #: Block-space budget in weight units per block.  None defers to
-        #: the mempool's fee policy (fee-market pools) or no limit (FIFO
-        #: pools, where only ``max_messages_per_block`` caps a block).
-        self.weight_budget = weight_budget
         self.blocks_mined = 0
         self.messages_dropped = 0
         self.fees_earned = 0
@@ -103,8 +98,6 @@ class MinerNode(Node):
         confirmation depth accumulate).
         """
         limit = self.chain.params.max_messages_per_block
-        # Fee-market mempools hand back a fee-greedy template within the
-        # block-space budget; FIFO pools ignore the budget (see take_block).
         exclude = None
         if self.censor is not None:
 
@@ -114,7 +107,7 @@ class MinerNode(Node):
                     return True
                 return False
 
-        batch = self.mempool.take_block(limit, self.weight_budget, exclude)
+        batch = self.mempool.take_block(limit, exclude)
         parent_hash = self.chain.head_hash
         # The template pass runs at the quantized time the header will
         # carry, so its receipts double as the block's commitment and

@@ -155,8 +155,8 @@ def _print_fee_market(result: ExperimentResult) -> None:
         miner = env.miners[chain_id]
         print(
             f"{chain_id:>10} | {miner.blocks_mined:>5} | "
-            f"{getattr(pool, 'evicted', 0):>7} | {getattr(pool, 'replaced', 0):>8} | "
-            f"{getattr(pool, 'rejected_fee', 0):>7} | {miner.fees_earned:>10}"
+            f"{pool.evicted:>7} | {pool.replaced:>8} | "
+            f"{pool.rejected_fee:>7} | {miner.fees_earned:>10}"
         )
 
 

@@ -217,7 +217,6 @@ class AC3TWConfig:
     omit_signers: frozenset[str] = frozenset()
     deploy_timeout: float | None = None
     settle_timeout: float | None = None
-    poll_interval: float | None = None
 
 
 class AC3TWDriver(ProtocolDriver):
@@ -243,7 +242,6 @@ class AC3TWDriver(ProtocolDriver):
         super().__init__(
             env,
             graph,
-            poll_interval=self.config.poll_interval,
             fee_budget=fee_budget,
             jitter_span=jitter_span,
         )

@@ -302,8 +302,6 @@ class AC3WNConfig:
             alive participant gives up and requests ``RFauth``.
         settle_timeout: seconds to keep polling for settlements after the
             decision (recovered participants settle late here).
-        poll_interval: driver polling granularity (default: a quarter of
-            the fastest involved chain's block interval).
     """
 
     witness_chain_id: str
@@ -312,7 +310,6 @@ class AC3WNConfig:
     omit_signers: frozenset[str] = frozenset()
     deploy_timeout: float | None = None
     settle_timeout: float | None = None
-    poll_interval: float | None = None
 
 
 class AC3WNDriver(ProtocolDriver):
@@ -343,7 +340,6 @@ class AC3WNDriver(ProtocolDriver):
         super().__init__(
             env,
             graph,
-            poll_interval=config.poll_interval,
             extra_chain_ids=(config.witness_chain_id,),
             fee_budget=fee_budget,
             jitter_span=jitter_span,

@@ -82,7 +82,6 @@ class ProtocolDriver:
         self,
         env: SwapEnvironment,
         graph: SwapGraph,
-        poll_interval: float | None = None,
         extra_chain_ids: tuple[str, ...] = (),
         fee_budget: FeeBudget | None = None,
         jitter_span: float | None = None,
@@ -139,9 +138,7 @@ class ProtocolDriver:
         fastest = min(
             env.chain(c).params.block_interval for c in self._involved_chain_ids
         )
-        self._poll = (
-            poll_interval if poll_interval is not None else max(fastest / 4.0, 1e-3)
-        )
+        self._poll = max(fastest / 4.0, 1e-3)
         # Deterministic per-swap submission jitter (see module docstring):
         # only fee-budgeted swaps herd — unbudgeted traffic keeps the
         # zero-delay hook reaction (and its pinned baselines).
@@ -232,7 +229,7 @@ class ProtocolDriver:
     # authorizations) takes over.
 
     def _chain_policy(self, chain_id: str) -> FeePolicy:
-        return getattr(self.env.mempools[chain_id], "policy", None) or DEFAULT_POLICY
+        return self.env.mempools[chain_id].policy or DEFAULT_POLICY
 
     def _base_fee_rate(self, chain_id: str) -> int:
         budget = self.fee_budget

@@ -99,14 +99,12 @@ class HerlihyConfig:
         decliners: participants who never publish their contracts.
         delta_margin: extra fraction of Δ added to each timelock rung.
         settle_timeout: extra polling time after the last timelock.
-        poll_interval: driver polling granularity (default: chain-scaled).
     """
 
     leader: str | None = None
     decliners: frozenset[str] = frozenset()
     delta_margin: float = 0.5
     settle_timeout: float | None = None
-    poll_interval: float | None = None
 
 
 class HerlihyDriver(ProtocolDriver):
@@ -126,7 +124,6 @@ class HerlihyDriver(ProtocolDriver):
         super().__init__(
             env,
             graph,
-            poll_interval=self.config.poll_interval,
             fee_budget=fee_budget,
             jitter_span=jitter_span,
         )

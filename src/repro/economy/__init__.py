@@ -1,16 +1,18 @@
-"""The fee-market economy: priority mempools, fee estimation, swap budgets.
+"""The fee-market economy: fee policies, fee estimation, swap budgets.
 
 This package turns block space from an infinite resource into the
 economic bottleneck the paper's cost analysis (Section 5 / Table 1)
 assumes.  Chains get a :class:`FeePolicy` (weights, block-space budget,
-mempool capacity, relay and replace-by-fee rules) enforced by a
-:class:`PriorityMempool`; end-users read the market through a
-:class:`FeeEstimator` and spend against a per-swap :class:`FeeBudget`
-with bump-or-abort rebroadcast when congestion evicts their messages.
+mempool capacity, relay and replace-by-fee rules) enforced by the
+chain's :class:`~repro.chain.mempool.Mempool`; end-users read the market
+through a :class:`FeeEstimator` and spend against a per-swap
+:class:`FeeBudget` with bump-or-abort rebroadcast when congestion evicts
+their messages.
 """
 
+# The one pool class under its old name: benchmarks/ledger/micro.py imports it.
+from ..chain.mempool import Mempool as PriorityMempool
 from .estimator import FeeEstimator
-from .mempool import MempoolEntry, PriorityMempool
 from .policy import DEFAULT_POLICY, FeeBudget, FeePolicy, bump_fee
 
 __all__ = [
@@ -18,7 +20,6 @@ __all__ = [
     "FeeBudget",
     "FeeEstimator",
     "FeePolicy",
-    "MempoolEntry",
     "PriorityMempool",
     "bump_fee",
 ]

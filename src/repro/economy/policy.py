@@ -7,7 +7,7 @@ This module defines the knobs that make it scarce:
 * :class:`FeePolicy` — one chain's economic consensus: message weights,
   block-space budget, mempool capacity, min-relay fee rate, and the
   replace-by-fee rule.  Attached to a
-  :class:`~repro.economy.mempool.PriorityMempool`.
+  :class:`~repro.chain.mempool.Mempool`.
 * :class:`FeeBudget` — one *swap's* willingness to pay: a total fee cap
   plus the bump-or-abort rebroadcast parameters protocol drivers apply
   when their messages are evicted.
@@ -41,10 +41,6 @@ class FeePolicy:
         rbf_bump: multiplicative fee-rate improvement a replacement must
             offer over the conflicting pending message it displaces.
         deploy_weight / call_weight / transfer_weight: per-kind weights.
-        fifo: if True the mempool ignores fees entirely — FIFO order, no
-            eviction, no RBF.  With ``capacity_weight=None`` this
-            reproduces the pre-fee-market :class:`~repro.chain.mempool.Mempool`
-            behaviour exactly (the compatibility baseline).
     """
 
     block_weight_budget: int | None = 40
@@ -54,7 +50,6 @@ class FeePolicy:
     deploy_weight: int = 4
     call_weight: int = 2
     transfer_weight: int = 1
-    fifo: bool = False
 
     def __post_init__(self) -> None:
         if self.min_relay_fee_rate < 0:
@@ -71,21 +66,6 @@ class FeePolicy:
             value = getattr(self, field_name)
             if value is not None and value < 1:
                 raise FeeError(f"{field_name} must be at least 1 (or None)")
-
-    @classmethod
-    def unlimited_fifo(cls) -> "FeePolicy":
-        """The no-fee-market policy: infinite capacity, FIFO order.
-
-        A :class:`~repro.economy.mempool.PriorityMempool` under this
-        policy behaves exactly like the plain FIFO
-        :class:`~repro.chain.mempool.Mempool`.
-        """
-        return cls(
-            block_weight_budget=None,
-            capacity_weight=None,
-            min_relay_fee_rate=0,
-            fifo=True,
-        )
 
     def with_overrides(self, **changes) -> "FeePolicy":
         return replace(self, **changes)

@@ -261,7 +261,11 @@ class ChainsSpec:
 @dataclass(frozen=True)
 class FeeMarketSpec:
     """Fee-market economics (one :class:`~repro.economy.FeePolicy` for
-    every chain), or FIFO mempools when disabled."""
+    every chain), or unpriced submission-order mempools when disabled.
+
+    ``fifo`` must be ``False``: the FIFO fork of the fee-market mempool
+    was removed, but the field stays because every stored spec echo
+    carries it."""
 
     enabled: bool = False
     block_weight_budget: int | None = 16
@@ -284,7 +288,6 @@ class FeeMarketSpec:
             deploy_weight=self.deploy_weight,
             call_weight=self.call_weight,
             transfer_weight=self.transfer_weight,
-            fifo=self.fifo,
         )
 
 
@@ -681,8 +684,14 @@ class ExperimentSpec:
         # Building the economy objects runs their own validation too;
         # surface their FeeError as a spec error so callers (and the
         # CLI's exit-2 path) only ever see SpecError for a bad spec.
+        if self.fee_market.fifo:
+            fail(
+                "fee_market.fifo must be false: the FIFO fork of the "
+                "fee-market mempool was removed; fee_market.enabled=false "
+                "is the unpriced pool"
+            )
         try:
-            self.fee_market.build()
+            policy = self.fee_market.build()
             for budget in (
                 self.traffic.fee_budget,
                 self.traffic.low_budget,
@@ -692,6 +701,16 @@ class ExperimentSpec:
                     budget.build()
         except FeeError as exc:
             fail(str(exc))
+        if policy is not None and policy.block_weight_budget is not None:
+            for kind in ("deploy", "call"):
+                weight = policy.weight_of_kind(kind)
+                if weight > policy.block_weight_budget:
+                    fail(
+                        f"fee_market.block_weight_budget="
+                        f"{policy.block_weight_budget} cannot fit a {kind} "
+                        f"(fee_market.{kind}_weight={weight}): no swap could "
+                        f"ever be mined"
+                    )
         return self
 
 

@@ -16,7 +16,7 @@ from ..chain.mempool import Mempool
 from ..chain.miner import MinerNode
 from ..chain.params import ChainParams, fast_chain
 from ..core.evidence import FullReplicaValidator, LightClientValidator
-from ..economy import FeeBudget, FeeEstimator, FeePolicy, PriorityMempool
+from ..economy import FeeBudget, FeeEstimator, FeePolicy
 from ..core.graph import AssetEdge, SwapGraph
 from ..core.participant import ChainHandle, Participant
 from ..core.protocol import SwapEnvironment
@@ -42,7 +42,7 @@ class ScenarioEnvironment(SwapEnvironment):
     injector: FailureInjector | None = None
     witness_chain_id: str = "witness"
     validator_mode: str = "anchor"
-    #: Fee-market configuration, set when the world runs PriorityMempools.
+    #: Fee-market configuration; None when mempools are unpriced.
     fee_policy: FeePolicy | None = None
     fee_estimators: dict[str, FeeEstimator] = field(default_factory=dict)
 
@@ -72,23 +72,84 @@ class ScenarioEnvironment(SwapEnvironment):
             )
 
 
-def _chain_stack(
-    simulator: Simulator,
-    network: Network,
-    params: ChainParams,
-    allocations: list,
+def _assemble_world(
+    chains_of: dict[str, list[str]],
+    piece_of: dict[str, int],
+    ordered_chains: list[str],
+    *,
+    witness_chain_id: str,
+    chain_params: dict[str, ChainParams] | None,
+    seed: int,
+    funding: int,
+    validator_mode: str,
+    block_interval: float,
+    confirmation_depth: int,
+    latency: LatencyModel | None,
     fee_policy: FeePolicy | None,
-) -> tuple[Blockchain, Mempool, MinerNode, FeeEstimator | None]:
-    """One chain's machinery: chain + (priority) mempool + miner (+ estimator)."""
-    chain = Blockchain(params, allocations)
-    if fee_policy is not None:
-        mempool: Mempool = PriorityMempool(chain, fee_policy)
-        estimator: FeeEstimator | None = FeeEstimator(chain, fee_policy)
-    else:
-        mempool = Mempool(chain)
-        estimator = None
-    miner = MinerNode(simulator, chain, mempool, network=network)
-    return chain, mempool, miner, estimator
+) -> ScenarioEnvironment:
+    """The one world assembly behind both scenario builders.
+
+    ``chains_of`` maps each participant (in creation and genesis order)
+    to the chains it is funded on and joins; ``piece_of`` is the UTXO
+    size its ``funding`` is split into.  Genesis allocation order is
+    part of every block id, so it follows ``chains_of`` exactly.
+    """
+    if validator_mode not in VALIDATOR_MODES:
+        raise ProtocolError(
+            f"validator_mode must be one of {VALIDATOR_MODES}, got {validator_mode!r}"
+        )
+    simulator = Simulator(seed=seed)
+    network = Network(simulator, latency=latency or LatencyModel())
+    actors = {
+        name: Participant(simulator, name, network=network) for name in chains_of
+    }
+
+    chains: dict[str, Blockchain] = {}
+    mempools: dict[str, Mempool] = {}
+    miners: dict[str, MinerNode] = {}
+    estimators: dict[str, FeeEstimator] = {}
+    for chain_id in ordered_chains:
+        params = (chain_params or {}).get(chain_id) or fast_chain(
+            chain_id,
+            block_interval=block_interval,
+            confirmation_depth=confirmation_depth,
+        )
+        members = [name for name in chains_of if chain_id in chains_of[name]]
+        # Split each participant's funding into several UTXOs so that
+        # multiple in-flight messages never contend for one coin.
+        allocations = []
+        for name in members:
+            remaining = funding
+            while remaining > 0:
+                value = min(piece_of[name], remaining)
+                allocations.append((actors[name].address, value))
+                remaining -= value
+        chain = chains[chain_id] = Blockchain(params, allocations)
+        mempool = mempools[chain_id] = Mempool(chain, fee_policy)
+        miners[chain_id] = MinerNode(simulator, chain, mempool, network=network)
+        if fee_policy is not None:
+            estimators[chain_id] = FeeEstimator(chain, fee_policy)
+        handle = ChainHandle(chain=chain, mempool=mempool)
+        for name in members:
+            actors[name].join_chain(handle)
+
+    _wire_validators(chains, witness_chain_id, validator_mode)
+
+    env = ScenarioEnvironment(
+        simulator=simulator,
+        chains=chains,
+        mempools=mempools,
+        participants=actors,
+        network=network,
+        miners=miners,
+        injector=FailureInjector(simulator, network),
+        witness_chain_id=witness_chain_id,
+        validator_mode=validator_mode,
+        fee_policy=fee_policy,
+        fee_estimators=estimators,
+    )
+    env.start_mining()
+    return env
 
 
 def build_scenario(
@@ -126,21 +187,13 @@ def build_scenario(
             "full-replica", or "light-client" (Section 4.3).
         block_interval / confirmation_depth: defaults for fast chains.
         latency: network latency model (default: deterministic 50 ms).
-        fee_policy: when set, every chain runs a fee-market
-            :class:`~repro.economy.PriorityMempool` under this policy
-            (plus a :class:`~repro.economy.FeeEstimator`); when None,
-            mempools are plain FIFO, exactly as before the fee market.
+        fee_policy: when set, every chain's mempool prices block space
+            under this policy (plus a :class:`~repro.economy.FeeEstimator`);
+            when None, mempools are unpriced and mine in submission order.
 
     Returns:
         A ready :class:`ScenarioEnvironment` with mining already started.
     """
-    if validator_mode not in VALIDATOR_MODES:
-        raise ProtocolError(
-            f"validator_mode must be one of {VALIDATOR_MODES}, got {validator_mode!r}"
-        )
-    simulator = Simulator(seed=seed)
-    network = Network(simulator, latency=latency or LatencyModel())
-
     names: list[str] = list(participants or [])
     wanted_chains: list[str] = list(chain_ids or [])
     if graph is not None:
@@ -150,63 +203,22 @@ def build_scenario(
         wanted_chains.append(witness_chain_id)
     if not names:
         raise ProtocolError("scenario needs participants (or a graph)")
-    # Preserve order, drop duplicates.
-    seen: set[str] = set()
-    ordered_chains = [c for c in wanted_chains if not (c in seen or seen.add(c))]
-
-    actors = {
-        name: Participant(simulator, name, network=network) for name in names
-    }
-
-    chains: dict[str, Blockchain] = {}
-    mempools: dict[str, Mempool] = {}
-    miners: dict[str, MinerNode] = {}
-    estimators: dict[str, FeeEstimator] = {}
-    for chain_id in ordered_chains:
-        params = (chain_params or {}).get(chain_id) or fast_chain(
-            chain_id,
-            block_interval=block_interval,
-            confirmation_depth=confirmation_depth,
-        )
-        # Split each participant's funding into several UTXOs so that
-        # multiple in-flight messages never contend for one coin.
-        chunk = max(funding // max(funding_chunks, 1), 1)
-        allocations = []
-        for actor in actors.values():
-            remaining = funding
-            while remaining > 0:
-                value = min(chunk, remaining)
-                allocations.append((actor.address, value))
-                remaining -= value
-        chain, mempool, miner, estimator = _chain_stack(
-            simulator, network, params, allocations, fee_policy
-        )
-        chains[chain_id] = chain
-        mempools[chain_id] = mempool
-        miners[chain_id] = miner
-        if estimator is not None:
-            estimators[chain_id] = estimator
-        handle = ChainHandle(chain=chain, mempool=mempool)
-        for actor in actors.values():
-            actor.join_chain(handle)
-
-    _wire_validators(chains, witness_chain_id, validator_mode)
-
-    env = ScenarioEnvironment(
-        simulator=simulator,
-        chains=chains,
-        mempools=mempools,
-        participants=actors,
-        network=network,
-        miners=miners,
-        injector=FailureInjector(simulator, network),
+    ordered_chains = list(dict.fromkeys(wanted_chains))
+    chunk = max(funding // max(funding_chunks, 1), 1)
+    return _assemble_world(
+        {name: ordered_chains for name in names},
+        dict.fromkeys(names, chunk),
+        ordered_chains,
         witness_chain_id=witness_chain_id,
+        chain_params=chain_params,
+        seed=seed,
+        funding=funding,
         validator_mode=validator_mode,
+        block_interval=block_interval,
+        confirmation_depth=confirmation_depth,
+        latency=latency,
         fee_policy=fee_policy,
-        fee_estimators=estimators,
     )
-    env.start_mining()
-    return env
 
 
 def _wire_validators(
@@ -474,29 +486,20 @@ def build_multi_scenario(
     their swap touches plus the witness chain — with hundreds of swaps,
     per-swap funding keeps the genesis blocks (and coin selection) small.
 
-    ``fee_policy`` switches every chain to a fee-market
-    :class:`~repro.economy.PriorityMempool` (see :func:`build_scenario`).
+    ``fee_policy`` attaches a fee market to every chain's mempool (see
+    :func:`build_scenario`).
     ``extra_participants`` are funded on *every* chain with
     ``extra_funding_chunks`` UTXOs each — whales for fee-shock bursts
     (:func:`schedule_fee_shock`) need many spendable coins at once.
     """
-    if validator_mode not in VALIDATOR_MODES:
-        raise ProtocolError(
-            f"validator_mode must be one of {VALIDATOR_MODES}, got {validator_mode!r}"
-        )
     if not graphs:
         raise ProtocolError("a multi-swap scenario needs at least one graph")
-    simulator = Simulator(seed=seed)
-    network = Network(simulator, latency=latency or LatencyModel())
-
-    ordered_chains: list[str] = []
-    seen: set[str] = set()
-    for graph in graphs:
-        for chain_id in sorted(graph.chains_used()):
-            if chain_id not in seen:
-                seen.add(chain_id)
-                ordered_chains.append(chain_id)
-    if witness_chain_id not in seen:
+    ordered_chains = list(
+        dict.fromkeys(
+            chain_id for graph in graphs for chain_id in sorted(graph.chains_used())
+        )
+    )
+    if witness_chain_id not in ordered_chains:
         ordered_chains.append(witness_chain_id)
 
     # Which chains each participant needs funds and access on.
@@ -510,69 +513,27 @@ def build_multi_scenario(
                     f"namespace traffic participants per swap"
                 )
             chains_of[name] = graph_chains
+    chunk = max(funding // max(funding_chunks, 1), 1)
+    piece_of = dict.fromkeys(chains_of, chunk)
     for name in extra_participants or []:
         if name in chains_of:
             raise ProtocolError(f"extra participant {name!r} collides with traffic")
-        chains_of[name] = list(ordered_chains)
-
-    actors = {
-        name: Participant(simulator, name, network=network)
-        for name in sorted(chains_of)
-    }
-
-    chains: dict[str, Blockchain] = {}
-    mempools: dict[str, Mempool] = {}
-    miners: dict[str, MinerNode] = {}
-    estimators: dict[str, FeeEstimator] = {}
-    chunk = max(funding // max(funding_chunks, 1), 1)
-    extra = set(extra_participants or [])
-    extra_chunk = max(funding // max(extra_funding_chunks, 1), 1)
-    for chain_id in ordered_chains:
-        params = (chain_params or {}).get(chain_id) or fast_chain(
-            chain_id,
-            block_interval=block_interval,
-            confirmation_depth=confirmation_depth,
-        )
-        allocations = []
-        for name in sorted(chains_of):
-            if chain_id not in chains_of[name]:
-                continue
-            remaining = funding
-            piece = extra_chunk if name in extra else chunk
-            while remaining > 0:
-                value = min(piece, remaining)
-                allocations.append((actors[name].address, value))
-                remaining -= value
-        chain, mempool, miner, estimator = _chain_stack(
-            simulator, network, params, allocations, fee_policy
-        )
-        chains[chain_id] = chain
-        mempools[chain_id] = mempool
-        miners[chain_id] = miner
-        if estimator is not None:
-            estimators[chain_id] = estimator
-        handle = ChainHandle(chain=chain, mempool=mempool)
-        for name, actor in actors.items():
-            if chain_id in chains_of[name]:
-                actor.join_chain(handle)
-
-    _wire_validators(chains, witness_chain_id, validator_mode)
-
-    env = ScenarioEnvironment(
-        simulator=simulator,
-        chains=chains,
-        mempools=mempools,
-        participants=actors,
-        network=network,
-        miners=miners,
-        injector=FailureInjector(simulator, network),
+        chains_of[name] = ordered_chains
+        piece_of[name] = max(funding // max(extra_funding_chunks, 1), 1)
+    return _assemble_world(
+        {name: chains_of[name] for name in sorted(chains_of)},
+        piece_of,
+        ordered_chains,
         witness_chain_id=witness_chain_id,
+        chain_params=chain_params,
+        seed=seed,
+        funding=funding,
         validator_mode=validator_mode,
+        block_interval=block_interval,
+        confirmation_depth=confirmation_depth,
+        latency=latency,
         fee_policy=fee_policy,
-        fee_estimators=estimators,
     )
-    env.start_mining()
-    return env
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +610,7 @@ def schedule_fee_shock(
     messages — the demand spike that stress-tests bump-or-abort.
     """
     actor = env.participant(whale)
-    policy = getattr(env.mempools[chain_id], "policy", None)
+    policy = env.mempools[chain_id].policy
     weight = policy.transfer_weight if policy is not None else 1
     fee = max(env.chain(chain_id).params.fees.transfer, fee_rate * weight)
 

@@ -358,6 +358,14 @@ class TestAliases:
             == 2
         )
         assert "block_weight_budget" in capsys.readouterr().err
+        for override, needle in (
+            ("fee_market.block_weight_budget=1", "block_weight_budget=1 cannot fit a deploy"),
+            ("fee_market.fifo=true", "fee_market.fifo must be false"),
+        ):
+            assert main(["run", "--preset", "congestion", "--set", override]) == 2
+            err = capsys.readouterr().err
+            assert needle in err and "Traceback" not in err
+            assert err.count("\n") == 1 and err.startswith("repro run:")
 
     def test_unwritable_json_path_is_a_clean_error(self, capsys):
         assert (

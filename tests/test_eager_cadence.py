@@ -17,9 +17,10 @@ deadline.  These tests pin that bargain:
 import pytest
 
 from repro.chain.chain import Blockchain
+from repro.chain.mempool import Mempool
 from repro.chain.params import fast_chain
 from repro.crypto.keys import KeyPair
-from repro.economy import FeePolicy, PriorityMempool
+from repro.economy import FeePolicy
 from repro.experiment import (
     ChainsSpec,
     ExperimentSpec,
@@ -119,7 +120,7 @@ class TestEvictionHooks:
         chain = Blockchain(
             fast_chain("c", block_interval=1.0), [(alice.address, 50)] * 8
         )
-        pool = PriorityMempool(
+        pool = Mempool(
             chain,
             FeePolicy(capacity_weight=2, block_weight_budget=2),
         )

@@ -16,7 +16,7 @@ from repro.chain.miner import AttackMiner, MinerNode
 from repro.chain.messages import TransferMessage
 from repro.chain.params import fast_chain
 from repro.chain.transaction import Transaction, TxInput, TxOutput, sign_transaction
-from repro.economy import FeeBudget, FeeEstimator, FeePolicy, PriorityMempool, bump_fee
+from repro.economy import FeeBudget, FeeEstimator, FeePolicy, bump_fee
 from repro.engine import SwapEngine
 from repro.errors import FeeError, FeeTooLowError, ValidationError
 from repro.sim.simulator import Simulator
@@ -76,13 +76,6 @@ class TestFeePolicy:
         assert policy.weight_of_kind("call") == 2
         assert policy.weight_of_kind("transfer") == 1
 
-    def test_unlimited_fifo_disables_everything(self):
-        policy = FeePolicy.unlimited_fifo()
-        assert policy.fifo
-        assert policy.capacity_weight is None
-        assert policy.block_weight_budget is None
-        assert policy.min_relay_fee_rate == 0
-
     def test_budget_validation(self):
         with pytest.raises(FeeError):
             FeeBudget(cap=-1)
@@ -133,17 +126,17 @@ class TestBumpFee:
 
 class TestPriorityMempool:
     def test_take_orders_by_fee_rate_then_arrival(self, econ_chain):
-        pool = PriorityMempool(econ_chain, FeePolicy())
+        pool = Mempool(econ_chain, FeePolicy())
         cheap = spend(econ_chain, ALICE, 0, fee=1)
         rich = spend(econ_chain, BOB, 0, fee=9)
         middle = spend(econ_chain, CAROL, 0, fee=5)
         tied = spend(econ_chain, ALICE, 1, fee=1)  # same rate as cheap, later
         for message in (cheap, rich, middle, tied):
             pool.submit(message)
-        assert pool.take(10) == [rich, middle, cheap, tied]
+        assert pool.take_block(10) == [rich, middle, cheap, tied]
 
     def test_min_relay_floor(self, econ_chain):
-        pool = PriorityMempool(econ_chain, FeePolicy(min_relay_fee_rate=3))
+        pool = Mempool(econ_chain, FeePolicy(min_relay_fee_rate=3))
         with pytest.raises(FeeTooLowError):
             pool.submit(spend(econ_chain, ALICE, 0, fee=2))
         assert pool.rejected_fee == 1
@@ -152,7 +145,7 @@ class TestPriorityMempool:
         assert len(pool) == 1
 
     def test_capacity_evicts_cheapest_newest_first(self, econ_chain):
-        pool = PriorityMempool(econ_chain, FeePolicy(capacity_weight=3))
+        pool = Mempool(econ_chain, FeePolicy(capacity_weight=3))
         first = spend(econ_chain, ALICE, 0, fee=5)
         second = spend(econ_chain, BOB, 0, fee=2)
         third = spend(econ_chain, CAROL, 0, fee=4)
@@ -167,10 +160,10 @@ class TestPriorityMempool:
         with pytest.raises(FeeTooLowError):
             pool.submit(spend(econ_chain, BOB, 1, fee=1))
         assert pool.rejected_fee == 1
-        assert pool.take(10) == [newcomer, first, third]
+        assert pool.take_block(10) == [newcomer, first, third]
 
     def test_rbf_requires_a_real_bump(self, econ_chain):
-        pool = PriorityMempool(econ_chain, FeePolicy(rbf_bump=1.5))
+        pool = Mempool(econ_chain, FeePolicy(rbf_bump=1.5))
         original = spend(econ_chain, ALICE, 0, fee=4)
         pool.submit(original)
         # Same outpoint, fee not 1.5x better: refused.
@@ -185,7 +178,7 @@ class TestPriorityMempool:
 
     def test_take_block_respects_weight_budget(self, econ_chain):
         policy = FeePolicy(transfer_weight=2, block_weight_budget=4)
-        pool = PriorityMempool(econ_chain, policy)
+        pool = Mempool(econ_chain, policy)
         a = spend(econ_chain, ALICE, 0, fee=8)
         b = spend(econ_chain, BOB, 0, fee=6)
         c = spend(econ_chain, CAROL, 0, fee=4)
@@ -194,21 +187,8 @@ class TestPriorityMempool:
         assert pool.take_block(10) == [a, b]  # 2 x weight 2 fills the block
         assert pool.take_block(10) == [c]  # survivors stay for later blocks
 
-    def test_fifo_unlimited_matches_base_mempool(self, econ_chain):
-        fifo = PriorityMempool(econ_chain, FeePolicy.unlimited_fifo())
-        base = Mempool(econ_chain)
-        messages = [
-            spend(econ_chain, ALICE, 0, fee=1),
-            spend(econ_chain, BOB, 0, fee=9),
-            spend(econ_chain, CAROL, 0, fee=5),
-        ]
-        for message in messages:
-            fifo.submit(message)
-            base.submit(message)
-        assert fifo.take_block(10) == base.take_block(10) == messages
-
     def test_rejected_counters_distinguish_causes(self, econ_chain, chain):
-        # Base FIFO mempool: duplicate vs invalid.
+        # No policy: duplicate vs invalid.
         base = Mempool(chain)
         from tests.test_chain import transfer_message
 
@@ -223,8 +203,8 @@ class TestPriorityMempool:
         assert base.rejected == 2
         assert base.rejected_duplicate == 1
         assert base.rejected_invalid == 1
-        # Priority mempool shares the same breakdown plus rejected_fee.
-        pool = PriorityMempool(econ_chain, FeePolicy(min_relay_fee_rate=2))
+        # Under a policy: the same breakdown plus rejected_fee.
+        pool = Mempool(econ_chain, FeePolicy(min_relay_fee_rate=2))
         good = spend(econ_chain, ALICE, 0, fee=4)
         pool.submit(good)
         with pytest.raises(ValidationError):
@@ -236,7 +216,7 @@ class TestPriorityMempool:
         assert pool.rejected_fee == 1
 
     def test_included_message_rejected_via_index(self, econ_chain):
-        pool = PriorityMempool(econ_chain, FeePolicy())
+        pool = Mempool(econ_chain, FeePolicy())
         message = spend(econ_chain, ALICE, 0, fee=2)
         econ_chain.add_block(econ_chain.make_block([message], MINER.address, 1.0))
         with pytest.raises(ValidationError):
@@ -415,31 +395,6 @@ class TestCongestedEngine:
         ]
         assert [o.priced_out for o in first.outcomes] == [
             o.priced_out for o in second.outcomes
-        ]
-
-    def test_fifo_unlimited_reproduces_plain_mempool_engine_results(self):
-        """The compatibility baseline: a PriorityMempool configured as
-        FIFO-with-infinite-capacity replays the pre-fee-market engine
-        results exactly (same trace, same metrics)."""
-
-        def run(fee_policy):
-            traffic = poisson_swap_traffic(
-                12, rate=8.0, seed=37, chain_ids=["x", "y"]
-            )
-            env = build_multi_scenario(
-                [g for _, g in traffic], seed=37, fee_policy=fee_policy
-            )
-            env.warm_up(2)
-            engine = SwapEngine(env)
-            engine.submit_many(traffic, offset=env.simulator.now)
-            return engine.run()
-
-        plain = run(None)
-        fifo = run(FeePolicy.unlimited_fifo())
-        assert plain.trace() == fifo.trace()
-        assert plain.metrics == fifo.metrics
-        assert [o.final_states() for o in plain.outcomes] == [
-            o.final_states() for o in fifo.outcomes
         ]
 
     def test_fee_shock_displaces_pending_messages(self):

@@ -183,6 +183,15 @@ class TestValidation:
         spec = small_spec(**{"fee_market.enabled": True, "fee_market.block_weight_budget": 0})
         with pytest.raises(SpecError, match="block_weight_budget"):
             spec.validate()
+        # A block too small for any deploy would admit swaps and never
+        # mine one; the lightest call (weight 2) fits, the deploy does not.
+        spec = small_spec(**{"fee_market.enabled": True, "fee_market.block_weight_budget": 2})
+        with pytest.raises(SpecError, match=r"block_weight_budget=2 cannot fit a deploy.*=4"):
+            spec.validate()
+        small_spec(**{"fee_market.block_weight_budget": 2}).validate()  # market off
+        spec = small_spec(**{"fee_market.fifo": True})
+        with pytest.raises(SpecError, match="fee_market.fifo must be false: the FIFO fork"):
+            spec.validate()
         spec = small_spec(**{"traffic.fee_budget": '{"cap": -1}'})
         with pytest.raises(SpecError, match="cap"):
             spec.validate()

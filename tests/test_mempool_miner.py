@@ -19,7 +19,7 @@ class TestMempool:
         msg = transfer_message(chain, ALICE, BOB, 10)
         mempool.submit(msg)
         assert len(mempool) == 1
-        assert mempool.take(10) == [msg]
+        assert mempool.take_block(10) == [msg]
         assert len(mempool) == 0
 
     def test_fifo_order(self, chain, mempool):
@@ -27,14 +27,14 @@ class TestMempool:
         m2 = transfer_message(chain, BOB, ALICE, 20)
         mempool.submit(m1)
         mempool.submit(m2)
-        assert mempool.take(2) == [m1, m2]
+        assert mempool.take_block(2) == [m1, m2]
 
     def test_take_limit(self, chain, mempool):
         m1 = transfer_message(chain, ALICE, BOB, 10)
         m2 = transfer_message(chain, BOB, ALICE, 20)
         mempool.submit(m1)
         mempool.submit(m2)
-        assert mempool.take(1) == [m1]
+        assert mempool.take_block(1) == [m1]
         assert len(mempool) == 1
 
     def test_duplicate_submission_rejected(self, chain, mempool):
@@ -58,16 +58,9 @@ class TestMempool:
         m2 = transfer_message(chain, BOB, ALICE, 20)
         mempool.submit(m1)
         mempool.submit(m2)
-        batch = mempool.take(2)
+        batch = mempool.take_block(2)
         mempool.requeue(batch)
-        assert mempool.take(2) == [m1, m2]
-
-    def test_drop_included(self, chain, mempool):
-        msg = transfer_message(chain, ALICE, BOB, 10)
-        mempool.submit(msg)
-        chain.add_block(chain.make_block([msg], MINER.address, 1.0))
-        assert mempool.drop_included() == 1
-        assert len(mempool) == 0
+        assert mempool.take_block(2) == [m1, m2]
 
 
 class TestMinerNode:

@@ -17,6 +17,7 @@ Plus the new capabilities: live counters, windowed streaming views, and
 snapshot caching across repeated queries.
 """
 
+import hashlib
 import json
 import random
 from dataclasses import asdict
@@ -211,7 +212,9 @@ class TestPresetByteIdentity:
 
     The goldens were captured from the historical multi-pass
     ``compute_metrics`` before the accumulator replaced it; any drift
-    here means the hot-path rework changed observable results.
+    here means the hot-path rework changed observable results.  The
+    whole artifact (spec echo, outcomes, ``caches``, adversary report)
+    is pinned by digest, captured at the commit before PR 14.
     """
 
     @pytest.mark.parametrize("preset", ["engine-smoke", "congestion", "security"])
@@ -230,3 +233,5 @@ class TestPresetByteIdentity:
         # Round-trip through JSON so float representations compare the
         # same way the golden was serialized.
         assert json.loads(json.dumps(got)) == want
+        digests = json.loads((GOLDEN_DIR / "golden-artifact-digests.json").read_text())
+        assert hashlib.sha256(result.to_json().encode()).hexdigest() == digests[preset]

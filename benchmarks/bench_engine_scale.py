@@ -7,12 +7,14 @@ arrivals at 10 swaps/s) and varies only ``num_swaps``, so the points are
 directly comparable and any regression is an engine/hot-path regression,
 not a workload change.
 
-The 10^3 point is the gate: it must sustain at least half the
-wall-clock swaps/s measured when the gate was last re-based (PR 12's
-curve kernel, see docs/performance.md).  The 10^4 point proves the engine
-*completes* at that scale without superlinear blowup; it takes minutes,
-so it only runs when ``RUN_SCALE_10K=1`` (nightly / local profiling, not
-per-PR CI).
+Two gates.  The 10^3 point must sustain at least half the wall-clock
+swaps/s measured when the gate was last re-based (PR 15's shared chain
+state, see docs/performance.md).  And throughput must not decay with run
+length: each point must hold ``SCALING_FLOOR`` of the swaps/s of the
+point a decade below it — 10^3 against 10^2 on every PR, 10^4 against
+10^3 when ``RUN_SCALE_10K=1`` (the 10^4 run takes minutes: nightly /
+local profiling, not per-PR CI).  Chain state that cost the whole world
+per wallet lookup and per block (before PR 15) failed the second gate.
 
 When ``ENGINE_SCALE_JSON`` is set, every point appends its wall-clock
 timing to that JSON file — CI uploads it as the scale-smoke artifact so
@@ -35,11 +37,13 @@ from repro.experiment.spec import TrafficSpec
 
 from conftest import print_table, record_store_timing
 
-# Wall-clock swaps/sec at the 10^3 point, measured after PR 12 (recorded
+# Wall-clock swaps/sec at the 10^3 point, measured after PR 15 (recorded
 # in docs/performance.md).  The floor is a fixed fraction of it:
 # re-measure and re-base when a PR moves it.
-MEASURED_1K_SWAPS_PER_SEC = 34.3
+MEASURED_1K_SWAPS_PER_SEC = 49.3
 MIN_1K_SWAPS_PER_SEC = 0.5 * MEASURED_1K_SWAPS_PER_SEC
+# A point's swaps/s as a fraction of the point a decade below it.
+SCALING_FLOOR = 0.85
 
 ARRIVAL_RATE = 10.0
 
@@ -96,7 +100,26 @@ def _record_timing(num_swaps: int, wall: float, result) -> None:
     )
 
 
-def _check_and_report(num_swaps: int, result, wall, table_printer) -> None:
+@pytest.fixture(scope="module")
+def rates():
+    """Wall-clock swaps/s of the points run so far, by swap count."""
+    return {}
+
+
+def _assert_holds_rate(rates: dict, num_swaps: int) -> None:
+    """The scaling gate: ``num_swaps`` against the point a decade below
+    (run here, unreported, if this session has not measured it)."""
+    below = num_swaps // 10
+    if below not in rates:
+        rates[below] = below / _run_point(below)[1]
+    assert rates[num_swaps] >= SCALING_FLOOR * rates[below], (
+        f"{num_swaps} swaps ran at {rates[num_swaps]:.2f} swaps/s of wall time, "
+        f"below {SCALING_FLOOR} x the {rates[below]:.2f} of {below} swaps: "
+        f"throughput decays with run length"
+    )
+
+
+def _check_and_report(num_swaps: int, result, wall, table_printer, rates) -> None:
     metrics = result.metrics
     rows = [
         [
@@ -129,37 +152,40 @@ def _check_and_report(num_swaps: int, result, wall, table_printer) -> None:
     for name in ("ac3tw", "ac3wn"):
         assert result.by_protocol[name].atomicity_violations == 0
     _record_timing(num_swaps, wall, result)
+    rates[num_swaps] = num_swaps / wall
 
 
-def test_scale_100(benchmark, table_printer):
+def test_scale_100(benchmark, table_printer, rates):
     """10^2 swaps: the smoke-scale sanity point."""
     result, wall = benchmark.pedantic(
         lambda: _run_point(100), rounds=1, iterations=1
     )
-    _check_and_report(100, result, wall, table_printer)
+    _check_and_report(100, result, wall, table_printer, rates)
 
 
-def test_scale_1000(benchmark, table_printer):
-    """10^3 swaps: the throughput gate — at least half the last measurement."""
+def test_scale_1000(benchmark, table_printer, rates):
+    """10^3 swaps: at least half the last measurement, and no decay from 10^2."""
     result, wall = benchmark.pedantic(
         lambda: _run_point(1000), rounds=1, iterations=1
     )
-    _check_and_report(1000, result, wall, table_printer)
-    swaps_per_sec = 1000 / wall
+    _check_and_report(1000, result, wall, table_printer, rates)
+    swaps_per_sec = rates[1000]
     assert swaps_per_sec >= MIN_1K_SWAPS_PER_SEC, (
         f"10^3-swap run sustained {swaps_per_sec:.2f} swaps/s of wall time; "
         f"the floor is {MIN_1K_SWAPS_PER_SEC:.2f} (half the "
         f"{MEASURED_1K_SWAPS_PER_SEC:.1f} measured at the last re-base)"
     )
+    _assert_holds_rate(rates, 1000)
 
 
 @pytest.mark.skipif(
     os.environ.get("RUN_SCALE_10K") != "1",
     reason="10^4-swap run takes minutes; set RUN_SCALE_10K=1 to enable",
 )
-def test_scale_10000(benchmark, table_printer):
-    """10^4 swaps: the engine completes the paper-scale run."""
+def test_scale_10000(benchmark, table_printer, rates):
+    """10^4 swaps: the paper-scale run completes, with no decay from 10^3."""
     result, wall = benchmark.pedantic(
         lambda: _run_point(10_000), rounds=1, iterations=1
     )
-    _check_and_report(10_000, result, wall, table_printer)
+    _check_and_report(10_000, result, wall, table_printer, rates)
+    _assert_holds_rate(rates, 10_000)

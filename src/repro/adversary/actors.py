@@ -325,18 +325,10 @@ class ReorgAttacker:
         attacker = self._attacker
         fee = self.chain.params.fees.call
         state = self.chain.state_at(fork_hash)
-        selected: list[TxInput] = []
-        total = 0
-        for outpoint in state.utxos.outpoints_of(attacker.address):
-            if outpoint in self._used_outpoints:
-                continue
-            if total >= fee:
-                break
-            selected.append(TxInput(outpoint))
-            total += state.utxos.get(outpoint).value
+        selected, total = state.utxos.select(attacker.address, fee, self._used_outpoints)
         if total < fee:
             return None
-        self._used_outpoints.update(inp.outpoint for inp in selected)
+        self._used_outpoints.update(selected)
         change = (
             (TxOutput(attacker.address, total - fee),) if total > fee else ()
         )
@@ -346,7 +338,7 @@ class ReorgAttacker:
             function=self.spec.flip_function,
             args=(),
             fee=fee,
-            inputs=tuple(selected),
+            inputs=tuple(TxInput(outpoint) for outpoint in selected),
             change=change,
             nonce=attacker.next_nonce(),
         )

@@ -324,8 +324,9 @@ class Blockchain:
     def balance_of(self, owner: Address) -> int:
         return self.state_at().balance_of(owner)
 
-    def receipt(self, message_id: bytes) -> Receipt | None:
-        return self.state_at().receipts.get(message_id)
+    def receipt(self, message_id: bytes, block_hash: bytes | None = None) -> Receipt | None:
+        """The receipt of ``message_id`` as of ``block_hash`` (default head)."""
+        return self.state_at(block_hash).receipts.get(message_id)
 
     # -- main-chain geometry ---------------------------------------------------
 

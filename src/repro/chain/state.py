@@ -38,6 +38,7 @@ from .contracts import (
     Receipt,
     SmartContract,
 )
+from .cowmap import CowMap, leading_byte
 from .messages import CallMessage, ChainMessage, DeployMessage, TransferMessage
 from .params import ChainParams
 from .transaction import OutPoint, TxOutput
@@ -51,23 +52,25 @@ class ChainState:
 
     utxos: UTXOSet = field(default_factory=UTXOSet)
     contracts: dict[bytes, SmartContract] = field(default_factory=dict)
-    receipts: dict[bytes, Receipt] = field(default_factory=dict)
+    receipts: CowMap[bytes, Receipt] = field(default_factory=lambda: CowMap(leading_byte))
     fees_collected: int = 0
     deploy_count: int = 0
     call_count: int = 0
     transfer_count: int = 0
 
     def clone(self) -> "ChainState":
-        """Copy-on-write copy: UTXO entries are immutable and shared, and
-        contract *instances* are shared too — the call runtime mutates a
-        working copy and installs it into the owning state only on
-        success (see :meth:`_apply_call`), so a shared instance is never
-        written through.  This makes clone O(#contracts) dict copies
-        instead of a deep copy of every contract."""
+        """Copy-on-write copy.  The UTXO set and the receipts share every
+        bucket with the copy until one side writes it
+        (:mod:`repro.chain.cowmap`), so neither costs anything per entry
+        here.  Contract *instances* are shared too — the call runtime
+        mutates a working copy and installs it into the owning state only
+        on success (see :meth:`_apply_call`), so a shared instance is
+        never written through — which leaves one flat dict copy,
+        O(#contracts)."""
         return ChainState(
             utxos=self.utxos.copy(),
             contracts=dict(self.contracts),
-            receipts=dict(self.receipts),
+            receipts=self.receipts.copy(),
             fees_collected=self.fees_collected,
             deploy_count=self.deploy_count,
             call_count=self.call_count,

@@ -8,62 +8,118 @@ removes it; a second spend of the same outpoint raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Collection
 
 from ..crypto.keys import Address
 from ..errors import DoubleSpendError, ValidationError
+from .cowmap import CowMap
 from .transaction import OutPoint, Transaction, TxOutput
 
+Coins = dict[OutPoint, TxOutput]
 
-@dataclass
+
+def _txid_byte(outpoint: OutPoint) -> int:
+    # An OutPoint does not validate its txid; an empty one is merely unknown.
+    txid = outpoint.txid
+    return txid[0] if txid else 0
+
+
+def _owner_byte(owner: Address) -> int:
+    return owner.raw[0]
+
+
+def _clone_owners(bucket: dict[Address, Coins]) -> dict[Address, Coins]:
+    """An owner bucket's values are written in place, so copy them too."""
+    return {owner: coins.copy() for owner, coins in bucket.items()}
+
+
 class UTXOSet:
-    """Mapping of unspent outpoints to their outputs."""
+    """Mapping of unspent outpoints to their outputs.
 
-    entries: dict[OutPoint, TxOutput] = field(default_factory=dict)
+    Held twice, both copy-on-write (:mod:`repro.chain.cowmap`): by
+    outpoint, and by owner so a wallet query reads one owner's coins
+    instead of scanning the chain's.  :meth:`add` and :meth:`spend` are
+    the only writers and keep the two in step.
+    """
+
+    __slots__ = ("_entries", "_by_owner")
+
+    def __init__(self) -> None:
+        self._entries: CowMap[OutPoint, TxOutput] = CowMap(_txid_byte)
+        self._by_owner: CowMap[Address, Coins] = CowMap(_owner_byte, _clone_owners)
 
     def copy(self) -> "UTXOSet":
-        """A shallow copy (entries are immutable, sharing them is safe)."""
-        return UTXOSet(dict(self.entries))
+        """An independent set sharing every bucket until one side writes it."""
+        twin: UTXOSet = object.__new__(UTXOSet)
+        twin._entries = self._entries.copy()
+        twin._by_owner = self._by_owner.copy()
+        return twin
 
     # -- queries -----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._entries)
 
     def __contains__(self, outpoint: OutPoint) -> bool:
-        return outpoint in self.entries
+        return outpoint in self._entries
 
     def get(self, outpoint: OutPoint) -> TxOutput:
         """Return the unspent output at ``outpoint`` or raise."""
         try:
-            return self.entries[outpoint]
+            return self._entries[outpoint]
         except KeyError:
             raise DoubleSpendError(f"outpoint {outpoint!r} is unknown or already spent")
 
     def balance_of(self, owner: Address) -> int:
         """Total unspent value owned by ``owner``."""
-        return sum(out.value for out in self.entries.values() if out.owner == owner)
+        return sum(out.value for out in self._by_owner.get(owner, {}).values())
 
     def outpoints_of(self, owner: Address) -> list[OutPoint]:
         """All outpoints currently owned by ``owner`` (deterministic order)."""
-        owned = [op for op, out in self.entries.items() if out.owner == owner]
-        return sorted(owned, key=lambda op: (op.txid, op.index))
+        return sorted(self._by_owner.get(owner, ()), key=lambda op: (op.txid, op.index))
+
+    def select(
+        self, owner: Address, amount: int, exclude: Collection[OutPoint] = ()
+    ) -> tuple[list[OutPoint], int]:
+        """Greedy coin selection: ``owner``'s outpoints, in
+        :meth:`outpoints_of` order and skipping ``exclude``, until their
+        value covers ``amount``.  Returns them with their total value,
+        which is below ``amount`` when the owner cannot cover it."""
+        selected: list[OutPoint] = []
+        total = 0
+        for outpoint in self.outpoints_of(owner):
+            if outpoint in exclude:
+                continue
+            if total >= amount:
+                break
+            selected.append(outpoint)
+            total += self.get(outpoint).value
+        return selected, total
 
     def total_value(self) -> int:
         """Sum of all unspent values (the circulating supply)."""
-        return sum(out.value for out in self.entries.values())
+        return sum(out.value for out in self._entries.values())
 
     # -- mutation ------------------------------------------------------------
 
     def add(self, outpoint: OutPoint, output: TxOutput) -> None:
-        if outpoint in self.entries:
+        entries = self._entries.edit(outpoint)
+        if outpoint in entries:
             raise ValidationError(f"outpoint {outpoint!r} already exists")
-        self.entries[outpoint] = output
+        entries[outpoint] = output
+        owner = output.owner
+        self._by_owner.edit(owner).setdefault(owner, {})[outpoint] = output
 
     def spend(self, outpoint: OutPoint) -> TxOutput:
         """Remove and return the output at ``outpoint``."""
         output = self.get(outpoint)
-        del self.entries[outpoint]
+        del self._entries[outpoint]
+        owner = output.owner
+        owners = self._by_owner.edit(owner)
+        coins = owners[owner]
+        del coins[outpoint]
+        if not coins:
+            del owners[owner]
         return output
 
     def apply_transaction(self, tx: Transaction, min_fee: int = 0) -> int:

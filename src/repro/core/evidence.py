@@ -452,7 +452,7 @@ class FullReplicaValidator(EvidenceValidator):
         message_id = evidence.deploy.message_id()
         if chain.message_depth(message_id) < min_depth:
             return None
-        receipt = chain.state_at().receipts.get(message_id)
+        receipt = chain.receipt(message_id)
         if receipt is None or receipt.status != "ok":
             return None
         return evidence.deploy
@@ -471,7 +471,7 @@ class FullReplicaValidator(EvidenceValidator):
         message_id = evidence.call.message_id()
         if chain.message_depth(message_id) < min_depth:
             return None
-        receipt = chain.state_at().receipts.get(message_id)
+        receipt = chain.receipt(message_id)
         if receipt is None or receipt.status != "ok":
             return None
         return evidence.contract_id, evidence.state

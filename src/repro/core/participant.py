@@ -96,25 +96,17 @@ class Participant(Node):
         pending.intersection_update(
             op for op in pending if op in state.utxos
         )
-        selected: list[TxInput] = []
-        total = 0
-        for outpoint in state.utxos.outpoints_of(self.address):
-            if outpoint in pending:
-                continue
-            if total >= amount:
-                break
-            selected.append(TxInput(outpoint))
-            total += state.utxos.get(outpoint).value
+        selected, total = state.utxos.select(self.address, amount, pending)
         if total < amount:
             raise InsufficientFundsError(
                 f"{self.name} has {total} spendable on {chain_id}, needs "
                 f"{amount} ({len(pending)} outpoints locked by pending messages)"
             )
-        pending.update(inp.outpoint for inp in selected)
+        pending.update(selected)
         change: tuple[TxOutput, ...] = ()
         if total > amount:
             change = (TxOutput(self.address, total - amount),)
-        return tuple(selected), change
+        return tuple(TxInput(outpoint) for outpoint in selected), change
 
     def release_spends(self, chain_id: str, outpoints) -> None:
         """Unlock outpoints held for a message that will never be mined.

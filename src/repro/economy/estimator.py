@@ -67,13 +67,13 @@ class FeeEstimator:
     # -- observation ---------------------------------------------------------
 
     def _observe(self, block: Block) -> None:
-        receipts = self.chain.state_at(block.block_id()).receipts
+        block_hash = block.block_id()
         used = 0
         rates: list[float] = []
         for message in block.messages:
             weight = self.policy.weight_of(message)
             used += weight
-            receipt = receipts.get(message.message_id())
+            receipt = self.chain.receipt(message.message_id(), block_hash)
             if receipt is not None and receipt.fee_paid > 0:
                 rates.append(receipt.fee_paid / weight)
         self.blocks_observed += 1

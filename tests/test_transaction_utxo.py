@@ -205,6 +205,9 @@ class TestUTXOSet:
     def test_get_unknown_raises(self):
         with pytest.raises(DoubleSpendError):
             UTXOSet().get(OutPoint(b"\x00" * 32, 0))
+        with pytest.raises(DoubleSpendError):
+            UTXOSet().spend(OutPoint(b"", 0))  # no leading byte to bucket on
+        assert OutPoint(b"", 0) not in UTXOSet()
 
     def test_total_value(self):
         utxos, _ = fresh_utxos((ALICE, 10), (BOB, 20))

@@ -16,6 +16,10 @@ point a decade below it — 10^3 against 10^2 on every PR, 10^4 against
 local profiling, not per-PR CI).  Chain state that cost the whole world
 per wallet lookup and per block (before PR 15) failed the second gate.
 
+Each point also records ``build_environment_seconds`` — the world
+construction (key derivation, genesis, warm-up) inside its wall time —
+so set-up cost is tracked per commit next to swaps/s.
+
 When ``ENGINE_SCALE_JSON`` is set, every point appends its wall-clock
 timing to that JSON file — CI uploads it as the scale-smoke artifact so
 throughput is tracked across commits.  When ``BENCH_STORE_DB`` is set,
@@ -29,10 +33,11 @@ import dataclasses
 import json
 import os
 import time
+from unittest import mock
 
 import pytest
 
-from repro.experiment import preset_spec, run_experiment
+from repro.experiment import preset_spec, run_experiment, runner
 from repro.experiment.spec import TrafficSpec
 
 from conftest import print_table, record_store_timing
@@ -60,15 +65,25 @@ def scale_spec(num_swaps: int):
 
 
 def _run_point(num_swaps: int):
-    """Run one scale point; returns (result, wall_seconds)."""
+    """Run one scale point; returns (result, wall_seconds, build_seconds)."""
     spec = scale_spec(num_swaps)
-    start = time.perf_counter()
-    result = run_experiment(spec)
-    wall = time.perf_counter() - start
-    return result, wall
+    build_environment = runner.build_environment
+    build_seconds = []
+
+    def timed_build(*args):
+        start = time.perf_counter()
+        env = build_environment(*args)
+        build_seconds.append(time.perf_counter() - start)
+        return env
+
+    with mock.patch.object(runner, "build_environment", timed_build):
+        start = time.perf_counter()
+        result = run_experiment(spec)
+        wall = time.perf_counter() - start
+    return result, wall, build_seconds[0]
 
 
-def _record_timing(num_swaps: int, wall: float, result) -> None:
+def _record_timing(num_swaps: int, wall: float, build: float, result) -> None:
     """Append this point's timing to the configured artifacts (the
     ``ENGINE_SCALE_JSON`` file and/or the ``BENCH_STORE_DB`` campaign
     database), if any."""
@@ -76,6 +91,7 @@ def _record_timing(num_swaps: int, wall: float, result) -> None:
     entry = {
         "num_swaps": num_swaps,
         "wall_seconds": round(wall, 3),
+        "build_environment_seconds": round(build, 3),
         "swaps_per_second_wall": round(num_swaps / wall, 3),
         "committed": metrics.committed,
         "aborted": metrics.aborted,
@@ -119,7 +135,8 @@ def _assert_holds_rate(rates: dict, num_swaps: int) -> None:
     )
 
 
-def _check_and_report(num_swaps: int, result, wall, table_printer, rates) -> None:
+def _check_and_report(num_swaps: int, point, table_printer, rates) -> None:
+    result, wall, build = point
     metrics = result.metrics
     rows = [
         [
@@ -141,7 +158,7 @@ def _check_and_report(num_swaps: int, result, wall, table_printer, rates) -> Non
         ]
     )
     table_printer(
-        f"Engine scale {num_swaps}: {wall:.1f}s wall, "
+        f"Engine scale {num_swaps}: {wall:.1f}s wall ({build:.1f}s building the world), "
         f"{num_swaps / wall:.2f} swaps/s, peak {metrics.max_in_flight}",
         ["protocol", "swaps", "committed", "violations", "p50"],
         rows,
@@ -151,24 +168,20 @@ def _check_and_report(num_swaps: int, result, wall, table_printer, rates) -> Non
     assert metrics.committed + metrics.aborted == num_swaps
     for name in ("ac3tw", "ac3wn"):
         assert result.by_protocol[name].atomicity_violations == 0
-    _record_timing(num_swaps, wall, result)
+    _record_timing(num_swaps, wall, build, result)
     rates[num_swaps] = num_swaps / wall
 
 
 def test_scale_100(benchmark, table_printer, rates):
     """10^2 swaps: the smoke-scale sanity point."""
-    result, wall = benchmark.pedantic(
-        lambda: _run_point(100), rounds=1, iterations=1
-    )
-    _check_and_report(100, result, wall, table_printer, rates)
+    point = benchmark.pedantic(lambda: _run_point(100), rounds=1, iterations=1)
+    _check_and_report(100, point, table_printer, rates)
 
 
 def test_scale_1000(benchmark, table_printer, rates):
     """10^3 swaps: at least half the last measurement, and no decay from 10^2."""
-    result, wall = benchmark.pedantic(
-        lambda: _run_point(1000), rounds=1, iterations=1
-    )
-    _check_and_report(1000, result, wall, table_printer, rates)
+    point = benchmark.pedantic(lambda: _run_point(1000), rounds=1, iterations=1)
+    _check_and_report(1000, point, table_printer, rates)
     swaps_per_sec = rates[1000]
     assert swaps_per_sec >= MIN_1K_SWAPS_PER_SEC, (
         f"10^3-swap run sustained {swaps_per_sec:.2f} swaps/s of wall time; "
@@ -184,8 +197,6 @@ def test_scale_1000(benchmark, table_printer, rates):
 )
 def test_scale_10000(benchmark, table_printer, rates):
     """10^4 swaps: the paper-scale run completes, with no decay from 10^3."""
-    result, wall = benchmark.pedantic(
-        lambda: _run_point(10_000), rounds=1, iterations=1
-    )
-    _check_and_report(10_000, result, wall, table_printer, rates)
+    point = benchmark.pedantic(lambda: _run_point(10_000), rounds=1, iterations=1)
+    _check_and_report(10_000, point, table_printer, rates)
     _assert_holds_rate(rates, 10_000)

@@ -5,11 +5,13 @@ of blocks" of Section 2.1), to its message set (Merkle root), and to the
 proof of work (nonce + difficulty).  Everything a light client or the
 Section 4.3 relay validator needs lives in the header.
 
-Headers and blocks are immutable, so the block hash, message-id list,
-and messages Merkle tree are each computed once and cached on the
-instance (evidence construction walks these repeatedly).  The caches are
-``init=False`` slots: ``dataclasses.replace`` — how tests forge tampered
-headers — resets them, and the forged copy hashes afresh.
+Headers and blocks are immutable, so the header's canonical encoding
+(the block hash is taken over it, and evidence embeds it verbatim), the
+block hash, message-id list, and messages Merkle tree are each computed
+once and cached on the instance (evidence construction walks these
+repeatedly).  The caches are ``init=False`` slots: ``dataclasses.replace``
+— how tests forge tampered headers — and ``with_nonce`` reset them, and
+the copy encodes and hashes afresh.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ class BlockHeader:
     difficulty_bits: int
     nonce: int
     miner: Address
+    _enc: bytes | None = field(default=None, init=False, repr=False, compare=False)
     _id: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_wire(self):
@@ -64,11 +67,18 @@ class BlockHeader:
             "miner": self.miner.raw,
         }
 
+    def wire_bytes(self) -> bytes:
+        enc = self._enc
+        if enc is None:
+            enc = canonical_encode(self.to_wire())
+            object.__setattr__(self, "_enc", enc)
+        return enc
+
     def block_id(self) -> bytes:
         """The block hash (double SHA-256 of the header, Bitcoin-style)."""
         block_id = self._id
         if block_id is None:
-            block_id = double_sha256(canonical_encode(self.to_wire()))
+            block_id = double_sha256(self.wire_bytes())
             object.__setattr__(self, "_id", block_id)
         return block_id
 
@@ -102,15 +112,31 @@ def messages_merkle_tree(message_ids: list[bytes]) -> MerkleTree:
     return MerkleTree(list(message_ids))
 
 
+_LEAF_MSG = b"D\x00\x00\x00\x02" + canonical_encode("msg") + b"B"
+_LEAF_STATUS = canonical_encode("status") + b"S"
+
+
 def receipt_leaf(message_id: bytes, status: str) -> bytes:
     """Canonical leaf bytes committing to one message's execution status.
 
     Headers carry a ``receipts_root`` over these leaves so that light
     clients can verify not only that a call was *included* but that it
     *succeeded* — a reverted ``AuthorizeRedeem`` must not count as a
-    commit decision (Section 4.3 evidence).
+    commit decision (Section 4.3 evidence).  The bytes are
+    ``canonical_encode({"msg": message_id, "status": status})``, spelled
+    out as the fixed two-field template that always is.
     """
-    return canonical_encode({"msg": message_id, "status": status})
+    status_bytes = status.encode("utf-8")
+    return b"".join(
+        (
+            _LEAF_MSG,
+            len(message_id).to_bytes(4, "big"),
+            message_id,
+            _LEAF_STATUS,
+            len(status_bytes).to_bytes(4, "big"),
+            status_bytes,
+        )
+    )
 
 
 def receipts_merkle_tree(statuses: list[tuple[bytes, str]]) -> MerkleTree:
@@ -131,6 +157,15 @@ class Block:
     messages: tuple
     _ids: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _tree: MerkleTree | None = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def with_tree(cls, header: BlockHeader, messages: tuple, tree: MerkleTree) -> "Block":
+        """A block whose builder already holds ``tree``, the Merkle tree
+        over exactly ``messages``' ids, so it is not built a second time."""
+        block = cls(header=header, messages=messages)
+        object.__setattr__(block, "_ids", tuple(tree.leaves))
+        object.__setattr__(block, "_tree", tree)
+        return block
 
     def block_id(self) -> bytes:
         return self.header.block_id()

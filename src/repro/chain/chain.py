@@ -16,7 +16,13 @@ from typing import Any, Callable, Iterator
 from ..crypto.keys import Address, KeyPair
 from ..crypto.merkle import MerkleProof, MerkleTree
 from ..errors import InvalidBlockError, UnknownBlockError, ValidationError
-from .block import Block, BlockHeader, encode_time, receipts_merkle_tree
+from .block import (
+    Block,
+    BlockHeader,
+    encode_time,
+    messages_merkle_tree,
+    receipts_merkle_tree,
+)
 from .contracts import DEFAULT_REGISTRY, ContractRegistry, Receipt, SmartContract
 from .messages import ChainMessage, TransferMessage
 from .params import ChainParams
@@ -75,6 +81,8 @@ class Blockchain:
         #: one-entry memo for header_chain(): evidence built for several
         #: edges against the same head repeats the identical query.
         self._header_chain_memo: tuple | None = None
+        #: one-entry memo for _receipts(): (statuses, their tree).
+        self._receipts_memo: tuple | None = None
         self._head_hash: bytes = b""
         self.orphans_rejected = 0
         self._block_listeners: list[Callable[[Block], None]] = []
@@ -91,23 +99,31 @@ class Blockchain:
             TransferMessage(make_coinbase(address, value, nonce=i))
             for i, (address, value) in enumerate(allocations)
         )
-        receipts_root = receipts_merkle_tree(
-            [(message.message_id(), "ok") for message in messages]
-        ).root()
+        ids = [message.message_id() for message in messages]
         header = BlockHeader(
             chain_id=self.params.chain_id,
             height=0,
             prev_hash=GENESIS_PREV,
-            merkle_root=Block(
-                header=None, messages=messages  # type: ignore[arg-type]
-            ).compute_merkle_root(),
-            receipts_root=receipts_root,
+            # Only the root is kept: nothing proves inclusion in genesis,
+            # and a retained tree is two digests per allocation.
+            merkle_root=messages_merkle_tree(ids).root(),
+            receipts_root=self._receipts([(mid, "ok") for mid in ids])[1].root(),
             time_ticks=0,
             difficulty_bits=0,  # genesis carries no work requirement
             nonce=0,
             miner=Address(b"\x00" * 20),
         )
         return Block(header=header, messages=messages)
+
+    def _receipts(self, statuses: list[tuple[bytes, str]]) -> tuple[list, MerkleTree]:
+        """``statuses`` (a private copy) and the receipts tree over them.
+        A block is executed once to be built and once more to be
+        connected; when the second execution yields the same statuses,
+        the first pair is the answer."""
+        memo = self._receipts_memo
+        if memo is None or memo[0] != statuses:
+            memo = self._receipts_memo = (list(statuses), receipts_merkle_tree(statuses))
+        return memo
 
     # -- core accessors -----------------------------------------------------
 
@@ -239,13 +255,12 @@ class Blockchain:
             receipts = state.apply_block(block, self.params, self.registry, self.validators)
         except ValidationError as exc:
             raise InvalidBlockError(f"block payload invalid: {exc}") from exc
-        statuses = [(r.message_id, r.status) for r in receipts]
-        receipts_tree = receipts_merkle_tree(statuses)
-        if block.header.receipts_root != receipts_tree.root():
+        receipt_data = self._receipts([(r.message_id, r.status) for r in receipts])
+        if block.header.receipts_root != receipt_data[1].root():
             raise InvalidBlockError("receipts root does not match execution")
 
         self._blocks[block_hash] = block
-        self._receipt_data[block_hash] = (statuses, receipts_tree)
+        self._receipt_data[block_hash] = receipt_data
         self._children.setdefault(parent_hash, []).append(block_hash)
         self._work[block_hash] = parent_work + work_for_bits(block.header.difficulty_bits)
         self._states[block_hash] = state
@@ -457,22 +472,19 @@ class Blockchain:
                     validators=self.validators,
                 )
                 statuses.append((receipt.message_id, receipt.status))
-        candidate = Block(
-            header=BlockHeader(
-                chain_id=self.params.chain_id,
-                height=height,
-                prev_hash=parent_hash,
-                merkle_root=Block(header=None, messages=tuple(messages)).compute_merkle_root(),  # type: ignore[arg-type]
-                receipts_root=receipts_merkle_tree(statuses).root(),
-                time_ticks=time_ticks,
-                difficulty_bits=self.params.difficulty_bits,
-                nonce=0,
-                miner=miner,
-            ),
-            messages=tuple(messages),
+        tree = messages_merkle_tree([message.message_id() for message in messages])
+        template = BlockHeader(
+            chain_id=self.params.chain_id,
+            height=height,
+            prev_hash=parent_hash,
+            merkle_root=tree.root(),
+            receipts_root=self._receipts(statuses)[1].root(),
+            time_ticks=time_ticks,
+            difficulty_bits=self.params.difficulty_bits,
+            nonce=0,
+            miner=miner,
         )
-        mined_header = mine_header(candidate.header)
-        return Block(header=mined_header, messages=candidate.messages)
+        return Block.with_tree(mine_header(template), tuple(messages), tree)
 
 
 def default_miner_address() -> Address:

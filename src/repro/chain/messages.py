@@ -17,23 +17,30 @@ locked value (deploys) plus the miner fee.
 Messages are immutable, so every digest derived from the wire encoding
 (message id, signing digest, contract id) is computed once and cached on
 the instance.  All three digests share one cached canonical encoding —
-they differ only in hash domain.  The cache slots are ``init=False``,
-so ``dataclasses.replace`` (used by tests to build tampered copies)
-resets them and the copy re-derives fresh digests.
+they differ only in hash domain — and :func:`sign_message` hands it to
+the signed copy, because the signature is not part of it.  The cache
+slots are ``init=False``, so ``dataclasses.replace`` (used by tests to
+build tampered copies) and any re-construction (a fee bump) start with
+them empty and the copy re-derives fresh digests.  A transfer encodes its transaction once
+for both the message id and the txid and keeps only the two digests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from ..crypto.ecdsa import EcdsaSignature
 from ..crypto.keys import KeyPair, PublicKey
 from ..errors import ValidationError
-from .transaction import Transaction, TxInput, TxOutput
+from .transaction import TXID_DOMAIN, Transaction, TxInput, TxOutput
 from .wire import canonical_encode, hash_encoded, wire_hash
 
 _MESSAGE_DOMAIN = "repro/message"
+
+#: ``canonical_encode({"kind": "transfer", "tx": tx})`` up to the transaction
+#: (a ``None`` in its place is the one trailing byte cut off here).
+_TRANSFER_PREFIX = canonical_encode({"kind": "transfer", "tx": None})[:-1]
 
 
 def _cache_slot():
@@ -69,7 +76,9 @@ class TransferMessage(ChainMessage):
     def message_id(self) -> bytes:
         mid = self._mid
         if mid is None:
-            mid = wire_hash(self.to_wire(), domain=_MESSAGE_DOMAIN)
+            tx_bytes = canonical_encode(self.tx)
+            object.__setattr__(self.tx, "_txid", hash_encoded(tx_bytes, TXID_DOMAIN))
+            mid = hash_encoded(_TRANSFER_PREFIX + tx_bytes, _MESSAGE_DOMAIN)
             object.__setattr__(self, "_mid", mid)
         return mid
 
@@ -124,7 +133,7 @@ class DeployMessage(ChainMessage):
             "nonce": self.nonce,
         }
 
-    def _encoded(self) -> bytes:
+    def wire_bytes(self) -> bytes:
         enc = self._enc
         if enc is None:
             enc = canonical_encode(self.to_wire())
@@ -134,14 +143,14 @@ class DeployMessage(ChainMessage):
     def message_id(self) -> bytes:
         mid = self._mid
         if mid is None:
-            mid = hash_encoded(self._encoded(), _MESSAGE_DOMAIN)
+            mid = hash_encoded(self.wire_bytes(), _MESSAGE_DOMAIN)
             object.__setattr__(self, "_mid", mid)
         return mid
 
     def signing_digest(self) -> bytes:
         digest = self._sig_digest
         if digest is None:
-            digest = hash_encoded(self._encoded(), "repro/deploy-signing")
+            digest = hash_encoded(self.wire_bytes(), "repro/deploy-signing")
             object.__setattr__(self, "_sig_digest", digest)
         return digest
 
@@ -149,7 +158,7 @@ class DeployMessage(ChainMessage):
         """The id the deployed contract instance will live under."""
         cid = self._cid
         if cid is None:
-            cid = hash_encoded(self._encoded(), "repro/contract-id")
+            cid = hash_encoded(self.wire_bytes(), "repro/contract-id")
             object.__setattr__(self, "_cid", cid)
         return cid
 
@@ -186,7 +195,7 @@ class CallMessage(ChainMessage):
             "nonce": self.nonce,
         }
 
-    def _encoded(self) -> bytes:
+    def wire_bytes(self) -> bytes:
         enc = self._enc
         if enc is None:
             enc = canonical_encode(self.to_wire())
@@ -196,14 +205,14 @@ class CallMessage(ChainMessage):
     def message_id(self) -> bytes:
         mid = self._mid
         if mid is None:
-            mid = hash_encoded(self._encoded(), _MESSAGE_DOMAIN)
+            mid = hash_encoded(self.wire_bytes(), _MESSAGE_DOMAIN)
             object.__setattr__(self, "_mid", mid)
         return mid
 
     def signing_digest(self) -> bytes:
         digest = self._sig_digest
         if digest is None:
-            digest = hash_encoded(self._encoded(), "repro/call-signing")
+            digest = hash_encoded(self.wire_bytes(), "repro/call-signing")
             object.__setattr__(self, "_sig_digest", digest)
         return digest
 
@@ -218,29 +227,7 @@ def sign_message(message: DeployMessage | CallMessage, keypair: KeyPair):
     """
     if keypair.public_key.to_bytes() != message.sender.to_bytes():
         raise ValidationError("signing keypair does not match message sender")
-    digest = message.signing_digest()
-    signature = keypair.sign(digest)
-    if isinstance(message, DeployMessage):
-        return DeployMessage(
-            sender=message.sender,
-            contract_class=message.contract_class,
-            args=message.args,
-            value=message.value,
-            fee=message.fee,
-            inputs=message.inputs,
-            change=message.change,
-            nonce=message.nonce,
-            signature=signature,
-        )
-    return CallMessage(
-        sender=message.sender,
-        contract_id=message.contract_id,
-        function=message.function,
-        args=message.args,
-        value=message.value,
-        fee=message.fee,
-        inputs=message.inputs,
-        change=message.change,
-        nonce=message.nonce,
-        signature=signature,
-    )
+    signed = replace(message, signature=keypair.sign(message.signing_digest()))
+    # The signature is not part of ``to_wire()``: same canonical bytes.
+    object.__setattr__(signed, "_enc", message._enc)
+    return signed

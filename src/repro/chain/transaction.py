@@ -17,6 +17,8 @@ from ..crypto.keys import Address, PublicKey
 from ..errors import ValidationError
 from .wire import wire_hash
 
+TXID_DOMAIN = "repro/txid"
+
 
 @dataclass(frozen=True)
 class OutPoint:
@@ -81,6 +83,8 @@ class Transaction:
     nonce: int = 0  # distinguishes otherwise-identical coinbases
 
     kind: str = field(default="transfer", init=False)
+    #: the txid once derived — 32 bytes; the encoding itself is never kept.
+    _txid: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_wire(self):
         return {
@@ -108,7 +112,11 @@ class Transaction:
 
     def txid(self) -> bytes:
         """The transaction id (hash of the canonical encoding)."""
-        return wire_hash(self.to_wire(), domain="repro/txid")
+        txid = self._txid
+        if txid is None:
+            txid = wire_hash(self.to_wire(), domain=TXID_DOMAIN)
+            object.__setattr__(self, "_txid", txid)
+        return txid
 
     # -- properties -----------------------------------------------------------
 

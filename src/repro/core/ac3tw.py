@@ -304,19 +304,15 @@ class AC3TWDriver(ProtocolDriver):
         # Step 1-2: multisign the graph and register it at Trent.  A
         # Byzantine participant may withhold its signature; Trent then
         # rejects the incomplete ms(D) at registration.
-        keypairs = self.env.keypairs()
-        if self.config.omit_signers:
-            ms = multisign(
-                [
-                    keypairs[name]
-                    for name in self.graph.participant_names()
-                    if name not in self.config.omit_signers
-                ],
-                GRAPH_SIGNING_DOMAIN,
-                self.graph.payload(),
-            )
-        else:
-            ms = self.graph.multisign(keypairs)
+        ms = multisign(
+            [
+                self.env.participant(name).keypair
+                for name in self.graph.participant_names()
+                if name not in self.config.omit_signers
+            ],
+            GRAPH_SIGNING_DOMAIN,
+            self.graph.payload(),
+        )
         try:
             self._ms_id = self.witness.register(self.graph, ms)
         except WitnessError as exc:

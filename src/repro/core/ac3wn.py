@@ -386,22 +386,18 @@ class AC3WNDriver(ProtocolDriver):
             return False
         registrar = self.env.participant(registrar_name)
 
-        keypairs = self.env.keypairs()
-        if self.config.omit_signers:
-            # Byzantine withholding: the missing signatures make ms(D)
-            # incomplete, which the witness contract's registration
-            # validity check rejects when the deploy executes on-chain.
-            ms = multisign(
-                [
-                    keypairs[name]
-                    for name in self.graph.participant_names()
-                    if name not in self.config.omit_signers
-                ],
-                GRAPH_SIGNING_DOMAIN,
-                self.graph.payload(),
-            )
-        else:
-            ms = self.graph.multisign(keypairs)
+        # Byzantine withholding (omit_signers): the missing signatures
+        # make ms(D) incomplete, which the witness contract's registration
+        # validity check rejects when the deploy executes on-chain.
+        ms = multisign(
+            [
+                self.env.participant(name).keypair
+                for name in self.graph.participant_names()
+                if name not in self.config.omit_signers
+            ],
+            GRAPH_SIGNING_DOMAIN,
+            self.graph.payload(),
+        )
         specs = tuple(
             EdgeSpec(
                 chain_id=edge.chain_id,

@@ -43,9 +43,6 @@ class SwapEnvironment:
             raise ProtocolError(f"environment has no participant {name!r}")
         return self.participants[name]
 
-    def keypairs(self) -> dict:
-        return {name: p.keypair for name, p in self.participants.items()}
-
     def alive_participants(self) -> list[str]:
         return sorted(
             name for name, p in self.participants.items() if not p.crashed

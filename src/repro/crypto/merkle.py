@@ -9,10 +9,11 @@ the block body.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from ..errors import InvalidProofError
-from .hashing import hash_concat, sha256
+from .hashing import sha256
 
 _LEAF_TAG = b"\x00"
 _NODE_TAG = b"\x01"
@@ -24,8 +25,13 @@ def _leaf_hash(data: bytes) -> bytes:
 
 
 def _node_hash(left: bytes, right: bytes) -> bytes:
-    """Hash an interior node from its two children."""
-    return sha256(_NODE_TAG + hash_concat(left, right))
+    """Hash an interior node from its two children:
+    ``sha256(0x01 || hash_concat(left, right))``, with the length-prefixed
+    pair assembled in one buffer — a tree makes one call per leaf."""
+    pair = b"".join(
+        (len(left).to_bytes(8, "big"), left, len(right).to_bytes(8, "big"), right)
+    )
+    return hashlib.sha256(_NODE_TAG + hashlib.sha256(pair).digest()).digest()
 
 
 @dataclass(frozen=True)

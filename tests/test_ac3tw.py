@@ -146,7 +146,9 @@ class TestAC3TWEndToEnd:
         env = build_scenario(graph=graph, seed=24)
         env.warm_up(2)
         trent = TrustedWitness(env.chains)
-        ms = graph.multisign(env.keypairs())
+        ms = graph.multisign(
+            {name: env.participant(name).keypair for name in graph.participant_names()}
+        )
         ms_id = trent.register(graph, ms)
         # Report contract ids that do not exist.
         from repro.core.protocol import edge_key

@@ -123,6 +123,30 @@ class TestValidation:
         with pytest.raises(InvalidBlockError):
             chain.add_block(Block(header=bad_header, messages=block.messages))
 
+    def test_tampered_receipts_root_rejected(self, chain):
+        """The tree make_block left behind is reused at connect time only
+        as the tree of the *executed* statuses; the header is still held
+        to it."""
+        from dataclasses import replace
+        from repro.chain.block import Block, receipts_merkle_tree
+        from repro.chain.pow import mine_header
+
+        msg = transfer_message(chain, ALICE, BOB, 500)
+        block = chain.make_block([msg], MINER.address, 1.0)
+        claimed = receipts_merkle_tree([(msg.message_id(), "reverted")]).root()
+        forged = mine_header(replace(block.header, receipts_root=claimed))
+        with pytest.raises(InvalidBlockError, match="receipts root"):
+            chain.add_block(Block(header=forged, messages=block.messages))
+        assert chain.add_block(block)
+
+    def test_supplied_statuses_do_not_replace_execution(self, chain):
+        msg = transfer_message(chain, ALICE, BOB, 500)
+        lying = chain.make_block(
+            [msg], MINER.address, 1.0, statuses=[(msg.message_id(), "reverted")]
+        )
+        with pytest.raises(InvalidBlockError, match="receipts root"):
+            chain.add_block(lying)
+
     def test_decreasing_timestamp_rejected(self, chain):
         chain.add_block(chain.make_block([], MINER.address, 10.0))
         from dataclasses import replace

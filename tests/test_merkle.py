@@ -105,6 +105,16 @@ def leaves_and_index(draw):
 
 
 class TestProofProperties:
+    @given(st.binary(max_size=80), st.binary(max_size=80))
+    @settings(max_examples=100)
+    def test_node_hash_is_the_tagged_length_prefixed_pair(self, left, right):
+        from repro.crypto.hashing import hash_concat, sha256
+        from repro.crypto.merkle import _node_hash
+
+        assert _node_hash(left, right) == sha256(b"\x01" + hash_concat(left, right))
+        with pytest.raises(TypeError):
+            _node_hash(left, "not bytes")
+
     @given(leaves_and_index())
     @settings(max_examples=60)
     def test_every_leaf_provable(self, case):

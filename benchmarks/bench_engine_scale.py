@@ -8,8 +8,8 @@ directly comparable and any regression is an engine/hot-path regression,
 not a workload change.
 
 Two gates.  The 10^3 point must sustain at least half the wall-clock
-swaps/s measured when the gate was last re-based (PR 15's shared chain
-state, see docs/performance.md).  And throughput must not decay with run
+swaps/s measured when the gate was last re-based (PR 17's curve kernel,
+see docs/performance.md).  And throughput must not decay with run
 length: each point must hold ``SCALING_FLOOR`` of the swaps/s of the
 point a decade below it — 10^3 against 10^2 on every PR, 10^4 against
 10^3 when ``RUN_SCALE_10K=1`` (the 10^4 run takes minutes: nightly /
@@ -42,10 +42,10 @@ from repro.experiment.spec import TrafficSpec
 
 from conftest import print_table, record_store_timing
 
-# Wall-clock swaps/sec at the 10^3 point, measured after PR 15 (recorded
+# Wall-clock swaps/sec at the 10^3 point, measured after PR 17 (recorded
 # in docs/performance.md).  The floor is a fixed fraction of it:
 # re-measure and re-base when a PR moves it.
-MEASURED_1K_SWAPS_PER_SEC = 49.3
+MEASURED_1K_SWAPS_PER_SEC = 90.8
 MIN_1K_SWAPS_PER_SEC = 0.5 * MEASURED_1K_SWAPS_PER_SEC
 # A point's swaps/s as a fraction of the point a decade below it.
 SCALING_FLOOR = 0.85

@@ -10,7 +10,7 @@ the accept loop, the windowed-metrics sampler, or the drain shows up as
 a throughput drop.
 
 The throughput gate is half the rate measured when it was last re-based
-(PR 12's curve kernel: 21.7 accepted swaps per wall-second).  The
+(PR 17's curve kernel: 59.0 accepted swaps per wall-second).  The
 windowed p99 ceiling (12 s) is ~2x the steady-state tail on two 1s
 chains at confirmation depth 2 — a scheduling regression that stretches
 the commit path blows through it.
@@ -29,9 +29,9 @@ from repro.service.spec import SourceSpec
 
 from conftest import record_store_timing
 
-#: Accepted swaps per wall-second measured after PR 12; the floor is a
+#: Accepted swaps per wall-second measured after PR 17; the floor is a
 #: fixed fraction of it (re-measure and re-base when a PR moves it).
-MEASURED_ACCEPTED_PER_WALL_SECOND = 21.7
+MEASURED_ACCEPTED_PER_WALL_SECOND = 59.0
 MIN_ACCEPTED_PER_WALL_SECOND = 0.5 * MEASURED_ACCEPTED_PER_WALL_SECOND
 #: Steady-state windowed-p99 ceiling on two 1s-block chains, depth 2.
 P99_CEILING_S = 12.0

@@ -8,14 +8,19 @@ and the sign/verify algorithms from first principles — no external crypto
 dependency — with deterministic RFC-6979-style nonces so that every run
 of the simulator is reproducible.
 
-Every multiplication runs on one Jacobian-coordinate kernel: ``k·G`` is
-read out of a lazily built fixed-window table of multiples of ``G`` (no
-doublings), ``k·Q`` for any other point uses width-5 wNAF, and a
-verification accumulates ``u2·Q + u1·G`` in one Jacobian point that is
-converted to affine once.  No cost is quoted here because it is a
-property of the host; the ledger measures it as ``crypto.sign_per_s``,
-``crypto.verify_first_sight_per_s`` and ``crypto.keygen_per_s``
-(``python3 benchmarks/ledger/run.py --only micro``).
+Every multiplication runs on one Jacobian-coordinate kernel, specialised
+to this curve.  ``k·G`` is read out of a lazily built table of signed
+6-bit windows of ``G`` (~42 mixed additions, no doublings).  ``k·Q`` for
+any other point splits ``k = k1 + k2·λ`` along the curve's endomorphism
+``λ·(x, y) = (β·x, y)`` (Gallant–Lambert–Vanstone) and runs the two
+128-bit halves as interleaved width-5 wNAF streams over one chain of
+~128 doublings.  A verification accumulates ``u2·Q + u1·G`` in one
+Jacobian point and accepts by comparing ``r·Z²`` with ``X``, so it
+inverts nothing but ``s`` and the odd-multiples table of ``Q``.  No cost
+is quoted here because it is a property of the host; the ledger measures
+it as ``crypto.sign_per_s``, ``crypto.verify_first_sight_per_s`` and
+``crypto.keygen_per_s`` (``python3 benchmarks/ledger/run.py --only
+micro``).
 """
 
 from __future__ import annotations
@@ -100,21 +105,24 @@ def point_neg(point: Point) -> Point:
     return Point(point.x, (-point.y) % P)
 
 
-def _jacobian_double(x: int, y: int, z: int) -> tuple[int, int, int]:
-    """Double a Jacobian point (X, Y, Z) where x = X/Z², y = Y/Z³.
+def _jacobian_double(
+    x: int, y: int, z: int, times: int = 1
+) -> tuple[int, int, int]:
+    """Double a Jacobian point (X, Y, Z), x = X/Z², y = Y/Z³, ``times`` times.
 
     The curve coefficient ``A`` is 0 on secp256k1, so the slope numerator
-    is just ``3·X²``.
+    is just ``3·X²``.  Infinity (``Z == 0``) stays infinity.
     """
-    if y == 0:
-        return 0, 1, 0  # infinity
-    ysq = y * y % P
-    s = 4 * x * ysq % P
-    m = 3 * x * x % P
-    nx = (m * m - 2 * s) % P
-    ny = (m * (s - nx) - 8 * ysq * ysq) % P
-    nz = 2 * y * z % P
-    return nx, ny, nz
+    for _ in range(times):
+        if y == 0:
+            return 0, 1, 0  # infinity
+        ysq = y * y % P
+        s = 4 * x * ysq % P
+        m = 3 * x * x % P
+        z = 2 * y * z % P
+        x = (m * m - 2 * s) % P
+        y = (m * (s - x) - 8 * ysq * ysq) % P
+    return x, y, z
 
 
 def _jacobian_add_affine(
@@ -163,9 +171,19 @@ def _batch_to_affine(points: list[tuple[int, int, int]]) -> list[tuple[int, int]
     return affine
 
 
-# Fixed-window table for the generator, built by the first multiplication
-# by G (never at import): row i holds j · 16^i · G for j = 1..15 in affine
-# coordinates — 64 rows, ~0.3 MB, published by one assignment.
+# Signed fixed-window table for the generator, built by the first
+# multiplication by G (never at import): row i holds j · 64^i · G for
+# j = 1..32 in affine coordinates (a negative digit flips y) — 43 rows,
+# ~0.4 MB, published by one assignment.  The width is chosen by count:
+# 6 bits cost ~42 additions per k·G over 1376 points, 5 bits ~50 over
+# 832, 7 bits ~37 over 2368 — and a process performs a few hundred k·G.
+_G_WINDOW = 6
+_G_HALF = 1 << (_G_WINDOW - 1)
+_G_ROWS = -(-258 // _G_WINDOW)  # 256 bits of scalar and room for the bias
+# Adding half a window to every row turns the unsigned windows of
+# ``k + bias`` into the signed digits ``window - 32`` in [-32, 31] of
+# ``k``, with no carry to propagate.
+_G_BIAS = sum(_G_HALF << (_G_WINDOW * row) for row in range(_G_ROWS))
 _G_TABLE: tuple[list[tuple[int, int]], ...] = ()
 
 
@@ -173,18 +191,17 @@ def _generator_table() -> tuple[list[tuple[int, int]], ...]:
     global _G_TABLE
     if not _G_TABLE:
         bases = [(GX, GY, 1)]
-        for _ in range(63):
-            base = bases[-1]
-            for _ in range(4):
-                base = _jacobian_double(*base)
-            bases.append(base)
+        for _ in range(_G_ROWS - 1):
+            bases.append(_jacobian_double(*bases[-1], _G_WINDOW))
         multiples = []
         for bx, by in _batch_to_affine(bases):
             multiples.append((bx, by, 1))
-            for _ in range(14):
+            for _ in range(_G_HALF - 1):
                 multiples.append(_jacobian_add_affine(*multiples[-1], bx, by))
         flat = _batch_to_affine(multiples)
-        _G_TABLE = tuple(flat[i : i + 15] for i in range(0, len(flat), 15))
+        _G_TABLE = tuple(
+            flat[i : i + _G_HALF] for i in range(0, len(flat), _G_HALF)
+        )
     return _G_TABLE
 
 
@@ -193,53 +210,101 @@ def _add_generator_multiple(
 ) -> tuple[int, int, int]:
     """Add ``k·G`` (``0 <= k < 2**256``) to a Jacobian accumulator.
 
-    One table lookup and at most one mixed addition per 4-bit window of
-    ``k``; no doublings.
+    One table lookup and at most one mixed addition per signed 6-bit
+    window of ``k``; no doublings.
     """
+    k += _G_BIAS
     for row in _generator_table():
-        digit = k & 15
-        if digit:
+        digit = k % (2 * _G_HALF) - _G_HALF
+        k >>= _G_WINDOW
+        if digit > 0:
             jx, jy, jz = _jacobian_add_affine(jx, jy, jz, *row[digit - 1])
-        k >>= 4
-        if not k:
-            break
+        elif digit:
+            ax, ay = row[-digit - 1]
+            jx, jy, jz = _jacobian_add_affine(jx, jy, jz, ax, P - ay)
     return jx, jy, jz
 
 
-def _wnaf_mult(k: int, x: int, y: int) -> tuple[int, int, int]:
-    """Jacobian ``k·(x, y)`` for ``0 < k < N`` and a point of order ``N``.
+# The GLV endomorphism of secp256k1: λ·(x, y) = (β·x, y) with λ³ ≡ 1
+# (mod N) and β³ ≡ 1 (mod P), so λ·Q costs one field multiplication.
+# (A1, B1) and (A2, B2) are the standard reduced basis of the lattice
+# {(a, b) : a + b·λ ≡ 0 (mod N)}; B1 is negative and B2 == A1.
+LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+_MINUS_B1 = 0xE4437ED6010E88286F547FA90ABFE4C3
+_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
 
-    Width-5 non-adjacent form: ``k`` is recoded into odd digits in
-    ``[-15, 15]`` with at least four zeros between non-zero ones, so the
-    ~256 doublings carry ~43 mixed additions of the eight precomputed odd
-    multiples ``Q, 3Q, ..., 15Q`` (negated for free by flipping ``y``).
+
+def _glv_split(k: int) -> tuple[int, int]:
+    """``(k1, k2)`` with ``k1 + k2·λ ≡ k (mod N)`` and ``|k1|, |k2| < 2**128``.
+
+    Babai rounding: subtract from ``(k, 0)`` the lattice vector nearest
+    to it; rounding to nearest (not floor) is what keeps both halves
+    within half the basis, i.e. within 128 bits.
     """
-    doubled = point_add(Point(x, y), Point(x, y))
-    odd = [(x, y, 1)]
+    c1 = (_A1 * k + N // 2) // N
+    c2 = (_MINUS_B1 * k + N // 2) // N
+    return k - c1 * _A1 - c2 * _A2, c1 * _MINUS_B1 - c2 * _A1
+
+
+def _odd_multiples(point: Point) -> tuple[list[tuple[int, int]], ...]:
+    """Affine ``Q, 3Q, ..., 15Q`` and their images under λ, for on-curve ``Q``.
+
+    ``2Q`` is computed in Jacobian form and the curve is carried by the
+    isomorphism ``(x, y) -> (x·Z², y·Z³)`` onto the one where that ``2Q``
+    is affine, so the seven additions are mixed ones and the whole table
+    costs a single inversion; a point ``(X, Y, Z')`` over there is
+    ``(X, Y, Z'·Z)`` back here.
+    """
+    dx, dy, dz = _jacobian_double(point.x, point.y, 1)
+    dzsq = dz * dz % P
+    odd = [(point.x * dzsq % P, point.y * dzsq * dz % P, 1)]
     for _ in range(7):
-        odd.append(_jacobian_add_affine(*odd[-1], doubled.x, doubled.y))
-    table = _batch_to_affine(odd)
+        odd.append(_jacobian_add_affine(*odd[-1], dx, dy))
+    table = _batch_to_affine([(x, y, z * dz % P) for x, y, z in odd])
+    return table, [(BETA * x % P, y) for x, y in table]
 
-    digits = []
+
+def _wnaf_addends(k: int, table) -> list[tuple[int, int, int]]:
+    """``(bit position, x, y)`` per non-zero width-5 wNAF digit of ``k``.
+
+    Digits are odd, in ``[-15, 15]`` and at least five positions apart;
+    the point is ``|digit|`` from the odd-multiples ``table``, negated
+    (``y`` flipped) when the signs of the digit and of ``k`` differ.
+    """
+    negative = k < 0
+    k = abs(k)
+    addends = []
+    position = 0
     while k:
-        digit = 0
-        if k & 1:
-            digit = k & 31
-            if digit > 16:
-                digit -= 32
-            k -= digit
-        digits.append(digit)
-        k >>= 1
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        position += zeros
+        digit = k & 31
+        if digit > 16:
+            digit -= 32
+        k -= digit
+        x, y = table[abs(digit) >> 1]
+        addends.append((position, x, P - y if (digit < 0) != negative else y))
+    return addends
 
+
+def _glv_mult(k: int, multiples) -> tuple[int, int, int]:
+    """Jacobian ``k·Q`` for ``0 <= k < N`` from ``_odd_multiples(Q)``.
+
+    ``k = k1 + k2·λ`` with 128-bit halves, so ``k1·Q + k2·(λQ)`` shares
+    one chain of ~128 doublings between two wNAF streams of ~21 mixed
+    additions each.
+    """
+    k1, k2 = _glv_split(k)
+    addends = _wnaf_addends(k1, multiples[0]) + _wnaf_addends(k2, multiples[1])
+    addends.sort(reverse=True)
     jx, jy, jz = 0, 1, 0  # Jacobian infinity
-    for digit in reversed(digits):
-        if jz:
-            jx, jy, jz = _jacobian_double(jx, jy, jz)
-        if digit:
-            ax, ay = table[abs(digit) >> 1]
-            jx, jy, jz = _jacobian_add_affine(
-                jx, jy, jz, ax, ay if digit > 0 else P - ay
-            )
+    below = [position for position, _, _ in addends[1:]] + [0]
+    for (position, ax, ay), lower in zip(addends, below):
+        jx, jy, jz = _jacobian_add_affine(jx, jy, jz, ax, ay)
+        jx, jy, jz = _jacobian_double(jx, jy, jz, position - lower)
     return jx, jy, jz
 
 
@@ -255,18 +320,19 @@ def scalar_mult(k: int, point: Point) -> Point:
 
     ``k`` is reduced modulo the group order (so negative scalars negate).
     Multiples of ``G`` — key derivation and signing — come from the
-    fixed-window table: at most 64 mixed additions and no doublings.
-    Any other point takes the width-5 wNAF path.  Both stay in Jacobian
-    coordinates and pay one modular inversion for the final conversion;
-    the ledger's ``crypto.keygen_per_s`` and ``crypto.sign_per_s`` track
-    the first path, ``crypto.verify_first_sight_per_s`` the second.
+    signed fixed-window table: at most 43 mixed additions and no
+    doublings.  Any other point takes the endomorphism-split wNAF path.
+    Both stay in Jacobian coordinates and pay one modular inversion for
+    the final conversion; the ledger's ``crypto.keygen_per_s`` and
+    ``crypto.sign_per_s`` track the first path,
+    ``crypto.verify_first_sight_per_s`` the second.
     """
     k %= N
     if k == 0 or point.is_infinity:
         return INFINITY
     if point == G:
         return _jacobian_to_point(*_add_generator_multiple(k, 0, 1, 0))
-    return _jacobian_to_point(*_wnaf_mult(k, point.x, point.y))
+    return _jacobian_to_point(*_glv_mult(k, _odd_multiples(point)))
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +475,12 @@ def verify_digest(public_point: Point, digest: bytes, signature: EcdsaSignature)
     u1 = z * w % N
     u2 = r * w % N
     # u2·Q first (u2 != 0), then u1·G from the table into the same
-    # Jacobian accumulator: one conversion to affine for the whole sum.
-    accumulator = _wnaf_mult(u2, public_point.x, public_point.y)
-    point = _jacobian_to_point(*_add_generator_multiple(u1, *accumulator))
-    if point.is_infinity:
+    # Jacobian accumulator, which is never converted to affine.
+    accumulator = _glv_mult(u2, _odd_multiples(public_point))
+    jx, _, jz = _add_generator_multiple(u1, *accumulator)
+    if jz == 0:
         return False
-    return point.x % N == r
+    # x = X/Z² must reduce to r modulo N; x < P < 2N leaves two
+    # candidates, r and (when it is still a field element) r + N.
+    zsq = jz * jz % P
+    return (r * zsq - jx) % P == 0 or (r + N < P and ((r + N) * zsq - jx) % P == 0)

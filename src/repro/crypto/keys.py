@@ -22,8 +22,9 @@ from .hashing import sha256, tagged_hash
 #
 # A chain message's signature is re-verified at every state application:
 # the miner's template trial-apply, the block connect, and every fork
-# trial repeat the exact same ``u2·Q + u1·G`` (a full wNAF pass over the
-# key plus the generator-table additions; the ledger reports the miss as
+# trial repeat the exact same ``u2·Q + u1·G`` (an endomorphism-split
+# wNAF pass of ~128 doublings over the key plus the generator-table
+# additions; the ledger reports the miss as
 # ``crypto.verify_first_sight_per_s`` and the hit as
 # ``crypto.verify_memo_hit_per_s``).  The verdict is a pure function of
 # (public point, digest, signature), so it is memoized content-keyed and
@@ -52,6 +53,27 @@ def clear_verify_cache() -> None:
     _VERIFY_CACHE.clear()
     _verify_cache_hits = 0
     _verify_cache_misses = 0
+
+
+# ---------------------------------------------------------------------------
+# Seed-derivation memo
+# ---------------------------------------------------------------------------
+#
+# A world names each identity by a seed string and asks for it more than
+# once (the graph builder and the participant actor both derive
+# ``participant/<name>``; a service restore derives the whole roster
+# again), and every derivation is a ``k·G``.  A :class:`KeyPair` is
+# immutable and a pure function of the seed bytes, so the second request
+# is answered from here — same idiom as the verification memo above,
+# ``str`` seeds stored under their UTF-8 bytes.
+
+_SEED_CACHE: "OrderedDict[bytes, KeyPair]" = OrderedDict()
+_SEED_CACHE_MAX = 8192
+
+
+def clear_seed_cache() -> None:
+    """Empty the :meth:`KeyPair.from_seed` memo (tests)."""
+    _SEED_CACHE.clear()
 
 
 @dataclass(frozen=True)
@@ -152,16 +174,24 @@ class KeyPair:
 
     @classmethod
     def from_seed(cls, seed: bytes | str) -> "KeyPair":
-        """Derive a key pair deterministically from an arbitrary seed."""
+        """Derive a key pair deterministically from an arbitrary seed (memoized)."""
         if isinstance(seed, str):
             seed = seed.encode("utf-8")
+        pair = _SEED_CACHE.get(seed)
+        if pair is not None:
+            _SEED_CACHE.move_to_end(seed)
+            return pair
         counter = 0
         while True:
             digest = sha256(seed + counter.to_bytes(4, "big"))
             scalar = int.from_bytes(digest, "big")
             if 1 <= scalar < ecdsa.N:
-                return cls.from_scalar(scalar)
+                break
             counter += 1
+        pair = _SEED_CACHE[seed] = cls.from_scalar(scalar)
+        while len(_SEED_CACHE) > _SEED_CACHE_MAX:
+            _SEED_CACHE.popitem(last=False)
+        return pair
 
     @property
     def address(self) -> Address:

@@ -14,6 +14,7 @@ from repro.crypto.keys import PublicKey
 from repro.errors import InvalidKeyError, InvalidSignatureError
 
 N, P, G = ecdsa.N, ecdsa.P, ecdsa.G
+LAMBDA, BETA = ecdsa.LAMBDA, ecdsa.BETA
 
 scalars = st.integers(min_value=1, max_value=N - 1)
 digests = st.binary(min_size=32, max_size=32)
@@ -81,8 +82,37 @@ class TestCurveArithmetic:
         assert ecdsa.is_on_curve(ecdsa.derive_public_point(d))
 
 
+#: Scalars whose 6-bit windows sit above half a window (all of them, or
+#: every other one), so their signed digits are negative and the top row
+#: of the generator table — which holds no bit of the scalar itself —
+#: carries the compensating +1; and the all-ones 256-bit word.
+WINDOW_EDGES = [
+    2**252 - 1,
+    sum(33 << (6 * row) for row in range(42)),
+    sum(63 << (6 * row) for row in range(0, 42, 2)),
+    2**256 - 1,
+]
+
+#: Where the endomorphism split changes shape: a half that is zero, one,
+#: the full 128 bits, or a basis vector of the lattice itself.
+SPLIT_EDGES = [
+    LAMBDA,
+    N - LAMBDA,
+    LAMBDA + 1,
+    LAMBDA - 1,
+    2**127,
+    2**128 - 1,
+    2**128 + 1,
+    ecdsa._A1,
+    ecdsa._MINUS_B1,
+    ecdsa._A2,
+    (ecdsa._A1 + ecdsa._A2) // 2,
+    N // 2,
+]
+
+
 class TestKernelAgainstReference:
-    EDGE_SCALARS = [0, 1, 2, 15, 16, 17, N - 1, N, N + 1, 2**255]
+    EDGE_SCALARS = [0, 1, 2, 15, 16, 17, N - 1, N, N + 1, 2**255] + SPLIT_EDGES
 
     @given(st.integers(min_value=-N, max_value=2**257))
     @settings(max_examples=25, deadline=None)
@@ -121,13 +151,99 @@ class TestKernelAgainstReference:
             "from repro.crypto import ecdsa\n"
             "assert ecdsa._G_TABLE == (), 'table built at import'\n"
             "ecdsa.sign_digest(7, bytes(32))\n"
-            "assert len(ecdsa._G_TABLE) == 64\n"
-            "assert all(len(row) == 15 for row in ecdsa._G_TABLE)\n"
+            "assert len(ecdsa._G_TABLE) == 43\n"
+            "assert all(len(row) == 32 for row in ecdsa._G_TABLE)\n"
         )
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=60)
+
+
+class TestGeneratorWindows:
+    """Signed 6-bit windows: 43 rows, digits in [-32, 31], no doublings."""
+
+    @pytest.mark.parametrize("k", WINDOW_EDGES + [0, 31, 32, 33, 63, 64, 2**252, N - 1])
+    def test_window_edges_match_reference(self, k):
+        summed = ecdsa._add_generator_multiple(k, 0, 1, 0)
+        assert ecdsa._jacobian_to_point(*summed) == reference_mult(k, G)
+
+    def test_rows_hold_the_multiples_they_are_read_as(self):
+        table = ecdsa._generator_table()
+        for row in (0, 1, 21, 42):
+            base = reference_mult(64**row, G)
+            for j in (1, 2, 31, 32):
+                assert ecdsa.Point(*table[row][j - 1]) == reference_mult(j, base)
+
+    @given(st.integers(min_value=0, max_value=2**256 - 1), scalars)
+    @settings(max_examples=25, deadline=None)
+    def test_adds_onto_any_accumulator(self, k, d):
+        start = reference_mult(d, G)
+        summed = ecdsa._add_generator_multiple(k, start.x, start.y, 1)
+        assert ecdsa._jacobian_to_point(*summed) == reference_mult(k + d, G)
+
+
+class TestEndomorphism:
+    """``λ·(x, y) = (β·x, y)`` and the split ``k = k1 + k2·λ`` the loop runs on."""
+
+    def test_constants(self):
+        assert pow(LAMBDA, 3, N) == 1 and LAMBDA != 1
+        assert pow(BETA, 3, P) == 1 and BETA != 1
+        assert reference_mult(LAMBDA, G) == ecdsa.Point(BETA * ecdsa.GX % P, ecdsa.GY)
+
+    def test_basis_vectors_are_in_the_lattice(self):
+        assert (ecdsa._A1 - ecdsa._MINUS_B1 * LAMBDA) % N == 0
+        assert (ecdsa._A2 + ecdsa._A1 * LAMBDA) % N == 0
+        assert ecdsa._A1 * ecdsa._A1 + ecdsa._MINUS_B1 * ecdsa._A2 == N
+
+    @staticmethod
+    def check_split(k):
+        k1, k2 = ecdsa._glv_split(k)
+        assert (k1 + k2 * LAMBDA - k) % N == 0
+        # One chain of at most 129 doublings serves both streams.
+        assert abs(k1).bit_length() <= 128 and abs(k2).bit_length() <= 128
+        return k1, k2
+
+    @pytest.mark.parametrize("k", [1, 2, N - 1, N - 2] + SPLIT_EDGES + WINDOW_EDGES[:3])
+    def test_split_edges(self, k):
+        self.check_split(k % N)
+
+    @given(scalars)
+    @settings(max_examples=200, deadline=None)
+    def test_split_recombines_and_fits(self, k):
+        self.check_split(k)
+
+    def test_rounding_is_to_nearest(self):
+        # Half the basis in each coordinate is what rounding to nearest
+        # guarantees; floor allows twice that, which is 129 bits.
+        halves = [self.check_split(step * (N >> 9) + 1) for step in range(512)]
+        assert max(abs(k1) for k1, _ in halves) <= (ecdsa._A1 + ecdsa._A2 + 1) // 2
+        assert max(abs(k2) for _, k2 in halves) <= (ecdsa._MINUS_B1 + ecdsa._A1 + 1) // 2
+
+    def test_every_sign_pattern_of_the_halves(self):
+        q = reference_mult(0xC0FFEE, G)
+        seen = {}
+        counter = 0
+        while len(seen) < 4:
+            k = int.from_bytes(sha256(b"glv-signs-%d" % counter), "big") % N
+            counter += 1
+            k1, k2 = self.check_split(k)
+            seen.setdefault((k1 < 0, k2 < 0), k)
+        for k in seen.values():
+            assert ecdsa.scalar_mult(k, q) == reference_mult(k, q)
+            assert ecdsa.scalar_mult(k, ecdsa.point_neg(G)) == reference_mult(N - k, G)
+
+    @given(scalars)
+    @settings(max_examples=10, deadline=None)
+    def test_odd_multiples_table(self, d):
+        q = reference_mult(d, G)
+        table, images = ecdsa._odd_multiples(q)
+        assert [ecdsa.Point(*entry) for entry in table] == [
+            reference_mult(j, q) for j in range(1, 16, 2)
+        ]
+        assert [ecdsa.Point(*entry) for entry in images] == [
+            reference_mult(j * LAMBDA, q) for j in range(1, 16, 2)
+        ]
 
 
 class TestCanonicalPoints:
@@ -296,6 +412,98 @@ class TestVerifyAccumulatorCollisions:
         assert ecdsa._jacobian_to_point(*doubled) == reference_mult(10, G)
         cancelled = ecdsa._add_generator_multiple(5, five_g.x, P - five_g.y, 1)
         assert ecdsa._jacobian_to_point(*cancelled).is_infinity
+
+
+class TestJacobianAcceptance:
+    """``x(R) mod N == r`` decided as ``r·Z² ≡ X`` or ``(r + N)·Z² ≡ X``.
+
+    ``P - N`` is about ``2**128``, so no honest signature has an ``R``
+    with ``N <= R.x < P``; these are constructed from ``R`` backwards:
+    for any ``s`` and ``z``, ``Q = r⁻¹·(s·R - z·G)`` makes the
+    verification sum land on ``R`` exactly.
+    """
+
+    @staticmethod
+    def curve_point_with_x_from(x):
+        while True:
+            try:
+                return ecdsa.decompress_point(b"\x02" + x.to_bytes(32, "big"))
+            except InvalidKeyError:
+                x += 1
+
+    @staticmethod
+    def signature_landing_on(point, r, s=0xFEED, z=0xBEEF):
+        public = reference_mult(
+            pow(r, -1, N),
+            ecdsa.point_add(reference_mult(s, point), reference_mult(-z, G)),
+        )
+        return public, z.to_bytes(32, "big"), ecdsa.EcdsaSignature(r, s)
+
+    @pytest.mark.parametrize("offset", [1, 2**64, P - N - 2**20])
+    def test_x_between_n_and_p_is_accepted_as_r_plus_n(self, offset):
+        point = self.curve_point_with_x_from(N + offset)
+        assert N <= point.x < P
+        public, digest, signature = self.signature_landing_on(point, point.x - N)
+        assert reference_verify(public, digest, signature)
+        assert ecdsa.verify_digest(public, digest, signature)
+        assert PublicKey(public).verify(digest, signature)
+        off_by_one = ecdsa.EcdsaSignature(signature.r + 1, signature.s)
+        assert not reference_verify(public, digest, off_by_one)
+        assert not ecdsa.verify_digest(public, digest, off_by_one)
+
+    @pytest.mark.parametrize("x", [1, 2**64])
+    def test_r_plus_n_beyond_the_field_is_not_compared(self, x):
+        # R.x = r + N - P: congruent to r + N modulo P, but not r modulo N.
+        point = self.curve_point_with_x_from(x)
+        r = point.x + P - N
+        assert r < N <= P <= r + N
+        public, digest, signature = self.signature_landing_on(point, r)
+        assert not reference_verify(public, digest, signature)
+        assert not ecdsa.verify_digest(public, digest, signature)
+
+
+class TestAgainstOpenSSL:
+    """An oracle that shares no code with this repository (optional)."""
+
+    def test_valid_and_bit_flipped_signatures_are_judged_alike(self):
+        pytest.importorskip("cryptography")
+        from cryptography.exceptions import InvalidSignature
+        from cryptography.hazmat.primitives import hashes
+        from cryptography.hazmat.primitives.asymmetric import ec, utils
+
+        def openssl_verdict(public, digest, r, s):
+            key = ec.EllipticCurvePublicNumbers(
+                public.x, public.y, ec.SECP256K1()
+            ).public_key()
+            try:
+                key.verify(
+                    utils.encode_dss_signature(r, s),
+                    digest,
+                    ec.ECDSA(utils.Prehashed(hashes.SHA256())),
+                )
+            except InvalidSignature:
+                return False
+            return True
+
+        accepted = 0
+        for index in range(200):
+            d = int.from_bytes(sha256(b"openssl-key-%d" % (index % 20)), "big") % (N - 1) + 1
+            public = ecdsa.derive_public_point(d)
+            digest = sha256(b"openssl-message-%d" % index)
+            signature = ecdsa.sign_digest(d, digest)
+            r, s = signature.r, signature.s
+            flip = 1 << (index * 37 % 256)
+            if index % 4 == 1:
+                r ^= flip
+            elif index % 4 == 2:
+                s ^= flip
+            elif index % 4 == 3:
+                digest = (int.from_bytes(digest, "big") ^ flip).to_bytes(32, "big")
+            verdict = ecdsa.verify_digest(public, digest, ecdsa.EcdsaSignature(r, s))
+            assert verdict == openssl_verdict(public, digest, r, s), index
+            assert verdict == (index % 4 == 0), index
+            accepted += verdict
+        assert accepted == 50
 
 
 class TestKnownAnswerSignatures:

@@ -58,6 +58,7 @@ import dataclasses
 import json as _json
 import sys
 
+from . import serde
 from .analysis.latency import figure10_series
 from .analysis.security import PAPER_WITNESS_CANDIDATES
 from .analysis.throughput import TABLE1_ROWS, ac2t_throughput
@@ -314,22 +315,22 @@ def _print_catalog(names, describe, as_json: bool, kind=None) -> None:
         print(f"{name:>18}  {describe(name)}{tag}")
 
 
-def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
+def _resolve_spec(args: argparse.Namespace, spec_cls, preset, names):
+    """The ``--spec | --preset`` + ``--set`` resolver of ``run``,
+    ``serve`` and ``sweep``: ``spec_cls`` loads a spec file, ``preset``
+    looks a name up in that command's catalog, ``names`` lists it.  The
+    same dotted-path overrides work one level up: ``sweep --set
+    base.traffic.num_swaps=12`` edits the base experiment, ``--set
+    mode=zip`` the sweep itself."""
     if args.spec and args.preset:
         raise SpecError("pass either --preset or --spec, not both")
     if args.spec:
-        with open(args.spec, encoding="utf-8") as handle:
-            spec = ExperimentSpec.from_json(handle.read())
+        spec = spec_cls.from_json(serde.read_text(args.spec, SpecError, "spec"))
     elif args.preset:
-        spec = preset_spec(args.preset)
+        spec = preset(args.preset)
     else:
-        raise SpecError(
-            f"pass --preset or --spec; presets: {', '.join(preset_names())}"
-        )
-    overrides = parse_set_args(args.set or [])
-    if overrides:
-        spec = apply_overrides(spec, overrides)
-    return spec
+        raise SpecError(f"pass --preset or --spec; presets: {', '.join(names())}")
+    return apply_overrides(spec, parse_set_args(args.set or []))
 
 
 def _print_queue_stats(result: ExperimentResult) -> None:
@@ -355,8 +356,7 @@ def _write_trace(result: ExperimentResult, path: str) -> int:
         if path == "-":
             sys.stdout.write(collector.to_jsonl())
         else:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(collector.to_jsonl())
+            serde.write_text(path, collector.to_jsonl())
     except OSError as exc:
         print(f"repro run: cannot write {path}: {exc}", file=sys.stderr)
         return 2
@@ -385,8 +385,7 @@ def _write_metrics(result: ExperimentResult, path: str) -> int:
         if path == "-":
             sys.stdout.write(text)
         else:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            serde.write_text(path, text)
     except OSError as exc:
         print(f"repro run: cannot write {path}: {exc}", file=sys.stderr)
         return 2
@@ -424,7 +423,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         return 0
     try:
-        spec = _load_spec(args)
+        spec = _resolve_spec(args, ExperimentSpec, preset_spec, preset_names)
         if args.trace:
             # --trace is the switch: it arms the recorder even when the
             # preset/spec left obs off, without editing the spec file.
@@ -472,27 +471,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # repro serve / repro replay: the engine as a long-running service
 # ---------------------------------------------------------------------------
-
-
-def _load_service_spec(args: argparse.Namespace):
-    from .service import ServiceSpec, service_preset_names, service_preset_spec
-
-    if args.spec and args.preset:
-        raise SpecError("pass either --preset or --spec, not both")
-    if args.spec:
-        with open(args.spec, encoding="utf-8") as handle:
-            spec = ServiceSpec.from_json(handle.read())
-    elif args.preset:
-        spec = service_preset_spec(args.preset)
-    else:
-        raise SpecError(
-            f"pass --preset, --spec, or --restore; service presets: "
-            f"{', '.join(service_preset_names())}"
-        )
-    overrides = parse_set_args(args.set or [])
-    if overrides:
-        spec = apply_overrides(spec, overrides)
-    return spec
 
 
 def _print_service_result(result) -> None:
@@ -550,7 +528,12 @@ def _finish_service(result, json_path: str | None, label: str) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .service import SwapService
+    from .service import (
+        ServiceSpec,
+        SwapService,
+        service_preset_names,
+        service_preset_spec,
+    )
 
     try:
         if args.checkpoint_every is not None and args.checkpoint is None:
@@ -563,7 +546,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 )
             service = SwapService.restore(args.restore)
         else:
-            spec = _load_service_spec(args)
+            spec = _resolve_spec(
+                args, ServiceSpec, service_preset_spec, service_preset_names
+            )
             # Bake --duration into the spec itself so the request log's
             # spec echo is faithful: `repro replay LOG` then runs out the
             # same horizon with no extra flags.  --max-swaps and
@@ -620,11 +605,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     from .service import SwapService, dump_request_log, load_request_log
 
     try:
-        with open(args.log, encoding="utf-8") as handle:
-            text = handle.read()
+        text = serde.read_text(args.log, ServiceError, "request log")
         spec, records = load_request_log(text)
         result = SwapService.replay(spec, records)
-    except (SpecError, ServiceError, OSError) as exc:
+    except (SpecError, ServiceError) as exc:
         print(f"repro replay: {exc}", file=sys.stderr)
         return 2
     if args.request_log:
@@ -632,8 +616,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         # its log IS dump(load(original)) — written out for the
         # byte-level `cmp` the CI smoke job runs.
         try:
-            with open(args.request_log, "w", encoding="utf-8") as handle:
-                handle.write(dump_request_log(spec, records))
+            serde.write_text(args.request_log, dump_request_log(spec, records))
         except OSError as exc:
             print(
                 f"repro replay: cannot write {args.request_log}: {exc}",
@@ -660,7 +643,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     try:
         collector = load_trace(args.file)
-    except (TraceError, OSError, ValueError) as exc:
+    except TraceError as exc:
         print(f"repro trace: {exc}", file=sys.stderr)
         return 2
     if args.swap is not None:
@@ -692,7 +675,7 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
 
     try:
         collector = load_trace(args.file)
-    except (TraceError, OSError, ValueError) as exc:
+    except TraceError as exc:
         print(f"repro alerts: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(render_alerts(collector))
@@ -702,27 +685,6 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # repro sweep: the multi-point campaign entry point
 # ---------------------------------------------------------------------------
-
-
-def _load_sweep(args: argparse.Namespace) -> SweepSpec:
-    if args.spec and args.preset:
-        raise SpecError("pass either --preset or --spec, not both")
-    if args.spec:
-        with open(args.spec, encoding="utf-8") as handle:
-            spec = SweepSpec.from_json(handle.read())
-    elif args.preset:
-        spec = sweep_spec(args.preset)
-    else:
-        raise SpecError(
-            f"pass --preset or --spec; sweeps: {', '.join(sweep_names())}"
-        )
-    overrides = parse_set_args(args.set or [])
-    if overrides:
-        # The same dotted-path machinery as ``run``, one level up:
-        # --set base.traffic.num_swaps=12 edits the base experiment,
-        # --set mode=zip the sweep itself.
-        spec = apply_overrides(spec, overrides)
-    return spec
 
 
 def _point_adversary_enabled(point) -> bool:
@@ -773,7 +735,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _print_catalog(sweep_names(), sweep_description, args.json is not None)
         return 0
     try:
-        spec = _load_sweep(args)
+        spec = _resolve_spec(args, SweepSpec, sweep_spec, sweep_names)
 
         import time as _time
 

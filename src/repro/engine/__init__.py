@@ -14,7 +14,6 @@ from .metrics import (
     EngineMetrics,
     MetricsAccumulator,
     WindowedMetrics,
-    compute_metrics,
     percentile,
 )
 
@@ -27,7 +26,6 @@ __all__ = [
     "SwapEngine",
     "SwapRequest",
     "WindowedMetrics",
-    "compute_metrics",
     "percentile",
     "register_protocol",
     "registered_protocols",

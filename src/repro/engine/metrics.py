@@ -4,12 +4,10 @@ The paper's evaluation (Table 1, Figures 8-10) quantifies protocols by
 throughput and latency under load.  :class:`MetricsAccumulator` folds
 :class:`~repro.core.protocol.SwapOutcome` records in one at a time as
 the :class:`~repro.engine.engine.SwapEngine` finalizes them — O(1) per
-swap — and produces :class:`EngineMetrics` snapshots on demand in a
-single pass, instead of the dozen-plus generator sweeps the old
-``compute_metrics`` ran over the full outcome list per protocol slice.
-:func:`compute_metrics` remains as a thin wrapper with byte-identical
-output.  Everything here is a pure function of the outcomes, so metrics
-are exactly as deterministic as the simulation that produced them.
+swap — and reduces them to an :class:`EngineMetrics` snapshot on demand
+in a single pass.  Everything here is a pure function of the outcomes,
+so metrics are exactly as deterministic as the simulation that produced
+them.
 
 Two ordering subtleties keep snapshots deterministic and pinned:
 
@@ -155,8 +153,7 @@ class MetricsAccumulator:
     exact (reservoir-free) and sorted on demand at snapshot time, where
     the sort is shared between p50 and p99.  ``snapshot`` reduces
     everything else in a single pass over the folded outcomes in key
-    order, so it is fold-order independent and byte-identical to the
-    historical multi-pass ``compute_metrics``.
+    order, so it is fold-order independent.
     """
 
     __slots__ = (
@@ -237,15 +234,10 @@ class MetricsAccumulator:
                 self._ordered_cache = sorted(self._records, key=lambda kv: kv[0])  # type: ignore[arg-type]
         return self._ordered_cache
 
-    def snapshot(
-        self, protocol: str = "mixed", max_in_flight: int | None = None
-    ) -> EngineMetrics:
-        """Reduce everything folded so far into an :class:`EngineMetrics`.
-
-        One pass in key order; ``max_in_flight`` overrides the peak the
-        accumulator tracked itself (``compute_metrics`` compatibility).
-        """
-        peak = self.max_in_flight if max_in_flight is None else max_in_flight
+    def snapshot(self, protocol: str = "mixed") -> EngineMetrics:
+        """Reduce everything folded so far into an :class:`EngineMetrics`
+        (one pass in key order)."""
+        peak = self.max_in_flight
         if not self._records:
             return EngineMetrics(
                 protocol=protocol,
@@ -394,19 +386,3 @@ class MetricsAccumulator:
             p99_latency=_nearest_rank(latencies, 99.0),
             priced_out=priced_out,
         )
-
-
-def compute_metrics(
-    outcomes: list[SwapOutcome],
-    protocol: str = "mixed",
-    max_in_flight: int = 0,
-) -> EngineMetrics:
-    """Summarize completed outcomes into an :class:`EngineMetrics`.
-
-    Thin wrapper over :class:`MetricsAccumulator`, byte-identical to the
-    historical multi-pass implementation.
-    """
-    accumulator = MetricsAccumulator()
-    for outcome in outcomes:
-        accumulator.fold(outcome)
-    return accumulator.snapshot(protocol=protocol, max_in_flight=max_in_flight)

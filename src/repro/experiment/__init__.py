@@ -50,8 +50,6 @@ from .spec import (
     TrafficSpec,
     apply_overrides,
     parse_set_args,
-    spec_from_dict,
-    spec_to_dict,
 )
 
 __all__ = [
@@ -81,8 +79,6 @@ __all__ = [
     "register_traffic",
     "registered_traffic",
     "run_experiment",
-    "spec_from_dict",
-    "spec_to_dict",
     "traffic_generator",
     "unregister_traffic",
 ]

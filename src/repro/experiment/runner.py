@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
+from .. import serde
 from ..adversary import build_roster
 from ..analysis.cost import CongestionCostRow, congestion_cost_report
 from ..analysis.throughput import engine_throughput_report
@@ -164,9 +165,7 @@ class ExperimentResult:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
-            handle.write("\n")
+        serde.write_text(path, self.to_json() + "\n")
 
 
 def build_environment(spec: ExperimentSpec, traffic: list) -> ScenarioEnvironment:

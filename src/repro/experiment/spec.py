@@ -6,10 +6,11 @@ traffic, congested fee markets, crash sweeps — is described by an
 chains, fee policy, network latency, traffic (including crash injection
 and fee shocks), protocol mix, and engine options, all hanging off one
 master seed.  A spec is *data*: it serializes to a plain dict/JSON and
-back (`to_dict` / `from_dict` / `to_json` / `from_json`) with strict
-unknown-key rejection, so a run is shareable and reproducible from the
-spec alone.  Dotted-path overrides (:func:`apply_overrides`) edit a spec
-non-destructively — the mechanism behind the CLI's ``--set key=value``.
+back (`to_dict` / `from_dict` / `to_json` / `from_json`, all from
+:class:`repro.serde.Serializable`) with strict unknown-key rejection, so
+a run is shareable and reproducible from the spec alone.  Dotted-path
+overrides (:func:`apply_overrides`) edit a spec non-destructively — the
+mechanism behind the CLI's ``--set key=value``.
 
 The spec layer deliberately contains no execution logic; see
 :mod:`repro.experiment.runner` for :func:`~repro.experiment.runner.run_experiment`
@@ -20,10 +21,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import types
-import typing
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, is_dataclass
 
+from .. import serde
 from ..adversary.spec import AdversarySpec
 from ..chain.params import ChainParams, fast_chain
 from ..economy import FeeBudget, FeePolicy
@@ -31,129 +31,6 @@ from ..errors import FeeError, SpecError
 from ..sim.network import LatencyModel
 from ..workloads.graphs import DEFAULT_AMOUNT
 from ..workloads.scenarios import DEFAULT_FUNDING, VALIDATOR_MODES
-
-# ---------------------------------------------------------------------------
-# Generic dataclass <-> dict serde (strict: unknown keys are errors)
-# ---------------------------------------------------------------------------
-
-
-def spec_to_dict(obj):
-    """Recursively convert a spec dataclass tree into plain JSON types."""
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: spec_to_dict(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, (tuple, list)):
-        return [spec_to_dict(item) for item in obj]
-    if isinstance(obj, dict):
-        return {key: spec_to_dict(value) for key, value in obj.items()}
-    return obj
-
-
-def _type_label(tp) -> str:
-    return getattr(tp, "__name__", None) or str(tp)
-
-
-def _coerce(value, tp, path: str):
-    """Coerce a JSON-shaped ``value`` into the annotated type ``tp``.
-
-    Strict about shapes (a dict where a float belongs is an error) but
-    forgiving about JSON's lossy encodings: lists become tuples, ints
-    are accepted for floats, nested dicts become their dataclasses.
-    """
-    if tp is typing.Any:
-        return value
-    origin = typing.get_origin(tp)
-    if origin in (typing.Union, types.UnionType):
-        arms = typing.get_args(tp)
-        if value is None:
-            if type(None) in arms:
-                return None
-            raise SpecError(f"{path}: may not be null")
-        errors = []
-        for arm in arms:
-            if arm is type(None):
-                continue
-            try:
-                return _coerce(value, arm, path)
-            except SpecError as exc:
-                errors.append(str(exc))
-        raise SpecError(f"{path}: no union arm accepted {value!r} ({errors[0]})")
-    if is_dataclass(tp):
-        return spec_from_dict(tp, value, path=path)
-    if origin is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise SpecError(f"{path}: expected a list, got {type(value).__name__}")
-        args = typing.get_args(tp)
-        if len(args) == 2 and args[1] is Ellipsis:
-            return tuple(
-                _coerce(item, args[0], f"{path}[{i}]") for i, item in enumerate(value)
-            )
-        if len(args) != len(value):
-            raise SpecError(
-                f"{path}: expected exactly {len(args)} items, got {len(value)}"
-            )
-        return tuple(
-            _coerce(item, arm, f"{path}[{i}]")
-            for i, (item, arm) in enumerate(zip(value, args))
-        )
-    if origin is dict:
-        if not isinstance(value, dict):
-            raise SpecError(f"{path}: expected an object, got {type(value).__name__}")
-        _, value_tp = typing.get_args(tp)
-        return {
-            str(key): _coerce(item, value_tp, f"{path}.{key}")
-            for key, item in value.items()
-        }
-    if tp is bool:
-        if isinstance(value, bool):
-            return value
-        raise SpecError(f"{path}: expected a bool, got {value!r}")
-    if tp is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SpecError(f"{path}: expected an int, got {value!r}")
-        return value
-    if tp is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SpecError(f"{path}: expected a number, got {value!r}")
-        return float(value)
-    if tp is str:
-        if not isinstance(value, str):
-            raise SpecError(f"{path}: expected a string, got {value!r}")
-        return value
-    raise SpecError(f"{path}: unsupported spec field type {_type_label(tp)}")
-
-
-def spec_from_dict(cls, data, path: str = ""):
-    """Strictly build a spec dataclass from a plain dict.
-
-    Unknown keys raise :class:`~repro.errors.SpecError` (naming the full
-    dotted path), as do values of the wrong shape; omitted keys fall
-    back to the dataclass defaults.
-    """
-    label = path or cls.__name__
-    if not isinstance(data, dict):
-        raise SpecError(f"{label}: expected an object, got {type(data).__name__}")
-    hints = typing.get_type_hints(cls)
-    known = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise SpecError(
-            f"{label}: unknown key(s) {', '.join(map(repr, unknown))}; "
-            f"expected a subset of {sorted(known)}"
-        )
-    kwargs = {}
-    for name, value in data.items():
-        kwargs[name] = _coerce(value, hints[name], f"{label}.{name}" if path else name)
-    missing = [
-        name
-        for name, f in known.items()
-        if name not in kwargs
-        and f.default is dataclasses.MISSING
-        and f.default_factory is dataclasses.MISSING
-    ]
-    if missing:
-        raise SpecError(f"{label}: missing required key(s) {missing}")
-    return cls(**kwargs)
-
 
 # ---------------------------------------------------------------------------
 # The spec tree
@@ -499,7 +376,7 @@ class ObsSpec:
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(serde.Serializable):
     """One complete, runnable, serializable experiment description."""
 
     name: str = "experiment"
@@ -518,26 +395,6 @@ class ExperimentSpec:
     adversary: AdversarySpec = field(default_factory=AdversarySpec)
     #: The flight recorder (off by default); see :mod:`repro.obs`.
     obs: ObsSpec = field(default_factory=ObsSpec)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return spec_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentSpec":
-        return spec_from_dict(cls, data)
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"spec is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
 
     # -- validation --------------------------------------------------------
 
@@ -736,17 +593,16 @@ def _override_one(obj, path: str, full_path: str, raw):
             f"override {full_path!r}: {full_path[: -len(path) - 1]!r} "
             f"has no nested fields"
         )
-    known = {f.name for f in fields(obj)}
+    known = serde.fields(type(obj))
     if head not in known:
         raise SpecError(
             f"override {full_path!r}: unknown field {head!r}; "
             f"expected one of {sorted(known)}"
         )
     if rest:
-        child = _override_one(getattr(obj, head), rest, full_path, raw)
-        return dataclasses.replace(obj, **{head: child})
-    hint = typing.get_type_hints(type(obj))[head]
-    value = _coerce(_parse_override_value(raw), hint, full_path)
+        value = _override_one(getattr(obj, head), rest, full_path, raw)
+    else:
+        value = serde.load(known[head].type, _parse_override_value(raw), full_path)
     return dataclasses.replace(obj, **{head: value})
 
 

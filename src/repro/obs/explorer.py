@@ -12,15 +12,17 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from .. import serde
+from ..errors import TraceError
 from .monitor import alerts_from_events
 from .spans import SwapTimeline, category_histogram, swap_ids
 from .trace import TraceCollector, TraceEvent
 
 
 def load_trace(path: str) -> TraceCollector:
-    """Read and strictly validate a JSONL trace file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return TraceCollector.from_jsonl(handle.read())
+    """Read and strictly validate a JSONL trace file; a missing, binary
+    or malformed one is a :class:`~repro.errors.TraceError`."""
+    return TraceCollector.from_jsonl(serde.read_text(path, TraceError, "trace"))
 
 
 def summarize(collector: TraceCollector) -> str:

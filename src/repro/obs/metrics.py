@@ -22,15 +22,18 @@ Two export surfaces:
   exposition format (``# HELP`` / ``# TYPE``, ``_bucket{le="..."}`` /
   ``_sum`` / ``_count`` for histograms), deterministically sorted.
 * :meth:`MetricsRegistry.to_dict` / :meth:`from_dict` — a strict JSON
-  snapshot (schema ``repro-metrics/1``) that round-trips byte-exactly
-  and rejects unknown keys, like every other serde in the repo.
+  snapshot (schema ``repro-metrics/1``): :mod:`repro.serde` records, a
+  scalar and a histogram family shape chosen by the ``type`` tag, so it
+  round-trips byte-exactly and rejects unknown keys like every file.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
+from .. import serde
 from ..errors import MetricsError
 from .trace import TraceEvent
 
@@ -47,10 +50,47 @@ DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
 #: Reorg-depth histogram boundaries (blocks abandoned).
 REORG_DEPTH_BUCKETS: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0)
 
-_SNAPSHOT_KEYS = frozenset({"schema", "metrics"})
-_FAMILY_KEYS = frozenset({"name", "type", "help", "buckets", "samples"})
-_SAMPLE_KEYS = frozenset({"labels", "value"})
-_HIST_SAMPLE_KEYS = frozenset({"labels", "buckets", "sum", "count"})
+
+@serde.exact
+@dataclass(frozen=True)
+class _SampleRow:
+    labels: dict[str, str]
+    value: float
+
+
+@serde.exact
+@dataclass(frozen=True)
+class _HistogramRow:
+    labels: dict[str, str]
+    buckets: tuple[int, ...]
+    sum: float
+    count: int
+
+
+@serde.exact
+@dataclass(frozen=True)
+class _Family:
+    name: str
+    type: str
+    help: str
+    samples: tuple[_SampleRow, ...]
+
+
+@serde.exact
+@dataclass(frozen=True)
+class _HistogramFamily:
+    name: str
+    type: str
+    help: str
+    buckets: tuple[float, ...]
+    samples: tuple[_HistogramRow, ...]
+
+
+@serde.exact
+@dataclass(frozen=True)
+class _Snapshot:
+    metrics: tuple[Any, ...]
+    schema: str = METRICS_SCHEMA
 
 
 def _label_key(labels: dict[str, Any]) -> tuple[tuple[str, str], ...]:
@@ -279,31 +319,22 @@ class MetricsRegistry:
     # -- strict JSON snapshot ------------------------------------------------
 
     def to_dict(self) -> dict:
-        metrics = []
+        metrics: list[Any] = []
         for family in self.families():
-            entry: dict[str, Any] = {
-                "name": family.name,
-                "type": family.kind,
-                "help": family.help,
-            }
             if isinstance(family, Histogram):
-                entry["buckets"] = list(family.buckets)
-                entry["samples"] = [
-                    {
-                        "labels": {name: value for name, value in key},
-                        "buckets": list(sample.bucket_counts),
-                        "sum": sample.sum,
-                        "count": sample.count,
-                    }
-                    for key, sample in family.samples()
-                ]
+                rows = tuple(
+                    _HistogramRow(dict(key), tuple(s.bucket_counts), s.sum, s.count)
+                    for key, s in family.samples()
+                )
+                metrics.append(
+                    _HistogramFamily(
+                        family.name, family.kind, family.help, family.buckets, rows
+                    )
+                )
             else:
-                entry["samples"] = [
-                    {"labels": {name: value for name, value in key}, "value": value}
-                    for key, value in family.samples()
-                ]
-            metrics.append(entry)
-        return {"schema": METRICS_SCHEMA, "metrics": metrics}
+                rows = tuple(_SampleRow(dict(key), value) for key, value in family.samples())
+                metrics.append(_Family(family.name, family.kind, family.help, rows))
+        return serde.dump(_Snapshot(tuple(metrics)))
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -311,79 +342,43 @@ class MetricsRegistry:
     @classmethod
     def from_dict(cls, data: dict) -> "MetricsRegistry":
         """Strictly rebuild a registry from :meth:`to_dict` output."""
-        if not isinstance(data, dict):
-            raise MetricsError("metrics snapshot must be a JSON object")
-        keys = set(data)
-        if keys != _SNAPSHOT_KEYS:
-            raise MetricsError(
-                f"malformed metrics snapshot: unknown keys "
-                f"{sorted(keys - _SNAPSHOT_KEYS)}, missing keys "
-                f"{sorted(_SNAPSHOT_KEYS - keys)}"
-            )
-        if data["schema"] != METRICS_SCHEMA:
-            raise MetricsError(
-                f"unsupported metrics schema {data['schema']!r} "
-                f"(expected {METRICS_SCHEMA!r})"
-            )
+        serde.check_schema(_Snapshot, data, MetricsError, "metrics")
+        snapshot = serde.load(_Snapshot, data, "snapshot", MetricsError)
         registry = cls()
-        if not isinstance(data["metrics"], list):
-            raise MetricsError("metrics snapshot 'metrics' must be a list")
-        for entry in data["metrics"]:
-            registry._load_family(entry)
+        for index, entry in enumerate(snapshot.metrics):
+            registry._load_family(entry, f"snapshot.metrics[{index}]")
         return registry
 
     @classmethod
     def from_json(cls, text: str) -> "MetricsRegistry":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MetricsError(f"metrics snapshot is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(serde.parse(text, MetricsError, "metrics snapshot"))
 
-    def _load_family(self, entry: Any) -> None:
-        if not isinstance(entry, dict):
-            raise MetricsError("metrics snapshot family must be an object")
-        keys = set(entry)
-        wanted = _FAMILY_KEYS if entry.get("type") == "histogram" else _FAMILY_KEYS - {"buckets"}
-        if keys != wanted:
-            raise MetricsError(
-                f"malformed metrics family: unknown keys {sorted(keys - wanted)}, "
-                f"missing keys {sorted(wanted - keys)}"
-            )
-        kind = entry["type"]
-        if kind == "counter":
-            family = self.counter(entry["name"], entry["help"])
-            self._load_scalar_samples(family, entry["samples"])
-        elif kind == "gauge":
-            family = self.gauge(entry["name"], entry["help"])
-            self._load_scalar_samples(family, entry["samples"])
-        elif kind == "histogram":
-            family = self.histogram(entry["name"], entry["help"], entry["buckets"])
-            for sample in entry["samples"]:
-                if not isinstance(sample, dict) or set(sample) != _HIST_SAMPLE_KEYS:
+    def _load_family(self, entry: Any, path: str) -> None:
+        kind = entry.get("type") if isinstance(entry, dict) else None
+        if kind == "histogram":
+            record = serde.load(_HistogramFamily, entry, path, MetricsError)
+            family = self.histogram(record.name, record.help, record.buckets)
+            for row in record.samples:
+                if len(row.buckets) != len(family.buckets):
                     raise MetricsError(
-                        f"malformed histogram sample in {entry['name']!r}"
-                    )
-                counts = sample["buckets"]
-                if len(counts) != len(family.buckets):
-                    raise MetricsError(
-                        f"histogram {entry['name']!r} sample has {len(counts)} "
+                        f"histogram {record.name!r} sample has {len(row.buckets)} "
                         f"bucket counts for {len(family.buckets)} buckets"
                     )
                 loaded = _HistogramSample(len(family.buckets))
-                loaded.bucket_counts = [int(c) for c in counts]
-                loaded.sum = float(sample["sum"])
-                loaded.count = int(sample["count"])
-                family._samples[_label_key(sample["labels"])] = loaded
+                loaded.bucket_counts = list(row.buckets)
+                loaded.sum = row.sum
+                loaded.count = row.count
+                family._samples[_label_key(row.labels)] = loaded
+            return
+        record = serde.load(_Family, entry, path, MetricsError)
+        if kind == "counter":
+            family = self.counter(record.name, record.help)
+        elif kind == "gauge":
+            family = self.gauge(record.name, record.help)
         else:
-            raise MetricsError(f"unknown metric type {kind!r}")
-
-    @staticmethod
-    def _load_scalar_samples(family, samples: Any) -> None:
-        for sample in samples:
-            if not isinstance(sample, dict) or set(sample) != _SAMPLE_KEYS:
-                raise MetricsError(f"malformed sample in {family.name!r}")
-            family._samples[_label_key(sample["labels"])] = float(sample["value"])
+            raise MetricsError(f"{path}.type: unknown metric type {kind!r}")
+        for row in record.samples:
+            family._samples[_label_key(row.labels)] = row.value
 
     def __repr__(self) -> str:
         return f"MetricsRegistry({len(self._families)} families)"

@@ -35,47 +35,28 @@ The built-in rules (armed from ``obs.monitor.rules``):
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from .. import serde
 from .trace import TraceCollector, TraceEvent
 
 
+@dataclass(slots=True, repr=False)
 class Alert:
     """One rule firing, anchored to the event that triggered it."""
 
-    __slots__ = ("index", "time", "rule", "severity", "message", "swap_id", "chain_id", "data")
-
-    def __init__(
-        self,
-        index: int,
-        time: float,
-        rule: str,
-        severity: str,
-        message: str,
-        swap_id: int | None = None,
-        chain_id: str | None = None,
-        data: dict[str, Any] | None = None,
-    ) -> None:
-        self.index = index
-        self.time = time
-        self.rule = rule
-        self.severity = severity
-        self.message = message
-        self.swap_id = swap_id
-        self.chain_id = chain_id
-        self.data = data if data is not None else {}
+    index: int
+    time: float
+    rule: str
+    severity: str
+    message: str
+    swap_id: int | None = None
+    chain_id: str | None = None
+    data: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "time": self.time,
-            "rule": self.rule,
-            "severity": self.severity,
-            "message": self.message,
-            "swap_id": self.swap_id,
-            "chain_id": self.chain_id,
-            "data": self.data,
-        }
+        return serde.dump(self)
 
     def render(self) -> str:
         """One human-readable line (the real-time stderr shape)."""

@@ -12,17 +12,19 @@ time.  Because the simulator fires events in deterministic (time, seq)
 order, two runs at the same seed produce identical traces.
 
 The JSONL surface (:meth:`TraceCollector.to_jsonl` /
-:meth:`TraceCollector.from_jsonl`) is strict in both directions: the
-writer emits a fixed key set with sorted keys, and the reader rejects
-unknown or missing keys, so a round-trip is byte-identical.
+:meth:`TraceCollector.from_jsonl`) is :mod:`repro.serde` framing over
+two declarations — the header record and :class:`TraceEvent`, whose
+short wire keys (``t``/``cat``/``swap``/``chain``/``data``) are field
+metadata — so every key is required and a round-trip is byte-identical.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
+from dataclasses import dataclass
 from typing import Any, Iterable
 
+from .. import serde
 from ..errors import TraceError
 
 #: Every category an emit site may use.  ``ObsSpec.categories`` and the
@@ -42,76 +44,35 @@ CATEGORIES: tuple[str, ...] = (
 #: Trace file format identifier (bump on incompatible schema changes).
 SCHEMA = "repro-trace/1"
 
-_HEADER_KEYS = frozenset({"schema", "categories", "ring_size", "dropped", "events"})
-_EVENT_KEYS = frozenset({"seq", "t", "cat", "kind", "swap", "chain", "actor", "data"})
 
-
+@serde.exact
+@dataclass(slots=True, repr=False)
 class TraceEvent:
     """One recorded moment.  Slotted: large runs emit tens of thousands."""
 
-    __slots__ = ("seq", "time", "category", "kind", "swap_id", "chain_id", "actor", "payload")
-
-    def __init__(
-        self,
-        seq: int,
-        time: float,
-        category: str,
-        kind: str,
-        swap_id: int | None = None,
-        chain_id: str | None = None,
-        actor: str | None = None,
-        payload: dict[str, Any] | None = None,
-    ) -> None:
-        self.seq = seq
-        self.time = time
-        self.category = category
-        self.kind = kind
-        self.swap_id = swap_id
-        self.chain_id = chain_id
-        self.actor = actor
-        self.payload = payload if payload is not None else {}
-
-    def to_dict(self) -> dict[str, Any]:
-        """Wire form used by the JSONL serde (short keys, fixed set)."""
-        return {
-            "seq": self.seq,
-            "t": self.time,
-            "cat": self.category,
-            "kind": self.kind,
-            "swap": self.swap_id,
-            "chain": self.chain_id,
-            "actor": self.actor,
-            "data": self.payload,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TraceEvent":
-        keys = set(data)
-        if keys != _EVENT_KEYS:
-            unknown = sorted(keys - _EVENT_KEYS)
-            missing = sorted(_EVENT_KEYS - keys)
-            raise TraceError(
-                f"malformed trace event: unknown keys {unknown}, missing keys {missing}"
-            )
-        if not isinstance(data["cat"], str) or data["cat"] not in CATEGORIES:
-            raise TraceError(f"unknown trace category {data['cat']!r}")
-        if not isinstance(data["data"], dict):
-            raise TraceError("trace event 'data' must be an object")
-        return cls(
-            seq=int(data["seq"]),
-            time=float(data["t"]),
-            category=data["cat"],
-            kind=str(data["kind"]),
-            swap_id=data["swap"],
-            chain_id=data["chain"],
-            actor=data["actor"],
-            payload=data["data"],
-        )
+    seq: int
+    time: float = serde.wire("t")
+    category: str = serde.wire("cat")
+    kind: str
+    swap_id: int | None = serde.wire("swap", default=None)
+    chain_id: str | None = serde.wire("chain", default=None)
+    actor: str | None = None
+    payload: dict[str, Any] = serde.wire("data", default_factory=dict)
 
     def __repr__(self) -> str:
         who = f" swap={self.swap_id}" if self.swap_id is not None else ""
         where = f" chain={self.chain_id}" if self.chain_id is not None else ""
         return f"TraceEvent(#{self.seq} t={self.time:.3f} {self.category}/{self.kind}{who}{where})"
+
+
+@serde.exact
+@dataclass(frozen=True)
+class _Header:
+    categories: tuple[str, ...]
+    ring_size: int | None
+    dropped: int
+    events: int
+    schema: str = SCHEMA
 
 
 class TraceCollector:
@@ -227,70 +188,36 @@ class TraceCollector:
     # -- serde ---------------------------------------------------------------
 
     def to_jsonl(self) -> str:
-        """Serialize as JSONL: one header line, then one line per event.
-
-        Deterministic (sorted keys, compact separators) so that
-        ``from_jsonl(to_jsonl(c)).to_jsonl() == to_jsonl(c)``.
-        """
-        header = {
-            "schema": SCHEMA,
-            "categories": sorted(self._categories),
-            "ring_size": self.ring_size,
-            "dropped": self.dropped,
-            "events": len(self._events),
-        }
-        lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-        for event in self._events:
-            lines.append(json.dumps(event.to_dict(), sort_keys=True, separators=(",", ":")))
-        return "\n".join(lines) + "\n"
+        """Serialize as JSONL: one header line, then one line per event,
+        so that ``from_jsonl(to_jsonl(c)).to_jsonl() == to_jsonl(c)``."""
+        header = _Header(
+            categories=tuple(sorted(self._categories)),
+            ring_size=self.ring_size,
+            dropped=self.dropped,
+            events=len(self._events),
+        )
+        return serde.dump_jsonl(header, self._events)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "TraceCollector":
         """Parse a trace produced by :meth:`to_jsonl` (strict)."""
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
-            raise TraceError("empty trace file")
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise TraceError(f"malformed trace header: {exc}") from exc
-        if not isinstance(header, dict):
-            raise TraceError("trace header must be a JSON object")
-        keys = set(header)
-        if keys != _HEADER_KEYS:
-            unknown = sorted(keys - _HEADER_KEYS)
-            missing = sorted(_HEADER_KEYS - keys)
-            raise TraceError(
-                f"malformed trace header: unknown keys {unknown}, missing keys {missing}"
-            )
-        if header["schema"] != SCHEMA:
-            raise TraceError(
-                f"unsupported trace schema {header['schema']!r} (expected {SCHEMA!r})"
-            )
-        collector = cls(categories=header["categories"], ring_size=header["ring_size"])
-        collector.dropped = int(header["dropped"])
-        declared = int(header["events"])
-        if declared != len(lines) - 1:
-            raise TraceError(
-                f"trace header declares {declared} events but file has {len(lines) - 1}"
-            )
-        max_seq = -1
-        for index, line in enumerate(lines[1:], start=2):
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceError(f"malformed trace event on line {index}: {exc}") from exc
-            if not isinstance(raw, dict):
-                raise TraceError(f"trace event on line {index} must be a JSON object")
-            event = TraceEvent.from_dict(raw)
-            if event.seq <= max_seq:
+        header, events = serde.load_jsonl(
+            text, _Header, TraceEvent, "events", TraceError, "trace"
+        )
+        collector = cls(categories=header.categories, ring_size=header.ring_size)
+        collector.dropped = header.dropped
+        for number, event in enumerate(events, start=2):
+            if event.category not in CATEGORIES:
                 raise TraceError(
-                    f"trace events out of order on line {index}: "
-                    f"seq {event.seq} after {max_seq}"
+                    f"trace line {number}.cat: unknown trace category {event.category!r}"
                 )
-            max_seq = event.seq
+            if event.seq < collector._seq:
+                raise TraceError(
+                    f"trace events out of order on line {number}: "
+                    f"seq {event.seq} after {collector._seq - 1}"
+                )
+            collector._seq = event.seq + 1
             collector._events.append(event)
-        collector._seq = max_seq + 1
         return collector
 
     def __repr__(self) -> str:

@@ -8,30 +8,29 @@ protocol, amount, and fee budget.  The log's header echoes the full
 every record through the same accept path the live session used,
 reproducing outcomes exactly.
 
-Serde is strict in both directions (fixed key sets, sorted keys,
-compact separators), so ``dump → load → dump`` is byte-identical and
-two sessions that accepted the same requests produce byte-identical
-logs — the property the checkpoint/restore and replay tests pin with
-a file-level compare.
+The file is :mod:`repro.serde` JSONL: a header record (schema id, spec
+echo, record count), then one :class:`RequestRecord` per line, every
+key required, canonical bytes — so ``dump → load → dump`` is
+byte-identical and two sessions that accepted the same requests produce
+byte-identical logs, the property the checkpoint/restore and replay
+tests pin with a file-level compare.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Iterable
 
+from .. import serde
 from ..errors import ServiceError
-from ..experiment.spec import FeeBudgetSpec, spec_from_dict
+from ..experiment.spec import FeeBudgetSpec
 from .spec import ServiceSpec
 
 #: Request-log format identifier (bump on incompatible schema changes).
 LOG_SCHEMA = "repro-service-log/1"
 
-_HEADER_KEYS = frozenset({"schema", "spec", "records"})
-_RECORD_KEYS = frozenset({"seq", "at", "source", "protocol", "amount", "fee_budget"})
 
-
+@serde.exact
 @dataclass(frozen=True)
 class RequestRecord:
     """One accepted request, exactly as the session admitted it.
@@ -51,131 +50,37 @@ class RequestRecord:
     fee_budget: FeeBudgetSpec | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "seq": self.seq,
-            "at": self.at,
-            "source": self.source,
-            "protocol": self.protocol,
-            "amount": self.amount,
-            "fee_budget": (
-                None
-                if self.fee_budget is None
-                else {
-                    "cap": self.fee_budget.cap,
-                    "fee_rate": self.fee_budget.fee_rate,
-                    "bump_factor": self.fee_budget.bump_factor,
-                    "max_bumps": self.fee_budget.max_bumps,
-                }
-            ),
-        }
+        return serde.dump(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RequestRecord":
-        if not isinstance(data, dict):
-            raise ServiceError(
-                f"malformed request record: expected an object, got "
-                f"{type(data).__name__}"
-            )
-        keys = set(data)
-        if keys != _RECORD_KEYS:
-            unknown = sorted(keys - _RECORD_KEYS)
-            missing = sorted(_RECORD_KEYS - keys)
-            raise ServiceError(
-                f"malformed request record: unknown keys {unknown}, "
-                f"missing keys {missing}"
-            )
-        budget = data["fee_budget"]
-        if budget is not None:
-            try:
-                budget = spec_from_dict(FeeBudgetSpec, budget, path="fee_budget")
-            except Exception as exc:
-                raise ServiceError(f"malformed request record: {exc}") from exc
-        if not isinstance(data["seq"], int) or isinstance(data["seq"], bool):
-            raise ServiceError("malformed request record: seq must be an int")
-        if not isinstance(data["amount"], int) or isinstance(data["amount"], bool):
-            raise ServiceError("malformed request record: amount must be an int")
-        if not isinstance(data["source"], str) or not isinstance(
-            data["protocol"], str
-        ):
-            raise ServiceError(
-                "malformed request record: source and protocol must be strings"
-            )
-        return cls(
-            seq=data["seq"],
-            at=float(data["at"]),
-            source=data["source"],
-            protocol=data["protocol"],
-            amount=data["amount"],
-            fee_budget=budget,
-        )
+        return serde.load(cls, data, "request record", ServiceError)
+
+
+@serde.exact
+@dataclass(frozen=True)
+class _Header:
+    spec: ServiceSpec
+    records: int
+    schema: str = LOG_SCHEMA
 
 
 def dump_request_log(spec: ServiceSpec, records: Iterable[RequestRecord]) -> str:
-    """Serialize a session's accepted requests as strict JSONL.
-
-    One header line (schema + spec echo + record count), then one line
-    per record in accept order.  Deterministic: sorted keys, compact
-    separators, trailing newline.
-    """
-    rows = [record.to_dict() for record in records]
-    header = {
-        "schema": LOG_SCHEMA,
-        "spec": spec.to_dict(),
-        "records": len(rows),
-    }
-    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    for row in rows:
-        lines.append(json.dumps(row, sort_keys=True, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
+    """Serialize a session's accepted requests: one header line, then
+    one line per record in accept order."""
+    records = list(records)
+    return serde.dump_jsonl(_Header(spec, len(records)), records)
 
 
 def load_request_log(text: str) -> tuple[ServiceSpec, list[RequestRecord]]:
     """Parse a request log produced by :func:`dump_request_log` (strict)."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ServiceError("empty request log")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ServiceError(f"malformed request-log header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ServiceError("request-log header must be a JSON object")
-    keys = set(header)
-    if keys != _HEADER_KEYS:
-        unknown = sorted(keys - _HEADER_KEYS)
-        missing = sorted(_HEADER_KEYS - keys)
-        raise ServiceError(
-            f"malformed request-log header: unknown keys {unknown}, "
-            f"missing keys {missing}"
-        )
-    if header["schema"] != LOG_SCHEMA:
-        raise ServiceError(
-            f"unsupported request-log schema {header['schema']!r} "
-            f"(expected {LOG_SCHEMA!r})"
-        )
-    try:
-        spec = ServiceSpec.from_dict(header["spec"])
-    except Exception as exc:
-        raise ServiceError(f"malformed request-log spec echo: {exc}") from exc
-    declared = int(header["records"])
-    if declared != len(lines) - 1:
-        raise ServiceError(
-            f"request-log header declares {declared} records but file has "
-            f"{len(lines) - 1}"
-        )
-    records: list[RequestRecord] = []
-    for index, line in enumerate(lines[1:], start=2):
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
+    header, records = serde.load_jsonl(
+        text, _Header, RequestRecord, "records", ServiceError, "request log"
+    )
+    for index, record in enumerate(records):
+        if record.seq != index:
             raise ServiceError(
-                f"malformed request record on line {index}: {exc}"
-            ) from exc
-        record = RequestRecord.from_dict(raw)
-        if record.seq != index - 2:
-            raise ServiceError(
-                f"request records out of order on line {index}: "
-                f"seq {record.seq}, expected {index - 2}"
+                f"request records out of order on line {index + 2}: "
+                f"seq {record.seq}, expected {index}"
             )
-        records.append(record)
-    return spec, records
+    return header.spec, records

@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
+from .. import serde
 from ..adversary import build_roster
 from ..engine import PROTOCOLS, SwapEngine
 from ..engine.engine import SwapRequest
@@ -57,9 +58,21 @@ from .spec import EXTERNAL_SOURCE, ServiceSpec
 #: Checkpoint format identifier (bump on incompatible schema changes).
 CKPT_SCHEMA = "repro-service-ckpt/1"
 
-_CKPT_KEYS = frozenset(
-    {"schema", "clock", "epoch", "accepted", "spec", "records", "cursors", "digest"}
-)
+
+@serde.exact
+@dataclass(frozen=True)
+class _Checkpoint:
+    """The checkpoint document (see :meth:`SwapService.checkpoint`)."""
+
+    clock: float
+    epoch: int
+    accepted: int
+    spec: ServiceSpec
+    records: tuple[RequestRecord, ...]
+    cursors: dict[str, int]
+    digest: dict[str, int]
+    schema: str = CKPT_SCHEMA
+
 
 #: "Lookahead not yet filled" sentinel (None means source exhausted).
 _UNSET = object()
@@ -191,9 +204,7 @@ class ServiceResult:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
-            handle.write("\n")
+        serde.write_text(path, self.to_json() + "\n")
 
 
 class SwapService:
@@ -622,8 +633,7 @@ class SwapService:
         return dump_request_log(self.spec, self.records)
 
     def save_request_log(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.request_log())
+        serde.write_text(path, self.request_log())
 
     # -- checkpoint / restore ----------------------------------------------
 
@@ -650,20 +660,18 @@ class SwapService:
         if self._closed:
             raise ServiceError("session is closed; nothing left to checkpoint")
         self.epoch += 1
-        document = {
-            "schema": CKPT_SCHEMA,
-            "clock": self.env.simulator.now,
-            "epoch": self.epoch,
-            "accepted": self.accepted,
-            "spec": self.spec.to_dict(),
-            "records": [record.to_dict() for record in self.records],
-            "cursors": dict(sorted(self._accepts_by_source.items())),
-            "digest": self._digest(),
-        }
-        text = json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+        document = _Checkpoint(
+            clock=self.env.simulator.now,
+            epoch=self.epoch,
+            accepted=self.accepted,
+            spec=self.spec,
+            records=tuple(self.records),
+            cursors=self._accepts_by_source,
+            digest=self._digest(),
+        )
+        text = serde.canonical(serde.dump(document)) + "\n"
         if path is not None:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            serde.write_text(path, text)
         collector = self.collector
         if collector is not None and collector.wants("service"):
             collector.emit(
@@ -694,7 +702,7 @@ class SwapService:
             )
         return text
 
-    def _replay_records(self, records: list[RequestRecord]) -> None:
+    def _replay_records(self, records: Iterable[RequestRecord]) -> None:
         for record in records:
             if record.seq != self.accepted:
                 raise ServiceError(
@@ -722,67 +730,34 @@ class SwapService:
         past its accept cursor — leaving a session whose subsequent
         behavior is byte-identical to the uninterrupted original.
         """
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except OSError as exc:
-            raise ServiceError(f"cannot read checkpoint {path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ServiceError(f"malformed checkpoint {path!r}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ServiceError(f"checkpoint {path!r} must be a JSON object")
-        keys = set(data)
-        if keys != _CKPT_KEYS:
-            unknown = sorted(keys - _CKPT_KEYS)
-            missing = sorted(_CKPT_KEYS - keys)
+        data = serde.parse(
+            serde.read_text(path, ServiceError, "checkpoint"),
+            ServiceError,
+            f"checkpoint {path!r}",
+        )
+        serde.check_schema(_Checkpoint, data, ServiceError, "checkpoint")
+        saved = serde.load(_Checkpoint, data, "checkpoint", ServiceError)
+        if len(saved.records) != saved.accepted:
             raise ServiceError(
-                f"malformed checkpoint {path!r}: unknown keys {unknown}, "
-                f"missing keys {missing}"
+                f"checkpoint {path!r} declares {saved.accepted} accepted "
+                f"requests but carries {len(saved.records)} records"
             )
-        if data["schema"] != CKPT_SCHEMA:
-            raise ServiceError(
-                f"unsupported checkpoint schema {data['schema']!r} "
-                f"(expected {CKPT_SCHEMA!r})"
-            )
-        for name, types, label in (
-            ("clock", (int, float), "a number"),
-            ("epoch", int, "an int"),
-            ("accepted", int, "an int"),
-            ("records", list, "a list"),
-            ("cursors", dict, "an object"),
-        ):
-            value = data[name]
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ServiceError(
-                    f"malformed checkpoint {path!r}: {name} must be {label}, "
-                    f"got {value!r}"
-                )
-        try:
-            spec = ServiceSpec.from_dict(data["spec"])
-        except Exception as exc:
-            raise ServiceError(f"malformed checkpoint spec echo: {exc}") from exc
-        records = [RequestRecord.from_dict(raw) for raw in data["records"]]
-        if len(records) != data["accepted"]:
-            raise ServiceError(
-                f"checkpoint {path!r} declares {data['accepted']} accepted "
-                f"requests but carries {len(records)} records"
-            )
-        service = cls(spec)
-        service._replay_records(records)
-        service._advance_to(float(data["clock"]))
-        service.epoch = data["epoch"]
+        service = cls(saved.spec)
+        service._replay_records(saved.records)
+        service._advance_to(saved.clock)
+        service.epoch = saved.epoch
         digest = service._digest()
-        if digest != data["digest"]:
+        if digest != saved.digest:
             raise ServiceError(
                 f"checkpoint digest mismatch after replay: checkpoint says "
-                f"{data['digest']}, replay produced {digest} — the spec, "
+                f"{saved.digest}, replay produced {digest} — the spec, "
                 f"code version, or checkpoint file changed"
             )
         service._ensure_sources()
         for source in service._sources:
-            count = data["cursors"].get(source.name, 0)
+            count = saved.cursors.get(source.name, 0)
             if count:
-                source.skip(int(count))
+                source.skip(count)
         return service
 
     @classmethod

@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from .. import serde
 from ..engine.engine import PROTOCOLS
 from ..errors import ServiceError, SpecError
 from ..experiment.spec import FeeBudgetSpec
@@ -183,14 +184,9 @@ class ReplaySource(TrafficSource):
         super().__init__(spec, seed, default_amount)
         from .requestlog import load_request_log
 
-        try:
-            with open(spec.path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise ServiceError(
-                f"source {spec.name!r}: cannot read request log "
-                f"{spec.path!r}: {exc}"
-            ) from exc
+        text = serde.read_text(
+            spec.path, ServiceError, f"source {spec.name!r} request log"
+        )
         _, self._records = load_request_log(text)
         self._index = 0
 

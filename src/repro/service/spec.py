@@ -16,16 +16,11 @@ everything that is not about *when the next swap arrives*.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
+from .. import serde
 from ..errors import SpecError
-from ..experiment.spec import (
-    ExperimentSpec,
-    FeeBudgetSpec,
-    spec_from_dict,
-    spec_to_dict,
-)
+from ..experiment.spec import ExperimentSpec, FeeBudgetSpec
 
 #: Source name reserved for swaps submitted through the in-process
 #: :meth:`~repro.service.SwapService.submit_swap` API; request-log
@@ -82,7 +77,7 @@ class SourceSpec:
 
 
 @dataclass(frozen=True)
-class ServiceSpec:
+class ServiceSpec(serde.Serializable):
     """One complete, runnable, serializable service-session description.
 
     Attributes:
@@ -122,26 +117,6 @@ class ServiceSpec:
     metrics_window: float = 10.0
     metrics_interval: float = 5.0
     drain_timeout: float = 120.0
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return spec_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServiceSpec":
-        return spec_from_dict(cls, data)
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ServiceSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"service spec is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
 
     # -- validation --------------------------------------------------------
 

@@ -22,6 +22,7 @@ import os
 import re
 from dataclasses import dataclass
 
+from .. import serde
 from ..errors import StoreError
 from .store import CampaignStore
 
@@ -54,10 +55,7 @@ def _artifact_row(artifact: dict, index: int) -> tuple[dict, dict]:
 def _ingest_result_text(
     store: CampaignStore, campaign_id: int, index: int, text: str, origin: str
 ) -> None:
-    try:
-        artifact = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StoreError(f"{origin}: not valid JSON: {exc}") from exc
+    artifact = serde.parse(text, StoreError, origin)
     if not isinstance(artifact, dict) or "spec" not in artifact or "metrics" not in artifact:
         raise StoreError(
             f"{origin}: not an ExperimentResult artifact (no spec/metrics)"
@@ -87,11 +85,9 @@ def _ingest_point_dir(store: CampaignStore, path: str, campaign: str) -> IngestR
         )
     campaign_id = store.create_campaign(campaign, kind="ingest")
     for index, entry in entries:
-        with open(os.path.join(path, entry), encoding="utf-8") as handle:
-            text = handle.read()
-        _ingest_result_text(
-            store, campaign_id, index, text, os.path.join(path, entry)
-        )
+        origin = os.path.join(path, entry)
+        text = serde.read_text(origin, StoreError, "point file")
+        _ingest_result_text(store, campaign_id, index, text, origin)
     return IngestReport(
         campaign_id=campaign_id, campaign=campaign, kind="ingest",
         points=len(entries),
@@ -144,15 +140,8 @@ def ingest_path(
     name = campaign or os.path.splitext(os.path.basename(os.path.normpath(path)))[0]
     if os.path.isdir(path):
         return _ingest_point_dir(store, path, name)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise StoreError(f"cannot read {path!r}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StoreError(f"{path!r} is not valid JSON: {exc}") from exc
+    text = serde.read_text(path, StoreError, "artifact")
+    data = serde.parse(text, StoreError, path)
     if isinstance(data, dict) and "spec" in data and "metrics" in data:
         campaign_id = store.create_campaign(name, kind="ingest")
         _ingest_result_text(store, campaign_id, 0, text, path)

@@ -22,6 +22,7 @@ import sqlite3
 from dataclasses import dataclass
 from typing import Any, Iterable
 
+from .. import serde
 from ..errors import StoreError
 from . import schema
 
@@ -374,11 +375,8 @@ class CampaignStore:
             return None
         try:
             text = self.get_artifact(campaign_id, index)
-        except StoreError:
-            return None
-        try:
-            stored_spec = json.loads(text).get("spec")
-        except (json.JSONDecodeError, AttributeError):
+            stored_spec = serde.parse(text, StoreError, "stored artifact").get("spec")
+        except (StoreError, AttributeError):
             return None
         if stored_spec != spec:
             return None

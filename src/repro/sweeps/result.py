@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from .. import serde
 from .spec import SkippedPoint, SweepSpec
 
 #: The flat metric columns every summary row carries, CSV order.
@@ -133,10 +134,7 @@ class SweepResult:
         return {
             "sweep": self.spec.to_dict(),
             "rows": self.rows(),
-            "skipped": [
-                {"index": s.index, "coords": s.coords, "reason": s.reason}
-                for s in self.skipped
-            ],
+            "skipped": serde.dump(self.skipped),
             "points": [
                 {
                     "index": p.index,
@@ -154,9 +152,7 @@ class SweepResult:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
-            handle.write("\n")
+        serde.write_text(path, self.to_json() + "\n")
 
     def csv_columns(self) -> list[str]:
         """The pinned CSV header, in order: ``index``, ``name``,

@@ -30,13 +30,9 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any
 
+from .. import serde
 from ..errors import SpecError
-from ..experiment.spec import (
-    ExperimentSpec,
-    apply_overrides,
-    spec_from_dict,
-    spec_to_dict,
-)
+from ..experiment.spec import ExperimentSpec, apply_overrides
 
 SWEEP_MODES = ("grid", "zip")
 
@@ -106,7 +102,7 @@ class SweepExpansion:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(serde.Serializable):
     """A campaign: one base experiment swept along named axes.
 
     Attributes:
@@ -130,26 +126,6 @@ class SweepSpec:
     derive_seeds: bool = True
     seed_stride: int = 1
     drop_invalid: bool = False
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return spec_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepSpec":
-        return spec_from_dict(cls, data)
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"sweep spec is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
 
     # -- validation --------------------------------------------------------
 

@@ -14,9 +14,9 @@ class TestParser:
 
     def test_swap_defaults(self):
         """The removed ``swap`` command's defaults live in the preset."""
-        from repro.cli import _load_spec
+        from repro.experiment import preset_spec
 
-        spec = _load_spec(build_parser().parse_args(["run", "--preset", "swap"]))
+        spec = preset_spec(build_parser().parse_args(["run", "--preset", "swap"]).preset)
         assert spec.protocol == "ac3wn"
         assert spec.traffic.participants_per_swap == 2
 

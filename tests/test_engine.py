@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.ac3wn import run_ac3wn
 from repro.engine import PROTOCOLS, SwapEngine
-from repro.engine.metrics import compute_metrics, percentile
+from repro.engine.metrics import MetricsAccumulator, percentile
 from repro.errors import ProtocolError
 from repro.workloads.graphs import two_party_swap
 from repro.workloads.scenarios import (
@@ -248,7 +248,7 @@ class TestMetrics:
             percentile([1.0], 101.0)
 
     def test_empty_batch_metrics(self):
-        metrics = compute_metrics([])
+        metrics = MetricsAccumulator().snapshot()
         assert metrics.total == 0
         assert metrics.commit_rate == 0.0
         assert metrics.swaps_per_second == 0.0

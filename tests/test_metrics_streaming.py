@@ -1,8 +1,8 @@
 """Tests for the streaming metrics layer (:mod:`repro.engine.metrics`).
 
-The accumulator replaced the historical multi-pass ``compute_metrics``
-on the engine's hot path, so these tests pin the two properties that
-made that replacement safe:
+The accumulator replaced a multi-pass reduction over the full outcome
+list on the engine's hot path, so these tests pin the two properties
+that made that replacement safe:
 
 * **Fold-order independence** — folding the same outcomes in any order
   (with their canonical keys) yields the *identical* ``EngineMetrics``,
@@ -26,11 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.protocol import SwapOutcome
-from repro.engine.metrics import (
-    MetricsAccumulator,
-    compute_metrics,
-    percentile,
-)
+from repro.engine.metrics import MetricsAccumulator, percentile
 from repro.workloads.graphs import two_party_swap
 
 GOLDEN_DIR = Path(__file__).parent / "data"
@@ -56,6 +52,14 @@ def make_outcome(
         fees_paid=fees_paid,
         **extra,
     )
+
+
+def fold_all(outcomes: list[SwapOutcome]):
+    """Fold in list order under the default keys, then snapshot."""
+    acc = MetricsAccumulator()
+    for outcome in outcomes:
+        acc.fold(outcome)
+    return acc.snapshot()
 
 
 def varied_outcomes(n: int = 40, seed: int = 7) -> list[SwapOutcome]:
@@ -84,7 +88,7 @@ def varied_outcomes(n: int = 40, seed: int = 7) -> list[SwapOutcome]:
 class TestFoldOrderIndependence:
     def test_any_fold_order_is_bit_identical(self):
         outcomes = varied_outcomes()
-        reference = compute_metrics(outcomes)
+        reference = fold_all(outcomes)
         rng = random.Random(99)
         for _ in range(5):
             order = list(enumerate(outcomes))
@@ -95,15 +99,15 @@ class TestFoldOrderIndependence:
             assert acc.snapshot() == reference
 
     def test_matches_compute_metrics_incrementally(self):
-        """Every prefix snapshot equals compute_metrics over that prefix."""
+        """Every prefix snapshot equals a fresh fold over that prefix."""
         outcomes = varied_outcomes(12)
         acc = MetricsAccumulator()
         for i, outcome in enumerate(outcomes):
             acc.fold(outcome, key=i)
-            assert acc.snapshot() == compute_metrics(outcomes[: i + 1])
+            assert acc.snapshot() == fold_all(outcomes[: i + 1])
 
     def test_empty_snapshot_matches_compute_metrics(self):
-        assert MetricsAccumulator().snapshot() == compute_metrics([])
+        assert MetricsAccumulator().snapshot() == fold_all([])
 
     def test_snapshot_is_repeatable(self):
         acc = MetricsAccumulator()
@@ -210,8 +214,8 @@ class TestPercentile:
 class TestPresetByteIdentity:
     """The three CI presets reproduce the pre-streaming metrics exactly.
 
-    The goldens were captured from the historical multi-pass
-    ``compute_metrics`` before the accumulator replaced it; any drift
+    The goldens were captured from the multi-pass reduction the
+    accumulator replaced, before it was replaced; any drift
     here means the hot-path rework changed observable results.  The
     whole artifact (spec echo, outcomes, ``caches``, adversary report)
     is pinned by digest, captured at the commit before PR 14.
@@ -235,3 +239,68 @@ class TestPresetByteIdentity:
         assert json.loads(json.dumps(got)) == want
         digests = json.loads((GOLDEN_DIR / "golden-artifact-digests.json").read_text())
         assert hashlib.sha256(result.to_json().encode()).hexdigest() == digests[preset]
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestSerdeFileDigests:
+    """Every file a serde writes, pinned by digest.
+
+    Captured from the commit before ``repro.serde`` existed (PR 14's
+    rule: digests come from the parent's code, before any source edit),
+    so a serde that changed writer and reader the same way still fails
+    here — the restore/replay round-trip tests compare new code with
+    new code and would not notice.
+    """
+
+    DIGESTS = json.loads((GOLDEN_DIR / "golden-artifact-digests.json").read_text())
+
+    def test_checkpointed_session_files(self):
+        from repro.service import SwapService, service_preset_spec
+
+        service = SwapService(service_preset_spec("serve-steady"))
+        service.serve(max_swaps=8)
+        files = self.DIGESTS["files"]
+        assert _sha(service.checkpoint()) == files["serve-steady.max8.checkpoint"]
+        assert _sha(service.request_log()) == files["serve-steady.max8.request-log"]
+
+    def test_full_session_request_log(self):
+        from repro.service import SwapService, service_preset_spec
+
+        service = SwapService(service_preset_spec("serve-steady"))
+        service.run()
+        assert _sha(service.request_log()) == self.DIGESTS["files"]["serve-steady.request-log"]
+
+    def test_trace_jsonl(self):
+        from repro.experiment import apply_overrides, preset_spec, run_experiment
+
+        spec = apply_overrides(preset_spec("engine-smoke"), {"obs.enabled": True})
+        trace = run_experiment(spec).trace_collector.to_jsonl()
+        assert _sha(trace) == self.DIGESTS["files"]["engine-smoke.trace"]
+
+    def test_metrics_snapshot(self):
+        from repro.experiment import apply_overrides, preset_spec, run_experiment
+
+        spec = apply_overrides(
+            preset_spec("engine-smoke"),
+            {"obs.metrics.enabled": True, "obs.monitor.enabled": True},
+        )
+        snapshot = run_experiment(spec).metrics_registry.to_json() + "\n"
+        assert _sha(snapshot) == self.DIGESTS["files"]["engine-smoke.metrics"]
+
+    def test_every_preset_spec_echo(self):
+        from repro.experiment import preset_names, preset_spec
+        from repro.service import service_preset_names, service_preset_spec
+        from repro.sweeps import sweep_names, sweep_spec
+
+        got = {f"experiment/{n}": _sha(preset_spec(n).to_json()) for n in preset_names()}
+        got.update({f"sweep/{n}": _sha(sweep_spec(n).to_json()) for n in sweep_names()})
+        got.update(
+            {
+                f"service/{n}": _sha(service_preset_spec(n).to_json())
+                for n in service_preset_names()
+            }
+        )
+        assert got == self.DIGESTS["specs"]

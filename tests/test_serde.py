@@ -1,0 +1,796 @@
+"""Tests for :mod:`repro.serde`, the one strict loader/dumper.
+
+Four parts:
+
+* a **probe table** — one row per single-value corruption that, before
+  ``repro.serde`` existed, either escaped a loader as a raw
+  ``ValueError``/``TypeError``/``AttributeError`` or was silently
+  accepted.  Each must raise the file format's own ``repro.errors``
+  type with the dotted path of the bad value in the message, and the
+  CLI must turn it into exit 2 and one ``repro <cmd>:`` line;
+* **atomic writes** — a writer that dies mid-document leaves the
+  previous checkpoint intact;
+* **generated round trips and mutations** (Hypothesis, derandomized) —
+  for every serde'd type ``load(dump(x)) == x`` and
+  ``canonical(dump(load(text))) == text``, and one random mutation at a
+  random dotted path (drop a key, add a key, swap in a value of another
+  JSON type, a non-finite float) raises the named error and names the
+  path.  Values and ``--set`` edits are drawn from the field table
+  itself, so a new field is covered the day it is declared;
+* a **structural** check that the duplicated serde idioms stay deleted.
+"""
+
+import copy
+import dataclasses
+import json
+import math
+import re
+import types
+import typing
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import serde
+from repro.cli import main
+from repro.errors import MetricsError, ServiceError, SpecError, TraceError
+from repro.experiment import (
+    ExperimentSpec,
+    FeeBudgetSpec,
+    apply_overrides,
+    preset_names,
+    preset_spec,
+)
+from repro.obs import MetricsRegistry, TraceCollector
+from repro.obs.metrics import (
+    _Family,
+    _HistogramFamily,
+    _HistogramRow,
+    _SampleRow,
+    _Snapshot,
+)
+from repro.obs.trace import TraceEvent
+from repro.obs.trace import _Header as TraceHeader
+from repro.service import (
+    RequestRecord,
+    ServiceSpec,
+    SwapService,
+    dump_request_log,
+    load_request_log,
+    service_preset_names,
+    service_preset_spec,
+)
+from repro.service.requestlog import _Header as LogHeader
+from repro.service.service import _Checkpoint
+from repro.sweeps import SweepSpec, sweep_names, sweep_spec
+
+SRC = Path(__file__).parent.parent / "src" / "repro"
+
+
+def small_service_spec() -> ServiceSpec:
+    return apply_overrides(
+        service_preset_spec("serve-steady"), {"capacity": 8, "duration": 3.0}
+    )
+
+
+# ---------------------------------------------------------------------------
+# Fixtures: one small well-formed file of each format, as plain JSON data
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def session():
+    """A small served session: its checkpoint text and request log."""
+    service = SwapService(small_service_spec())
+    service.serve(max_swaps=3)
+    return {"checkpoint": service.checkpoint(), "log": service.request_log()}
+
+
+def trace_text() -> str:
+    collector = TraceCollector(ring_size=8)
+    collector.emit("swap", "launch", swap_id=0, protocol="ac3wn")
+    collector.emit("chain", "block", chain_id="witness", height=3)
+    return collector.to_jsonl()
+
+
+def snapshot_data() -> dict:
+    registry = MetricsRegistry()
+    registry.counter("swaps_total", "Swaps").inc(protocol="ac3wn")
+    registry.gauge("depth", "Depth").set(3.0)
+    registry.histogram("latency", "Latency", (1.0, 2.0)).observe(1.5, chain="a")
+    return registry.to_dict()
+
+
+def edit(data, path: list, value):
+    """``data`` with the value at ``path`` (keys and indexes) replaced."""
+    data = copy.deepcopy(data)
+    target = data
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return data
+
+
+def edit_line(text: str, line: int, path: list, value) -> str:
+    """JSONL ``text`` with one value on 1-based ``line`` replaced."""
+    lines = text.splitlines()
+    lines[line - 1] = json.dumps(edit(json.loads(lines[line - 1]), path, value))
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The probe table
+# ---------------------------------------------------------------------------
+
+NAN = float("nan")
+
+
+def load_log(session, line, path, value):
+    load_request_log(edit_line(session["log"], line, path, value))
+
+
+def load_trace(session, line, path, value):
+    TraceCollector.from_jsonl(edit_line(trace_text(), line, path, value))
+
+
+def load_snapshot(session, line, path, value):
+    MetricsRegistry.from_json(json.dumps(edit(snapshot_data(), path, value)))
+
+
+def load_checkpoint(session, line, path, value):
+    data = edit(json.loads(session["checkpoint"]), path, value)
+    serde.load(_Checkpoint, data, "checkpoint", ServiceError)
+
+
+def load_spec(session, line, path, value):
+    ExperimentSpec.from_json(json.dumps(edit(ExperimentSpec().to_dict(), path, value)))
+
+
+def set_spec(session, line, path, value):
+    apply_overrides(ExperimentSpec(), {".".join(path): json.dumps(value)})
+
+
+#: (loader, line, path to the value, bad value, error type, dotted path)
+PROBES = [
+    # -- escaped as raw ValueError / TypeError / AttributeError --------------
+    (load_log, 1, ["records"], None, ServiceError, "header.records"),
+    (load_log, 1, ["records"], "x", ServiceError, "header.records"),
+    (load_log, 2, ["at"], None, ServiceError, "line 2.at"),
+    (load_log, 2, ["at"], "abc", ServiceError, "line 2.at"),
+    (load_trace, 1, ["dropped"], "a", TraceError, "header.dropped"),
+    (load_trace, 1, ["categories"], 5, TraceError, "header.categories"),
+    (load_trace, 1, ["ring_size"], "big", TraceError, "header.ring_size"),
+    (load_trace, 2, ["seq"], "x", TraceError, "line 2.seq"),
+    (load_trace, 3, ["t"], None, TraceError, "line 3.t"),
+    (load_snapshot, 0, ["metrics", 2, "samples", 0, "labels"], 5, MetricsError,
+     "snapshot.metrics[2].samples[0].labels"),
+    (load_snapshot, 0, ["metrics", 0, "samples"], 7, MetricsError,
+     "snapshot.metrics[0].samples"),
+    (load_snapshot, 0, ["metrics", 0, "samples", 0, "value"], "x", MetricsError,
+     "snapshot.metrics[0].samples[0].value"),
+    # -- silently accepted ----------------------------------------------------
+    (load_log, 2, ["at"], True, ServiceError, "line 2.at"),
+    (load_log, 2, ["at"], NAN, ServiceError, "line 2.at"),
+    (load_trace, 2, ["swap"], "seven", TraceError, "line 2.swap"),
+    (set_spec, 0, ["traffic", "rate"], NAN, SpecError, "traffic.rate"),
+    (load_spec, 0, ["latency", "base"], math.inf, SpecError, "latency.base"),
+    # -- reached users as CLI tracebacks --------------------------------------
+    (load_checkpoint, 0, ["records", 0, "at"], "soon", ServiceError,
+     "checkpoint.records[0].at"),
+    (load_checkpoint, 0, ["cursors", "steady"], "x", ServiceError,
+     "checkpoint.cursors.steady"),
+    (load_log, 1, ["records"], "3", ServiceError, "header.records"),
+    (load_checkpoint, 0, ["clock"], NAN, ServiceError, "checkpoint.clock"),
+    # -- the stricter loaders keep what the old ones already rejected ---------
+    (load_log, 3, ["seq"], 5, ServiceError, "line 3"),
+    (load_trace, 2, ["cat"], "bogus", TraceError, "line 2.cat"),
+]
+
+
+def probe_id(probe) -> str:
+    loader, line, path, value, _error, _where = probe
+    return f"{loader.__name__}-{line}-{'.'.join(map(str, path))}={value!r}"
+
+
+class TestProbeTable:
+    @pytest.mark.parametrize("probe", PROBES, ids=probe_id)
+    def test_bad_value_is_a_named_error_with_its_path(self, session, probe):
+        loader, line, path, value, error, where = probe
+        with pytest.raises(error) as caught:
+            loader(session, line, path, value)
+        assert type(caught.value) is error
+        assert where in str(caught.value)
+
+    def test_ints_are_accepted_for_floats_and_redump_as_floats(self, session):
+        text = edit_line(session["log"], 2, ["at"], 1)
+        spec, records = load_request_log(text)
+        assert records[0].at == 1.0 and isinstance(records[0].at, float)
+        assert '"at":1.0' in dump_request_log(spec, records).splitlines()[1]
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bools_are_neither_ints_nor_floats(self, value):
+        for field in ("seq", "at"):
+            row = {**RequestRecord(0, 0.5, "s", "ac3wn", 1).to_dict(), field: value}
+            with pytest.raises(ServiceError, match=f"request record.{field}: expected"):
+                RequestRecord.from_dict(row)
+
+    def test_exact_records_do_not_default_missing_keys(self):
+        row = RequestRecord(0, 0.5, "s", "ac3wn", 1).to_dict()
+        del row["fee_budget"]  # has a constructor default
+        with pytest.raises(ServiceError, match=r"missing keys \['fee_budget'\]"):
+            RequestRecord.from_dict(row)
+
+    def test_specs_default_missing_keys_even_inside_exact_records(self):
+        row = RequestRecord(0, 0.5, "s", "ac3wn", 1).to_dict()
+        row["fee_budget"] = {"cap": 9}
+        assert RequestRecord.from_dict(row).fee_budget == FeeBudgetSpec(cap=9)
+
+    def test_field_table_is_per_class(self):
+        assert serde.fields(TraceEvent) is serde.fields(TraceEvent)
+        assert set(serde.fields(TraceEvent)) == {
+            "seq", "t", "cat", "kind", "swap", "chain", "actor", "data",
+        }
+        assert "t" not in serde.fields(RequestRecord)
+        assert serde.fields(RequestRecord)["fee_budget"].required
+        assert not serde.fields(FeeBudgetSpec)["cap"].required
+        for cls in FILE_RECORDS:
+            assert all(f.required for f in serde.fields(cls).values()), cls
+
+
+class TestCliSurfaces:
+    """The five commands that read a file or a ``--set`` value."""
+
+    def assert_one_line(self, capsys, argv, command, where):
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"repro {command}: ")
+        assert captured.err.count("\n") == 1
+        assert where in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize(
+        "path, value, where",
+        [
+            (["records", 0, "at"], "soon", "checkpoint.records[0].at"),
+            (["cursors", "steady"], "x", "checkpoint.cursors.steady"),
+            (["clock"], NAN, "checkpoint.clock"),
+        ],
+    )
+    def test_serve_restore(self, session, tmp_path, capsys, path, value, where):
+        ckpt = tmp_path / "ck.json"
+        ckpt.write_text(json.dumps(edit(json.loads(session["checkpoint"]), path, value)))
+        self.assert_one_line(capsys, ["serve", "--restore", str(ckpt)], "serve", where)
+
+    @pytest.mark.parametrize(
+        "line, path, value, where",
+        [
+            (1, ["records"], "3", "header.records"),
+            (2, ["at"], "soon", "line 2.at"),
+            (3, ["seq"], 7, "line 3"),
+        ],
+    )
+    def test_replay(self, session, tmp_path, capsys, line, path, value, where):
+        log = tmp_path / "log.jsonl"
+        log.write_text(edit_line(session["log"], line, path, value))
+        self.assert_one_line(capsys, ["replay", str(log)], "replay", where)
+
+    @pytest.mark.parametrize("command", ["trace", "alerts"])
+    def test_trace_and_alerts(self, tmp_path, capsys, command):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(edit_line(trace_text(), 1, ["dropped"], "a"))
+        self.assert_one_line(capsys, [command, str(trace)], command, "header.dropped")
+        trace.write_bytes(b"\xff\xfe\x00binary")
+        self.assert_one_line(capsys, [command, str(trace)], command, "cannot read trace")
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_run_set_non_finite(self, capsys, value):
+        argv = ["run", "--preset", "swap", "--set", f"latency.base={value}"]
+        self.assert_one_line(capsys, argv, "run", "latency.base")
+
+
+# ---------------------------------------------------------------------------
+# Atomic writes
+# ---------------------------------------------------------------------------
+
+
+class TestAtomicWrites:
+    def test_killed_writer_keeps_the_last_good_checkpoint(self, tmp_path, monkeypatch):
+        service = SwapService(small_service_spec())
+        service.serve(max_swaps=2)
+        path = tmp_path / "session.ckpt"
+        first = service.checkpoint(str(path))
+        assert path.read_text() == first
+        service.serve(max_swaps=4)
+
+        seen_at_target = []
+        real_open = open
+
+        class Killed(BaseException):
+            pass
+
+        class DyingWriter:
+            """Writes half the document, then the process 'dies'."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[: len(text) // 2])
+                self.handle.flush()
+                seen_at_target.append(path.read_text())
+                raise Killed
+
+        def dying_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            return DyingWriter(handle) if "w" in mode else handle
+
+        monkeypatch.setattr("builtins.open", dying_open)
+        with pytest.raises(Killed):
+            service.checkpoint(str(path))
+        monkeypatch.undo()
+
+        # The target never held a partial document, and still holds the
+        # previous one byte for byte; it restores to the same session.
+        assert seen_at_target == [first]
+        assert path.read_text() == first
+        restored = SwapService.restore(str(path))
+        assert restored.accepted == 2
+        assert restored.request_log() == dump_request_log(
+            service.spec, service.records[:2]
+        )
+
+    def test_every_saver_replaces_atomically(self, tmp_path, monkeypatch):
+        """``save_request_log`` and the three result ``save``s share the
+        one writer: none opens its target path for writing."""
+        from repro.experiment import run_experiment
+        from repro.sweeps import run_sweep
+
+        opened = []
+        real_open = open
+
+        def spying_open(file, mode="r", *args, **kwargs):
+            if "w" in mode:
+                opened.append(Path(file).name)
+            return real_open(file, mode, *args, **kwargs)
+
+        service = SwapService(small_service_spec())
+        service.serve(max_swaps=1)
+        service.drain()
+        small = {"traffic.num_swaps": 1}
+        experiment = run_experiment(apply_overrides(preset_spec("swap"), small))
+        sweep = run_sweep(
+            apply_overrides(
+                sweep_spec("crash-matrix"),
+                {"axes": [{"name": "seed", "path": "seed", "values": [1]}]},
+            )
+        )
+        monkeypatch.setattr("builtins.open", spying_open)
+        service.save_request_log(str(tmp_path / "log.jsonl"))
+        service.result().save(str(tmp_path / "service.json"))
+        experiment.save(str(tmp_path / "run.json"))
+        sweep.save(str(tmp_path / "sweep.json"))
+        monkeypatch.undo()
+        assert opened == [
+            "log.jsonl.tmp", "service.json.tmp", "run.json.tmp", "sweep.json.tmp",
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "log.jsonl", "run.json", "service.json", "sweep.json",
+        ]
+
+
+    def test_symlinks_are_written_through_not_replaced(self, tmp_path):
+        """``--json /dev/stdout`` must not rename a file over the link."""
+        real, link = tmp_path / "real.json", tmp_path / "link.json"
+        real.write_text("old")
+        link.symlink_to(real)
+        serde.write_text(str(link), "new")
+        assert link.is_symlink() and real.read_text() == "new"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+
+# ---------------------------------------------------------------------------
+# Generated values, drawn from the field table
+# ---------------------------------------------------------------------------
+
+names = st.text("abcxyz-_.09", min_size=0, max_size=6)
+floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**40), 2**40) | floats | names,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(names, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def values_of(tp):
+    """A strategy for in-memory values of annotated type ``tp``."""
+    if tp is typing.Any:
+        return json_values
+    origin = typing.get_origin(tp)
+    if origin in (typing.Union, types.UnionType):
+        return st.one_of([values_of(arm) for arm in typing.get_args(tp)])
+    if tp is type(None):
+        return st.none()
+    if dataclasses.is_dataclass(tp):
+        return instances_of(tp)
+    if origin is tuple:
+        args = typing.get_args(tp)
+        if len(args) == 2 and args[1] is Ellipsis:
+            return st.lists(values_of(args[0]), max_size=3).map(tuple)
+        return st.tuples(*[values_of(arm) for arm in args])
+    if origin is dict:
+        return st.dictionaries(names, values_of(typing.get_args(tp)[1]), max_size=3)
+    return {
+        bool: st.booleans(),
+        int: st.integers(-(2**40), 2**40),
+        float: floats,
+        str: names,
+    }[tp]
+
+
+def instances_of(cls):
+    """A strategy for instances of serde dataclass ``cls``: every field
+    drawn from its declared type (``schema`` keeps its declared id)."""
+    kwargs = {
+        f.name: values_of(f.type)
+        for f in serde.fields(cls).values()
+        if f.key != "schema"
+    }
+    return st.builds(cls, **kwargs)
+
+
+PRESET_SPECS = (
+    [preset_spec(name) for name in preset_names()]
+    + [sweep_spec(name) for name in sweep_names()]
+    + [service_preset_spec(name) for name in service_preset_names()]
+)
+
+
+def leaf_paths(cls, prefix=""):
+    """Every ``--set``-addressable dotted path under spec class ``cls``."""
+    for f in serde.fields(cls).values():
+        yield prefix + f.key, f.type
+        if dataclasses.is_dataclass(f.type):
+            yield from leaf_paths(f.type, f"{prefix}{f.key}.")
+
+
+@st.composite
+def edited_presets(draw):
+    """A catalog preset after up to three random ``--set`` edits, each
+    a path from the field table with a value of that field's type."""
+    spec = draw(st.sampled_from(PRESET_SPECS))
+    paths = sorted(leaf_paths(type(spec)), key=lambda item: item[0])
+    for _ in range(draw(st.integers(0, 3))):
+        path, tp = draw(st.sampled_from(paths))
+        value = draw(values_of(tp))
+        spec = apply_overrides(spec, {path: json.dumps(serde.dump(value))})
+    return spec
+
+
+def assert_round_trips(value, loader):
+    """``load(dump(x)) == x`` and ``canonical(dump(load(text))) == text``."""
+    data = serde.dump(value)
+    assert loader(data) == value
+    text = serde.canonical(data)
+    reloaded = loader(json.loads(text))
+    assert reloaded == value
+    assert serde.canonical(serde.dump(reloaded)) == text
+
+
+class TestGeneratedRoundTrips:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(edited_presets())
+    def test_specs(self, spec):
+        assert_round_trips(spec, type(spec).from_dict)
+        assert type(spec).from_json(spec.to_json()).to_json() == spec.to_json()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(instances_of(ExperimentSpec) | instances_of(SweepSpec) | instances_of(ServiceSpec))
+    def test_fully_generated_specs(self, spec):
+        assert_round_trips(spec, type(spec).from_dict)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(instances_of(RequestRecord))
+    def test_request_record(self, record):
+        assert_round_trips(record, RequestRecord.from_dict)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(instances_of(TraceEvent))
+    def test_trace_event(self, event):
+        assert_round_trips(
+            event, lambda data: serde.load(TraceEvent, data, "event", TraceError)
+        )
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(instances_of(_Checkpoint) | instances_of(LogHeader) | instances_of(TraceHeader))
+    def test_documents_and_headers(self, document):
+        cls = type(document)
+        assert_round_trips(
+            document, lambda data: serde.load(cls, data, "doc", ServiceError)
+        )
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(instances_of(ServiceSpec), st.lists(instances_of(RequestRecord), max_size=4))
+    def test_request_log_file(self, spec, records):
+        records = [dataclasses.replace(r, seq=i) for i, r in enumerate(records)]
+        text = dump_request_log(spec, records)
+        assert load_request_log(text) == (spec, records)
+        assert dump_request_log(*load_request_log(text)) == text
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.lists(instances_of(TraceEvent), max_size=5), st.integers(1, 9) | st.none())
+    def test_trace_file(self, events, ring_size):
+        collector = TraceCollector(ring_size=ring_size)
+        for seq, event in enumerate(events):
+            event.seq = seq
+            event.category = "swap"
+            collector._events.append(event)
+        text = collector.to_jsonl()
+        assert TraceCollector.from_jsonl(text).to_jsonl() == text
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["counter", "gauge", "histogram"]),
+                st.sampled_from(["a", "b"]),
+                st.dictionaries(st.sampled_from(["x", "y"]), names, max_size=2),
+                st.floats(0, 1e6, allow_nan=False),
+            ),
+            max_size=8,
+        )
+    )
+    def test_metrics_snapshot(self, updates):
+        registry = MetricsRegistry()
+        for kind, name, labels, value in updates:
+            if kind == "counter":
+                registry.counter(f"c_{name}", "C").inc(value, **labels)
+            elif kind == "gauge":
+                registry.gauge(f"g_{name}", "G").set(value, **labels)
+            else:
+                registry.histogram(f"h_{name}", "H", (1.0, 10.0)).observe(value, **labels)
+        text = registry.to_json()
+        again = MetricsRegistry.from_json(text)
+        assert again.to_json() == text
+        assert again.to_prometheus() == registry.to_prometheus()
+
+
+# ---------------------------------------------------------------------------
+# Generated mutations: one wrong thing at one typed location
+# ---------------------------------------------------------------------------
+
+#: One representative value per JSON kind.
+KINDS = {
+    "null": None, "bool": True, "int": 7, "float": 2.5, "str": "zz",
+    "list": [1], "object": {"zz": 1},
+}
+
+
+def accepted_kinds(tp) -> set[str]:
+    """The JSON kinds a value of declared type ``tp`` may have."""
+    if tp is typing.Any:
+        return set(KINDS)
+    origin = typing.get_origin(tp)
+    if origin in (typing.Union, types.UnionType):
+        return set().union(*(accepted_kinds(arm) for arm in typing.get_args(tp)))
+    if tp is type(None):
+        return {"null"}
+    if dataclasses.is_dataclass(tp) or origin is dict:
+        return {"object"}
+    if origin is tuple:
+        return {"list"}
+    return {bool: {"bool"}, int: {"int"}, float: {"int", "float"}, str: {"str"}}[tp]
+
+
+def locations(tp, data, path, steps=()):
+    """Walk declared type and JSON data in parallel, yielding every typed
+    location as ``(dotted path, steps into the data, declared type)``;
+    ``Any``-typed content is opaque."""
+    yield path, steps, tp
+    origin = typing.get_origin(tp)
+    if origin in (typing.Union, types.UnionType):
+        for arm in typing.get_args(tp):
+            if arm is not type(None) and data is not None:
+                for found in locations(arm, data, path, steps):
+                    if found[1] != steps:
+                        yield found
+    elif dataclasses.is_dataclass(tp):
+        prefix = f"{path}." if path else ""
+        for f in serde.fields(tp).values():
+            if f.key in data:
+                yield from locations(f.type, data[f.key], prefix + f.key, steps + (f.key,))
+    elif origin is tuple:
+        args = typing.get_args(tp)
+        if len(args) == 2 and args[1] is Ellipsis:
+            args = (args[0],) * len(data)
+        for i, (arm, item) in enumerate(zip(args, data)):
+            yield from locations(arm, item, f"{path}[{i}]", steps + (i,))
+    elif origin is dict:
+        for key, item in data.items():
+            yield from locations(typing.get_args(tp)[1], item, f"{path}.{key}", steps + (key,))
+
+
+def dataclass_arm(tp):
+    """The dataclass ``tp`` is or optionally wraps, else None."""
+    arms = typing.get_args(tp) if typing.get_origin(tp) in (typing.Union, types.UnionType) else (tp,)
+    found = [arm for arm in arms if dataclasses.is_dataclass(arm)]
+    return found[0] if found else None
+
+
+@st.composite
+def mutations(draw, tp, data, root):
+    """One mutation of ``data``: ``(mutated data, path it must be blamed on,
+    a second string the message must contain)``."""
+    found = sorted(locations(tp, data, root), key=lambda item: (item[0], str(item[2])))
+    candidates = []
+    for path, steps, declared in found:
+        value = data
+        for step in steps:
+            value = value[step]
+        cls = dataclass_arm(declared)
+        label = path or cls.__name__  # an unnamed root is labelled by its class
+        if (tp, steps) == (_HistogramFamily, ("type",)):
+            continue  # the tag picks the record shape; a bad one blames the family
+        for kind in sorted(set(KINDS) - accepted_kinds(declared)):
+            candidates.append((steps, KINDS[kind], label, "expected"))
+        if "float" in accepted_kinds(declared) and declared is not typing.Any:
+            candidates.append((steps, NAN, path, "finite"))
+            candidates.append((steps, -math.inf, path, "finite"))
+        if cls is not None and isinstance(value, dict):
+            candidates.append((steps + ("zzz",), 1, label, "unknown keys ['zzz']"))
+            for f in dataclasses.fields(cls):
+                # Requiredness is restated here, not read from the table
+                # under test: every key of a file record, and spec keys
+                # without a default.
+                no_default = f.default is f.default_factory is dataclasses.MISSING
+                key = f.metadata.get("wire", f.name)
+                if (cls in FILE_RECORDS or no_default) and key in value:
+                    candidates.append((steps + (key,), DROP, label, f"missing keys ['{key}']"))
+    steps, value, path, detail = draw(st.sampled_from(candidates))
+    mutated = copy.deepcopy(data)
+    target = mutated
+    for step in steps[:-1]:
+        target = target[step]
+    if value is DROP:
+        del target[steps[-1]]
+    elif steps:
+        target[steps[-1]] = value
+    else:
+        mutated = value
+    return mutated, path, detail
+
+
+DROP = object()
+#: The ``@serde.exact`` dataclasses: no key of theirs may be omitted.
+FILE_RECORDS = {
+    RequestRecord, LogHeader, _Checkpoint, TraceEvent, TraceHeader,
+    _Snapshot, _Family, _HistogramFamily, _SampleRow, _HistogramRow,
+}
+RAW_ERRORS = (ValueError, TypeError, AttributeError, KeyError, IndexError)
+
+
+def assert_rejected(load, error, path, detail):
+    try:
+        load()
+    except error as exc:
+        assert type(exc) is error
+        assert f"{path}: " in str(exc) and detail in str(exc), str(exc)
+    except RAW_ERRORS as exc:  # pragma: no cover - the regression this guards
+        pytest.fail(f"raw {type(exc).__name__} escaped the loader: {exc}")
+    else:
+        pytest.fail(f"mutation at {path} ({detail}) was accepted")
+
+
+class TestGeneratedMutations:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_specs(self, data):
+        spec = data.draw(st.sampled_from(PRESET_SPECS))
+        mutated, path, detail = data.draw(mutations(type(spec), spec.to_dict(), ""))
+        text = json.dumps(mutated)
+        assert_rejected(lambda: type(spec).from_json(text), SpecError, path, detail)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_checkpoint(self, session, data):
+        good = json.loads(session["checkpoint"])
+        mutated, path, detail = data.draw(mutations(_Checkpoint, good, "checkpoint"))
+        document = json.loads(json.dumps(mutated))
+        assert_rejected(
+            lambda: serde.load(_Checkpoint, document, "checkpoint", ServiceError),
+            ServiceError, path, detail,
+        )
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_request_log(self, session, data):
+        lines = session["log"].splitlines()
+        number = data.draw(st.integers(1, len(lines)))
+        cls, root = (LogHeader, "header") if number == 1 else (RequestRecord, f"line {number}")
+        mutated, path, detail = data.draw(
+            mutations(cls, json.loads(lines[number - 1]), root)
+        )
+        lines[number - 1] = json.dumps(mutated)
+        text = "\n".join(lines) + "\n"
+        assert_rejected(lambda: load_request_log(text), ServiceError, path, detail)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_trace(self, data):
+        lines = trace_text().splitlines()
+        number = data.draw(st.integers(1, len(lines)))
+        cls, root = (TraceHeader, "header") if number == 1 else (TraceEvent, f"line {number}")
+        mutated, path, detail = data.draw(
+            mutations(cls, json.loads(lines[number - 1]), root)
+        )
+        lines[number - 1] = json.dumps(mutated)
+        text = "\n".join(lines) + "\n"
+        assert_rejected(lambda: TraceCollector.from_jsonl(text), TraceError, path, detail)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_metrics_snapshot(self, data):
+        good = snapshot_data()
+        index = data.draw(st.integers(-1, len(good["metrics"]) - 1))
+        if index < 0:
+            mutated, path, detail = data.draw(mutations(_Snapshot, good, "snapshot"))
+        else:
+            entry = good["metrics"][index]
+            cls = _HistogramFamily if entry["type"] == "histogram" else _Family
+            entry, path, detail = data.draw(
+                mutations(cls, entry, f"snapshot.metrics[{index}]")
+            )
+            mutated = edit(good, ["metrics", index], entry)
+        text = json.dumps(mutated)
+        assert_rejected(lambda: MetricsRegistry.from_json(text), MetricsError, path, detail)
+
+
+# ---------------------------------------------------------------------------
+# Structure: the duplicated idioms stay deleted
+# ---------------------------------------------------------------------------
+
+
+class TestOneSerde:
+    def occurrences(self, needle: str) -> dict[str, int]:
+        found = {}
+        for path in sorted(SRC.rglob("*.py")):
+            count = path.read_text(encoding="utf-8").count(needle)
+            if count:
+                found[str(path.relative_to(SRC))] = count
+        return found
+
+    def test_json_decode_errors_are_translated_in_one_place(self):
+        assert self.occurrences("JSONDecodeError") == {
+            "experiment/spec.py": 1,  # _parse_override_value's bare-string fallback
+            "serde.py": 1,
+        }
+        spec_source = (SRC / "experiment" / "spec.py").read_text(encoding="utf-8")
+        fallback = spec_source[spec_source.index("def _parse_override_value") :]
+        assert "JSONDecodeError" in fallback[: fallback.index("\n\n\n")]
+
+    @pytest.mark.parametrize("needle", ["missing keys", "separators="])
+    def test_key_set_check_and_canonical_form_live_in_serde(self, needle):
+        assert list(self.occurrences(needle)) == ["serde.py"]
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "spec_from_dict", "spec_to_dict", "_coerce", "_HEADER_KEYS", "_RECORD_KEYS",
+            "_EVENT_KEYS", "_CKPT_KEYS", "_SNAPSHOT_KEYS", "_FAMILY_KEYS", "compute_metrics",
+        ],
+    )
+    def test_replaced_names_are_gone(self, name):
+        assert self.occurrences(name) == {}
+
+    def test_serde_is_an_import_leaf(self):
+        source = (SRC / "serde.py").read_text(encoding="utf-8")
+        imports = re.findall(r"^(?:from|import) (\S+)", source, flags=re.M)
+        assert [name for name in imports if name.startswith(".")] == [".errors"]

@@ -455,7 +455,7 @@ class TestCheckpointRestore:
         service.serve(max_swaps=2)
         path = tmp_path / "ck.json"
         path.write_text(json.dumps({**json.loads(service.checkpoint()), field: value}))
-        with pytest.raises(ServiceError, match=f"{field} must be"):
+        with pytest.raises(ServiceError, match=rf"checkpoint\.{field}: expected"):
             SwapService.restore(str(path))
 
     def test_pre_removal_checkpoint_and_log_still_load(self, tmp_path):

@@ -206,5 +206,5 @@ class TestServeCli:
         capsys.readouterr()
         assert main(["serve", "--restore", str(ckpt)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("repro serve:") and "clock must be a number" in err
+        assert err.startswith("repro serve:") and "checkpoint.clock: expected a number" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1

@@ -40,6 +40,7 @@ from ..core.ac3wn import AC3WNConfig
 from ..core.evidence import AUTHORIZING_FUNCTIONS, build_state_evidence
 from ..core.herlihy import HerlihyConfig
 from ..errors import ProtocolError, ReproError, ValidationError
+from ..workloads.scenarios import role_name
 from .spec import (
     AdversarySpec,
     ByzantineSpec,
@@ -158,6 +159,11 @@ class ReorgAttacker:
 
     # -- the attack --------------------------------------------------------
 
+    def _swap_id(self, contract_id: bytes) -> int | None:
+        """Trace attribution: the swap that owns ``contract_id``, if any."""
+        owner = self.engine.request_owning(contract_id)
+        return None if owner is None else owner.swap_id
+
     def _launch(self, trigger: CallMessage, height: int) -> None:
         sim = self.env.simulator
         fork_height = height - 1
@@ -183,7 +189,7 @@ class ReorgAttacker:
                 collector.emit(
                     "adversary",
                     "forgone",
-                    swap_id=self.engine.trace_swap_for(record.target_contract),
+                    swap_id=self._swap_id(record.target_contract),
                     chain_id=self.chain_id,
                     actor="reorg",
                     trigger=record.trigger_function,
@@ -196,7 +202,7 @@ class ReorgAttacker:
             collector.emit(
                 "adversary",
                 "launch",
-                swap_id=self.engine.trace_swap_for(record.target_contract),
+                swap_id=self._swap_id(record.target_contract),
                 chain_id=self.chain_id,
                 actor="reorg",
                 trigger=record.trigger_function,
@@ -266,7 +272,7 @@ class ReorgAttacker:
                 collector.emit(
                     "adversary",
                     "won",
-                    swap_id=self.engine.trace_swap_for(record.target_contract),
+                    swap_id=self._swap_id(record.target_contract),
                     chain_id=self.chain_id,
                     actor="reorg",
                     blocks=record.blocks,
@@ -279,9 +285,7 @@ class ReorgAttacker:
                         collector.emit(
                             "adversary",
                             "exploit",
-                            swap_id=self.engine.trace_swap_for(
-                                record.target_contract
-                            ),
+                            swap_id=self._swap_id(record.target_contract),
                             chain_id=self.chain_id,
                             actor="reorg",
                             refunds=record.exploit_refunds,
@@ -305,7 +309,7 @@ class ReorgAttacker:
                 collector.emit(
                     "adversary",
                     "lost",
-                    swap_id=self.engine.trace_swap_for(record.target_contract),
+                    swap_id=self._swap_id(record.target_contract),
                     chain_id=self.chain_id,
                     actor="reorg",
                     blocks=record.blocks,
@@ -354,22 +358,12 @@ class ReorgAttacker:
         won fork into an atomicity violation.
         """
         state_name = AUTHORIZING_FUNCTIONS.get(self.spec.flip_function)
-        victim = None
-        for request in self.engine.requests:
-            outcome = (
-                request.driver.outcome
-                if request.driver is not None
-                else request.outcome
-            )
-            if outcome is None:
-                continue
-            if outcome.coordinator_contract_id == attack.record.target_contract:
-                victim = outcome
-                break
+        victim = self.engine.request_owning(attack.record.target_contract)
         if victim is None or state_name is None:
             return 0
         refunds = 0
-        for record in victim.contracts.values():
+        # A swap with a coordinator on chain was launched: it has a driver.
+        for record in victim.driver.outcome.contracts.values():
             if not record.contract_id:
                 continue
             chain = self.env.chains.get(record.edge.chain_id)
@@ -438,7 +432,7 @@ class ReorgAttacker:
             collector.emit(
                 "adversary",
                 "exploit",
-                swap_id=self.engine.trace_swap_for(target),
+                swap_id=self._swap_id(target),
                 chain_id=self.chain_id,
                 actor="reorg",
                 refunds=attack.record.exploit_refunds,
@@ -491,16 +485,15 @@ class CensoringMiner:
         self.miner.censor = self._predicate
 
     def _resolve_participants(self) -> set[str]:
-        names: set[str] = set()
-        for pattern in self.spec.participants:
-            for name in self.env.participants:
-                if (
-                    name == pattern
-                    or (len(pattern) == 1 and name.endswith(f".{pattern}"))
-                    or (pattern.endswith((".", "*")) and name.startswith(pattern.rstrip("*")))
-                ):
-                    names.add(name)
-        return names
+        """Every participant a spec entry denotes: by name or role letter
+        (:func:`role_name`), or by a ``prefix.`` / ``prefix*`` pattern."""
+        return {
+            name
+            for pattern in self.spec.participants
+            for name in self.env.participants
+            if role_name((name,), pattern)
+            or (pattern.endswith((".", "*")) and name.startswith(pattern.rstrip("*")))
+        }
 
     def _predicate(self, message) -> bool:
         if isinstance(message, DeployMessage):
@@ -522,18 +515,6 @@ class CensoringMiner:
         }
 
 
-def _resolve_role(graph, role: str) -> str | None:
-    """A swap-local role letter or literal name -> participant name."""
-    names = graph.participant_names()
-    if role in names:
-        return role
-    if len(role) == 1:
-        for name in names:
-            if name.endswith(f".{role}"):
-                return name
-    return None
-
-
 class ByzantineParticipant:
     """Corrupts one role of each targeted swap (see :class:`ByzantineSpec`)."""
 
@@ -551,7 +532,7 @@ class ByzantineParticipant:
     def _on_request(self, request) -> None:
         if self._rng.random() >= self.spec.share:
             return
-        victim = _resolve_role(request.graph, self.spec.role)
+        victim = role_name(request.graph.participant_names(), self.spec.role)
         if victim is None:
             return
         self.corrupted[request.swap_id] = victim
@@ -635,7 +616,7 @@ class EclipseActor:
     def _on_driver(self, request, driver) -> None:
         if self._rng.random() >= self.spec.share:
             return
-        victim_name = _resolve_role(request.graph, self.spec.role)
+        victim_name = role_name(request.graph.participant_names(), self.spec.role)
         if victim_name is None:
             return
         victim = self.env.participant(victim_name)
@@ -717,26 +698,17 @@ class AdversaryRoster:
             for request in requests
             if request.outcome is not None
         }
-        by_contract: dict[bytes, int] = {}
-        for request in requests:
-            outcome = outcomes.get(request.swap_id)
-            if outcome is None:
-                continue
+        for outcome in outcomes.values():
             outcome.attacked_by = []
             outcome.attacks_launched = 0
             outcome.reorgs_won = 0
             outcome.reorgs_lost = 0
             outcome.attack_blocks = 0
             outcome.attack_cost = 0.0
-            if outcome.coordinator_contract_id:
-                by_contract[outcome.coordinator_contract_id] = request.swap_id
-            for record in outcome.contracts.values():
-                if record.contract_id:
-                    by_contract[record.contract_id] = request.swap_id
         if self.reorg is not None:
             for record in self.reorg.records:
-                swap_id = by_contract.get(record.target_contract)
-                outcome = outcomes.get(swap_id) if swap_id is not None else None
+                owner = self.reorg.engine.request_owning(record.target_contract)
+                outcome = owner.outcome if owner is not None else None
                 if outcome is None:
                     continue
                 if "reorg" not in outcome.attacked_by:

@@ -6,7 +6,9 @@ and download only the blockchain branches that are associated with the
 transactions of interest".  :class:`LightClient` implements exactly that:
 it accepts headers (verifying linkage and PoW), tracks the best header
 chain, and verifies Merkle inclusion proofs of messages against stored
-headers at a required depth.
+headers at a required depth.  Heights come from untrusted evidence: every
+query bounds them to ``[0, height]`` (a Python list would read ``-1`` as
+the tip).
 """
 
 from __future__ import annotations
@@ -105,8 +107,9 @@ class LightClient:
         return self.headers[height]
 
     def depth_of_height(self, height: int) -> int:
-        """Confirmations of the block at ``height`` (1 = tip)."""
-        if height > self.height:
+        """Confirmations of the block at ``height`` (1 = tip; 0 for a
+        height this client holds no header of, negative ones included)."""
+        if not 0 <= height <= self.height:
             return 0
         return self.height - height + 1
 
@@ -121,14 +124,13 @@ class LightClient:
 
         Verifies the Merkle proof against the stored header's root and
         that the block is buried under at least ``min_depth`` headers
-        (default: the chain's confirmation depth).
+        (default: the chain's confirmation depth).  Inclusion only: that
+        the message *succeeded* takes its receipt proof as well, which
+        is :class:`repro.core.evidence.LightClientValidator`'s question.
         """
         min_depth = self.params.confirmation_depth if min_depth is None else min_depth
-        if height > self.height:
+        if not 0 <= height <= self.height or proof.leaf != message_id:
             return False
-        if proof.leaf != message_id:
-            return False
-        header = self.headers[height]
-        if not proof.verify(header.merkle_root):
+        if not proof.verify(self.header_at(height).merkle_root):
             return False
         return self.depth_of_height(height) >= min_depth

@@ -14,6 +14,9 @@ Message application rules:
 * Calls execute a public function.  A failing ``requires`` clause
   *reverts* the contract mutation but still charges the fee, mirroring
   Ethereum's gas-on-revert semantics.
+* Contract code is total (:func:`_run_contract_code`): whatever else it
+  raises on a hostile message is a revert (call) or an invalid message
+  (constructor) — never an exception out of the miner.
 * Fees are collected from each message's funding inputs and minted to
   the block's miner at the end of the block, so total value is conserved.
 """
@@ -25,6 +28,7 @@ from typing import Any
 
 from ..crypto.keys import Address
 from ..errors import (
+    ContractError,
     ContractRequireError,
     FeeError,
     UnknownContractError,
@@ -44,6 +48,24 @@ from .params import ChainParams
 from .transaction import OutPoint, TxOutput
 from .utxo import UTXOSet
 from .wire import wire_hash
+
+
+def _run_contract_code(function, ctx: ExecutionContext, args: tuple, failure) -> None:
+    """Invoke contract code with attacker-chosen ``args``.
+
+    Anyone can send any well-encoded arguments, so code written for the
+    honest shapes may raise anything (``TypeError`` on arity,
+    ``AttributeError`` on a non-evidence, a crypto error on a bad key).
+    The runtime's own :class:`ValidationError` family passes through;
+    every other exception becomes ``failure`` naming its type, so one
+    message can never take down the miner that executes it.
+    """
+    try:
+        function(ctx, *args)
+    except ValidationError:
+        raise
+    except Exception as exc:
+        raise failure(f"contract code raised {type(exc).__name__}: {exc}") from exc
 
 
 @dataclass
@@ -248,7 +270,7 @@ class ChainState:
         # A failing constructor invalidates the whole message: the
         # funding spend above is rolled back by the caller discarding
         # this state (block-level all-or-nothing application).
-        contract.constructor(ctx, *message.args)
+        _run_contract_code(contract.constructor, ctx, message.args, ContractError)
         self._apply_contract_transfers(contract, ctx, message_id)
         self.contracts[contract_id] = contract
         self.deploy_count += 1
@@ -288,7 +310,7 @@ class ChainState:
         )
         function = contract.public_function(message.function)
         try:
-            function(ctx, *message.args)
+            _run_contract_code(function, ctx, message.args, ContractRequireError)
             self._apply_contract_transfers(contract, ctx, message_id)
         except ContractRequireError as exc:
             # Revert by dropping the working copy; fee stays with the

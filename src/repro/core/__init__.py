@@ -31,8 +31,7 @@ from .evidence import (
     StateEvidence,
     build_publication_evidence,
     build_state_evidence,
-    verify_publication_evidence,
-    verify_state_evidence,
+    verify_evidence,
 )
 from .graph import AssetEdge, SwapGraph
 from .herlihy import (
@@ -98,7 +97,6 @@ __all__ = [
     "run_herlihy",
     "run_nolan",
     "validate_two_party",
-    "verify_publication_evidence",
-    "verify_state_evidence",
+    "verify_evidence",
     "wait_for_depth",
 ]

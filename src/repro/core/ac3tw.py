@@ -18,7 +18,6 @@ stepping stone) and as an experimental baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Any
 
 from ..chain.contracts import ExecutionContext, register_contract
@@ -29,11 +28,11 @@ from ..crypto.commitment import (
 )
 from ..crypto.ecdsa import EcdsaSignature
 from ..crypto.keys import KeyPair, PublicKey
-from ..crypto.signatures import Multisignature, multisign
+from ..crypto.signatures import Multisignature
 from ..errors import WitnessError
 from .contract_template import AtomicSwapContract
 from .driver import ProtocolDriver
-from .graph import GRAPH_SIGNING_DOMAIN, SwapGraph
+from .graph import SwapGraph
 from .protocol import SwapEnvironment, SwapOutcome, edge_key
 
 CENTRALIZED_CONTRACT_CLASS = "AC3-CentralizedSC"
@@ -253,46 +252,8 @@ class AC3TWDriver(ProtocolDriver):
         self._signature: EcdsaSignature | None = None
         self._settle_function: str | None = None
 
-    # -- deployment --------------------------------------------------------
-
-    def _try_deploy_edges(self) -> None:
-        for edge in self.graph.edges:
-            key = edge_key(edge)
-            if key in self._deploys or edge.source in self.config.decliners:
-                continue
-            if self.env.participant(edge.source).crashed:
-                continue
-            self._deploy_edge(
-                edge,
-                CENTRALIZED_CONTRACT_CLASS,
-                args=(
-                    self._address_of(edge.recipient).raw,
-                    self._ms_id,
-                    self.witness.public_key.to_bytes(),
-                ),
-            )
-
-    # -- settlement ----------------------------------------------------------
-
-    def _try_settle(self, signature: EcdsaSignature, function: str) -> None:
-        for edge in self.graph.edges:
-            key = edge_key(edge)
-            if key in self._settle_calls or key not in self._deploys:
-                continue
-            actor_name = edge.recipient if function == "redeem" else edge.source
-            if self.env.participant(actor_name).crashed:
-                continue
-            self._call_contract(
-                edge.chain_id,
-                actor_name,
-                self._deploys[key].contract_id(),
-                function,
-                args=(signature,),
-                record=partial(self._settle_calls.__setitem__, key),
-            )
-
     def _settle_step(self) -> None:
-        self._try_settle(self._signature, self._settle_function)
+        self._settle_open_edges(self._settle_function, lambda edge: self._signature)
 
     # -- state machine -------------------------------------------------------------
 
@@ -301,20 +262,11 @@ class AC3TWDriver(ProtocolDriver):
         deploy_timeout = self.config.deploy_timeout or 4.0 * delta
         self._settle_timeout = self.config.settle_timeout or 4.0 * delta
 
-        # Step 1-2: multisign the graph and register it at Trent.  A
-        # Byzantine participant may withhold its signature; Trent then
-        # rejects the incomplete ms(D) at registration.
-        ms = multisign(
-            [
-                self.env.participant(name).keypair
-                for name in self.graph.participant_names()
-                if name not in self.config.omit_signers
-            ],
-            GRAPH_SIGNING_DOMAIN,
-            self.graph.payload(),
-        )
+        # Step 1-2: multisign the graph and register it at Trent.
         try:
-            self._ms_id = self.witness.register(self.graph, ms)
+            self._ms_id = self.witness.register(
+                self.graph, self._sign_graph(self.config.omit_signers)
+            )
         except WitnessError as exc:
             self.outcome.notes.append(f"registration failed: {exc}")
             self.outcome.decision = "undecided"
@@ -337,7 +289,15 @@ class AC3TWDriver(ProtocolDriver):
             self.outcome.phase_times["contracts_deployed"] = self.sim.now
             self._decide(all_published)
             return
-        self._try_deploy_edges()
+        self._deploy_missing_edges(
+            CENTRALIZED_CONTRACT_CLASS,
+            lambda edge: (
+                self._address_of(edge.recipient).raw,
+                self._ms_id,
+                self.witness.public_key.to_bytes(),
+            ),
+            self.config.decliners,
+        )
         self._schedule_tick(self._deploy_deadline)
 
     # Step 5-6: request the decision signature from Trent (synchronous —

@@ -7,6 +7,9 @@ The witness network hosts one coordinator contract ``SCw`` per AC2T.
 redeem and refund secrets structurally mutually exclusive.  Asset-chain
 contracts (:class:`PermissionlessSC`) condition their redeem/refund on
 evidence about ``SCw``'s state buried at depth ≥ d on the witness chain.
+Both contracts authenticate evidence through the one rule of
+:mod:`repro.core.evidence` — ``validate`` on the chain's validator
+registry, or on an anchor validator over the headers they stored.
 
 The protocol has four Δ-phases (Section 6.1 / Figure 9):
 
@@ -22,7 +25,6 @@ headline improvement over Herlihy's 2·Δ·Diam(D).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Any
 
 from ..chain.block import BlockHeader
@@ -34,20 +36,20 @@ from ..chain.contracts import (
 )
 from ..chain.messages import CallMessage, DeployMessage
 from ..crypto.keys import PublicKey
-from ..crypto.signatures import Multisignature, multisign
-from ..errors import EvidenceError, FeeTooLowError, ProtocolError
+from ..crypto.signatures import Multisignature
+from ..errors import FeeTooLowError, ProtocolError
 from .contract_template import AtomicSwapContract
 from .driver import ProtocolDriver
 from .evidence import (
+    AnchorValidator,
+    EvidenceValidator,
     PublicationEvidence,
     StateEvidence,
     build_publication_evidence,
     build_state_evidence,
     headers_required,
-    verify_publication_evidence,
-    verify_state_evidence,
 )
-from .graph import GRAPH_SIGNING_DOMAIN, SwapGraph
+from .graph import AssetEdge, SwapGraph
 from .protocol import SwapEnvironment, SwapOutcome, edge_key
 
 WITNESS_CONTRACT_CLASS = "AC3WN-Witness"
@@ -156,49 +158,30 @@ class WitnessContract(SmartContract):
         For every edge spec we must find evidence of a deployed
         :class:`PermissionlessSC` whose sender, recipient, asset, and
         blockchain match the edge, and whose redeem/refund is conditioned
-        on *this* witness contract.  Evidence authentication uses the
-        chain's validator registry when available (full-replica or light
-        nodes, Section 4.3) and otherwise the relay anchors stored at
-        registration.
+        on *this* witness contract.  Evidence is authenticated by the
+        chain's validator registry when its miners run one (full-replica
+        or light nodes, Section 4.3) and otherwise against the relay
+        anchors stored at registration.
         """
-        by_chain: dict[str, list[PublicationEvidence]] = {}
-        for evidence in evidences:
-            by_chain.setdefault(evidence.chain_id, []).append(evidence)
-
-        for spec in self.edge_specs:
-            if not self._edge_satisfied(ctx, spec, by_chain.get(spec.chain_id, [])):
-                return False
-        return True
+        validator = ctx.validators or AnchorValidator(self.anchors)
+        return all(
+            self._edge_satisfied(validator, spec, evidences) for spec in self.edge_specs
+        )
 
     def _edge_satisfied(
-        self,
-        ctx: ExecutionContext,
-        spec: EdgeSpec,
-        candidates: list[PublicationEvidence],
+        self, validator: EvidenceValidator, spec: EdgeSpec, evidences: tuple
     ) -> bool:
-        for evidence in candidates:
-            deploy = self._authenticate(ctx, evidence, spec.min_depth)
-            if deploy is None:
+        for evidence in evidences:
+            # Anyone may call: an entry that is no publication evidence
+            # satisfies no edge.
+            if not isinstance(evidence, PublicationEvidence):
                 continue
-            if self._deploy_matches_spec(deploy, spec):
+            if evidence.chain_id != spec.chain_id:
+                continue
+            deploy = validator.validate(evidence, spec.min_depth)
+            if deploy is not None and self._deploy_matches_spec(deploy, spec):
                 return True
         return False
-
-    def _authenticate(
-        self,
-        ctx: ExecutionContext,
-        evidence: PublicationEvidence,
-        min_depth: int,
-    ) -> DeployMessage | None:
-        if ctx.validators is not None:
-            return ctx.validators.validate_publication(evidence, min_depth)
-        anchor = self.anchors.get(evidence.chain_id)
-        if anchor is None:
-            return None
-        try:
-            return verify_publication_evidence(evidence, anchor, min_depth)
-        except EvidenceError:
-            return None
 
     def _deploy_matches_spec(self, deploy: DeployMessage, spec: EdgeSpec) -> bool:
         if deploy.contract_class != PERMISSIONLESS_CONTRACT_CLASS:
@@ -258,24 +241,15 @@ class PermissionlessSC(AtomicSwapContract):
     def _witness_state_proven(
         self, ctx: ExecutionContext, evidence: Any, required_state: str
     ) -> bool:
-        if not isinstance(evidence, StateEvidence):
-            return False
-        if evidence.chain_id != self.witness_chain_id:
-            return False
-        if evidence.contract_id != self.witness_contract_id:
-            return False
-        if evidence.state != required_state:
-            return False
-        if ctx.validators is not None:
-            result = ctx.validators.validate_state(evidence, self.witness_min_depth)
-        else:
-            try:
-                result = verify_state_evidence(
-                    evidence, self.witness_anchor, self.witness_min_depth
-                )
-            except EvidenceError:
-                return False
-        return result == (self.witness_contract_id, required_state)
+        validator = ctx.validators or AnchorValidator(
+            {self.witness_chain_id: self.witness_anchor}
+        )
+        return (
+            isinstance(evidence, StateEvidence)
+            and evidence.chain_id == self.witness_chain_id
+            and validator.validate(evidence, self.witness_min_depth)
+            == (self.witness_contract_id, required_state)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -386,18 +360,9 @@ class AC3WNDriver(ProtocolDriver):
             return False
         registrar = self.env.participant(registrar_name)
 
-        # Byzantine withholding (omit_signers): the missing signatures
-        # make ms(D) incomplete, which the witness contract's registration
-        # validity check rejects when the deploy executes on-chain.
-        ms = multisign(
-            [
-                self.env.participant(name).keypair
-                for name in self.graph.participant_names()
-                if name not in self.config.omit_signers
-            ],
-            GRAPH_SIGNING_DOMAIN,
-            self.graph.payload(),
-        )
+        # An incomplete ms(D) (omit_signers) fails the witness contract's
+        # registration validity check when the deploy executes on-chain.
+        ms = self._sign_graph(self.config.omit_signers)
         specs = tuple(
             EdgeSpec(
                 chain_id=edge.chain_id,
@@ -452,27 +417,14 @@ class AC3WNDriver(ProtocolDriver):
 
     # -- phase 2: parallel asset-contract deployment ------------------------------
 
-    def _try_deploy_edges(self) -> None:
-        """Attempt every still-missing deployment whose source is alive."""
-        for edge in self.graph.edges:
-            key = edge_key(edge)
-            if key in self._deploys:
-                continue
-            if edge.source in self.config.decliners:
-                continue
-            if self.env.participant(edge.source).crashed:
-                continue
-            self._deploy_edge(
-                edge,
-                PERMISSIONLESS_CONTRACT_CLASS,
-                args=(
-                    self._address_of(edge.recipient).raw,
-                    self.config.witness_chain_id,
-                    self._scw_id,
-                    self.witness_chain.params.confirmation_depth,
-                    self._witness_anchor,
-                ),
-            )
+    def _contract_args(self, edge: AssetEdge) -> tuple:
+        return (
+            self._address_of(edge.recipient).raw,
+            self.config.witness_chain_id,
+            self._scw_id,
+            self.witness_chain.params.confirmation_depth,
+            self._witness_anchor,
+        )
 
     # -- phase 3: decision -----------------------------------------------------
 
@@ -528,43 +480,28 @@ class AC3WNDriver(ProtocolDriver):
 
     # -- phase 4: settlement -------------------------------------------------------
 
-    def _try_settle(self, state_name: str) -> None:
+    def _settle_step(self) -> None:
         """Attempt redeem (on commit) or refund (on abort) for each contract."""
-        function = "redeem" if state_name == WitnessState.REDEEM_AUTHORIZED else "refund"
+        committed = self._decided_state == WitnessState.REDEEM_AUTHORIZED
         # Every edge proves the same witness-chain fact, and the witness
-        # chain does not advance inside this loop, so one evidence per
+        # chain does not advance inside this step, so one evidence per
         # header-inclusion variant is built lazily and shared across edges.
-        evidence_variants: dict[bool, StateEvidence] = {}
-        for edge in self.graph.edges:
-            key = edge_key(edge)
-            if key in self._settle_calls or key not in self._deploys:
-                continue
-            actor_name = edge.recipient if function == "redeem" else edge.source
-            if self.env.participant(actor_name).crashed:
-                continue
+        variants: dict[bool, StateEvidence] = {}
+
+        def evidence_for(edge: AssetEdge) -> StateEvidence:
             include_headers = headers_required(self.env.chain(edge.chain_id).validators)
-            evidence = evidence_variants.get(include_headers)
-            if evidence is None:
-                evidence = build_state_evidence(
+            if include_headers not in variants:
+                variants[include_headers] = build_state_evidence(
                     self.witness_chain,
                     self._scw_id,
                     self._decision_call,
-                    state_name,
+                    self._decided_state,
                     anchor=self._witness_anchor,
                     include_headers=include_headers,
                 )
-                evidence_variants[include_headers] = evidence
-            self._call_contract(
-                edge.chain_id,
-                actor_name,
-                self._deploys[key].contract_id(),
-                function,
-                args=(evidence,),
-                record=partial(self._settle_calls.__setitem__, key),
-            )
+            return variants[include_headers]
 
-    def _settle_step(self) -> None:
-        self._try_settle(self._decided_state)
+        self._settle_open_edges("redeem" if committed else "refund", evidence_for)
 
     def _published_count(self) -> int:
         return len(self._deploys)
@@ -641,7 +578,9 @@ class AC3WNDriver(ProtocolDriver):
             self._decision_deadline = self.sim.now + self._witness_timeout
             self._advance_decision_wait()
             return
-        self._try_deploy_edges()
+        self._deploy_missing_edges(
+            PERMISSIONLESS_CONTRACT_CLASS, self._contract_args, self.config.decliners
+        )
         self._schedule_tick(self._deploy_deadline)
 
     def _advance_decision_wait(self) -> None:

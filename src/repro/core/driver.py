@@ -27,7 +27,10 @@ therefore react to block hooks after a small deterministic per-swap
 delay in ``[0, jitter_span)``, derived from the swap's identity (its
 graph digest): explicit, seeded, and reproducible.
 
-Subclasses implement three hooks:
+What participants do under either witness protocol — multisign the
+graph, publish and settle every contract in parallel — is written once
+here (:meth:`_sign_graph`, :meth:`_deploy_missing_edges`,
+:meth:`_settle_open_edges`).  Subclasses implement three hooks:
 
 * :meth:`_begin` — synchronous protocol setup at start time (register,
   compute deadlines, enter the first phase);
@@ -43,12 +46,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Any, Callable
 
 from ..chain.block import Block
 from ..chain.chain import Blockchain
 from ..chain.messages import CallMessage, DeployMessage, sign_message
 from ..crypto.keys import Address
+from ..crypto.signatures import Multisignature, multisign
 from ..economy import DEFAULT_POLICY, FeeBudget, FeePolicy, bump_fee
 from ..errors import (
     FeeError,
@@ -57,7 +61,7 @@ from ..errors import (
     ValidationError,
 )
 from ..sim.events import Event
-from .graph import AssetEdge, SwapGraph
+from .graph import GRAPH_SIGNING_DOMAIN, AssetEdge, SwapGraph
 from .protocol import ContractRecord, SwapEnvironment, SwapOutcome, edge_key
 
 
@@ -517,6 +521,65 @@ class ProtocolDriver:
             for chain_id, mid in self._submitted
             if (receipt := self.env.chain(chain_id).receipt(mid)) is not None
         )
+
+    # -- what participants do, whoever the witness is --------------------------
+    #
+    # AC3TW and AC3WN differ in who the witness is (Trent / ``SCw``), not
+    # in what the participants do: multisign the graph, publish every
+    # contract in parallel, settle every contract in parallel.  The
+    # subclass supplies the contract class, the constructor args and the
+    # commitment secret per edge.
+
+    def _sign_graph(self, omit_signers: frozenset[str]) -> Multisignature:
+        """``ms(D)`` by every participant outside ``omit_signers`` — a
+        Byzantine participant may withhold its signature, and the
+        witness then rejects the incomplete ``ms(D)`` at registration."""
+        return multisign(
+            [
+                self.env.participant(name).keypair
+                for name in self.graph.participant_names()
+                if name not in omit_signers
+            ],
+            GRAPH_SIGNING_DOMAIN,
+            self.graph.payload(),
+        )
+
+    def _deploy_missing_edges(
+        self,
+        contract_class: str,
+        args_for: Callable[[AssetEdge], tuple],
+        decliners: frozenset[str],
+    ) -> None:
+        """Attempt every still-missing deployment whose source is alive
+        and has not declined to publish."""
+        for edge in self.graph.edges:
+            if edge_key(edge) in self._deploys or edge.source in decliners:
+                continue
+            if self.env.participant(edge.source).crashed:
+                continue
+            self._deploy_edge(edge, contract_class, args=args_for(edge))
+
+    def _settle_open_edges(
+        self, function: str, secret_for: Callable[[AssetEdge], Any]
+    ) -> None:
+        """Attempt ``function`` — "redeem" by the recipient, "refund" by
+        the source — on every published contract not yet attempted whose
+        actor is alive, opening it with ``secret_for(edge)``."""
+        for edge in self.graph.edges:
+            key = edge_key(edge)
+            if key in self._settle_calls or key not in self._deploys:
+                continue
+            actor_name = edge.recipient if function == "redeem" else edge.source
+            if self.env.participant(actor_name).crashed:
+                continue
+            self._call_contract(
+                edge.chain_id,
+                actor_name,
+                self._deploys[key].contract_id(),
+                function,
+                args=(secret_for(edge),),
+                record=partial(self._settle_calls.__setitem__, key),
+            )
 
     # -- shared settle phase -------------------------------------------------
     #

@@ -1,4 +1,4 @@
-"""Cross-chain evidence validation (Section 4.3).
+"""Cross-chain evidence validation (Section 4.3) — one rule.
 
 Miners of one blockchain (the *validator*) must be able to validate the
 publishing and verify the state of a smart contract deployed in another
@@ -9,32 +9,31 @@ blockchain (the *validated*).  AC3WN needs this in both directions:
 * ``IsRedeemable`` / ``IsRefundable`` (Algorithm 4): asset-chain miners
   verify that the witness contract's state is ``RDauth`` / ``RFauth``.
 
-The paper discusses three mechanisms, all implemented here:
+An *evidence* is a chain message plus the proof that it is included,
+executed ``ok`` and buried; each decision about one is written once:
 
-1. **Full replication** (:class:`FullReplicaValidator`): the validator's
-   miners maintain a full copy of the validated chain and consult it
-   directly.  Impractical at scale but the simplest baseline.
-2. **Light nodes** (:class:`LightClientValidator`): the validator's
-   miners run header-only light nodes of the validated chain and check
-   Merkle inclusion proofs (SPV).
-3. **Relay contracts — the paper's proposal**
-   (:func:`verify_publication_evidence` / :func:`verify_state_evidence`
-   as pure functions plus :class:`AnchorValidator` and the on-chain
-   :class:`HeaderRelayContract`): a smart contract on the validator
-   chain stores a *stable header* of the validated chain; evidence is a
-   run of subsequent headers (each with valid PoW, each linking to its
-   predecessor) plus Merkle proofs of the message of interest and of its
-   execution receipt, and a depth requirement.
+* ``evidence.message`` is the proven deploy or call, and
+  ``evidence.claim()`` is what a proven inclusion authenticates — the
+  deploy itself (:class:`PublicationEvidence`) or ``(contract_id,
+  state)`` after the function ↔ state ↔ contract checks
+  (:class:`StateEvidence`).  A new evidence kind is one ``claim()``.
+* A validator strategy answers one question,
+  ``included(evidence, min_depth)``, by one of the paper's three
+  mechanisms: **full replication** (:class:`FullReplicaValidator`, the
+  miners' own copy of the validated chain), **light nodes**
+  (:class:`LightClientValidator`, synced headers + the SPV proofs) or
+  **relay anchors — the paper's proposal** (:class:`AnchorValidator`
+  over the pure :func:`verify_evidence`, mirrored on-chain by
+  :class:`HeaderRelayContract`): a stored *stable header*, a run of
+  subsequent PoW-valid linked headers, and the two Merkle proofs.  A new
+  mechanism is one ``included()``.
+* :meth:`EvidenceValidator.validate` combines the two for every caller.
 
-Every mechanism authenticates the same two claims about a foreign chain:
-"this deploy/call message is included at depth ≥ d" and "its execution
-succeeded" (the receipt commitment is what distinguishes a successful
-``AuthorizeRedeem`` from a reverted one).
+``docs/protocols.md`` ("The evidence rule") is the long form.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from ..chain.block import BlockHeader, receipt_leaf
@@ -96,12 +95,14 @@ class PublicationEvidence:
         }
 
     @property
-    def claims(self) -> dict:
-        return {
-            "chain_id": self.chain_id,
-            "contract_id": self.deploy.contract_id(),
-            "state": "P",
-        }
+    def message(self) -> DeployMessage:
+        """The chain message whose inclusion is proven."""
+        return self.deploy
+
+    def claim(self) -> DeployMessage:
+        """A proven inclusion authenticates the deploy itself: its hash
+        is committed in a PoW-buried block of the validated chain."""
+        return self.deploy
 
 
 @dataclass(frozen=True)
@@ -137,21 +138,30 @@ class StateEvidence:
         }
 
     @property
-    def claims(self) -> dict:
-        return {
-            "chain_id": self.chain_id,
-            "contract_id": self.contract_id,
-            "state": self.state,
-        }
+    def message(self) -> CallMessage:
+        """The chain message whose inclusion is proven."""
+        return self.call
+
+    def claim(self) -> tuple[bytes, str]:
+        """``(contract_id, state)``: the claimed state must be the one
+        the proven call's function leaves behind, and the call must
+        target the claimed contract."""
+        expected_state = AUTHORIZING_FUNCTIONS.get(self.call.function)
+        if expected_state is None:
+            raise EvidenceError(f"call {self.call.function!r} is not an authorizing function")
+        if expected_state != self.state:
+            raise EvidenceError("claimed state does not match the authorizing function")
+        if self.call.contract_id != self.contract_id:
+            raise EvidenceError("authorizing call targets a different contract")
+        return self.contract_id, self.state
+
+
+Evidence = PublicationEvidence | StateEvidence
 
 
 # ---------------------------------------------------------------------------
 # Evidence construction (run by participants against a full node)
 # ---------------------------------------------------------------------------
-
-
-def _anchor_height_default(anchor: BlockHeader | None) -> int:
-    return 0 if anchor is None else anchor.height
 
 
 def headers_required(validators) -> bool:
@@ -160,10 +170,38 @@ def headers_required(validators) -> bool:
 
     Relay/anchor verification replays the headers; full-replica and
     light-client validators consult their own copy of the validated chain
-    and ignore the field entirely, so builders may skip the (long) header
-    run for them.  Unknown validator types get headers — the safe default.
+    and say so (``reads_headers = False``), so builders may skip the
+    (long) header run for them.  No registry, or an unknown validator
+    type, gets headers — the safe default.
     """
-    return not isinstance(validators, (FullReplicaValidator, LightClientValidator))
+    return getattr(validators, "reads_headers", True)
+
+
+def _inclusion(
+    chain: Blockchain,
+    message: DeployMessage | CallMessage,
+    anchor: BlockHeader | None,
+    include_headers: bool,
+) -> dict:
+    """The proof half of an evidence for ``message`` as mined on
+    ``chain``: its height, the Merkle proofs of the message and of its
+    receipt (same index: receipts are kept in block order), and all
+    main-chain headers from ``anchor`` (default genesis) to the tip."""
+    found = chain.inclusion_proof(message.message_id())
+    if found is None:
+        raise EvidenceError(f"{message.kind} message is not on the main chain")
+    message_proof, header = found
+    _statuses, receipts = chain.receipts_data(header.block_id())
+    headers: tuple[BlockHeader, ...] = ()
+    if include_headers:
+        headers = tuple(chain.header_chain(0 if anchor is None else anchor.height))
+    return {
+        "chain_id": chain.params.chain_id,
+        "height": header.height,
+        "message_proof": message_proof,
+        "receipt_proof": receipts.proof(message_proof.index),
+        "headers": headers,
+    }
 
 
 def build_publication_evidence(
@@ -179,23 +217,8 @@ def build_publication_evidence(
     Pass ``include_headers=False`` when the verifier is known to ignore
     the header segment (see :func:`headers_required`).
     """
-    message_id = deploy.message_id()
-    location = chain.find_message(message_id)
-    if location is None:
-        raise EvidenceError("deploy message is not on the main chain")
-    block = chain.block(location.block_hash)
-    message_proof = block.merkle_tree().proof(location.index)
-    receipt_proof = _receipt_proof_for(chain, location.block_hash, message_id)
-    headers: tuple[BlockHeader, ...] = ()
-    if include_headers:
-        headers = tuple(chain.header_chain(_anchor_height_default(anchor)))
     return PublicationEvidence(
-        chain_id=chain.params.chain_id,
-        deploy=deploy,
-        height=location.height,
-        message_proof=message_proof,
-        receipt_proof=receipt_proof,
-        headers=headers,
+        deploy=deploy, **_inclusion(chain, deploy, anchor, include_headers)
     )
 
 
@@ -208,39 +231,12 @@ def build_state_evidence(
     include_headers: bool = True,
 ) -> StateEvidence:
     """Assemble state evidence from the authorizing call's inclusion."""
-    message_id = call.message_id()
-    location = chain.find_message(message_id)
-    if location is None:
-        raise EvidenceError("authorizing call is not on the main chain")
-    block = chain.block(location.block_hash)
-    message_proof = block.merkle_tree().proof(location.index)
-    receipt_proof = _receipt_proof_for(chain, location.block_hash, message_id)
-    headers: tuple[BlockHeader, ...] = ()
-    if include_headers:
-        headers = tuple(chain.header_chain(_anchor_height_default(anchor)))
     return StateEvidence(
-        chain_id=chain.params.chain_id,
         contract_id=contract_id,
         state=claimed_state,
         call=call,
-        height=location.height,
-        message_proof=message_proof,
-        receipt_proof=receipt_proof,
-        headers=headers,
+        **_inclusion(chain, call, anchor, include_headers),
     )
-
-
-def _receipt_proof_for(chain: Blockchain, block_hash: bytes, message_id: bytes) -> MerkleProof:
-    """Build the Merkle proof of a message's receipt within its block.
-
-    The per-block receipt list and tree are cached by the chain at
-    connect time, so this costs one index scan plus one proof walk.
-    """
-    statuses, tree = chain.receipts_data(block_hash)
-    for i, (mid, _status) in enumerate(statuses):
-        if mid == message_id:
-            return tree.proof(i)
-    raise EvidenceError("message not found in its claimed block")
 
 
 # ---------------------------------------------------------------------------
@@ -268,38 +264,6 @@ def reset_evidence_cache_info() -> None:
     _memo_misses = 0
 
 
-def _memoized_verify(evidence, anchor: BlockHeader, min_depth: int, compute):
-    """Per-instance verdict cache for the pure verifiers.
-
-    The same frozen evidence object is re-verified several times on its
-    way into a block (miner template trial, block connect, driver
-    re-validation), always against the same ``(anchor, min_depth)``; the
-    verdict is a pure function of the three, so it is cached on the
-    evidence instance.  Tampered copies made via ``dataclasses.replace``
-    are new instances and start with an empty cache.
-    """
-    global _memo_hits, _memo_misses
-    cache = evidence.__dict__.get("_verdicts")
-    if cache is None:
-        cache = {}
-        object.__setattr__(evidence, "_verdicts", cache)
-    key = (anchor.block_id(), min_depth)
-    verdict = cache.get(key)
-    if verdict is None:
-        _memo_misses += 1
-        try:
-            verdict = (True, compute())
-        except EvidenceError as exc:
-            verdict = (False, str(exc))
-        cache[key] = verdict
-    else:
-        _memo_hits += 1
-    ok, payload = verdict
-    if not ok:
-        raise EvidenceError(payload)
-    return payload
-
-
 def _verify_segment(
     evidence_headers: tuple[BlockHeader, ...],
     anchor: BlockHeader,
@@ -315,6 +279,24 @@ def _verify_segment(
         raise EvidenceError("evidence headers belong to the wrong chain")
     verify_header_linkage(headers)
     return headers
+
+
+def _verify_proofs(
+    header: BlockHeader,
+    message_id: bytes,
+    message_proof: MerkleProof,
+    receipt_proof: MerkleProof,
+) -> None:
+    """The one inclusion check: ``header`` commits to the message and to
+    its ``ok`` receipt (a reverted call must not count as a decision)."""
+    if message_proof.leaf != message_id:
+        raise EvidenceError("message proof does not cover the claimed message")
+    if not message_proof.verify(header.merkle_root):
+        raise EvidenceError("message inclusion proof failed")
+    if receipt_proof.leaf != receipt_leaf(message_id, "ok"):
+        raise EvidenceError("receipt proof does not show successful execution")
+    if not receipt_proof.verify(header.receipts_root):
+        raise EvidenceError("receipt inclusion proof failed")
 
 
 def _verify_inclusion_in_segment(
@@ -335,78 +317,55 @@ def _verify_inclusion_in_segment(
     depth = tip - height + 1
     if depth < min_depth:
         raise EvidenceError(f"inclusion depth {depth} below required {min_depth}")
-    header = headers[height - base]
-    if message_proof.leaf != message_id:
-        raise EvidenceError("message proof does not cover the claimed message")
-    if not message_proof.verify(header.merkle_root):
-        raise EvidenceError("message inclusion proof failed")
-    if receipt_proof.leaf != receipt_leaf(message_id, "ok"):
-        raise EvidenceError("receipt proof does not show successful execution")
-    if not receipt_proof.verify(header.receipts_root):
-        raise EvidenceError("receipt inclusion proof failed")
+    _verify_proofs(headers[height - base], message_id, message_proof, receipt_proof)
 
 
-def verify_publication_evidence(
-    evidence: PublicationEvidence,
-    anchor: BlockHeader,
-    min_depth: int,
-) -> DeployMessage:
-    """Pure relay-style verification; returns the authenticated deploy.
+def verify_evidence(evidence: Evidence, anchor: BlockHeader, min_depth: int):
+    """Pure relay-style verification; returns ``evidence.claim()``.
 
     Raises :class:`~repro.errors.EvidenceError` on any failure.  On
-    success the returned deploy message is *trusted data*: its hash is
-    committed in a PoW-buried block of the validated chain.
+    success the claim is *trusted data*: the message behind it is
+    committed, with an ``ok`` receipt, in a block of the validated chain
+    buried under ``min_depth`` PoW-valid headers that link back to
+    ``anchor``.
+
+    The same frozen evidence object is re-verified several times on its
+    way into a block (miner template trial, block connect, driver
+    re-validation), always against the same ``(anchor, min_depth)``; the
+    verdict is a pure function of the three, so it is cached on the
+    evidence instance.  Tampered copies made via ``dataclasses.replace``
+    are new instances and start with an empty cache.
     """
-
-    def compute() -> DeployMessage:
-        headers = _verify_segment(evidence.headers, anchor, evidence.chain_id)
-        _verify_inclusion_in_segment(
-            headers,
-            evidence.height,
-            evidence.deploy.message_id(),
-            evidence.message_proof,
-            evidence.receipt_proof,
-            min_depth,
-        )
-        return evidence.deploy
-
-    return _memoized_verify(evidence, anchor, min_depth, compute)
-
-
-def verify_state_evidence(
-    evidence: StateEvidence,
-    anchor: BlockHeader,
-    min_depth: int,
-) -> tuple[bytes, str]:
-    """Pure relay-style verification; returns (contract_id, state).
-
-    The claimed state must match the authorizing function of the proven
-    call, the call must target the claimed contract, and its success
-    receipt must be included at depth ≥ ``min_depth``.
-    """
-
-    def compute() -> tuple[bytes, str]:
-        headers = _verify_segment(evidence.headers, anchor, evidence.chain_id)
-        expected_state = AUTHORIZING_FUNCTIONS.get(evidence.call.function)
-        if expected_state is None:
-            raise EvidenceError(
-                f"call {evidence.call.function!r} is not an authorizing function"
+    global _memo_hits, _memo_misses
+    cache = evidence.__dict__.get("_verdicts")
+    if cache is None:
+        cache = {}
+        object.__setattr__(evidence, "_verdicts", cache)
+    key = (anchor.block_id(), min_depth)
+    verdict = cache.get(key)
+    if verdict is None:
+        _memo_misses += 1
+        try:
+            headers = _verify_segment(evidence.headers, anchor, evidence.chain_id)
+            claim = evidence.claim()
+            _verify_inclusion_in_segment(
+                headers,
+                evidence.height,
+                evidence.message.message_id(),
+                evidence.message_proof,
+                evidence.receipt_proof,
+                min_depth,
             )
-        if expected_state != evidence.state:
-            raise EvidenceError("claimed state does not match the authorizing function")
-        if evidence.call.contract_id != evidence.contract_id:
-            raise EvidenceError("authorizing call targets a different contract")
-        _verify_inclusion_in_segment(
-            headers,
-            evidence.height,
-            evidence.call.message_id(),
-            evidence.message_proof,
-            evidence.receipt_proof,
-            min_depth,
-        )
-        return evidence.contract_id, evidence.state
-
-    return _memoized_verify(evidence, anchor, min_depth, compute)
+            verdict = (True, claim)
+        except EvidenceError as exc:
+            verdict = (False, str(exc))
+        cache[key] = verdict
+    else:
+        _memo_hits += 1
+    ok, payload = verdict
+    if not ok:
+        raise EvidenceError(payload)
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -414,152 +373,95 @@ def verify_state_evidence(
 # ---------------------------------------------------------------------------
 
 
-class EvidenceValidator(ABC):
-    """Interface miners use to validate foreign-chain evidence."""
+class EvidenceValidator:
+    """How one chain's miners validate foreign-chain evidence.
 
-    @abstractmethod
-    def validate_publication(
-        self, evidence: PublicationEvidence, min_depth: int
-    ) -> DeployMessage | None:
-        """Return the authenticated deploy message, or None if invalid."""
+    A strategy supplies :meth:`included`; every caller — both AC3WN
+    contracts, tests, adversaries — goes through :meth:`validate`.
+    """
 
-    @abstractmethod
-    def validate_state(
-        self, evidence: StateEvidence, min_depth: int
-    ) -> tuple[bytes, str] | None:
-        """Return the authenticated (contract_id, state), or None."""
+    #: Whether :meth:`included` replays ``evidence.headers`` (see
+    #: :func:`headers_required`).
+    reads_headers = True
+
+    def included(self, evidence: Evidence, min_depth: int) -> bool:
+        """Is ``evidence.message`` on ``evidence.chain_id``, executed
+        ``ok`` and buried at depth ≥ ``min_depth``?  May raise
+        :class:`~repro.errors.EvidenceError` in place of ``False``."""
+        raise NotImplementedError
+
+    def validate(self, evidence, min_depth: int):
+        """The authenticated ``evidence.claim()``, or None — never an
+        exception — when ``evidence`` is not an evidence, its message is
+        not provably included, or the claim does not follow from it."""
+        if not isinstance(evidence, Evidence):
+            return None
+        try:
+            return evidence.claim() if self.included(evidence, min_depth) else None
+        except EvidenceError:
+            return None
 
 
 class FullReplicaValidator(EvidenceValidator):
     """Miners keep full copies of every validated chain (Section 4.3's
-    "simple but impractical" baseline) and consult them directly."""
+    "simple but impractical" baseline) and consult them directly; the
+    evidence's height, proofs and headers are never read."""
+
+    reads_headers = False
 
     def __init__(self, chains: dict[str, Blockchain] | None = None) -> None:
         self.chains: dict[str, Blockchain] = dict(chains or {})
 
-    def add_chain(self, chain: Blockchain) -> None:
+    def watch(self, chain: Blockchain) -> None:
         self.chains[chain.params.chain_id] = chain
 
-    def _chain(self, chain_id: str) -> Blockchain | None:
-        return self.chains.get(chain_id)
-
-    def validate_publication(
-        self, evidence: PublicationEvidence, min_depth: int
-    ) -> DeployMessage | None:
-        chain = self._chain(evidence.chain_id)
+    def included(self, evidence: Evidence, min_depth: int) -> bool:
+        chain = self.chains.get(evidence.chain_id)
         if chain is None:
-            return None
-        message_id = evidence.deploy.message_id()
+            return False
+        message_id = evidence.message.message_id()
         if chain.message_depth(message_id) < min_depth:
-            return None
+            return False
         receipt = chain.receipt(message_id)
-        if receipt is None or receipt.status != "ok":
-            return None
-        return evidence.deploy
-
-    def validate_state(
-        self, evidence: StateEvidence, min_depth: int
-    ) -> tuple[bytes, str] | None:
-        chain = self._chain(evidence.chain_id)
-        if chain is None:
-            return None
-        expected_state = AUTHORIZING_FUNCTIONS.get(evidence.call.function)
-        if expected_state != evidence.state:
-            return None
-        if evidence.call.contract_id != evidence.contract_id:
-            return None
-        message_id = evidence.call.message_id()
-        if chain.message_depth(message_id) < min_depth:
-            return None
-        receipt = chain.receipt(message_id)
-        if receipt is None or receipt.status != "ok":
-            return None
-        return evidence.contract_id, evidence.state
+        return receipt is not None and receipt.status == "ok"
 
 
 class LightClientValidator(EvidenceValidator):
     """Miners run light nodes of validated chains and check SPV proofs.
 
-    ``sources`` (optional) model the light nodes' ongoing header
-    download: before each validation the client syncs new headers from
-    the registered full node.  Proof verification itself uses only the
-    locally validated headers.
+    ``sources`` model the light nodes' ongoing header download: before
+    each validation the client syncs new headers from the registered
+    full node.  Proof verification itself uses only the locally
+    validated headers.
     """
+
+    reads_headers = False
 
     def __init__(self) -> None:
         self.clients: dict[str, LightClient] = {}
         self.sources: dict[str, Blockchain] = {}
 
-    def track(self, chain: Blockchain) -> LightClient:
+    def watch(self, chain: Blockchain) -> None:
         """Start tracking ``chain`` with a fresh genesis-anchored client."""
         client = LightClient(chain.params, chain.block_at_height(0).header)
         client.sync_from(chain)
         self.clients[chain.params.chain_id] = client
         self.sources[chain.params.chain_id] = chain
-        return client
 
-    def _client(self, chain_id: str) -> LightClient | None:
-        client = self.clients.get(chain_id)
-        if client is not None and chain_id in self.sources:
-            client.sync_from(self.sources[chain_id])
-        return client
-
-    def _validate_inclusion(
-        self,
-        client: LightClient,
-        height: int,
-        message_id: bytes,
-        message_proof: MerkleProof,
-        receipt_proof: MerkleProof,
-        min_depth: int,
-    ) -> bool:
-        if height > client.height:
-            return False
-        if client.depth_of_height(height) < min_depth:
-            return False
-        header = client.header_at(height)
-        if message_proof.leaf != message_id or not message_proof.verify(header.merkle_root):
-            return False
-        if receipt_proof.leaf != receipt_leaf(message_id, "ok"):
-            return False
-        return receipt_proof.verify(header.receipts_root)
-
-    def validate_publication(
-        self, evidence: PublicationEvidence, min_depth: int
-    ) -> DeployMessage | None:
-        client = self._client(evidence.chain_id)
+    def included(self, evidence: Evidence, min_depth: int) -> bool:
+        client = self.clients.get(evidence.chain_id)
         if client is None:
-            return None
-        ok = self._validate_inclusion(
-            client,
-            evidence.height,
-            evidence.deploy.message_id(),
+            return False
+        client.sync_from(self.sources[evidence.chain_id])
+        if client.depth_of_height(evidence.height) < min_depth:
+            return False
+        _verify_proofs(
+            client.header_at(evidence.height),
+            evidence.message.message_id(),
             evidence.message_proof,
             evidence.receipt_proof,
-            min_depth,
         )
-        return evidence.deploy if ok else None
-
-    def validate_state(
-        self, evidence: StateEvidence, min_depth: int
-    ) -> tuple[bytes, str] | None:
-        client = self._client(evidence.chain_id)
-        if client is None:
-            return None
-        expected_state = AUTHORIZING_FUNCTIONS.get(evidence.call.function)
-        if expected_state != evidence.state:
-            return None
-        if evidence.call.contract_id != evidence.contract_id:
-            return None
-        ok = self._validate_inclusion(
-            client,
-            evidence.height,
-            evidence.call.message_id(),
-            evidence.message_proof,
-            evidence.receipt_proof,
-            min_depth,
-        )
-        return (evidence.contract_id, evidence.state) if ok else None
+        return True
 
 
 class AnchorValidator(EvidenceValidator):
@@ -567,7 +469,9 @@ class AnchorValidator(EvidenceValidator):
 
     This is the validator equivalent of pushing the logic into a smart
     contract: no foreign chain access at all, only the anchors recorded
-    at setup time plus the self-contained evidence.
+    at setup time plus the self-contained evidence.  It is what both
+    AC3WN contracts fall back to, over the anchors they stored, on a
+    chain whose miners run no validator registry.
     """
 
     def __init__(self, anchors: dict[str, BlockHeader] | None = None) -> None:
@@ -576,27 +480,12 @@ class AnchorValidator(EvidenceValidator):
     def set_anchor(self, chain_id: str, header: BlockHeader) -> None:
         self.anchors[chain_id] = header
 
-    def validate_publication(
-        self, evidence: PublicationEvidence, min_depth: int
-    ) -> DeployMessage | None:
+    def included(self, evidence: Evidence, min_depth: int) -> bool:
         anchor = self.anchors.get(evidence.chain_id)
         if anchor is None:
-            return None
-        try:
-            return verify_publication_evidence(evidence, anchor, min_depth)
-        except EvidenceError:
-            return None
-
-    def validate_state(
-        self, evidence: StateEvidence, min_depth: int
-    ) -> tuple[bytes, str] | None:
-        anchor = self.anchors.get(evidence.chain_id)
-        if anchor is None:
-            return None
-        try:
-            return verify_state_evidence(evidence, anchor, min_depth)
-        except EvidenceError:
-            return None
+            return False
+        verify_evidence(evidence, anchor, min_depth)
+        return True
 
 
 # ---------------------------------------------------------------------------

@@ -139,17 +139,14 @@ class ContractStateCommitment(CommitmentScheme):
     def verify(self, secret: Any) -> bool:
         """Structural check only; full validation needs a chain validator.
 
-        The contract runtime calls
-        :meth:`repro.core.evidence.EvidenceValidator.validate_state` with
-        this commitment and the submitted evidence; ``verify`` here checks
-        that the evidence at least *claims* the right contract and state,
-        so unit code can reason about the commitment in isolation.
+        The asset-chain contract hands the submitted evidence to
+        :meth:`repro.core.evidence.EvidenceValidator.validate`; ``verify``
+        here checks that the evidence at least *names* the right chain,
+        contract and state, so unit code can reason about the commitment
+        in isolation.
         """
-        claims = getattr(secret, "claims", None)
-        if claims is None:
-            return False
         return (
-            claims.get("chain_id") == self.witness_chain_id
-            and claims.get("contract_id") == self.witness_contract_id
-            and claims.get("state") == self.required_state
+            getattr(secret, "chain_id", None) == self.witness_chain_id
+            and getattr(secret, "contract_id", None) == self.witness_contract_id
+            and getattr(secret, "state", None) == self.required_state
         )

@@ -440,24 +440,21 @@ class SwapEngine:
             },
         )
 
-    def trace_swap_for(self, contract_id: bytes) -> int | None:
-        """Which swap owns ``contract_id`` (adversary emit attribution).
-
-        Linear over requests — attacks are rare events, so the scan never
-        sits on a hot path; returns None for unknown contracts."""
+    def request_owning(self, contract_id: bytes) -> SwapRequest | None:
+        """The request whose swap deployed ``contract_id`` (as coordinator
+        or asset contract), or None.  Linear over requests — its callers
+        are the adversary's attack records, rare events off any hot path."""
         if not contract_id:
             return None
         for request in self.requests:
             outcome = (
                 request.driver.outcome if request.driver is not None else request.outcome
             )
-            if outcome is None:
-                continue
-            if outcome.coordinator_contract_id == contract_id:
-                return request.swap_id
-            for record in outcome.contracts.values():
-                if record.contract_id == contract_id:
-                    return request.swap_id
+            if outcome is not None and (
+                outcome.coordinator_contract_id == contract_id
+                or any(r.contract_id == contract_id for r in outcome.contracts.values())
+            ):
+                return request
         return None
 
     def _fold(

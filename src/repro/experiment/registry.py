@@ -14,12 +14,11 @@ spec schema or the runner:
 
     register_traffic("burst", burst)
 
-The built-in generators mirror the two workload families of
-:mod:`repro.workloads.scenarios`: ``"poisson"`` (homogeneous open-loop
-arrivals, optional uniform fee budget) and ``"congestion"``
-(heterogeneous LOW/HIGH fee-budget classes) — both thin
-parameterizations of the shared :func:`~repro.workloads.scenarios.swap_traffic`
-core.
+The built-in generators are the two workload families: ``"poisson"``
+(homogeneous open-loop arrivals, optional uniform fee budget) and
+``"congestion"`` (heterogeneous LOW/HIGH fee-budget classes) — one call
+of :func:`~repro.workloads.scenarios.swap_traffic` over the spec's
+traffic section, under two budget samplers.
 """
 
 from __future__ import annotations
@@ -29,10 +28,13 @@ from typing import TYPE_CHECKING, Callable
 
 from ..errors import SpecError
 from ..workloads.scenarios import (
+    HIGH_FEE_BUDGET,
+    LOW_FEE_BUDGET,
     CrashPlan,
     TrafficItem,
-    congestion_swap_traffic,
-    poisson_swap_traffic,
+    congestion_budgets,
+    role_name,
+    swap_traffic,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -89,16 +91,15 @@ def _explicit_crashes(spec: "ExperimentSpec", items: list[TrafficItem]) -> list[
         return items
     out: list[TrafficItem] = []
     for item in items:
-        victim = crash.participant
         names = item.graph.participant_names()
-        if victim not in names and len(victim) == 1:
-            suffixed = [n for n in names if n.endswith(f".{victim}")]
-            if not suffixed:
+        victim = role_name(names, crash.participant)
+        if victim is None:
+            if len(crash.participant) == 1:
                 raise SpecError(
-                    f"traffic.crash.participant {victim!r} matches no role "
-                    f"of swap participants {names}"
+                    f"traffic.crash.participant {crash.participant!r} matches "
+                    f"no role of swap participants {names}"
                 )
-            victim = suffixed[0]
+            victim = crash.participant
         out.append(
             dataclasses.replace(
                 item,
@@ -110,9 +111,10 @@ def _explicit_crashes(spec: "ExperimentSpec", items: list[TrafficItem]) -> list[
     return out
 
 
-def _poisson(spec: "ExperimentSpec") -> list[TrafficItem]:
+def _spec_traffic(spec: "ExperimentSpec", budget_sampler) -> list[TrafficItem]:
+    """:func:`swap_traffic` over the spec's traffic section."""
     t = spec.traffic
-    return _explicit_crashes(spec, poisson_swap_traffic(
+    items = swap_traffic(
         t.num_swaps,
         rate=t.rate,
         seed=spec.seed,
@@ -124,28 +126,23 @@ def _poisson(spec: "ExperimentSpec") -> list[TrafficItem]:
         crash_rate=t.crash.rate,
         crash_window=t.crash.window,
         crash_down_for=t.crash.down_for,
-        fee_budget=None if t.fee_budget is None else t.fee_budget.build(),
-    ))
+        budget_sampler=budget_sampler,
+    )
+    return _explicit_crashes(spec, items)
+
+
+def _poisson(spec: "ExperimentSpec") -> list[TrafficItem]:
+    if spec.traffic.fee_budget is None:
+        return _spec_traffic(spec, None)
+    budget = spec.traffic.fee_budget.build()
+    return _spec_traffic(spec, lambda _stream: budget)
 
 
 def _congestion(spec: "ExperimentSpec") -> list[TrafficItem]:
     t = spec.traffic
-    return _explicit_crashes(spec, congestion_swap_traffic(
-        t.num_swaps,
-        rate=t.rate,
-        seed=spec.seed,
-        chain_ids=list(spec.chains.asset_ids()),
-        participants_per_swap=t.participants_per_swap,
-        amount=t.amount,
-        start=t.start,
-        prefix=t.prefix,
-        low_fee_share=t.low_fee_share,
-        low_budget=None if t.low_budget is None else t.low_budget.build(),
-        high_budget=None if t.high_budget is None else t.high_budget.build(),
-        crash_rate=t.crash.rate,
-        crash_window=t.crash.window,
-        crash_down_for=t.crash.down_for,
-    ))
+    low = LOW_FEE_BUDGET if t.low_budget is None else t.low_budget.build()
+    high = HIGH_FEE_BUDGET if t.high_budget is None else t.high_budget.build()
+    return _spec_traffic(spec, congestion_budgets(t.low_fee_share, low, high))
 
 
 register_traffic("poisson", _poisson)

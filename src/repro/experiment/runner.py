@@ -15,7 +15,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from .. import serde
-from ..adversary import build_roster
+from ..adversary import build_roster, decision_chain
 from ..analysis.cost import CongestionCostRow, congestion_cost_report
 from ..analysis.throughput import engine_throughput_report
 from ..core.evidence import evidence_cache_info, reset_evidence_cache_info
@@ -202,15 +202,19 @@ def build_environment(spec: ExperimentSpec, traffic: list) -> ScenarioEnvironmen
     return env
 
 
-def _shock_chain(spec: ExperimentSpec, shock) -> str:
-    """The chain a fee shock floods when the spec leaves it implicit:
-    the contended one — the witness chain for witness-coordinated runs,
-    else the first asset chain."""
-    if shock.chain_id is not None:
-        return shock.chain_id
-    if spec.protocol in ("ac3wn", "mixed"):
-        return spec.chains.witness
-    return spec.chains.asset_ids()[0]
+def schedule_fee_shocks(spec: ExperimentSpec, env: ScenarioEnvironment) -> None:
+    """Arm the spec's fee shocks, timed from now; one that names no
+    chain floods the contended one (:func:`~repro.adversary.decision_chain`)."""
+    contended = decision_chain(spec.protocol, spec.chains.asset_ids(), spec.chains.witness)
+    for shock in spec.fee_shocks:
+        schedule_fee_shock(
+            env,
+            shock.chain_id or contended,
+            at=env.simulator.now + shock.at,
+            count=shock.count,
+            fee_rate=shock.fee_rate,
+            whale=shock.whale,
+        )
 
 
 def _reset_caches() -> None:
@@ -352,15 +356,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     traffic = traffic_generator(spec.traffic.generator)(spec)
     env = build_environment(spec, traffic)
 
-    for shock in spec.fee_shocks:
-        schedule_fee_shock(
-            env,
-            _shock_chain(spec, shock),
-            at=env.simulator.now + shock.at,
-            count=shock.count,
-            fee_rate=shock.fee_rate,
-            whale=shock.whale,
-        )
+    schedule_fee_shocks(spec, env)
 
     engine = SwapEngine(
         env,

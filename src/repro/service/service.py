@@ -41,13 +41,12 @@ from ..errors import ServiceError
 from ..experiment.runner import (
     _outcome_to_dict,
     _reset_caches,
-    _shock_chain,
     build_environment,
     build_observability,
+    schedule_fee_shocks,
 )
 from ..workloads.scenarios import (
     TrafficItem,
-    schedule_fee_shock,
     swap_graph,
     swap_traffic_graphs,
 )
@@ -243,15 +242,7 @@ class SwapService:
         self.env = build_environment(
             world, [TrafficItem(at=0.0, graph=graph) for graph in self._slots]
         )
-        for shock in world.fee_shocks:
-            schedule_fee_shock(
-                self.env,
-                _shock_chain(world, shock),
-                at=self.env.simulator.now + shock.at,
-                count=shock.count,
-                fee_rate=shock.fee_rate,
-                whale=shock.whale,
-            )
+        schedule_fee_shocks(world, self.env)
         self.engine = SwapEngine(
             self.env,
             default_protocol=(

@@ -236,18 +236,12 @@ def _wire_validators(
     """
     if mode == "anchor":
         return
+    strategy = FullReplicaValidator if mode == "full-replica" else LightClientValidator
     for chain_id, chain in chains.items():
-        if mode == "full-replica":
-            validator = FullReplicaValidator()
-            for other_id, other in chains.items():
-                if other_id != chain_id:
-                    validator.add_chain(other)
-        else:  # light-client
-            validator = LightClientValidator()
-            for other_id, other in chains.items():
-                if other_id != chain_id:
-                    validator.track(other)
-        chain.validators = validator
+        chain.validators = strategy()
+        for other_id, other in chains.items():
+            if other_id != chain_id:
+                chain.validators.watch(other)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +328,17 @@ def swap_graph(
     return SwapGraph.build(participant_keys(names), edges, timestamp=index)
 
 
+def role_name(names, role: str) -> str | None:
+    """The participant ``role`` denotes among ``names``: the literal name
+    if present, else — for a one-letter role — the first
+    ``<prefix>NNNN.<role>`` of :func:`swap_graph`'s naming, else None."""
+    if role in names:
+        return role
+    if len(role) == 1:
+        return next((name for name in names if name.endswith(f".{role}")), None)
+    return None
+
+
 def swap_traffic_graphs(
     num_swaps: int,
     chain_ids: list[str],
@@ -373,10 +378,13 @@ def swap_traffic(
     crash_down_for: float | None = None,
     budget_sampler=None,
 ) -> list[TrafficItem]:
-    """The traffic core: arrivals + graphs + crash plans (+ fee budgets).
+    """The traffic assembly: arrivals + graphs + crash plans (+ fee
+    budgets).  Items iterate as ``(arrival_time, graph)`` pairs.
 
-    Every traffic generator in this module is a thin parameterization of
-    this one assembly.  Each concern draws from its own named RNG stream
+    Both built-in generators (:mod:`repro.experiment.registry`) are this
+    one function under a different ``budget_sampler``: a constant for
+    "poisson", :func:`congestion_budgets` for "congestion".  Each
+    concern draws from its own named RNG stream
     (``workload/poisson-arrivals``, ``workload/crash-injection``,
     ``workload/fee-budgets``) so a schedule is a pure function of its
     arguments and never perturbs the simulation's other randomness.
@@ -426,42 +434,6 @@ def swap_traffic(
         TrafficItem(at=at, graph=graph, crash=crash, fee_budget=budget)
         for at, graph, crash, budget in zip(arrivals, graphs, crashes, budgets)
     ]
-
-
-def poisson_swap_traffic(
-    num_swaps: int,
-    rate: float,
-    seed: int = 0,
-    chain_ids: list[str] | None = None,
-    participants_per_swap: int = 2,
-    amount: int = DEFAULT_AMOUNT,
-    start: float = 0.0,
-    prefix: str = "swap",
-    crash_rate: float = 0.0,
-    crash_window: tuple[float, float] = (1.0, 12.0),
-    crash_down_for: float | None = None,
-    fee_budget: FeeBudget | None = None,
-) -> list[TrafficItem]:
-    """Homogeneous Poisson traffic: :func:`swap_traffic` with at most one
-    swap class (every swap carries ``fee_budget``, or none at all).
-
-    Items iterate as ``(arrival_time, graph)`` pairs, so callers that
-    only care about timing unpack them as before.
-    """
-    return swap_traffic(
-        num_swaps,
-        rate,
-        seed=seed,
-        chain_ids=chain_ids,
-        participants_per_swap=participants_per_swap,
-        amount=amount,
-        start=start,
-        prefix=prefix,
-        crash_rate=crash_rate,
-        crash_window=crash_window,
-        crash_down_for=crash_down_for,
-        budget_sampler=(None if fee_budget is None else (lambda stream: fee_budget)),
-    )
 
 
 def build_multi_scenario(
@@ -547,51 +519,18 @@ LOW_FEE_BUDGET = FeeBudget(cap=60, fee_rate=1, bump_factor=2.0, max_bumps=1)
 HIGH_FEE_BUDGET = FeeBudget(cap=4000, fee_rate=None, bump_factor=2.0, max_bumps=4)
 
 
-def congestion_swap_traffic(
-    num_swaps: int,
-    rate: float,
-    seed: int = 0,
-    chain_ids: list[str] | None = None,
-    participants_per_swap: int = 2,
-    amount: int = DEFAULT_AMOUNT,
-    start: float = 0.0,
-    prefix: str = "swap",
+def congestion_budgets(
     low_fee_share: float = 0.5,
-    low_budget: FeeBudget | None = None,
-    high_budget: FeeBudget | None = None,
-    crash_rate: float = 0.0,
-    crash_window: tuple[float, float] = (1.0, 12.0),
-    crash_down_for: float | None = None,
-) -> list[TrafficItem]:
-    """Poisson traffic with heterogeneous per-swap fee budgets.
-
-    Each swap independently draws a budget class from its own RNG
-    stream: with probability ``low_fee_share`` the price-insensitive
-    :data:`LOW_FEE_BUDGET` (or ``low_budget``), otherwise the
-    price-following :data:`HIGH_FEE_BUDGET` (or ``high_budget``).  Under
-    an oversubscribed arrival rate the low class is what congestion
-    prices out — the acceptance scenario of the fee-market subsystem.
-    """
-    if not 0.0 <= low_fee_share <= 1.0:
-        raise ProtocolError("low_fee_share must be within [0, 1]")
-    low = low_budget or LOW_FEE_BUDGET
-    high = high_budget or HIGH_FEE_BUDGET
-    return swap_traffic(
-        num_swaps,
-        rate,
-        seed=seed,
-        chain_ids=chain_ids,
-        participants_per_swap=participants_per_swap,
-        amount=amount,
-        start=start,
-        prefix=prefix,
-        crash_rate=crash_rate,
-        crash_window=crash_window,
-        crash_down_for=crash_down_for,
-        budget_sampler=(
-            lambda stream: low if stream.random() < low_fee_share else high
-        ),
-    )
+    low: FeeBudget = LOW_FEE_BUDGET,
+    high: FeeBudget = HIGH_FEE_BUDGET,
+):
+    """A :func:`swap_traffic` ``budget_sampler`` for heterogeneous fee
+    budgets: each swap independently draws the price-insensitive ``low``
+    class with probability ``low_fee_share``, otherwise the
+    price-following ``high`` class.  Under an oversubscribed arrival
+    rate the low class is what congestion prices out — the acceptance
+    scenario of the fee-market subsystem."""
+    return lambda stream: low if stream.random() < low_fee_share else high
 
 
 def schedule_fee_shock(

@@ -3,9 +3,15 @@
 import pytest
 from dataclasses import replace
 
+from repro.chain.chain import Blockchain
 from repro.chain.messages import CallMessage, DeployMessage, sign_message
+from repro.chain.params import fast_chain
 from repro.core.ac3wn import EdgeSpec, WitnessState
-from repro.core.evidence import build_publication_evidence, build_state_evidence
+from repro.core.evidence import (
+    AnchorValidator,
+    build_publication_evidence,
+    build_state_evidence,
+)
 from repro.crypto.keys import KeyPair
 from repro.errors import ContractRequireError
 from repro.workloads.graphs import two_party_swap
@@ -136,9 +142,16 @@ class TestVerifyContractsEndToEnd:
     """Full in-chain flow on a single test chain serving as both the
     witness chain and the (sole) asset chain."""
 
-    def _full_flow(self, chain):
+    def _full_flow(self, chain, assets_on=None):
+        """``assets_on``: publish the asset contracts on that chain
+        instead (``SCw`` stores its genesis as a relay anchor too)."""
         anchor = chain.block_at_height(0).header
-        scw_deploy = deploy_witness(chain, anchors=((chain.params.chain_id, anchor),))
+        anchors = [(chain.params.chain_id, anchor)]
+        if assets_on is not None:
+            anchors.append((assets_on.params.chain_id, assets_on.block_at_height(0).header))
+        scw_deploy = deploy_witness(chain, anchors=anchors)
+        witness_chain_id = chain.params.chain_id
+        chain = assets_on or chain
         scw_id = scw_deploy.contract_id()
         keys = GRAPH.participant_keys()
 
@@ -173,7 +186,7 @@ class TestVerifyContractsEndToEnd:
                     contract_class="AC3-PermissionlessSC",
                     args=(
                         keys[edge.recipient].address().raw,
-                        chain.params.chain_id,
+                        witness_chain_id,
                         scw_id,
                         1,
                         anchor,
@@ -228,6 +241,24 @@ class TestVerifyContractsEndToEnd:
         # Drop one evidence: not all edges proven.
         auth = call_contract(
             chain, scw_id, "authorize_redeem", (tuple(evidences[:1]),), BOB, 20.0
+        )
+        assert chain.receipt(auth.message_id()).status == "reverted"
+
+    def test_evidence_from_another_chain_satisfies_no_edge(self, chain):
+        """An edge names its blockchain: the same contracts published on
+        another (cheaper) chain, however well proven, are not its."""
+        other = Blockchain(
+            fast_chain("othernet"), [(ALICE.address, 100_000), (BOB.address, 100_000)]
+        )
+        scw_deploy, deploys, _ = self._full_flow(chain, assets_on=other)
+        evidences = tuple(
+            build_publication_evidence(other, d, anchor=other.block_at_height(0).header)
+            for d in deploys.values()
+        )
+        validator = AnchorValidator({"othernet": other.block_at_height(0).header})
+        assert all(validator.validate(e, 1) == e.deploy for e in evidences)
+        auth = call_contract(
+            chain, scw_deploy.contract_id(), "authorize_redeem", (evidences,), BOB, 20.0
         )
         assert chain.receipt(auth.message_id()).status == "reverted"
 

@@ -98,9 +98,9 @@ class TestEventualSettlement:
         # Let 500 more witness blocks pass; the evidence (already built)
         # still verifies against the contract's stored anchor.
         env.simulator.run_until(env.simulator.now + 500.0)
-        from repro.core.evidence import verify_state_evidence
+        from repro.core.evidence import verify_evidence
 
-        contract_id, state = verify_state_evidence(
+        contract_id, state = verify_evidence(
             evidence, driver._witness_anchor, 2
         )
         assert contract_id == driver._scw_id

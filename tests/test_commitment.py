@@ -81,8 +81,11 @@ class TestSignatureCommitment:
 
 
 class _FakeEvidence:
+    """Carries what the commitment reads off an evidence: plain
+    ``chain_id`` / ``contract_id`` / ``state`` attributes."""
+
     def __init__(self, claims):
-        self.claims = claims
+        vars(self).update(claims)
 
 
 class TestContractStateCommitment:

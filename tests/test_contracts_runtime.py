@@ -287,3 +287,148 @@ class TestRegistry:
         snapshot = chain.contract(deploy.contract_id()).describe()
         assert snapshot["class"] == "DemoVault"
         assert snapshot["balance"] == 77
+
+
+# ---------------------------------------------------------------------------
+# Contract code is total: hostile messages revert or are dropped
+# ---------------------------------------------------------------------------
+
+#: ``authorize_redeem`` argument tuples any funded user can send to a
+#: live ``SCw`` -> what the reverted receipt's error must mention.
+HOSTILE_CALLS = {
+    "evidence-is-an-int-pair": (((1, 2),), "contract verification failed"),
+    "evidence-is-none": (((None,),), "contract verification failed"),
+    "evidences-is-a-string": (("abc",), "contract verification failed"),
+    "no-arguments": ((), "TypeError"),
+    "one-argument-too-many": (((), 5), "TypeError"),
+}
+
+#: (target chain, contract class, constructor args) of deploys whose
+#: constructor raises something other than a ``requires`` failure.
+HOSTILE_DEPLOYS = {
+    "witness-two-byte-key": ("witness", "AC3WN-Witness", ((b"xx",), None, b"", (), ())),
+    "witness-no-arguments": ("witness", "AC3WN-Witness", ()),
+    "permissionless-one-argument": ("a", "AC3-PermissionlessSC", (b"\x00" * 20,)),
+    "centralized-all-none": ("a", "AC3-CentralizedSC", (None, None, None)),
+}
+
+
+class TestHostileMessages:
+    """One message from any funded user must never halt a chain.
+
+    Every row raised out of ``MinerNode._mine_once`` (and so out of
+    ``Simulator.step``) before the runtime guard, which killed the
+    miner's reschedule: the target chain stopped growing for good.
+    """
+
+    @staticmethod
+    def _world(validator_mode="anchor"):
+        """A two-party world with a live, undecided ``SCw``."""
+        from repro.core.ac3wn import EdgeSpec
+        from repro.workloads.graphs import two_party_swap
+        from repro.workloads.scenarios import build_scenario
+
+        graph = two_party_swap(chain_a="a", chain_b="b", timestamp=1)
+        env = build_scenario(graph=graph, seed=19, validator_mode=validator_mode)
+        env.warm_up(2)
+        alice = env.participant("alice")
+        keypairs = {n: env.participant(n).keypair for n in graph.participant_names()}
+        specs = tuple(
+            EdgeSpec(e.chain_id, b"\x00" * 20, b"\x01" * 20, e.amount, 1)
+            for e in graph.edges
+        )
+        scw = alice.deploy_contract(
+            "witness",
+            "AC3WN-Witness",
+            args=(
+                tuple(key.to_bytes() for _, key in graph.participants),
+                graph.multisign(keypairs),
+                graph.digest(),
+                specs,
+                (),
+            ),
+        )
+        witness = env.chain("witness")
+        env.simulator.run_until_true(
+            lambda: witness.has_contract(scw.contract_id()), timeout=10.0
+        )
+        assert witness.contract(scw.contract_id()).state == "P"
+        return env, scw.contract_id()
+
+    @staticmethod
+    def _survives(env, scw_id, chain_id, message, kind):
+        """The assertions every row shares."""
+        from repro.core.ac3wn import run_ac3wn
+        from repro.workloads.graphs import two_party_swap
+
+        chain = env.chain(chain_id)
+        before = chain.height
+        env.simulator.run_until(env.simulator.now + 5.0)  # raised before the guard
+        assert chain.height >= before + 3
+        message_id = message.message_id()
+        if kind == "call":
+            assert chain.receipt(message_id).status == "reverted"
+        else:
+            assert chain.find_message(message_id) is None
+            assert message_id not in env.mempools[chain_id]
+        assert env.chain("witness").contract(scw_id).state == "P"
+        honest = two_party_swap(chain_a="a", chain_b="b", timestamp=2)
+        assert run_ac3wn(env, honest, "witness").decision == "commit"
+
+    @pytest.mark.parametrize("row", sorted(HOSTILE_CALLS))
+    def test_hostile_call_reverts(self, row):
+        args, error = HOSTILE_CALLS[row]
+        env, scw_id = self._world()
+        call = env.participant("bob").call_contract(
+            "witness", scw_id, "authorize_redeem", args
+        )
+        self._survives(env, scw_id, "witness", call, "call")
+        receipt = env.chain("witness").receipt(call.message_id())
+        assert error in receipt.error
+        assert receipt.fee_paid == call.fee  # the caller still pays
+
+    @pytest.mark.parametrize("row", sorted(HOSTILE_DEPLOYS))
+    def test_hostile_deploy_is_dropped(self, row):
+        chain_id, contract_class, args = HOSTILE_DEPLOYS[row]
+        env, scw_id = self._world()
+        deploy = env.participant("bob").deploy_contract(chain_id, contract_class, args)
+        self._survives(env, scw_id, chain_id, deploy, "deploy")
+
+    def test_negative_height_evidence_under_light_client(self):
+        """Well-typed evidence with ``height=-1`` raised ``EvidenceError``
+        out of the light-client strategy, whose contract is "return
+        None", and on out of the witness chain's miner."""
+        from dataclasses import replace
+
+        from repro.core.evidence import build_publication_evidence
+
+        env, scw_id = self._world(validator_mode="light-client")
+        bob = env.participant("bob")
+        vault = bob.deploy_contract("a", "DemoVault", (bob.address.raw,))
+        env.simulator.run_until_true(
+            lambda: env.chain("a").find_message(vault.message_id()) is not None,
+            timeout=10.0,
+        )
+        evidence = build_publication_evidence(env.chain("a"), vault, include_headers=False)
+        call = bob.call_contract(
+            "witness", scw_id, "authorize_redeem", ((replace(evidence, height=-1),),)
+        )
+        self._survives(env, scw_id, "witness", call, "call")
+
+    def test_light_client_refuses_a_negative_height(self, chain):
+        """``headers[-1]`` is the tip and ``depth_of_height(-1)`` was
+        ``height + 2``: a message mined one block ago passed
+        ``min_depth=3`` — a bypass of the Section 6.3 depth rule."""
+        from repro.chain.lightclient import LightClient
+
+        for timestamp in (1.0, 2.0, 3.0):
+            chain.add_block(chain.make_block([], MINER.address, timestamp))
+        deploy = deploy_vault(chain)  # mined in the tip block, depth 1
+        client = LightClient(chain.params, chain.block_at_height(0).header)
+        client.sync_from(chain)
+        proof, header = chain.inclusion_proof(deploy.message_id())
+        assert header.height == client.height == 4
+        assert client.verify_inclusion(deploy.message_id(), proof, 4, min_depth=1)
+        assert not client.verify_inclusion(deploy.message_id(), proof, 4, min_depth=3)
+        assert not client.verify_inclusion(deploy.message_id(), proof, -1, min_depth=3)
+        assert client.depth_of_height(-1) == 0

@@ -24,9 +24,9 @@ from repro.workloads.scenarios import (
     HIGH_FEE_BUDGET,
     LOW_FEE_BUDGET,
     build_multi_scenario,
-    congestion_swap_traffic,
-    poisson_swap_traffic,
+    congestion_budgets,
     schedule_fee_shock,
+    swap_traffic,
 )
 from tests.conftest import ALICE, BOB, CAROL, MINER
 
@@ -302,7 +302,7 @@ class TestHeightIndex:
 
 class TestCrashInjection:
     def test_crash_rate_marks_the_expected_fraction(self):
-        traffic = poisson_swap_traffic(
+        traffic = swap_traffic(
             200, rate=10.0, seed=3, chain_ids=["x"], crash_rate=0.25
         )
         crashed = [item for item in traffic if item.crash is not None]
@@ -311,13 +311,13 @@ class TestCrashInjection:
             assert item.crash.participant in item.graph.participant_names()
             assert item.crash.delay >= 0.0
         # And the knob is deterministic per seed.
-        again = poisson_swap_traffic(
+        again = swap_traffic(
             200, rate=10.0, seed=3, chain_ids=["x"], crash_rate=0.25
         )
         assert [item.crash for item in traffic] == [item.crash for item in again]
 
     def test_engine_surfaces_injected_crashes(self):
-        traffic = poisson_swap_traffic(
+        traffic = swap_traffic(
             8, rate=6.0, seed=21, chain_ids=["x", "y"], crash_rate=0.5
         )
         assert any(item.crash is not None for item in traffic)
@@ -340,8 +340,9 @@ SMOKE_POLICY = FeePolicy(block_weight_budget=16, capacity_weight=96)
 
 
 def run_congested(num_swaps=104, rate=14.0, seed=13):
-    traffic = congestion_swap_traffic(
-        num_swaps, rate=rate, seed=seed, chain_ids=["x", "y"]
+    traffic = swap_traffic(
+        num_swaps, rate=rate, seed=seed, chain_ids=["x", "y"],
+        budget_sampler=congestion_budgets(),
     )
     env = build_multi_scenario(
         [item.graph for item in traffic], seed=seed, fee_policy=SMOKE_POLICY
@@ -398,8 +399,9 @@ class TestCongestedEngine:
         ]
 
     def test_fee_shock_displaces_pending_messages(self):
-        traffic = congestion_swap_traffic(
-            20, rate=10.0, seed=41, chain_ids=["x"], low_fee_share=1.0
+        traffic = swap_traffic(
+            20, rate=10.0, seed=41, chain_ids=["x"],
+            budget_sampler=congestion_budgets(low_fee_share=1.0),
         )
         env = build_multi_scenario(
             [item.graph for item in traffic],

@@ -19,13 +19,13 @@ from repro.workloads.scenarios import (
     build_multi_scenario,
     build_scenario,
     poisson_arrivals,
-    poisson_swap_traffic,
+    swap_traffic,
     swap_traffic_graphs,
 )
 
 
 def run_engine(protocol, num_swaps=12, rate=6.0, seed=17):
-    traffic = poisson_swap_traffic(
+    traffic = swap_traffic(
         num_swaps, rate=rate, seed=seed, chain_ids=["x", "y"]
     )
     env = build_multi_scenario([graph for _, graph in traffic], seed=seed)
@@ -60,7 +60,7 @@ class TestTrafficGeneration:
             build_multi_scenario([graph, graph])
 
     def test_funding_scoped_to_involved_chains(self):
-        traffic = poisson_swap_traffic(2, rate=5.0, seed=9, chain_ids=["x", "y"])
+        traffic = swap_traffic(2, rate=5.0, seed=9, chain_ids=["x", "y"])
         env = build_multi_scenario([g for _, g in traffic], seed=9)
         some_participant = sorted(env.participants)[0]
         actor = env.participants[some_participant]
@@ -107,7 +107,7 @@ class TestEngineConcurrency:
         outcome; the other in-flight swaps complete normally."""
         from repro.workloads.graphs import figure7a_cyclic
 
-        traffic = poisson_swap_traffic(3, rate=5.0, seed=47, chain_ids=["x", "y"])
+        traffic = swap_traffic(3, rate=5.0, seed=47, chain_ids=["x", "y"])
         graphs = [g for _, g in traffic]
         # Herlihy cannot sequence Figure 7a's cyclic graph.
         bad_graph = figure7a_cyclic(chain_ids=["x", "y"], timestamp=99)
@@ -208,7 +208,7 @@ class TestHundredsConcurrent:
         metrics (pinned by the smoke benchmark's reproducibility test and
         TestEngineDeterminism; here we pin scale + safety)."""
         num = 208  # 52 per protocol
-        traffic = poisson_swap_traffic(
+        traffic = swap_traffic(
             num, rate=20.0, seed=3, chain_ids=["a", "b", "c"]
         )
         env = build_multi_scenario([g for _, g in traffic], seed=3)

@@ -275,9 +275,9 @@ class TestRegistries:
 
     def test_custom_traffic_generator_plugs_in(self):
         def tiny(spec):
-            from repro.workloads.scenarios import poisson_swap_traffic
+            from repro.workloads.scenarios import swap_traffic
 
-            return poisson_swap_traffic(
+            return swap_traffic(
                 2, rate=spec.traffic.rate, seed=spec.seed,
                 chain_ids=list(spec.chains.asset_ids()),
             )

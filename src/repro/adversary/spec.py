@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .. import serde
+
 #: Byzantine participant behaviours.
 BYZANTINE_BEHAVIORS = ("withhold-settle", "decline", "withhold-signature")
 
@@ -53,46 +55,50 @@ class ReorgAttackSpec:
     :func:`repro.analysis.security.required_depth`, which is why the
     measured violation rate drops to zero once ``d`` reaches the
     analytic bound.
-
-    Attributes:
-        enabled: arm the attacker.
-        chain_id: target chain (None = the protocol's decision chain —
-            the witness chain for witness-coordinated runs, else the
-            first asset chain).
-        hashpower: attacker block rate relative to the honest chain
-            (2.0 = mines twice as fast as the public network).
-        value_at_risk: ``Va`` — USD the attacker stands to gain.
-        hourly_cost: ``Ch`` — USD per hour of 51% hash power.
-        blocks_per_hour: ``dh`` — the modelled chain's block rate.
-        trigger_depth: confirmations at which a decision counts as
-            observed and the attack launches (None = the target chain's
-            ``confirmation_depth`` — attack exactly when honest
-            participants act on the decision).
-        trigger_functions: call-message functions that count as
-            decisions worth flipping.
-        flip_function: the counter-decision the attacker mines into its
-            private branch when the trigger was a witness-contract
-            authorization ("" disables the flip).
-        exploit: after winning a witness-chain reorg, spend the flipped
-            decision — submit refund calls carrying the new ``RFauth``
-            evidence against the victim swap's still-open contracts.
-        max_attacks: cap on launched attacks (None = every affordable
-            trigger while idle).
-        attacker: name of the adversary's funded on-chain identity.
     """
 
     enabled: bool = False
-    chain_id: str | None = None
-    hashpower: float = 2.0
-    value_at_risk: float = 175_000.0
-    hourly_cost: float = 300_000.0
-    blocks_per_hour: float = 6.0
-    trigger_depth: int | None = None
-    trigger_functions: tuple[str, ...] = ("authorize_redeem", "redeem")
-    flip_function: str = "authorize_refund"
-    exploit: bool = True
-    max_attacks: int | None = None
-    attacker: str = "mallory"
+    chain_id: str | None = serde.field(
+        None,
+        doc="target (null = the decision chain: witness for ac3wn/mixed, "
+        "else the first asset chain)",
+    )
+    hashpower: float = serde.field(
+        2.0, gt=0, doc="attacker block rate relative to the honest chain"
+    )
+    value_at_risk: float = serde.field(
+        175_000.0, ge=0, doc="Va: USD the attacker stands to gain"
+    )
+    hourly_cost: float = serde.field(
+        300_000.0, gt=0, doc="Ch: USD per hour of 51% hash power"
+    )
+    blocks_per_hour: float = serde.field(
+        6.0, gt=0, doc="dh: the modelled chain's block rate"
+    )
+    trigger_depth: int | None = serde.field(
+        None,
+        ge=1,
+        doc="confirmations at which a decision counts as observed "
+        "(null = the chain's confirmation_depth)",
+    )
+    trigger_functions: tuple[str, ...] = serde.field(
+        ("authorize_redeem", "redeem"),
+        nonempty=True,
+        doc="calls that count as decisions worth flipping",
+    )
+    flip_function: str = serde.field(
+        "authorize_refund",
+        doc='counter-decision mined into the private branch, witness targets ("" = none)',
+    )
+    exploit: bool = serde.field(
+        True, doc="after a won witness reorg, refund the victim's still-open contracts"
+    )
+    max_attacks: int | None = serde.field(
+        None, ge=1, doc="cap on launched attacks (null = every affordable trigger)"
+    )
+    attacker: str = serde.field(
+        "mallory", nonempty=True, doc="the adversary's funded on-chain identity"
+    )
 
     def block_cost_usd(self) -> float:
         """Cost of renting 51% hash power for one block interval."""
@@ -122,52 +128,40 @@ class CensorSpec:
     criterion left empty does not match).  Censored messages are
     re-queued, so they stay pending forever — the liveness attack of
     Section 5's discussion.
-
-    Attributes:
-        enabled: arm the censor.
-        chain_id: chain whose miner censors (None = the protocol's
-            decision chain, like :class:`ReorgAttackSpec`).
-        functions: call-message function names to censor
-            (per-contract-class decision censorship, e.g.
-            ``("authorize_redeem",)``).
-        contract_classes: deploy-message contract classes to censor.
-        participants: sender names to censor — full names, swap-role
-            letters (``"b"`` matches every ``swapNNNN.b``), or name
-            prefixes ending in ``.`` / ``*`` (``"swap0007."`` censors
-            one swap's entire traffic).
     """
 
     enabled: bool = False
-    chain_id: str | None = None
-    functions: tuple[str, ...] = ()
-    contract_classes: tuple[str, ...] = ()
-    participants: tuple[str, ...] = ()
+    chain_id: str | None = serde.field(
+        None, doc="chain whose miner censors (null = the decision chain, as for reorg)"
+    )
+    functions: tuple[str, ...] = serde.field((), doc="censor calls by function name")
+    contract_classes: tuple[str, ...] = serde.field((), doc="censor deploys by class")
+    participants: tuple[str, ...] = serde.field(
+        (),
+        doc='censor by sender: full name, role letter ("b"), or prefix ("swap0007.")',
+    )
 
 
 @dataclass(frozen=True)
 class ByzantineSpec:
     """A Byzantine swap participant (one corrupted role per swap).
 
-    Attributes:
-        enabled: arm the actor.
-        role: the corrupted participant — a swap-local role letter
-            (``"b"`` resolves to ``swapNNNN.b`` per swap) or a literal
-            participant name.
-        behavior: ``"withhold-settle"`` (participate honestly until the
-            settle phase, then refuse every settle step),
-            ``"decline"`` (never publish the role's asset contracts), or
-            ``"withhold-signature"`` (withhold the role's signature
-            from ``ms(D)`` so registration validity fails on-chain;
-            falls back to ``decline`` for protocols without a
-            multisignature).
-        share: fraction of swaps corrupted, drawn per swap from the
-            ``adversary/byzantine`` RNG stream in submission order.
+    ``"withhold-settle"`` participates honestly until the settle phase,
+    then refuses every settle step; ``"decline"`` never publishes the
+    role's asset contracts; ``"withhold-signature"`` withholds the
+    role's signature from ``ms(D)`` so registration validity fails
+    on-chain (falling back to ``decline`` for protocols without a
+    multisignature).
     """
 
     enabled: bool = False
-    role: str = "b"
-    behavior: str = "withhold-settle"
-    share: float = 1.0
+    role: str = serde.field(
+        "b", nonempty=True, doc="corrupted swap-local role letter, or a literal name"
+    )
+    behavior: str = serde.field("withhold-settle", choices=BYZANTINE_BEHAVIORS)
+    share: float = serde.field(
+        1.0, ge=0, le=1, doc="fraction of swaps corrupted (adversary/byzantine stream)"
+    )
 
 
 @dataclass(frozen=True)
@@ -178,23 +172,17 @@ class EclipseSpec:
     window, the eclipse fires exactly when the victim's swap enters
     ``phase`` — the victim crashes (and is partitioned from the
     network, when one exists) for ``duration`` seconds, then recovers.
-
-    Attributes:
-        enabled: arm the actor.
-        role: victim role letter or literal participant name.
-        phase: driver phase that triggers the eclipse (one of
-            :data:`DRIVER_PHASES`; ``"settle"`` fires for every
-            protocol, the others are protocol-specific).
-        duration: seconds the victim stays isolated.
-        share: fraction of swaps eclipsed (``adversary/eclipse``
-            stream, submission order).
+    ``"settle"`` fires for every protocol, the other phases are
+    protocol-specific.
     """
 
     enabled: bool = False
-    role: str = "a"
-    phase: str = "settle"
-    duration: float = 3.0
-    share: float = 1.0
+    role: str = serde.field("a", nonempty=True, doc="victim role letter or literal name")
+    phase: str = serde.field("settle", choices=DRIVER_PHASES)
+    duration: float = serde.field(3.0, gt=0, doc="seconds isolated, then recovery")
+    share: float = serde.field(
+        1.0, ge=0, le=1, doc="fraction of swaps eclipsed (adversary/eclipse stream)"
+    )
 
 
 @dataclass(frozen=True)
@@ -216,60 +204,19 @@ class AdversarySpec:
         )
 
     def validate(self, fail, known_chains: set[str]) -> None:
-        """Semantic checks, reporting through ``fail(message)``."""
-        reorg = self.reorg
-        if reorg.enabled:
-            if reorg.hashpower <= 0:
-                fail("adversary.reorg.hashpower must be positive")
-            if reorg.value_at_risk < 0:
-                fail("adversary.reorg.value_at_risk must be non-negative")
-            if reorg.hourly_cost <= 0 or reorg.blocks_per_hour <= 0:
-                fail(
-                    "adversary.reorg.hourly_cost and .blocks_per_hour "
-                    "must be positive"
-                )
-            if reorg.trigger_depth is not None and reorg.trigger_depth < 1:
-                fail("adversary.reorg.trigger_depth must be at least 1")
-            if not reorg.trigger_functions:
-                fail("adversary.reorg.trigger_functions must not be empty")
-            if reorg.max_attacks is not None and reorg.max_attacks < 1:
-                fail("adversary.reorg.max_attacks must be at least 1")
-            if not reorg.attacker:
-                fail("adversary.reorg.attacker needs a name")
-            if reorg.chain_id is not None and reorg.chain_id not in known_chains:
-                fail(f"adversary.reorg names unknown chain {reorg.chain_id!r}")
+        """What the field declarations cannot say — an armed actor has
+        something to act on, a named chain exists — through ``fail(message)``."""
+        for actor in ("reorg", "censor"):
+            chain_id = getattr(self, actor).chain_id
+            if chain_id is not None and chain_id not in known_chains:
+                fail(f"adversary.{actor} names unknown chain {chain_id!r}")
+        if self.reorg.enabled and not self.reorg.trigger_functions:
+            fail("adversary.reorg.trigger_functions must not be empty")
         censor = self.censor
-        if censor.enabled:
-            if not (
-                censor.functions or censor.contract_classes or censor.participants
-            ):
-                fail(
-                    "adversary.censor needs at least one criterion "
-                    "(functions, contract_classes, or participants)"
-                )
-            if censor.chain_id is not None and censor.chain_id not in known_chains:
-                fail(f"adversary.censor names unknown chain {censor.chain_id!r}")
-        byzantine = self.byzantine
-        if byzantine.enabled:
-            if byzantine.behavior not in BYZANTINE_BEHAVIORS:
-                fail(
-                    f"adversary.byzantine.behavior must be one of "
-                    f"{BYZANTINE_BEHAVIORS}, got {byzantine.behavior!r}"
-                )
-            if not byzantine.role:
-                fail("adversary.byzantine.role needs a name")
-            if not 0.0 <= byzantine.share <= 1.0:
-                fail("adversary.byzantine.share must be within [0, 1]")
-        eclipse = self.eclipse
-        if eclipse.enabled:
-            if not eclipse.role:
-                fail("adversary.eclipse.role needs a name")
-            if eclipse.phase not in DRIVER_PHASES:
-                fail(
-                    f"adversary.eclipse.phase must be one of {DRIVER_PHASES}, "
-                    f"got {eclipse.phase!r}"
-                )
-            if eclipse.duration <= 0:
-                fail("adversary.eclipse.duration must be positive")
-            if not 0.0 <= eclipse.share <= 1.0:
-                fail("adversary.eclipse.share must be within [0, 1]")
+        if censor.enabled and not (
+            censor.functions or censor.contract_classes or censor.participants
+        ):
+            fail(
+                "adversary.censor needs at least one criterion "
+                "(functions, contract_classes, or participants)"
+            )

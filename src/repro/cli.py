@@ -7,6 +7,7 @@
     python -m repro run --preset security --trace out.jsonl
     python -m repro run --preset security --metrics out.prom --alert-stderr
     python -m repro run --list-presets [--json]
+    python -m repro describe run traffic.crash
     python -m repro serve --preset serve-steady --request-log reqs.jsonl
     python -m repro serve --preset serve-flash-crowd --max-swaps 40 --checkpoint ck.json
     python -m repro serve --restore ck.json --json out.json
@@ -62,7 +63,7 @@ from . import serde
 from .analysis.latency import figure10_series
 from .analysis.security import PAPER_WITNESS_CANDIDATES
 from .analysis.throughput import TABLE1_ROWS, ac2t_throughput
-from .errors import ServiceError, SpecError, StoreError, TraceError
+from .errors import ReproError, ServiceError, SpecError
 from .experiment import (
     ExperimentResult,
     ExperimentSpec,
@@ -221,20 +222,36 @@ def print_result(result: ExperimentResult) -> None:
     )
 
 
-def _finish_run(result: ExperimentResult, json_path: str | None) -> int:
+def _emit(path: str, text: str, wrote=None) -> None:
+    """Write one artifact: ``-`` is stdout, anything else is replaced
+    atomically (and announced as ``wrote PATH`` on the ``wrote`` stream);
+    a failure says ``cannot write PATH``."""
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    try:
+        serde.write_text(path, text)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
+    if wrote is not None:
+        print(f"wrote {path}", file=wrote)
+
+
+def _narration(*paths: str | None):
+    """Where the human-readable tables go: stderr as soon as one
+    artifact streams to stdout, so that stream stays parseable."""
+    return sys.stderr if "-" in paths else sys.stdout
+
+
+def _finish(result, json_path: str | None, adversary) -> int:
+    """Export a run / session result; exit 1 iff an honest run violated
+    atomicity (under an armed adversary violations are the *measurement*
+    — the security matrix exists to count them — not a failure)."""
     if json_path:
-        if json_path == "-":
-            print(result.to_json())
-        else:
-            try:
-                result.save(json_path)
-            except OSError as exc:
-                print(f"repro run: cannot write {json_path}: {exc}", file=sys.stderr)
-                return 2
+        _emit(json_path, result.to_json() + "\n")
+        if json_path != "-":
             print(f"\nwrote {json_path}")
-    if result.spec.adversary.any_enabled:
-        # Violations under an armed adversary are the *measurement*
-        # (the security matrix exists to count them), not a failure.
+    if adversary.any_enabled:
         return 0
     return 0 if result.metrics.atomicity_violations == 0 else 1
 
@@ -347,33 +364,19 @@ def _print_queue_stats(result: ExperimentResult) -> None:
     )
 
 
-def _write_trace(result: ExperimentResult, path: str) -> int:
+def _write_trace(result: ExperimentResult, path: str) -> None:
     collector = result.trace_collector
-    if collector is None:  # pragma: no cover - --trace forces obs.enabled
-        print("repro run: no trace was collected", file=sys.stderr)
-        return 2
-    try:
-        if path == "-":
-            sys.stdout.write(collector.to_jsonl())
-        else:
-            serde.write_text(path, collector.to_jsonl())
-    except OSError as exc:
-        print(f"repro run: cannot write {path}: {exc}", file=sys.stderr)
-        return 2
+    _emit(path, collector.to_jsonl())
     dropped = f" ({collector.dropped} dropped)" if collector.dropped else ""
     destination = "stdout" if path == "-" else path
     print(
         f"wrote {len(collector)} trace events{dropped} to {destination}",
-        file=sys.stderr if path == "-" else sys.stdout,
+        file=_narration(path),
     )
-    return 0
 
 
-def _write_metrics(result: ExperimentResult, path: str) -> int:
+def _write_metrics(result: ExperimentResult, path: str) -> None:
     registry = result.metrics_registry
-    if registry is None:  # pragma: no cover - --metrics forces it on
-        print("repro run: no metrics were collected", file=sys.stderr)
-        return 2
     # Format by extension: .prom -> Prometheus text exposition, anything
     # else (and stdout) -> the strict-serde JSON snapshot.
     text = (
@@ -381,17 +384,9 @@ def _write_metrics(result: ExperimentResult, path: str) -> int:
         if path.endswith(".prom")
         else registry.to_json() + "\n"
     )
-    try:
-        if path == "-":
-            sys.stdout.write(text)
-        else:
-            serde.write_text(path, text)
-    except OSError as exc:
-        print(f"repro run: cannot write {path}: {exc}", file=sys.stderr)
-        return 2
+    _emit(path, text)
     if path != "-":
         print(f"wrote metrics snapshot to {path}")
-    return 0
 
 
 def _print_alerts(result: ExperimentResult) -> None:
@@ -422,50 +417,34 @@ def _cmd_run(args: argparse.Namespace) -> int:
             experiment + service, describe, args.json is not None, kind=kinds.get
         )
         return 0
-    try:
-        spec = _resolve_spec(args, ExperimentSpec, preset_spec, preset_names)
-        if args.trace:
-            # --trace is the switch: it arms the recorder even when the
-            # preset/spec left obs off, without editing the spec file.
-            spec = apply_overrides(spec, {"obs.enabled": True})
-        if args.metrics:
-            # --metrics arms the registry and the invariant monitor the
-            # same way; --alert-stderr additionally streams each firing
-            # to stderr as it happens.
-            overrides: dict = {
-                "obs.metrics.enabled": True,
-                "obs.monitor.enabled": True,
-            }
-            if args.alert_stderr:
-                overrides["obs.monitor.stderr"] = True
-            spec = apply_overrides(spec, overrides)
-        result = _profiled(args.profile, lambda: run_experiment(spec))
-    except (SpecError, OSError) as exc:
-        print(f"repro run: {exc}", file=sys.stderr)
-        return 2
+    spec = _resolve_spec(args, ExperimentSpec, preset_spec, preset_names)
+    if args.trace:
+        # --trace is the switch: it arms the recorder even when the
+        # preset/spec left obs off, without editing the spec file.
+        spec = apply_overrides(spec, {"obs.enabled": True})
+    if args.metrics:
+        # --metrics arms the registry and the invariant monitor the
+        # same way; --alert-stderr additionally streams each firing
+        # to stderr as it happens.
+        overrides: dict = {
+            "obs.metrics.enabled": True,
+            "obs.monitor.enabled": True,
+        }
+        if args.alert_stderr:
+            overrides["obs.monitor.stderr"] = True
+        spec = apply_overrides(spec, overrides)
+    result = _profiled(args.profile, lambda: run_experiment(spec))
     if args.profile is not None:
         _print_queue_stats(result)
-    streaming = args.json == "-" or args.trace == "-" or args.metrics == "-"
-    if streaming:
-        # Streaming an artifact to stdout: keep it parseable by moving
-        # the human-readable tables to stderr.
-        with contextlib.redirect_stdout(sys.stderr):
-            print_result(result)
-            if args.metrics:
-                _print_alerts(result)
-    else:
+    with contextlib.redirect_stdout(_narration(args.json, args.trace, args.metrics)):
         print_result(result)
         if args.metrics:
             _print_alerts(result)
     if args.trace:
-        status = _write_trace(result, args.trace)
-        if status:
-            return status
+        _write_trace(result, args.trace)
     if args.metrics:
-        status = _write_metrics(result, args.metrics)
-        if status:
-            return status
-    return _finish_run(result, args.json)
+        _write_metrics(result, args.metrics)
+    return _finish(result, args.json, result.spec.adversary)
 
 
 # ---------------------------------------------------------------------------
@@ -508,25 +487,6 @@ def _print_service_result(result) -> None:
     )
 
 
-def _finish_service(result, json_path: str | None, label: str) -> int:
-    if json_path:
-        if json_path == "-":
-            print(result.to_json())
-        else:
-            try:
-                result.save(json_path)
-            except OSError as exc:
-                print(
-                    f"repro {label}: cannot write {json_path}: {exc}",
-                    file=sys.stderr,
-                )
-                return 2
-            print(f"\nwrote {json_path}")
-    if result.spec.world.adversary.any_enabled:
-        return 0
-    return 0 if result.metrics.atomicity_violations == 0 else 1
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import (
         ServiceSpec,
@@ -535,102 +495,82 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service_preset_spec,
     )
 
-    try:
-        if args.checkpoint_every is not None and args.checkpoint is None:
-            raise SpecError("--checkpoint-every needs --checkpoint PATH")
-        if args.restore:
-            if args.preset or args.spec or args.set:
-                raise SpecError(
-                    "--restore resumes a checkpointed session; pass either "
-                    "--restore or --preset/--spec/--set, not both"
-                )
-            service = SwapService.restore(args.restore)
-        else:
-            spec = _resolve_spec(
-                args, ServiceSpec, service_preset_spec, service_preset_names
+    if args.checkpoint_every is not None and args.checkpoint is None:
+        raise SpecError("--checkpoint-every needs --checkpoint PATH")
+    if args.restore:
+        if args.preset or args.spec or args.set:
+            raise SpecError(
+                "--restore resumes a checkpointed session; pass either "
+                "--restore or --preset/--spec/--set, not both"
             )
-            # Bake --duration into the spec itself so the request log's
-            # spec echo is faithful: `repro replay LOG` then runs out the
-            # same horizon with no extra flags.  --max-swaps and
-            # --checkpoint-every stay per-invocation (stop-now and
-            # cadence controls) — baking them would make a checkpointed
-            # session's spec echo diverge from the uninterrupted one it
-            # must byte-match after restore.
-            if args.duration is not None:
-                spec = dataclasses.replace(spec, duration=args.duration)
-            service = SwapService(spec)
-        with contextlib.ExitStack() as stack:
-            if args.store:
-                from .store import CampaignStore
-
-                store = stack.enter_context(CampaignStore(args.store))
-                service.attach_store(store)
-            # A restored session's spec already carries whatever was
-            # baked at serve time; CLI flags still override per-call.
-            service.serve(
-                duration=args.duration,
-                max_swaps=args.max_swaps,
-                checkpoint_path=args.checkpoint,
-                checkpoint_every=args.checkpoint_every,
-            )
-            every = (
-                args.checkpoint_every
-                if args.checkpoint_every is not None
-                else service.spec.checkpoint_every
-            )
-            if args.checkpoint is not None and every is None:
-                # No cadence anywhere: --checkpoint means "one checkpoint
-                # at the moment serving stops" (the hand-off primitive).
-                service.checkpoint(args.checkpoint)
-            service.drain()
-            result = service.result()
-            if args.request_log:
-                service.save_request_log(args.request_log)
-    except (SpecError, ServiceError, StoreError, OSError) as exc:
-        print(f"repro serve: {exc}", file=sys.stderr)
-        return 2
-    if args.json == "-":
-        with contextlib.redirect_stdout(sys.stderr):
-            _print_service_result(result)
+        service = SwapService.restore(args.restore)
     else:
-        _print_service_result(result)
-    if args.request_log:
-        print(f"wrote request log {args.request_log}")
+        spec = _resolve_spec(
+            args, ServiceSpec, service_preset_spec, service_preset_names
+        )
+        # Bake --duration into the spec itself so the request log's
+        # spec echo is faithful: `repro replay LOG` then runs out the
+        # same horizon with no extra flags.  --max-swaps and
+        # --checkpoint-every stay per-invocation (stop-now and
+        # cadence controls) — baking them would make a checkpointed
+        # session's spec echo diverge from the uninterrupted one it
+        # must byte-match after restore.
+        if args.duration is not None:
+            spec = dataclasses.replace(spec, duration=args.duration)
+        service = SwapService(spec)
+    with contextlib.ExitStack() as stack:
+        if args.store:
+            from .store import CampaignStore
+
+            store = stack.enter_context(CampaignStore(args.store))
+            service.attach_store(store)
+        # A restored session's spec already carries whatever was
+        # baked at serve time; CLI flags still override per-call.
+        service.serve(
+            duration=args.duration,
+            max_swaps=args.max_swaps,
+            checkpoint_path=args.checkpoint,
+            checkpoint_every=args.checkpoint_every,
+        )
+        every = (
+            args.checkpoint_every
+            if args.checkpoint_every is not None
+            else service.spec.checkpoint_every
+        )
+        if args.checkpoint is not None and every is None:
+            # No cadence anywhere: --checkpoint means "one checkpoint
+            # at the moment serving stops" (the hand-off primitive).
+            service.checkpoint(args.checkpoint)
+        service.drain()
+        result = service.result()
+    _report_service(result, service.request_log(), args)
     if args.checkpoint is not None:
-        print(f"wrote checkpoint {args.checkpoint}")
-    return _finish_service(result, args.json, "serve")
+        print(f"wrote checkpoint {args.checkpoint}", file=_narration(args.json))
+    return _finish(result, args.json, result.spec.world.adversary)
+
+
+def _report_service(result, log_text: str, args: argparse.Namespace) -> None:
+    """Write a finished session's request log and print its tables
+    (``serve`` and ``replay``)."""
+    if args.request_log:
+        _emit(args.request_log, log_text)
+    with contextlib.redirect_stdout(_narration(args.json)):
+        _print_service_result(result)
+        if args.request_log:
+            print(f"wrote request log {args.request_log}")
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     from .service import SwapService, dump_request_log, load_request_log
 
-    try:
-        text = serde.read_text(args.log, ServiceError, "request log")
-        spec, records = load_request_log(text)
-        result = SwapService.replay(spec, records)
-    except (SpecError, ServiceError) as exc:
-        print(f"repro replay: {exc}", file=sys.stderr)
-        return 2
-    if args.request_log:
-        # The replayed session accepts exactly the loaded records, so
-        # its log IS dump(load(original)) — written out for the
-        # byte-level `cmp` the CI smoke job runs.
-        try:
-            serde.write_text(args.request_log, dump_request_log(spec, records))
-        except OSError as exc:
-            print(
-                f"repro replay: cannot write {args.request_log}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-    if args.json == "-":
-        with contextlib.redirect_stdout(sys.stderr):
-            _print_service_result(result)
-    else:
-        _print_service_result(result)
-    if args.request_log:
-        print(f"wrote request log {args.request_log}")
-    return _finish_service(result, args.json, "replay")
+    text = serde.read_text(args.log, ServiceError, "request log")
+    spec, records = load_request_log(text)
+    result = SwapService.replay(spec, records)
+    # The replayed session accepts exactly the loaded records, so its
+    # log IS dump(load(original)) — written out for the byte-level
+    # `cmp` the CI smoke job runs.
+    _report_service(result, dump_request_log(spec, records), args)
+    return _finish(result, args.json, result.spec.world.adversary)
 
 
 # ---------------------------------------------------------------------------
@@ -641,44 +581,20 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .obs import load_trace, render_swap, series_csv, summarize
 
-    try:
-        collector = load_trace(args.file)
-    except TraceError as exc:
-        print(f"repro trace: {exc}", file=sys.stderr)
-        return 2
+    collector = load_trace(args.file)
     if args.swap is not None:
-        try:
-            print(render_swap(collector, args.swap))
-        except TraceError as exc:
-            print(f"repro trace: {exc}", file=sys.stderr)
-            return 2
-        return 0
-    if args.series is not None:
-        csv_text = series_csv(collector.events())
-        if args.series == "-":
-            sys.stdout.write(csv_text)
-        else:
-            try:
-                with open(args.series, "w", encoding="utf-8") as handle:
-                    handle.write(csv_text)
-            except OSError as exc:
-                print(f"repro trace: cannot write {args.series}: {exc}", file=sys.stderr)
-                return 2
-            print(f"wrote {args.series}")
-        return 0
-    print(summarize(collector))
+        print(render_swap(collector, args.swap))
+    elif args.series is not None:
+        _emit(args.series, series_csv(collector.events()), wrote=sys.stdout)
+    else:
+        print(summarize(collector))
     return 0
 
 
 def _cmd_alerts(args: argparse.Namespace) -> int:
     from .obs import load_trace, render_alerts
 
-    try:
-        collector = load_trace(args.file)
-    except TraceError as exc:
-        print(f"repro alerts: {exc}", file=sys.stderr)
-        return 2
-    sys.stdout.write(render_alerts(collector))
+    sys.stdout.write(render_alerts(load_trace(args.file)))
     return 0
 
 
@@ -734,75 +650,68 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.list_presets:
         _print_catalog(sweep_names(), sweep_description, args.json is not None)
         return 0
-    try:
-        spec = _resolve_spec(args, SweepSpec, sweep_spec, sweep_names)
+    spec = _resolve_spec(args, SweepSpec, sweep_spec, sweep_names)
 
-        import time as _time
+    import time as _time
 
-        started = _time.monotonic()
-        worker_walls: dict[int, list[float]] = {}
+    started = _time.monotonic()
+    worker_walls: dict[int, list[float]] = {}
 
-        def progress(point, beat: dict) -> None:
-            m = point.metrics
-            completed, total = beat["completed"], beat["total"]
-            line = (
-                f"  [{completed:03d}/{total:03d}] {point.name}: "
-                f"commit {m['commit_rate']:.1%}, "
-                f"{m['atomicity_violations']} violations"
-            )
-            if beat["wall"] is not None:
-                worker_walls.setdefault(beat["pid"], []).append(beat["wall"])
-                executed = sum(len(w) for w in worker_walls.values())
-                elapsed = _time.monotonic() - started
-                remaining = total - completed
-                if remaining and executed and elapsed > 0:
-                    rate = executed / elapsed
-                    line += (
-                        f" | {beat['wall']:.2f}s, running {beat['running']}, "
-                        f"ETA {remaining / rate:.1f}s"
-                    )
-                else:
-                    line += f" | {beat['wall']:.2f}s"
-            else:
-                line += " | resumed"
-            _diagnostics.write(line)
-
-        def throughput_summary() -> None:
-            for pid in sorted(worker_walls):
-                walls = worker_walls[pid]
-                busy = sum(walls)
-                rate = len(walls) / busy if busy > 0 else 0.0
-                _diagnostics.write(
-                    f"  worker {pid}: {len(walls)} point(s) in {busy:.2f}s "
-                    f"({rate:.2f} pts/s)"
-                )
-
-        # Streaming an export to stdout: keep it parseable by moving the
-        # narration and the human-readable table to stderr.
-        streaming = "-" in (args.csv, args.json)
-        narrate = sys.stderr if streaming else sys.stdout
-        runner = SweepRunner(
-            spec,
-            workers=args.workers,
-            on_progress=progress if args.progress else None,
-            store=args.store,
+    def progress(point, beat: dict) -> None:
+        m = point.metrics
+        completed, total = beat["completed"], beat["total"]
+        line = (
+            f"  [{completed:03d}/{total:03d}] {point.name}: "
+            f"commit {m['commit_rate']:.1%}, "
+            f"{m['atomicity_violations']} violations"
         )
+        if beat["wall"] is not None:
+            worker_walls.setdefault(beat["pid"], []).append(beat["wall"])
+            executed = sum(len(w) for w in worker_walls.values())
+            elapsed = _time.monotonic() - started
+            remaining = total - completed
+            if remaining and executed and elapsed > 0:
+                rate = executed / elapsed
+                line += (
+                    f" | {beat['wall']:.2f}s, running {beat['running']}, "
+                    f"ETA {remaining / rate:.1f}s"
+                )
+            else:
+                line += f" | {beat['wall']:.2f}s"
+        else:
+            line += " | resumed"
+        _diagnostics.write(line)
+
+    def throughput_summary() -> None:
+        for pid in sorted(worker_walls):
+            walls = worker_walls[pid]
+            busy = sum(walls)
+            rate = len(walls) / busy if busy > 0 else 0.0
+            _diagnostics.write(
+                f"  worker {pid}: {len(walls)} point(s) in {busy:.2f}s "
+                f"({rate:.2f} pts/s)"
+            )
+
+    narrate = _narration(args.csv, args.json)
+    runner = SweepRunner(
+        spec,
+        workers=args.workers,
+        on_progress=progress if args.progress else None,
+        store=args.store,
+    )
+    print(
+        f"sweep {spec.name!r}: {spec.num_points()} points, "
+        f"{args.workers} worker(s)",
+        file=narrate,
+    )
+    result = _profiled(args.profile, runner.run)
+    if args.progress and worker_walls:
+        throughput_summary()
+    if args.store:
         print(
-            f"sweep {spec.name!r}: {spec.num_points()} points, "
-            f"{args.workers} worker(s)",
+            f"resumed {len(runner.resumed)} point(s) from {args.store}",
             file=narrate,
         )
-        result = _profiled(args.profile, runner.run)
-        if args.progress and worker_walls:
-            throughput_summary()
-        if args.store:
-            print(
-                f"resumed {len(runner.resumed)} point(s) from {args.store}",
-                file=narrate,
-            )
-    except (SpecError, StoreError, OSError) as exc:
-        print(f"repro sweep: {exc}", file=sys.stderr)
-        return 2
     with contextlib.redirect_stdout(narrate):
         print_sweep_result(result)
     # The violation exit-gate is an *honest-run* tripwire: points that
@@ -813,24 +722,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for point in result.points
         if not _point_adversary_enabled(point)
     )
-    status = 0 if honest_violations == 0 else 1
-    exports = (
-        (args.csv, result.save_csv, result.to_csv),
-        (args.json, result.save, result.to_json),
-    )
-    for path, save, render in exports:
-        if not path:
-            continue
-        if path == "-":
-            print(render())
-            continue
-        try:
-            save(path)
-        except OSError as exc:
-            print(f"repro sweep: cannot write {path}: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote {path}", file=narrate)
-    return status
+    exports = ((args.csv, result.to_csv), (args.json, lambda: result.to_json() + "\n"))
+    for path, render in exports:
+        if path:
+            _emit(path, render(), wrote=narrate)
+    return 0 if honest_violations == 0 else 1
+
+
+# ---------------------------------------------------------------------------
+# repro describe: the spec schema, generated from the field declarations
+# ---------------------------------------------------------------------------
+
+
+def _cmd_describe(args: argparse.Namespace) -> int:
+    from .service import ServiceSpec
+
+    cls = {"run": ExperimentSpec, "serve": ServiceSpec, "sweep": SweepSpec}[args.spec]
+    print(serde.describe(cls, args.path))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -899,13 +808,7 @@ def _query_csv(rows: list[dict]) -> str:
     columns = _query_columns(rows)
     lines = [",".join(columns)]
     for row in rows:
-        cells = []
-        for column in columns:
-            cell = _query_cell(row.get(column))
-            if any(ch in cell for ch in ',"\n'):
-                cell = '"' + cell.replace('"', '""') + '"'
-            cells.append(cell)
-        lines.append(",".join(cells))
+        lines.append(serde.csv_line(_query_cell(row.get(column)) for column in columns))
     return "\n".join(lines) + "\n"
 
 
@@ -928,31 +831,15 @@ def _cmd_query(args: argparse.Namespace) -> int:
     """Evaluate one predicate expression over a campaign database."""
     from .store import CampaignStore
 
-    try:
-        with CampaignStore(args.db) as store:
-            rows = store.query(args.expr, campaign=args.campaign)
-    except StoreError as exc:
-        print(f"repro query: {exc}", file=sys.stderr)
-        return 2
+    with CampaignStore(args.db) as store:
+        rows = store.query(args.expr, campaign=args.campaign)
     if args.format == "json":
         text = _json.dumps(rows, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
         text = _query_csv(rows)
     else:
         text = _query_table(rows)
-    if args.output and args.output != "-":
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(
-                f"repro query: cannot write {args.output}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(text)
+    _emit(args.output, text, wrote=sys.stdout)
     # A query that matches nothing is still a successful query.
     print(f"{len(rows)} matching point(s)", file=sys.stderr)
     return 0
@@ -999,11 +886,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     """Join two campaigns by coordinates and flag metric regressions."""
     from .store import CampaignStore, compare_campaigns
 
-    store_a = store_b = None
-    try:
-        store_a = CampaignStore(args.db_a)
+    with contextlib.ExitStack() as stack:
+        store_a = stack.enter_context(CampaignStore(args.db_a))
         if args.db_b is not None:
-            store_b = CampaignStore(args.db_b)
+            store_b = stack.enter_context(CampaignStore(args.db_b))
             campaign_a = store_a.resolve_campaign(args.a)
             campaign_b = store_b.resolve_campaign(args.b)
         else:
@@ -1021,16 +907,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         report = compare_campaigns(
             store_a, campaign_a, store_b, campaign_b, threshold=args.threshold
         )
-    except StoreError as exc:
-        print(f"repro compare: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if store_a is not None:
-            store_a.close()
-        if store_b is not None and store_b is not store_a:
-            store_b.close()
-    streaming = "-" in (args.csv, args.json)
-    narrate = sys.stderr if streaming else sys.stdout
+    narrate = _narration(args.csv, args.json)
     with contextlib.redirect_stdout(narrate):
         _print_compare_report(report)
     exports = (
@@ -1038,18 +915,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         (args.json, lambda: _json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"),
     )
     for path, render in exports:
-        if not path:
-            continue
-        if path == "-":
-            sys.stdout.write(render())
-            continue
-        try:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(render())
-        except OSError as exc:
-            print(f"repro compare: cannot write {path}: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote {path}", file=narrate)
+        if path:
+            _emit(path, render(), wrote=narrate)
     return 1 if report.regressions else 0
 
 
@@ -1057,51 +924,42 @@ def _cmd_store(args: argparse.Namespace) -> int:
     """Import and inspect campaign databases (ingest / list / artifact)."""
     from .store import CampaignStore, ingest_path
 
-    try:
-        with CampaignStore(args.db) as store:
-            if args.action == "ingest":
-                for path in args.paths:
-                    report = ingest_path(store, path, campaign=args.campaign)
-                    print(
-                        f"ingested {path} -> campaign {report.campaign_id} "
-                        f"{report.campaign!r} ({report.kind}, "
-                        f"{report.points} point(s))"
+    with CampaignStore(args.db) as store:
+        if args.action == "ingest":
+            for path in args.paths:
+                report = ingest_path(store, path, campaign=args.campaign)
+                print(
+                    f"ingested {path} -> campaign {report.campaign_id} "
+                    f"{report.campaign!r} ({report.kind}, "
+                    f"{report.points} point(s))"
+                )
+        elif args.action == "list":
+            infos = store.campaigns()
+            if args.json:
+                print(
+                    _json.dumps(
+                        [info.to_dict() for info in infos],
+                        indent=2,
+                        sort_keys=True,
                     )
-            elif args.action == "list":
-                infos = store.campaigns()
-                if args.json:
+                )
+            else:
+                print(
+                    f"{args.db}: schema v{store.schema_version}, "
+                    f"{len(infos)} campaign(s)"
+                )
+                for info in infos:
                     print(
-                        _json.dumps(
-                            [info.to_dict() for info in infos],
-                            indent=2,
-                            sort_keys=True,
-                        )
+                        f"  [{info.campaign_id:03d}] {info.name!r} "
+                        f"({info.kind}) {info.points} point(s), "
+                        f"{info.skipped} skipped, {info.created_at}"
                     )
-                else:
-                    print(
-                        f"{args.db}: schema v{store.schema_version}, "
-                        f"{len(infos)} campaign(s)"
-                    )
-                    for info in infos:
-                        print(
-                            f"  [{info.campaign_id:03d}] {info.name!r} "
-                            f"({info.kind}) {info.points} point(s), "
-                            f"{info.skipped} skipped, {info.created_at}"
-                        )
-            else:  # artifact
-                info = store.resolve_campaign(args.campaign)
-                text = store.get_artifact(info.campaign_id, args.point)
-                if args.output and args.output != "-":
-                    with open(args.output, "w", encoding="utf-8") as handle:
-                        handle.write(text)
-                    print(f"wrote {args.output}")
-                else:
-                    # Byte-exact on stdout too: no trailing newline is
-                    # appended, so `repro store artifact > f` == the blob.
-                    sys.stdout.write(text)
-    except (StoreError, OSError) as exc:
-        print(f"repro store: {exc}", file=sys.stderr)
-        return 2
+        else:  # artifact
+            info = store.resolve_campaign(args.campaign)
+            text = store.get_artifact(info.campaign_id, args.point)
+            # Byte-exact on stdout too: no trailing newline is
+            # appended, so `repro store artifact > f` == the blob.
+            _emit(args.output, text, wrote=sys.stdout)
     return 0
 
 
@@ -1365,6 +1223,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.set_defaults(func=_cmd_sweep)
 
+    describe = sub.add_parser(
+        "describe",
+        help="print the spec schema of run / serve / sweep: type, default, "
+        "rule and doc of every field",
+    )
+    describe.add_argument(
+        "spec", choices=("run", "serve", "sweep"), help="the command whose spec to show"
+    )
+    describe.add_argument(
+        "path",
+        nargs="?",
+        default="",
+        metavar="DOTTED.PATH",
+        help="show only the field or subtree here, e.g. traffic.crash",
+    )
+    describe.set_defaults(func=_cmd_describe)
+
     fig10 = sub.add_parser("figure10", help="print Figure 10's latency curves")
     fig10.add_argument("--max-diameter", type=int, default=14)
     fig10.set_defaults(func=_cmd_figure10)
@@ -1513,6 +1388,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Exit 0 on success, 1 when the command ran and found violations or
+    regressions, 2 — after one ``repro <command>: <message>`` line — when
+    it could not run: a bad spec, file, database or path."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -1524,6 +1402,9 @@ def main(argv: list[str] | None = None) -> int:
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except (ReproError, OSError) as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

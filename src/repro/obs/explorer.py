@@ -144,11 +144,9 @@ def series_csv(events: Iterable[TraceEvent]) -> str:
         columns.update(row)
         rows.append(row)
     ordered = ["t"] + sorted(columns - {"t"})
-    lines = [",".join(ordered)]
+    lines = [serde.csv_line(ordered)]
     for row in rows:
-        lines.append(
-            ",".join(_csv_cell(row.get(column)) for column in ordered)
-        )
+        lines.append(serde.csv_line(_csv_cell(row.get(column)) for column in ordered))
     return "\n".join(lines) + "\n"
 
 

@@ -51,13 +51,13 @@ class TraceEvent:
     """One recorded moment.  Slotted: large runs emit tens of thousands."""
 
     seq: int
-    time: float = serde.wire("t")
-    category: str = serde.wire("cat")
+    time: float = serde.field(wire="t")
+    category: str = serde.field(wire="cat")
     kind: str
-    swap_id: int | None = serde.wire("swap", default=None)
-    chain_id: str | None = serde.wire("chain", default=None)
+    swap_id: int | None = serde.field(None, wire="swap")
+    chain_id: str | None = serde.field(None, wire="chain")
     actor: str | None = None
-    payload: dict[str, Any] = serde.wire("data", default_factory=dict)
+    payload: dict[str, Any] = serde.field(default_factory=dict, wire="data")
 
     def __repr__(self) -> str:
         who = f" swap={self.swap_id}" if self.swap_id is not None else ""

@@ -4,6 +4,9 @@ A serializable type is a dataclass whose annotated fields are its
 schema; specs, request-log records, trace events, the checkpoint, the
 two JSONL headers and the metrics snapshot are declarations on top of:
 
+* :func:`field` — the declaration: a dataclass field whose wire key,
+  range, choice set, non-emptiness and one-line doc ride in its
+  ``metadata``; :func:`fields` reads them back as the class's schema.
 * :func:`load` — typed value from JSON-shaped data.  Unknown keys,
   missing keys, wrong shapes and non-finite floats are rejected with
   the **full dotted path** in the message (``records[0].at``) and raised
@@ -12,6 +15,8 @@ two JSONL headers and the metrics snapshot are declarations on top of:
 * A plain dataclass is a *spec*: omitted keys take the field defaults.
   One marked :func:`exact` is a *file record*: every key is required.
 * :func:`dump` (the inverse) and :func:`canonical`, the one byte form.
+* :func:`check` — the declared rules, enforced over a loaded tree;
+  :func:`describe` — the same declarations rendered for docs and CLI.
 * :func:`dump_jsonl` / :func:`load_jsonl` (a header record, then one
   row per line) and :func:`check_schema`.
 * :func:`parse` / :func:`read_text` turn decode and I/O failures into
@@ -26,6 +31,7 @@ importing ``experiment/``.
 from __future__ import annotations
 
 import dataclasses
+import difflib
 import functools
 import json
 import os
@@ -40,18 +46,93 @@ class _Invalid(Exception):
     """A value did not fit its declared type; the message carries the path."""
 
 
+class Rule(typing.NamedTuple):
+    """What every leaf of a field must satisfy (see :func:`field`)."""
+
+    gt: float | None = None
+    ge: float | None = None
+    le: float | None = None
+    #: The allowed strings: a tuple, or — for a registry that plug-ins
+    #: extend — a zero-argument callable evaluated at every check.
+    choices: typing.Any = None
+    #: Noun for a registry-backed choice set's ``unknown <noun>`` message.
+    unknown: str = ""
+    nonempty: bool = False
+
+    def members(self) -> tuple:
+        return tuple(self.choices() if callable(self.choices) else self.choices)
+
+    def text(self) -> str:
+        """The requirement in words, as messages and :func:`describe` say it."""
+        low = self.ge if self.gt is None else self.gt
+        if low is not None and self.le is not None:
+            return f"within {'[' if self.gt is None else '('}{low}, {self.le}]"
+        if low is not None and low == 0:
+            return "non-negative" if self.gt is None else "positive"
+        if low is not None:
+            return f"at least {low}" if self.gt is None else f"greater than {low}"
+        if self.le is not None:
+            return f"at most {self.le}"
+        if self.choices is not None:
+            return f"one of {self.members()}"
+        return "not empty" if self.nonempty else ""
+
+    def broken_by(self, value) -> str:
+        """What to say after the dotted path of a leaf ``value`` that
+        breaks this rule; empty when it holds."""
+        if isinstance(value, str):
+            if self.nonempty and not value:
+                return " must not be empty"
+            if self.choices is not None and value not in self.members():
+                if self.unknown:
+                    return (
+                        f": unknown {self.unknown} {value!r}; "
+                        f"expected one of {self.members()}"
+                    )
+                return f" must be {self.text()}, got {value!r}"
+        elif not (
+            (self.gt is None or value > self.gt)
+            and (self.ge is None or value >= self.ge)
+            and (self.le is None or value <= self.le)
+        ):
+            return f" must be {self.text()}"
+        return ""
+
+
 class Field(typing.NamedTuple):
     """One row of a dataclass's serde schema."""
 
     key: str  # the key on the wire
     name: str  # the attribute on the dataclass
     type: typing.Any  # the resolved annotation
+    default: typing.Any  # ``dataclasses.MISSING`` when the class has none
+    rule: Rule | None  # what check() enforces on the field's leaves
+    doc: str  # one line for describe()
     required: bool  # the key must be present on load
 
 
-def wire(key: str, **kwargs):
-    """A dataclass field whose wire key differs from its attribute name."""
-    return dataclasses.field(metadata={"wire": key}, **kwargs)
+def field(
+    default=dataclasses.MISSING,
+    *,
+    default_factory=dataclasses.MISSING,
+    wire: str | None = None,
+    doc: str = "",
+    **rule,
+):
+    """A dataclass field that carries its serde declaration.
+
+    ``wire`` renames the key on the wire; ``doc`` is the one line
+    :func:`describe` prints; the remaining keywords are the
+    :class:`Rule` (``gt`` / ``ge`` / ``le``, ``choices`` with an
+    optional ``unknown`` noun, ``nonempty``) that :func:`check` holds
+    every leaf of the field to — containers and ``None`` are looked
+    through.  All of it lives in ``metadata``: ``repr``, ``==``,
+    defaults and written bytes are those of a plain field.
+    """
+    metadata = {"wire": wire, "doc": doc, "rule": Rule(**rule) if rule else None}
+    return dataclasses.field(
+        default=default, default_factory=default_factory, metadata=metadata
+    )
 
 
 def exact(cls):
@@ -68,13 +149,33 @@ def fields(cls) -> dict[str, Field]:
     all_required = getattr(cls, "__serde_exact__", False)
     table = {}
     for f in dataclasses.fields(cls):
-        has_default = (
-            f.default is not dataclasses.MISSING
-            or f.default_factory is not dataclasses.MISSING
+        default = f.default
+        if f.default_factory is not dataclasses.MISSING:
+            default = f.default_factory()
+        key = f.metadata.get("wire") or f.name
+        table[key] = Field(
+            key,
+            f.name,
+            hints[f.name],
+            default,
+            f.metadata.get("rule"),
+            f.metadata.get("doc", ""),
+            all_required or default is dataclasses.MISSING,
         )
-        key = f.metadata.get("wire", f.name)
-        table[key] = Field(key, f.name, hints[f.name], all_required or not has_default)
     return table
+
+
+def known_field(cls, key: str, where: str) -> Field:
+    """Row ``key`` of ``cls``'s schema; an unknown key is a
+    :class:`SpecError` that offers the nearest known one."""
+    table = fields(cls)
+    if key not in table:
+        near = difflib.get_close_matches(key, table, n=1)
+        hint = f"did you mean {near[0]!r}? " if near else ""
+        raise SpecError(
+            f"{where}: unknown field {key!r}; {hint}expected one of {sorted(table)}"
+        )
+    return table[key]
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +315,115 @@ class Serializable:
 
 
 # ---------------------------------------------------------------------------
+# check / describe: the two readers of the declared rules
+# ---------------------------------------------------------------------------
+
+
+def check(obj, path: str = "", fail=None) -> None:
+    """Hold the dataclass tree under ``obj`` to its declared rules.
+
+    Walks through ``None``, tuples, dict values and nested specs — but
+    not into a nested :class:`Serializable`, a document that validates
+    itself — and reports the first leaf, in field order, that breaks
+    its field's :class:`Rule`: ``<dotted path> must be positive |
+    non-negative | at least N | within [a, b] | one of (…), got X``,
+    ``… must not be empty``, or ``…: unknown <noun> X`` for a registry.
+    The message goes to ``fail(message)``; without one it is raised as
+    :class:`SpecError`.
+    """
+    for message in _broken(obj, None, path):
+        if fail is None:
+            raise SpecError(message)
+        return fail(message)
+
+
+def _broken(value, rule: Rule | None, path: str):
+    if dataclasses.is_dataclass(value):
+        prefix = f"{path}." if path else ""
+        for f in fields(type(value)).values():
+            inner = getattr(value, f.name)
+            if not isinstance(inner, Serializable):
+                yield from _broken(inner, f.rule, prefix + f.key)
+    elif isinstance(value, (tuple, list)):
+        for index, item in enumerate(value):
+            yield from _broken(item, rule, f"{path}[{index}]")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _broken(item, rule, f"{path}.{key}")
+    elif rule is not None and value is not None:
+        clause = rule.broken_by(value)
+        if clause:
+            yield path + clause
+
+
+def _type_text(tp) -> str:
+    """An annotation the way a spec file spells it."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        return " | ".join(_type_text(arm) for arm in args)
+    if origin is tuple:
+        items = args[:1] if args[1:] == (Ellipsis,) else args
+        return f"[{', '.join(_type_text(arm) for arm in items)}]"
+    if origin is dict:
+        return f"{{str: {_type_text(args[1])}}}"
+    if tp is typing.Any:
+        return "any"
+    return "null" if tp is type(None) else tp.__name__
+
+
+def _nested(tp):
+    """The spec class whose fields sit under a field of type ``tp``."""
+    if dataclasses.is_dataclass(tp):
+        return tp
+    return next(filter(None, map(_nested, typing.get_args(tp))), None)
+
+
+def _rows(table, prefix: str = "") -> list[str]:
+    """One ``key: type = default  # rule; doc`` row per field (the
+    comments of one sibling group aligned), its nested spec's rows
+    indented below it."""
+    heads = []
+    for f in table:
+        head = f"{prefix}{f.key}: {_type_text(f.type)}"
+        if f.default is not dataclasses.MISSING and not dataclasses.is_dataclass(f.default):
+            head += f" = {json.dumps(dump(f.default))}"
+        heads.append(head)
+    width = max((len(head) for head in heads if len(head) <= 44), default=0)
+    rows = []
+    for f, head in zip(table, heads):
+        nested = _nested(f.type)
+        document = nested is not None and issubclass(nested, Serializable)
+        each = "each " if typing.get_origin(f.type) in (tuple, dict) else ""
+        notes = [
+            each + f.rule.text() if f.rule else "",
+            f.doc,
+            f"see {nested.__name__}, which validates itself" if document else "",
+        ]
+        note = "; ".join(filter(None, notes))
+        rows.append(f"{head.ljust(width)}  # {note}" if note else head)
+        if nested is not None and not document:
+            rows.extend("    " + row for row in _rows(fields(nested).values()))
+    return rows
+
+
+def describe(cls, path: str = "") -> str:
+    """The schema of spec class ``cls`` as text — type, default, rule
+    and doc of every field, generated from the declarations — or, with
+    a dotted ``path``, of the one field or subtree there."""
+    if not path:
+        return "\n".join([cls.__name__] + ["    " + row for row in _rows(fields(cls).values())])
+    *parents, leaf = path.split(".")
+    for done, key in enumerate(parents):
+        cls = _nested(known_field(cls, key, f"path {path!r}").type)
+        if cls is None:
+            raise SpecError(
+                f"path {path!r}: {'.'.join(parents[: done + 1])!r} has no nested fields"
+            )
+    found = known_field(cls, leaf, f"path {path!r}")
+    return "\n".join(_rows([found], prefix=path[: len(path) - len(leaf)]))
+
+
+# ---------------------------------------------------------------------------
 # Text: the canonical byte form, JSONL framing, files
 # ---------------------------------------------------------------------------
 
@@ -250,6 +460,15 @@ def write_text(path: str, text: str) -> None:
     with open(tmp, "w", encoding="utf-8") as handle:
         handle.write(text)
     os.replace(tmp, path)
+
+
+def csv_line(cells) -> str:
+    """One CSV row of string ``cells``; a cell holding a comma, a quote
+    or a newline is quoted, so no value can shift the columns."""
+    return ",".join(
+        '"' + cell.replace('"', '""') + '"' if any(ch in cell for ch in ',"\n') else cell
+        for cell in cells
+    )
 
 
 def check_schema(cls, data, error, what: str) -> None:

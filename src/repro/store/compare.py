@@ -18,6 +18,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 
+from .. import serde
 from .store import CampaignInfo, CampaignStore
 
 #: Metrics where a larger value is an improvement.
@@ -178,7 +179,7 @@ class CompareReport:
         )
         for d in rows:
             cells = [
-                _csv_escape(_json.dumps(d.coords, sort_keys=True)),
+                _json.dumps(d.coords, sort_keys=True),
                 d.metric,
                 repr(float(d.a)),
                 repr(float(d.b)),
@@ -187,14 +188,8 @@ class CompareReport:
                 d.direction,
                 str(d.is_regression(self.threshold)),
             ]
-            buffer.write(",".join(cells) + "\n")
+            buffer.write(serde.csv_line(cells) + "\n")
         return buffer.getvalue()
-
-
-def _csv_escape(cell: str) -> str:
-    if any(ch in cell for ch in ',"\n'):
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
 
 
 def _points_by_coords(store: CampaignStore, campaign_id: int) -> dict[str, list[dict]]:

@@ -185,7 +185,7 @@ class SweepResult:
         """
         buffer = io.StringIO()
         columns = self.csv_columns()
-        buffer.write(",".join(columns) + "\n")
+        buffer.write(serde.csv_line(columns) + "\n")
         merged: list[dict] = [dict(row, status="ok") for row in self.rows()]
         merged += [
             {
@@ -197,22 +197,12 @@ class SweepResult:
             for skip in self.skipped
         ]
         for row in sorted(merged, key=lambda r: r["index"]):
-            cells = []
-            for column in columns:
-                value = row.get(column, "")
-                if isinstance(value, float):
-                    cells.append(repr(value))
-                else:
-                    cells.append(self._csv_escape(str(value)))
-            buffer.write(",".join(cells) + "\n")
+            values = (row.get(column, "") for column in columns)
+            buffer.write(
+                serde.csv_line(repr(v) if isinstance(v, float) else str(v) for v in values)
+                + "\n"
+            )
         return buffer.getvalue()
 
-    @staticmethod
-    def _csv_escape(cell: str) -> str:
-        if any(ch in cell for ch in ',"\n'):
-            return '"' + cell.replace('"', '""') + '"'
-        return cell
-
     def save_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_csv())
+        serde.write_text(path, self.to_csv())

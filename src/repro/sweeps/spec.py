@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from .. import serde
@@ -39,22 +39,20 @@ SWEEP_MODES = ("grid", "zip")
 
 @dataclass(frozen=True)
 class SweepAxis:
-    """One named dimension of a sweep (see module docstring).
+    """One named dimension of a sweep (see module docstring)."""
 
-    Attributes:
-        name: the axis label used in point names, coordinates, and CSV
-            columns.
-        path: dotted spec path for scalar axes; empty for override axes.
-        values: the settings along the axis — scalars for a scalar axis,
-            dicts of ``{dotted.path: value}`` for an override axis.
-        labels: optional display labels, parallel to ``values`` (an
-            override axis without labels falls back to compact JSON).
-    """
-
-    name: str
-    path: str = ""
-    values: tuple[Any, ...] = ()
-    labels: tuple[str, ...] = ()
+    name: str = serde.field(
+        nonempty=True, doc="the label in point names, coordinates and CSV columns"
+    )
+    path: str = serde.field(
+        "", doc='dotted spec path of a scalar axis; "" for an override axis'
+    )
+    values: tuple[Any, ...] = serde.field(
+        (), doc="scalars, or {dotted.path: value} dicts for an override axis"
+    )
+    labels: tuple[str, ...] = serde.field(
+        (), doc="display labels parallel to values (default: the value, compact JSON)"
+    )
 
     def coordinate(self, index: int) -> Any:
         """The coordinate recorded for ``values[index]`` (label first)."""
@@ -103,29 +101,27 @@ class SweepExpansion:
 
 @dataclass(frozen=True)
 class SweepSpec(serde.Serializable):
-    """A campaign: one base experiment swept along named axes.
+    """A campaign: one base experiment swept along named axes."""
 
-    Attributes:
-        name: campaign name (echoed into artifacts and point names).
-        base: the experiment every point starts from.
-        axes: the sweep dimensions, outermost first.
-        mode: ``"grid"`` (cartesian product) or ``"zip"`` (position-wise,
-            all axes the same length).
-        derive_seeds: give each point seed ``base.seed + index *
-            seed_stride`` unless one of its axes overrides ``seed``.
-        seed_stride: spacing between derived per-point seeds.
-        drop_invalid: silently skip combinations whose spec fails
-            semantic validation (recorded as :class:`SkippedPoint`);
-            when False the first invalid point raises.
-    """
-
-    name: str = "sweep"
-    base: ExperimentSpec = field(default_factory=ExperimentSpec)
-    axes: tuple[SweepAxis, ...] = ()
-    mode: str = "grid"
-    derive_seeds: bool = True
-    seed_stride: int = 1
-    drop_invalid: bool = False
+    name: str = serde.field("sweep", doc="echoed into artifacts and point names")
+    base: ExperimentSpec = serde.field(
+        default_factory=ExperimentSpec, doc="the experiment every point starts from"
+    )
+    axes: tuple[SweepAxis, ...] = serde.field((), doc="outermost first")
+    mode: str = serde.field(
+        "grid",
+        choices=SWEEP_MODES,
+        doc="cartesian product, or position-wise over equal-length axes",
+    )
+    derive_seeds: bool = serde.field(
+        True,
+        doc="point seed = base.seed + index * seed_stride unless an axis sets seed",
+    )
+    seed_stride: int = serde.field(1, ge=1)
+    drop_invalid: bool = serde.field(
+        False,
+        doc="record points whose spec fails validation as skipped instead of raising",
+    )
 
     # -- validation --------------------------------------------------------
 
@@ -140,8 +136,7 @@ class SweepSpec(serde.Serializable):
         def fail(message: str) -> None:
             raise SpecError(f"invalid sweep {self.name!r}: {message}")
 
-        if self.mode not in SWEEP_MODES:
-            fail(f"mode must be one of {SWEEP_MODES}, got {self.mode!r}")
+        serde.check(self, fail=fail)
         if not self.axes:
             fail("a sweep needs at least one axis")
         names = [axis.name for axis in self.axes]
@@ -165,8 +160,6 @@ class SweepSpec(serde.Serializable):
                     f"result column; pick another label"
                 )
         for axis in self.axes:
-            if not axis.name:
-                fail("every axis needs a name")
             if not axis.values:
                 fail(f"axis {axis.name!r} has no values")
             if axis.labels and len(axis.labels) != len(axis.values):
@@ -198,8 +191,6 @@ class SweepSpec(serde.Serializable):
                         f"override {path!r}"
                     )
                 paths[path] = axis.name
-        if self.seed_stride < 1:
-            fail("seed_stride must be at least 1")
         return self
 
     @staticmethod

@@ -9,6 +9,7 @@ uniform and reproducible.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from ..chain.chain import Blockchain
@@ -326,6 +327,12 @@ def swap_graph(
         for j in range(len(names))
     ]
     return SwapGraph.build(participant_keys(names), edges, timestamp=index)
+
+
+def is_traffic_name(name: str, prefix: str) -> bool:
+    """Whether ``name`` has the ``<prefix>NNNN.<role>`` shape
+    :func:`swap_graph` reserves for traffic participants."""
+    return re.fullmatch(re.escape(prefix) + r"\d{4,}\..", name) is not None
 
 
 def role_name(names, role: str) -> str | None:

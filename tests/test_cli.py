@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -410,6 +411,147 @@ class TestAliases:
             == 2
         )
         assert "repro sweep:" in capsys.readouterr().err
+
+
+class TestHostileSpecs:
+    """Specs the hand-written validation let through — to a traceback
+    mid-run, or silently — each now a field declaration or a named
+    cross-field rule: exit 2, one ``repro run:`` line naming the path."""
+
+    @pytest.mark.parametrize(
+        "override, where",
+        [
+            # -- died mid-run with a traceback --------------------------------
+            ("chains.funding=1", "chains.funding must be at least 115"),
+            ('fee_shocks=[{"whale":"swap0000.a"}]', "fee_shocks[0].whale 'swap0000.a'"),
+            ('chains.extra_participants=["swap0001.b"]', "chains.extra_participants[0]"),
+            ("adversary.reorg.attacker=swap0002.a", "adversary.reorg.attacker"),
+            # -- accepted silently --------------------------------------------
+            ("chains.extra_funding_chunks=-1", "chains.extra_funding_chunks must be at least 1"),
+            ("traffic.crash.down_for=-1", "traffic.crash.down_for must be non-negative"),
+            ("traffic.start=-5", "traffic.start must be non-negative"),
+            ("chains.witness=", "chains.witness must not be empty"),
+            ('chains.ids=["a",""]', "chains.ids[1] must not be empty"),
+            ('chains.extra_participants=[""]', "chains.extra_participants[0] must not be"),
+            # -- rejected, but without saying which of four budgets ------------
+            ('traffic.low_budget={"bump_factor":0.5}',
+             "traffic.low_budget.bump_factor must be at least 1.0"),
+            ("fee_market.rbf_bump=0.5", "fee_market.rbf_bump must be at least 1.0"),
+            # -- a typo offers the nearest key before the list ------------------
+            ("traffic.num_swap=3", "unknown field 'num_swap'; did you mean 'num_swaps'?"),
+        ],
+    )
+    def test_one_line_naming_the_path(self, capsys, override, where):
+        argv = ["run", "--preset", "congestion", "--set", "traffic.num_swaps=4"]
+        assert main(argv + ["--set", override]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro run: ")
+        assert captured.err.count("\n") == 1
+        assert where in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_any_library_error_is_exit_2_not_a_traceback(self, capsys, monkeypatch):
+        """``run`` used to catch ``(SpecError, OSError)`` only; the one
+        handler in ``main`` takes every ``ReproError``."""
+        from repro import cli
+        from repro.errors import InsufficientFundsError
+
+        def broke(spec):
+            raise InsufficientFundsError("alice has 1 spendable, needs 10")
+
+        monkeypatch.setattr(cli, "run_experiment", broke)
+        assert main(["run", "--preset", "swap"]) == 2
+        assert capsys.readouterr().err == "repro run: alice has 1 spendable, needs 10\n"
+
+
+class TestOneWriter:
+    """Every artifact the CLI writes goes through ``_emit``: ``-`` is
+    stdout, a path is replaced atomically, a failure is exit 2 saying
+    ``cannot write PATH``."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """A campaign database and a trace for the readers to export from."""
+        root = tmp_path_factory.mktemp("one-writer")
+        db = TestStoreCli()._run_store_sweep(root)
+        trace = str(root / "trace.jsonl")
+        assert main(["run", "--preset", "swap", "--trace", trace]) == 0
+        return db, trace
+
+    def exports(self, inputs, target):
+        db, trace = inputs
+        return [
+            ["trace", trace, "--series", target],
+            ["query", "commit_rate >= 0", "--db", db, "-o", target],
+            ["compare", db, db, "--csv", target],
+            ["compare", db, db, "--json", target],
+            ["store", "artifact", "--db", db, "--point", "0", "-o", target],
+            ["sweep", "--spec", str(Path(db).parent / "sweep.json"), "--no-progress",
+             "--csv", target],
+        ]
+
+    def test_a_path_is_replaced_atomically(self, inputs, tmp_path, monkeypatch, capsys):
+        opened = []
+        real_open = open
+
+        def spying_open(file, mode="r", *args, **kwargs):
+            if "w" in mode:
+                opened.append(Path(file).name)
+            return real_open(file, mode, *args, **kwargs)
+
+        argvs = self.exports(inputs, str(tmp_path / "out"))
+        monkeypatch.setattr("builtins.open", spying_open)
+        for argv in argvs:
+            assert main(argv) == 0
+        monkeypatch.undo()
+        assert opened == ["out.tmp"] * len(argvs)
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_an_unwritable_path_is_exit_2(self, inputs, capsys):
+        for argv in self.exports(inputs, "/nonexistent/dir/out"):
+            capsys.readouterr()
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"repro {argv[0]}: cannot write /nonexistent/dir/out: ")
+            assert err.count("\n") == 1
+
+    def test_stdout_gets_the_file_bytes_and_the_tables_move_to_stderr(
+        self, inputs, tmp_path, capsys
+    ):
+        for argv in self.exports(inputs, str(tmp_path / "out")):
+            assert main(argv) == 0
+            capsys.readouterr()
+            assert main(argv[:-1] + ["-"]) == 0
+            assert capsys.readouterr().out == (tmp_path / "out").read_text()
+
+
+class TestDescribe:
+    def test_whole_tree_subtree_and_single_field(self, capsys):
+        assert main(["describe", "run"]) == 0
+        tree = capsys.readouterr().out
+        assert tree.startswith("ExperimentSpec\n    name: str = \"experiment\"")
+        assert main(["describe", "run", "traffic.crash"]) == 0
+        subtree = capsys.readouterr().out.splitlines()
+        assert subtree[0] == "traffic.crash: CrashSpec"
+        assert all(f"    {line}" in tree for line in subtree[1:])
+        assert main(["describe", "sweep", "base.traffic.rate"]) == 0
+        assert capsys.readouterr().out == (
+            "base.traffic.rate: float = 10.0  # positive; mean open-loop arrivals per second\n"
+        )
+        assert main(["describe", "serve", "sources.rate"]) == 0
+        assert capsys.readouterr().out.startswith("sources.rate: float = 4.0  # positive")
+
+    @pytest.mark.parametrize(
+        "argv, said",
+        [
+            (["run", "traffic.crsh"], "unknown field 'crsh'; did you mean 'crash'?"),
+            (["serve", "capacity.x"], "'capacity' has no nested fields"),
+        ],
+    )
+    def test_unknown_path_is_exit_2(self, capsys, argv, said):
+        assert main(["describe"] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro describe: ") and said in err and err.count("\n") == 1
 
 
 class TestSweepResume:

@@ -465,6 +465,20 @@ class TestTimeSeriesSampler:
         assert len(lines) >= 3
         assert all(len(line.split(",")) == len(header) for line in lines[1:])
 
+    def test_series_csv_quotes_a_chain_id_holding_a_comma(self):
+        """Header and cells were joined raw: a comma in a chain id
+        shifted every column to its right."""
+        import csv
+        import io
+
+        collector = TraceCollector()
+        collector.emit("sample", "gauges", mempool={"a,b": 3, 'c"d': 4}, in_flight=2)
+        text = series_csv(collector.events())
+        header, row = csv.reader(io.StringIO(text))
+        assert header == ["t", "in_flight", 'mempool.a,b', 'mempool.c"d']
+        assert row[1:] == ["2", "3", "4"]
+        assert text.splitlines()[0] == 't,in_flight,"mempool.a,b","mempool.c""d"'
+
 
 # ---------------------------------------------------------------------------
 # ObsSpec

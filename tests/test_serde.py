@@ -22,8 +22,11 @@ Four parts:
 
 import copy
 import dataclasses
+import difflib
+import functools
 import json
 import math
+import operator
 import re
 import types
 import typing
@@ -64,7 +67,7 @@ from repro.service import (
 )
 from repro.service.requestlog import _Header as LogHeader
 from repro.service.service import _Checkpoint
-from repro.sweeps import SweepSpec, sweep_names, sweep_spec
+from repro.sweeps import SweepAxis, SweepSpec, sweep_names, sweep_spec
 
 SRC = Path(__file__).parent.parent / "src" / "repro"
 
@@ -590,32 +593,36 @@ def accepted_kinds(tp) -> set[str]:
     return {bool: {"bool"}, int: {"int"}, float: {"int", "float"}, str: {"str"}}[tp]
 
 
-def locations(tp, data, path, steps=()):
+def locations(tp, data, path, steps=(), rule=None):
     """Walk declared type and JSON data in parallel, yielding every typed
-    location as ``(dotted path, steps into the data, declared type)``;
-    ``Any``-typed content is opaque."""
-    yield path, steps, tp
+    location as ``(dotted path, steps into the data, declared type, the
+    rule of the field it sits in)``; ``Any``-typed content is opaque."""
+    yield path, steps, tp, rule
     origin = typing.get_origin(tp)
     if origin in (typing.Union, types.UnionType):
         for arm in typing.get_args(tp):
             if arm is not type(None) and data is not None:
-                for found in locations(arm, data, path, steps):
+                for found in locations(arm, data, path, steps, rule):
                     if found[1] != steps:
                         yield found
     elif dataclasses.is_dataclass(tp):
         prefix = f"{path}." if path else ""
         for f in serde.fields(tp).values():
             if f.key in data:
-                yield from locations(f.type, data[f.key], prefix + f.key, steps + (f.key,))
+                yield from locations(
+                    f.type, data[f.key], prefix + f.key, steps + (f.key,), f.rule
+                )
     elif origin is tuple:
         args = typing.get_args(tp)
         if len(args) == 2 and args[1] is Ellipsis:
             args = (args[0],) * len(data)
         for i, (arm, item) in enumerate(zip(args, data)):
-            yield from locations(arm, item, f"{path}[{i}]", steps + (i,))
+            yield from locations(arm, item, f"{path}[{i}]", steps + (i,), rule)
     elif origin is dict:
         for key, item in data.items():
-            yield from locations(typing.get_args(tp)[1], item, f"{path}.{key}", steps + (key,))
+            yield from locations(
+                typing.get_args(tp)[1], item, f"{path}.{key}", steps + (key,), rule
+            )
 
 
 def dataclass_arm(tp):
@@ -631,7 +638,7 @@ def mutations(draw, tp, data, root):
     a second string the message must contain)``."""
     found = sorted(locations(tp, data, root), key=lambda item: (item[0], str(item[2])))
     candidates = []
-    for path, steps, declared in found:
+    for path, steps, declared, _rule in found:
         value = data
         for step in steps:
             value = value[step]
@@ -751,6 +758,242 @@ class TestGeneratedMutations:
             mutated = edit(good, ["metrics", index], entry)
         text = json.dumps(mutated)
         assert_rejected(lambda: MetricsRegistry.from_json(text), MetricsError, path, detail)
+
+
+# ---------------------------------------------------------------------------
+# Generated boundary values: every declared rule, just inside and just outside
+# ---------------------------------------------------------------------------
+
+
+#: Every catalog spec as the documents ``validate()`` sees: a nested
+#: ``Serializable`` (a service preset's ``world``) is its own document.
+DOCUMENTS = PRESET_SPECS + [
+    spec.world for spec in PRESET_SPECS if isinstance(spec, ServiceSpec)
+]
+
+
+def is_document(tp) -> bool:
+    cls = dataclass_arm(tp)
+    return cls is not None and issubclass(cls, serde.Serializable)
+
+
+def populated(tp, data):
+    """``data`` with no spec node left out: an unset ``| None`` spec and
+    an empty container of specs get one all-defaults instance, so every
+    declared rule has a location whatever the catalog happens to set."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    cls = dataclass_arm(tp)
+    if cls is not None:
+        data = serde.dump(cls()) if data is None else data
+        return {
+            f.key: data[f.key] if is_document(f.type) else populated(f.type, data[f.key])
+            for f in serde.fields(cls).values()
+        }
+    if origin is tuple and args[1:] == (Ellipsis,):
+        if not data and dataclasses.is_dataclass(args[0]):
+            data = [None]
+        return [populated(args[0], item) for item in data]
+    if origin is dict:
+        if not data and dataclasses.is_dataclass(args[1]):
+            data = {"x": None}
+        return {key: populated(args[1], item) for key, item in data.items()}
+    return data
+
+
+def boundary_values(rule, kinds):
+    """``(just inside, just outside)`` a rule, for a leaf accepting the
+    JSON ``kinds``: the bound itself and one step beyond it (the next
+    float, or the next int), every member and a non-member, ``"x"`` and
+    ``""``."""
+    if "float" in kinds:
+        step = math.nextafter
+    else:
+        def step(value, towards):
+            return value + (1 if towards > value else -1)
+    inside, outside = [], []
+    if "str" in kinds and rule.choices is not None:
+        inside += rule.members()
+        outside.append("no-such-member")
+    if "str" in kinds and rule.nonempty:
+        inside.append("x")
+        outside.append("")
+    if "int" in kinds and rule.gt is not None:
+        inside.append(step(rule.gt, math.inf))
+        outside.append(rule.gt)
+    if "int" in kinds and rule.ge is not None:
+        inside.append(rule.ge)
+        outside.append(step(rule.ge, -math.inf))
+    if "int" in kinds and rule.le is not None:
+        inside.append(rule.le)
+        outside.append(step(rule.le, math.inf))
+    return inside, outside
+
+
+def boundary_cases(document):
+    """Every ruled leaf of ``document`` (populated) as ``(data, dotted
+    path, steps, rule, inside values, outside values)``.  An empty list
+    of scalars is probed as its first item."""
+    cls = type(document)
+    populated_data = populated(cls, document.to_dict())
+    nested = tuple(f"{key}." for key, f in serde.fields(cls).items() if is_document(f.type))
+    for path, steps, tp, rule in locations(cls, populated_data, ""):
+        if rule is None or path.startswith(nested):
+            continue
+        data, kinds = populated_data, accepted_kinds(tp) - {"null"}
+        if kinds == {"list"} and not functools.reduce(operator.getitem, steps, data):
+            data = edit(data, steps, [None])
+            kinds = accepted_kinds(typing.get_args(tp)[0])
+            path, steps = f"{path}[0]", steps + (0,)
+        if kinds <= {"int", "float", "str"}:
+            yield (data, path, steps, rule, *boundary_values(rule, kinds))
+
+
+def ruled_fields(cls, seen=None):
+    """``{id(rule): "Class.key"}`` over the spec tree under ``cls``."""
+    seen = {} if seen is None else seen
+    for f in serde.fields(cls).values():
+        if f.rule is not None:
+            seen[id(f.rule)] = f"{cls.__name__}.{f.key}"
+        nested = dataclass_arm(f.type) or next(
+            filter(None, map(dataclass_arm, typing.get_args(f.type))), None
+        )
+        if nested is not None:
+            ruled_fields(nested, seen)
+    return seen
+
+
+def build_economy(spec):
+    """What licensed deleting ``validate()``'s ``FeeError`` relay: a spec
+    that passes ``check`` builds its ``FeePolicy`` and every ``FeeBudget``
+    — the fields declare each bound those constructors enforce."""
+    dataclasses.replace(spec.fee_market, enabled=True).build()
+    traffic = spec.traffic
+    for budget in (traffic.fee_budget, traffic.low_budget, traffic.high_budget):
+        if budget is not None:
+            budget.build()
+
+
+class TestGeneratedBoundaries:
+    """The declared rules, probed from the field table: a new field's
+    bound is exercised the day it is declared."""
+
+    def test_just_inside_passes_and_just_outside_names_the_path(self):
+        probed = set()
+        for document in DOCUMENTS:
+            cls = type(document)
+            for data, path, steps, rule, inside, outside in boundary_cases(document):
+                probed.add(id(rule))
+                for value in inside:
+                    spec = cls.from_dict(edit(data, steps, value))
+                    serde.check(spec)
+                    if cls is ExperimentSpec:
+                        build_economy(spec)
+                for value in outside:
+                    spec = cls.from_dict(edit(data, steps, value))
+                    with pytest.raises(SpecError) as caught:
+                        spec.validate()
+                    _, _, said = str(caught.value).partition(f" {spec.name!r}: ")
+                    assert said.startswith((f"{path} must ", f"{path}: unknown ")), (
+                        f"{path}={value!r}: {caught.value}"
+                    )
+        declared = {}
+        for cls in (ExperimentSpec, ServiceSpec, SweepSpec):
+            ruled_fields(cls, declared)
+        assert not {name for key, name in declared.items() if key not in probed}
+
+    def test_the_whole_catalog_satisfies_the_unconditional_rules(self):
+        """A disabled actor or an unused source knob with a nonsense
+        number is still a nonsense spec; no catalog spec — preset,
+        service preset, sweep point — has one."""
+        points = 0
+        for spec in PRESET_SPECS:
+            spec.validate()
+            if isinstance(spec, SweepSpec):
+                points += len(spec.expand().points)
+        assert points == 76
+
+    def test_a_nested_document_validates_itself(self):
+        """``check`` stops at a nested ``Serializable``: a sweep's base
+        need not be valid where an axis overrides it, and a session's
+        world reports its own paths."""
+        base = apply_overrides(ExperimentSpec(), {"traffic.num_swaps": 0})
+        axis = SweepAxis(name="n", path="traffic.num_swaps", values=(1, 2))
+        assert len(SweepSpec(base=base, axes=(axis,)).expand().points) == 2
+        session = apply_overrides(small_service_spec(), {"world.traffic.amount": 0})
+        with pytest.raises(SpecError, match="^invalid spec .*': traffic.amount must be at least 1$"):
+            session.validate()
+
+    def test_a_registry_is_read_at_check_time(self):
+        from repro.engine import register_protocol, unregister_protocol
+
+        spec = apply_overrides(preset_spec("swap"), {"protocol": "late-plug-in"})
+        with pytest.raises(SpecError, match="^invalid spec 'swap': protocol: unknown protocol"):
+            spec.validate()
+        register_protocol("late-plug-in", lambda engine, request: None)
+        try:
+            spec.validate()
+        finally:
+            unregister_protocol("late-plug-in")
+
+    def test_the_first_violation_in_field_order_is_reported(self):
+        spec = apply_overrides(
+            ExperimentSpec(),
+            {"traffic.rate": 0.0, "chains.count": 0, "protocol": "zz", "obs.ring_size": 0},
+        )
+        with pytest.raises(SpecError, match="': protocol: unknown protocol 'zz'"):
+            spec.validate()
+
+    def test_check_reports_through_fail_or_raises(self):
+        spec = apply_overrides(ExperimentSpec(), {"latency.jitter": -1.0})
+        said = []
+        serde.check(spec, fail=said.append)
+        assert said == ["latency.jitter must be non-negative"]
+        with pytest.raises(SpecError, match="^world.latency.jitter must be non-negative$"):
+            serde.check(spec, "world")
+
+
+# ---------------------------------------------------------------------------
+# Docs are output: every schema tree in docs/ is a pinned `repro describe`
+# ---------------------------------------------------------------------------
+
+DOCS = Path(__file__).parent.parent / "docs"
+DESCRIBED = {"run": ExperimentSpec, "serve": ServiceSpec, "sweep": SweepSpec}
+BLOCK = re.compile(r"^```text repro describe (\w+) ?(\S*)\n(.*?)^```$", re.M | re.S)
+
+
+class TestDocsAreOutput:
+    """A fenced block opened ````` ```text repro describe run obs ````` holds
+    that command's output.  The committed blocks are the golden for the
+    type, default, rule and doc of every field; regenerate one by
+    pasting the command's output."""
+
+    def blocks(self):
+        for page in sorted(DOCS.glob("*.md")):
+            for match in BLOCK.finditer(page.read_text(encoding="utf-8")):
+                yield page.name, match.group(1), match.group(2), match.group(3)
+
+    def test_every_schema_page_holds_its_block(self):
+        assert [block[:3] for block in self.blocks()] == [
+            ("adversary.md", "run", "adversary"),
+            ("experiments.md", "run", ""),
+            ("observability.md", "run", "obs"),
+            ("observability.md", "run", "obs.metrics"),
+            ("service.md", "serve", ""),
+            ("sweeps.md", "sweep", ""),
+        ]
+
+    def test_no_block_has_drifted_from_the_declarations(self):
+        for page, command, path, committed in self.blocks():
+            current = serde.describe(DESCRIBED[command], path) + "\n"
+            diff = "".join(
+                difflib.unified_diff(
+                    committed.splitlines(True),
+                    current.splitlines(True),
+                    f"docs/{page} (committed)",
+                    f"repro describe {command} {path}".rstrip(),
+                )
+            )
+            assert not diff, f"docs/{page} is stale; paste the command's output:\n{diff}"
 
 
 # ---------------------------------------------------------------------------

@@ -639,9 +639,6 @@ class EclipseActor:
                     duration=self.spec.duration,
                 )
             victim.crash()
-            network = getattr(self.env, "network", None)
-            if network is not None:
-                network.partition({victim_name}, self.spec.duration)
             self.env.simulator.schedule(
                 self.spec.duration,
                 victim.recover,

@@ -170,8 +170,8 @@ class EclipseSpec:
 
     Rather than a wall-clock :class:`~repro.sim.failures.FailureSchedule`
     window, the eclipse fires exactly when the victim's swap enters
-    ``phase`` — the victim crashes (and is partitioned from the
-    network, when one exists) for ``duration`` seconds, then recovers.
+    ``phase`` — the victim is crashed for ``duration`` seconds (an
+    unreachable party *is* a crashed party), then recovers.
     ``"settle"`` fires for every protocol, the other phases are
     protocol-specific.
     """

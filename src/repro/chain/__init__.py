@@ -2,7 +2,6 @@
 
 from .block import Block, BlockHeader, decode_time, encode_time
 from .chain import Blockchain, MessageLocation, default_miner_address
-from .gossip import GossipStats, ReplicaMiner, ReplicatedChain
 from .contracts import (
     DEFAULT_REGISTRY,
     ContractRegistry,
@@ -62,15 +61,12 @@ __all__ = [
     "DeployMessage",
     "ExecutionContext",
     "FeeSchedule",
-    "GossipStats",
     "LightClient",
     "Mempool",
     "MessageLocation",
     "MinerNode",
     "OutPoint",
     "Receipt",
-    "ReplicaMiner",
-    "ReplicatedChain",
     "SmartContract",
     "TABLE1_TPS",
     "Transaction",

@@ -20,7 +20,6 @@ from .block import TIME_SCALE, Block, encode_time
 from .chain import Blockchain
 from .mempool import Mempool
 from .messages import ChainMessage
-from ..sim.network import Network
 from ..sim.node import Node
 from ..sim.simulator import Simulator
 
@@ -39,10 +38,9 @@ class MinerNode(Node):
         chain: Blockchain,
         mempool: Mempool,
         name: str | None = None,
-        network: Network | None = None,
         address: Address | None = None,
     ) -> None:
-        super().__init__(simulator, name or f"miner/{chain.params.chain_id}", network)
+        super().__init__(simulator, name or f"miner/{chain.params.chain_id}")
         self.chain = chain
         self.mempool = mempool
         self.address = address or KeyPair.from_seed(self.name).address

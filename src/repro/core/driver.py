@@ -118,7 +118,7 @@ class ProtocolDriver:
         self.on_complete: list[Callable[[SwapOutcome], None]] = []
         #: Callbacks fired on every named phase transition (the hook
         #: adversarial actors key on: crash-at-settle, phase-scoped
-        #: eclipse partitions).  Listeners run synchronously *before*
+        #: eclipse windows).  Listeners run synchronously *before*
         #: the new phase's first actions.
         self.on_phase: list[Callable[[str], None]] = []
 
@@ -160,7 +160,7 @@ class ProtocolDriver:
         """Enter phase ``name`` and notify the phase listeners.
 
         Listeners fire before the new phase performs any action, so a
-        phase-keyed failure injection (an eclipse partition, a Byzantine
+        phase-keyed failure injection (an eclipse window, a Byzantine
         settle refusal) lands exactly at the protocol step it names.
         """
         self._phase = name

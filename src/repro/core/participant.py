@@ -17,7 +17,6 @@ from ..chain.messages import CallMessage, DeployMessage, TransferMessage, sign_m
 from ..chain.transaction import Transaction, TxInput, TxOutput, sign_transaction
 from ..crypto.keys import Address, KeyPair
 from ..errors import InsufficientFundsError, ProtocolError, ValidationError
-from ..sim.network import Network
 from ..sim.node import Node
 from ..sim.simulator import Simulator
 
@@ -38,9 +37,8 @@ class Participant(Node):
         simulator: Simulator,
         name: str,
         keypair: KeyPair | None = None,
-        network: Network | None = None,
     ) -> None:
-        super().__init__(simulator, name, network)
+        super().__init__(simulator, name)
         self.keypair = keypair or KeyPair.from_seed(f"participant/{name}")
         self._chains: dict[str, ChainHandle] = {}
         self._nonce = 0

@@ -111,10 +111,6 @@ class SchedulingError(SimulationError):
     """An event was scheduled in the past or on a stopped simulator."""
 
 
-class NetworkError(SimulationError):
-    """A message could not be routed (unknown node, closed network)."""
-
-
 class TraceError(SimulationError):
     """A flight-recorder trace is malformed (bad schema, unknown keys)."""
 

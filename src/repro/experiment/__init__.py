@@ -43,7 +43,6 @@ from .spec import (
     FeeBudgetSpec,
     FeeMarketSpec,
     FeeShockSpec,
-    LatencySpec,
     MetricsSpec,
     MonitorSpec,
     ObsSpec,
@@ -63,7 +62,6 @@ __all__ = [
     "FeeBudgetSpec",
     "FeeMarketSpec",
     "FeeShockSpec",
-    "LatencySpec",
     "MetricsSpec",
     "MonitorSpec",
     "ObsSpec",

@@ -193,7 +193,6 @@ def build_environment(spec: ExperimentSpec, traffic: list) -> ScenarioEnvironmen
         validator_mode=spec.chains.validator_mode,
         block_interval=spec.chains.block_interval,
         confirmation_depth=spec.chains.confirmation_depth,
-        latency=spec.latency.build(),
         fee_policy=spec.fee_market.build(),
         extra_participants=list(whales) or None,
         extra_funding_chunks=spec.chains.extra_funding_chunks,

@@ -3,7 +3,7 @@
 Every runnable scenario in this reproduction — single swaps, engine
 traffic, congested fee markets, crash sweeps — is described by an
 :class:`ExperimentSpec`: a nested tree of frozen dataclasses covering
-chains, fee policy, network latency, traffic (including crash injection
+chains, fee policy, traffic (including crash injection
 and fee shocks), protocol mix, and engine options, all hanging off one
 master seed.  A spec is *data*: it serializes to a plain dict/JSON and
 back (`to_dict` / `from_dict` / `to_json` / `from_json`, all from
@@ -28,7 +28,6 @@ from ..adversary.spec import AdversarySpec
 from ..chain.params import ChainParams, fast_chain
 from ..economy import FeeBudget, FeePolicy
 from ..errors import SpecError
-from ..sim.network import LatencyModel
 from ..workloads.graphs import DEFAULT_AMOUNT
 from ..workloads.scenarios import DEFAULT_FUNDING, VALIDATOR_MODES, is_traffic_name
 
@@ -60,17 +59,6 @@ def _category_choices() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # The spec tree
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LatencySpec:
-    """Network latency distribution (see :class:`~repro.sim.network.LatencyModel`)."""
-
-    base: float = serde.field(0.05, ge=0, doc="one-way seconds")
-    jitter: float = serde.field(0.0, ge=0)
-
-    def build(self) -> LatencyModel:
-        return LatencyModel(base=self.base, jitter=self.jitter)
 
 
 @dataclass(frozen=True)
@@ -159,6 +147,9 @@ class ChainsSpec:
         return params
 
 
+@serde.retired(
+    "fifo", "the FIFO mempool fork was removed; enabled=false is the unpriced pool", False
+)
 @dataclass(frozen=True)
 class FeeMarketSpec:
     """Fee-market economics (one :class:`~repro.economy.FeePolicy` for
@@ -181,9 +172,6 @@ class FeeMarketSpec:
     deploy_weight: int = serde.field(4, ge=1)
     call_weight: int = serde.field(2, ge=1)
     transfer_weight: int = serde.field(1, ge=1)
-    fifo: bool = serde.field(
-        False, doc="must be false: the FIFO fork was removed; stored echoes carry the key"
-    )
 
     def build(self) -> FeePolicy | None:
         if not self.enabled:
@@ -404,6 +392,9 @@ class ObsSpec:
     monitor: MonitorSpec = field(default_factory=MonitorSpec)
 
 
+@serde.retired(
+    "latency", "no message was ever routed; delay is confirmation_depth x block_interval"
+)
 @dataclass(frozen=True)
 class ExperimentSpec(serde.Serializable):
     """One complete, runnable, serializable experiment description."""
@@ -417,7 +408,6 @@ class ExperimentSpec(serde.Serializable):
         doc="'mixed' round-robins the four built-ins",
     )
     chains: ChainsSpec = field(default_factory=ChainsSpec)
-    latency: LatencySpec = field(default_factory=LatencySpec)
     fee_market: FeeMarketSpec = field(default_factory=FeeMarketSpec)
     traffic: TrafficSpec = field(default_factory=TrafficSpec)
     engine: EngineSpec = field(default_factory=EngineSpec)
@@ -493,12 +483,6 @@ class ExperimentSpec(serde.Serializable):
         buckets = self.obs.metrics.latency_buckets
         if any(b2 <= b1 for b1, b2 in zip(buckets, buckets[1:])):
             fail("obs.metrics.latency_buckets must be strictly increasing")
-        if market.fifo:
-            fail(
-                "fee_market.fifo must be false: the FIFO fork of the "
-                "fee-market mempool was removed; fee_market.enabled=false "
-                "is the unpriced pool"
-            )
         if market.enabled and market.block_weight_budget is not None:
             for kind in ("deploy", "call"):
                 weight = getattr(market, f"{kind}_weight")

@@ -14,6 +14,7 @@ two JSONL headers and the metrics snapshot are declarations on top of:
   ints are accepted for floats; bools are neither ints nor floats.
 * A plain dataclass is a *spec*: omitted keys take the field defaults.
   One marked :func:`exact` is a *file record*: every key is required.
+  A key a class declares :func:`retired` still loads, and is dropped.
 * :func:`dump` (the inverse) and :func:`canonical`, the one byte form.
 * :func:`check` — the declared rules, enforced over a loaded tree;
   :func:`describe` — the same declarations rendered for docs and CLI.
@@ -141,6 +142,20 @@ def exact(cls):
     return cls
 
 
+def retired(key: str, why: str, *only):
+    """Declare that the decorated class once had wire key ``key``:
+    :func:`load` accepts and drops it, so files written before the
+    removal still load, while nothing writes, lists or describes it and
+    a path that names it is refused with ``why``.  ``only``, when given,
+    is the one value the key may still hold."""
+
+    def mark(cls):
+        cls.__serde_retired__ = {**getattr(cls, "__serde_retired__", {}), key: (why, only)}
+        return cls
+
+    return mark
+
+
 @functools.cache
 def fields(cls) -> dict[str, Field]:
     """The serde schema of dataclass ``cls`` by wire key, resolved once
@@ -169,6 +184,8 @@ def known_field(cls, key: str, where: str) -> Field:
     """Row ``key`` of ``cls``'s schema; an unknown key is a
     :class:`SpecError` that offers the nearest known one."""
     table = fields(cls)
+    if key in getattr(cls, "__serde_retired__", ()):
+        raise SpecError(f"{where}: field {key!r} was retired: {cls.__serde_retired__[key][0]}")
     if key not in table:
         near = difflib.get_close_matches(key, table, n=1)
         hint = f"did you mean {near[0]!r}? " if near else ""
@@ -202,6 +219,15 @@ def _load_dataclass(cls, data, path: str):
     if not isinstance(data, dict):
         raise _Invalid(f"{label}: expected an object, got {type(data).__name__}")
     table = fields(cls)
+    prefix = f"{path}." if path else ""
+    for key, (why, only) in getattr(cls, "__serde_retired__", {}).items():
+        if key in data:
+            if only and canonical(data[key]) != canonical(only[0]):
+                raise _Invalid(
+                    f"{prefix}{key} was retired ({why}): only "
+                    f"{canonical(only[0])} still loads, got {data[key]!r}"
+                )
+            data = {k: v for k, v in data.items() if k != key}
     unknown = sorted(data.keys() - table.keys())
     missing = sorted(key for key, f in table.items() if f.required and key not in data)
     if unknown or missing:
@@ -209,7 +235,6 @@ def _load_dataclass(cls, data, path: str):
             f"{label}: unknown keys {unknown}, missing keys {missing} "
             f"(known keys: {sorted(table)})"
         )
-    prefix = f"{path}." if path else ""
     return cls(
         **{
             table[key].name: _fit(value, table[key].type, prefix + key)

@@ -1,8 +1,7 @@
-"""Discrete-event simulation substrate: clock, events, network, failures."""
+"""Discrete-event simulation substrate: clock, events, nodes, failures."""
 
 from .events import Event, EventQueue, TraceRecord
 from .failures import CrashWindow, FailureInjector, FailureSchedule
-from .network import LatencyModel, Network, NetworkStats, Partition
 from .node import Node
 from .rng import RngRegistry, RngStream
 from .simulator import Simulator
@@ -13,11 +12,7 @@ __all__ = [
     "EventQueue",
     "FailureInjector",
     "FailureSchedule",
-    "LatencyModel",
-    "Network",
-    "NetworkStats",
     "Node",
-    "Partition",
     "RngRegistry",
     "RngStream",
     "Simulator",

@@ -1,4 +1,4 @@
-"""Failure injection: scheduled crashes, recoveries, and partitions.
+"""Failure injection: scheduled crashes and recoveries.
 
 Experiment E7 (the paper's Section 1 motivation) crashes a participant at
 a chosen protocol step and observes whether the commitment protocol
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .network import Network
 from .node import Node
 from .simulator import Simulator
 
@@ -31,32 +30,25 @@ class CrashWindow:
 
 @dataclass
 class FailureSchedule:
-    """A declarative set of crash windows and partition windows."""
+    """A declarative set of crash windows."""
 
     crashes: list[CrashWindow] = field(default_factory=list)
-    partitions: list[tuple[frozenset[str], float, float]] = field(default_factory=list)
 
     def crash(self, node_name: str, start: float, end: float | None = None) -> "FailureSchedule":
         """Add a crash window (fluent)."""
         self.crashes.append(CrashWindow(node_name, start, end))
         return self
 
-    def partition(self, group: set[str], start: float, end: float) -> "FailureSchedule":
-        """Add a partition window isolating ``group`` (fluent)."""
-        self.partitions.append((frozenset(group), start, end))
-        return self
-
 
 class FailureInjector:
-    """Applies a :class:`FailureSchedule` to live nodes and a network."""
+    """Applies a :class:`FailureSchedule` to live nodes."""
 
-    def __init__(self, simulator: Simulator, network: Network | None = None) -> None:
+    def __init__(self, simulator: Simulator) -> None:
         self.simulator = simulator
-        self.network = network
         self.applied: list[str] = []
 
     def apply(self, schedule: FailureSchedule, nodes: dict[str, Node]) -> None:
-        """Schedule every crash and partition in ``schedule``.
+        """Schedule every crash in ``schedule``.
 
         ``nodes`` maps node names to node objects; unknown names raise
         KeyError immediately rather than mid-simulation.
@@ -64,8 +56,6 @@ class FailureInjector:
         for window in schedule.crashes:
             node = nodes[window.node_name]
             self._schedule_crash(node, window)
-        for group, start, end in schedule.partitions:
-            self._schedule_partition(group, start, end)
 
     def _schedule_crash(self, node: Node, window: CrashWindow) -> None:
         def do_crash() -> None:
@@ -85,14 +75,3 @@ class FailureInjector:
                 self.applied.append(f"recover {node.name} @ {self.simulator.now:.3f}")
 
             self.simulator.schedule_at(end, do_recover, label=f"recover {node.name}")
-
-    def _schedule_partition(self, group: frozenset[str], start: float, end: float) -> None:
-        if self.network is None:
-            raise RuntimeError("partition injection requires a network")
-
-        def do_partition() -> None:
-            self.network.partition(set(group), end - self.simulator.now)
-            self.applied.append(f"partition {sorted(group)} @ {self.simulator.now:.3f}")
-
-        start = max(start, self.simulator.now)
-        self.simulator.schedule_at(start, do_partition, label=f"partition {sorted(group)}")

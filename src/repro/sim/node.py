@@ -1,22 +1,21 @@
 """Actor base class for simulation participants.
 
 Miners, protocol participants, and witness services are all nodes: they
-receive messages from a :class:`~repro.sim.network.Network`, keep local
-state, and schedule their own timers on the simulator.  Crash failures
-flip :attr:`crashed`; a crashed node neither receives messages nor fires
-timers until it recovers.
+keep local state and schedule their own timers on the simulator.  Crash
+failures flip :attr:`crashed`; a crashed node fires no timers until it
+recovers.  That window is the one model of an unreachable party: there
+is no message layer between nodes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
-from .network import Network
 from .simulator import Simulator
 
 
 class Node:
-    """A named actor attached to a simulator and (optionally) a network.
+    """A named actor attached to a simulator.
 
     Slotted: thousands of nodes exist in a large engine run, and the base
     attributes are fixed.  Subclasses that declare extra attributes without
@@ -26,45 +25,19 @@ class Node:
     __slots__ = (
         "simulator",
         "name",
-        "network",
         "crashed",
-        "inbox_log",
         "_recovery_listeners",
         "collector",
     )
 
-    def __init__(self, simulator: Simulator, name: str, network: Network | None = None) -> None:
+    def __init__(self, simulator: Simulator, name: str) -> None:
         self.simulator = simulator
         self.name = name
-        self.network = network
         self.crashed = False
-        self.inbox_log: list[tuple[float, str, Any]] = []
         self._recovery_listeners: list[Callable[[], None]] = []
         #: Optional flight recorder (set by :func:`repro.obs.instrument`);
         #: crash/recovery windows are emitted when attached.
         self.collector = None
-        if network is not None:
-            network.register(self)
-
-    # -- messaging -----------------------------------------------------------
-
-    def send(self, recipient: str, payload: Any) -> None:
-        """Send a message through the attached network."""
-        if self.network is None:
-            raise RuntimeError(f"node {self.name!r} has no network attached")
-        if self.crashed:
-            return
-        self.network.send(self.name, recipient, payload)
-
-    def on_message(self, sender: str, payload: Any) -> None:
-        """Handle a delivered message.  Subclasses override :meth:`handle`."""
-        if self.crashed:
-            return
-        self.inbox_log.append((self.simulator.now, sender, payload))
-        self.handle(sender, payload)
-
-    def handle(self, sender: str, payload: Any) -> None:
-        """Process a message; default is to record it only."""
 
     # -- timers ----------------------------------------------------------------
 
@@ -80,13 +53,13 @@ class Node:
     # -- failures ----------------------------------------------------------------
 
     def crash(self) -> None:
-        """Crash the node: it stops receiving messages and firing timers."""
+        """Crash the node: it stops firing timers."""
         if self.collector is not None and not self.crashed:
             self.collector.emit("sim", "crash", actor=self.name)
         self.crashed = True
 
     def recover(self) -> None:
-        """Recover from a crash; messages sent while crashed stay lost.
+        """Recover from a crash.
 
         Fires the registered recovery listeners — event-driven protocol
         drivers re-examine the world the moment their participant comes

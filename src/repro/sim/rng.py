@@ -1,8 +1,8 @@
 """Deterministic random-number streams for reproducible simulations.
 
-Every stochastic choice in the simulator (block intervals, network
-latencies, failure times, workload generation) draws from a named stream
-derived from a single experiment seed.  Two runs with the same seed are
+Every stochastic choice in the simulator (block intervals, failure
+times, workload generation) draws from a named stream derived from a
+single experiment seed.  Two runs with the same seed are
 bit-for-bit identical regardless of the order in which subsystems are
 constructed, because each subsystem gets its own independent stream.
 """

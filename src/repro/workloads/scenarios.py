@@ -2,7 +2,7 @@
 
 A scenario assembles everything a protocol driver needs into a
 :class:`ScenarioEnvironment` (a :class:`~repro.core.protocol.SwapEnvironment`
-plus the miners, network, and failure injector).  Tests, benchmarks and
+plus the miners and failure injector).  Tests, benchmarks and
 examples all build their worlds through this module so that setup is
 uniform and reproducible.
 """
@@ -23,7 +23,6 @@ from ..core.participant import ChainHandle, Participant
 from ..core.protocol import SwapEnvironment
 from ..errors import InsufficientFundsError, ProtocolError, ValidationError
 from ..sim.failures import FailureInjector, FailureSchedule
-from ..sim.network import LatencyModel, Network
 from ..sim.rng import RngStream
 from ..sim.simulator import Simulator
 from .graphs import DEFAULT_AMOUNT, participant_keys
@@ -38,7 +37,6 @@ VALIDATOR_MODES = ("anchor", "full-replica", "light-client")
 class ScenarioEnvironment(SwapEnvironment):
     """A fully assembled world: environment plus operational machinery."""
 
-    network: Network | None = None
     miners: dict[str, MinerNode] = field(default_factory=dict)
     injector: FailureInjector | None = None
     witness_chain_id: str = "witness"
@@ -52,9 +50,9 @@ class ScenarioEnvironment(SwapEnvironment):
             miner.start()
 
     def apply_failures(self, schedule: FailureSchedule) -> None:
-        """Schedule crash/partition windows against this world's nodes."""
+        """Schedule crash windows against this world's nodes."""
         if self.injector is None:
-            self.injector = FailureInjector(self.simulator, self.network)
+            self.injector = FailureInjector(self.simulator)
         nodes = dict(self.participants)
         nodes.update(self.miners)
         self.injector.apply(schedule, nodes)
@@ -85,7 +83,6 @@ def _assemble_world(
     validator_mode: str,
     block_interval: float,
     confirmation_depth: int,
-    latency: LatencyModel | None,
     fee_policy: FeePolicy | None,
 ) -> ScenarioEnvironment:
     """The one world assembly behind both scenario builders.
@@ -100,10 +97,7 @@ def _assemble_world(
             f"validator_mode must be one of {VALIDATOR_MODES}, got {validator_mode!r}"
         )
     simulator = Simulator(seed=seed)
-    network = Network(simulator, latency=latency or LatencyModel())
-    actors = {
-        name: Participant(simulator, name, network=network) for name in chains_of
-    }
+    actors = {name: Participant(simulator, name) for name in chains_of}
 
     chains: dict[str, Blockchain] = {}
     mempools: dict[str, Mempool] = {}
@@ -127,7 +121,7 @@ def _assemble_world(
                 remaining -= value
         chain = chains[chain_id] = Blockchain(params, allocations)
         mempool = mempools[chain_id] = Mempool(chain, fee_policy)
-        miners[chain_id] = MinerNode(simulator, chain, mempool, network=network)
+        miners[chain_id] = MinerNode(simulator, chain, mempool)
         if fee_policy is not None:
             estimators[chain_id] = FeeEstimator(chain, fee_policy)
         handle = ChainHandle(chain=chain, mempool=mempool)
@@ -141,9 +135,8 @@ def _assemble_world(
         chains=chains,
         mempools=mempools,
         participants=actors,
-        network=network,
         miners=miners,
-        injector=FailureInjector(simulator, network),
+        injector=FailureInjector(simulator),
         witness_chain_id=witness_chain_id,
         validator_mode=validator_mode,
         fee_policy=fee_policy,
@@ -165,7 +158,6 @@ def build_scenario(
     validator_mode: str = "anchor",
     block_interval: float = 1.0,
     confirmation_depth: int = 2,
-    latency: LatencyModel | None = None,
     fee_policy: FeePolicy | None = None,
 ) -> ScenarioEnvironment:
     """Build a complete simulation world.
@@ -187,7 +179,6 @@ def build_scenario(
             "anchor" (relay contracts, the paper's proposal),
             "full-replica", or "light-client" (Section 4.3).
         block_interval / confirmation_depth: defaults for fast chains.
-        latency: network latency model (default: deterministic 50 ms).
         fee_policy: when set, every chain's mempool prices block space
             under this policy (plus a :class:`~repro.economy.FeeEstimator`);
             when None, mempools are unpriced and mine in submission order.
@@ -217,7 +208,6 @@ def build_scenario(
         validator_mode=validator_mode,
         block_interval=block_interval,
         confirmation_depth=confirmation_depth,
-        latency=latency,
         fee_policy=fee_policy,
     )
 
@@ -453,7 +443,6 @@ def build_multi_scenario(
     validator_mode: str = "anchor",
     block_interval: float = 1.0,
     confirmation_depth: int = 2,
-    latency: LatencyModel | None = None,
     fee_policy: FeePolicy | None = None,
     extra_participants: list[str] | None = None,
     extra_funding_chunks: int = 64,
@@ -510,7 +499,6 @@ def build_multi_scenario(
         validator_mode=validator_mode,
         block_interval=block_interval,
         confirmation_depth=confirmation_depth,
-        latency=latency,
         fee_policy=fee_policy,
     )
 

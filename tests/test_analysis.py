@@ -166,3 +166,35 @@ class TestThroughputModel:
     def test_empty_asset_chains_rejected(self):
         with pytest.raises(ValueError):
             throughput.ac2t_throughput([], "bitcoin")
+
+
+class TestIntermediatedComparison:
+    def test_intro_transaction_counts(self):
+        from repro.analysis.intermediated import (
+            ac2t_path,
+            direct_exchange_path,
+            fiat_exchange_path,
+        )
+        from repro.workloads.graphs import two_party_swap
+
+        graph = two_party_swap()
+        assert fiat_exchange_path().onchain_transactions == 4
+        assert direct_exchange_path().onchain_transactions == 2
+        ac3wn = ac2t_path(graph, "ac3wn")
+        herlihy = ac2t_path(graph, "herlihy")
+        assert herlihy.onchain_transactions == 4  # 2 deploys + 2 settles
+        assert ac3wn.onchain_transactions == 6  # + SCw deploy + state change
+
+    def test_only_p2p_paths_avoid_trust(self):
+        from repro.analysis.intermediated import comparison_rows
+        from repro.workloads.graphs import two_party_swap
+
+        rows = comparison_rows(two_party_swap())
+        assert [r.trusted_intermediary for r in rows] == [True, True, False, False]
+        assert [r.atomic for r in rows] == [False, False, False, True]
+
+    def test_invalid_pairs(self):
+        from repro.analysis.intermediated import fiat_exchange_path
+
+        with pytest.raises(ValueError):
+            fiat_exchange_path(0)

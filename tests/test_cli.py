@@ -361,7 +361,7 @@ class TestAliases:
         assert "block_weight_budget" in capsys.readouterr().err
         for override, needle in (
             ("fee_market.block_weight_budget=1", "block_weight_budget=1 cannot fit a deploy"),
-            ("fee_market.fifo=true", "fee_market.fifo must be false"),
+            ("fee_market.fifo=true", "field 'fifo' was retired: the FIFO mempool fork was removed"),
         ):
             assert main(["run", "--preset", "congestion", "--set", override]) == 2
             err = capsys.readouterr().err

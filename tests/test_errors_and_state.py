@@ -26,7 +26,6 @@ class TestErrorHierarchy:
             errors.UnknownContractError,
             errors.FeeError,
             errors.SchedulingError,
-            errors.NetworkError,
             errors.GraphError,
             errors.EvidenceError,
             errors.AtomicityViolation,

@@ -189,9 +189,8 @@ class TestValidation:
         with pytest.raises(SpecError, match=r"block_weight_budget=2 cannot fit a deploy.*=4"):
             spec.validate()
         small_spec(**{"fee_market.block_weight_budget": 2}).validate()  # market off
-        spec = small_spec(**{"fee_market.fifo": True})
-        with pytest.raises(SpecError, match="fee_market.fifo must be false: the FIFO fork"):
-            spec.validate()
+        with pytest.raises(SpecError, match="'fee_market.fifo': field 'fifo' was retired: the FIFO"):
+            small_spec(**{"fee_market.fifo": True})
         spec = small_spec(**{"traffic.fee_budget": '{"cap": -1}'})
         with pytest.raises(SpecError, match="cap"):
             spec.validate()

@@ -110,18 +110,3 @@ class TestHashingConstants:
 
         assert hashing.HEX_DIGEST_LENGTH == 64
         assert len(hashing.hash_hex(b"x")) == hashing.HEX_DIGEST_LENGTH
-
-
-class TestNetworkStats:
-    def test_counters_accumulate(self):
-        from repro.sim.network import Network
-
-        sim = Simulator(seed=9)
-        net = Network(sim)
-        a = Node(sim, "a", net)
-        Node(sim, "b", net)
-        a.send("b", "x")
-        a.send("b", "y")
-        sim.run()
-        assert net.stats.sent == 2
-        assert net.stats.delivered == 2

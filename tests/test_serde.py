@@ -24,6 +24,7 @@ import copy
 import dataclasses
 import difflib
 import functools
+import hashlib
 import json
 import math
 import operator
@@ -178,7 +179,7 @@ PROBES = [
     (load_log, 2, ["at"], NAN, ServiceError, "line 2.at"),
     (load_trace, 2, ["swap"], "seven", TraceError, "line 2.swap"),
     (set_spec, 0, ["traffic", "rate"], NAN, SpecError, "traffic.rate"),
-    (load_spec, 0, ["latency", "base"], math.inf, SpecError, "latency.base"),
+    (load_spec, 0, ["chains", "block_interval"], math.inf, SpecError, "chains.block_interval"),
     # -- reached users as CLI tracebacks --------------------------------------
     (load_checkpoint, 0, ["records", 0, "at"], "soon", ServiceError,
      "checkpoint.records[0].at"),
@@ -290,8 +291,8 @@ class TestCliSurfaces:
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_run_set_non_finite(self, capsys, value):
-        argv = ["run", "--preset", "swap", "--set", f"latency.base={value}"]
-        self.assert_one_line(capsys, argv, "run", "latency.base")
+        argv = ["run", "--preset", "swap", "--set", f"chains.block_interval={value}"]
+        self.assert_one_line(capsys, argv, "run", "chains.block_interval")
 
 
 # ---------------------------------------------------------------------------
@@ -944,12 +945,133 @@ class TestGeneratedBoundaries:
             spec.validate()
 
     def test_check_reports_through_fail_or_raises(self):
-        spec = apply_overrides(ExperimentSpec(), {"latency.jitter": -1.0})
+        spec = apply_overrides(ExperimentSpec(), {"traffic.rate": -1.0})
         said = []
         serde.check(spec, fail=said.append)
-        assert said == ["latency.jitter must be non-negative"]
-        with pytest.raises(SpecError, match="^world.latency.jitter must be non-negative$"):
+        assert said == ["traffic.rate must be positive"]
+        with pytest.raises(SpecError, match="^world.traffic.rate must be positive$"):
             serde.check(spec, "world")
+
+
+# ---------------------------------------------------------------------------
+# Retired keys: what files written before a removal carry still loads
+# ---------------------------------------------------------------------------
+
+#: What every spec echo carried before ``latency`` left the schema.
+OLD_LATENCY = {"base": 0.05, "jitter": 0.0}
+#: (a catalog spec, the steps from its root to the ExperimentSpec inside)
+RETIRED_IN = [
+    (preset_spec("congestion"), ()),
+    (service_preset_spec("serve-steady"), ("world",)),
+    (sweep_spec("crash-matrix"), ("base",)),
+]
+#: sha256 of the parent commit's ``serve-steady`` ``--max-swaps 8``
+#: files, as ``tests/data/golden-artifact-digests.json`` pinned them
+#: before the removal.
+PARENT_SESSION_DIGESTS = {
+    "checkpoint": "a6ff128865fbe4d6699862b63d3a20e1d608f5e2773678d7f7f7dd3463bc1497",
+    "log": "671ba8ca1a31f3f6de3fc3903f4c395de47d7df2950b25ffb78c5bf7fbe4cc68",
+}
+
+
+def as_the_parent_wrote(data, steps, latency=OLD_LATENCY, fifo=False):
+    """Spec ``data`` with both retired keys back in the experiment at ``steps``."""
+    data = copy.deepcopy(data)
+    world = functools.reduce(operator.getitem, steps, data)
+    world["latency"] = latency
+    world["fee_market"]["fifo"] = fifo
+    return data
+
+
+def retired_id(case) -> str:
+    return type(case[0]).__name__
+
+
+class TestRetiredKeys:
+    @pytest.mark.parametrize("latency", [OLD_LATENCY, {"base": 5.0, "jitter": 3.0}, None])
+    @pytest.mark.parametrize("case", RETIRED_IN, ids=retired_id)
+    def test_an_old_document_loads_equal_and_dumps_without_them(self, case, latency):
+        spec, steps = case
+        old = as_the_parent_wrote(spec.to_dict(), steps, latency)
+        loaded = type(spec).from_dict(old)
+        assert loaded == spec
+        assert loaded.to_dict() == spec.to_dict() != old
+        assert type(spec).from_json(json.dumps(old)).to_json() == spec.to_json()
+
+    @pytest.mark.parametrize("bad", [True, 0, None, "false"])
+    @pytest.mark.parametrize("case", RETIRED_IN, ids=retired_id)
+    def test_a_frozen_key_still_holds_only_its_one_value(self, case, bad):
+        spec, steps = case
+        old = as_the_parent_wrote(spec.to_dict(), steps, fifo=bad)
+        where = re.escape(".".join(steps + ("fee_market", "fifo")))
+        with pytest.raises(SpecError, match=f"^{where} was retired .*: only false still loads"):
+            type(spec).from_dict(old)
+
+    def test_retirement_belongs_to_the_class_that_had_the_key(self):
+        row = {**RequestRecord(0, 0.5, "s", "ac3wn", 1).to_dict(), "latency": OLD_LATENCY}
+        with pytest.raises(ServiceError, match=r"unknown keys \['latency'\]"):
+            RequestRecord.from_dict(row)
+        for path in (["chains", "fifo"], ["traffic", "latency"], ["fee_market", "latency"]):
+            data = edit(ExperimentSpec().to_dict(), path, False)
+            with pytest.raises(SpecError, match=rf"^{path[0]}: unknown keys \['{path[1]}'\]"):
+                ExperimentSpec.from_dict(data)
+
+    def test_no_schema_reader_knows_a_retired_key(self):
+        assert "latency" not in serde.fields(ExperimentSpec)
+        assert "fifo" not in serde.fields(type(ExperimentSpec().fee_market))
+        described = [row.strip() for row in serde.describe(ExperimentSpec).splitlines()]
+        assert not [row for row in described if row.startswith(("latency:", "fifo:"))]
+        for spec, steps in RETIRED_IN:
+            old = as_the_parent_wrote(spec.to_dict(), steps)
+            keys = {step for _, found, _, _ in locations(type(spec), old, "") for step in found}
+            assert not keys & {"latency", "fifo"}
+        for typo in ("latencey", "fee_market.fifi"):
+            with pytest.raises(SpecError, match="unknown field") as caught:
+                apply_overrides(ExperimentSpec(), {typo: 1})
+            assert "'latency'" not in str(caught.value) and "'fifo'" not in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "path", ["latency", "latency.base", "latency.jitter", "fee_market.fifo"]
+    )
+    def test_naming_a_retired_key_says_so_and_why(self, capsys, path):
+        leaf = path.split(".")[0] if path.startswith("latency") else "fifo"
+        with pytest.raises(SpecError, match=f"field '{leaf}' was retired: \\w+"):
+            serde.describe(ExperimentSpec, path)
+        for value in ("5", "false"):
+            argv = ["run", "--preset", "swap", "--set", f"{path}={value}"]
+            TestCliSurfaces().assert_one_line(capsys, argv, "run", f"'{leaf}' was retired")
+        TestCliSurfaces().assert_one_line(capsys, ["describe", "run", path], "describe", "retired")
+
+    def test_the_parents_session_files_restore_and_replay_to_our_bytes(self, tmp_path):
+        service = SwapService(service_preset_spec("serve-steady"))
+        service.serve(max_swaps=8)
+        ours = {"checkpoint": service.checkpoint(), "log": service.request_log()}
+        header, *rows = ours["log"].splitlines()
+        theirs = {
+            "checkpoint": serde.canonical(
+                as_the_parent_wrote(json.loads(ours["checkpoint"]), ("spec", "world"))
+            ) + "\n",
+            "log": "\n".join(
+                [serde.canonical(as_the_parent_wrote(json.loads(header), ("spec", "world")))]
+                + rows
+            ) + "\n",
+        }
+        # Putting the retired keys back is all it takes to get the
+        # parent's bytes, so ``theirs`` *are* the parent's files.
+        for name, digest in PARENT_SESSION_DIGESTS.items():
+            assert _sha(theirs[name]) == digest, name
+        path = tmp_path / "parent.ckpt"
+        path.write_text(theirs["checkpoint"])
+        restored = SwapService.restore(str(path))
+        assert restored.request_log() == ours["log"]
+        assert restored.checkpoint() == service.checkpoint()
+        replayed = SwapService.replay(*load_request_log(theirs["log"]))
+        assert replayed.to_json() == SwapService.replay(*load_request_log(ours["log"])).to_json()
+        assert '"latency":{' not in restored.request_log() and '"fifo"' not in replayed.to_json()
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

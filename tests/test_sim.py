@@ -1,11 +1,10 @@
-"""Tests for the discrete-event simulator, network, and failure injection."""
+"""Tests for the discrete-event simulator, node timers, and failure injection."""
 
 import pytest
 
-from repro.errors import NetworkError, SchedulingError
+from repro.errors import SchedulingError
 from repro.sim.events import EventQueue
 from repro.sim.failures import FailureInjector, FailureSchedule
-from repro.sim.network import LatencyModel, Network
 from repro.sim.node import Node
 from repro.sim.rng import RngRegistry
 from repro.sim.simulator import Simulator
@@ -147,103 +146,10 @@ class TestRng:
             RngRegistry(0).stream("t").expovariate(0)
 
 
-class EchoNode(Node):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.received = []
-
-    def handle(self, sender, payload):
-        self.received.append((sender, payload))
-
-
-class TestNetwork:
-    def _world(self, **net_kwargs):
-        sim = Simulator(seed=1)
-        net = Network(sim, **net_kwargs)
-        a = EchoNode(sim, "a", net)
-        b = EchoNode(sim, "b", net)
-        return sim, net, a, b
-
-    def test_delivery(self):
-        sim, net, a, b = self._world()
-        a.send("b", {"hello": 1})
-        sim.run()
-        assert b.received == [("a", {"hello": 1})]
-
-    def test_latency_delays_delivery(self):
-        sim, net, a, b = self._world(latency=LatencyModel(base=2.5))
-        a.send("b", "x")
-        sim.run_until(2.0)
-        assert b.received == []
-        sim.run()
-        assert b.received and sim.now == 2.5
-
-    def test_unknown_recipient(self):
-        sim, net, a, b = self._world()
-        with pytest.raises(NetworkError):
-            a.send("ghost", "x")
-
-    def test_duplicate_node_name(self):
-        sim = Simulator()
-        net = Network(sim)
-        EchoNode(sim, "dup", net)
-        with pytest.raises(NetworkError):
-            EchoNode(sim, "dup", net)
-
-    def test_broadcast_excludes_sender(self):
-        sim, net, a, b = self._world()
-        c = EchoNode(sim, "c", net)
-        a.send("b", "direct")
-        net.broadcast("a", "hello")
-        sim.run()
-        assert ("a", "hello") in b.received
-        assert ("a", "hello") in c.received
-        assert all(payload != "hello" for _, payload in a.received)
-
-    def test_partition_blocks_messages(self):
-        sim, net, a, b = self._world()
-        net.partition({"a"}, duration=10.0)
-        a.send("b", "blocked")
-        sim.run_until(5.0)
-        assert b.received == []
-        assert net.stats.dropped_partition == 1
-
-    def test_partition_heals(self):
-        sim, net, a, b = self._world()
-        net.partition({"a"}, duration=3.0)
-        sim.run_until(4.0)
-        a.send("b", "after-heal")
-        sim.run()
-        assert b.received == [("a", "after-heal")]
-
-    def test_crashed_recipient_drops_message(self):
-        sim, net, a, b = self._world()
-        b.crash()
-        a.send("b", "lost")
-        sim.run()
-        assert b.received == []
-        assert net.stats.dropped_crashed == 1
-
-    def test_crashed_sender_sends_nothing(self):
-        sim, net, a, b = self._world()
-        a.crash()
-        a.send("b", "nope")
-        sim.run()
-        assert b.received == []
-
-    def test_loss_rate_drops_everything_at_one(self):
-        sim, net, a, b = self._world(loss_rate=1.0)
-        for _ in range(5):
-            a.send("b", "x")
-        sim.run()
-        assert b.received == []
-        assert net.stats.dropped_loss == 5
-
-
 class TestNodeTimers:
     def test_after_fires(self):
         sim = Simulator()
-        node = EchoNode(sim, "n")
+        node = Node(sim, "n")
         fired = []
         node.after(2.0, lambda: fired.append(sim.now))
         sim.run()
@@ -251,7 +157,7 @@ class TestNodeTimers:
 
     def test_after_suppressed_while_crashed(self):
         sim = Simulator()
-        node = EchoNode(sim, "n")
+        node = Node(sim, "n")
         fired = []
         node.after(2.0, lambda: fired.append(1))
         node.crash()
@@ -260,7 +166,7 @@ class TestNodeTimers:
 
     def test_recovered_node_fires_new_timers(self):
         sim = Simulator()
-        node = EchoNode(sim, "n")
+        node = Node(sim, "n")
         fired = []
         node.crash()
         node.recover()
@@ -272,7 +178,7 @@ class TestNodeTimers:
 class TestFailureInjection:
     def test_crash_window(self):
         sim = Simulator()
-        node = EchoNode(sim, "victim")
+        node = Node(sim, "victim")
         schedule = FailureSchedule().crash("victim", start=2.0, end=5.0)
         FailureInjector(sim).apply(schedule, {"victim": node})
         sim.run_until(3.0)
@@ -282,26 +188,11 @@ class TestFailureInjection:
 
     def test_permanent_crash(self):
         sim = Simulator()
-        node = EchoNode(sim, "victim")
+        node = Node(sim, "victim")
         schedule = FailureSchedule().crash("victim", start=1.0)
         FailureInjector(sim).apply(schedule, {"victim": node})
         sim.run_until(100.0)
         assert node.crashed
-
-    def test_partition_schedule(self):
-        sim = Simulator(seed=2)
-        net = Network(sim)
-        a, b = EchoNode(sim, "a", net), EchoNode(sim, "b", net)
-        schedule = FailureSchedule().partition({"a"}, start=1.0, end=4.0)
-        FailureInjector(sim, net).apply(schedule, {"a": a, "b": b})
-        sim.run_until(2.0)
-        a.send("b", "during")
-        sim.run_until(3.0)
-        assert b.received == []
-        sim.run_until(5.0)
-        a.send("b", "after")
-        sim.run()
-        assert ("a", "after") in b.received
 
     def test_unknown_node_rejected_immediately(self):
         sim = Simulator()

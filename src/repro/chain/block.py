@@ -107,11 +107,6 @@ class BlockHeader:
         )
 
 
-def messages_merkle_tree(message_ids: list[bytes]) -> MerkleTree:
-    """The Merkle tree a block builds over its message ids."""
-    return MerkleTree(list(message_ids))
-
-
 _LEAF_MSG = b"D\x00\x00\x00\x02" + canonical_encode("msg") + b"B"
 _LEAF_STATUS = canonical_encode("status") + b"S"
 
@@ -182,7 +177,7 @@ class Block:
         if tree is None:
             # MerkleTree memoizes its levels internally and is read-only
             # after construction, so one shared instance per block is safe.
-            tree = messages_merkle_tree(self.message_ids())
+            tree = MerkleTree(self.message_ids())
             object.__setattr__(self, "_tree", tree)
         return tree
 

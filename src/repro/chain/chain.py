@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from ..crypto.keys import Address, KeyPair
-from ..crypto.merkle import MerkleProof, MerkleTree
+from ..crypto.merkle import MerkleProof, MerkleTree, merkle_root
 from ..errors import InvalidBlockError, UnknownBlockError, ValidationError
 from .block import (
     Block,
     BlockHeader,
     encode_time,
-    messages_merkle_tree,
+    receipt_leaf,
     receipts_merkle_tree,
 )
 from .contracts import DEFAULT_REGISTRY, ContractRegistry, Receipt, SmartContract
@@ -33,7 +33,7 @@ from .transaction import make_coinbase
 GENESIS_PREV = b"\x00" * 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MessageLocation:
     """Where a message landed: block hash, height, and index within it."""
 
@@ -89,31 +89,35 @@ class Blockchain:
         self._reorg_listeners: list[Callable[[int, int], None]] = []
         self.reorgs = 0
 
-        genesis = self._build_genesis(genesis_allocations or [])
-        self._connect(genesis, check_work=False)
+        genesis, state = self._build_genesis(genesis_allocations or [])
+        self._genesis_hash = genesis.block_id()
+        self._install(genesis, state)
 
     # -- genesis ------------------------------------------------------------
 
-    def _build_genesis(self, allocations: list[tuple[Address, int]]) -> Block:
-        messages = tuple(
-            TransferMessage(make_coinbase(address, value, nonce=i))
-            for i, (address, value) in enumerate(allocations)
-        )
-        ids = [message.message_id() for message in messages]
+    def _build_genesis(self, allocations: list[tuple[Address, int]]) -> tuple[Block, ChainState]:
+        """The genesis block and its state.  Only the roots are kept: nothing
+        proves inclusion in genesis, and a tree is two digests per coin."""
+        state = ChainState()
+        messages, leaves = [], []
+        coinbase = None
+        for nonce, (address, value) in enumerate(allocations):
+            coinbase = make_coinbase(address, value, nonce, previous=coinbase)
+            messages.append(TransferMessage(coinbase))
+            receipt = state.apply_message(messages[-1], self.params, 0, 0.0, allow_coinbase=True)
+            leaves.append(receipt_leaf(receipt.message_id, receipt.status))
         header = BlockHeader(
             chain_id=self.params.chain_id,
             height=0,
             prev_hash=GENESIS_PREV,
-            # Only the root is kept: nothing proves inclusion in genesis,
-            # and a retained tree is two digests per allocation.
-            merkle_root=messages_merkle_tree(ids).root(),
-            receipts_root=self._receipts([(mid, "ok") for mid in ids])[1].root(),
+            merkle_root=merkle_root([message.message_id() for message in messages]),
+            receipts_root=merkle_root(leaves),
             time_ticks=0,
             difficulty_bits=0,  # genesis carries no work requirement
             nonce=0,
             miner=Address(b"\x00" * 20),
         )
-        return Block(header=header, messages=messages)
+        return Block(header=header, messages=tuple(messages)), state
 
     def _receipts(self, statuses: list[tuple[bytes, str]]) -> tuple[list, MerkleTree]:
         """``statuses`` (a private copy) and the receipts tree over them.
@@ -167,7 +171,7 @@ class Blockchain:
         simulator delivers blocks in causal order per miner).
         """
         self._validate_structure(block)
-        became_head = self._connect(block, check_work=True)
+        became_head = self._connect(block)
         for listener in list(self._block_listeners):
             listener(block)
         return became_head
@@ -236,21 +240,12 @@ class Blockchain:
         if not check_pow(header):
             raise InvalidBlockError("proof of work below target")
 
-    def _connect(self, block: Block, check_work: bool) -> bool:
+    def _connect(self, block: Block) -> bool:
         block_hash = block.block_id()
         if block_hash in self._blocks:
             return False  # duplicate
-        parent_hash = block.header.prev_hash
-        if block.header.height == 0:
-            parent_state = ChainState()
-            parent_work = 0
-            self._genesis_hash = block_hash
-        else:
-            parent_state = self.state_at(parent_hash)
-            parent_work = self._work[parent_hash]
-
         # Apply messages on a clone; rejection leaves the chain untouched.
-        state = parent_state.clone()
+        state = self.state_at(block.header.prev_hash).clone()
         try:
             receipts = state.apply_block(block, self.params, self.registry, self.validators)
         except ValidationError as exc:
@@ -258,50 +253,40 @@ class Blockchain:
         receipt_data = self._receipts([(r.message_id, r.status) for r in receipts])
         if block.header.receipts_root != receipt_data[1].root():
             raise InvalidBlockError("receipts root does not match execution")
-
-        self._blocks[block_hash] = block
         self._receipt_data[block_hash] = receipt_data
+        return self._install(block, state)
+
+    def _install(self, block: Block, state: ChainState) -> bool:
+        """Record ``block``, the ``state`` it leaves, and whether it is head."""
+        block_hash = block.block_id()
+        parent_hash = block.header.prev_hash
+        self._blocks[block_hash] = block
         self._children.setdefault(parent_hash, []).append(block_hash)
-        self._work[block_hash] = parent_work + work_for_bits(block.header.difficulty_bits)
+        self._work[block_hash] = self._work.get(parent_hash, 0) + work_for_bits(
+            block.header.difficulty_bits
+        )
         self._states[block_hash] = state
         for index, message in enumerate(block.messages):
             self._message_index.setdefault(message.message_id(), []).append(
                 MessageLocation(block_hash, block.header.height, index)
             )
 
-        became_head = False
-        if not self._head_hash or self._work[block_hash] > self._work[self._head_hash]:
-            old_head = self._head_hash
-            reorg_depths: tuple[int, int] | None = None
-            if old_head and block.header.prev_hash != old_head:
-                # A head switch that does not extend the old head is a
-                # reorg: locate the fork point with the *old* height
-                # index (still pointing at the abandoned branch).
-                cursor = block_hash
-                while True:
-                    header = self._blocks[cursor].header
-                    if (
-                        self._height_index.get(header.height) == cursor
-                        or header.height == 0
-                    ):
-                        break
-                    cursor = header.prev_hash
-                fork_height = self._blocks[cursor].header.height
-                reorg_depths = (
-                    self._blocks[old_head].header.height - fork_height,
-                    block.header.height - fork_height,
-                )
-            self._head_hash = block_hash
-            self._reindex_main_chain(block_hash)
-            became_head = True
-            if reorg_depths is not None:
-                self.reorgs += 1
-                for listener in list(self._reorg_listeners):
-                    listener(*reorg_depths)
-        return became_head
+        if self._head_hash and self._work[block_hash] <= self._work[self._head_hash]:
+            return False
+        old_head = self._head_hash
+        fork_height = self._reindex_main_chain(block_hash)
+        self._head_hash = block_hash
+        if old_head and parent_hash != old_head:
+            # A head switch that does not extend the old head is a reorg.
+            self.reorgs += 1
+            abandoned = self._blocks[old_head].header.height - fork_height
+            for listener in list(self._reorg_listeners):
+                listener(abandoned, block.header.height - fork_height)
+        return True
 
-    def _reindex_main_chain(self, new_head: bytes) -> None:
-        """Repoint the height index at the branch ending in ``new_head``.
+    def _reindex_main_chain(self, new_head: bytes) -> int:
+        """Repoint the height index at the branch ending in ``new_head``;
+        returns the height of the fork point.
 
         Walks back from the new head only until the index already agrees
         (the fork point), so extending the head is O(1) and a reorg costs
@@ -314,10 +299,10 @@ class Blockchain:
         while True:
             header = self._blocks[cursor].header
             if self._height_index.get(header.height) == cursor:
-                break
+                return header.height
             self._height_index[header.height] = cursor
             if header.height == 0:
-                break
+                return 0
             cursor = header.prev_hash
 
     # -- state queries --------------------------------------------------------
@@ -395,11 +380,16 @@ class Blockchain:
 
     def receipts_data(self, block_hash: bytes) -> tuple[list[tuple[bytes, str]], MerkleTree]:
         """The ``(message_id, status)`` list and receipts Merkle tree of a
-        connected block, in block order (cached from connect time)."""
-        try:
-            return self._receipt_data[block_hash]
-        except KeyError:
-            raise UnknownBlockError(f"no receipts for block {block_hash.hex()[:12]}…")
+        connected block, in block order: cached from connect time, except
+        genesis's, which is rebuilt from its messages and state on demand
+        (the way :meth:`Block.merkle_tree` rebuilds a messages tree)."""
+        data = self._receipt_data.get(block_hash)
+        if data is None:
+            receipts = self.state_at(block_hash).receipts
+            ids = self.block(block_hash).message_ids()
+            statuses = [(mid, receipts[mid].status) for mid in ids]
+            data = statuses, receipts_merkle_tree(statuses)
+        return data
 
     # -- message queries --------------------------------------------------------
 
@@ -472,7 +462,7 @@ class Blockchain:
                     validators=self.validators,
                 )
                 statuses.append((receipt.message_id, receipt.status))
-        tree = messages_merkle_tree([message.message_id() for message in messages])
+        tree = MerkleTree([message.message_id() for message in messages])
         template = BlockHeader(
             chain_id=self.params.chain_id,
             height=height,

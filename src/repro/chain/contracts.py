@@ -199,7 +199,7 @@ def register_contract(cls: type[SmartContract]) -> type[SmartContract]:
     return DEFAULT_REGISTRY.register(cls)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Receipt:
     """Outcome of applying one message (mirrors Ethereum receipts)."""
 

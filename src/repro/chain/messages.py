@@ -22,7 +22,8 @@ the signed copy, because the signature is not part of it.  The cache
 slots are ``init=False``, so ``dataclasses.replace`` (used by tests to
 build tampered copies) and any re-construction (a fee bump) start with
 them empty and the copy re-derives fresh digests.  A transfer encodes its transaction once
-for both the message id and the txid and keeps only the two digests.
+(a coinbase through its fixed template, ``Transaction.encoded``) for both
+the message id and the txid and keeps only the two digests.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class TransferMessage(ChainMessage):
     def message_id(self) -> bytes:
         mid = self._mid
         if mid is None:
-            tx_bytes = canonical_encode(self.tx)
+            tx_bytes = self.tx.encoded()
             object.__setattr__(self.tx, "_txid", hash_encoded(tx_bytes, TXID_DOMAIN))
             mid = hash_encoded(_TRANSFER_PREFIX + tx_bytes, _MESSAGE_DOMAIN)
             object.__setattr__(self, "_mid", mid)

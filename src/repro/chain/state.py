@@ -352,12 +352,11 @@ class ChainState:
 
         Returns the per-message receipts in block order.  Raises on any
         invalid message — the caller treats the whole block as invalid in
-        that case (this state must then be discarded).
+        that case (this state must then be discarded).  Genesis is not a
+        mined block and never comes through here (``Blockchain`` builds
+        its state with ``apply_message(allow_coinbase=True)``).
         """
-        is_genesis = block.header.height == 0
-        # The genesis block is hardcoded, not mined, so the block-capacity
-        # cap (which models mining throughput) does not apply to it.
-        if not is_genesis and len(block.messages) > params.max_messages_per_block:
+        if len(block.messages) > params.max_messages_per_block:
             raise ValidationError(
                 f"block has {len(block.messages)} messages, "
                 f"cap is {params.max_messages_per_block}"
@@ -373,7 +372,6 @@ class ChainState:
                     block_time=block.header.timestamp,
                     registry=registry,
                     validators=validators,
-                    allow_coinbase=is_genesis,
                 )
             )
         block_fees = self.fees_collected - fees_before

@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 from ..crypto.ecdsa import EcdsaSignature
 from ..crypto.keys import Address, PublicKey
 from ..errors import ValidationError
-from .wire import wire_hash
+from .wire import _encode_into, canonical_encode, hash_encoded, wire_hash
 
 TXID_DOMAIN = "repro/txid"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutPoint:
     """A reference to the ``index``-th output of transaction ``txid``."""
 
@@ -34,7 +34,7 @@ class OutPoint:
         return f"OutPoint({self.txid.hex()[:8]}…, {self.index})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxOutput:
     """An asset: ``value`` units owned by ``owner``."""
 
@@ -70,7 +70,7 @@ class TxInput:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """A transfer of asset ownership (merge/split capable).
 
@@ -110,11 +110,23 @@ class Transaction:
         }
         return wire_hash(payload, domain="repro/tx-signing")
 
+    def encoded(self) -> bytes:
+        """``canonical_encode(self)``, made afresh each call (never kept); a
+        coinbase's fills the fixed template of :data:`_COINBASE_WIRE`."""
+        if self.inputs or len(self.outputs) != 1:
+            return canonical_encode(self.to_wire())
+        (output,) = self.outputs
+        out = bytearray()
+        for part, leaf in zip(_COINBASE_WIRE, (self.nonce, output.owner.raw, output.value)):
+            out += part
+            _encode_into(leaf, out)
+        return bytes(out)
+
     def txid(self) -> bytes:
         """The transaction id (hash of the canonical encoding)."""
         txid = self._txid
         if txid is None:
-            txid = wire_hash(self.to_wire(), domain=TXID_DOMAIN)
+            txid = hash_encoded(self.encoded(), TXID_DOMAIN)
             object.__setattr__(self, "_txid", txid)
         return txid
 
@@ -131,9 +143,24 @@ class Transaction:
         return [inp.outpoint for inp in self.inputs]
 
 
-def make_coinbase(owner: Address, value: int, nonce: int = 0) -> Transaction:
-    """Mint ``value`` new units to ``owner`` (genesis / block reward)."""
+def make_coinbase(
+    owner: Address, value: int, nonce: int = 0, previous: Transaction | None = None
+) -> Transaction:
+    """Mint ``value`` new units to ``owner`` (genesis / block reward).  A
+    ``previous`` coinbase that paid the same owner the same value lends its
+    outputs: a run of equal allocations holds one :class:`TxOutput`."""
+    if previous is not None:
+        (last,) = previous.outputs
+        if (last.owner, last.value, type(last.value)) == (owner, value, type(value)):
+            return Transaction(inputs=(), outputs=previous.outputs, nonce=nonce)
     return Transaction(inputs=(), outputs=(TxOutput(owner, value),), nonce=nonce)
+
+
+#: A coinbase's canonical encoding around its three leaves (nonce, owner
+#: bytes, value), as the encoder writes it: a ``None`` in each place.
+_COINBASE_WIRE = canonical_encode(
+    {"inputs": [], "kind": "transfer", "nonce": None, "outputs": [{"owner": None, "value": None}]}
+).split(canonical_encode(None))[:3]
 
 
 def sign_transaction(unsigned: Transaction, keypairs) -> Transaction:

@@ -15,19 +15,19 @@ from dataclasses import dataclass, field
 from ..errors import InvalidProofError
 from .hashing import sha256
 
+# Leaves and nodes are tagged so one can never pass for the other.
 _LEAF_TAG = b"\x00"
 _NODE_TAG = b"\x01"
-
-
-def _leaf_hash(data: bytes) -> bytes:
-    """Hash a leaf. Tagged so leaves can never be confused with nodes."""
-    return sha256(_LEAF_TAG + data)
+_EMPTY_ROOT = sha256(b"empty-merkle-tree")
+#: ``hash_concat``'s length prefix of a 32-byte digest — every tree node's child.
+_DIGEST_PREFIX = (32).to_bytes(8, "big")
+_BYTES_LIKE = (bytes, bytearray, memoryview)
 
 
 def _node_hash(left: bytes, right: bytes) -> bytes:
     """Hash an interior node from its two children:
     ``sha256(0x01 || hash_concat(left, right))``, with the length-prefixed
-    pair assembled in one buffer — a tree makes one call per leaf."""
+    pair assembled in one buffer (a proof's siblings may be any length)."""
     pair = b"".join(
         (len(left).to_bytes(8, "big"), left, len(right).to_bytes(8, "big"), right)
     )
@@ -67,16 +67,13 @@ class MerkleProof:
                 f"leaf index {self.index} out of range for tree of "
                 f"{self.tree_size} leaves"
             )
-        digest = _leaf_hash(self.leaf)
+        digest = sha256(_LEAF_TAG + self.leaf)
         position = self.index
         level_size = self.tree_size
         consumed = 0
         while level_size > 1:
-            has_sibling = position % 2 == 0 and position + 1 >= level_size
-            if has_sibling:
-                # Odd node at the end of a level is promoted unchanged.
-                pass
-            else:
+            # An odd node at the end of a level is promoted unchanged.
+            if position % 2 or position + 1 < level_size:
                 if consumed >= len(self.siblings):
                     raise InvalidProofError("proof has too few sibling digests")
                 sibling = self.siblings[consumed]
@@ -111,29 +108,36 @@ class MerkleTree:
     leaves: list[bytes] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.leaves = [bytes(leaf) for leaf in self.leaves]
+        # Only bytes-like leaves: bytes(3) is three zero bytes, so a
+        # coerced [3] and [b"\0\0\0"] would share a root.
+        leaves = []
+        for index, leaf in enumerate(self.leaves):
+            if not isinstance(leaf, _BYTES_LIKE):
+                raise TypeError(f"merkle leaf {index} is a {type(leaf).__name__}, not bytes")
+            leaves.append(bytes(leaf))
+        self.leaves = leaves
         self._levels: list[list[bytes]] | None = None
 
     # -- construction ------------------------------------------------------
 
     def _build(self) -> list[list[bytes]]:
-        if self._levels is not None:
-            return self._levels
-        if not self.leaves:
-            self._levels = [[sha256(b"empty-merkle-tree")]]
-            return self._levels
-        level = [_leaf_hash(leaf) for leaf in self.leaves]
-        levels = [level]
-        while len(level) > 1:
-            nxt = []
-            for i in range(0, len(level) - 1, 2):
-                nxt.append(_node_hash(level[i], level[i + 1]))
-            if len(level) % 2 == 1:
-                nxt.append(level[-1])
-            levels.append(nxt)
-            level = nxt
-        self._levels = levels
-        return levels
+        """The levels, leaf digests first, each in one comprehension: a pair
+        is hashed as :func:`_node_hash` hashes it, the odd last node is
+        promoted unchanged."""
+        if self._levels is None:
+            sha = hashlib.sha256
+            level = [sha(_LEAF_TAG + leaf).digest() for leaf in self.leaves] or [_EMPTY_ROOT]
+            self._levels = [level]
+            while len(level) > 1:
+                parents = [
+                    sha(_NODE_TAG + sha(_DIGEST_PREFIX + a + _DIGEST_PREFIX + b).digest()).digest()
+                    for a, b in zip(level[::2], level[1::2])
+                ]
+                if len(level) % 2:
+                    parents.append(level[-1])
+                self._levels.append(parents)
+                level = parents
+        return self._levels
 
     # -- queries -----------------------------------------------------------
 

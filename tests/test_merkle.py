@@ -104,6 +104,60 @@ def leaves_and_index(draw):
     return leaves, index
 
 
+class TestLeafTypes:
+    def test_non_bytes_leaves_are_refused_by_index(self):
+        # bytes(3) is b"\0\0\0" and bytes(0) is b"": coercion made these collide.
+        for leaves, index in (([3], 0), ([b"a", 0], 1), ([b"a", b"b", "c"], 2), ([None], 0)):
+            with pytest.raises(TypeError, match=f"merkle leaf {index} is a "):
+                MerkleTree(leaves)
+            with pytest.raises(TypeError, match=f"merkle leaf {index} is a "):
+                merkle_root(leaves)
+
+    def test_bytes_like_leaves_commit_as_their_bytes(self):
+        leaves = [b"\0\0\0", b"", b"abc"]
+        root = merkle_root(leaves)
+        for convert in (bytearray, memoryview):
+            converted = [convert(leaf) for leaf in leaves]
+            assert MerkleTree(converted).root() == root
+            assert merkle_root(converted) == root
+            assert all(type(leaf) is bytes for leaf in MerkleTree(converted).leaves)
+
+
+def reference_levels(leaves: list[bytes]) -> list[list[bytes]]:
+    """The tree one ``_node_hash`` call at a time, odd last node promoted."""
+    from repro.crypto.hashing import sha256
+    from repro.crypto.merkle import _node_hash
+
+    level = [sha256(b"\x00" + leaf) for leaf in leaves]
+    levels = [level]
+    while len(level) > 1:
+        pairs = [_node_hash(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+        level = pairs + level[len(pairs) * 2 :]
+        levels.append(level)
+    return levels
+
+
+class TestFlatKernel:
+    @given(st.lists(st.binary(max_size=48), min_size=1, max_size=70))
+    @settings(max_examples=120, derandomize=True)
+    def test_levels_and_root_equal_the_pairwise_reference(self, leaves):
+        levels = reference_levels(leaves)
+        tree = MerkleTree(leaves)
+        assert tree._build() == levels
+        assert tree.root() == levels[-1][0]
+        assert merkle_root(leaves) == levels[-1][0]
+
+    def test_odd_sizes_promote_the_last_node(self):
+        for size in (3, 5, 6, 7, 9, 17, 33):
+            leaves = [bytes([i]) for i in range(size)]
+            assert merkle_root(leaves) == reference_levels(leaves)[-1][0], size
+
+    def test_empty_root_is_the_sentinel(self):
+        from repro.crypto.hashing import sha256
+
+        assert merkle_root([]) == MerkleTree([]).root() == sha256(b"empty-merkle-tree")
+
+
 class TestProofProperties:
     @given(st.binary(max_size=80), st.binary(max_size=80))
     @settings(max_examples=100)

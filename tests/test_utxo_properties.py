@@ -10,10 +10,11 @@ own dict after every step, so a write that leaks through a shared bucket
 The same for :meth:`~repro.chain.state.ChainState.clone` and receipts.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
+from repro.chain.chain import Blockchain
 from repro.chain.messages import TransferMessage
 from repro.chain.params import fast_chain
 from repro.chain.state import ChainState
@@ -211,6 +212,75 @@ state_steps = st.lists(
     min_size=15,
     max_size=50,
 )
+
+
+# Runs of one (owner, value), as a world funds a participant in equal pieces.
+allocations = st.lists(
+    st.tuples(st.sampled_from(OWNERS), st.sampled_from([0, 5, 7]), st.integers(1, 3)),
+    max_size=10,
+).map(lambda runs: [(owner, value) for owner, value, count in runs for _ in range(count)])
+
+
+def entries(utxos: UTXOSet) -> dict:
+    return {op: out for bucket in utxos._entries._buckets for op, out in bucket.items()}
+
+
+class TestGenesisState:
+    """A chain's genesis state and roots against the same coinbases applied
+    one by one to a fresh state and against a plain-dict model."""
+
+    @given(allocations)
+    @example([])
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_genesis_equals_the_coinbases_applied_one_by_one(self, drawn):
+        chain = Blockchain(PARAMS, drawn)
+        genesis = chain.block_at_height(0)
+        built = chain.state_at(genesis.block_id())
+        applied = ChainState()
+        for message in genesis.messages:
+            applied.apply_message(message, PARAMS, block_height=0, block_time=0.0, allow_coinbase=True)
+
+        model = {
+            OutPoint(message.tx.txid(), 0): TxOutput(owner, value)
+            for message, (owner, value) in zip(genesis.messages, drawn, strict=True)
+        }
+        assert entries(built.utxos) == entries(applied.utxos) == model
+        check_set(built.utxos, model, model)
+        for owner in OWNERS:
+            assert built.utxos.outpoints_of(owner) == applied.utxos.outpoints_of(owner)
+        ids = genesis.message_ids()
+        assert len(built.receipts) == len(applied.receipts) == len(ids)
+        for message_id in ids:
+            assert built.receipts[message_id] == applied.receipts[message_id]
+        for counter in ("transfer_count", "fees_collected", "deploy_count", "call_count"):
+            assert getattr(built, counter) == getattr(applied, counter)
+        assert built.utxos.total_value() == applied.utxos.total_value()
+
+        statuses, tree = chain.receipts_data(genesis.block_id())
+        assert statuses == [(message_id, "ok") for message_id in ids]
+        assert tree.root() == genesis.header.receipts_root
+        assert genesis.compute_merkle_root() == genesis.header.merkle_root
+        # Consecutive equal allocations share one output tuple, others never.
+        for (before, pair_before), (after, pair_after) in zip(
+            zip(genesis.messages, drawn), zip(genesis.messages[1:], drawn[1:])
+        ):
+            shared = before.tx.outputs is after.tx.outputs
+            assert shared == (pair_before == pair_after)
+
+    def test_genesis_keeps_the_coinbase_refusals(self):
+        first = TransferMessage(make_coinbase(ALICE.address, 5, nonce=0))
+        twin = TransferMessage(make_coinbase(BOB.address, 5, nonce=1))
+        twin.message_id()
+        # A second coinbase under the first's txid: a distinct message
+        # that would mint an existing outpoint.
+        object.__setattr__(twin.tx, "_txid", first.tx.txid())
+        for refusal, second in (("replay", first), ("already exists", twin)):
+            state = ChainState()
+            apply(state, first)
+            with pytest.raises(ValidationError, match=refusal):
+                apply(state, second)
+        with pytest.raises(ValidationError, match="non-negative"):
+            Blockchain(PARAMS, [(ALICE.address, 5), (BOB.address, -1)])
 
 
 def apply(state: ChainState, message, allow_coinbase: bool = True):

@@ -9,16 +9,29 @@ original's bytes.
 
 import contextlib
 import dataclasses
+import enum
+import gc
 import sys
+import tracemalloc
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chain.block import BlockHeader
 from repro.chain.chain import Blockchain
-from repro.chain.messages import CallMessage, DeployMessage, sign_message
+from repro.chain.messages import CallMessage, DeployMessage, TransferMessage, sign_message
 from repro.chain.params import fast_chain
-from repro.chain.transaction import OutPoint, TxInput, TxOutput
-from repro.chain.wire import canonical_encode
+from repro.chain.transaction import (
+    TXID_DOMAIN,
+    OutPoint,
+    TxInput,
+    TxOutput,
+    make_coinbase,
+)
+from repro.chain.wire import canonical_encode, wire_hash
 from repro.crypto.keys import Address
 from repro.economy.policy import bump_fee
+from repro.errors import ValidationError
 from tests.conftest import ALICE, BOB
 
 GENESIS_TRANSFERS = 64
@@ -81,9 +94,10 @@ def test_genesis_encodes_each_transfer_once():
     ]
     with counted_encodes() as calls:
         chain = Blockchain(fast_chain("encode-cost"), allocations)
-    # One per transfer (message id and txid share it; receipt leaves and
-    # both Merkle trees need none) plus the genesis header.
-    assert calls[0] == GENESIS_TRANSFERS + 1
+    # The genesis header alone: a coinbase's bytes are its fixed template
+    # (message id and txid share them), receipt leaves are a template too,
+    # and neither Merkle tree encodes.
+    assert calls[0] == 1
     assert chain.state_at().utxos.total_value() == sum(v for _, v in allocations)
     genesis = chain.block_at_height(0)
     utxos = chain.state_at().utxos
@@ -93,6 +107,118 @@ def test_genesis_encodes_each_transfer_once():
         assert genesis.compute_merkle_root() == genesis.header.merkle_root
         chain.receipts_data(genesis.block_id())[1].root()
     assert calls[0] == 0
+
+
+def generic_ids(message: TransferMessage) -> tuple[bytes, bytes]:
+    """Message id and txid through the generic encoder (no template)."""
+    return (
+        wire_hash(message.to_wire(), domain="repro/message"),
+        wire_hash(message.tx.to_wire(), domain=TXID_DOMAIN),
+    )
+
+
+owners = st.binary(min_size=20, max_size=20).map(Address)
+amounts = st.one_of(st.sampled_from([0, 1, 2**63, 10**30]), st.integers(0, 2**80))
+
+
+@given(owners, amounts, st.one_of(amounts, st.integers(-(2**40), -1)))
+@settings(max_examples=300, derandomize=True)
+def test_coinbase_template_is_the_canonical_encoding(owner, value, nonce):
+    coinbase = make_coinbase(owner, value, nonce)
+    assert coinbase.encoded() == canonical_encode(coinbase)
+    message = TransferMessage(make_coinbase(owner, value, nonce))
+    assert (message.message_id(), message.tx.txid()) == generic_ids(message)
+    assert make_coinbase(owner, value, nonce).txid() == message.tx.txid()
+
+
+class Shown(int):
+    """An int whose decimal form is not its value's."""
+
+    def __str__(self):
+        return "shown"
+
+
+class Level(enum.IntEnum):
+    ONE = 1
+
+
+def odd_coinbases():
+    plain = Address(b"\x05" * 20)
+    short = Address(b"\x06" * 20)
+    object.__setattr__(short, "raw", b"\x06" * 19)
+    text = Address(b"\x07" * 20)
+    object.__setattr__(text, "raw", "t" * 20)
+    yield plain, True, 0
+    yield plain, 5, False
+    yield plain, Shown(5), 0
+    yield plain, 5, Shown(0)
+    yield plain, Level.ONE, Level.ONE
+    yield Address(bytearray(b"\x08" * 20)), 5, 0
+    yield short, 5, 0
+    yield text, 5, 0
+    yield plain, -1, 0
+
+
+def test_odd_coinbase_fields_encode_as_the_encoder_does_or_are_refused():
+    encoded = 0
+    for owner, value, nonce in odd_coinbases():
+        try:
+            message = TransferMessage(make_coinbase(owner, value, nonce))
+            ids = (message.message_id(), message.tx.txid())
+        except ValidationError:
+            continue
+        assert message.tx.encoded() == canonical_encode(message.tx)
+        assert ids == generic_ids(message)
+        encoded += 1
+    assert encoded == 8  # every one but the negative value
+
+
+def genesis_cost(allocations):
+    """A chain over ``allocations``, and the gc-tracked objects and live
+    bytes it leaves behind."""
+    gc.collect()
+    tracked = len(gc.get_objects())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        chain = Blockchain(fast_chain("coin-cost"), allocations)
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return chain, len(gc.get_objects()) - tracked, live
+
+
+def test_a_genesis_coin_costs_its_hashes():
+    coins = 4096
+    owners = [Address(bytes([index + 1]) * 20) for index in range(16)]
+    # World-shaped: each owner's funding split into a run of equal pieces;
+    # the baseline pays the same owners a different value every coin.
+    runs = [(owners[index * 16 // coins], 1_000) for index in range(coins)]
+    distinct = [(owner, 1_000 + index) for index, (owner, _) in enumerate(runs)]
+    chain, objects, live = genesis_cost(runs)
+    _, distinct_objects, distinct_live = genesis_cost(distinct)
+
+    # A coin repeating its predecessor's (owner, value) shares its TxOutput
+    # and outputs tuple: two objects and their bytes fewer, measured in this
+    # interpreter against the baseline, so no object layout is assumed
+    # (90 %: tracemalloc misses the few tuples a free list hands out).
+    shared = coins - len(owners)
+    outputs = chain.block_at_height(0).messages[0].tx.outputs
+    assert distinct_objects - objects >= 2 * shared
+    record = sys.getsizeof(outputs) + sys.getsizeof(outputs[0])
+    assert distinct_live - live >= 0.9 * shared * record
+    # No genesis tree outlives construction: nothing proves inclusion in
+    # genesis, and a tree is two digests a coin.
+    assert chain._receipts_memo is None and chain.genesis_hash not in chain._receipt_data
+    assert chain.block_at_height(0)._tree is None
+    assert chain.state_at().utxos.total_value() == 1_000 * coins
+    if sys.version_info[:2] == (3, 11):
+        # Absolute per-coin cost, measured on CPython 3.11 (CI's; the layout
+        # of objects differs between versions): the transaction, its
+        # message, outpoint, receipt and message-index location in a list.
+        assert objects / coins <= 6.5
+        assert live / coins <= 800
 
 
 def test_signing_encodes_a_message_once_in_total():

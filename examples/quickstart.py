@@ -10,6 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import build_scenario, run_ac3wn, two_party_swap
+from repro.core import AC3WNDriver
 
 
 def main() -> None:
@@ -39,7 +40,9 @@ def main() -> None:
 
     # 3. Run the protocol: multisign ms(D), register SCw on the witness
     #    network, deploy both asset contracts in parallel, flip SCw to
-    #    RDauth with publication evidence, and redeem both contracts.
+    #    RDauth with publication evidence, and redeem both contracts —
+    #    the rows of the driver's phase table.
+    print(f"\nphase table:\n{AC3WNDriver.describe_phases()}")
     outcome = run_ac3wn(env, graph, witness_chain_id="witness")
 
     # 4. Report.

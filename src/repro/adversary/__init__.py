@@ -34,7 +34,6 @@ from .actors import (
 )
 from .spec import (
     BYZANTINE_BEHAVIORS,
-    DRIVER_PHASES,
     AdversarySpec,
     ByzantineSpec,
     CensorSpec,
@@ -44,7 +43,6 @@ from .spec import (
 
 __all__ = [
     "BYZANTINE_BEHAVIORS",
-    "DRIVER_PHASES",
     "AdversaryRoster",
     "AdversarySpec",
     "AttackRecord",

@@ -37,6 +37,7 @@ from ..chain.pow import work_for_bits
 from ..chain.transaction import TxInput, TxOutput
 from ..core.ac3tw import AC3TWConfig
 from ..core.ac3wn import AC3WNConfig
+from ..core.driver import SETTLE
 from ..core.evidence import AUTHORIZING_FUNCTIONS, build_state_evidence
 from ..core.herlihy import HerlihyConfig
 from ..errors import ProtocolError, ReproError, ValidationError
@@ -583,7 +584,7 @@ class ByzantineParticipant:
         victim = self.env.participant(victim_name)
 
         def on_phase(phase: str, victim=victim, driver=driver) -> None:
-            if phase == "settle" and not victim.crashed:
+            if phase == SETTLE.name and not victim.crashed:
                 victim.crash()
                 driver.outcome.notes.append(
                     f"byzantine: {victim.name} refuses its settle step"

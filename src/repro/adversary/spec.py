@@ -26,12 +26,18 @@ from .. import serde
 #: Byzantine participant behaviours.
 BYZANTINE_BEHAVIORS = ("withhold-settle", "decline", "withhold-signature")
 
-#: Phases the built-in protocol drivers announce (see
-#: ``ProtocolDriver._set_phase``): Herlihy's publish/settle rolling
-#: phase, AC3WN's four Δ-phases, AC3TW's deploy/settle.  An eclipse
-#: keyed to a phase its protocol never enters would silently disarm, so
-#: the spec only accepts phases some driver actually fires.
-DRIVER_PHASES = ("publish", "scw-wait", "deploy", "decision-wait", "settle")
+
+def driver_phases() -> tuple[str, ...]:
+    """Every phase a registered protocol's table declares.
+
+    An eclipse keyed to a phase its protocol never enters would silently
+    disarm, so the spec only accepts declared phases (and
+    :meth:`ExperimentSpec.validate` those of the spec's own protocol).
+    Read at every check, like the other registry-backed choice sets.
+    """
+    from ..engine.engine import registered_phases
+
+    return registered_phases()
 
 
 @dataclass(frozen=True)
@@ -178,7 +184,7 @@ class EclipseSpec:
 
     enabled: bool = False
     role: str = serde.field("a", nonempty=True, doc="victim role letter or literal name")
-    phase: str = serde.field("settle", choices=DRIVER_PHASES)
+    phase: str = serde.field("settle", choices=driver_phases)
     duration: float = serde.field(3.0, gt=0, doc="seconds isolated, then recovery")
     share: float = serde.field(
         1.0, ge=0, le=1, doc="fraction of swaps eclipsed (adversary/eclipse stream)"

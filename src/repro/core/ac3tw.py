@@ -31,7 +31,7 @@ from ..crypto.keys import KeyPair, PublicKey
 from ..crypto.signatures import Multisignature
 from ..errors import WitnessError
 from .contract_template import AtomicSwapContract
-from .driver import ProtocolDriver
+from .driver import END, SETTLE, Phase, ProtocolDriver
 from .graph import SwapGraph
 from .protocol import SwapEnvironment, SwapOutcome, edge_key
 
@@ -221,12 +221,22 @@ class AC3TWConfig:
 class AC3TWDriver(ProtocolDriver):
     """Executes one AC2T with the centralized-witness protocol.
 
-    A non-blocking state machine with three phases: *deploy* (all asset
-    contracts concurrently), a synchronous *decision* at Trent, and
-    *settle* (redeem or refund every published contract).
+    Two phases: *deploy* (all asset contracts concurrently, ending in a
+    synchronous decision at Trent) and *settle* (redeem or refund every
+    published contract).
     """
 
     protocol_name = "ac3tw"
+    PHASES = (
+        Phase(
+            "deploy",
+            "_deploy",
+            "_deploy_timeout",
+            progress=(SETTLE.name, END),
+            expiry=(SETTLE.name, END),
+        ),
+        SETTLE,
+    )
 
     def __init__(
         self,
@@ -246,20 +256,19 @@ class AC3TWDriver(ProtocolDriver):
         )
         self.witness = witness
         self._ms_id: bytes = b""
-        self._phase = "deploy"
-        self._deploy_deadline = 0.0
+        self._deploy_timeout = 0.0
         self._settle_timeout = 0.0
         self._signature: EcdsaSignature | None = None
-        self._settle_function: str | None = None
 
-    def _settle_step(self) -> None:
-        self._settle_open_edges(self._settle_function, lambda edge: self._signature)
+    def _settle_secrets(self):
+        """Trent's decision signature opens every contract."""
+        return lambda edge: self._signature
 
-    # -- state machine -------------------------------------------------------------
+    # -- the protocol: setup, then the steps of PHASES -------------------------------
 
-    def _begin(self) -> None:
+    def _begin(self) -> bool:
         delta = self._max_delta()
-        deploy_timeout = self.config.deploy_timeout or 4.0 * delta
+        self._deploy_timeout = self.config.deploy_timeout or 4.0 * delta
         self._settle_timeout = self.config.settle_timeout or 4.0 * delta
 
         # Step 1-2: multisign the graph and register it at Trent.
@@ -269,26 +278,16 @@ class AC3TWDriver(ProtocolDriver):
             )
         except WitnessError as exc:
             self.outcome.notes.append(f"registration failed: {exc}")
-            self.outcome.decision = "undecided"
-            self._finish()
-            return
+            return False
         self.outcome.phase_times["registered"] = self.sim.now
-        self._deploy_deadline = self.sim.now + deploy_timeout
-        self._set_phase("deploy")
+        return True
 
-    def _advance(self) -> None:
-        if self._phase == "deploy":
-            self._advance_deploy()
-        elif self._phase == "settle":
-            self._advance_settle()
-
-    # Step 3-4: concurrent contract deployment.
-    def _advance_deploy(self) -> None:
+    # Step 3-4: concurrent contract deployment, then the decision.
+    def _deploy(self, expired: bool) -> str | None:
         all_published = self._all_confirmed()
-        if all_published or self.sim.now >= self._deploy_deadline:
+        if all_published or expired:
             self.outcome.phase_times["contracts_deployed"] = self.sim.now
-            self._decide(all_published)
-            return
+            return self._decide(all_published)
         self._deploy_missing_edges(
             CENTRALIZED_CONTRACT_CLASS,
             lambda edge: (
@@ -298,11 +297,11 @@ class AC3TWDriver(ProtocolDriver):
             ),
             self.config.decliners,
         )
-        self._schedule_tick(self._deploy_deadline)
+        return None
 
     # Step 5-6: request the decision signature from Trent (synchronous —
     # Trent is an off-chain service, not a chain).
-    def _decide(self, all_published: bool) -> None:
+    def _decide(self, all_published: bool) -> str:
         try:
             if all_published:
                 contract_ids = {
@@ -322,11 +321,9 @@ class AC3TWDriver(ProtocolDriver):
                 self.outcome.decision = "abort"
         except WitnessError as exc:
             self.outcome.notes.append(f"witness refused: {exc}")
-            self.outcome.decision = "undecided"
-            self._finish()
-            return
+            return END
         self.outcome.phase_times["decision"] = self.sim.now
-        self._enter_settle_phase(self._settle_timeout)
+        return SETTLE.name
 
 
 def run_ac3tw(

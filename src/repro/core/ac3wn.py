@@ -25,6 +25,7 @@ headline improvement over Herlihy's 2·Δ·Diam(D).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 from ..chain.block import BlockHeader
@@ -39,7 +40,7 @@ from ..crypto.keys import PublicKey
 from ..crypto.signatures import Multisignature
 from ..errors import FeeTooLowError, ProtocolError
 from .contract_template import AtomicSwapContract
-from .driver import ProtocolDriver
+from .driver import END, SETTLE, Phase, ProtocolDriver
 from .evidence import (
     AnchorValidator,
     EvidenceValidator,
@@ -291,14 +292,30 @@ class AC3WNDriver(ProtocolDriver):
 
     The driver plays every participant's honest strategy, respecting
     crash state (a crashed participant takes no action until recovery)
-    and the configured decliners.  It is a non-blocking state machine
-    whose phases mirror the paper's four Δ-phases: *scw-wait* (SCw
-    confirmation), *deploy* (parallel asset contracts), *decision-wait*
-    (the SCw flip confirming), and *settle* (parallel redemptions or
-    refunds).
+    and the configured decliners.  Its phase table is the paper's four
+    Δ-phases: *scw-wait* (SCw confirmation), *deploy* (parallel asset
+    contracts), *decision-wait* (the SCw flip confirming), and *settle*
+    (parallel redemptions or refunds).
     """
 
     protocol_name = "ac3wn"
+    PHASES = (
+        Phase("scw-wait", "_await_scw", "_witness_timeout", progress=("deploy",)),
+        Phase(
+            "deploy",
+            "_deploy",
+            "_deploy_timeout",
+            progress=("decision-wait",),
+            expiry=("decision-wait",),
+        ),
+        Phase(
+            "decision-wait",
+            "_await_decision",
+            "_witness_timeout",
+            progress=(SETTLE.name, END),
+        ),
+        SETTLE,
+    )
 
     def __init__(
         self,
@@ -324,21 +341,15 @@ class AC3WNDriver(ProtocolDriver):
         self._anchors: dict[str, BlockHeader] = {}
         self._witness_anchor: BlockHeader | None = None
         self._decision_call: CallMessage | None = None
-        self._phase = "scw-wait"
         self._witness_timeout = 0.0
         self._deploy_timeout = 0.0
         self._settle_timeout = 0.0
-        self._scw_deadline = 0.0
-        self._deploy_deadline = 0.0
-        self._decision_deadline = 0.0
         self._decided_state: str | None = None
         self._decision_retried = False
-        self._decision_intent: str | None = None
+        #: Whether the pending flip is RDauth (None before the first).
+        self._decision_intent: bool | None = None
 
     # -- small helpers -----------------------------------------------------
-
-    def _alive(self, name: str) -> bool:
-        return not self.env.participant(name).crashed
 
     def _first_alive(self) -> str | None:
         """First alive participant *of this AC2T* in name order.
@@ -347,7 +358,7 @@ class AC3WNDriver(ProtocolDriver):
         engine runs with hundreds of co-hosted swaps stay isolated.
         """
         for name in self.graph.participant_names():
-            if self._alive(name):
+            if not self.env.participant(name).crashed:
                 return name
         return None
 
@@ -355,7 +366,7 @@ class AC3WNDriver(ProtocolDriver):
 
     def _register_witness_contract(self) -> bool:
         registrar_name = self.config.registrar or self._first_alive()
-        if registrar_name is None or not self._alive(registrar_name):
+        if registrar_name is None or self.env.participant(registrar_name).crashed:
             self.outcome.notes.append("no alive registrar; AC2T never started")
             return False
         registrar = self.env.participant(registrar_name)
@@ -428,61 +439,48 @@ class AC3WNDriver(ProtocolDriver):
 
     # -- phase 3: decision -----------------------------------------------------
 
-    def _submit_redeem_authorization(self) -> bool:
-        self._decision_intent = "redeem"
+    def _authorize(self, redeem: bool) -> bool:
+        """Flip SCw to RDauth (proving every publication) or RFauth; a
+        refused call is retried by decision-wait."""
+        self._decision_intent = redeem
         submitter_name = self._first_alive()
         if submitter_name is None:
             return False
-        # The witness chain's miners are the verifiers of these evidences;
-        # skip the header runs entirely when they won't read them.
-        include_headers = headers_required(self.witness_chain.validators)
-        evidences = tuple(
-            build_publication_evidence(
-                self.env.chain(edge.chain_id),
-                self._deploys[edge_key(edge)],
-                anchor=self._anchors[edge.chain_id],
-                include_headers=include_headers,
-            )
-            for edge in self.graph.edges
-        )
-        return self._authorize(submitter_name, "authorize_redeem", (evidences,))
-
-    def _submit_refund_authorization(self) -> bool:
-        self._decision_intent = "refund"
-        submitter_name = self._first_alive()
-        if submitter_name is None:
-            return False
-        return self._authorize(submitter_name, "authorize_refund", ())
-
-    def _authorize(self, submitter_name: str, function: str, args: tuple) -> bool:
-        """Flip SCw; a refused call is retried by decision-wait."""
+        args = ()
+        if redeem:
+            # The witness chain's miners are the verifiers of these
+            # evidences; skip the header runs when they won't read them.
+            include_headers = headers_required(self.witness_chain.validators)
+            args = (tuple(
+                build_publication_evidence(
+                    self.env.chain(edge.chain_id),
+                    self._deploys[edge_key(edge)],
+                    anchor=self._anchors[edge.chain_id],
+                    include_headers=include_headers,
+                )
+                for edge in self.graph.edges
+            ),)
         return self._call_contract(
             self.config.witness_chain_id,
             submitter_name,
             self._scw_id,
-            function,
+            "authorize_redeem" if redeem else "authorize_refund",
             args=args,
-            record=self._record_decision_call,
+            record=partial(setattr, self, "_decision_call"),
         )
 
-    def _record_decision_call(self, call: CallMessage) -> None:
-        self._decision_call = call
-
     def _decision_confirmed(self) -> bool:
-        if self._decision_call is None:
-            return False
-        message_id = self._decision_call.message_id()
-        depth = self.witness_chain.message_depth(message_id)
-        if depth < self.witness_chain.params.confirmation_depth:
-            return False
-        receipt = self.witness_chain.receipt(message_id)
-        return receipt is not None
+        call, chain = self._decision_call, self.witness_chain
+        return (
+            call is not None
+            and chain.message_depth(call.message_id()) >= chain.params.confirmation_depth
+            and chain.receipt(call.message_id()) is not None
+        )
 
     # -- phase 4: settlement -------------------------------------------------------
 
-    def _settle_step(self) -> None:
-        """Attempt redeem (on commit) or refund (on abort) for each contract."""
-        committed = self._decided_state == WitnessState.REDEEM_AUTHORIZED
+    def _settle_secrets(self):
+        """State evidence that ``SCw`` reached the decided state."""
         # Every edge proves the same witness-chain fact, and the witness
         # chain does not advance inside this step, so one evidence per
         # header-inclusion variant is built lazily and shared across edges.
@@ -501,14 +499,11 @@ class AC3WNDriver(ProtocolDriver):
                 )
             return variants[include_headers]
 
-        self._settle_open_edges("redeem" if committed else "refund", evidence_for)
+        return evidence_for
 
-    def _published_count(self) -> int:
-        return len(self._deploys)
+    # -- the protocol: setup, then the steps of PHASES -------------------------------
 
-    # -- the protocol (state machine) ---------------------------------------------------
-
-    def _begin(self) -> None:
+    def _begin(self) -> bool:
         self.outcome.phase_times["start"] = self.sim.now
         delta = self._max_delta()
         witness_delta = self._chain_delta(self.config.witness_chain_id)
@@ -518,79 +513,48 @@ class AC3WNDriver(ProtocolDriver):
         # a congested witness chain may take far longer than 4Δ to
         # include coordination messages (Section 5.2's bottleneck case).
         self._witness_timeout = max(4.0 * witness_delta, self._deploy_timeout)
-
         # Phase 1: register SCw on the witness network.
-        if not self._register_witness_contract():
-            self.outcome.decision = "undecided"
-            self._finish()
-            return
-        self._phase = "scw-wait"
-        self._scw_deadline = self.sim.now + self._witness_timeout
+        return self._register_witness_contract()
 
-    def _advance(self) -> None:
-        if self._phase == "scw-wait":
-            self._advance_scw_wait()
-        elif self._phase == "deploy":
-            self._advance_deploy()
-        elif self._phase == "decision-wait":
-            self._advance_decision_wait()
-        elif self._phase == "settle":
-            self._advance_settle()
-
-    def _advance_scw_wait(self) -> None:
+    def _await_scw(self, expired: bool) -> str | None:
         scw_message = self._scw_deploy.message_id()
-        confirmed = (
+        if (
             self.witness_chain.message_depth(scw_message)
             >= self.witness_chain.params.confirmation_depth
-        )
-        if confirmed:
+        ):
             self.outcome.phase_times["scw_confirmed"] = self.sim.now
             # Asset contracts reference the witness anchor as of SCw
             # confirmation.
             self._witness_anchor = self.witness_chain.stable_header()
-            self._set_phase("deploy")
-            self._deploy_deadline = self.sim.now + self._deploy_timeout
-            self._advance_deploy()
-            return
-        if self.sim.now >= self._scw_deadline:
+            return "deploy"
+        if expired:
             self.outcome.notes.append("SCw never confirmed")
-            self.outcome.decision = "undecided"
-            self._finish()
-            return
-        self._schedule_tick(self._scw_deadline)
+            return END
+        return None
 
-    # Phase 2: all participants deploy their contracts in parallel.
-    def _advance_deploy(self) -> None:
+    # Phase 2: all participants deploy their contracts in parallel; then
+    # flip SCw (commit if everything confirmed, abort otherwise).
+    def _deploy(self, expired: bool) -> str | None:
         all_published = self._all_confirmed()
-        if all_published or self.sim.now >= self._deploy_deadline:
+        if all_published or expired:
             self.outcome.phase_times["contracts_deployed"] = self.sim.now
-            # Phase 3: flip SCw (commit if everything confirmed, abort
-            # otherwise).
-            if all_published:
-                self._submit_redeem_authorization()
-            else:
+            if not all_published:
                 self.outcome.notes.append(
-                    f"only {self._published_count()}/{self.graph.num_contracts} "
+                    f"only {len(self._deploys)}/{self.graph.num_contracts} "
                     f"contracts confirmed before the deadline; aborting"
                 )
-                self._submit_refund_authorization()
-            self._set_phase("decision-wait")
-            self._decision_deadline = self.sim.now + self._witness_timeout
-            self._advance_decision_wait()
-            return
+            self._authorize(redeem=all_published)
+            return "decision-wait"
         self._deploy_missing_edges(
             PERMISSIONLESS_CONTRACT_CLASS, self._contract_args, self.config.decliners
         )
-        self._schedule_tick(self._deploy_deadline)
+        return None
 
-    def _advance_decision_wait(self) -> None:
+    def _await_decision(self, expired: bool) -> str | None:
         if self._decision_call is None and self._decision_intent is not None:
             # An earlier authorization attempt was outbid at submission;
             # keep chasing the market until the deadline passes.
-            if self._decision_intent == "redeem":
-                self._submit_redeem_authorization()
-            else:
-                self._submit_refund_authorization()
+            self._authorize(self._decision_intent)
         if self._decision_confirmed():
             receipt = self.witness_chain.receipt(self._decision_call.message_id())
             if receipt.status != "ok" and not self._decision_retried:
@@ -600,38 +564,27 @@ class AC3WNDriver(ProtocolDriver):
                 self._decision_retried = True
                 self._decision_call = None
                 self.outcome.notes.append(f"authorization reverted: {receipt.error}")
-                if not self._submit_refund_authorization() and self._first_alive() is None:
+                if not self._authorize(redeem=False) and self._first_alive() is None:
                     # No alive participant can ever flip SCw; anything
                     # else (a momentary fee-market rejection) is retried
                     # by the resubmit machinery above until the deadline.
-                    self.outcome.decision = "undecided"
-                    self._finish()
-                    return
-                self._decision_deadline = self.sim.now + self._witness_timeout
-                self._schedule_tick(self._decision_deadline)
-                return
+                    return END
+                # The retry gets a fresh deadline, without a transition.
+                self._deadline = self.sim.now + self._witness_timeout
+                return None
+            committed = self._decision_call.function == "authorize_redeem"
             self._decided_state = (
-                WitnessState.REDEEM_AUTHORIZED
-                if self._decision_call.function == "authorize_redeem"
-                else WitnessState.REFUND_AUTHORIZED
+                WitnessState.REDEEM_AUTHORIZED if committed else WitnessState.REFUND_AUTHORIZED
             )
-            self.outcome.decision = (
-                "commit"
-                if self._decided_state == WitnessState.REDEEM_AUTHORIZED
-                else "abort"
-            )
+            self._settle_function = "redeem" if committed else "refund"
+            self.outcome.decision = "commit" if committed else "abort"
             self.outcome.phase_times["decision"] = self.sim.now
-            # Phase 4: parallel settlement (redeem on commit, refund on
-            # abort).
-            self._enter_settle_phase(self._settle_timeout)
-            return
-        if self.sim.now >= self._decision_deadline:
+            return SETTLE.name
+        if expired:
             if not self._decision_retried:
                 self.outcome.notes.append("decision call never confirmed")
-            self.outcome.decision = "undecided"
-            self._finish()
-            return
-        self._schedule_tick(self._decision_deadline)
+            return END
+        return None
 
 
 def run_ac3wn(

@@ -78,10 +78,3 @@ class AtomicSwapContract(SmartContract):
     def is_refundable(self, ctx: ExecutionContext, secret: Any) -> bool:
         """Verify the refund commitment-scheme secret."""
         raise NotImplementedError
-
-    # -- protocol-facing helpers ------------------------------------------------
-
-    @property
-    def is_settled(self) -> bool:
-        """True once the locked asset has left the contract."""
-        return self.state in (SwapState.REDEEMED, SwapState.REFUNDED)

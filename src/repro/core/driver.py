@@ -30,16 +30,17 @@ graph digest): explicit, seeded, and reproducible.
 What participants do under either witness protocol — multisign the
 graph, publish and settle every contract in parallel — is written once
 here (:meth:`_sign_graph`, :meth:`_deploy_missing_edges`,
-:meth:`_settle_open_edges`).  Subclasses implement three hooks:
+:meth:`_settle_open_edges`, and the shared :data:`SETTLE` row).
 
-* :meth:`_begin` — synchronous protocol setup at start time (register,
-  compute deadlines, enter the first phase);
-* :meth:`_advance` — one idempotent state-machine step: inspect chain
-  state, submit whatever messages the phase permits, transition phases,
-  and either schedule the next activation (:meth:`_schedule_tick`) or
-  terminate (:meth:`_finish`);
-* optionally :meth:`_finalize` — last-moment outcome bookkeeping (e.g.
-  Herlihy derives its decision from the settled states).
+**The phase table.**  A protocol is its class-level ``PHASES`` of
+:class:`Phase` rows, run by the one interpreter :meth:`_advance`; a
+successor a row does not declare is a
+:class:`~repro.errors.ProtocolError`, so the rendered table
+(:meth:`describe_phases`, pinned in ``docs/protocols.md``) cannot lie.
+Subclasses supply ``PHASES``, its step methods, :meth:`_begin`
+(synchronous setup at start time; False = the AC2T never starts,
+otherwise the first row is entered) and optionally :meth:`_finalize`
+(last-moment outcome bookkeeping, e.g. Herlihy's decision).
 """
 
 from __future__ import annotations
@@ -58,11 +59,41 @@ from ..errors import (
     FeeError,
     FeeTooLowError,
     InsufficientFundsError,
+    ProtocolError,
     ValidationError,
 )
 from ..sim.events import Event
+from .contract_template import SwapState
 from .graph import GRAPH_SIGNING_DOMAIN, AssetEdge, SwapGraph
 from .protocol import ContractRecord, SwapEnvironment, SwapOutcome, edge_key
+
+#: The successor that ends the AC2T (:meth:`ProtocolDriver._finish`).
+END = "end"
+
+
+@dataclass(frozen=True)
+class Phase:
+    """One row of a driver's phase table.
+
+    ``step(expired) -> successor | None`` (None stays) is the driver
+    method run on every activation in the row; ``deadline`` the driver
+    attribute its one timer is set from on entry: seconds after entry,
+    or an absolute sim time when ``from_entry`` is False.  The step may
+    return a ``progress`` successor any time, an ``expiry`` one once the
+    deadline has passed.
+    """
+
+    name: str
+    step: str
+    deadline: str
+    progress: tuple[str, ...]
+    expiry: tuple[str, ...] = (END,)
+    from_entry: bool = True
+
+
+#: The witness protocols' last row: redeem (commit) or refund (abort)
+#: every published contract until all are settled or the deadline passes.
+SETTLE = Phase("settle", "_settle", "_settle_timeout", progress=(END,))
 
 
 @dataclass
@@ -81,6 +112,9 @@ class ProtocolDriver:
     """Base class: one AC2T executed as a non-blocking state machine."""
 
     protocol_name = "abstract"
+    #: The phase table (see the module docstring); the first row is
+    #: entered once :meth:`_begin` succeeds.
+    PHASES: tuple[Phase, ...] = ()
 
     def __init__(
         self,
@@ -133,9 +167,11 @@ class ProtocolDriver:
         self._watched_mempools: list = []
         self._pending_tick: Event | None = None
         self._pending_hook: Event | None = None
-        self._phase = "init"
-        self._settle_deadline = 0.0
-        self._settle_target = 0
+        #: The current row of ``PHASES`` and the sim time it expires.
+        self._phase: Phase | None = None
+        self._deadline = 0.0
+        #: What the shared settle row calls: "redeem" or "refund".
+        self._settle_function = ""
 
         involved = set(graph.chains_used()) | set(extra_chain_ids)
         self._involved_chain_ids = sorted(involved)
@@ -154,16 +190,35 @@ class ProtocolDriver:
                 (int.from_bytes(digest[:8], "big") / float(1 << 64)) * span
             )
 
-    # -- phase transitions ---------------------------------------------------
+    # -- the phase table and its one interpreter -----------------------------
+
+    @classmethod
+    def phase_names(cls) -> tuple[str, ...]:
+        return tuple(row.name for row in cls.PHASES)
+
+    @classmethod
+    def describe_phases(cls) -> str:
+        """The phase table as text (the block in ``docs/protocols.md``)."""
+        rows = [("phase", "step", "deadline", "on progress", "at deadline")]
+        for row in cls.PHASES:
+            deadline = ("entry + " if row.from_entry else "") + row.deadline.lstrip("_")
+            progress, expiry = ", ".join(row.progress), ", ".join(row.expiry)
+            rows.append((row.name, row.step, deadline, progress, expiry))
+        widths = [max(len(cells[i]) for cells in rows) for i in range(4)] + [0]
+        lines = ["  ".join(c.ljust(w) for c, w in zip(cells, widths)) for cells in rows]
+        return "\n".join([cls.protocol_name] + ["  " + line.rstrip() for line in lines])
 
     def _set_phase(self, name: str) -> None:
-        """Enter phase ``name`` and notify the phase listeners.
+        """Enter row ``name``: set its deadline, notify the phase listeners.
 
         Listeners fire before the new phase performs any action, so a
         phase-keyed failure injection (an eclipse window, a Byzantine
         settle refusal) lands exactly at the protocol step it names.
         """
-        self._phase = name
+        row = next(row for row in self.PHASES if row.name == name)
+        self._phase = row
+        start = self.sim.now if row.from_entry else 0.0
+        self._deadline = start + getattr(self, row.deadline)
         if self.collector is not None:
             self.collector.emit(
                 "swap", "phase", swap_id=self.trace_swap_id, phase=name
@@ -171,15 +226,34 @@ class ProtocolDriver:
         for listener in list(self.on_phase):
             listener(name)
 
-    # -- subclass hooks ------------------------------------------------------
-
-    def _begin(self) -> None:
-        """Synchronous setup at start time; enter the first phase."""
-        raise NotImplementedError
-
     def _advance(self) -> None:
-        """One idempotent state-machine step (see module docstring)."""
-        raise NotImplementedError
+        """Run the current row's step, entering each returned successor
+        (and running its step) until one stays or the swap ends; then arm
+        the one timer at the row's deadline (a past deadline polls)."""
+        while True:
+            row = self._phase
+            now = self.sim.now
+            expired = now >= self._deadline
+            successor = getattr(self, row.step)(expired)
+            if successor is None:
+                break
+            if successor not in row.progress + (row.expiry if expired else ()):
+                raise ProtocolError(
+                    f"{self.protocol_name}: phase {row.name!r} cannot move to "
+                    f"{successor!r}{' at its deadline' if expired else ''}"
+                )
+            if successor == END:
+                self._finish()
+                return
+            self._set_phase(successor)
+        target = self._deadline if self._deadline > now else now + self._poll
+        if self._pending_tick is not None:
+            if self._pending_tick.time == target:
+                return  # the wanted wake-up is already armed
+            self._pending_tick.cancel()
+        self._pending_tick = self.sim.schedule_at(
+            target, self._tick, label=f"{self.protocol_name} driver tick"
+        )
 
     def _finalize(self) -> None:
         """Optional last-moment outcome bookkeeping before completion."""
@@ -499,21 +573,30 @@ class ProtocolDriver:
     def _all_confirmed(self) -> bool:
         return all(self._edge_confirmed(edge) for edge in self.graph.edges)
 
+    def _contract_state(self, edge: AssetEdge) -> str:
+        """``edge``'s contract state on its chain's canonical branch."""
+        contract_id = self.outcome.contracts[edge_key(edge)].contract_id
+        chain = self.env.chain(edge.chain_id)
+        if not contract_id or not chain.has_contract(contract_id):
+            return "unpublished"
+        return chain.contract(contract_id).state
+
+    def _settled_count(self) -> int:
+        """Contracts now redeemed or refunded, stamping when each was
+        first seen settled."""
+        count = 0
+        for edge in self.graph.edges:
+            if self._contract_state(edge) in (SwapState.REDEEMED, SwapState.REFUNDED):
+                record = self.outcome.contracts[edge_key(edge)]
+                if record.settled_at is None:
+                    record.settled_at = self.sim.now
+                count += 1
+        return count
+
     def _record_final_states(self) -> None:
         for edge in self.graph.edges:
-            key = edge_key(edge)
-            record = self.outcome.contracts[key]
-            if key not in self._deploys:
-                record.final_state = "unpublished"
-                continue
-            chain = self.env.chain(edge.chain_id)
-            record.final_state = (
-                chain.contract(record.contract_id).state
-                if chain.has_contract(record.contract_id)
-                else "unpublished"
-            )
-            if record.final_state in ("RD", "RF") and record.settled_at is None:
-                record.settled_at = self.sim.now
+            self.outcome.contracts[edge_key(edge)].final_state = self._contract_state(edge)
+        self._settled_count()
 
     def _collect_fees(self) -> None:
         self.outcome.fees_paid = sum(
@@ -581,50 +664,17 @@ class ProtocolDriver:
                 record=partial(self._settle_calls.__setitem__, key),
             )
 
-    # -- shared settle phase -------------------------------------------------
-    #
-    # Both witness protocols end identically: keep attempting settlement
-    # calls until every published contract is settled or the deadline
-    # passes, then finalize.  Subclasses supply the per-tick attempt via
-    # :meth:`_settle_step` and enter the phase with :meth:`_enter_settle_phase`.
-
-    def _settled_count(self) -> int:
-        count = 0
-        for edge in self.graph.edges:
-            key = edge_key(edge)
-            record = self.outcome.contracts[key]
-            if key not in self._deploys:
-                continue
-            chain = self.env.chain(edge.chain_id)
-            if not chain.has_contract(record.contract_id):
-                continue
-            if chain.contract(record.contract_id).is_settled:
-                if record.settled_at is None:
-                    record.settled_at = self.sim.now
-                count += 1
-        return count
-
-    def _settle_step(self) -> None:
-        """One settle attempt (redeem/refund whatever is still open)."""
-        raise NotImplementedError
-
-    def _enter_settle_phase(self, timeout: float) -> None:
-        self._set_phase("settle")
-        self._settle_deadline = self.sim.now + timeout
-        self._settle_target = len(self._deploys)
-        self._advance_settle()
-
-    def _advance_settle(self) -> None:
-        if (
-            self.sim.now >= self._settle_deadline
-            or self._settled_count() >= self._settle_target
-        ):
-            self._settled_count()  # final refresh of settled_at stamps
+    def _settle(self, expired: bool) -> str | None:
+        """The :data:`SETTLE` step: both witness protocols end by
+        attempting ``_settle_function`` on every open contract until all
+        published contracts are settled or the deadline passes.  The
+        driver's ``_settle_secrets()`` gives this activation's
+        commitment secret per edge."""
+        if expired or self._settled_count() >= len(self._deploys):
             self.outcome.phase_times["settled"] = self.sim.now
-            self._finish()
-            return
-        self._settle_step()
-        self._schedule_tick(self._settle_deadline)
+            return END
+        self._settle_open_edges(self._settle_function, self._settle_secrets())
+        return None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -652,9 +702,11 @@ class ProtocolDriver:
                 if pool is not None:
                     pool.add_eviction_listener(self._on_eviction)
                     self._watched_mempools.append(pool)
-        self._begin()
-        if not self.finished:
-            self._advance()
+        if not self._begin():
+            self._finish()
+            return self
+        self._set_phase(self.PHASES[0].name)
+        self._advance()
         return self
 
     def _on_block(self, block: Block) -> None:
@@ -711,36 +763,6 @@ class ProtocolDriver:
                 self._jittered_advance,
                 label=f"{self.protocol_name} eviction reaction",
             )
-
-    def _phase_deadline(self) -> float | None:
-        """The phase deadline to arm when :meth:`_schedule_tick` got none.
-
-        Drivers advance on block/recovery hooks; the only timer they
-        need is the current phase's deadline.  Subclasses whose
-        ``_advance`` does not pass one (Herlihy's single rolling phase)
-        supply it here; None falls back to one poll interval.
-        """
-        return None
-
-    def _schedule_tick(self, deadline: float | None = None) -> None:
-        """Arm the one *timeout* event at the phase deadline.
-
-        Everything before the deadline is driven by block/recovery
-        hooks.  At most one timer is ever outstanding; rescheduling
-        cancels the previous one.
-        """
-        if self.finished:
-            return
-        target = deadline if deadline is not None else self._phase_deadline()
-        if target is None or target <= self.sim.now:
-            target = self.sim.now + self._poll
-        if self._pending_tick is not None:
-            if self._pending_tick.time == target:
-                return  # the wanted wake-up is already armed
-            self._pending_tick.cancel()
-        self._pending_tick = self.sim.schedule_at(
-            target, self._tick, label=f"{self.protocol_name} driver tick"
-        )
 
     def _tick(self) -> None:
         self._pending_tick = None

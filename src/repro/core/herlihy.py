@@ -39,7 +39,7 @@ from ..chain.block import encode_time
 from ..chain.messages import CallMessage
 from ..crypto.hashing import hashlock
 from ..errors import GraphError
-from .driver import ProtocolDriver
+from .driver import END, SETTLE, Phase, ProtocolDriver
 from .graph import AssetEdge, SwapGraph
 from .htlc import HTLCContract  # noqa: F401  (registers the contract class)
 from .protocol import SwapEnvironment, SwapOutcome, edge_key
@@ -108,9 +108,19 @@ class HerlihyConfig:
 
 
 class HerlihyDriver(ProtocolDriver):
-    """Executes one AC2T with the single-leader HTLC protocol."""
+    """Executes one AC2T with the single-leader HTLC protocol.
+
+    Publishes, reveals, redeems and refunds are all enabled by chain
+    growth, so both rows share the protocol's hard horizon as their
+    deadline; *settle* (the redeem cascade, the HTLC analogue of the
+    witness protocols' settle phase) starts once every contract is live.
+    """
 
     protocol_name = "herlihy"
+    PHASES = (
+        Phase("publish", "_publish", "_horizon", progress=(SETTLE.name, END), from_entry=False),
+        Phase(SETTLE.name, "_cascade", "_horizon", progress=(END,), from_entry=False),
+    )
 
     def __init__(
         self,
@@ -136,7 +146,6 @@ class HerlihyDriver(ProtocolDriver):
         self._redeem_calls: dict[str, CallMessage] = {}
         self._refund_calls: dict[str, CallMessage] = {}
         self._secret_public = False
-        self._deploy_done_at: float | None = None
         self._t0 = 0.0
         self._delta = 0.0
         self._last_timelock = 0.0
@@ -160,16 +169,6 @@ class HerlihyDriver(ProtocolDriver):
         return t0 + delta * (rungs + self.config.delta_margin)
 
     # -- helpers -------------------------------------------------------------
-
-    def _contract_state(self, edge: AssetEdge) -> str:
-        key = edge_key(edge)
-        record = self.outcome.contracts[key]
-        if not record.contract_id:
-            return "unpublished"
-        chain = self.env.chain(edge.chain_id)
-        if not chain.has_contract(record.contract_id):
-            return "unpublished"
-        return chain.contract(record.contract_id).state
 
     def _incoming_confirmed(self, name: str) -> bool:
         return all(self._edge_confirmed(edge) for edge in self.graph.edges_to(name))
@@ -298,17 +297,9 @@ class HerlihyDriver(ProtocolDriver):
             if edge_key(edge) in self._deploys
         ) and len(self._deploys) > 0
 
-    def _record_final_states(self) -> None:
-        for edge in self.graph.edges:
-            key = edge_key(edge)
-            record = self.outcome.contracts[key]
-            record.final_state = self._contract_state(edge)
-            if record.final_state in ("RD", "RF") and record.settled_at is None:
-                record.settled_at = self.sim.now
+    # -- the protocol: setup, then the steps of PHASES ----------------------------------
 
-    # -- state machine ------------------------------------------------------------------
-
-    def _begin(self) -> None:
+    def _begin(self) -> bool:
         self._t0 = self.sim.now
         self._delta = self.delta()
         self.outcome.phase_times["start"] = self._t0
@@ -321,39 +312,33 @@ class HerlihyDriver(ProtocolDriver):
         self._horizon = self._last_timelock + (
             self.config.settle_timeout or 2.0 * self._delta
         )
-        self._set_phase("publish")
+        return True
 
-    def _phase_deadline(self) -> float | None:
-        # One rolling phase: publishes, reveals, redeems, and refunds are
-        # all enabled by chain growth (block hooks); the only timer the
-        # driver needs is the protocol's hard horizon.
-        return self._horizon
-
-    def _advance(self) -> None:
-        if self.sim.now >= self._horizon:
-            self._finish()
-            return
+    def _publish(self, expired: bool) -> str | None:
+        if expired:
+            return END
         self._try_publish(self._t0, self._delta)
-        self._observe_reveals()
-        if self._deploy_done_at is None and len(self._deploys) == len(
-            self.graph.edges
-        ) and all(self._edge_confirmed(e) for e in self.graph.edges):
-            self._deploy_done_at = self.sim.now
+        if len(self._deploys) == len(self.graph.edges) and self._all_confirmed():
             self.outcome.phase_times["contracts_deployed"] = self.sim.now
-            # All contracts are live: the redeem cascade is the HTLC
-            # analogue of the witness protocols' settle phase.  The
-            # phase event fires before the first redeem is attempted, so
-            # settle-keyed failure injections hit the whole cascade.
-            self._set_phase("settle")
+            # The phase event fires before the first redeem is attempted,
+            # so settle-keyed failure injections hit the whole cascade.
+            return SETTLE.name
+        # Expired timelocks refund (and early redeems land) while
+        # publishing is still under way.
+        return self._cascade(expired)
+
+    def _cascade(self, expired: bool) -> str | None:
+        if expired:
+            return END
+        self._observe_reveals()
         self._try_redeem(self._t0, self._delta)
         self._try_refund(self._t0, self._delta)
         if self._all_settled() and (
             len(self._deploys) == len(self.graph.edges)
             or self.sim.now > self._last_timelock
         ):
-            self._finish()
-            return
-        self._schedule_tick()
+            return END
+        return None
 
     def _finalize(self) -> None:
         self.outcome.phase_times["settled"] = self.sim.now

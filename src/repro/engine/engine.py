@@ -53,12 +53,14 @@ class ProtocolEntry:
     :class:`~repro.core.driver.ProtocolDriver`; ``validate(graph)``
     (optional) raises at submit time for graphs the protocol cannot
     execute, so failures surface at the call site instead of inside an
-    arrival event.
+    arrival event.  ``phases`` names the rows of its driver's phase
+    table (what an eclipse may key on; empty = undeclared).
     """
 
     name: str
     factory: Callable[["SwapEngine", "SwapRequest"], ProtocolDriver]
     validate: Callable[[SwapGraph], None] | None = None
+    phases: tuple[str, ...] = ()
 
 
 _PROTOCOL_REGISTRY: dict[str, ProtocolEntry] = {}
@@ -69,6 +71,7 @@ def register_protocol(
     factory: Callable[["SwapEngine", "SwapRequest"], ProtocolDriver],
     validate: Callable[[SwapGraph], None] | None = None,
     replace: bool = False,
+    phases: tuple[str, ...] = (),
 ) -> None:
     """Register a protocol so engines (and specs) can run it by name.
 
@@ -78,9 +81,7 @@ def register_protocol(
     """
     if name in _PROTOCOL_REGISTRY and not replace:
         raise ProtocolError(f"protocol {name!r} is already registered")
-    _PROTOCOL_REGISTRY[name] = ProtocolEntry(
-        name=name, factory=factory, validate=validate
-    )
+    _PROTOCOL_REGISTRY[name] = ProtocolEntry(name, factory, validate, tuple(phases))
 
 
 def unregister_protocol(name: str) -> None:
@@ -91,6 +92,12 @@ def unregister_protocol(name: str) -> None:
 def registered_protocols() -> tuple[str, ...]:
     """Every runnable protocol name, registration order."""
     return tuple(_PROTOCOL_REGISTRY)
+
+
+def registered_phases(protocol: str | None = None) -> tuple[str, ...]:
+    """The phases ``protocol`` declares, or (None) every registered one's."""
+    entries = [e for name, e in _PROTOCOL_REGISTRY.items() if protocol in (None, name)]
+    return tuple(dict.fromkeys(phase for e in entries for phase in e.phases))
 
 
 def _known_protocols() -> str:
@@ -592,7 +599,9 @@ def _ac3wn_factory(engine: SwapEngine, request: SwapRequest) -> ProtocolDriver:
     )
 
 
-register_protocol("nolan", _nolan_factory, validate=validate_two_party)
-register_protocol("herlihy", _herlihy_factory)
-register_protocol("ac3tw", _ac3tw_factory)
-register_protocol("ac3wn", _ac3wn_factory)
+register_protocol(
+    "nolan", _nolan_factory, validate_two_party, phases=NolanDriver.phase_names()
+)
+register_protocol("herlihy", _herlihy_factory, phases=HerlihyDriver.phase_names())
+register_protocol("ac3tw", _ac3tw_factory, phases=AC3TWDriver.phase_names())
+register_protocol("ac3wn", _ac3wn_factory, phases=AC3WNDriver.phase_names())

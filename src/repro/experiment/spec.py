@@ -480,6 +480,14 @@ class ExperimentSpec(serde.Serializable):
                     f"names {traffic.prefix}NNNN.<role>"
                 )
         self.adversary.validate(fail, known_chains)
+        from ..engine.engine import registered_phases
+
+        phases, phase = registered_phases(self.protocol), self.adversary.eclipse.phase
+        if phases and phase not in phases:
+            fail(
+                f"adversary.eclipse.phase {phase!r} is never entered by protocol "
+                f"{self.protocol!r} (phases: {', '.join(phases)})"
+            )
         buckets = self.obs.metrics.latency_buckets
         if any(b2 <= b1 for b1, b2 in zip(buckets, buckets[1:])):
             fail("obs.metrics.latency_buckets must be strictly increasing")

@@ -22,6 +22,7 @@ from repro.adversary import (
 )
 from repro.analysis.security import required_depth, security_report
 from repro.chain.miner import AttackMiner
+from repro.core.ac3wn import AC3WNDriver
 from repro.errors import SpecError
 from repro.experiment import (
     ExperimentSpec,
@@ -419,6 +420,23 @@ class TestEclipseActor:
         assert len(eclipsed) == 3
         # The recovered participant settled late: still all-or-nothing.
         assert all(o.decision == "commit" for o in result.outcomes)
+
+    @pytest.mark.parametrize("phase", AC3WNDriver.phase_names())
+    def test_every_ac3wn_row_eclipses_every_swap(self, phase):
+        """An eclipse keyed to any row of AC3WN's table fires once per
+        swap — scw-wait too, which no phase event announced before."""
+        spec = apply_overrides(
+            preset_spec("engine-smoke"),
+            {
+                "protocol": "ac3wn",
+                "traffic.num_swaps": 8,
+                "adversary.eclipse.enabled": True,
+                "adversary.eclipse.phase": phase,
+            },
+        )
+        result = run_experiment(spec)
+        assert result.engine_result.adversary["eclipse"]["swaps_eclipsed"] == 8
+        assert result.metrics.atomicity_violations == 0
 
 
 # ---------------------------------------------------------------------------

@@ -114,12 +114,6 @@ class TestTransfersAndStamps:
         contract.redeem(ctx, "redeem-token")
         assert ctx._events[0][0] == "redeemed"
 
-    def test_is_settled(self):
-        contract = make_contract()
-        assert not contract.is_settled
-        contract.redeem(fresh_ctx(), "redeem-token")
-        assert contract.is_settled
-
     def test_abstract_template_refuses_direct_use(self):
         base = AtomicSwapContract()
         base.constructor(

@@ -439,11 +439,18 @@ class TestHostileSpecs:
             ("fee_market.rbf_bump=0.5", "fee_market.rbf_bump must be at least 1.0"),
             # -- a typo offers the nearest key before the list ------------------
             ("traffic.num_swap=3", "unknown field 'num_swap'; did you mean 'num_swaps'?"),
+            # -- an eclipse its protocol never triggers (silently disarmed) ----
+            (("protocol=herlihy", "adversary.eclipse.phase=decision-wait"),
+             "adversary.eclipse.phase 'decision-wait' is never entered by protocol "
+             "'herlihy' (phases: publish, settle)"),
         ],
     )
     def test_one_line_naming_the_path(self, capsys, override, where):
         argv = ["run", "--preset", "congestion", "--set", "traffic.num_swaps=4"]
-        assert main(argv + ["--set", override]) == 2
+        overrides = override if isinstance(override, tuple) else (override,)
+        for pair in overrides:
+            argv += ["--set", pair]
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("repro run: ")
         assert captured.err.count("\n") == 1

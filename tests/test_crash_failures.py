@@ -176,7 +176,7 @@ class TestIsolationWindows:
         return driver.run(), entered
 
     @pytest.mark.parametrize("victim", ["alice", "bob"])
-    @pytest.mark.parametrize("phase", ["deploy", "decision-wait", "settle"])
+    @pytest.mark.parametrize("phase", ["scw-wait", "deploy", "decision-wait", "settle"])
     def test_ac3wn_outage_delays_the_victim_and_nothing_else(self, fault_free, phase, victim):
         baseline, entered = fault_free
         assert baseline.decision == "commit" and baseline.all_settled
@@ -187,9 +187,9 @@ class TestIsolationWindows:
         before, after = own_steps(baseline, victim), own_steps(outcome, victim)
         delayed = {step for step in before if after[step] > before[step]}
         # The victim deploys in "deploy" and redeems in "settle"; it has
-        # nothing to send in "decision-wait", so an outage that starts
-        # there is first felt by its redeem.
-        expected = "deploy" if phase == "deploy" else "redeem"
+        # nothing to send in "scw-wait" or "decision-wait", so an outage
+        # that starts there is first felt by its next step.
+        expected = "deploy" if phase in ("scw-wait", "deploy") else "redeem"
         assert any(step.startswith(expected) for step in delayed), (before, after)
         # Safety, and liveness after recovery: same decision, for everyone.
         assert outcome.is_atomic and outcome.all_settled

@@ -144,12 +144,6 @@ class TestHTLCRefund:
         assert chain.receipt(msg.message_id()).status == "reverted"
         assert chain.contract(deploy.contract_id()).state == "RF"
 
-    def test_is_settled(self, chain):
-        deploy = deploy_htlc(chain, secret=b"s")
-        assert not chain.contract(deploy.contract_id()).is_settled
-        call(chain, deploy.contract_id(), "redeem", (b"s",), BOB, 2.0)
-        assert chain.contract(deploy.contract_id()).is_settled
-
 
 class TestHTLCRaceWindow:
     def test_timelock_creates_the_papers_race(self, chain):

@@ -346,9 +346,9 @@ class TestSwapTimeline:
         assert timeline.protocol == "ac3wn"
         assert timeline.decision == "commit"
         assert timeline.atomic is True
+        # Figure 9's four Δ-phases, in order.
         names = [span.name for span in timeline.spans]
-        assert names[0] == "deploy"
-        assert "settle" in names
+        assert names == ["scw-wait", "deploy", "decision-wait", "settle"]
         # Spans chain: each ends where the next begins, last at outcome.
         for prev, nxt in zip(timeline.spans, timeline.spans[1:]):
             assert prev.end == nxt.start

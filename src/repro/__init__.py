@@ -19,89 +19,15 @@ Quickstart::
     assert outcome.decision == "commit" and outcome.is_atomic
 """
 
-from . import analysis, chain, core, crypto, experiment, sim, sweeps, workloads
-from .core import (
-    AC3TWDriver,
-    AC3WNConfig,
-    AC3WNDriver,
-    AssetEdge,
-    HerlihyDriver,
-    NolanDriver,
-    SwapEnvironment,
-    SwapGraph,
-    SwapOutcome,
-    TrustedWitness,
-    run_ac3tw,
-    run_ac3wn,
-    run_herlihy,
-    run_nolan,
-)
-from .experiment import (
-    ExperimentResult,
-    ExperimentSpec,
-    apply_overrides,
-    preset_spec,
-    run_experiment,
-)
-from .sweeps import (
-    SweepAxis,
-    SweepResult,
-    SweepRunner,
-    SweepSpec,
-    run_sweep,
-    sweep_spec,
-)
-from .workloads import (
-    ScenarioEnvironment,
-    build_scenario,
-    directed_cycle,
-    figure7a_cyclic,
-    figure7b_disconnected,
-    ring_with_diameter,
-    two_party_swap,
-)
+from .core import run_ac3wn, run_herlihy, run_nolan
+from .workloads import build_scenario, two_party_swap
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "AC3TWDriver",
-    "AC3WNConfig",
-    "AC3WNDriver",
-    "AssetEdge",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "HerlihyDriver",
-    "NolanDriver",
-    "ScenarioEnvironment",
-    "SwapEnvironment",
-    "SwapGraph",
-    "SwapOutcome",
-    "SweepAxis",
-    "SweepResult",
-    "SweepRunner",
-    "SweepSpec",
-    "TrustedWitness",
-    "analysis",
-    "apply_overrides",
     "build_scenario",
-    "chain",
-    "core",
-    "crypto",
-    "directed_cycle",
-    "experiment",
-    "figure7a_cyclic",
-    "figure7b_disconnected",
-    "preset_spec",
-    "ring_with_diameter",
-    "run_ac3tw",
     "run_ac3wn",
-    "run_experiment",
     "run_herlihy",
     "run_nolan",
-    "run_sweep",
-    "sim",
-    "sweep_spec",
-    "sweeps",
     "two_party_swap",
-    "workloads",
 ]

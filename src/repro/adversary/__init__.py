@@ -22,38 +22,15 @@ The public surface:
 * :func:`build_roster` — spec + environment + engine -> armed roster.
 """
 
-from .actors import (
-    AdversaryRoster,
-    AttackRecord,
-    ByzantineParticipant,
-    CensoringMiner,
-    EclipseActor,
-    ReorgAttacker,
-    build_roster,
-    decision_chain,
-)
-from .spec import (
-    BYZANTINE_BEHAVIORS,
-    AdversarySpec,
-    ByzantineSpec,
-    CensorSpec,
-    EclipseSpec,
-    ReorgAttackSpec,
-)
+from .actors import build_roster, decision_chain
+from .spec import AdversarySpec, ByzantineSpec, CensorSpec, EclipseSpec, ReorgAttackSpec
 
 __all__ = [
-    "BYZANTINE_BEHAVIORS",
-    "AdversaryRoster",
     "AdversarySpec",
-    "AttackRecord",
-    "ByzantineParticipant",
     "ByzantineSpec",
     "CensorSpec",
-    "CensoringMiner",
-    "EclipseActor",
     "EclipseSpec",
     "ReorgAttackSpec",
-    "ReorgAttacker",
     "build_roster",
     "decision_chain",
 ]

@@ -1,77 +1,1 @@
 """Analytical models of the paper's evaluation (Section 6)."""
-
-from .cost import (
-    CostBreakdown,
-    ac3wn_cost,
-    cost_table,
-    herlihy_cost,
-    overhead_ratio,
-    scw_cost_usd,
-)
-from .intermediated import (
-    SettlementPath,
-    ac2t_path,
-    comparison_rows,
-    direct_exchange_path,
-    fiat_exchange_path,
-)
-from .latency import (
-    AC3WN_PHASES,
-    LatencyPoint,
-    ac3wn_latency,
-    crossover_diameter,
-    figure10_series,
-    herlihy_latency,
-    latency_for_graph,
-)
-from .security import (
-    PAPER_WITNESS_CANDIDATES,
-    WitnessChoice,
-    attack_cost_usd,
-    depth_table,
-    is_depth_safe,
-    paper_worked_example,
-    required_depth,
-)
-from .throughput import (
-    TABLE1_ROWS,
-    ThroughputResult,
-    ac2t_throughput,
-    best_witness,
-    chain_tps,
-    paper_example,
-)
-
-__all__ = [
-    "AC3WN_PHASES",
-    "CostBreakdown",
-    "LatencyPoint",
-    "PAPER_WITNESS_CANDIDATES",
-    "SettlementPath",
-    "TABLE1_ROWS",
-    "ThroughputResult",
-    "WitnessChoice",
-    "ac2t_throughput",
-    "ac3wn_cost",
-    "ac3wn_latency",
-    "ac2t_path",
-    "attack_cost_usd",
-    "best_witness",
-    "chain_tps",
-    "comparison_rows",
-    "cost_table",
-    "crossover_diameter",
-    "depth_table",
-    "direct_exchange_path",
-    "fiat_exchange_path",
-    "figure10_series",
-    "herlihy_cost",
-    "herlihy_latency",
-    "is_depth_safe",
-    "latency_for_graph",
-    "overhead_ratio",
-    "paper_example",
-    "paper_worked_example",
-    "required_depth",
-    "scw_cost_usd",
-]

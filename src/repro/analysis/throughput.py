@@ -106,8 +106,8 @@ def engine_throughput_report(result: "EngineResult") -> list["EngineMetrics"]:
     followed by one row per protocol in name order — ready to print next
     to the analytic Table 1 numbers.  Rows are plain
     :class:`~repro.engine.metrics.EngineMetrics` (which carries
-    ``swaps_per_second`` and the derived ``commits_per_second``), so
-    there is exactly one aggregate type to keep in sync.
+    ``swaps_per_second``), so there is exactly one aggregate type to
+    keep in sync.
     """
     rows = [result.metrics]
     if len(result.by_protocol) > 1:

@@ -150,7 +150,6 @@ class Block:
 
     header: BlockHeader
     messages: tuple
-    _ids: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _tree: MerkleTree | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
@@ -158,38 +157,26 @@ class Block:
         """A block whose builder already holds ``tree``, the Merkle tree
         over exactly ``messages``' ids, so it is not built a second time."""
         block = cls(header=header, messages=messages)
-        object.__setattr__(block, "_ids", tuple(tree.leaves))
         object.__setattr__(block, "_tree", tree)
         return block
 
     def block_id(self) -> bytes:
         return self.header.block_id()
 
-    def message_ids(self) -> list[bytes]:
-        ids = self._ids
-        if ids is None:
-            ids = tuple(message.message_id() for message in self.messages)
-            object.__setattr__(self, "_ids", ids)
-        return list(ids)
-
     def merkle_tree(self) -> MerkleTree:
         tree = self._tree
         if tree is None:
             # MerkleTree memoizes its levels internally and is read-only
             # after construction, so one shared instance per block is safe.
-            tree = MerkleTree(self.message_ids())
+            tree = MerkleTree([message.message_id() for message in self.messages])
             object.__setattr__(self, "_tree", tree)
         return tree
 
     def compute_merkle_root(self) -> bytes:
         return self.merkle_tree().root()
 
-    @property
-    def height(self) -> int:
-        return self.header.height
-
     def __repr__(self) -> str:
         return (
-            f"Block({self.header.chain_id} h={self.height} "
+            f"Block({self.header.chain_id} h={self.header.height} "
             f"msgs={len(self.messages)} id={self.block_id().hex()[:8]}…)"
         )

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
-from ..crypto.keys import Address, KeyPair
+from ..crypto.keys import Address
 from ..crypto.merkle import MerkleProof, MerkleTree, merkle_root
 from ..errors import InvalidBlockError, UnknownBlockError, ValidationError
 from .block import (
@@ -89,9 +89,7 @@ class Blockchain:
         self._reorg_listeners: list[Callable[[int, int], None]] = []
         self.reorgs = 0
 
-        genesis, state = self._build_genesis(genesis_allocations or [])
-        self._genesis_hash = genesis.block_id()
-        self._install(genesis, state)
+        self._install(*self._build_genesis(genesis_allocations or []))
 
     # -- genesis ------------------------------------------------------------
 
@@ -130,10 +128,6 @@ class Blockchain:
         return memo
 
     # -- core accessors -----------------------------------------------------
-
-    @property
-    def genesis_hash(self) -> bytes:
-        return self._genesis_hash
 
     @property
     def head(self) -> Block:
@@ -210,13 +204,6 @@ class Blockchain:
         reorgs directly instead of re-deriving them from height queries.
         """
         self._reorg_listeners.append(listener)
-
-    def remove_reorg_listener(self, listener: Callable[[int, int], None]) -> None:
-        """Unsubscribe ``listener``; missing listeners are a no-op."""
-        try:
-            self._reorg_listeners.remove(listener)
-        except ValueError:
-            pass
 
     def _validate_structure(self, block: Block) -> None:
         header = block.header
@@ -357,9 +344,6 @@ class Blockchain:
             return 0
         return self.height - self.block(block_hash).header.height + 1
 
-    def is_stable(self, block_hash: bytes) -> bool:
-        return self.depth_of(block_hash) >= self.params.confirmation_depth
-
     def stable_header(self) -> BlockHeader:
         """The newest stable main-chain header (depth == confirmation_depth)."""
         height = max(0, self.height - self.params.confirmation_depth + 1)
@@ -386,7 +370,7 @@ class Blockchain:
         data = self._receipt_data.get(block_hash)
         if data is None:
             receipts = self.state_at(block_hash).receipts
-            ids = self.block(block_hash).message_ids()
+            ids = [message.message_id() for message in self.block(block_hash).messages]
             statuses = [(mid, receipts[mid].status) for mid in ids]
             data = statuses, receipts_merkle_tree(statuses)
         return data
@@ -475,8 +459,3 @@ class Blockchain:
             miner=miner,
         )
         return Block.with_tree(mine_header(template), tuple(messages), tree)
-
-
-def default_miner_address() -> Address:
-    """A throwaway miner identity for tests and single-miner chains."""
-    return KeyPair.from_seed("default-miner").address

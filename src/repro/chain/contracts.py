@@ -130,20 +130,8 @@ class SmartContract:
             clone_vars[key] = value
         return clone
 
-    def describe(self) -> dict:
-        """A read-only snapshot of public state (for evidence/tests)."""
-        snapshot = {
-            "class": type(self).CLASS_NAME,
-            "contract_id": self.contract_id,
-            "balance": self.balance,
-        }
-        for key, value in vars(self).items():
-            if not key.startswith("_") and key not in snapshot:
-                snapshot[key] = value
-        return snapshot
 
-
-_RESERVED_NAMES = {"constructor", "public_function", "describe"}
+_RESERVED_NAMES = {"constructor", "public_function"}
 
 
 class ContractRegistry:
@@ -180,9 +168,6 @@ class ContractRegistry:
         if name not in self._classes:
             raise ContractError(f"unknown contract class {name!r}")
         return self._classes[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._classes
 
     def registered_names(self) -> list[str]:
         """Sorted names currently registered (for scoped snapshots)."""

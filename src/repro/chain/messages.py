@@ -29,13 +29,12 @@ the message id and the txid and keeps only the two digests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any
 
 from ..crypto.ecdsa import EcdsaSignature
 from ..crypto.keys import KeyPair, PublicKey
 from ..errors import ValidationError
 from .transaction import TXID_DOMAIN, Transaction, TxInput, TxOutput
-from .wire import canonical_encode, hash_encoded, wire_hash
+from .wire import canonical_encode, hash_encoded
 
 _MESSAGE_DOMAIN = "repro/message"
 
@@ -54,13 +53,6 @@ class ChainMessage:
     __slots__ = ()
 
     kind: str = "abstract"
-
-    def to_wire(self) -> Any:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def message_id(self) -> bytes:
-        """Globally unique id: hash of the canonical encoding."""
-        return wire_hash(self.to_wire(), domain=_MESSAGE_DOMAIN)
 
 
 @dataclass(frozen=True, slots=True)

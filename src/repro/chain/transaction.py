@@ -139,9 +139,6 @@ class Transaction:
     def total_output(self) -> int:
         return sum(out.value for out in self.outputs)
 
-    def outpoints(self) -> list[OutPoint]:
-        return [inp.outpoint for inp in self.inputs]
-
 
 def make_coinbase(
     owner: Address, value: int, nonce: int = 0, previous: Transaction | None = None

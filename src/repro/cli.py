@@ -39,9 +39,9 @@ as JSON.  ``sweep`` is its multi-point sibling: a named sweep campaign
 executes them across ``--workers`` processes, prints the joined summary
 table, and exports the campaign as CSV and/or JSON — one command per
 paper figure.  ``serve`` swaps the fixed horizon for a live session
-(:mod:`repro.service`): pluggable traffic sources, an in-process
-submission API, a replayable request log, and mid-flight checkpoints
-that ``--restore`` resumes with byte-identical subsequent behavior;
+(:mod:`repro.service`): pluggable traffic sources, a replayable request
+log, and mid-flight checkpoints that ``--restore`` resumes with
+byte-identical subsequent behavior;
 ``replay`` re-executes a recorded log, reproducing outcomes exactly.  The datastore commands sit on top of the campaign
 database (:mod:`repro.store`): ``sweep --store`` archives every point
 durably, ``query`` evaluates an indexed predicate over stored points,
@@ -62,7 +62,7 @@ import sys
 from . import serde
 from .analysis.latency import figure10_series
 from .analysis.security import PAPER_WITNESS_CANDIDATES
-from .analysis.throughput import TABLE1_ROWS, ac2t_throughput
+from .analysis.throughput import TABLE1_ROWS, paper_example
 from .errors import ReproError, ServiceError, SpecError
 from .experiment import (
     ExperimentResult,
@@ -456,7 +456,7 @@ def _print_service_result(result) -> None:
     metrics = result.metrics
     spec = result.spec
     sources = (
-        ", ".join(f"{s.name} ({s.kind})" for s in spec.sources) or "submit_swap only"
+        ", ".join(f"{s.name} ({s.kind})" for s in spec.sources) or "no sources"
     )
     print(f"service {spec.name!r}: accepted {result.accepted} swaps from {sources}")
     windows = result.windows
@@ -581,6 +581,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .obs import load_trace, render_swap, series_csv, summarize
 
+    if args.swap is not None and args.series is not None:
+        raise SpecError("pass either --swap or --series, not both")
     collector = load_trace(args.file)
     if args.swap is not None:
         print(render_swap(collector, args.swap))
@@ -773,7 +775,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     """Table 1 plus the paper's throughput example."""
     for name, _, tps in TABLE1_ROWS:
         print(f"  {name:>14}: {tps:>3} tps")
-    example = ac2t_throughput(["ethereum", "litecoin"], "bitcoin")
+    example = paper_example()
     print(
         f"\nETH+LTC witnessed by Bitcoin: {example.tps} tps "
         f"(bottleneck: {example.bottleneck})"
@@ -1144,13 +1146,14 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="SWAPID",
-        help="print the phase-span timeline of one swap",
+        help="print the phase-span timeline of one swap (not with --series)",
     )
     trace.add_argument(
         "--series",
         default=None,
         metavar="PATH",
-        help="write the sampled time-series gauges as CSV ('-' for stdout)",
+        help="write the sampled time-series gauges as CSV ('-' for stdout; "
+        "not with --swap)",
     )
     trace.set_defaults(func=_cmd_trace)
 

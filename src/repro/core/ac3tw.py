@@ -33,7 +33,7 @@ from ..errors import WitnessError
 from .contract_template import AtomicSwapContract
 from .driver import END, SETTLE, Phase, ProtocolDriver
 from .graph import SwapGraph
-from .protocol import SwapEnvironment, SwapOutcome, edge_key
+from .protocol import SwapEnvironment, edge_key
 
 CENTRALIZED_CONTRACT_CLASS = "AC3-CentralizedSC"
 
@@ -324,14 +324,3 @@ class AC3TWDriver(ProtocolDriver):
             return END
         self.outcome.phase_times["decision"] = self.sim.now
         return SETTLE.name
-
-
-def run_ac3tw(
-    env: SwapEnvironment,
-    graph: SwapGraph,
-    witness: TrustedWitness,
-    **config_kwargs,
-) -> SwapOutcome:
-    """Convenience wrapper: configure and run one AC3TW execution."""
-    config = AC3TWConfig(**config_kwargs)
-    return AC3TWDriver(env, graph, witness, config).run()

@@ -7,8 +7,9 @@ instances (redemption and refund).  ``redeem`` transfers ``a`` to ``r``
 when the redemption secret verifies; ``refund`` returns ``a`` to ``s``
 when the refund secret verifies; both require state ``P``.
 
-Subclasses specialize :meth:`is_redeemable` / :meth:`is_refundable`
-exactly as Algorithms 2 and 4 do in the paper.
+Subclasses supply ``is_redeemable(ctx, secret)`` and
+``is_refundable(ctx, secret)`` (Algorithm 1, lines 23-28) exactly as
+Algorithms 2 and 4 do in the paper.
 """
 
 from __future__ import annotations
@@ -68,13 +69,3 @@ class AtomicSwapContract(SmartContract):
         self.state = SwapState.REFUNDED
         self.refunded_at = ctx.block_time
         ctx.emit("refunded", contract=self.contract_id, sender=self.sender.hex())
-
-    # -- Algorithm 1, lines 23-28 (specialized by subclasses) -------------------
-
-    def is_redeemable(self, ctx: ExecutionContext, secret: Any) -> bool:
-        """Verify the redemption commitment-scheme secret."""
-        raise NotImplementedError
-
-    def is_refundable(self, ctx: ExecutionContext, secret: Any) -> bool:
-        """Verify the refund commitment-scheme secret."""
-        raise NotImplementedError

@@ -53,7 +53,7 @@ from ..chain.block import Block
 from ..chain.chain import Blockchain
 from ..chain.messages import CallMessage, DeployMessage, sign_message
 from ..crypto.keys import Address
-from ..crypto.signatures import Multisignature, multisign
+from ..crypto.signatures import Multisignature
 from ..economy import DEFAULT_POLICY, FeeBudget, FeePolicy, bump_fee
 from ..errors import (
     FeeError,
@@ -64,7 +64,7 @@ from ..errors import (
 )
 from ..sim.events import Event
 from .contract_template import SwapState
-from .graph import GRAPH_SIGNING_DOMAIN, AssetEdge, SwapGraph
+from .graph import AssetEdge, SwapGraph
 from .protocol import ContractRecord, SwapEnvironment, SwapOutcome, edge_key
 
 #: The successor that ends the AC2T (:meth:`ProtocolDriver._finish`).
@@ -617,14 +617,12 @@ class ProtocolDriver:
         """``ms(D)`` by every participant outside ``omit_signers`` — a
         Byzantine participant may withhold its signature, and the
         witness then rejects the incomplete ``ms(D)`` at registration."""
-        return multisign(
-            [
-                self.env.participant(name).keypair
+        return self.graph.multisign(
+            {
+                name: self.env.participant(name).keypair
                 for name in self.graph.participant_names()
                 if name not in omit_signers
-            ],
-            GRAPH_SIGNING_DOMAIN,
-            self.graph.payload(),
+            }
         )
 
     def _deploy_missing_edges(

@@ -48,9 +48,6 @@ class AssetEdge:
             "amount": self.amount,
         }
 
-    def key(self) -> tuple[str, str, str, int]:
-        return (self.source, self.recipient, self.chain_id, self.amount)
-
 
 @dataclass(frozen=True)
 class SwapGraph:
@@ -129,15 +126,14 @@ class SwapGraph:
     # -- multisignature ms(D) ------------------------------------------------
 
     def multisign(self, keypairs: dict[str, KeyPair]) -> Multisignature:
-        """Produce ``ms(D)``: every participant signs ``(D, t)``.
+        """Produce ``ms(D)``: every participant in ``keypairs`` signs ``(D, t)``.
 
         Signature order is irrelevant (the paper notes any order implies
-        unanimous agreement); missing keypairs raise GraphError.
+        unanimous agreement).  A participant missing from ``keypairs``
+        withholds its signature, and :meth:`verify_multisignature` then
+        rejects the incomplete ``ms(D)``.
         """
-        missing = [name for name, _ in self.participants if name not in keypairs]
-        if missing:
-            raise GraphError(f"missing keypairs for participants: {missing}")
-        signers = [keypairs[name] for name, _ in self.participants]
+        signers = [keypairs[name] for name, _ in self.participants if name in keypairs]
         return multisign(signers, GRAPH_SIGNING_DOMAIN, self.payload())
 
     def verify_multisignature(self, ms: Multisignature) -> bool:
@@ -232,9 +228,6 @@ class SwapGraph:
 
     def chains_used(self) -> set[str]:
         return {edge.chain_id for edge in self.edges}
-
-    def edges_from(self, name: str) -> list[AssetEdge]:
-        return [edge for edge in self.edges if edge.source == name]
 
     def edges_to(self, name: str) -> list[AssetEdge]:
         return [edge for edge in self.edges if edge.recipient == name]

@@ -43,11 +43,6 @@ class SwapEnvironment:
             raise ProtocolError(f"environment has no participant {name!r}")
         return self.participants[name]
 
-    def alive_participants(self) -> list[str]:
-        return sorted(
-            name for name, p in self.participants.items() if not p.crashed
-        )
-
 
 def edge_key(edge: AssetEdge) -> str:
     """Stable display key for a sub-transaction."""
@@ -165,27 +160,3 @@ class SwapOutcome:
             f"latency={self.latency:.2f}s states=({states})"
         )
 
-
-def assert_atomic(outcome: SwapOutcome) -> None:
-    """Raise :class:`~repro.errors.AtomicityViolation` on a mixed outcome."""
-    from ..errors import AtomicityViolation
-
-    if not outcome.is_atomic:
-        raise AtomicityViolation(
-            f"AC2T settled non-atomically: {outcome.final_states()}"
-        )
-
-
-def wait_for_depth(
-    env: SwapEnvironment,
-    chain_id: str,
-    message_id: bytes,
-    depth: int | None = None,
-    timeout: float = 1e6,
-) -> bool:
-    """Run the simulation until a message reaches ``depth`` confirmations."""
-    chain = env.chain(chain_id)
-    depth = chain.params.confirmation_depth if depth is None else depth
-    return env.simulator.run_until_true(
-        lambda: chain.message_depth(message_id) >= depth, timeout=timeout
-    )

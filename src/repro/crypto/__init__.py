@@ -4,54 +4,8 @@ Everything the protocols need is implemented from first principles in
 pure Python — see the individual modules for details.
 """
 
-from .commitment import (
-    CommitmentPurpose,
-    CommitmentScheme,
-    ContractStateCommitment,
-    HashlockCommitment,
-    SignatureCommitment,
-    witness_statement_digest,
-)
-from .ecdsa import EcdsaSignature, Point, sign_digest, verify_digest
-from .hashing import hash_concat, hash_hex, hashlock, sha256, tagged_hash, verify_hashlock
-from .keys import Address, KeyPair, PublicKey
-from .merkle import MerkleProof, MerkleTree, merkle_root
-from .signatures import (
-    Multisignature,
-    SignedMessage,
-    combine_payload,
-    multisign,
-    sign_payload,
-    verify_payload,
-)
+from .keys import KeyPair
 
 __all__ = [
-    "Address",
-    "CommitmentPurpose",
-    "CommitmentScheme",
-    "ContractStateCommitment",
-    "EcdsaSignature",
-    "HashlockCommitment",
     "KeyPair",
-    "MerkleProof",
-    "MerkleTree",
-    "Multisignature",
-    "Point",
-    "PublicKey",
-    "SignatureCommitment",
-    "SignedMessage",
-    "combine_payload",
-    "hash_concat",
-    "hash_hex",
-    "hashlock",
-    "merkle_root",
-    "multisign",
-    "sha256",
-    "sign_digest",
-    "sign_payload",
-    "tagged_hash",
-    "verify_digest",
-    "verify_hashlock",
-    "verify_payload",
-    "witness_statement_digest",
 ]

@@ -432,12 +432,6 @@ class EcdsaSignature:
     def to_wire(self):
         return {"sig": self.to_bytes()}
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "EcdsaSignature":
-        if len(data) != 64:
-            raise InvalidSignatureError("signature must be 64 bytes")
-        return cls(int.from_bytes(data[:32], "big"), int.from_bytes(data[32:], "big"))
-
 
 def sign_digest(private_scalar: int, digest: bytes) -> EcdsaSignature:
     """Sign a 32-byte digest, returning a canonical low-s signature."""

@@ -12,9 +12,6 @@ import hashlib
 
 DIGEST_SIZE = 32
 
-#: Number of hex characters in a digest rendered with :func:`hex_digest`.
-HEX_DIGEST_LENGTH = DIGEST_SIZE * 2
-
 
 def sha256(data: bytes) -> bytes:
     """Return the SHA-256 digest of ``data``."""
@@ -26,11 +23,6 @@ def sha256(data: bytes) -> bytes:
 def double_sha256(data: bytes) -> bytes:
     """Return SHA-256(SHA-256(data)), the digest Bitcoin uses for block ids."""
     return sha256(sha256(data))
-
-
-def hash_hex(data: bytes) -> str:
-    """Return the SHA-256 digest of ``data`` as a lowercase hex string."""
-    return sha256(data).hex()
 
 
 def hashlock(secret: bytes) -> bytes:
@@ -47,30 +39,9 @@ def verify_hashlock(lock: bytes, secret: bytes) -> bool:
     return hashlock(secret) == lock
 
 
-def hash_concat(*parts: bytes) -> bytes:
-    """Hash the length-prefixed concatenation of ``parts``.
-
-    Length prefixes prevent ambiguity attacks where two different part
-    sequences concatenate to the same byte string.
-    """
-    hasher = hashlib.sha256()
-    for part in parts:
-        if not isinstance(part, (bytes, bytearray, memoryview)):
-            raise TypeError(f"hash_concat expects bytes, got {type(part).__name__}")
-        hasher.update(len(part).to_bytes(8, "big"))
-        hasher.update(bytes(part))
-    return hasher.digest()
-
-
 def hash_str(text: str) -> bytes:
     """Hash a unicode string (UTF-8 encoded)."""
     return sha256(text.encode("utf-8"))
-
-
-def hash_int(value: int) -> bytes:
-    """Hash an arbitrary-size signed integer deterministically."""
-    length = max(1, (value.bit_length() + 8) // 8)
-    return sha256(value.to_bytes(length, "big", signed=True))
 
 
 def tagged_hash(tag: str, data: bytes) -> bytes:

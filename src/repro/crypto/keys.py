@@ -71,11 +71,6 @@ _SEED_CACHE: "OrderedDict[bytes, KeyPair]" = OrderedDict()
 _SEED_CACHE_MAX = 8192
 
 
-def clear_seed_cache() -> None:
-    """Empty the :meth:`KeyPair.from_seed` memo (tests)."""
-    _SEED_CACHE.clear()
-
-
 @dataclass(frozen=True)
 class PublicKey:
     """An secp256k1 public key (end-user identity)."""
@@ -93,9 +88,6 @@ class PublicKey:
             encoded = ecdsa.compress_point(self.point)
             object.__setattr__(self, "_bytes", encoded)
         return encoded
-
-    def to_wire(self):
-        return {"pubkey": self.to_bytes()}
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PublicKey":
@@ -145,9 +137,6 @@ class Address:
 
     def hex(self) -> str:
         return self.raw.hex()
-
-    def to_wire(self):
-        return {"address": self.raw}
 
     def __str__(self) -> str:
         return self.hex()[:12]

@@ -19,15 +19,15 @@ from .hashing import sha256
 _LEAF_TAG = b"\x00"
 _NODE_TAG = b"\x01"
 _EMPTY_ROOT = sha256(b"empty-merkle-tree")
-#: ``hash_concat``'s length prefix of a 32-byte digest — every tree node's child.
+#: The 8-byte big-endian length prefix of a 32-byte digest — every tree node's child.
 _DIGEST_PREFIX = (32).to_bytes(8, "big")
 _BYTES_LIKE = (bytes, bytearray, memoryview)
 
 
 def _node_hash(left: bytes, right: bytes) -> bytes:
     """Hash an interior node from its two children:
-    ``sha256(0x01 || hash_concat(left, right))``, with the length-prefixed
-    pair assembled in one buffer (a proof's siblings may be any length)."""
+    ``sha256(0x01 || sha256(len(left) || left || len(right) || right))``
+    with 8-byte big-endian lengths (a proof's siblings may be any length)."""
     pair = b"".join(
         (len(left).to_bytes(8, "big"), left, len(right).to_bytes(8, "big"), right)
     )
@@ -140,11 +140,6 @@ class MerkleTree:
         return self._levels
 
     # -- queries -----------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        """Number of leaves."""
-        return len(self.leaves)
 
     def root(self) -> bytes:
         """Return the Merkle root digest."""

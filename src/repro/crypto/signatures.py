@@ -16,9 +16,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from ..errors import InvalidSignatureError
 from .ecdsa import EcdsaSignature
-from .hashing import hash_concat, tagged_hash
+from .hashing import tagged_hash
 from .keys import KeyPair, PublicKey
 
 # ---------------------------------------------------------------------------
@@ -75,18 +74,6 @@ class SignedMessage:
         }
 
 
-def sign_payload(keypair: KeyPair, domain: str, payload: bytes) -> SignedMessage:
-    """Sign ``payload`` under a domain-separation ``domain`` tag."""
-    digest = tagged_hash(domain, payload)
-    return SignedMessage(digest, keypair.sign(digest), keypair.public_key)
-
-
-def verify_payload(message: SignedMessage, domain: str, payload: bytes) -> bool:
-    """Verify a :class:`SignedMessage` against the expected payload."""
-    digest = tagged_hash(domain, payload)
-    return message.digest == digest and message.verify()
-
-
 @dataclass(frozen=True)
 class Multisignature:
     """The multisignature ``ms(D)`` over a payload digest.
@@ -114,17 +101,6 @@ class Multisignature:
         distinguishes identical swaps between the same participants).
         """
         return tagged_hash("repro/ms-id", self.digest)
-
-    def signer_addresses(self) -> set[bytes]:
-        return {sig.signer.address().raw for sig in self.signatures}
-
-    def with_signature(self, message: SignedMessage) -> "Multisignature":
-        """Return a new multisignature including ``message``."""
-        if message.digest != self.digest:
-            raise InvalidSignatureError(
-                "signature is over a different digest than the multisignature"
-            )
-        return Multisignature(self.digest, self.signatures + (message,))
 
     def verify(self, required_signers: list[PublicKey]) -> bool:
         """Return True iff every required signer signed the digest validly.
@@ -172,8 +148,3 @@ def multisign(keypairs: list[KeyPair], domain: str, payload: bytes) -> Multisign
         SignedMessage(digest, kp.sign(digest), kp.public_key) for kp in keypairs
     )
     return Multisignature(digest, signatures)
-
-
-def combine_payload(*parts: bytes) -> bytes:
-    """Canonical, unambiguous byte encoding of multi-part payloads."""
-    return hash_concat(*parts)

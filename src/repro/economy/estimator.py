@@ -25,10 +25,6 @@ from .policy import FeePolicy
 FULLNESS_THRESHOLD = 0.9
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 class FeeEstimator:
     """Estimates the going fee rate on one chain (see module docstring).
 
@@ -59,10 +55,6 @@ class FeeEstimator:
         #: (used_weight, sorted fee rates) of the last ``window`` blocks.
         self._recent: deque[tuple[int, tuple[float, ...]]] = deque(maxlen=window)
         chain.add_block_listener(self._observe)
-
-    def close(self) -> None:
-        """Detach from the chain's block hook."""
-        self.chain.remove_block_listener(self._observe)
 
     # -- observation ---------------------------------------------------------
 
@@ -108,6 +100,6 @@ class FeeEstimator:
         )
         if not rates:
             return self._floor()
-        rank = max(1, _ceil_div(int(len(rates) * self.percentile), 100))
+        rank = max(1, -(-int(len(rates) * self.percentile) // 100))  # ceiling division
         quoted = rates[min(rank, len(rates)) - 1]
         return max(self._floor(), int(quoted) + 1)

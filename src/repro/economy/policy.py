@@ -67,9 +67,6 @@ class FeePolicy:
             if value is not None and value < 1:
                 raise FeeError(f"{field_name} must be at least 1 (or None)")
 
-    def with_overrides(self, **changes) -> "FeePolicy":
-        return replace(self, **changes)
-
     # -- message pricing ----------------------------------------------------
 
     def weight_of_kind(self, kind: str) -> int:

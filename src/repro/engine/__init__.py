@@ -3,29 +3,17 @@
 from .engine import (
     PROTOCOLS,
     EngineResult,
-    ProtocolEntry,
     SwapEngine,
-    SwapRequest,
     register_protocol,
     registered_protocols,
     unregister_protocol,
 )
-from .metrics import (
-    EngineMetrics,
-    MetricsAccumulator,
-    WindowedMetrics,
-    percentile,
-)
+from .metrics import percentile
 
 __all__ = [
     "PROTOCOLS",
-    "EngineMetrics",
     "EngineResult",
-    "MetricsAccumulator",
-    "ProtocolEntry",
     "SwapEngine",
-    "SwapRequest",
-    "WindowedMetrics",
     "percentile",
     "register_protocol",
     "registered_protocols",

@@ -100,10 +100,6 @@ def registered_phases(protocol: str | None = None) -> tuple[str, ...]:
     return tuple(dict.fromkeys(phase for e in entries for phase in e.phases))
 
 
-def _known_protocols() -> str:
-    return ", ".join(sorted(_PROTOCOL_REGISTRY))
-
-
 @dataclass
 class SwapRequest:
     """One submitted AC2T: its graph, protocol, and lifecycle record."""
@@ -117,10 +113,6 @@ class SwapRequest:
     crash: CrashPlan | None = None
     driver: ProtocolDriver | None = None
     outcome: SwapOutcome | None = None
-
-    @property
-    def completed(self) -> bool:
-        return self.outcome is not None
 
 
 @dataclass
@@ -138,21 +130,6 @@ class EngineResult:
     chain_reorgs: dict[str, int] = field(default_factory=dict)
     #: The adversary's self-report, when a roster was attached.
     adversary: dict | None = None
-
-    def trace(self) -> list[tuple[int, str, str, float, float]]:
-        """A compact deterministic fingerprint of the run, for tests:
-        ``(swap_id, protocol, decision, started_at, finished_at)``."""
-        return [
-            (
-                request.swap_id,
-                request.protocol,
-                request.outcome.decision,
-                request.outcome.started_at,
-                request.outcome.finished_at,
-            )
-            for request in self.requests
-            if request.outcome is not None
-        ]
 
 
 class SwapEngine:
@@ -188,7 +165,7 @@ class SwapEngine:
         if default_protocol not in _PROTOCOL_REGISTRY:
             raise ProtocolError(
                 f"unknown protocol {default_protocol!r}; "
-                f"expected one of: {_known_protocols()}"
+                f"expected one of: {', '.join(sorted(_PROTOCOL_REGISTRY))}"
             )
         if not eager:
             raise ProtocolError(
@@ -219,12 +196,6 @@ class SwapEngine:
         #: listeners, eclipse windows).
         self.launch_hooks: list[Callable[[SwapRequest], None]] = []
         self.driver_hooks: list[Callable[[SwapRequest, ProtocolDriver], None]] = []
-        #: Hooks run after a request reaches its terminal outcome (the
-        #: request's ``outcome`` is set and folded).  This is the
-        #: engine-level completion surface service handles resolve on —
-        #: it fires for every terminal path, including swaps whose
-        #: driver could not even be constructed.
-        self.outcome_hooks: list[Callable[[SwapRequest], None]] = []
         #: Reorgs observed per chain over this engine's lifetime (the
         #: Blockchain reorg hook, aggregated — attack observability).
         self.chain_reorgs: dict[str, int] = {}
@@ -288,7 +259,7 @@ class SwapEngine:
         if entry is None:
             raise ProtocolError(
                 f"unknown protocol {protocol!r}; "
-                f"expected one of: {_known_protocols()}"
+                f"expected one of: {', '.join(sorted(_PROTOCOL_REGISTRY))}"
             )
         if entry.validate is not None:
             # Fail at the submit call site, not inside an arrival event.
@@ -396,8 +367,6 @@ class SwapEngine:
             self._fold(request, outcome, completes_flight=False)  # never entered flight
             if collector is not None:
                 self._emit_outcome(request, outcome)
-            for hook in list(self.outcome_hooks):
-                hook(request)
             return
         if request.crash is not None:
             driver.outcome.injected_crash = request.crash.participant
@@ -419,8 +388,6 @@ class SwapEngine:
         self._fold(request, outcome, completes_flight=True)
         if self.collector is not None:
             self._emit_outcome(request, outcome)
-        for hook in list(self.outcome_hooks):
-            hook(request)
 
     def _emit_outcome(self, request: SwapRequest, outcome: SwapOutcome) -> None:
         """Record a terminal outcome in the trace (collector is attached)."""

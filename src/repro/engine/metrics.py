@@ -112,11 +112,6 @@ class EngineMetrics:
     attack_cost: float = 0.0
 
     @property
-    def commits_per_second(self) -> float:
-        """Committed AC2Ts per simulated second over the makespan."""
-        return self.committed / self.makespan if self.makespan > 0 else 0.0
-
-    @property
     def priced_out_rate(self) -> float:
         """Fraction of swaps congestion priced out of block space."""
         return self.priced_out / self.total if self.total > 0 else 0.0
@@ -218,11 +213,6 @@ class MetricsAccumulator:
         if outcome.decision == "commit":
             self.committed += 1
         self.total_fees += outcome.fees_paid
-
-    @property
-    def commit_rate(self) -> float:
-        """Live commit rate over everything folded so far."""
-        return self.committed / self.total if self.total else 0.0
 
     # -- snapshots ---------------------------------------------------------
 

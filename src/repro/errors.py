@@ -146,14 +146,6 @@ class EvidenceError(ProtocolError):
     """Cross-chain evidence failed validation (Section 4.3)."""
 
 
-class AtomicityViolation(ProtocolError):
-    """An audit found both redeemed and refunded contracts in one AC2T.
-
-    This is the failure mode the paper's AC3WN protocol is designed to
-    make impossible; the HTLC baselines can raise it under crash failures.
-    """
-
-
 class WitnessError(ProtocolError):
     """The witness (Trent or the witness network) rejected a request."""
 

@@ -35,7 +35,6 @@ from .runner import (
 )
 from .spec import (
     ChainOverride,
-    AlertRulesSpec,
     ChainsSpec,
     CrashSpec,
     EngineSpec,
@@ -43,8 +42,6 @@ from .spec import (
     FeeBudgetSpec,
     FeeMarketSpec,
     FeeShockSpec,
-    MetricsSpec,
-    MonitorSpec,
     ObsSpec,
     TrafficSpec,
     apply_overrides,
@@ -53,7 +50,6 @@ from .spec import (
 
 __all__ = [
     "ChainOverride",
-    "AlertRulesSpec",
     "ChainsSpec",
     "CrashSpec",
     "EngineSpec",
@@ -62,8 +58,6 @@ __all__ = [
     "FeeBudgetSpec",
     "FeeMarketSpec",
     "FeeShockSpec",
-    "MetricsSpec",
-    "MonitorSpec",
     "ObsSpec",
     "TrafficSpec",
     "apply_overrides",

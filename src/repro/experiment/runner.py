@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-from .. import serde
 from ..adversary import build_roster, decision_chain
 from ..analysis.cost import CongestionCostRow, congestion_cost_report
 from ..analysis.throughput import engine_throughput_report
@@ -118,8 +117,13 @@ class ExperimentResult:
     alerts: list[Alert] | None = field(default=None, repr=False)
 
     def trace(self) -> list[tuple[int, str, str, float, float]]:
-        """The engine's deterministic run fingerprint (for tests)."""
-        return self.engine_result.trace()
+        """A compact deterministic fingerprint of the run, for tests:
+        ``(swap_id, protocol, decision, started_at, finished_at)``."""
+        return [
+            (r.swap_id, r.protocol, o.decision, o.started_at, o.finished_at)
+            for r in self.engine_result.requests
+            if (o := r.outcome) is not None
+        ]
 
     def to_dict(self) -> dict:
         requests = self.engine_result.requests
@@ -164,8 +168,6 @@ class ExperimentResult:
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
-    def save(self, path: str) -> None:
-        serde.write_text(path, self.to_json() + "\n")
 
 
 def build_environment(spec: ExperimentSpec, traffic: list) -> ScenarioEnvironment:

@@ -16,15 +16,7 @@ gauges, and ``docs/observability.md`` for the full walkthrough.
 """
 
 from .explorer import load_trace, render_alerts, render_swap, series_csv, summarize
-from .metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    METRICS_SCHEMA,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsTap,
-)
+from .metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry, MetricsTap
 from .monitor import (
     Alert,
     AtomicityRule,
@@ -32,38 +24,29 @@ from .monitor import (
     MempoolSaturationRule,
     PricedOutSpikeRule,
     ReorgDepthRule,
-    Rule,
     StallRule,
     alerts_from_events,
 )
 from .sampler import TimeSeriesSampler
-from .spans import PhaseSpan, SwapTimeline, category_histogram, swap_ids
-from .trace import CATEGORIES, SCHEMA, TraceCollector, TraceEvent
+from .spans import SwapTimeline, category_histogram, swap_ids
+from .trace import CATEGORIES, TraceCollector
 from .wiring import instrument
 
 __all__ = [
     "CATEGORIES",
     "DEFAULT_LATENCY_BUCKETS",
-    "METRICS_SCHEMA",
-    "SCHEMA",
     "Alert",
     "AtomicityRule",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "InvariantMonitor",
     "MempoolSaturationRule",
     "MetricsRegistry",
     "MetricsTap",
-    "PhaseSpan",
     "PricedOutSpikeRule",
     "ReorgDepthRule",
-    "Rule",
     "StallRule",
     "SwapTimeline",
     "TimeSeriesSampler",
     "TraceCollector",
-    "TraceEvent",
     "alerts_from_events",
     "category_histogram",
     "instrument",

@@ -134,9 +134,6 @@ class Counter:
         key = _label_key(labels)
         self._samples[key] = self._samples.get(key, 0.0) + amount
 
-    def value(self, **labels: Any) -> float:
-        return self._samples.get(_label_key(labels), 0.0)
-
     def samples(self) -> Iterator[tuple[tuple[tuple[str, str], ...], float]]:
         return iter(sorted(self._samples.items()))
 
@@ -162,9 +159,6 @@ class Gauge:
 
     def dec(self, amount: float = 1.0, **labels: Any) -> None:
         self.inc(-amount, **labels)
-
-    def value(self, **labels: Any) -> float:
-        return self._samples.get(_label_key(labels), 0.0)
 
     def samples(self) -> Iterator[tuple[tuple[tuple[str, str], ...], float]]:
         return iter(sorted(self._samples.items()))
@@ -265,9 +259,6 @@ class MetricsRegistry:
         """Every family, name order (the deterministic export order)."""
         return [self._families[name] for name in sorted(self._families)]
 
-    def __len__(self) -> int:
-        return len(self._families)
-
     # -- flat scalar view (the store's queryable metric rows) ----------------
 
     def scalar_items(self) -> list[tuple[str, float]]:
@@ -348,10 +339,6 @@ class MetricsRegistry:
         for index, entry in enumerate(snapshot.metrics):
             registry._load_family(entry, f"snapshot.metrics[{index}]")
         return registry
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsRegistry":
-        return cls.from_dict(serde.parse(text, MetricsError, "metrics snapshot"))
 
     def _load_family(self, entry: Any, path: str) -> None:
         kind = entry.get("type") if isinstance(entry, dict) else None

@@ -366,10 +366,6 @@ class InvariantMonitor:
             self.stream(alert.render())
         return alert
 
-    def to_report(self) -> list[dict]:
-        """The ``reports.alerts`` artifact section, firing order."""
-        return [alert.to_dict() for alert in self.alerts]
-
     def __repr__(self) -> str:
         return (
             f"InvariantMonitor({len(self.rules)} rules, "

@@ -182,9 +182,6 @@ class TraceCollector:
     def __len__(self) -> int:
         return len(self._events)
 
-    def __iter__(self):
-        return iter(self._events)
-
     # -- serde ---------------------------------------------------------------
 
     def to_jsonl(self) -> str:

@@ -2,9 +2,9 @@
 
 The public surface:
 
-* :class:`SwapService` / :class:`SwapHandle` / :class:`ServiceResult` —
-  the open-ended session, its in-process submission API, and its
-  artifact (:mod:`repro.service.service`);
+* :class:`SwapService` / :class:`~repro.service.service.ServiceResult` —
+  the open-ended session (serve → drain → result) and its artifact
+  (:mod:`repro.service.service`);
 * :class:`ServiceSpec` / :class:`SourceSpec` — the declarative session
   schema (:mod:`repro.service.spec`);
 * :func:`register_source` and the built-in sources — pluggable live
@@ -12,30 +12,19 @@ The public surface:
 * :class:`RequestRecord` / :func:`dump_request_log` /
   :func:`load_request_log` — the replayable request log
   (:mod:`repro.service.requestlog`);
-* :func:`register_service_preset` / :func:`service_preset_spec` — the
-  named preset catalog (:mod:`repro.service.presets`).
+* :func:`service_preset_spec` — the named preset catalog
+  (:mod:`repro.service.presets`).
 """
 
 from .presets import (
-    register_service_preset,
     service_preset_description,
     service_preset_names,
     service_preset_spec,
-    unregister_service_preset,
 )
-from .requestlog import (
-    LOG_SCHEMA,
-    RequestRecord,
-    dump_request_log,
-    load_request_log,
-)
-from .service import CKPT_SCHEMA, ServiceResult, SwapHandle, SwapService
+from .requestlog import RequestRecord, dump_request_log, load_request_log
+from .service import CKPT_SCHEMA, SwapService
 from .sources import (
-    DiurnalSource,
-    FlashCrowdSource,
     PoissonSource,
-    ReplaySource,
-    SourceItem,
     TrafficSource,
     register_source,
     registered_sources,
@@ -43,27 +32,18 @@ from .sources import (
     source_factory,
     unregister_source,
 )
-from .spec import EXTERNAL_SOURCE, ServiceSpec, SourceSpec
+from .spec import ServiceSpec, SourceSpec
 
 __all__ = [
     "CKPT_SCHEMA",
-    "DiurnalSource",
-    "EXTERNAL_SOURCE",
-    "FlashCrowdSource",
-    "LOG_SCHEMA",
     "PoissonSource",
-    "ReplaySource",
     "RequestRecord",
-    "ServiceResult",
     "ServiceSpec",
-    "SourceItem",
     "SourceSpec",
-    "SwapHandle",
     "SwapService",
     "TrafficSource",
     "dump_request_log",
     "load_request_log",
-    "register_service_preset",
     "register_source",
     "registered_sources",
     "service_preset_description",
@@ -71,6 +51,5 @@ __all__ = [
     "service_preset_spec",
     "source_description",
     "source_factory",
-    "unregister_service_preset",
     "unregister_source",
 ]

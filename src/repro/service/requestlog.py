@@ -37,9 +37,8 @@ class RequestRecord:
 
     ``seq`` is the session-wide accept index (== the swap's slot and
     engine swap id); ``at`` is the arrival time relative to session
-    start.  ``source`` is the emitting source's name (or ``external``
-    for :meth:`~repro.service.SwapService.submit_swap` submissions);
-    ``protocol`` is always concrete, never ``"mixed"``.
+    start.  ``source`` is the emitting source's name; ``protocol`` is
+    always concrete, never ``"mixed"``.
     """
 
     seq: int

@@ -3,10 +3,9 @@
 A service session wraps :class:`~repro.engine.SwapEngine` in an
 open-ended run: instead of a pre-scheduled traffic list with a fixed
 horizon, arrivals come from live :class:`~repro.service.sources.TrafficSource`
-plugins (and/or the in-process :meth:`SwapService.submit_swap` API),
-each accepted request is appended to a replayable request log, and the
-session can be checkpointed mid-flight and restored in a fresh process
-with byte-identical subsequent behavior.
+plugins, each accepted request is appended to a replayable request log,
+and the session can be checkpointed mid-flight and restored in a fresh
+process with byte-identical subsequent behavior.
 
 **The accept loop is the whole design.**  It runs *outside* the event
 queue: the session keeps one pending arrival per source, picks the
@@ -30,11 +29,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from .. import serde
 from ..adversary import build_roster
-from ..engine import PROTOCOLS, SwapEngine
+from ..engine import SwapEngine
 from ..engine.engine import SwapRequest
 from ..engine.metrics import EngineMetrics
 from ..errors import ServiceError
@@ -52,7 +51,7 @@ from ..workloads.scenarios import (
 )
 from .requestlog import RequestRecord, dump_request_log
 from .sources import SourceItem, TrafficSource, source_factory
-from .spec import EXTERNAL_SOURCE, ServiceSpec
+from .spec import ServiceSpec
 
 #: Checkpoint format identifier (bump on incompatible schema changes).
 CKPT_SCHEMA = "repro-service-ckpt/1"
@@ -75,75 +74,6 @@ class _Checkpoint:
 
 #: "Lookahead not yet filled" sentinel (None means source exhausted).
 _UNSET = object()
-
-
-class SwapHandle:
-    """A future over one submitted swap's terminal outcome.
-
-    Returned by :meth:`SwapService.submit_swap` (and queryable for any
-    accepted request via :meth:`SwapService.handle`).  Resolution is
-    driven by the engine's outcome hooks; callbacks fire inside the
-    simulation event that finalized the swap, in registration order.
-    """
-
-    def __init__(self, service: "SwapService", request: SwapRequest) -> None:
-        self._service = service
-        self._request = request
-        self._callbacks: list[Callable[["SwapHandle"], None]] = []
-
-    @property
-    def swap_id(self) -> int:
-        return self._request.swap_id
-
-    @property
-    def protocol(self) -> str:
-        return self._request.protocol
-
-    def done(self) -> bool:
-        """True once the swap reached a terminal outcome."""
-        return self._request.outcome is not None
-
-    def result(self):
-        """The terminal :class:`~repro.core.protocol.SwapOutcome`.
-
-        Raises :class:`~repro.errors.ServiceError` while the swap is
-        still in flight — use :meth:`wait` or :meth:`done` first.
-        """
-        if self._request.outcome is None:
-            raise ServiceError(
-                f"swap {self._request.swap_id} has no outcome yet; "
-                f"wait() for it or check done()"
-            )
-        return self._request.outcome
-
-    def wait(self, timeout: float) -> bool:
-        """Advance the session's clock until done or ``timeout`` sim-seconds.
-
-        Time moves through the session's sampling-aware advance, so
-        windowed metrics keep their cadence.  Returns :meth:`done`.
-        """
-        service = self._service
-        sim = service.env.simulator
-        deadline = sim.now + timeout
-        while not self.done() and sim.now < deadline:
-            service._advance_to(min(deadline, sim.now + service.spec.metrics_interval))
-        return self.done()
-
-    def add_done_callback(self, fn: Callable[["SwapHandle"], None]) -> None:
-        """Call ``fn(handle)`` at completion (immediately if already done)."""
-        if self.done():
-            fn(self)
-            return
-        self._callbacks.append(fn)
-
-    def _resolve(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            fn(self)
-
-    def __repr__(self) -> str:
-        state = self._request.outcome.decision if self.done() else "in-flight"
-        return f"SwapHandle(swap={self.swap_id} {self.protocol} {state})"
 
 
 @dataclass
@@ -202,9 +132,6 @@ class ServiceResult:
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
-    def save(self, path: str) -> None:
-        serde.write_text(path, self.to_json() + "\n")
-
 
 class SwapService:
     """One open-ended swap-serving session over a simulated world.
@@ -215,12 +142,15 @@ class SwapService:
     up, fee shocks are scheduled, and the observability stack from the
     embedded world spec is wired exactly as ``run_experiment`` wires it.
 
-    Typical lifecycles::
+    The lifecycle is serve → drain → result::
 
-        SwapService(spec).run()                       # serve to horizon
+        service = SwapService(spec)
         service.serve(max_swaps=40); service.checkpoint(p)   # mid-flight
-        SwapService.restore(p).run()                  # resume elsewhere
-        SwapService.replay(spec, records)             # re-drive a log
+        service.drain(); result = service.result()
+        SwapService.restore(p)                        # resume elsewhere, then serve
+        SwapService.replay(spec, records)             # re-drive a log to its result
+
+    :meth:`run` is the three calls in one.
     """
 
     def __init__(self, spec: ServiceSpec) -> None:
@@ -259,7 +189,6 @@ class SwapService:
             self._sampler,
         ) = build_observability(world, self.env, self.engine)
         build_roster(world, self.env, self.engine)
-        self.engine.outcome_hooks.append(self._on_outcome)
         #: Session time zero: everything in the request log and the
         #: windowed series is relative to this post-warm-up instant.
         self.start = self.env.simulator.now
@@ -267,7 +196,6 @@ class SwapService:
         self.windows: list[dict] = []
         self.epoch = 0
         self.stall: dict | None = None
-        self._handles: dict[int, SwapHandle] = {}
         self._sources: list[TrafficSource] | None = None
         self._lookahead: list = []
         self._next_sample_at = self.start + spec.metrics_interval
@@ -299,17 +227,6 @@ class SwapService:
     def accepted(self) -> int:
         """Requests admitted so far (== consumed slots == log length)."""
         return len(self.records)
-
-    @property
-    def closed(self) -> bool:
-        """True once the session drained; no further submissions."""
-        return self._closed
-
-    def handle(self, swap_id: int) -> SwapHandle:
-        """The :class:`SwapHandle` for any accepted request."""
-        if swap_id not in self._handles:
-            raise ServiceError(f"no accepted swap {swap_id} in this session")
-        return self._handles[swap_id]
 
     def metrics_window(self, window: float | None = None):
         """The live windowed metrics as of the session clock."""
@@ -346,9 +263,7 @@ class SwapService:
             traffic.prefix,
         )
 
-    def _accept(self, source_name: str, item: SourceItem) -> SwapHandle:
-        if self._closed:
-            raise ServiceError("session is closed; no further submissions")
+    def _accept(self, source_name: str, item: SourceItem) -> None:
         seq = self.accepted
         if seq >= self.spec.capacity:
             raise ServiceError(
@@ -375,8 +290,6 @@ class SwapService:
         self._accepts_by_source[source_name] = (
             self._accepts_by_source.get(source_name, 0) + 1
         )
-        handle = SwapHandle(self, request)
-        self._handles[request.swap_id] = handle
         collector = self.collector
         if collector is not None and collector.wants("service"):
             collector.emit(
@@ -387,12 +300,6 @@ class SwapService:
                 protocol=item.protocol,
                 amount=item.amount,
             )
-        return handle
-
-    def _on_outcome(self, request: SwapRequest) -> None:
-        handle = self._handles.get(request.swap_id)
-        if handle is not None:
-            handle._resolve()
 
     # -- time: all advancement goes through the sampling-aware step --------
 
@@ -456,34 +363,6 @@ class SwapService:
             source.resolve_protocol(world.protocol)
             self._sources.append(source)
         self._lookahead = [_UNSET] * len(self._sources)
-
-    def submit_swap(
-        self,
-        protocol: str | None = None,
-        amount: int | None = None,
-        fee_budget=None,
-    ) -> SwapHandle:
-        """Submit one swap through the in-process API, arriving *now*.
-
-        The submission is appended to the request log under the
-        reserved ``external`` source, so replay and restore reproduce
-        it like any source-emitted arrival.  ``fee_budget`` is a
-        :class:`~repro.experiment.FeeBudgetSpec` (kept spec-shaped so
-        the record stays serializable).
-        """
-        if self._closed:
-            raise ServiceError("session is closed; no further submissions")
-        world = self.spec.world
-        protocol = protocol or world.protocol
-        if protocol == "mixed":
-            protocol = PROTOCOLS[self.accepted % len(PROTOCOLS)]
-        item = SourceItem(
-            at=self.env.simulator.now - self.start,
-            protocol=protocol,
-            amount=amount if amount is not None else world.traffic.amount,
-            fee_budget=fee_budget,
-        )
-        return self._accept(EXTERNAL_SOURCE, item)
 
     def serve(
         self,
@@ -591,8 +470,7 @@ class SwapService:
         checkpoint_path: str | None = None,
         checkpoint_every: int | None = None,
     ) -> ServiceResult:
-        """Serve to the horizon, drain, and aggregate: the one-call
-        session lifecycle (``repro serve``'s engine)."""
+        """Serve to the horizon, drain, and aggregate in one call."""
         self.serve(
             duration=duration,
             max_swaps=max_swaps,
@@ -622,9 +500,6 @@ class SwapService:
     def request_log(self) -> str:
         """The session's replayable request log (strict JSONL)."""
         return dump_request_log(self.spec, self.records)
-
-    def save_request_log(self, path: str) -> None:
-        serde.write_text(path, self.request_log())
 
     # -- checkpoint / restore ----------------------------------------------
 

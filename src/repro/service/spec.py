@@ -22,12 +22,6 @@ from .. import serde
 from ..errors import SpecError
 from ..experiment.spec import ExperimentSpec, FeeBudgetSpec, protocol_choices
 
-#: Source name reserved for swaps submitted through the in-process
-#: :meth:`~repro.service.SwapService.submit_swap` API; request-log
-#: records carry it so replay can re-drive manual submissions too.
-EXTERNAL_SOURCE = "external"
-
-
 def _kind_choices() -> tuple[str, ...]:
     from .sources import registered_sources
 
@@ -95,7 +89,7 @@ class ServiceSpec(serde.Serializable):
         default_factory=ExperimentSpec, doc="everything except when swaps arrive"
     )
     sources: tuple[SourceSpec, ...] = serde.field(
-        (), doc="live traffic (may be empty: submit_swap only)"
+        (), doc="live traffic"
     )
     capacity: int = serde.field(256, ge=1, doc="pre-provisioned swap slots")
     duration: float | None = serde.field(
@@ -145,11 +139,6 @@ class ServiceSpec(serde.Serializable):
         seen: set[str] = set()
         for index, source in enumerate(self.sources):
             where = f"sources[{index}]"
-            if source.name == EXTERNAL_SOURCE:
-                fail(
-                    f"{where}: name {EXTERNAL_SOURCE!r} is reserved for "
-                    f"submit_swap submissions"
-                )
             if source.name in seen:
                 fail(f"{where}: duplicate source name {source.name!r}")
             seen.add(source.name)

@@ -155,13 +155,6 @@ class EventQueue:
             self._recycle(event)
         return heap[0].time if heap else None
 
-    def clear(self) -> None:
-        """Drop all pending events."""
-        for event in self._heap:
-            event._in_heap = False
-        self._heap.clear()
-        self._cancelled_in_heap = 0
-
     # -- internal ----------------------------------------------------------
 
     def _note_cancelled(self) -> None:

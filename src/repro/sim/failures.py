@@ -22,11 +22,6 @@ class CrashWindow:
     start: float
     end: float | None = None  # None = never recovers
 
-    def duration(self) -> float:
-        if self.end is None:
-            return float("inf")
-        return self.end - self.start
-
 
 @dataclass
 class FailureSchedule:

@@ -27,29 +27,14 @@ CLI surface: ``repro sweep --store DB``, ``repro query EXPR --db DB``,
 ``repro compare DB_A DB_B``, ``repro store ingest|list|artifact``.
 """
 
-from .compare import (
-    COMPARE_CSV_COLUMNS,
-    HIGHER_IS_BETTER,
-    LOWER_IS_BETTER,
-    CompareReport,
-    MetricDelta,
-    compare_campaigns,
-)
-from .ingest import IngestReport, ingest_path
+from .compare import compare_campaigns
+from .ingest import ingest_path
 from .query import compile_query, parse_query
-from .schema import MIGRATIONS, SCHEMA_VERSION
-from .store import CampaignInfo, CampaignStore
+from .schema import SCHEMA_VERSION
+from .store import CampaignStore
 
 __all__ = [
-    "COMPARE_CSV_COLUMNS",
-    "CampaignInfo",
     "CampaignStore",
-    "CompareReport",
-    "HIGHER_IS_BETTER",
-    "IngestReport",
-    "LOWER_IS_BETTER",
-    "MIGRATIONS",
-    "MetricDelta",
     "SCHEMA_VERSION",
     "compare_campaigns",
     "compile_query",

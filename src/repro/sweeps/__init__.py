@@ -27,15 +27,9 @@ The public surface:
 """
 
 from .figures import (
-    ArrivalRatePoint,
-    CrashCell,
-    Figure10Point,
-    ThroughputRow,
-    ViolationSurfacePoint,
     arrival_rate_series,
     crash_matrix,
     figure10_curves,
-    rows_by_axis,
     table1_series,
     violation_rate_surface,
 )
@@ -46,36 +40,19 @@ from .presets import (
     sweep_spec,
     unregister_sweep,
 )
-from .result import PointResult, SweepResult
-from .runner import SweepRunner, run_point_payload, run_sweep
-from .spec import (
-    SkippedPoint,
-    SweepAxis,
-    SweepExpansion,
-    SweepPoint,
-    SweepSpec,
-)
+from .result import SweepResult
+from .runner import SweepRunner, run_sweep
+from .spec import SweepAxis, SweepSpec
 
 __all__ = [
-    "ArrivalRatePoint",
-    "CrashCell",
-    "Figure10Point",
-    "PointResult",
-    "SkippedPoint",
     "SweepAxis",
-    "SweepExpansion",
-    "SweepPoint",
     "SweepResult",
     "SweepRunner",
     "SweepSpec",
-    "ThroughputRow",
-    "ViolationSurfacePoint",
     "arrival_rate_series",
     "crash_matrix",
     "figure10_curves",
     "register_sweep",
-    "rows_by_axis",
-    "run_point_payload",
     "run_sweep",
     "sweep_description",
     "sweep_names",

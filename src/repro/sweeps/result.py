@@ -104,25 +104,6 @@ class SweepResult:
         """The summary table, one flat dict per point, index order."""
         return [point.row() for point in self.points]
 
-    def point_at(self, **coords) -> PointResult | None:
-        """The first point whose coordinates include every given pair."""
-        for point in self.points:
-            if all(point.coords.get(k) == v for k, v in coords.items()):
-                return point
-        return None
-
-    def series(self, x_axis: str, y_metric: str, **where) -> list[tuple]:
-        """``(x, y)`` pairs along one axis, filtered by other coords.
-
-        ``y_metric`` names a :data:`ROW_METRICS` column.  Points are
-        returned in index order (the deterministic expansion order).
-        """
-        out = []
-        for point in self.points:
-            if all(point.coords.get(k) == v for k, v in where.items()):
-                out.append((point.coords[x_axis], point.metrics[y_metric]))
-        return out
-
     @property
     def atomicity_violations(self) -> int:
         """Total violations across every point — the CI gate."""
@@ -150,9 +131,6 @@ class SweepResult:
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def save(self, path: str) -> None:
-        serde.write_text(path, self.to_json() + "\n")
 
     def csv_columns(self) -> list[str]:
         """The pinned CSV header, in order: ``index``, ``name``,
@@ -203,6 +181,3 @@ class SweepResult:
                 + "\n"
             )
         return buffer.getvalue()
-
-    def save_csv(self, path: str) -> None:
-        serde.write_text(path, self.to_csv())

@@ -1,53 +1,9 @@
 """Workload generators and scenario builders for tests, benches, examples."""
 
-from .graphs import (
-    bidirectional_path,
-    complete_digraph,
-    directed_cycle,
-    figure7a_cyclic,
-    figure7b_disconnected,
-    participant_keys,
-    random_graph,
-    ring_with_diameter,
-    two_party_swap,
-)
-from .scenarios import (
-    DEFAULT_FUNDING,
-    HIGH_FEE_BUDGET,
-    LOW_FEE_BUDGET,
-    VALIDATOR_MODES,
-    CrashPlan,
-    ScenarioEnvironment,
-    TrafficItem,
-    build_multi_scenario,
-    build_scenario,
-    congestion_budgets,
-    fund_edges,
-    schedule_fee_shock,
-    swap_traffic,
-)
+from .graphs import two_party_swap
+from .scenarios import build_scenario
 
 __all__ = [
-    "DEFAULT_FUNDING",
-    "HIGH_FEE_BUDGET",
-    "LOW_FEE_BUDGET",
-    "VALIDATOR_MODES",
-    "CrashPlan",
-    "ScenarioEnvironment",
-    "TrafficItem",
-    "build_multi_scenario",
-    "congestion_budgets",
-    "schedule_fee_shock",
-    "swap_traffic",
-    "bidirectional_path",
     "build_scenario",
-    "complete_digraph",
-    "directed_cycle",
-    "figure7a_cyclic",
-    "figure7b_disconnected",
-    "fund_edges",
-    "participant_keys",
-    "random_graph",
-    "ring_with_diameter",
     "two_party_swap",
 ]

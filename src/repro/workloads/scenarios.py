@@ -257,21 +257,14 @@ class CrashPlan:
 
 @dataclass(frozen=True)
 class TrafficItem:
-    """One scheduled swap: arrival time, graph, and optional economics.
-
-    Iterates as ``(at, graph)`` so existing two-element unpacking
-    (``for at, graph in traffic``) keeps working; the fee budget and
-    crash plan ride along for :meth:`repro.engine.SwapEngine.submit_many`.
-    """
+    """One scheduled swap: arrival time, graph, and optional economics
+    (the fee budget and crash plan
+    :meth:`repro.engine.SwapEngine.submit_many` honours)."""
 
     at: float
     graph: SwapGraph
     fee_budget: FeeBudget | None = None
     crash: CrashPlan | None = None
-
-    def __iter__(self):
-        yield self.at
-        yield self.graph
 
 
 def poisson_arrivals(
@@ -376,7 +369,7 @@ def swap_traffic(
     budget_sampler=None,
 ) -> list[TrafficItem]:
     """The traffic assembly: arrivals + graphs + crash plans (+ fee
-    budgets).  Items iterate as ``(arrival_time, graph)`` pairs.
+    budgets).
 
     Both built-in generators (:mod:`repro.experiment.registry`) are this
     one function under a different ``budget_sampler``: a constant for
@@ -557,15 +550,3 @@ def schedule_fee_shock(
 
     env.simulator.schedule_at(at, burst, label=f"fee shock on {chain_id}")
 
-
-def fund_edges(env: ScenarioEnvironment, graph: SwapGraph) -> None:
-    """Sanity-check that every edge's source can cover its amount."""
-    for edge in graph.edges:
-        actor = env.participant(edge.source)
-        balance = actor.balance_on(edge.chain_id)
-        fee = env.chain(edge.chain_id).params.fees.deploy
-        if balance < edge.amount + fee:
-            raise ProtocolError(
-                f"{edge.source} holds {balance} on {edge.chain_id}, needs "
-                f"{edge.amount + fee}"
-            )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.ac3tw import TrustedWitness, run_ac3tw
+from repro.core.ac3tw import AC3TWConfig, AC3TWDriver, TrustedWitness
 from repro.crypto.commitment import CommitmentPurpose, SignatureCommitment
 from repro.errors import WitnessError
 from repro.workloads.graphs import two_party_swap
@@ -94,7 +94,7 @@ class TestAC3TWEndToEnd:
         env = build_scenario(graph=graph, seed=21)
         env.warm_up(2)
         trent = TrustedWitness(env.chains)
-        outcome = run_ac3tw(env, graph, trent)
+        outcome = AC3TWDriver(env, graph, trent).run()
         assert outcome.decision == "commit"
         assert outcome.is_atomic
         assert all(r.final_state == "RD" for r in outcome.contracts.values())
@@ -104,7 +104,8 @@ class TestAC3TWEndToEnd:
         env = build_scenario(graph=graph, seed=22)
         env.warm_up(2)
         trent = TrustedWitness(env.chains)
-        outcome = run_ac3tw(env, graph, trent, decliners=frozenset({"bob"}))
+        config = AC3TWConfig(decliners=frozenset({"bob"}))
+        outcome = AC3TWDriver(env, graph, trent, config).run()
         assert outcome.decision == "abort"
         assert outcome.is_atomic
         states = outcome.final_states()
@@ -131,7 +132,7 @@ class TestAC3TWEndToEnd:
             return original(*args, **kwargs)
 
         trent.request_redemption = dead
-        outcome = run_ac3tw(env, graph, trent)
+        outcome = AC3TWDriver(env, graph, trent).run()
         assert outcome.decision == "undecided"
         # No contract settled: assets are stuck, but never non-atomic.
         assert outcome.is_atomic

@@ -162,24 +162,31 @@ class TestReorgListener:
         assert events == [(2, 3)]
         assert chain.reorgs == 1
 
-    def test_listener_removal(self, chain):
-        events = []
+    def test_listeners_fire_in_order_on_the_repointed_chain(self, chain):
+        """Every listener sees the adopted branch already answering height
+        queries, and listeners run in subscription order."""
+        seen = []
 
-        def listener(a, b):
-            events.append((a, b))
+        def listener(tag):
+            def fire(abandoned, adopted):
+                seen.append((tag, abandoned, adopted, chain.height, chain.head_hash))
 
-        chain.add_reorg_listener(listener)
-        chain.remove_reorg_listener(listener)
-        chain.remove_reorg_listener(listener)  # no-op twice
+            return fire
+
+        chain.add_reorg_listener(listener("first"))
+        chain.add_reorg_listener(listener("second"))
         fork_point = chain.head_hash
-        chain.add_block(chain.make_block([], chain.head.header.miner, 1.0))
+        public = chain.make_block([], chain.head.header.miner, 1.0)
+        chain.add_block(public)
         attacker = AttackMiner(chain)
         attacker.fork_from(fork_point)
         attacker.extend([], timestamp=2.0)
         attacker.extend([], timestamp=3.0)
         assert attacker.release() is True
-        assert events == []
-        assert chain.reorgs == 1
+        head = chain.head_hash
+        assert [entry[0] for entry in seen] == ["first", "second"]
+        assert all(entry[1:] == (1, 2, chain.height, head) for entry in seen)
+        assert not chain.is_in_main_chain(public.block_id())
 
 
 # ---------------------------------------------------------------------------

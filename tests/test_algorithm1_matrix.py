@@ -114,16 +114,19 @@ class TestTransfersAndStamps:
         contract.redeem(ctx, "redeem-token")
         assert ctx._events[0][0] == "redeemed"
 
-    def test_abstract_template_refuses_direct_use(self):
-        base = AtomicSwapContract()
-        base.constructor(
-            ExecutionContext(
-                chain_id="t", block_height=1, block_time=1.0,
-                sender=ALICE.address, sender_pubkey=ALICE.public_key, value=1,
-            ),
-            BOB.address.raw,
-        )
-        with pytest.raises(NotImplementedError):
-            base.is_redeemable(fresh_ctx(), "x")
-        with pytest.raises(NotImplementedError):
-            base.is_refundable(fresh_ctx(), "x")
+    def test_refund_event_names_the_sender(self):
+        contract = make_contract()
+        ctx = fresh_ctx()
+        contract.refund(ctx, "refund-token")
+        assert [name for name, _ in ctx._events] == ["refunded"]
+        assert ctx._events[0][1]["sender"] == ALICE.address.hex()
+
+    @pytest.mark.parametrize("function", ["redeem", "refund"])
+    def test_a_revert_moves_nothing(self, function):
+        """A failed ``requires`` leaves no transfer, event or timestamp."""
+        contract = make_contract()
+        ctx = fresh_ctx()
+        with pytest.raises(ContractRequireError):
+            getattr(contract, function)(ctx, "garbage")
+        assert ctx._transfers == [] and ctx._events == []
+        assert contract.redeemed_at is None and contract.refunded_at is None

@@ -56,6 +56,21 @@ class TestCommands:
         assert "Bitcoin" in out and "7 tps" in out
         assert "bottleneck: bitcoin" in out
 
+    def test_table1_example_is_the_analysis_example(self, capsys, monkeypatch):
+        """The printed example is ``paper_example()``, not a second copy of
+        its chains: a different answer there shows up here."""
+        from repro import cli
+        from repro.analysis.throughput import ThroughputResult
+
+        monkeypatch.setattr(
+            cli, "paper_example",
+            lambda: ThroughputResult(("ethereum",), "litecoin", 56.0, "litecoin"),
+        )
+        assert main(["table1"]) == 0
+        assert capsys.readouterr().out.endswith(
+            "\nETH+LTC witnessed by Bitcoin: 56.0 tps (bottleneck: litecoin)\n"
+        )
+
     def test_figure10(self, capsys):
         assert main(["figure10", "--max-diameter", "4"]) == 0
         out = capsys.readouterr().out
@@ -478,16 +493,21 @@ class TestOneWriter:
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
-        """A campaign database and a trace for the readers to export from."""
+        """A campaign database, a trace and a request log for the
+        readers to export from."""
         root = tmp_path_factory.mktemp("one-writer")
         db = TestStoreCli()._run_store_sweep(root)
-        trace = str(root / "trace.jsonl")
+        trace, log = str(root / "trace.jsonl"), str(root / "requests.jsonl")
         assert main(["run", "--preset", "swap", "--trace", trace]) == 0
-        return db, trace
+        serve = ["serve", "--preset", "serve-steady", "--set", "capacity=8", "--duration", "3"]
+        assert main(serve + ["--request-log", log]) == 0
+        return db, trace, log
 
     def exports(self, inputs, target):
-        db, trace = inputs
+        db, trace, log = inputs
         return [
+            ["run", "--preset", "swap", "--set", "traffic.num_swaps=1", "--json", target],
+            ["replay", log, "--json", target],
             ["trace", trace, "--series", target],
             ["query", "commit_rate >= 0", "--db", db, "-o", target],
             ["compare", db, db, "--csv", target],
@@ -495,6 +515,8 @@ class TestOneWriter:
             ["store", "artifact", "--db", db, "--point", "0", "-o", target],
             ["sweep", "--spec", str(Path(db).parent / "sweep.json"), "--no-progress",
              "--csv", target],
+            ["sweep", "--spec", str(Path(db).parent / "sweep.json"), "--no-progress",
+             "--json", target],
         ]
 
     def test_a_path_is_replaced_atomically(self, inputs, tmp_path, monkeypatch, capsys):
@@ -521,6 +543,16 @@ class TestOneWriter:
             err = capsys.readouterr().err
             assert err.startswith(f"repro {argv[0]}: cannot write /nonexistent/dir/out: ")
             assert err.count("\n") == 1
+
+    def test_trace_swap_and_series_are_exclusive(self, inputs, tmp_path, capsys):
+        """``--swap`` used to win silently: exit 0, and the CSV never written."""
+        _, trace, _ = inputs
+        target = tmp_path / "series.csv"
+        capsys.readouterr()
+        assert main(["trace", trace, "--swap", "0", "--series", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "repro trace: pass either --swap or --series, not both\n"
+        assert captured.out == "" and not target.exists()
 
     def test_stdout_gets_the_file_bytes_and_the_tables_move_to_stderr(
         self, inputs, tmp_path, capsys

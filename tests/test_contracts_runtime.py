@@ -282,12 +282,6 @@ class TestRegistry:
         with pytest.raises(ContractError):
             ContractRegistry().resolve("ghost")
 
-    def test_describe_snapshot(self, chain):
-        deploy = deploy_vault(chain, value=77)
-        snapshot = chain.contract(deploy.contract_id()).describe()
-        assert snapshot["class"] == "DemoVault"
-        assert snapshot["balance"] == 77
-
 
 # ---------------------------------------------------------------------------
 # Contract code is total: hostile messages revert or are dropped

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.ac3wn import AC3WNConfig, AC3WNDriver, run_ac3wn
 from repro.core.herlihy import HerlihyConfig, HerlihyDriver, run_herlihy
-from repro.core.protocol import edge_key, wait_for_depth
+from repro.core.protocol import edge_key
 from repro.errors import ProtocolError
 from repro.workloads.graphs import complete_digraph, directed_cycle, two_party_swap
 from repro.workloads.scenarios import build_scenario
@@ -131,19 +131,6 @@ class TestHerlihyConfigs:
 
 
 class TestProtocolHelpers:
-    def test_wait_for_depth(self):
-        graph = two_party_swap(chain_a="a", chain_b="b", timestamp=81)
-        env = build_scenario(graph=graph, seed=81)
-        alice = env.participant("alice")
-        msg = alice.transfer("a", env.participant("bob").address, 10)
-        assert wait_for_depth(env, "a", msg.message_id(), depth=3, timeout=30.0)
-        assert env.chain("a").message_depth(msg.message_id()) >= 3
-
-    def test_wait_for_depth_timeout(self):
-        graph = two_party_swap(chain_a="a", chain_b="b", timestamp=82)
-        env = build_scenario(graph=graph, seed=82)
-        assert not wait_for_depth(env, "a", b"\x00" * 32, depth=1, timeout=3.0)
-
     def test_outcome_summary_format(self):
         graph = two_party_swap(chain_a="a", chain_b="b", timestamp=83)
         env = build_scenario(graph=graph, seed=83)

@@ -550,16 +550,18 @@ class TestKnownAnswerSignatures:
 
 
 class TestSignatureEncoding:
-    def test_bytes_roundtrip(self):
-        sig = ecdsa.sign_digest(5, sha256(b"x"))
-        assert ecdsa.EcdsaSignature.from_bytes(sig.to_bytes()) == sig
-
     def test_fixed_width(self):
         assert len(ecdsa.sign_digest(5, sha256(b"x")).to_bytes()) == 64
 
-    def test_from_bytes_rejects_bad_length(self):
-        with pytest.raises(InvalidSignatureError):
-            ecdsa.EcdsaSignature.from_bytes(b"\x00" * 63)
+    def test_bytes_are_r_then_s_big_endian(self):
+        sig = ecdsa.EcdsaSignature(1, 2**255 + 3)
+        data = sig.to_bytes()
+        assert data[:32] == b"\x00" * 31 + b"\x01"
+        assert int.from_bytes(data[32:], "big") == 2**255 + 3
+
+    def test_wire_form_is_the_fixed_width_bytes(self):
+        sig = ecdsa.sign_digest(5, sha256(b"x"))
+        assert sig.to_wire() == {"sig": sig.to_bytes()}
 
 
 class TestDeterministicNonce:

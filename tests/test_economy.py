@@ -254,12 +254,6 @@ class TestFeeEstimator:
         # Convergence: once the window is saturated the estimate is stable.
         assert estimates[-1] == estimates[-2]
 
-    def test_close_detaches_listener(self, econ_chain):
-        estimator = FeeEstimator(econ_chain, FeePolicy())
-        estimator.close()
-        self._mine(econ_chain, [], 1.0)
-        assert estimator.blocks_observed == 0
-
 
 class TestHeightIndex:
     def test_reorg_repoints_the_index(self, econ_chain):
@@ -274,7 +268,7 @@ class TestHeightIndex:
         assert depth_before > 0
 
         attacker = AttackMiner(econ_chain)
-        attacker.fork_from(econ_chain.genesis_hash)
+        attacker.fork_from(econ_chain.block_at_height(0).block_id())
         for i in range(6):
             attacker.extend([], timestamp=5.0 + i)
         assert attacker.release() is True
@@ -389,7 +383,9 @@ class TestCongestedEngine:
     def test_oversubscribed_run_is_seed_reproducible(self):
         first = run_congested(num_swaps=40, rate=14.0, seed=29)
         second = run_congested(num_swaps=40, rate=14.0, seed=29)
-        assert first.trace() == second.trace()
+        assert [(o.decision, o.started_at, o.finished_at) for o in first.outcomes] == [
+            (o.decision, o.started_at, o.finished_at) for o in second.outcomes
+        ]
         assert first.metrics == second.metrics
         assert [o.evictions for o in first.outcomes] == [
             o.evictions for o in second.outcomes

@@ -28,12 +28,17 @@ def run_engine(protocol, num_swaps=12, rate=6.0, seed=17):
     traffic = swap_traffic(
         num_swaps, rate=rate, seed=seed, chain_ids=["x", "y"]
     )
-    env = build_multi_scenario([graph for _, graph in traffic], seed=seed)
+    env = build_multi_scenario([item.graph for item in traffic], seed=seed)
     env.warm_up(2)
     engine = SwapEngine(env, default_protocol=protocol)
     engine.submit_many(traffic, offset=env.simulator.now)
     result = engine.run()
     return engine, result, env
+
+
+def fingerprint(result):
+    """``(protocol, decision, started_at, finished_at)`` per terminal swap."""
+    return [(o.protocol, o.decision, o.started_at, o.finished_at) for o in result.outcomes]
 
 
 class TestTrafficGeneration:
@@ -61,7 +66,7 @@ class TestTrafficGeneration:
 
     def test_funding_scoped_to_involved_chains(self):
         traffic = swap_traffic(2, rate=5.0, seed=9, chain_ids=["x", "y"])
-        env = build_multi_scenario([g for _, g in traffic], seed=9)
+        env = build_multi_scenario([item.graph for item in traffic], seed=9)
         some_participant = sorted(env.participants)[0]
         actor = env.participants[some_participant]
         assert actor.balance_on("x") > 0
@@ -108,7 +113,7 @@ class TestEngineConcurrency:
         from repro.workloads.graphs import figure7a_cyclic
 
         traffic = swap_traffic(3, rate=5.0, seed=47, chain_ids=["x", "y"])
-        graphs = [g for _, g in traffic]
+        graphs = [item.graph for item in traffic]
         # Herlihy cannot sequence Figure 7a's cyclic graph.
         bad_graph = figure7a_cyclic(chain_ids=["x", "y"], timestamp=99)
         env = build_multi_scenario(graphs + [bad_graph], seed=47)
@@ -142,7 +147,7 @@ class TestEngineDeterminism:
         outcomes, and metrics across two runs (the tentpole invariant)."""
         engine_a, first, env_a = run_engine(protocol, seed=37)
         engine_b, second, env_b = run_engine(protocol, seed=37)
-        assert first.trace() == second.trace()
+        assert fingerprint(first) == fingerprint(second)
         assert first.metrics == second.metrics
         assert [o.final_states() for o in first.outcomes] == [
             o.final_states() for o in second.outcomes
@@ -169,7 +174,7 @@ class TestEngineDeterminism:
             SwapEngine(env, eager=False)
         _, first, _ = run_engine("ac3wn", seed=43)
         _, second, _ = run_engine("ac3wn", seed=43)
-        assert first.trace() == second.trace()
+        assert fingerprint(first) == fingerprint(second)
         assert first.metrics == second.metrics
         assert first.metrics.atomicity_violations == 0
         assert first.metrics.committed == first.metrics.total == 12
@@ -211,12 +216,12 @@ class TestHundredsConcurrent:
         traffic = swap_traffic(
             num, rate=20.0, seed=3, chain_ids=["a", "b", "c"]
         )
-        env = build_multi_scenario([g for _, g in traffic], seed=3)
+        env = build_multi_scenario([item.graph for item in traffic], seed=3)
         env.warm_up(2)
         engine = SwapEngine(env)
         offset = env.simulator.now
-        for index, (at, graph) in enumerate(traffic):
-            engine.submit(graph, protocol=PROTOCOLS[index % 4], at=offset + at)
+        for index, item in enumerate(traffic):
+            engine.submit(item.graph, protocol=PROTOCOLS[index % 4], at=offset + item.at)
         result = engine.run()
         metrics = result.metrics
 

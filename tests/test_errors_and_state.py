@@ -28,7 +28,6 @@ class TestErrorHierarchy:
             errors.SchedulingError,
             errors.GraphError,
             errors.EvidenceError,
-            errors.AtomicityViolation,
             errors.WitnessError,
         ]
         for cls in leaf_classes:

@@ -59,6 +59,27 @@ class TestCancellationContract:
         first.cancel()
         assert queue.peek_time() == 2.0
 
+    def test_peek_time_of_an_empty_or_all_cancelled_queue(self):
+        queue = EventQueue()
+        assert queue.peek_time() is None
+        queue.push(1.0, lambda: None).cancel()
+        assert queue.peek_time() is None
+        assert queue._cancelled_in_heap == 0 and len(queue) == 0
+
+    def test_stats_count_cancellations_and_peak_depth(self):
+        queue = EventQueue()
+        handles = [queue.push(float(i), lambda: None) for i in range(4)]
+        handles[0].cancel()
+        handles[0].cancel()  # a second cancel is not counted again
+        handles[2].cancel()
+        stats = queue.stats()
+        assert stats["pending"] == 2 and stats["max_pending"] == 4
+        assert stats["cancelled"] == 2 and stats["cancelled_in_heap"] == 2
+        drain(queue)
+        stats = queue.stats()
+        assert stats["pending"] == 0 and stats["cancelled_in_heap"] == 0
+        assert stats["pool_size"] == 2 and stats["compactions"] == 0
+
     def test_cancel_after_pop_is_harmless(self):
         queue = EventQueue()
         handle = queue.push(1.0, lambda: None)
@@ -67,17 +88,6 @@ class TestCancellationContract:
         handle.cancel()  # already out of the heap: counter must not move
         assert queue._cancelled_in_heap == 0
         assert len(queue) == 1
-
-    def test_clear_resets_everything(self):
-        queue = EventQueue()
-        handles = [queue.push(float(i), lambda: None) for i in range(5)]
-        handles[1].cancel()
-        queue.clear()
-        assert len(queue) == 0
-        assert queue.pop() is None
-        # Cancelling a stale handle after clear must not corrupt counters.
-        handles[2].cancel()
-        assert len(queue) == 0
 
 
 class TestOrdering:

@@ -411,7 +411,7 @@ class TestRunExperiment:
         witness_miner = result.env.miners[spec.chains.witness]
         assert witness_miner.fees_earned > 0
 
-    def test_result_artifact_shape(self, tmp_path):
+    def test_result_artifact_shape(self):
         result = run_experiment(small_spec())
         data = result.to_dict()
         assert set(data) == {
@@ -426,9 +426,7 @@ class TestRunExperiment:
         assert data["metrics"]["total"] == 6
         assert len(data["outcomes"]) == 6
         assert {o["swap_id"] for o in data["outcomes"]} == set(range(6))
-        path = tmp_path / "result.json"
-        result.save(str(path))
-        assert json.loads(path.read_text())["metrics"]["total"] == 6
+        assert json.loads(result.to_json())["metrics"]["total"] == 6
 
     def test_chain_override_applies(self):
         spec = small_spec()

@@ -16,7 +16,7 @@ def build_random_tree(seed_blocks: list[int]) -> Blockchain:
     """
     chain = Blockchain(fast_chain(f"fc-{hash(tuple(seed_blocks)) % 99991}"),
                        [(ALICE.address, 1000)])
-    known = [chain.genesis_hash]
+    known = [chain.block_at_height(0).block_id()]
     for i, pick in enumerate(seed_blocks):
         parent = known[pick % len(known)]
         block = chain.make_block([], MINER.address, float(i + 1), parent_hash=parent)
@@ -64,8 +64,8 @@ class TestForkChoiceProperties:
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_genesis_always_on_main_chain(self, shape):
         chain = build_random_tree(shape)
-        assert chain.is_in_main_chain(chain.genesis_hash)
-        assert chain.depth_of(chain.genesis_hash) == chain.height + 1
+        assert chain.is_in_main_chain(chain.block_at_height(0).block_id())
+        assert chain.depth_of(chain.block_at_height(0).block_id()) == chain.height + 1
 
     @given(tree_shapes)
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])

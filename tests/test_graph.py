@@ -89,10 +89,18 @@ class TestStructure:
         graph = two_party_swap(chain_a="x", chain_b="y")
         assert graph.chains_used() == {"x", "y"}
 
-    def test_edges_from_to(self):
+    def test_edges_to(self):
         graph = directed_cycle(3)
-        assert len(graph.edges_from("p00")) == 1
         assert len(graph.edges_to("p00")) == 1
+
+    def test_edges_to_in_a_complete_digraph(self):
+        graph = complete_digraph(4)
+        for name in graph.participant_names():
+            incoming = graph.edges_to(name)
+            assert len(incoming) == 3
+            assert {edge.recipient for edge in incoming} == {name}
+            assert name not in {edge.source for edge in incoming}
+        assert graph.edges_to("nobody") == []
 
     def test_num_contracts(self):
         assert complete_digraph(3).num_contracts == 6
@@ -125,10 +133,13 @@ class TestMultisignature:
     def test_timestamp_distinguishes_identical_swaps(self):
         assert two_party_swap(timestamp=1).digest() != two_party_swap(timestamp=2).digest()
 
-    def test_missing_keypair_raises(self):
+    def test_missing_keypair_withholds_its_signature(self):
         graph = two_party_swap()
-        with pytest.raises(GraphError):
-            graph.multisign({})
+        kps = self._keypairs(graph)
+        del kps[graph.participant_names()[0]]
+        partial = graph.multisign(kps)
+        assert len(partial.signatures) == 1
+        assert not graph.verify_multisignature(partial)
 
 
 def _to_networkx(graph: SwapGraph) -> nx.DiGraph:

@@ -53,23 +53,6 @@ class TestHashlock:
             assert not hashing.verify_hashlock(hashing.hashlock(a), b)
 
 
-class TestHashConcat:
-    def test_length_prefixing_prevents_ambiguity(self):
-        # Without length prefixes these two would collide.
-        assert hashing.hash_concat(b"ab", b"c") != hashing.hash_concat(b"a", b"bc")
-
-    def test_empty_parts_are_significant(self):
-        assert hashing.hash_concat(b"x") != hashing.hash_concat(b"x", b"")
-
-    def test_rejects_non_bytes(self):
-        with pytest.raises(TypeError):
-            hashing.hash_concat(b"ok", "bad")
-
-    @given(st.lists(st.binary(max_size=32), min_size=0, max_size=6))
-    def test_deterministic(self, parts):
-        assert hashing.hash_concat(*parts) == hashing.hash_concat(*parts)
-
-
 class TestTaggedHash:
     def test_domain_separation(self):
         assert hashing.tagged_hash("a", b"x") != hashing.tagged_hash("b", b"x")
@@ -77,17 +60,16 @@ class TestTaggedHash:
     def test_same_tag_same_data(self):
         assert hashing.tagged_hash("t", b"d") == hashing.tagged_hash("t", b"d")
 
+    def test_is_the_bip340_construction(self):
+        tag = hashlib.sha256("repro/ms-id".encode("utf-8")).digest()
+        expected = hashlib.sha256(tag + tag + b"payload").digest()
+        assert hashing.tagged_hash("repro/ms-id", b"payload") == expected
+
+    @given(st.binary(max_size=64))
+    def test_never_the_untagged_digest(self, data):
+        assert hashing.tagged_hash("t", data) != hashing.sha256(data)
+
 
 class TestHelpers:
-    def test_hash_hex_is_hex_of_digest(self):
-        assert hashing.hash_hex(b"q") == hashing.sha256(b"q").hex()
-
     def test_hash_str_utf8(self):
         assert hashing.hash_str("héllo") == hashing.sha256("héllo".encode("utf-8"))
-
-    @given(st.integers(min_value=-(2**128), max_value=2**128))
-    def test_hash_int_deterministic(self, value):
-        assert hashing.hash_int(value) == hashing.hash_int(value)
-
-    def test_hash_int_sign_sensitivity(self):
-        assert hashing.hash_int(1) != hashing.hash_int(-1)

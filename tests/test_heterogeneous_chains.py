@@ -9,7 +9,7 @@ run scaled-down heterogeneous versions and check both protocols cope.
 import pytest
 
 from repro.chain.params import fast_chain
-from repro.core.ac3tw import TrustedWitness, run_ac3tw
+from repro.core.ac3tw import AC3TWDriver, TrustedWitness
 from repro.core.ac3wn import run_ac3wn
 from repro.core.herlihy import run_herlihy
 from repro.core.nolan import run_nolan
@@ -95,7 +95,7 @@ class TestAC3TWHeterogeneous:
         env = build_scenario(graph=graph, seed=408, chain_params=chain_params)
         env.warm_up(2)
         trent = TrustedWitness(env.chains)
-        outcome = run_ac3tw(env, graph, trent)
+        outcome = AC3TWDriver(env, graph, trent).run()
         assert outcome.decision == "commit"
         assert outcome.is_atomic
 
@@ -108,6 +108,6 @@ class TestAC3TWHeterogeneous:
         env = build_scenario(graph=graph, seed=409)
         env.warm_up(2)
         trent = TrustedWitness(env.chains)
-        outcome = run_ac3tw(env, graph, trent)
+        outcome = AC3TWDriver(env, graph, trent).run()
         assert outcome.decision == "commit"
         assert outcome.is_atomic

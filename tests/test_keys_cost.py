@@ -34,7 +34,7 @@ def recorded_calls(function, argument):
 
 def test_engine_smoke_world_derives_each_seed_once():
     spec = preset_spec("engine-smoke")
-    keys.clear_seed_cache()
+    keys._SEED_CACHE.clear()
     with recorded_calls(ecdsa.derive_public_point, "d") as scalars:
         traffic = traffic_generator(spec.traffic.generator)(spec)
         env = build_environment(spec, traffic)
@@ -52,7 +52,7 @@ def test_engine_smoke_world_derives_each_seed_once():
 
 
 def test_str_and_bytes_seeds_share_one_entry():
-    keys.clear_seed_cache()
+    keys._SEED_CACHE.clear()
     with recorded_calls(ecdsa.derive_public_point, "d") as scalars:
         pair = KeyPair.from_seed("keys-cost/ünïcode")
         assert KeyPair.from_seed("keys-cost/ünïcode".encode("utf-8")) is pair
@@ -62,11 +62,11 @@ def test_str_and_bytes_seeds_share_one_entry():
 
 
 def test_seed_memo_is_bounded_and_evicts_the_oldest(monkeypatch):
-    keys.clear_seed_cache()
+    keys._SEED_CACHE.clear()
     monkeypatch.setattr(keys, "_SEED_CACHE_MAX", 2)
     first = KeyPair.from_seed("keys-cost/0")
     KeyPair.from_seed("keys-cost/1")
     assert KeyPair.from_seed("keys-cost/0") is first  # refreshed: 1 is now oldest
     KeyPair.from_seed("keys-cost/2")
     assert list(keys._SEED_CACHE) == [b"keys-cost/0", b"keys-cost/2"]
-    keys.clear_seed_cache()
+    keys._SEED_CACHE.clear()

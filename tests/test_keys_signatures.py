@@ -5,17 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.keys import Address, KeyPair, PublicKey
-from repro.crypto.hashing import sha256
+from repro.crypto.hashing import sha256, tagged_hash
 from repro.crypto.signatures import (
     Multisignature,
     SignedMessage,
     clear_verify_cache,
     multisign,
-    sign_payload,
-    verify_payload,
     verify_cache_info,
 )
-from repro.errors import InvalidKeyError, InvalidSignatureError
+from repro.errors import InvalidKeyError
 
 
 class TestKeyPair:
@@ -64,23 +62,29 @@ class TestAddress:
 class TestSignedMessage:
     def test_sign_and_verify_payload(self):
         kp = KeyPair.from_seed("p")
-        msg = sign_payload(kp, "domain", b"payload")
-        assert verify_payload(msg, "domain", b"payload")
+        (msg,) = multisign([kp], "domain", b"payload").signatures
+        assert msg.digest == tagged_hash("domain", b"payload")
+        assert msg.signer.to_bytes() == kp.public_key.to_bytes()
+        assert msg.verify()
 
     def test_domain_binding(self):
         kp = KeyPair.from_seed("p")
-        msg = sign_payload(kp, "domain-a", b"payload")
-        assert not verify_payload(msg, "domain-b", b"payload")
+        (msg,) = multisign([kp], "domain-a", b"payload").signatures
+        other = tagged_hash("domain-b", b"payload")
+        assert msg.digest != other
+        assert not SignedMessage(other, msg.signature, msg.signer).verify()
 
     def test_payload_binding(self):
         kp = KeyPair.from_seed("p")
-        msg = sign_payload(kp, "d", b"payload")
-        assert not verify_payload(msg, "d", b"other")
+        (msg,) = multisign([kp], "d", b"payload").signatures
+        other = tagged_hash("d", b"other")
+        assert not SignedMessage(other, msg.signature, msg.signer).verify()
 
     def test_tampered_signer_fails(self):
         kp = KeyPair.from_seed("p")
         other = KeyPair.from_seed("q")
-        msg = sign_payload(kp, "d", b"x")
+        (msg,) = multisign([kp], "d", b"x").signatures
+        assert msg.verify()
         forged = SignedMessage(msg.digest, msg.signature, other.public_key)
         assert not forged.verify()
 
@@ -121,20 +125,6 @@ class TestMultisignature:
         kps = self._keys(2)
         assert multisign(kps, "swap", b"g1").id() != multisign(kps, "swap", b"g2").id()
 
-    def test_with_signature_incremental(self):
-        kps = self._keys(2)
-        base = multisign(kps[:1], "swap", b"graph")
-        extra = multisign(kps[1:], "swap", b"graph").signatures[0]
-        combined = base.with_signature(extra)
-        assert combined.verify([kp.public_key for kp in kps])
-
-    def test_with_signature_rejects_other_digest(self):
-        kps = self._keys(2)
-        base = multisign(kps[:1], "swap", b"graph")
-        foreign = multisign(kps[1:], "swap", b"DIFFERENT").signatures[0]
-        with pytest.raises(InvalidSignatureError):
-            base.with_signature(foreign)
-
     def test_invalid_signature_not_counted(self):
         kps = self._keys(2)
         ms = multisign(kps, "swap", b"graph")
@@ -144,6 +134,27 @@ class TestMultisignature:
         )
         corrupted = Multisignature(ms.digest, (bad, ms.signatures[1]))
         assert not corrupted.verify([kp.public_key for kp in kps])
+
+    def test_separately_gathered_signatures_combine(self):
+        """Signatures collected one participant at a time form a complete
+        ms(D) once every required signer is present."""
+        kps = self._keys(3)
+        parts = [multisign([kp], "swap", b"graph") for kp in kps]
+        combined = Multisignature(
+            parts[0].digest, tuple(sig for part in parts for sig in part.signatures)
+        )
+        assert combined.verify([kp.public_key for kp in kps])
+        assert combined.id() == multisign(kps, "swap", b"graph").id()
+
+    def test_signature_over_another_digest_not_counted(self):
+        """A valid signature over a different graph does not stand in for
+        the missing signer."""
+        kps = self._keys(2)
+        base = multisign(kps[:1], "swap", b"graph")
+        foreign = multisign(kps[1:], "swap", b"DIFFERENT").signatures[0]
+        assert foreign.verify()
+        mixed = Multisignature(base.digest, base.signatures + (foreign,))
+        assert not mixed.verify([kp.public_key for kp in kps])
 
     @given(st.integers(min_value=1, max_value=5))
     @settings(max_examples=5, deadline=None)

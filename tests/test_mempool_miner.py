@@ -121,7 +121,7 @@ class TestMinerNode:
     def test_on_block_callbacks(self, simulator, chain, mempool):
         miner = MinerNode(simulator, chain, mempool)
         seen = []
-        miner.on_block.append(lambda block: seen.append(block.height))
+        miner.on_block.append(lambda block: seen.append(block.header.height))
         miner.start()
         simulator.run_until(3.5)
         assert seen == [1, 2, 3]

@@ -22,7 +22,12 @@ class TestTreeBasics:
         assert len(MerkleTree([]).root()) == 32
 
     def test_size(self):
-        assert MerkleTree([b"x", b"y", b"z"]).size == 3
+        """The leaf count travels with every proof: verification needs it to
+        place the promoted odd nodes."""
+        tree = MerkleTree([b"x", b"y", b"z"])
+        assert {tree.proof(i).tree_size for i in range(3)} == {3}
+        # The odd last leaf is promoted past level 0: one sibling, not two.
+        assert len(tree.proof(2).siblings) == 1
 
     def test_leaf_vs_node_domain_separation(self):
         # A one-leaf tree whose leaf equals another tree's root must not
@@ -162,10 +167,11 @@ class TestProofProperties:
     @given(st.binary(max_size=80), st.binary(max_size=80))
     @settings(max_examples=100)
     def test_node_hash_is_the_tagged_length_prefixed_pair(self, left, right):
-        from repro.crypto.hashing import hash_concat, sha256
+        from repro.crypto.hashing import sha256
         from repro.crypto.merkle import _node_hash
 
-        assert _node_hash(left, right) == sha256(b"\x01" + hash_concat(left, right))
+        pair = len(left).to_bytes(8, "big") + left + len(right).to_bytes(8, "big") + right
+        assert _node_hash(left, right) == sha256(b"\x01" + sha256(pair))
         with pytest.raises(TypeError):
             _node_hash(left, "not bytes")
 

@@ -128,13 +128,12 @@ class TestLiveCounters:
         assert acc.max_in_flight == 3
         assert acc.in_flight == 3
 
-    def test_live_commit_rate_and_fees(self):
+    def test_live_commit_and_fee_counters(self):
         acc = MetricsAccumulator()
         acc.fold(make_outcome(0, decision="commit", fees_paid=10), key=0)
         acc.fold(make_outcome(1, decision="abort", fees_paid=5), key=1)
         assert acc.total == 2
         assert acc.committed == 1
-        assert acc.commit_rate == 0.5
         assert acc.total_fees == 15
 
 

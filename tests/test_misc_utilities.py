@@ -102,11 +102,3 @@ class TestParams:
         params = fast_chain("t3")
         with pytest.raises(Exception):
             params.chain_id = "other"
-
-
-class TestHashingConstants:
-    def test_hex_digest_length(self):
-        from repro.crypto import hashing
-
-        assert hashing.HEX_DIGEST_LENGTH == 64
-        assert len(hashing.hash_hex(b"x")) == hashing.HEX_DIGEST_LENGTH

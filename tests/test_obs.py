@@ -148,7 +148,7 @@ class TestTraceCollector:
         collector = TraceCollector(categories=("swap",))
         collector.emit("swap", "launch", swap_id=1)
         collector.emit("chain", "block", chain_id="c0")
-        assert [e.category for e in collector] == ["swap"]
+        assert [e.category for e in collector.events()] == ["swap"]
         assert collector.wants("swap") and not collector.wants("chain")
 
     def test_empty_categories_means_all(self):
@@ -420,7 +420,7 @@ class TestSwapTimeline:
 class TestTimeSeriesSampler:
     def test_fixed_cadence(self, security_traced):
         samples = [
-            e for e in security_traced.trace_collector if e.category == "sample"
+            e for e in security_traced.trace_collector.events() if e.category == "sample"
         ]
         assert len(samples) >= 2
         gaps = {
@@ -430,7 +430,7 @@ class TestTimeSeriesSampler:
 
     def test_gauges_shape(self, security_traced):
         sample = next(
-            e for e in security_traced.trace_collector if e.category == "sample"
+            e for e in security_traced.trace_collector.events() if e.category == "sample"
         )
         gauges = sample.payload
         assert set(gauges["mempool"]) == {"chain-0", "chain-1", "witness"}
@@ -530,7 +530,7 @@ class TestObsSpec:
         result = run_experiment(
             traced_spec("security", categories=["swap", "adversary"])
         )
-        categories = {e.category for e in result.trace_collector}
+        categories = {e.category for e in result.trace_collector.events()}
         assert categories <= {"swap", "adversary"}
         assert "swap" in categories
 

@@ -5,8 +5,8 @@ import pytest
 from repro.core.ac3wn import run_ac3wn
 from repro.core.herlihy import compute_publish_waves, run_herlihy
 from repro.core.nolan import run_nolan, validate_two_party
-from repro.core.protocol import assert_atomic, edge_key
-from repro.errors import AtomicityViolation, GraphError
+from repro.core.protocol import edge_key
+from repro.errors import GraphError
 from repro.workloads.graphs import (
     complete_digraph,
     directed_cycle,
@@ -32,7 +32,7 @@ class TestAC3WNCommit:
         env.warm_up(2)
         outcome = run_ac3wn(env, graph, witness_chain_id="witness")
         assert outcome.decision == "commit"
-        assert_atomic(outcome)
+        assert outcome.is_atomic
         assert all(r.final_state == "RD" for r in outcome.contracts.values())
 
     def test_assets_actually_move(self):
@@ -53,7 +53,7 @@ class TestAC3WNCommit:
         env.warm_up(2)
         outcome = run_ac3wn(env, graph, witness_chain_id="witness")
         assert outcome.decision == "commit"
-        assert_atomic(outcome)
+        assert outcome.is_atomic
 
     def test_complete_graph_commit(self):
         graph = complete_digraph(3, chain_ids=["x", "y"])
@@ -89,7 +89,7 @@ class TestAC3WNAbort:
             env, graph, witness_chain_id="witness", decliners=frozenset({"bob"})
         )
         assert outcome.decision == "abort"
-        assert_atomic(outcome)
+        assert outcome.is_atomic
         states = outcome.final_states()
         assert states[edge_key(graph.edges[0])] == "RF"
         assert states[edge_key(graph.edges[1])] == "unpublished"
@@ -126,7 +126,7 @@ class TestComplexGraphs:
         env.warm_up(2)
         outcome = run_ac3wn(env, graph, witness_chain_id="witness")
         assert outcome.decision == "commit"
-        assert_atomic(outcome)
+        assert outcome.is_atomic
 
     def test_figure7b_ac3wn_commits(self):
         graph = figure7b_disconnected()
@@ -168,7 +168,7 @@ class TestHerlihyAndNolan:
         env.warm_up(2)
         outcome = run_nolan(env, graph)
         assert outcome.decision == "commit"
-        assert_atomic(outcome)
+        assert outcome.is_atomic
 
     def test_nolan_rejects_multiparty(self):
         graph = directed_cycle(3)
@@ -194,7 +194,7 @@ class TestHerlihyAndNolan:
         env.warm_up(2)
         outcome = run_herlihy(env, graph)
         assert outcome.decision == "commit"
-        assert_atomic(outcome)
+        assert outcome.is_atomic
 
     def test_herlihy_decliner_refunds_everyone(self):
         graph = directed_cycle(3, chain_ids=["c0", "c1", "c2"])
@@ -202,7 +202,7 @@ class TestHerlihyAndNolan:
         env.warm_up(2)
         outcome = run_herlihy(env, graph, decliners=frozenset({"p01"}))
         assert outcome.decision == "abort"
-        assert_atomic(outcome)
+        assert outcome.is_atomic
         published = [r for r in outcome.contracts.values() if r.final_state != "unpublished"]
         assert all(r.final_state == "RF" for r in published)
 
@@ -242,7 +242,7 @@ class TestHerlihyAndNolan:
 
 
 class TestOutcomeAudit:
-    def test_assert_atomic_raises_on_mixed(self):
+    def test_mixed_outcome_is_not_atomic(self):
         from repro.core.protocol import ContractRecord, SwapOutcome
         from repro.core.graph import AssetEdge
 
@@ -255,8 +255,6 @@ class TestOutcomeAudit:
         r2.final_state = "RF"
         outcome.contracts = {edge_key(e1): r1, edge_key(e2): r2}
         assert not outcome.is_atomic
-        with pytest.raises(AtomicityViolation):
-            assert_atomic(outcome)
 
     def test_pending_contract_not_a_violation(self):
         from repro.core.protocol import ContractRecord, SwapOutcome

@@ -18,13 +18,21 @@ The drive runs in a fresh interpreter with the profile hook installed
 before ``repro`` is imported (the ``tests/test_wire_cost.py`` technique;
 no coverage dependency), so import-time calls count and nothing another
 test cached or imported first can hide a call.
+
+The same rule holds for package re-exports: a name in a
+``src/repro/**/__init__.py`` ``__all__`` must be imported through that
+package (``from repro.chain import X``, ``from ..chain import X``) by
+something outside it — ``src/``, ``tests/``, ``examples/``,
+``benchmarks/`` or a code block in ``docs/``.
 """
 
+import ast
 import contextlib
 import dataclasses
 import io
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -39,10 +47,14 @@ ANONYMOUS = {"<lambda>", "<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
 CO_OPTIMIZED = 0x1  # set on function bodies, clear on class and module bodies
 
 
+def module_of(path: Path) -> str:
+    """Dotted module name of a file under ``src/`` (a package is its ``__init__``)."""
+    return ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
+
+
 def name_of(code) -> str:
     """``module:qualname`` of a code object compiled from under ``src/``."""
-    module = ".".join(Path(code.co_filename).relative_to(SRC).with_suffix("").parts)
-    return f"{module.removesuffix('.__init__')}:{code.co_qualname}"
+    return f"{module_of(Path(code.co_filename))}:{code.co_qualname}"
 
 
 def defined_functions() -> set[str]:
@@ -80,11 +92,12 @@ def drive(work: Path) -> None:
         repro(
             "run", "--preset", name, "--set", "traffic.num_swaps=6",
             "--json", work / f"{name}.json", "--trace", trace,
-            "--metrics", work / f"{name}.metrics.json",
+            "--metrics", work / f"{name}.metrics.json", "--alert-stderr",
             ok=(0, 1),
         )
         repro("trace", trace)
-        repro("trace", trace, "--swap", "0", "--series", work / f"{name}.series.csv")
+        repro("trace", trace, "--swap", "0")
+        repro("trace", trace, "--series", work / f"{name}.series.csv")
         repro("alerts", trace)
     repro("run", "--preset", "swap", "--metrics", work / "swap.prom")
 
@@ -119,9 +132,30 @@ def drive(work: Path) -> None:
                 "--csv", work / f"sweep-{name}.csv", "--json", work / f"sweep-{name}.out.json",
                 ok=(0, 1),
             )
-    repro("query", "commit_rate >= 0 AND NOT protocol = 'nolan'", "--db", campaigns)
-    repro("compare", campaigns, ok=(0, 1))
+    # A metered sweep, progress lines on: each point's registry snapshot
+    # is indexed into the store as metric rows.  Its smaller points give
+    # the two-database compare below metrics that moved.
+    metered, first = work / "metered.db", sweep_names()[0]
+    repro(
+        "sweep", "--spec", work / f"sweep-{first}.json",
+        "--set", "base.traffic.num_swaps=3", "--set", "base.obs.metrics.enabled=true",
+        "--store", metered, ok=(0, 1),
+    )
+    for fmt in ("table", "csv", "json"):
+        repro(
+            "query", "commit_rate >= 0 AND NOT protocol = 'nolan'",
+            "--db", campaigns, "--format", fmt,
+        )
+    repro(
+        "compare", campaigns, "--csv", work / "compare.csv", "--json", work / "compare.json",
+        ok=(0, 1),
+    )
+    repro("compare", campaigns, metered, "--a", first, "--b", first, ok=(0, 1))
     repro("store", "list", "--db", campaigns)
+    repro("store", "list", "--db", campaigns, "--json")
+    ingested = work / "ingested.db"
+    repro("store", "ingest", work / "engine-smoke.json", "--db", ingested)
+    repro("store", "artifact", "--db", ingested, "--point", "0")
 
     for topic in ("run", "serve", "sweep"):
         repro("describe", topic)
@@ -137,11 +171,14 @@ def drive(work: Path) -> None:
 
 def child(work: str, out: str) -> None:
     root = str(SRC / "repro") + os.sep
-    reached = set()
+    # Keyed by identity: code objects compare equal by content, so a set
+    # would fold two identical methods that start on the same line of two
+    # files into one, and report the second as never called.
+    reached = {}
 
     def hook(frame, event, _arg):
         if event == "call":
-            reached.add(frame.f_code)
+            reached[id(frame.f_code)] = frame.f_code
 
     sys.setprofile(hook)
     try:
@@ -150,7 +187,7 @@ def child(work: str, out: str) -> None:
         sys.setprofile(None)
     names = {
         name_of(code)
-        for code in reached
+        for code in reached.values()
         if code.co_filename.startswith(root) and code.co_name not in ANONYMOUS
     }
     Path(out).write_text(json.dumps(sorted(names)))
@@ -181,6 +218,106 @@ def test_unreached_functions_are_exactly_the_committed_list(tmp_path):
     assert not new, (
         f"reached by no command, preset or example; reach it or remove it "
         f"(do not add it to {UNREACHED.name}): {new}"
+    )
+
+
+# ---------------------------------------------------------------------------
+# The re-export rule
+# ---------------------------------------------------------------------------
+
+#: The body of a fenced code block in a markdown file.
+CODE_BLOCK = re.compile(r"^```[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
+
+
+def from_imports(tree: ast.AST, package: str) -> set[tuple[str, str]]:
+    """``(module, name)`` of every ``from module import name`` in ``tree``,
+    a relative module resolved against ``package``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                base = parts[: len(parts) - node.level + 1]
+                module = ".".join(base + [module] if module else base)
+            found.update((module, alias.name) for alias in node.names)
+    return found
+
+
+def importers() -> dict[tuple[str, str], set[Path]]:
+    """The files that import each ``(module, name)``: every python file
+    under ``src/``, ``tests/``, ``examples/`` and ``benchmarks/``, and
+    every code block in ``docs/`` that parses as python."""
+    sources = []
+    for top in ("src", "tests", "examples", "benchmarks"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            package = ""
+            if SRC in path.parents:
+                module = module_of(path)
+                package = module if path.name == "__init__.py" else module.rpartition(".")[0]
+            sources.append((path, path.read_text(encoding="utf-8"), package))
+    for path in sorted((ROOT / "docs").glob("*.md")):
+        text = path.read_text(encoding="utf-8")
+        sources += [(path, block, "") for block in CODE_BLOCK.findall(text)]
+    found: dict[tuple[str, str], set[Path]] = {}
+    for path, text, package in sources:
+        try:
+            tree = ast.parse(text)
+        except SyntaxError:  # a shell, JSON or text block
+            continue
+        for key in from_imports(tree, package):
+            found.setdefault(key, set()).add(path)
+    return found
+
+
+def test_module_of_names_a_package_by_its_init():
+    assert module_of(SRC / "repro" / "chain" / "__init__.py") == "repro.chain"
+    assert module_of(SRC / "repro" / "chain" / "block.py") == "repro.chain.block"
+    assert module_of(SRC / "repro" / "__init__.py") == "repro"
+
+
+def test_from_imports_resolves_relative_imports():
+    """A relative import counts against the package it names, whether it
+    sits in a package ``__init__`` or in a module of that package."""
+    tree = ast.parse(
+        "from . import block\n"
+        "from .. import serde\n"
+        "from ..crypto import sha256, tagged_hash\n"
+        "from repro.sim import Simulator\n"
+    )
+    expected = {
+        ("repro.chain", "block"),
+        ("repro", "serde"),
+        ("repro.crypto", "sha256"),
+        ("repro.crypto", "tagged_hash"),
+        ("repro.sim", "Simulator"),
+    }
+    # In src/repro/chain/__init__.py and in src/repro/chain/chain.py the
+    # enclosing package is the same, so the same import means the same.
+    assert from_imports(tree, "repro.chain") == expected
+    assert from_imports(ast.parse("from ...x import y\n"), "repro.a.b") == {("repro.x", "y")}
+
+
+def test_every_reexport_is_imported_through_its_package():
+    found = importers()
+    unused = []
+    for init in sorted((SRC / "repro").rglob("__init__.py")):
+        package = module_of(init)
+        exported = [
+            name
+            for node in ast.parse(init.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.Assign)
+            and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+            for name in ast.literal_eval(node.value)
+        ]
+        unused += [
+            f"{package}.{name}"
+            for name in exported
+            if all(init.parent in path.parents for path in found.get((package, name), ()))
+        ]
+    assert not unused, (
+        f"re-exported, but nothing outside the package imports it through the package; "
+        f"drop it from __all__ and the import: {unused}"
     )
 
 

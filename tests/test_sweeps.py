@@ -363,20 +363,11 @@ class TestRunner:
         assert "two-party" in skipped[header.index("skip_reason")]
         assert all(line[2] == "ok" for line in (lines[0], lines[2], lines[3]))
 
-    def test_series_helper(self):
+    def test_json_export_carries_every_point(self):
         result = run_sweep(tiny_sweep())
-        series = result.series("rate", "commit_rate", protocol="ac3wn")
-        assert [x for x, _ in series] == [4.0, 8.0]
-
-    def test_save_and_reload(self, tmp_path):
-        result = run_sweep(tiny_sweep())
-        path = tmp_path / "sweep.json"
-        result.save(str(path))
-        data = json.loads(path.read_text())
+        data = json.loads(result.to_json())
         assert len(data["points"]) == 4
-        csv_path = tmp_path / "sweep.csv"
-        result.save_csv(str(csv_path))
-        assert csv_path.read_text() == result.to_csv()
+        assert [row["rate"] for row in data["rows"] if row["protocol"] == "ac3wn"] == [4.0, 8.0]
 
 
 class TestCatalog:

@@ -248,7 +248,7 @@ class TestGenesisState:
         check_set(built.utxos, model, model)
         for owner in OWNERS:
             assert built.utxos.outpoints_of(owner) == applied.utxos.outpoints_of(owner)
-        ids = genesis.message_ids()
+        ids = [message.message_id() for message in genesis.messages]
         assert len(built.receipts) == len(applied.receipts) == len(ids)
         for message_id in ids:
             assert built.receipts[message_id] == applied.receipts[message_id]

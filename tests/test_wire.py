@@ -396,5 +396,7 @@ class TestKnownAnswers:
 
         spec = preset_spec(preset)
         env = build_environment(spec, traffic_generator(spec.traffic.generator)(spec))
-        got = {cid: chain.genesis_hash.hex() for cid, chain in env.chains.items()}
+        got = {
+            cid: chain.block_at_height(0).block_id().hex() for cid, chain in env.chains.items()
+        }
         assert got == GOLDEN["genesis"][preset]

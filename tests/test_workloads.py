@@ -20,7 +20,7 @@ from repro.workloads.graphs import (
     ring_with_diameter,
     two_party_swap,
 )
-from repro.workloads.scenarios import build_scenario, fund_edges
+from repro.workloads.scenarios import build_scenario
 
 
 class TestChainPresets:
@@ -155,12 +155,6 @@ class TestScenarioBuilder:
         )
         assert env.chain("x").params.block_interval == 0.5
         assert env.chain("y").params.block_interval == 1.0
-
-    def test_fund_edges_check(self):
-        graph = two_party_swap(chain_a="x", chain_b="y", amount_a=10**9)
-        env = build_scenario(graph=graph, funding=100)
-        with pytest.raises(ProtocolError):
-            fund_edges(env, graph)
 
     def test_deterministic_given_seed(self):
         graph = two_party_swap(chain_a="x", chain_b="y")

@@ -7,7 +7,7 @@ Section 4.3 relay validator needs lives in the header.
 
 Headers and blocks are immutable, so the header's canonical encoding
 (the block hash is taken over it, and evidence embeds it verbatim), the
-block hash, message-id list, and messages Merkle tree are each computed
+block hash, messages Merkle tree and message positions are each computed
 once and cached on the instance (evidence construction walks these
 repeatedly).  The caches are ``init=False`` slots: ``dataclasses.replace``
 — how tests forge tampered headers — and ``with_nonce`` reset them, and
@@ -151,6 +151,7 @@ class Block:
     header: BlockHeader
     messages: tuple
     _tree: MerkleTree | None = field(default=None, init=False, repr=False, compare=False)
+    _positions: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def with_tree(cls, header: BlockHeader, messages: tuple, tree: MerkleTree) -> "Block":
@@ -171,6 +172,14 @@ class Block:
             tree = MerkleTree([message.message_id() for message in self.messages])
             object.__setattr__(self, "_tree", tree)
         return tree
+
+    def position(self, message_id: bytes) -> int:
+        """Index of an included message; the map is derived when first asked."""
+        positions = self._positions
+        if positions is None:
+            positions = {message.message_id(): i for i, message in enumerate(self.messages)}
+            object.__setattr__(self, "_positions", positions)
+        return positions[message_id]
 
     def compute_merkle_root(self) -> bytes:
         return self.merkle_tree().root()

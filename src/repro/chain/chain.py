@@ -45,6 +45,8 @@ class MessageLocation:
 class Blockchain:
     """One permissionless blockchain with fork handling and contract state.
 
+    A message costs one index entry, its block's hash, and a receipt (shared when fee-free).
+
     Args:
         params: static chain configuration.
         genesis_allocations: initial coin distribution, a list of
@@ -68,7 +70,7 @@ class Blockchain:
         self._children: dict[bytes, list[bytes]] = {}
         self._work: dict[bytes, int] = {}
         self._states: dict[bytes, ChainState] = {}
-        self._message_index: dict[bytes, list[MessageLocation]] = {}
+        self._message_index: dict[bytes, bytes | tuple[bytes, ...]] = {}
         #: height -> block hash along the current main chain, maintained
         #: incrementally on connect/reorg so main-chain membership,
         #: block_at_height, and message_depth are all O(1).
@@ -103,7 +105,7 @@ class Blockchain:
             coinbase = make_coinbase(address, value, nonce, previous=coinbase)
             messages.append(TransferMessage(coinbase))
             receipt = state.apply_message(messages[-1], self.params, 0, 0.0, allow_coinbase=True)
-            leaves.append(receipt_leaf(receipt.message_id, receipt.status))
+            leaves.append(receipt_leaf(messages[-1].message_id(), receipt.status))
         header = BlockHeader(
             chain_id=self.params.chain_id,
             height=0,
@@ -237,7 +239,8 @@ class Blockchain:
             receipts = state.apply_block(block, self.params, self.registry, self.validators)
         except ValidationError as exc:
             raise InvalidBlockError(f"block payload invalid: {exc}") from exc
-        receipt_data = self._receipts([(r.message_id, r.status) for r in receipts])
+        statuses = [(m.message_id(), r.status) for m, r in zip(block.messages, receipts)]
+        receipt_data = self._receipts(statuses)
         if block.header.receipts_root != receipt_data[1].root():
             raise InvalidBlockError("receipts root does not match execution")
         self._receipt_data[block_hash] = receipt_data
@@ -253,10 +256,11 @@ class Blockchain:
             block.header.difficulty_bits
         )
         self._states[block_hash] = state
-        for index, message in enumerate(block.messages):
-            self._message_index.setdefault(message.message_id(), []).append(
-                MessageLocation(block_hash, block.header.height, index)
-            )
+        for message in block.messages:
+            seen = self._message_index.setdefault(message.message_id(), block_hash)
+            if seen != block_hash:  # already included on another branch
+                seen = seen if type(seen) is tuple else (seen,)
+                self._message_index[message.message_id()] = seen + (block_hash,)
 
         if self._head_hash and self._work[block_hash] <= self._work[self._head_hash]:
             return False
@@ -378,10 +382,12 @@ class Blockchain:
     # -- message queries --------------------------------------------------------
 
     def find_message(self, message_id: bytes) -> MessageLocation | None:
-        """Main-chain location of a message, or None if not included."""
-        for location in self._message_index.get(message_id, []):
-            if self.is_in_main_chain(location.block_hash):
-                return location
+        """Main-chain location of a message (built when asked), or None."""
+        hashes = self._message_index.get(message_id, ())
+        for block_hash in (hashes,) if type(hashes) is bytes else hashes:
+            if self.is_in_main_chain(block_hash):
+                block = self._blocks[block_hash]
+                return MessageLocation(block_hash, block.header.height, block.position(message_id))
         return None
 
     def message_depth(self, message_id: bytes) -> int:
@@ -445,7 +451,7 @@ class Blockchain:
                     registry=self.registry,
                     validators=self.validators,
                 )
-                statuses.append((receipt.message_id, receipt.status))
+                statuses.append((message.message_id(), receipt.status))
         tree = MerkleTree([message.message_id() for message in messages])
         template = BlockHeader(
             chain_id=self.params.chain_id,

@@ -186,11 +186,14 @@ def register_contract(cls: type[SmartContract]) -> type[SmartContract]:
 
 @dataclass(frozen=True, slots=True)
 class Receipt:
-    """Outcome of applying one message (mirrors Ethereum receipts)."""
+    """Outcome of applying one message (mirrors Ethereum receipts), filed under its
+    message id; a fee-free ``ok`` with no events or contract is :data:`OK_RECEIPT`."""
 
-    message_id: bytes
     status: str  # "ok" | "reverted"
     error: str = ""
     events: tuple = ()
     fee_paid: int = 0
     contract_id: bytes = b""
+
+
+OK_RECEIPT = Receipt(status="ok")

@@ -166,7 +166,7 @@ class MinerNode(Node):
             else:
                 valid.append(message)
                 if statuses is not None:
-                    statuses.append((receipt.message_id, receipt.status))
+                    statuses.append((message.message_id(), receipt.status))
         return valid, statuses
 
 

@@ -10,10 +10,15 @@ a real inequality over real double-SHA-256 block ids.
 
 from __future__ import annotations
 
+from ..crypto.hashing import double_sha256
 from ..errors import InvalidBlockError
 from .block import BlockHeader
+from .wire import _encode_into, canonical_encode
 
 MAX_TARGET = 1 << 256
+
+#: A header's canonical encoding cut at its leaves: its fields, a ``None`` (``N``) in each.
+_HEADER_WIRE = canonical_encode(dict.fromkeys(BlockHeader.__match_args__)).split(b"N")
 
 
 def target_for_bits(difficulty_bits: int) -> int:
@@ -38,17 +43,37 @@ def check_pow(header: BlockHeader) -> bool:
     return block_id < target_for_bits(header.difficulty_bits)
 
 
+def _around_nonce(template: BlockHeader) -> tuple[bytes, bytes]:
+    """The template's canonical bytes before and after its nonce leaf."""
+    wire = template.to_wire()
+    out = bytearray()
+    for part, key in zip(_HEADER_WIRE, sorted(wire)):
+        out += part
+        if key == "nonce":
+            prefix, out = bytes(out), bytearray()
+        else:
+            _encode_into(wire[key], out)
+    return prefix, bytes(out)
+
+
 def mine_header(template: BlockHeader, max_iterations: int = 10_000_000) -> BlockHeader:
     """Find a nonce satisfying the template's difficulty.
 
-    Nonces are searched from 0 upward, so mining is deterministic: the
-    same template always yields the same mined header.
+    Nonces are searched from 0 upward, each spliced into the template's
+    bytes, so mining is deterministic and builds one header, the winner's.
     """
     target = target_for_bits(template.difficulty_bits)
+    prefix, suffix = _around_nonce(template)
     for nonce in range(max_iterations):
-        candidate = template.with_nonce(nonce)
-        if int.from_bytes(candidate.block_id(), "big") < target:
-            return candidate
+        encoded = bytearray(prefix)
+        _encode_into(nonce, encoded)
+        encoded += suffix
+        block_id = double_sha256(encoded)
+        if int.from_bytes(block_id, "big") < target:
+            header = template.with_nonce(nonce)
+            object.__setattr__(header, "_enc", bytes(encoded))
+            object.__setattr__(header, "_id", block_id)
+            return header
     raise InvalidBlockError(
         f"no nonce below target within {max_iterations} iterations "
         f"(difficulty_bits={template.difficulty_bits})"

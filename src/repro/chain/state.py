@@ -39,6 +39,7 @@ from .contracts import (
     DEFAULT_REGISTRY,
     ContractRegistry,
     ExecutionContext,
+    OK_RECEIPT,
     Receipt,
     SmartContract,
 )
@@ -200,7 +201,7 @@ class ChainState:
             raise ValidationError("message already applied (replay)")
 
         if isinstance(message, TransferMessage):
-            receipt = self._apply_transfer(message, params, allow_coinbase, message_id)
+            receipt = self._apply_transfer(message, params, allow_coinbase)
         elif isinstance(message, DeployMessage):
             receipt = self._apply_deploy(
                 message, params, block_height, block_time, registry, validators, message_id
@@ -221,14 +222,13 @@ class ChainState:
         message: TransferMessage,
         params: ChainParams,
         allow_coinbase: bool,
-        message_id: bytes,
     ) -> Receipt:
         if message.tx.is_coinbase and not allow_coinbase:
             raise ValidationError("coinbase transactions only allowed at genesis")
         min_fee = 0 if message.tx.is_coinbase else params.fees.transfer
         fee = self.utxos.apply_transaction(message.tx, min_fee=min_fee)
         self.transfer_count += 1
-        return Receipt(message_id=message_id, status="ok", fee_paid=fee)
+        return Receipt(status="ok", fee_paid=fee) if fee else OK_RECEIPT
 
     def _verify_message_signature(self, message: DeployMessage | CallMessage) -> None:
         if message.signature is None:
@@ -275,7 +275,6 @@ class ChainState:
         self.contracts[contract_id] = contract
         self.deploy_count += 1
         return Receipt(
-            message_id=message_id,
             status="ok",
             events=tuple(ctx._events),
             fee_paid=fee,
@@ -323,7 +322,6 @@ class ChainState:
                 )
             self.call_count += 1
             return Receipt(
-                message_id=message_id,
                 status="reverted",
                 error=str(exc),
                 fee_paid=fee,
@@ -332,7 +330,6 @@ class ChainState:
         self.contracts[message.contract_id] = contract
         self.call_count += 1
         return Receipt(
-            message_id=message_id,
             status="ok",
             events=tuple(ctx._events),
             fee_paid=fee,

@@ -57,13 +57,14 @@ import argparse
 import contextlib
 import dataclasses
 import json as _json
+import os
 import sys
 
 from . import serde
 from .analysis.latency import figure10_series
 from .analysis.security import PAPER_WITNESS_CANDIDATES
 from .analysis.throughput import TABLE1_ROWS, paper_example
-from .errors import ReproError, ServiceError, SpecError
+from .errors import ReproError, ServiceError, SpecError, StoreError
 from .experiment import (
     ExperimentResult,
     ExperimentSpec,
@@ -829,11 +830,18 @@ def _query_table(rows: list[dict]) -> str:
     )
 
 
-def _cmd_query(args: argparse.Namespace) -> int:
-    """Evaluate one predicate expression over a campaign database."""
+def _existing_store(path: str):
+    """A reader's campaign database; opening a missing path would create one."""
     from .store import CampaignStore
 
-    with CampaignStore(args.db) as store:
+    if not os.path.exists(path):
+        raise StoreError(f"no campaign database at {path!r}")
+    return CampaignStore(path)
+
+
+def _cmd_query(args: argparse.Namespace) -> int:
+    """Evaluate one predicate expression over a campaign database."""
+    with _existing_store(args.db) as store:
         rows = store.query(args.expr, campaign=args.campaign)
     if args.format == "json":
         text = _json.dumps(rows, indent=2, sort_keys=True) + "\n"
@@ -886,12 +894,12 @@ def _print_compare_report(report) -> None:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     """Join two campaigns by coordinates and flag metric regressions."""
-    from .store import CampaignStore, compare_campaigns
+    from .store import compare_campaigns
 
     with contextlib.ExitStack() as stack:
-        store_a = stack.enter_context(CampaignStore(args.db_a))
+        store_a = stack.enter_context(_existing_store(args.db_a))
         if args.db_b is not None:
-            store_b = stack.enter_context(CampaignStore(args.db_b))
+            store_b = stack.enter_context(_existing_store(args.db_b))
             campaign_a = store_a.resolve_campaign(args.a)
             campaign_b = store_b.resolve_campaign(args.b)
         else:
@@ -926,7 +934,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
     """Import and inspect campaign databases (ingest / list / artifact)."""
     from .store import CampaignStore, ingest_path
 
-    with CampaignStore(args.db) as store:
+    with (CampaignStore if args.action == "ingest" else _existing_store)(args.db) as store:
         if args.action == "ingest":
             for path in args.paths:
                 report = ingest_path(store, path, campaign=args.campaign)
@@ -1401,8 +1409,6 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # pragma: no cover - e.g. `repro trace | head`
         # The downstream reader closed the pipe; not an error.  Detach
         # stdout so the interpreter's shutdown flush cannot raise again.
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except (ReproError, OSError) as exc:

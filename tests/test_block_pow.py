@@ -1,5 +1,8 @@
 """Tests for block headers, Merkle commitments, and proof of work."""
 
+import dataclasses
+import itertools
+
 import pytest
 
 from repro.chain.block import (
@@ -11,8 +14,16 @@ from repro.chain.block import (
     receipts_merkle_tree,
 )
 from repro.chain.messages import TransferMessage
-from repro.chain.pow import check_pow, mine_header, target_for_bits, work_for_bits
+from repro.chain.pow import (
+    _around_nonce,
+    check_pow,
+    mine_header,
+    target_for_bits,
+    work_for_bits,
+)
 from repro.chain.transaction import make_coinbase
+from repro.chain.wire import canonical_encode
+from repro.crypto.hashing import double_sha256
 from repro.crypto.keys import KeyPair
 from repro.errors import InvalidBlockError
 
@@ -101,6 +112,40 @@ class TestProofOfWork:
             target_for_bits(-1)
         with pytest.raises(InvalidBlockError):
             target_for_bits(256)
+
+
+class TestNonceSplice:
+    """Mining encodes the template once and hashes each trial nonce's leaf
+    spliced between the bytes around it."""
+
+    @pytest.mark.parametrize("bits", [0, 1, 4, 8, 17, 255])
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_spliced_bytes_are_the_canonical_encoding(self, bits, odd):
+        template = header_template(difficulty_bits=bits, height=bits * 1_000_003)
+        if odd:
+            # Fields holding the encoder's ``None`` tag byte (``N``) must not
+            # move the cut: it is made at the nonce's position, not by search.
+            template = dataclasses.replace(template, chain_id="N\x00N", prev_hash=b"N" * 32)
+        prefix, suffix = _around_nonce(template)
+        for nonce in (0, 255, 256, 10**9):
+            header = template.with_nonce(nonce)
+            spliced = prefix + canonical_encode(nonce) + suffix
+            assert spliced == canonical_encode(header.to_wire())
+
+    @pytest.mark.parametrize("bits", [0, 2, 5, 9])
+    def test_mined_header_is_the_header_by_header_search(self, bits):
+        template = header_template(difficulty_bits=bits)
+        target = target_for_bits(bits)
+        reference = next(
+            header
+            for header in map(template.with_nonce, itertools.count())
+            if int.from_bytes(header.block_id(), "big") < target
+        )
+        mined = mine_header(template)
+        assert mined == reference and mined.nonce == reference.nonce
+        encoded = canonical_encode(mined.to_wire())
+        assert mined.wire_bytes() == encoded and type(mined.wire_bytes()) is bytes
+        assert mined.block_id() == double_sha256(encoded) == reference.block_id()
 
 
 class TestBlockCommitments:

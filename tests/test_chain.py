@@ -3,7 +3,8 @@
 import pytest
 
 from repro.chain.block import encode_time
-from repro.chain.chain import Blockchain
+from repro.chain.chain import Blockchain, MessageLocation
+from repro.chain.contracts import OK_RECEIPT
 from repro.chain.messages import TransferMessage
 from repro.chain.params import fast_chain
 from repro.chain.transaction import (
@@ -14,7 +15,7 @@ from repro.chain.transaction import (
     sign_transaction,
 )
 from repro.errors import InvalidBlockError, UnknownBlockError
-from tests.conftest import ALICE, BOB, MINER
+from tests.conftest import ALICE, BOB, CAROL, MINER
 
 
 def transfer_message(chain, sender, recipient, amount, fee=1):
@@ -272,3 +273,67 @@ class TestQueries:
         stable = chain.stable_header()
         # depth-2 chain: stable header is at height height-1
         assert stable.height == chain.height - chain.params.confirmation_depth + 1
+
+
+class TestMessageIndex:
+    """The index keeps block hashes; a location is built when asked."""
+
+    def test_a_message_on_two_branches_follows_the_main_chain(self, chain):
+        base = chain.head_hash
+        msg = transfer_message(chain, ALICE, BOB, 10)
+        other = transfer_message(chain, BOB, CAROL, 5)
+        mid = msg.message_id()
+
+        def located(block, index):
+            assert chain.find_message(mid) == MessageLocation(
+                block.block_id(), block.header.height, index
+            )
+            proof, header = chain.inclusion_proof(mid)
+            assert header == block.header
+            assert proof.leaf == mid and proof.verify(header.merkle_root)
+            return chain.message_depth(mid)
+
+        a1 = chain.make_block([msg], MINER.address, 1.0, parent_hash=base)
+        chain.add_block(a1)
+        assert located(a1, 0) == 1
+        # The same message at another position on a competing branch.
+        b1 = chain.make_block([other, msg], MINER.address, 1.0, parent_hash=base)
+        chain.add_block(b1)
+        assert located(a1, 0) == 1  # equal work: the first-seen branch stays
+        b2 = chain.make_block([], MINER.address, 2.0, parent_hash=b1.block_id())
+        chain.add_block(b2)
+        assert chain.head_hash == b2.block_id()
+        assert located(b1, 1) == 2
+        # And back: the first branch's inclusion was kept, not replaced.
+        a2 = chain.make_block([], MINER.address, 2.0, parent_hash=a1.block_id())
+        chain.add_block(a2)
+        a3 = chain.make_block([], MINER.address, 3.0, parent_hash=a2.block_id())
+        chain.add_block(a3)
+        assert chain.head_hash == a3.block_id() and chain.reorgs == 2
+        assert located(a1, 0) == 3
+        assert chain.find_message(other.message_id()) is None
+
+    def test_a_genesis_coin_is_located_in_genesis(self, chain):
+        genesis = chain.block_at_height(0)
+        assert genesis._positions is None  # not built until a coin is asked
+        for index, message in enumerate(genesis.messages):
+            location = chain.find_message(message.message_id())
+            assert location == MessageLocation(genesis.block_id(), 0, index)
+            proof, header = chain.inclusion_proof(message.message_id())
+            assert header is genesis.header and proof.verify(header.merkle_root)
+        assert chain.find_message(b"\x00" * 32) is None
+        assert chain.inclusion_proof(b"\x00" * 32) is None
+        assert chain.message_depth(b"\x00" * 32) == 0
+
+
+class TestReceipts:
+    def test_fee_free_receipts_are_one_instance_and_fee_paying_are_not(self, chain):
+        receipts = chain.state_at().receipts
+        genesis = chain.block_at_height(0)
+        assert all(receipts[m.message_id()] is OK_RECEIPT for m in genesis.messages)
+        msg = transfer_message(chain, ALICE, BOB, 10, fee=7)
+        chain.add_block(chain.make_block([msg], MINER.address, 1.0))
+        receipt = chain.receipt(msg.message_id())
+        assert receipt is not OK_RECEIPT
+        assert (receipt.status, receipt.fee_paid) == ("ok", 7)
+        assert chain.receipts_data(chain.head_hash)[0] == [(msg.message_id(), "ok")]

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -742,6 +743,32 @@ class TestStoreCli:
         # A directory is not a database: clean error, not a traceback.
         assert main(["query", "x > 1", "--db", str(tmp_path)]) == 2
         assert "repro query:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "commit_rate >= 0", "--db", "MISSING"],
+            ["store", "list", "--db", "MISSING"],
+            ["store", "artifact", "--db", "MISSING", "--point", "0"],
+            ["compare", "MISSING", "MISSING"],
+            ["compare", "EMPTY", "MISSING"],
+        ],
+    )
+    def test_a_reader_refuses_a_missing_database_and_creates_none(
+        self, tmp_path, capsys, argv
+    ):
+        """Opening a path creates a database there: a mistyped ``--db``
+        used to leave a fresh empty file and report zero matches."""
+        from repro.store import CampaignStore
+
+        missing, empty = str(tmp_path / "missing.db"), str(tmp_path / "empty.db")
+        CampaignStore(empty).close()
+        argv = [{"MISSING": missing, "EMPTY": empty}.get(arg, arg) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro {argv[0]}: no campaign database at {missing!r}\n"
+        assert captured.out == ""
+        assert not os.path.exists(missing)
 
     def test_compare_self_is_clean(self, tmp_path, capsys):
         db = self._run_store_sweep(tmp_path)

@@ -11,7 +11,7 @@ converges the contract to a single state (Section 4.2, Lemma 5.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from ..crypto.keys import Address
 from ..crypto.merkle import MerkleProof, MerkleTree, merkle_root
@@ -42,15 +42,53 @@ class MessageLocation:
     index: int
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class Genesis:
+    """A genesis block's content, everything but its header.
+
+    It depends on the allocations alone (a coinbase pays no fee and reads
+    no params), so chains funded alike share one.  Only the roots are
+    kept: nothing proves inclusion in genesis, and a tree is two digests
+    per coin.  ``state`` is never written: each chain installs a
+    copy-on-write clone of it.
+    """
+
+    messages: tuple[TransferMessage, ...]
+    state: ChainState
+    merkle_root: bytes
+    receipts_root: bytes
+
+
+def build_genesis(allocations: Iterable[tuple[Address, int]]) -> Genesis:
+    """The genesis minting ``allocations``, ``(address, value)`` pairs, in order."""
+    state = ChainState()
+    messages, leaves = [], []
+    coinbase = None
+    for nonce, (address, value) in enumerate(allocations):
+        coinbase = make_coinbase(address, value, nonce, previous=coinbase)
+        messages.append(TransferMessage(coinbase))
+        receipt = state.apply_message(messages[-1], None, 0, 0.0, allow_coinbase=True)
+        leaves.append(receipt_leaf(messages[-1].message_id(), receipt.status))
+    return Genesis(
+        tuple(messages),
+        state,
+        merkle_root([message.message_id() for message in messages]),
+        merkle_root(leaves),
+    )
+
+
 class Blockchain:
     """One permissionless blockchain with fork handling and contract state.
 
-    A message costs one index entry, its block's hash, and a receipt (shared when fee-free).
+    A message costs one index entry, its block's hash, and a receipt
+    (shared when fee-free).  Of its genesis a chain owns only the header
+    (its ``chain_id``), a state clone and the index entries; the messages,
+    roots and state buckets are the shared :class:`Genesis`'s.
 
     Args:
         params: static chain configuration.
-        genesis_allocations: initial coin distribution, a list of
-            ``(address, value)`` pairs minted in the genesis block.
+        genesis: a :class:`Genesis` (shared with the other chains funded
+            alike), or the ``(address, value)`` allocations to build one.
         registry: contract class registry (defaults to the global one).
         validators: opaque cross-chain validator registry passed into
             contract execution contexts (see :mod:`repro.core.evidence`).
@@ -59,7 +97,7 @@ class Blockchain:
     def __init__(
         self,
         params: ChainParams,
-        genesis_allocations: list[tuple[Address, int]] | None = None,
+        genesis: Genesis | Iterable[tuple[Address, int]] = (),
         registry: ContractRegistry | None = None,
         validators: Any = None,
     ) -> None:
@@ -91,33 +129,20 @@ class Blockchain:
         self._reorg_listeners: list[Callable[[int, int], None]] = []
         self.reorgs = 0
 
-        self._install(*self._build_genesis(genesis_allocations or []))
-
-    # -- genesis ------------------------------------------------------------
-
-    def _build_genesis(self, allocations: list[tuple[Address, int]]) -> tuple[Block, ChainState]:
-        """The genesis block and its state.  Only the roots are kept: nothing
-        proves inclusion in genesis, and a tree is two digests per coin."""
-        state = ChainState()
-        messages, leaves = [], []
-        coinbase = None
-        for nonce, (address, value) in enumerate(allocations):
-            coinbase = make_coinbase(address, value, nonce, previous=coinbase)
-            messages.append(TransferMessage(coinbase))
-            receipt = state.apply_message(messages[-1], self.params, 0, 0.0, allow_coinbase=True)
-            leaves.append(receipt_leaf(messages[-1].message_id(), receipt.status))
+        if not isinstance(genesis, Genesis):
+            genesis = build_genesis(genesis)
         header = BlockHeader(
-            chain_id=self.params.chain_id,
+            chain_id=params.chain_id,
             height=0,
             prev_hash=GENESIS_PREV,
-            merkle_root=merkle_root([message.message_id() for message in messages]),
-            receipts_root=merkle_root(leaves),
+            merkle_root=genesis.merkle_root,
+            receipts_root=genesis.receipts_root,
             time_ticks=0,
             difficulty_bits=0,  # genesis carries no work requirement
             nonce=0,
             miner=Address(b"\x00" * 20),
         )
-        return Block(header=header, messages=tuple(messages)), state
+        self._install(Block(header=header, messages=genesis.messages), genesis.state.clone())
 
     def _receipts(self, statuses: list[tuple[bytes, str]]) -> tuple[list, MerkleTree]:
         """``statuses`` (a private copy) and the receipts tree over them.

@@ -126,7 +126,7 @@ class EngineResult:
     #: Simulator events executed by :meth:`SwapEngine.run` — the cadence
     #: observability hook behind the event-budget pins.
     events_processed: int = 0
-    #: Reorgs observed per chain (the Blockchain reorg listeners).
+    #: Reorgs per chain during the run (each ``Blockchain.reorgs`` delta).
     chain_reorgs: dict[str, int] = field(default_factory=dict)
     #: The adversary's self-report, when a roster was attached.
     adversary: dict | None = None
@@ -196,21 +196,20 @@ class SwapEngine:
         #: listeners, eclipse windows).
         self.launch_hooks: list[Callable[[SwapRequest], None]] = []
         self.driver_hooks: list[Callable[[SwapRequest, ProtocolDriver], None]] = []
-        #: Reorgs observed per chain over this engine's lifetime (the
-        #: Blockchain reorg hook, aggregated — attack observability).
-        self.chain_reorgs: dict[str, int] = {}
-        for chain_id, chain in env.chains.items():
-            self.chain_reorgs[chain_id] = 0
-
-            def count(abandoned: int, adopted: int, chain_id=chain_id) -> None:
-                self.chain_reorgs[chain_id] += 1
-
-            chain.add_reorg_listener(count)
+        self._reorgs_before = {cid: chain.reorgs for cid, chain in env.chains.items()}
         self._adversary = None
         #: Optional flight recorder (see :mod:`repro.obs`).  Every emit
         #: site below guards on ``is not None`` so unobserved runs stay
         #: byte- and time-identical.
         self.collector = None
+
+    @property
+    def chain_reorgs(self) -> dict[str, int]:
+        """Reorgs per chain over this engine's lifetime (attack observability)."""
+        return {
+            chain_id: chain.reorgs - self._reorgs_before[chain_id]
+            for chain_id, chain in self.env.chains.items()
+        }
 
     def attach_adversary(self, roster) -> None:
         """Attach an :class:`~repro.adversary.AdversaryRoster`: its
@@ -513,7 +512,7 @@ class SwapEngine:
             by_protocol=by_protocol,
             requests=list(self.requests),
             events_processed=events_processed,
-            chain_reorgs=dict(self.chain_reorgs),
+            chain_reorgs=self.chain_reorgs,
             adversary=(
                 self._adversary.report() if self._adversary is not None else None
             ),

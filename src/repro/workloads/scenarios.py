@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from ..chain.chain import Blockchain
+from ..chain.chain import Blockchain, Genesis, build_genesis
 from ..chain.mempool import Mempool
 from ..chain.miner import MinerNode
 from ..chain.params import ChainParams, fast_chain
@@ -90,7 +90,11 @@ def _assemble_world(
     ``chains_of`` maps each participant (in creation and genesis order)
     to the chains it is funded on and joins; ``piece_of`` is the UTXO
     size its ``funding`` is split into.  Genesis allocation order is
-    part of every block id, so it follows ``chains_of`` exactly.
+    part of every block id, so it follows ``chains_of`` exactly.  Chains
+    with the same member list are funded alike, so they share one
+    :class:`~repro.chain.chain.Genesis`: a world builds one per distinct
+    member list, in ``ordered_chains`` order.  The grouping lives in this
+    call, so a second world or a restore builds its own.
     """
     if validator_mode not in VALIDATOR_MODES:
         raise ProtocolError(
@@ -103,23 +107,27 @@ def _assemble_world(
     mempools: dict[str, Mempool] = {}
     miners: dict[str, MinerNode] = {}
     estimators: dict[str, FeeEstimator] = {}
+    genesis_of: dict[tuple[str, ...], Genesis] = {}
     for chain_id in ordered_chains:
         params = (chain_params or {}).get(chain_id) or fast_chain(
             chain_id,
             block_interval=block_interval,
             confirmation_depth=confirmation_depth,
         )
-        members = [name for name in chains_of if chain_id in chains_of[name]]
-        # Split each participant's funding into several UTXOs so that
-        # multiple in-flight messages never contend for one coin.
-        allocations = []
-        for name in members:
-            remaining = funding
-            while remaining > 0:
-                value = min(piece_of[name], remaining)
-                allocations.append((actors[name].address, value))
-                remaining -= value
-        chain = chains[chain_id] = Blockchain(params, allocations)
+        members = tuple(name for name in chains_of if chain_id in chains_of[name])
+        genesis = genesis_of.get(members)
+        if genesis is None:
+            # Split each participant's funding into several UTXOs so that
+            # multiple in-flight messages never contend for one coin.
+            allocations = []
+            for name in members:
+                remaining = funding
+                while remaining > 0:
+                    value = min(piece_of[name], remaining)
+                    allocations.append((actors[name].address, value))
+                    remaining -= value
+            genesis = genesis_of[members] = build_genesis(allocations)
+        chain = chains[chain_id] = Blockchain(params, genesis)
         mempool = mempools[chain_id] = Mempool(chain, fee_policy)
         miners[chain_id] = MinerNode(simulator, chain, mempool)
         if fee_policy is not None:

@@ -23,7 +23,9 @@ from repro.adversary import (
 from repro.analysis.security import required_depth, security_report
 from repro.chain.miner import AttackMiner
 from repro.core.ac3wn import AC3WNDriver
+from repro.engine import SwapEngine
 from repro.errors import SpecError
+from repro.experiment import runner
 from repro.experiment import (
     ExperimentSpec,
     apply_overrides,
@@ -39,6 +41,8 @@ from repro.sweeps import (
     sweep_spec,
     violation_rate_surface,
 )
+from repro.workloads.scenarios import build_scenario
+from tests.conftest import MINER
 
 
 def reorg_spec(**kwargs) -> ReorgAttackSpec:
@@ -231,6 +235,53 @@ class TestReorgAttacker:
             "chain-1": 0,
             "witness": 0,
         }
+
+    @staticmethod
+    def counted_reorgs(monkeypatch, spec):
+        """The engine's ``chain_reorgs`` and each chain's own ``reorgs``
+        delta since the world was built (the engine is built right after)."""
+        before = {}
+        build = runner.build_environment
+
+        def recorded(*args):
+            env = build(*args)
+            before.update((chain_id, chain.reorgs) for chain_id, chain in env.chains.items())
+            return env
+
+        monkeypatch.setattr(runner, "build_environment", recorded)
+        result = run_experiment(spec)
+        delta = {
+            chain_id: chain.reorgs - before[chain_id]
+            for chain_id, chain in result.env.chains.items()
+        }
+        return result.engine_result.chain_reorgs, delta
+
+    def test_engine_reorg_count_is_the_chains_own(self, monkeypatch):
+        attacked = apply_overrides(
+            preset_spec("security"), {"protocol": "nolan", "chains.confirmation_depth": 1}
+        )
+        counted, delta = self.counted_reorgs(monkeypatch, attacked)
+        assert counted == delta and sum(counted.values()) >= 1
+        quiet = apply_overrides(preset_spec("engine-smoke"), {"traffic.num_swaps": 8})
+        counted, delta = self.counted_reorgs(monkeypatch, quiet)
+        assert counted == delta == dict.fromkeys(delta, 0)
+
+    def test_engine_counts_only_reorgs_after_it_is_built(self):
+        env = build_scenario(participants=["a", "b"], chain_ids=["chain-a"])
+        chain = env.chains["witness"]
+
+        def reorg():
+            base, now = chain.head_hash, chain.head.header.timestamp
+            chain.add_block(chain.make_block([], MINER.address, now + 1, parent_hash=base))
+            fork = chain.make_block([], MINER.address, now + 1.5, parent_hash=base)
+            chain.add_block(fork)
+            chain.add_block(chain.make_block([], MINER.address, now + 2, parent_hash=fork.block_id()))
+
+        reorg()
+        engine = SwapEngine(env)
+        assert chain.reorgs == 1 and engine.chain_reorgs == {"chain-a": 0, "witness": 0}
+        reorg()
+        assert engine.chain_reorgs == {"chain-a": 0, "witness": 1}
 
     def test_witness_protocols_survive_the_same_attack(self):
         """AC3WN loses liveness, never atomicity: won witness forks and

@@ -1,9 +1,11 @@
 """Tests for the block tree: fork choice, reorgs, depth, state queries."""
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 import pytest
 
 from repro.chain.block import encode_time
-from repro.chain.chain import Blockchain, MessageLocation
+from repro.chain.chain import Blockchain, MessageLocation, build_genesis
 from repro.chain.contracts import OK_RECEIPT
 from repro.chain.messages import TransferMessage
 from repro.chain.params import fast_chain
@@ -15,6 +17,8 @@ from repro.chain.transaction import (
     sign_transaction,
 )
 from repro.errors import InvalidBlockError, UnknownBlockError
+from repro.workloads import scenarios
+from repro.workloads.scenarios import build_multi_scenario, build_scenario, swap_traffic_graphs
 from tests.conftest import ALICE, BOB, CAROL, MINER
 
 
@@ -52,6 +56,134 @@ class TestGenesis:
     def test_empty_genesis_allowed(self):
         c = Blockchain(fast_chain("t3"))
         assert c.state_at().utxos.total_value() == 0
+
+
+OWNERS = (ALICE.address, BOB.address, CAROL.address, MINER.address)
+
+# Runs of one (owner, value), as a world funds a participant in equal pieces.
+allocation_lists = st.lists(
+    st.tuples(st.sampled_from(OWNERS[:3]), st.sampled_from([0, 7, 50_000]), st.integers(1, 3)),
+    max_size=8,
+).map(lambda runs: [(owner, value) for owner, value, count in runs for _ in range(count)])
+
+
+def genesis_bytes(chain):
+    """Everything genesis commits to, as bytes and receipts."""
+    block = chain.block_at_height(0)
+    ids = [message.message_id() for message in block.messages]
+    receipts = chain.state_at(block.block_id()).receipts
+    return (
+        block.header.wire_bytes(),
+        block.block_id(),
+        block.header.merkle_root,
+        block.header.receipts_root,
+        ids,
+        [receipts[message_id] for message_id in ids],
+        chain.receipts_data(block.block_id())[0],
+    )
+
+
+def observed(chain, message_ids):
+    """What a reader of ``chain``'s head can see of its coins and messages."""
+    state = chain.state_at()
+    owned = {owner: state.utxos.outpoints_of(owner) for owner in OWNERS}
+    return (
+        owned,
+        {op: state.utxos.get(op) for ops in owned.values() for op in ops},
+        state.utxos.total_value(),
+        {owner: chain.balance_of(owner) for owner in OWNERS},
+        {message_id: chain.receipt(message_id) for message_id in message_ids},
+        {message_id: chain.find_message(message_id) for message_id in message_ids},
+    )
+
+
+class TestSharedGenesis:
+    """Chains funded alike share one genesis value and nothing else."""
+
+    @given(allocation_lists)
+    @example([])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_a_shared_genesis_builds_what_each_chain_builds_alone(self, allocations):
+        shared = build_genesis(allocations)
+        for name in ("shared-a", "shared-b", "shared-c"):
+            together = Blockchain(fast_chain(name), shared)
+            alone = Blockchain(fast_chain(name), allocations)
+            assert genesis_bytes(together) == genesis_bytes(alone)
+            genesis = together.block_at_height(0)
+            assert genesis.header.chain_id == name
+            assert genesis.messages is shared.messages
+
+    def test_one_chain_moving_leaves_its_twin_unchanged(self):
+        allocations = [(ALICE.address, 50_000)] * 3 + [(CAROL.address, 100_000)] * 2
+        shared = build_genesis(allocations)
+        moved = Blockchain(fast_chain("moved"), shared)
+        twin = Blockchain(fast_chain("twin"), shared)
+        genesis_ids = [message.message_id() for message in shared.messages]
+
+        spend = transfer_message(moved, ALICE, BOB, 500)
+        paid = transfer_message(moved, CAROL, ALICE, 900, fee=7)
+        ids = genesis_ids + [spend.message_id(), paid.message_id()]
+        before = observed(twin, ids)
+        base = moved.head_hash
+        moved.add_block(moved.make_block([spend, paid], MINER.address, 1.0))
+        assert moved.receipt(paid.message_id()).fee_paid == 7
+        # A reorg onto an empty branch, then a write straight into the
+        # moved chain's genesis state: its own clone, never the shared one.
+        fork = moved.make_block([], MINER.address, 1.0, parent_hash=base)
+        moved.add_block(fork)
+        moved.add_block(moved.make_block([], MINER.address, 2.0, parent_hash=fork.block_id()))
+        assert moved.reorgs == 1
+        genesis_state = moved.state_at(moved.block_at_height(0).block_id())
+        assert genesis_state is not shared.state
+        genesis_state.utxos.add(OutPoint(b"\x01" * 32, 0), TxOutput(MINER.address, 5))
+
+        assert observed(twin, ids) == before
+        assert twin.reorgs == 0 and twin.height == 0
+        assert shared.state.balance_of(MINER.address) == 0
+        assert genesis_bytes(twin) == genesis_bytes(Blockchain(fast_chain("twin"), allocations))
+
+
+def counted_genesis_builds(monkeypatch):
+    """The genesis values a world assembly builds, in order."""
+    built = []
+
+    def build(allocations):
+        built.append(build_genesis(allocations))
+        return built[-1]
+
+    monkeypatch.setattr(scenarios, "build_genesis", build)
+    return built
+
+
+class TestWorldGenesis:
+    def test_chains_funded_alike_share_one_genesis(self, monkeypatch):
+        built = counted_genesis_builds(monkeypatch)
+        env = build_scenario(participants=["a", "b"], chain_ids=["chain-a", "chain-b"])
+        assert len(built) == 1 and len(env.chains) == 3
+        genesis = built[0]
+        states = set()
+        for chain_id, chain in env.chains.items():
+            block = chain.block_at_height(0)
+            assert block.messages is genesis.messages
+            assert block.header.chain_id == chain_id
+            states.add(id(chain.state_at(block.block_id())))
+        assert len(states) == 3 and id(genesis.state) not in states
+
+    def test_member_lists_of_one_size_are_not_one_genesis(self, monkeypatch):
+        # The engine-smoke shape: each two-party swap touches two of three
+        # asset chains, so every asset chain has four members, each set
+        # different, and the witness chain funds all six.
+        built = counted_genesis_builds(monkeypatch)
+        graphs = swap_traffic_graphs(3, ["chain-0", "chain-1", "chain-2"])
+        env = build_multi_scenario(graphs, funding=1_000)
+        assert len(built) == len(env.chains) == 4
+        for graph in graphs:
+            funded_on = graph.chains_used() | {"witness"}
+            for name in graph.participant_names():
+                address = env.participant(name).address
+                for chain_id, chain in env.chains.items():
+                    expected = 1_000 if chain_id in funded_on else 0
+                    assert chain.balance_of(address) == expected, (name, chain_id)
 
 
 class TestBlockBuilding:

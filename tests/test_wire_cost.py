@@ -33,6 +33,7 @@ from repro.chain.wire import canonical_encode, wire_hash
 from repro.crypto.keys import Address
 from repro.economy.policy import bump_fee
 from repro.errors import ValidationError
+from repro.workloads.scenarios import build_scenario
 from tests.conftest import ALICE, BOB
 
 GENESIS_TRANSFERS = 64
@@ -222,6 +223,38 @@ def test_a_genesis_coin_costs_its_hashes():
         # index holds the genesis hash itself (3.15 objects, 499 bytes).
         assert objects / coins <= 3.5
         assert live / coins <= 540
+
+
+def world_cost(chain_ids, names):
+    """A world funding every one of ``names`` alike on each chain (4 096
+    coins a chain), and the gc-tracked objects and live bytes it holds."""
+    gc.collect()
+    tracked = len(gc.get_objects())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        env = build_scenario(participants=names, chain_ids=chain_ids, funding=256, funding_chunks=256)
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return env, len(gc.get_objects()) - tracked, live
+
+
+def test_a_world_funded_alike_pays_one_genesis():
+    names = [f"coin-owner-{index}" for index in range(16)]
+    build_scenario(participants=names)  # derive the keys outside the count
+    one, one_objects, one_live = world_cost([], names)
+    three, objects, live = world_cost(["chain-a", "chain-b"], names)
+    assert len(one.chains) == 1 and len(three.chains) == 3
+    genesis = [chain.block_at_height(0) for chain in three.chains.values()]
+    assert len(genesis[0].messages) == 16 * 256
+    assert all(block.messages is genesis[0].messages for block in genesis)
+    if sys.version_info[:2] == (3, 11):
+        # Measured on CPython 3.11: the two extra chains cost their
+        # headers, state clones and message index entries, not a genesis.
+        assert objects <= 1.2 * one_objects
+        assert live <= 1.3 * one_live
 
 
 def test_signing_encodes_a_message_once_in_total():

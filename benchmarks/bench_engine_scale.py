@@ -21,7 +21,7 @@ construction (key derivation, genesis, warm-up) inside its wall time —
 so set-up cost is tracked per commit next to swaps/s.
 
 When ``ENGINE_SCALE_JSON`` is set, every point appends its wall-clock
-timing to that JSON file — CI uploads it as the scale-smoke artifact so
+timing to that JSON file — the CI ``benchmarks`` job uploads it so
 throughput is tracked across commits.  When ``BENCH_STORE_DB`` is set,
 the same timing rows also append to an ``engine-scale`` campaign in
 that campaign database (one new campaign per benchmark run), so

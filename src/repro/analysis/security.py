@@ -35,8 +35,8 @@ def required_depth(
     value_at_risk: float, hourly_cost: float, blocks_per_hour: float
 ) -> int:
     """The smallest integer ``d`` satisfying ``d > Va · dh / Ch``."""
-    if value_at_risk < 0:
-        raise ValueError("value at risk must be non-negative")
+    if not 0 <= value_at_risk < math.inf:
+        raise ValueError(f"value at risk must be a finite number >= 0, got {value_at_risk!r}")
     if hourly_cost <= 0 or blocks_per_hour <= 0:
         raise ValueError("costs and rates must be positive")
     threshold = value_at_risk * blocks_per_hour / hourly_cost

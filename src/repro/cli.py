@@ -492,12 +492,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import (
         ServiceSpec,
         SwapService,
+        check_serve_limits,
         service_preset_names,
         service_preset_spec,
     )
 
     if args.checkpoint_every is not None and args.checkpoint is None:
         raise SpecError("--checkpoint-every needs --checkpoint PATH")
+    limits = {
+        "duration": args.duration,
+        "max_swaps": args.max_swaps,
+        "checkpoint_every": args.checkpoint_every,
+    }
+    check_serve_limits(limits, name=lambda key: "--" + key.replace("_", "-"))
     if args.restore:
         if args.preset or args.spec or args.set:
             raise SpecError(
@@ -527,12 +534,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             service.attach_store(store)
         # A restored session's spec already carries whatever was
         # baked at serve time; CLI flags still override per-call.
-        service.serve(
-            duration=args.duration,
-            max_swaps=args.max_swaps,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-        )
+        service.serve(checkpoint_path=args.checkpoint, **limits)
         every = (
             args.checkpoint_every
             if args.checkpoint_every is not None
@@ -568,8 +570,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     spec, records = load_request_log(text)
     result = SwapService.replay(spec, records)
     # The replayed session accepts exactly the loaded records, so its
-    # log IS dump(load(original)) — written out for the byte-level
-    # `cmp` the CI smoke job runs.
+    # log IS dump(load(original)) — written out for a byte-level `cmp`
+    # against the original.
     _report_service(result, dump_request_log(spec, records), args)
     return _finish(result, args.json, result.spec.world.adversary)
 
@@ -764,11 +766,16 @@ def _cmd_figure10(args: argparse.Namespace) -> int:
 def _cmd_witness_depth(args: argparse.Namespace) -> int:
     """Section 6.3: required depth per candidate witness."""
     va = args.value_at_risk
+    try:
+        rows = [
+            (choice.chain_id, choice.depth_for(va), choice.confirmation_latency_hours(va))
+            for choice in PAPER_WITNESS_CANDIDATES
+        ]
+    except ValueError as exc:
+        raise SpecError(f"--value-at-risk: {exc}") from None
     print(f"value at risk: ${va:,.0f}")
-    for choice in PAPER_WITNESS_CANDIDATES:
-        depth = choice.depth_for(va)
-        hours = choice.confirmation_latency_hours(va)
-        print(f"  {choice.chain_id:>14}: d = {depth:>6}  (~{hours:.1f} h of burial)")
+    for chain_id, depth, hours in rows:
+        print(f"  {chain_id:>14}: d = {depth:>6}  (~{hours:.1f} h of burial)")
     return 0
 
 
@@ -932,18 +939,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_store(args: argparse.Namespace) -> int:
     """Import and inspect campaign databases (ingest / list / artifact)."""
-    from .store import CampaignStore, ingest_path
+    from .store import ingest_paths
 
-    with (CampaignStore if args.action == "ingest" else _existing_store)(args.db) as store:
-        if args.action == "ingest":
-            for path in args.paths:
-                report = ingest_path(store, path, campaign=args.campaign)
-                print(
-                    f"ingested {path} -> campaign {report.campaign_id} "
-                    f"{report.campaign!r} ({report.kind}, "
-                    f"{report.points} point(s))"
-                )
-        elif args.action == "list":
+    if args.action == "ingest":
+        reports = ingest_paths(args.db, args.paths, campaign=args.campaign)
+        for path, report in zip(args.paths, reports):
+            print(
+                f"ingested {path} -> campaign {report.campaign_id} "
+                f"{report.campaign!r} ({report.kind}, "
+                f"{report.points} point(s))"
+            )
+        return 0
+    with _existing_store(args.db) as store:
+        if args.action == "list":
             infos = store.campaigns()
             if args.json:
                 print(

@@ -32,7 +32,7 @@ from .sources import (
     source_factory,
     unregister_source,
 )
-from .spec import ServiceSpec, SourceSpec
+from .spec import ServiceSpec, SourceSpec, check_serve_limits
 
 __all__ = [
     "CKPT_SCHEMA",
@@ -42,6 +42,7 @@ __all__ = [
     "SourceSpec",
     "SwapService",
     "TrafficSource",
+    "check_serve_limits",
     "dump_request_log",
     "load_request_log",
     "register_source",

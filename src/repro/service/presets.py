@@ -3,8 +3,8 @@
 Presets are factories so every call returns a fresh spec; register new
 ones with :func:`register_service_preset` without editing this file.
 The stock presets are CI-sized (tens of swaps, tens of sim-seconds) —
-steady Poisson serving, a compressed diurnal cycle, and the flash-crowd
-session the ``service-smoke`` CI job checkpoints, restores, and replays.
+steady Poisson serving, a compressed diurnal cycle, and a flash-crowd
+session over a fee market.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ from ..workloads.scenarios import (
 )
 from .requestlog import RequestRecord, dump_request_log
 from .sources import SourceItem, TrafficSource, source_factory
-from .spec import ServiceSpec
+from .spec import ServiceSpec, check_serve_limits
 
 #: Checkpoint format identifier (bump on incompatible schema changes).
 CKPT_SCHEMA = "repro-service-ckpt/1"
@@ -380,10 +380,14 @@ class SwapService:
         stops mid-flight without advancing to the horizon — the
         checkpoint-then-abandon primitive.  With ``checkpoint_path``,
         a checkpoint is written every ``checkpoint_every`` (default
-        ``spec.checkpoint_every``) accepted swaps.
+        ``spec.checkpoint_every``) accepted swaps.  A limit its
+        :class:`ServiceSpec` field's rule refuses is a :class:`SpecError`.
         """
         if self._closed:
             raise ServiceError("session is closed; cannot serve")
+        check_serve_limits(
+            {"duration": duration, "max_swaps": max_swaps, "checkpoint_every": checkpoint_every}
+        )
         self._ensure_sources()
         spec = self.spec
         horizon = duration if duration is not None else spec.duration

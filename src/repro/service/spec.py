@@ -158,3 +158,17 @@ class ServiceSpec(serde.Serializable):
             ):
                 fail(f"{where}: burst_duration exceeds burst_every")
         return self
+
+
+def check_serve_limits(limits: dict, name=str) -> None:
+    """Hold per-call overrides of ``duration`` / ``max_swaps`` /
+    ``checkpoint_every`` (``None`` = keep the spec's) to the type and
+    rule their :class:`ServiceSpec` field declares; ``name(key)`` is how
+    the message names a key (the CLI names its flag)."""
+    table = serde.fields(ServiceSpec)
+    for key, value in limits.items():
+        field = table[key]
+        serde.load(field.type, value, name(key))
+        clause = "" if value is None else field.rule.broken_by(value)
+        if clause:
+            raise SpecError(f"{name(key)}{clause}, got {value!r}")

@@ -20,7 +20,7 @@ WAL mode, foreign keys, indexed metric columns) behind a typed
 * cross-run regression tracking — :func:`compare_campaigns`
   (:mod:`repro.store.compare`) joins two campaigns by expansion
   coordinates and flags directed metric regressions;
-* importers for existing artifacts — :func:`ingest_path`
+* importers for existing artifacts — :func:`ingest_paths`
   (:mod:`repro.store.ingest`).
 
 CLI surface: ``repro sweep --store DB``, ``repro query EXPR --db DB``,
@@ -28,7 +28,7 @@ CLI surface: ``repro sweep --store DB``, ``repro query EXPR --db DB``,
 """
 
 from .compare import compare_campaigns
-from .ingest import ingest_path
+from .ingest import ingest_paths
 from .query import compile_query, parse_query
 from .schema import SCHEMA_VERSION
 from .store import CampaignStore
@@ -38,6 +38,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "compare_campaigns",
     "compile_query",
-    "ingest_path",
+    "ingest_paths",
     "parse_query",
 ]

@@ -16,9 +16,11 @@ never fail the comparison.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 from .. import serde
+from ..errors import StoreError
 from .store import CampaignInfo, CampaignStore
 
 #: Metrics where a larger value is an improvement.
@@ -215,8 +217,12 @@ def compare_campaigns(
     Points pair by identical coordinate dicts (duplicates pair in index
     order); every numeric metric present in both rows of a pair becomes
     a :class:`MetricDelta`.  ``threshold`` is the relative-change bar a
-    directed metric must clear to count as a regression/improvement.
+    directed metric must clear to count as a regression/improvement;
+    one that is not a finite number >= 0 would turn the gate off (no
+    change exceeds NaN or infinity) and is refused.
     """
+    if not 0 <= threshold < math.inf:
+        raise StoreError(f"threshold must be a finite number >= 0, got {threshold!r}")
     report = CompareReport(
         campaign_a=campaign_a, campaign_b=campaign_b, threshold=threshold
     )

@@ -32,12 +32,12 @@ class IngestReport:
     points: int
 
 
-def _artifact_row(artifact: dict, index: int) -> tuple[dict, dict]:
+def _artifact_row(artifact: dict) -> tuple[dict, dict]:
     """(coords, flat row) distilled from one ExperimentResult dict."""
     spec = artifact.get("spec") or {}
     metrics = artifact.get("metrics") or {}
     coords = {"protocol": spec.get("protocol")}
-    row: dict = {"index": index, "name": spec.get("name", ""), **coords}
+    row: dict = {"index": 0, "name": spec.get("name", ""), **coords}
     row["seed"] = spec.get("seed")
     for key, value in sorted(metrics.items()):
         if isinstance(value, (int, float, str)) or value is None:
@@ -46,17 +46,13 @@ def _artifact_row(artifact: dict, index: int) -> tuple[dict, dict]:
 
 
 def _ingest_result_text(
-    store: CampaignStore, campaign_id: int, index: int, text: str, origin: str
-) -> None:
-    artifact = serde.parse(text, StoreError, origin)
-    if not isinstance(artifact, dict) or "spec" not in artifact or "metrics" not in artifact:
-        raise StoreError(
-            f"{origin}: not an ExperimentResult artifact (no spec/metrics)"
-        )
-    coords, row = _artifact_row(artifact, index)
+    store: CampaignStore, name: str, text: str, artifact: dict
+) -> IngestReport:
+    campaign_id = store.create_campaign(name, kind="ingest")
+    coords, row = _artifact_row(artifact)
     store.append_point(
         campaign_id,
-        index,
+        0,
         name=row.get("name", ""),
         coords=coords,
         seed=row.get("seed"),
@@ -64,6 +60,7 @@ def _ingest_result_text(
         row=row,
         artifact=text,
     )
+    return IngestReport(campaign_id=campaign_id, campaign=name, kind="ingest", points=1)
 
 
 def _looks_like_timings(data: dict) -> bool:
@@ -102,24 +99,33 @@ def _ingest_timings(
     )
 
 
-def ingest_path(
-    store: CampaignStore, path: str, campaign: str | None = None
-) -> IngestReport:
-    """Import ``path`` (see module docstring for recognized shapes).
-
-    ``campaign`` defaults to the path's basename (without extension).
-    """
+def _read(path: str, campaign: str | None):
+    """Read and recognize one input path; returns the call that files
+    it into an open store.  A path that is unreadable, not JSON, or
+    neither shape is a :class:`StoreError`."""
     name = campaign or os.path.splitext(os.path.basename(os.path.normpath(path)))[0]
     text = serde.read_text(path, StoreError, "artifact")
     data = serde.parse(text, StoreError, path)
     if isinstance(data, dict) and "spec" in data and "metrics" in data:
-        campaign_id = store.create_campaign(name, kind="ingest")
-        _ingest_result_text(store, campaign_id, 0, text, path)
-        return IngestReport(
-            campaign_id=campaign_id, campaign=name, kind="ingest", points=1
-        )
+        return lambda store: _ingest_result_text(store, name, text, data)
     if isinstance(data, dict) and _looks_like_timings(data):
-        return _ingest_timings(store, data, name)
+        return lambda store: _ingest_timings(store, data, name)
     raise StoreError(
         f"{path!r} is neither an ExperimentResult artifact nor a bench timing JSON"
     )
+
+
+def ingest_paths(
+    db: str, paths: list[str], campaign: str | None = None
+) -> list[IngestReport]:
+    """Import every path (see module docstring for recognized shapes)
+    into the campaign database at ``db``, one campaign each.
+
+    All or nothing: every path is read and recognized before the
+    database is opened, so a refused input leaves the database as it
+    was, and creates none where there was none.  ``campaign`` defaults
+    to each path's basename (without extension).
+    """
+    filers = [_read(path, campaign) for path in paths]
+    with CampaignStore(db) as store:
+        return [file(store) for file in filers]

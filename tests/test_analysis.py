@@ -108,8 +108,9 @@ class TestSecurityModel:
         assert security.required_depth(0, 300_000, 6) == 1
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            security.required_depth(-1, 300_000, 6)
+        for value_at_risk in (-1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite number >= 0"):
+                security.required_depth(value_at_risk, 300_000, 6)
         with pytest.raises(ValueError):
             security.required_depth(1, 0, 6)
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import os
 from pathlib import Path
@@ -82,6 +83,13 @@ class TestCommands:
         assert main(["witness-depth", "--value-at-risk", "1000000"]) == 0
         out = capsys.readouterr().out
         assert "bitcoin: d =     21" in out
+        # The depth rule needs a finite value >= 0; anything else used to
+        # be a traceback out of math.floor.
+        assert main(["witness-depth", "--value-at-risk", "nan"]) == 2
+        assert capsys.readouterr().err == (
+            "repro witness-depth: --value-at-risk: value at risk must be a "
+            "finite number >= 0, got nan\n"
+        )
 
     def test_swap_ac3wn(self, capsys):
         assert main(["run", "--preset", "swap", "--set", "seed=5"]) == 0
@@ -484,25 +492,27 @@ class TestHostileSpecs:
         assert capsys.readouterr().err == "repro run: alice has 1 spendable, needs 10\n"
 
 
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A campaign database (its sweep spec beside it), a trace, a
+    request log and a run result for the readers to export from."""
+    root = tmp_path_factory.mktemp("inputs")
+    db = TestStoreCli()._run_store_sweep(root)
+    trace, log = str(root / "trace.jsonl"), str(root / "requests.jsonl")
+    result = str(root / "result.json")
+    assert main(["run", "--preset", "swap", "--trace", trace, "--json", result]) == 0
+    serve = ["serve", "--preset", "serve-steady", "--set", "capacity=8", "--duration", "3"]
+    assert main(serve + ["--request-log", log]) == 0
+    return db, trace, log, result
+
+
 class TestOneWriter:
     """Every artifact the CLI writes goes through ``_emit``: ``-`` is
     stdout, a path is replaced atomically, a failure is exit 2 saying
     ``cannot write PATH``."""
 
-    @pytest.fixture(scope="class")
-    def inputs(self, tmp_path_factory):
-        """A campaign database, a trace and a request log for the
-        readers to export from."""
-        root = tmp_path_factory.mktemp("one-writer")
-        db = TestStoreCli()._run_store_sweep(root)
-        trace, log = str(root / "trace.jsonl"), str(root / "requests.jsonl")
-        assert main(["run", "--preset", "swap", "--trace", trace]) == 0
-        serve = ["serve", "--preset", "serve-steady", "--set", "capacity=8", "--duration", "3"]
-        assert main(serve + ["--request-log", log]) == 0
-        return db, trace, log
-
     def exports(self, inputs, target):
-        db, trace, log = inputs
+        db, trace, log, _ = inputs
         return [
             ["run", "--preset", "swap", "--set", "traffic.num_swaps=1", "--json", target],
             ["replay", log, "--json", target],
@@ -544,7 +554,7 @@ class TestOneWriter:
 
     def test_trace_swap_and_series_are_exclusive(self, inputs, tmp_path, capsys):
         """``--swap`` used to win silently: exit 0, and the CSV never written."""
-        _, trace, _ = inputs
+        trace = inputs[1]
         target = tmp_path / "series.csv"
         capsys.readouterr()
         assert main(["trace", trace, "--swap", "0", "--series", str(target)]) == 2
@@ -560,6 +570,117 @@ class TestOneWriter:
             capsys.readouterr()
             assert main(argv[:-1] + ["-"]) == 0
             assert capsys.readouterr().out == (tmp_path / "out").read_text()
+
+
+def _commands(parser=None, prefix=()):
+    """``(command words, subparser)`` of every leaf subcommand."""
+    parser = parser or build_parser()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _commands(sub, prefix + (name,))
+            return
+    yield prefix, parser
+
+
+#: Options that name a file, by metavar or (for positionals) by dest.
+PATH_METAVARS = {"PATH", "FILE", "DB", "CKPT"}
+PATH_DESTS = {"spec", "log", "file", "db_a", "db_b"}
+#: Options that are neither a number nor a file.
+NEITHER = {"preset", "set", "campaign", "a", "b", "expr", "format", "path"}
+#: Hostile values: zero, negative, not finite, and a path under a
+#: directory that does not exist.
+HOSTILE = ("0", "-1", "nan", "inf", "missing/dir/x")
+
+
+def _kind(action) -> str:
+    if action.type in (int, float):
+        return "number"
+    if action.choices is None and (
+        action.metavar in PATH_METAVARS or action.dest in PATH_DESTS
+    ):
+        return "path"
+    if action.nargs == 0 or action.choices is not None or action.dest in NEITHER:
+        return "neither"
+    return "unclassified"
+
+
+def _front_door_cases():
+    for words, sub in _commands():
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction) or _kind(action) == "neither":
+                continue
+            flag = action.option_strings[0] if action.option_strings else action.dest
+            for value in HOSTILE:
+                yield pytest.param(words, action, value, id=f"{' '.join(words)} {flag}={value}")
+
+
+class TestFrontDoor:
+    """Every number and every file the CLI takes, given a hostile value
+    on a cheap command line, in process: the command runs or is refused,
+    never more.  Exit 0, 1 or 2 and no traceback; exit 2 prints exactly
+    one ``repro <cmd>:`` line and leaves the working directory as it was
+    (a refused command writes nothing and creates no database); and no
+    number is ``nan`` or ``inf``.  The cases are generated from the
+    parser, so a new option is checked the day it lands."""
+
+    def base(self, inputs, words, action, value):
+        """The cheap command line for ``words`` with ``action`` set to ``value``."""
+        db, trace, log, result = inputs
+        sweep = str(Path(db).parent / "sweep.json")
+        base = {
+            ("run",): ["run", "--preset", "swap"],
+            ("serve",): ["serve", "--preset", "serve-steady", "--max-swaps", "2"],
+            ("replay",): ["replay", "{log}"],
+            ("trace",): ["trace", "{file}"],
+            ("alerts",): ["alerts", "{file}"],
+            ("sweep",): ["sweep", "--spec", sweep, "--no-progress"],
+            ("figure10",): ["figure10"],
+            ("witness-depth",): ["witness-depth"],
+            ("query",): ["query", "commit_rate >= 0", "--db", db],
+            ("compare",): ["compare", "{db_a}", "{db_b}"],
+            ("store", "ingest"): ["store", "ingest", result, "{paths}", "--db", "new.db"],
+            ("store", "list"): ["store", "list", "--db", db],
+            ("store", "artifact"): ["store", "artifact", "--db", db, "--point", "0"],
+        }[words]
+        if action.option_strings[:1] in (["--spec"], ["--restore"]) and "--preset" in base:
+            at = base.index("--preset")  # the value under test is the source
+            base = base[:at] + base[at + 2 :]
+        if action.option_strings[:1] == ["--checkpoint-every"]:
+            base = base + ["--checkpoint", "ck.json"]
+        slots = {"log": log, "file": trace, "db_a": db, "db_b": db, "paths": result}
+        slots[action.dest] = value
+        argv = [slots.get(arg[1:-1], arg) if arg[:1] == "{" else arg for arg in base]
+        return argv if not action.option_strings else argv + [action.option_strings[0], value]
+
+    def test_every_option_is_classified(self):
+        unclassified = [
+            f"{' '.join(words)} {action.dest}"
+            for words, sub in _commands()
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction) and _kind(action) == "unclassified"
+        ]
+        assert not unclassified, f"a number, a path, or add it to NEITHER: {unclassified}"
+
+    @pytest.mark.parametrize("words, action, value", _front_door_cases())
+    def test_a_hostile_value_runs_or_is_refused_in_one_line(
+        self, inputs, words, action, value, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = self.base(inputs, words, action, value)
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse refused the value
+            status = exc.code
+        out, err = capsys.readouterr()
+        assert status in (0, 1, 2), argv
+        assert "Traceback" not in out + err
+        if _kind(action) == "number" and value in ("nan", "inf"):
+            assert status == 2, f"{argv} accepted a number that is not finite"
+        if status == 2:
+            said = [line for line in err.splitlines() if line.startswith(f"repro {words[0]}")]
+            assert len(said) == 1, err
+            assert list(tmp_path.iterdir()) == [], f"{argv} was refused but wrote files"
 
 
 class TestDescribe:
@@ -800,6 +921,13 @@ class TestStoreCli:
                     row={"index": 0, "total": 10, "commit_rate": rate},
                 )
         assert main(["compare", db, "--b", "bench"]) == 1
+        # A threshold no change can exceed would turn the gate off.
+        for threshold in ("nan", "inf"):
+            capsys.readouterr()
+            assert main(["compare", db, "--b", "bench", "--threshold", threshold]) == 2
+            assert capsys.readouterr().err == (
+                f"repro compare: threshold must be a finite number >= 0, got {threshold}\n"
+            )
 
     def test_store_list_and_artifact(self, tmp_path, capsys):
         db = self._run_store_sweep(tmp_path)

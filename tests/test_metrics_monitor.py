@@ -20,6 +20,7 @@ The contract under test:
 """
 
 import json
+import re
 from dataclasses import asdict
 from pathlib import Path
 
@@ -41,6 +42,7 @@ from repro.obs import (
     ReorgDepthRule,
     TraceCollector,
     alerts_from_events,
+    load_trace,
 )
 from repro.sim import Simulator
 from repro.sweeps import SweepRunner, sweep_spec
@@ -306,16 +308,59 @@ class TestMonitorOrdering:
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def engine_smoke_metered(tmp_path_factory):
+    """``run --preset engine-smoke --metrics P.prom --trace T --json R``:
+    the three paths."""
+    root = tmp_path_factory.mktemp("engine-smoke-metered")
+    paths = root / "engine-smoke.prom", root / "trace.jsonl", root / "result.json"
+    argv = ["run", "--preset", "engine-smoke", "--metrics", str(paths[0])]
+    assert main(argv + ["--trace", str(paths[1]), "--json", str(paths[2])]) == 0
+    return paths
+
+
+#: One Prometheus sample line: ``name{labels} value``.
+PROM_SAMPLE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? (-?[0-9.e+-]+)$")
+
+
 class TestEndToEnd:
-    def test_clean_preset_fires_no_alerts(self):
-        result = run_experiment(metrics_spec("engine-smoke"))
-        assert result.alerts == []
-        report = json.loads(result.to_json())["reports"]
+    def test_clean_preset_fires_no_alerts(self, engine_smoke_metered):
+        _, trace, result = engine_smoke_metered
+        report = json.loads(result.read_text())["reports"]
         assert report["alerts"] == []
+        assert alerts_from_events(load_trace(str(trace)).events()) == []
         assert any(
             f["name"] == "repro_swaps_launched_total"
             for f in report["metrics"]["metrics"]
         )
+
+    def test_the_prometheus_snapshot_parses_whole(self, engine_smoke_metered):
+        """Every line of the exported engine-smoke snapshot is a header or
+        a sample of a declared family, HELP and TYPE name the same
+        families, and the latency histogram is cumulative up to the
+        ``+Inf`` rail, which equals its ``_count``."""
+        helps, types, samples = set(), {}, []
+        for line in engine_smoke_metered[0].read_text().splitlines():
+            if line.startswith("# HELP "):
+                helps.add(line.split()[2])
+            elif line.startswith("# TYPE "):
+                _, _, name, kind = line.split()
+                types[name] = kind
+            else:
+                match = PROM_SAMPLE.match(line)
+                assert match, f"unparseable sample: {line!r}"
+                samples.append(match.groups())
+        assert helps == set(types) and samples
+        for name, _, _ in samples:
+            family = re.sub(r"_(bucket|sum|count)$", "", name)
+            assert types.get(name) or types.get(family) == "histogram", name
+        assert types["repro_swap_latency_seconds"] == "histogram"
+        latency = [(labels, float(value)) for name, labels, value in samples
+                   if name == "repro_swap_latency_seconds_bucket"]
+        assert latency[-1][0] == '{le="+Inf"}'
+        counts = [value for _, value in latency]
+        assert counts == sorted(counts) and counts[-1] > 0
+        assert ("repro_swap_latency_seconds_count", None, f"{counts[-1]:g}") in samples
 
     def test_acceptance_run_alerts_in_reports_and_trace(self, security_attacked):
         result = security_attacked
@@ -348,6 +393,9 @@ class TestEndToEnd:
         assert ("swap", "violation") in kinds
         items = dict(result.metrics_registry.scalar_items())
         assert items["repro_atomicity_violations_total"] == float(violations)
+        # The trace alone gives back the same alerts, in order.
+        rebuilt = alerts_from_events(result.trace_collector.events())
+        assert [a.to_dict() for a in rebuilt] == [a.to_dict() for a in result.alerts]
 
     def test_snapshot_deterministic_across_runs(self):
         spec = metrics_spec("security", **{"adversary.reorg.enabled": True})
@@ -420,11 +468,34 @@ def _metrics_sweep():
     )
 
 
+@pytest.fixture(scope="module")
+def security_smoke_stored(tmp_path_factory):
+    """The security-smoke campaign, metrics and monitor armed, run at one
+    worker into a campaign database: ``(result, database path)``."""
+    db = str(tmp_path_factory.mktemp("security-smoke") / "camp.db")
+    return SweepRunner(_metrics_sweep(), workers=1, store=db).run(), db
+
+
 class TestSweepIntegration:
-    def test_histogram_buckets_identical_across_worker_counts(self):
+    def test_the_matrix_has_lemma_5_3s_shape(self, security_smoke_stored):
+        """Below the analytic depth the attacker bleeds Nolan; at it every
+        cell is silent and no attack is launched; AC3WN never settles
+        non-atomically anywhere."""
+        rows = security_smoke_stored[0].rows()
+        safe = sweep_spec("security-smoke").base.adversary.reorg.required_depth()
+        assert {row["depth"] for row in rows} == {1, safe}
+        for row in rows:
+            if row["depth"] >= safe:
+                assert (row["atomicity_violations"], row["attacks_launched"]) == (0, 0), row
+        shallow_nolan = [r for r in rows if r["protocol"] == "nolan" and r["depth"] < safe]
+        assert any(r["atomicity_violations"] > 0 for r in shallow_nolan)
+        assert all(r["atomicity_violations"] == 0 for r in rows if r["protocol"] == "ac3wn")
+
+    def test_histogram_buckets_identical_across_worker_counts(self, security_smoke_stored):
         """The full artifact — including every reports.metrics histogram
-        — is byte-identical whatever the worker count."""
-        serial = SweepRunner(_metrics_sweep(), workers=1).run()
+        — is byte-identical whatever the worker count, and whether or
+        not a store archives it."""
+        serial = security_smoke_stored[0]
         parallel = SweepRunner(_metrics_sweep(), workers=2).run()
         assert serial.to_json() == parallel.to_json()
         snapshots = [
@@ -445,12 +516,13 @@ class TestSweepIntegration:
         }
         assert len(layouts) >= 1
 
-    def test_store_indexes_registry_snapshot_rows(self, tmp_path):
-        db = tmp_path / "camp.db"
-        SweepRunner(_metrics_sweep(), workers=1, store=str(db)).run()
+    def test_store_indexes_registry_snapshot_rows(self, security_smoke_stored):
         from repro.store import CampaignStore
 
-        with CampaignStore(str(db)) as store:
+        with CampaignStore(security_smoke_stored[1]) as store:
+            # The acceptance predicate: shallow Nolan bleeds, AC3WN never.
+            assert store.query("violation_rate > 0")
+            assert store.query("violation_rate > 0 AND protocol='ac3wn'") == []
             rows = store.conn.execute(
                 "SELECT DISTINCT name FROM metrics WHERE name LIKE 'repro_%'"
             ).fetchall()
@@ -527,24 +599,8 @@ class TestCli:
             for key, _ in reg.scalar_items()
         )
 
-    def test_alerts_on_clean_trace_says_none(self, tmp_path, capsys):
-        trace = tmp_path / "t.jsonl"
-        assert (
-            main(
-                [
-                    "run",
-                    "--preset",
-                    "engine-smoke",
-                    "--metrics",
-                    "-",
-                    "--trace",
-                    str(trace),
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        assert main(["alerts", str(trace)]) == 0
+    def test_alerts_on_clean_trace_says_none(self, engine_smoke_metered, capsys):
+        assert main(["alerts", str(engine_smoke_metered[1])]) == 0
         assert "no alerts recorded" in capsys.readouterr().out
 
     def test_series_csv_gains_alert_columns(self, tmp_path, capsys):

@@ -42,6 +42,7 @@ from repro.obs import (
     swap_ids,
 )
 from repro.sim import Simulator
+from repro.workloads.scenarios import LOW_FEE_BUDGET
 
 GOLDEN_DIR = Path(__file__).parent / "data"
 
@@ -184,6 +185,8 @@ class TestJsonlSerde:
         parsed = TraceCollector.from_jsonl(text)
         assert parsed.to_jsonl() == text
         assert len(parsed) == len(security_traced.trace_collector)
+        categories = {event.category for event in parsed.events()}
+        assert {"swap", "chain", "mempool", "sample"} <= categories
 
     def test_round_trip_preserves_fields(self):
         collector = TraceCollector(ring_size=5)
@@ -303,6 +306,27 @@ class TestEmitSites:
         assert ("fee", "priced_out") in kinds
         priced = next(e for e in events if e.kind == "priced_out")
         assert priced.swap_id is not None
+
+    def test_the_congestion_table(self, congestion_traced):
+        """``run --preset congestion``'s fee-class table, which tracing
+        leaves as it is: congestion prices out the low-budget class and
+        lets the high one through, at a 1.35x premium over the fee
+        model, and no swap settles non-atomically."""
+        result = congestion_traced
+        assert result.spec.traffic.low_budget is None  # the stock low budget
+        low_cap = LOW_FEE_BUDGET.cap
+        table = {}
+        for label, low in (("low", True), ("high", False)):
+            chosen = [o for o in result.outcomes if (o.fee_cap <= low_cap) == low]
+            table[label] = (
+                len(chosen),
+                sum(o.decision == "commit" for o in chosen),
+                sum(o.priced_out for o in chosen),
+            )
+        assert table == {"low": (33, 3, 19), "high": (27, 26, 0)}
+        (row,) = result.congestion_cost
+        assert round(row.congestion_premium, 2) == 1.35
+        assert result.metrics.atomicity_violations == 0
 
     def test_adversary_and_reorg_events(self, attacked_traced):
         events = attacked_traced.trace_collector.events()

@@ -1072,6 +1072,29 @@ class TestRetiredKeys:
         assert loaded.to_dict() == spec.to_dict() != old
         assert type(spec).from_json(json.dumps(old)).to_json() == spec.to_json()
 
+    @pytest.mark.parametrize(
+        "spec, trim",
+        [
+            (RETIRED_IN[0], {"traffic.num_swaps": 6}),
+            (RETIRED_IN[1], {"duration": 3.0}),
+            (RETIRED_IN[2], {}),
+        ],
+        ids=["run", "serve", "sweep"],
+    )
+    def test_an_old_spec_file_runs_to_the_bytes_of_a_new_one(self, tmp_path, capsys, spec, trim):
+        """A ``--spec`` file carrying all seventeen retired keys at once, at
+        the values they still load at, runs through the command to the
+        same result bytes as the file without them."""
+        new = apply_overrides(spec, trim).to_dict()
+        results = {}
+        for age, data in (("new", new), ("old", as_the_parent_wrote(type(spec), new))):
+            path, result = tmp_path / f"{age}.json", tmp_path / f"{age}.result.json"
+            path.write_text(json.dumps(data))
+            argv = [CLI_OF[type(spec)], "--spec", str(path), "--json", str(result)]
+            assert main(argv) in (0, 1)  # the crash-matrix sweep exits 1 by design
+            results[age] = result.read_bytes()
+        assert results["old"] == results["new"]
+
     @pytest.mark.parametrize("case", [c for c in retired_cases() if c[4]], ids=case_id)
     def test_any_other_value_is_refused_naming_path_and_reason(self, case):
         spec, dotted, key, why, only = case

@@ -18,6 +18,7 @@ import pytest
 
 from repro.engine import PROTOCOLS
 from repro.errors import ServiceError, SpecError
+from repro.experiment import apply_overrides
 from repro.experiment.spec import (
     ChainsSpec,
     ExperimentSpec,
@@ -315,6 +316,23 @@ class TestSessionBounds:
         with pytest.raises(ServiceError, match="session is closed"):
             service.checkpoint()
 
+    @pytest.mark.parametrize(
+        "limits, said",
+        [
+            ({"checkpoint_every": 0}, "checkpoint_every must be at least 1, got 0"),
+            ({"max_swaps": -1}, "max_swaps must be at least 1, got -1"),
+            ({"duration": 0.0}, "duration must be positive, got 0.0"),
+            ({"duration": float("nan")}, "duration: expected a finite number, got nan"),
+            ({"max_swaps": 2.5}, "max_swaps: expected an int, got 2.5"),
+        ],
+    )
+    def test_serve_holds_per_call_limits_to_the_spec_rules(self, tmp_path, limits, said):
+        service = SwapService(make_spec(duration=1.0))
+        with pytest.raises(SpecError) as refused:
+            service.serve(checkpoint_path=str(tmp_path / "ck.json"), **limits)
+        assert str(refused.value) == said
+        assert service.accepted == 0 and not list(tmp_path.iterdir())
+
     def test_live_serving_stops_at_capacity_without_raising(self):
         """The slot pool bounds live serving like ``max_swaps``; only a
         replayed log can overrun it."""
@@ -379,6 +397,24 @@ class TestCheckpointRestore:
         restored = SwapService.restore(path)
         result = restored.run()
         assert result.to_json() == baseline.result().to_json()
+        assert restored.request_log() == baseline.request_log()
+
+    def test_a_flash_crowd_fee_market_session_restores_byte_identical(self, tmp_path):
+        """The ``serve-flash-crowd`` preset (a fee market, and a source
+        whose bursts change its rate mid-stream) checkpointed once its
+        first burst has begun: the restored session ends with the uninterrupted
+        one's result and request log, byte for byte."""
+        spec = apply_overrides(service_preset_spec("serve-flash-crowd"), {"duration": 10.0})
+        baseline = SwapService(spec)
+        baseline.run()
+        interrupted = SwapService(spec)
+        interrupted.serve(max_swaps=baseline.accepted // 2)
+        burst = spec.sources[0]
+        assert burst.burst_at < interrupted.env.simulator.now - interrupted.start
+        path = str(tmp_path / "ck.json")
+        interrupted.checkpoint(path)
+        restored = SwapService.restore(path)
+        assert restored.run().to_json() == baseline.result().to_json()
         assert restored.request_log() == baseline.request_log()
 
     def test_restore_in_a_fresh_process(self, tmp_path):

@@ -1,9 +1,8 @@
 """CLI surface of service mode: repro serve / repro replay.
 
-Pins the full operator loop the ``service-smoke`` CI job exercises:
-serve a session to a request log, checkpoint a second run mid-flight,
-restore it, replay the log — and byte-compare everything against the
-uninterrupted original.
+Pins the full operator loop: serve a session to a request log,
+checkpoint a second run mid-flight, restore it, replay the log — and
+byte-compare everything against the uninterrupted original.
 """
 
 import json
@@ -192,6 +191,40 @@ class TestServeCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("repro serve:") or err.startswith("repro replay:")
+
+    @pytest.mark.parametrize(
+        "flag, value, said",
+        [
+            ("--duration", "-5", "--duration must be positive, got -5.0"),
+            ("--duration", "inf", "--duration: expected a finite number, got inf"),
+            ("--max-swaps", "0", "--max-swaps must be at least 1, got 0"),
+            ("--max-swaps", "-2", "--max-swaps must be at least 1, got -2"),
+            ("--checkpoint-every", "0", "--checkpoint-every must be at least 1, got 0"),
+            ("--checkpoint-every", "-3", "--checkpoint-every must be at least 1, got -3"),
+        ],
+    )
+    @pytest.mark.parametrize("restored", [False, True], ids=["fresh", "restored"])
+    def test_per_call_limits_keep_the_spec_rules(
+        self, tmp_path, spec_path, capsys, flag, value, said, restored
+    ):
+        """``--max-swaps``, ``--checkpoint-every`` and ``--duration`` skip
+        the spec file, so ``serve`` holds them to the rules their
+        ``ServiceSpec`` fields declare: a zero cadence was a
+        ``ZeroDivisionError``, a negative cap served nothing and exit 0,
+        and a restored session ignored a negative horizon."""
+        ckpt = tmp_path / "ck.json"
+        if restored:
+            assert main(["serve", "--spec", spec_path, "--max-swaps", "2",
+                         "--checkpoint", str(ckpt)]) == 0
+            before = ckpt.read_bytes()
+            argv = ["serve", "--restore", str(ckpt)]
+        else:
+            argv = ["serve", "--spec", spec_path, "--max-swaps", "5"]
+        argv += ["--checkpoint", str(ckpt), flag, value]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"repro serve: {said}\n"
+        assert ckpt.read_bytes() == before if restored else not ckpt.exists()
 
     def test_mistyped_checkpoint_exits_two_without_traceback(
         self, tmp_path, spec_path, capsys

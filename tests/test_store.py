@@ -22,7 +22,7 @@ from repro.store import (
     CampaignStore,
     compare_campaigns,
     compile_query,
-    ingest_path,
+    ingest_paths,
     parse_query,
 )
 from repro.sweeps import SweepAxis, SweepRunner, SweepSpec
@@ -536,6 +536,14 @@ class TestCompare:
         assert delta.rel_change == pytest.approx(rel_change)
         assert delta.is_regression(0.1) == (direction == "worse")
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.01])
+    def test_a_threshold_that_turns_the_gate_off_is_refused(self, tmp_path, threshold):
+        """No change exceeds NaN or infinity: the gate would pass anything."""
+        with CampaignStore(str(tmp_path / "c.db")) as store:
+            info = store.resolve_campaign(fill_campaign(store, rows=self.rows_a()))
+            with pytest.raises(StoreError, match="finite number >= 0"):
+                compare_campaigns(store, info, store, info, threshold=threshold)
+
     def test_previous_campaign_trajectory(self, tmp_path):
         with CampaignStore(str(tmp_path / "c.db")) as store:
             first = fill_campaign(store, name="bench", kind="bench", rows=[])
@@ -569,9 +577,9 @@ class TestIngest:
         }
         path = tmp_path / "one.json"
         path.write_text(json.dumps(artifact))
+        (report,) = ingest_paths(str(tmp_path / "c.db"), [str(path)])
+        assert (report.campaign, report.points) == ("one", 1)
         with CampaignStore(str(tmp_path / "c.db")) as store:
-            report = ingest_path(store, str(path))
-            assert (report.campaign, report.points) == ("one", 1)
             assert json.loads(store.get_artifact(report.campaign_id, 0)) == artifact
 
     def test_a_run_json_result_round_trips_bytes(self, tmp_path, capsys):
@@ -601,17 +609,41 @@ class TestIngest:
         }
         path = tmp_path / "engine-scale-timings.json"
         path.write_text(json.dumps(timings))
+        (report,) = ingest_paths(str(tmp_path / "c.db"), [str(path)], campaign="engine-scale")
+        assert report.kind == "bench" and report.points == 2
         with CampaignStore(str(tmp_path / "c.db")) as store:
-            report = ingest_path(store, str(path), campaign="engine-scale")
-            assert report.kind == "bench" and report.points == 2
             hits = store.query("wall_seconds > 10")
             assert len(hits) == 1 and hits[0]["num_swaps"] == 1000
 
     def test_unrecognized_shapes_rejected(self, tmp_path):
         junk = tmp_path / "junk.json"
         junk.write_text('{"neither": "shape"}')
-        with CampaignStore(str(tmp_path / "c.db")) as store:
-            with pytest.raises(StoreError, match="neither"):
-                ingest_path(store, str(junk))
-            with pytest.raises(StoreError, match="cannot read"):
-                ingest_path(store, str(tmp_path / "absent.json"))
+        db = str(tmp_path / "c.db")
+        with pytest.raises(StoreError, match="neither"):
+            ingest_paths(db, [str(junk)])
+        with pytest.raises(StoreError, match="cannot read"):
+            ingest_paths(db, [str(tmp_path / "absent.json")])
+
+    def test_a_refused_input_leaves_the_database_as_it_was(self, tmp_path, capsys):
+        """Every path is read before the database opens: ``good bad``
+        used to commit ``good`` and then exit 2, so a re-run after
+        fixing ``bad`` ingested ``good`` twice; and a refused first
+        ingest left a fresh database behind."""
+        from repro.cli import main
+
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"spec": {"protocol": "ac3wn"}, "metrics": {"total": 1}}))
+        bad.write_text("{not json")
+        db = tmp_path / "c.db"
+        argv = ["store", "ingest", str(good), str(bad), "--db", str(db)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not db.exists()
+        ingest_paths(str(db), [str(good)], campaign="kept")
+        before = db.read_bytes()
+        assert main(argv) == 2
+        assert db.read_bytes() == before
+        bad.write_text(good.read_text())
+        assert main(argv) == 0
+        with CampaignStore(str(db)) as store:
+            assert [info.name for info in store.campaigns()] == ["kept", "good", "bad"]

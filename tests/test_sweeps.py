@@ -391,10 +391,18 @@ class TestExtractors:
         the vulnerability window, AC3WN never does."""
         result = run_sweep(sweep_spec("crash-matrix"))
         matrix = crash_matrix(result)
-        assert sorted(matrix) == [0.0, 2.0, 3.0, 4.5, 12.0]
-        for onset in (2.0, 3.0):
-            assert matrix[onset]["nolan"].decision == "mixed"
-            assert not matrix[onset]["nolan"].atomic
+        decisions = {
+            onset: (cells["nolan"].decision, cells["ac3wn"].decision)
+            for onset, cells in matrix.items()
+        }
+        assert decisions == {
+            0.0: ("abort", "abort"),  # crashed before anything was locked
+            2.0: ("mixed", "commit"),  # the vulnerability window
+            3.0: ("mixed", "commit"),
+            4.5: ("commit", "commit"),  # crashed after settling
+            12.0: ("commit", "commit"),
+        }
+        assert [onset for onset, cells in matrix.items() if not cells["nolan"].atomic] == [2.0, 3.0]
         assert all(cells["ac3wn"].atomic for cells in matrix.values())
         assert result.atomicity_violations == 2  # both HTLC cells
 
@@ -415,7 +423,10 @@ class TestExtractors:
                 SweepAxis(name="rate", path="traffic.rate", values=(6.0, 16.0)),
             ),
         )
-        series = arrival_rate_series(run_sweep(spec))
+        result = run_sweep(spec)
+        # Fee-market points join to the same bytes from a worker pool.
+        assert run_sweep(spec, workers=2).to_json() == result.to_json()
+        series = arrival_rate_series(result)
         assert [p.rate for p in series] == [6.0, 16.0]
         assert all(p.atomicity_violations == 0 for p in series)
         assert all(0.0 <= p.low_commit_rate <= 1.0 for p in series)

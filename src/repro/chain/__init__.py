@@ -1,4 +1,4 @@
-"""Blockchain substrate: UTXO ledgers, PoW, contracts, miners, light clients."""
+"""Blockchain substrate: UTXO ledgers, PoW, contracts, miners."""
 
 from .chain import Blockchain
 from .params import fast_chain

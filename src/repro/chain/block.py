@@ -2,8 +2,8 @@
 
 A header commits to its parent (hash chaining — the "tamper-proof chain
 of blocks" of Section 2.1), to its message set (Merkle root), and to the
-proof of work (nonce + difficulty).  Everything a light client or the
-Section 4.3 relay validator needs lives in the header.
+proof of work (nonce + difficulty).  Everything the Section 4.3 relay
+validator needs lives in the header.
 
 Headers and blocks are immutable, so the header's canonical encoding
 (the block hash is taken over it, and evidence embeds it verbatim), the

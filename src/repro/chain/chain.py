@@ -11,7 +11,7 @@ converges the contract to a single state (Section 4.2, Lemma 5.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from ..crypto.keys import Address
 from ..crypto.merkle import MerkleProof, MerkleTree, merkle_root
@@ -23,7 +23,7 @@ from .block import (
     receipt_leaf,
     receipts_merkle_tree,
 )
-from .contracts import DEFAULT_REGISTRY, ContractRegistry, Receipt, SmartContract
+from .contracts import Receipt, SmartContract
 from .messages import ChainMessage, TransferMessage
 from .params import ChainParams
 from .pow import check_pow, mine_header, work_for_bits
@@ -89,21 +89,14 @@ class Blockchain:
         params: static chain configuration.
         genesis: a :class:`Genesis` (shared with the other chains funded
             alike), or the ``(address, value)`` allocations to build one.
-        registry: contract class registry (defaults to the global one).
-        validators: opaque cross-chain validator registry passed into
-            contract execution contexts (see :mod:`repro.core.evidence`).
     """
 
     def __init__(
         self,
         params: ChainParams,
         genesis: Genesis | Iterable[tuple[Address, int]] = (),
-        registry: ContractRegistry | None = None,
-        validators: Any = None,
     ) -> None:
         self.params = params
-        self.registry = registry or DEFAULT_REGISTRY
-        self.validators = validators
         self._blocks: dict[bytes, Block] = {}
         self._children: dict[bytes, list[bytes]] = {}
         self._work: dict[bytes, int] = {}
@@ -261,7 +254,7 @@ class Blockchain:
         # Apply messages on a clone; rejection leaves the chain untouched.
         state = self.state_at(block.header.prev_hash).clone()
         try:
-            receipts = state.apply_block(block, self.params, self.registry, self.validators)
+            receipts = state.apply_block(block, self.params)
         except ValidationError as exc:
             raise InvalidBlockError(f"block payload invalid: {exc}") from exc
         statuses = [(m.message_id(), r.status) for m, r in zip(block.messages, receipts)]
@@ -473,8 +466,6 @@ class Blockchain:
                     self.params,
                     block_height=height,
                     block_time=block_time,
-                    registry=self.registry,
-                    validators=self.validators,
                 )
                 statuses.append((message.message_id(), receipt.status))
         tree = MerkleTree([message.message_id() for message in messages])

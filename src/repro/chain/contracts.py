@@ -38,9 +38,6 @@ class ExecutionContext:
         sender: address of the calling end-user (``msg.sender``).
         sender_pubkey: the caller's public key.
         value: assets attached to this message (``msg.value``).
-        validators: the chain's cross-chain evidence validator registry
-            (Section 4.3); ``None`` on chains that never validate
-            foreign-chain evidence.
         message_id: id of the including message (for event attribution).
     """
 
@@ -50,7 +47,6 @@ class ExecutionContext:
     sender: Address
     sender_pubkey: PublicKey | None
     value: int
-    validators: Any = None
     message_id: bytes = b""
     _transfers: list[tuple[Address, int]] = field(default_factory=list)
     _events: list[tuple[str, dict]] = field(default_factory=list)

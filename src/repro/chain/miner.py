@@ -157,8 +157,6 @@ class MinerNode(Node):
                     params,
                     block_height=head.header.height + 1,
                     block_time=block_time,
-                    registry=self.chain.registry,
-                    validators=self.chain.validators,
                 )
             except ValidationError:
                 self.messages_dropped += 1
@@ -214,7 +212,7 @@ class AttackMiner:
         )
         # Advance the private state past this block.
         state = self._tip_state.clone()
-        state.apply_block(block, self.chain.params, self.chain.registry, self.chain.validators)
+        state.apply_block(block, self.chain.params)
         self._tip_state = state
         self.private_blocks.append(block)
         self._tip = block.block_id()

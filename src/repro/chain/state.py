@@ -24,7 +24,6 @@ Message application rules:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from ..crypto.keys import Address
 from ..errors import (
@@ -37,7 +36,6 @@ from ..errors import (
 from .block import Block
 from .contracts import (
     DEFAULT_REGISTRY,
-    ContractRegistry,
     ExecutionContext,
     OK_RECEIPT,
     Receipt,
@@ -183,8 +181,6 @@ class ChainState:
         params: ChainParams,
         block_height: int,
         block_time: float,
-        registry: ContractRegistry | None = None,
-        validators: Any = None,
         allow_coinbase: bool = False,
     ) -> Receipt:
         """Validate and apply one message; returns its receipt.
@@ -195,7 +191,6 @@ class ChainState:
         receipt, because a failed redeem/refund attempt is a legitimate
         on-chain event the protocols reason about.
         """
-        registry = registry or DEFAULT_REGISTRY
         message_id = message.message_id()
         if message_id in self.receipts:
             raise ValidationError("message already applied (replay)")
@@ -203,13 +198,9 @@ class ChainState:
         if isinstance(message, TransferMessage):
             receipt = self._apply_transfer(message, params, allow_coinbase)
         elif isinstance(message, DeployMessage):
-            receipt = self._apply_deploy(
-                message, params, block_height, block_time, registry, validators, message_id
-            )
+            receipt = self._apply_deploy(message, params, block_height, block_time, message_id)
         elif isinstance(message, CallMessage):
-            receipt = self._apply_call(
-                message, params, block_height, block_time, validators, message_id
-            )
+            receipt = self._apply_call(message, params, block_height, block_time, message_id)
         else:
             raise ValidationError(f"unknown message kind {message.kind!r}")
 
@@ -242,12 +233,10 @@ class ChainState:
         params: ChainParams,
         block_height: int,
         block_time: float,
-        registry: ContractRegistry,
-        validators: Any,
         message_id: bytes,
     ) -> Receipt:
         self._verify_message_signature(message)
-        cls = registry.resolve(message.contract_class)
+        cls = DEFAULT_REGISTRY.resolve(message.contract_class)
         contract_id = message.contract_id()
         if contract_id in self.contracts:
             raise ValidationError("contract id already deployed")
@@ -264,7 +253,6 @@ class ChainState:
             sender=message.sender.address(),
             sender_pubkey=message.sender,
             value=message.value,
-            validators=validators,
             message_id=message_id,
         )
         # A failing constructor invalidates the whole message: the
@@ -287,7 +275,6 @@ class ChainState:
         params: ChainParams,
         block_height: int,
         block_time: float,
-        validators: Any,
         message_id: bytes,
     ) -> Receipt:
         self._verify_message_signature(message)
@@ -304,7 +291,6 @@ class ChainState:
             sender=message.sender.address(),
             sender_pubkey=message.sender,
             value=message.value,
-            validators=validators,
             message_id=message_id,
         )
         function = contract.public_function(message.function)
@@ -342,8 +328,6 @@ class ChainState:
         self,
         block: Block,
         params: ChainParams,
-        registry: ContractRegistry | None = None,
-        validators: Any = None,
     ) -> list[Receipt]:
         """Apply every message in ``block``; mint fees to the miner.
 
@@ -367,8 +351,6 @@ class ChainState:
                     params,
                     block_height=block.header.height,
                     block_time=block.header.timestamp,
-                    registry=registry,
-                    validators=validators,
                 )
             )
         block_fees = self.fees_collected - fees_before

@@ -21,11 +21,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..chain.contracts import ExecutionContext, register_contract
-from ..crypto.commitment import (
-    CommitmentPurpose,
-    SignatureCommitment,
-    witness_statement_digest,
-)
+from ..crypto.commitment import CommitmentPurpose, witness_statement_digest
 from ..crypto.ecdsa import EcdsaSignature
 from ..crypto.keys import KeyPair, PublicKey
 from ..crypto.signatures import Multisignature
@@ -60,24 +56,20 @@ class CentralizedSC(AtomicSwapContract):
         self.ms_id = ms_id
         self.witness_key_raw = witness_key_raw
 
-    def _commitment(self, purpose: CommitmentPurpose) -> SignatureCommitment:
-        return SignatureCommitment(
-            ms_id=self.ms_id,
-            witness_key=PublicKey.from_bytes(self.witness_key_raw),
-            purpose=purpose,
-        )
+    def _sig_verify(self, secret: Any, purpose: CommitmentPurpose) -> bool:
+        """``SigVerify((ms(D), purpose), PK_T, secret)``: the secret is
+        Trent's signature over the statement."""
+        return isinstance(secret, EcdsaSignature) and PublicKey.from_bytes(
+            self.witness_key_raw
+        ).verify(witness_statement_digest(self.ms_id, purpose), secret)
 
     # Algorithm 2, lines 5-7: SigVerify((ms(D), RD), PK_T, s_rd)
     def is_redeemable(self, ctx: ExecutionContext, secret: Any) -> bool:
-        if not isinstance(secret, EcdsaSignature):
-            return False
-        return self._commitment(CommitmentPurpose.REDEEM).verify(secret)
+        return self._sig_verify(secret, CommitmentPurpose.REDEEM)
 
     # Algorithm 2, lines 8-10: SigVerify((ms(D), RF), PK_T, s_rf)
     def is_refundable(self, ctx: ExecutionContext, secret: Any) -> bool:
-        if not isinstance(secret, EcdsaSignature):
-            return False
-        return self._commitment(CommitmentPurpose.REFUND).verify(secret)
+        return self._sig_verify(secret, CommitmentPurpose.REFUND)
 
 
 @dataclass

@@ -8,8 +8,8 @@ redeem and refund secrets structurally mutually exclusive.  Asset-chain
 contracts (:class:`PermissionlessSC`) condition their redeem/refund on
 evidence about ``SCw``'s state buried at depth ≥ d on the witness chain.
 Both contracts authenticate evidence through the one rule of
-:mod:`repro.core.evidence` — ``validate`` on the chain's validator
-registry, or on an anchor validator over the headers they stored.
+:mod:`repro.core.evidence`: ``validate`` against the relay anchors they
+stored.
 
 The protocol has four Δ-phases (Section 6.1 / Figure 9):
 
@@ -25,7 +25,7 @@ headline improvement over Herlihy's 2·Δ·Diam(D).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Any
 
 from ..chain.block import BlockHeader
@@ -42,13 +42,11 @@ from ..errors import FeeTooLowError, ProtocolError
 from .contract_template import AtomicSwapContract
 from .driver import END, SETTLE, Phase, ProtocolDriver
 from .evidence import (
-    AnchorValidator,
-    EvidenceValidator,
     PublicationEvidence,
     StateEvidence,
     build_publication_evidence,
     build_state_evidence,
-    headers_required,
+    validate,
 )
 from .graph import AssetEdge, SwapGraph
 from .protocol import SwapEnvironment, SwapOutcome, edge_key
@@ -100,8 +98,8 @@ class WitnessContract(SmartContract):
         graph_digest: the digest ``ms`` must carry (binds ms to D).
         edge_specs: per-edge expectations for VerifyContracts.
         anchors: ``(chain_id, stable BlockHeader)`` pairs recorded at
-            registration, used for relay-style evidence validation when
-            the witness chain's miners run no foreign full/light nodes.
+            registration: the relay anchors publication evidence is
+            validated against.
     """
 
     CLASS_NAME = WITNESS_CONTRACT_CLASS
@@ -159,19 +157,12 @@ class WitnessContract(SmartContract):
         For every edge spec we must find evidence of a deployed
         :class:`PermissionlessSC` whose sender, recipient, asset, and
         blockchain match the edge, and whose redeem/refund is conditioned
-        on *this* witness contract.  Evidence is authenticated by the
-        chain's validator registry when its miners run one (full-replica
-        or light nodes, Section 4.3) and otherwise against the relay
-        anchors stored at registration.
+        on *this* witness contract.  Evidence is authenticated against
+        the relay anchors stored at registration (Section 4.3).
         """
-        validator = ctx.validators or AnchorValidator(self.anchors)
-        return all(
-            self._edge_satisfied(validator, spec, evidences) for spec in self.edge_specs
-        )
+        return all(self._edge_satisfied(spec, evidences) for spec in self.edge_specs)
 
-    def _edge_satisfied(
-        self, validator: EvidenceValidator, spec: EdgeSpec, evidences: tuple
-    ) -> bool:
+    def _edge_satisfied(self, spec: EdgeSpec, evidences: tuple) -> bool:
         for evidence in evidences:
             # Anyone may call: an entry that is no publication evidence
             # satisfies no edge.
@@ -179,7 +170,7 @@ class WitnessContract(SmartContract):
                 continue
             if evidence.chain_id != spec.chain_id:
                 continue
-            deploy = validator.validate(evidence, spec.min_depth)
+            deploy = validate(evidence, self.anchors, spec.min_depth)
             if deploy is not None and self._deploy_matches_spec(deploy, spec):
                 return True
         return False
@@ -242,13 +233,12 @@ class PermissionlessSC(AtomicSwapContract):
     def _witness_state_proven(
         self, ctx: ExecutionContext, evidence: Any, required_state: str
     ) -> bool:
-        validator = ctx.validators or AnchorValidator(
-            {self.witness_chain_id: self.witness_anchor}
-        )
         return (
             isinstance(evidence, StateEvidence)
             and evidence.chain_id == self.witness_chain_id
-            and validator.validate(evidence, self.witness_min_depth)
+            and validate(
+                evidence, {self.witness_chain_id: self.witness_anchor}, self.witness_min_depth
+            )
             == (self.witness_contract_id, required_state)
         )
 
@@ -448,15 +438,11 @@ class AC3WNDriver(ProtocolDriver):
             return False
         args = ()
         if redeem:
-            # The witness chain's miners are the verifiers of these
-            # evidences; skip the header runs when they won't read them.
-            include_headers = headers_required(self.witness_chain.validators)
             args = (tuple(
                 build_publication_evidence(
                     self.env.chain(edge.chain_id),
                     self._deploys[edge_key(edge)],
                     anchor=self._anchors[edge.chain_id],
-                    include_headers=include_headers,
                 )
                 for edge in self.graph.edges
             ),)
@@ -482,24 +468,19 @@ class AC3WNDriver(ProtocolDriver):
     def _settle_secrets(self):
         """State evidence that ``SCw`` reached the decided state."""
         # Every edge proves the same witness-chain fact, and the witness
-        # chain does not advance inside this step, so one evidence per
-        # header-inclusion variant is built lazily and shared across edges.
-        variants: dict[bool, StateEvidence] = {}
+        # chain does not advance inside this step, so one evidence is
+        # built lazily and shared across edges.
+        @cache
+        def evidence() -> StateEvidence:
+            return build_state_evidence(
+                self.witness_chain,
+                self._scw_id,
+                self._decision_call,
+                self._decided_state,
+                anchor=self._witness_anchor,
+            )
 
-        def evidence_for(edge: AssetEdge) -> StateEvidence:
-            include_headers = headers_required(self.env.chain(edge.chain_id).validators)
-            if include_headers not in variants:
-                variants[include_headers] = build_state_evidence(
-                    self.witness_chain,
-                    self._scw_id,
-                    self._decision_call,
-                    self._decided_state,
-                    anchor=self._witness_anchor,
-                    include_headers=include_headers,
-                )
-            return variants[include_headers]
-
-        return evidence_for
+        return lambda edge: evidence()
 
     # -- the protocol: setup, then the steps of PHASES -------------------------------
 

@@ -17,17 +17,11 @@ executed ``ok`` and buried; each decision about one is written once:
   deploy itself (:class:`PublicationEvidence`) or ``(contract_id,
   state)`` after the function ↔ state ↔ contract checks
   (:class:`StateEvidence`).  A new evidence kind is one ``claim()``.
-* A validator strategy answers one question,
-  ``included(evidence, min_depth)``, by one of the paper's three
-  mechanisms: **full replication** (:class:`FullReplicaValidator`, the
-  miners' own copy of the validated chain), **light nodes**
-  (:class:`LightClientValidator`, synced headers + the SPV proofs) or
-  **relay anchors — the paper's proposal** (:class:`AnchorValidator`
-  over the pure :func:`verify_evidence`, mirrored on-chain by
-  :class:`HeaderRelayContract`): a stored *stable header*, a run of
-  subsequent PoW-valid linked headers, and the two Merkle proofs.  A new
-  mechanism is one ``included()``.
-* :meth:`EvidenceValidator.validate` combines the two for every caller.
+* Inclusion is proven the paper's way, by Figure 6's relay: a stored
+  *stable header*, a run of subsequent PoW-valid linked headers, and the
+  two Merkle proofs (:func:`verify_evidence`, run on-chain by
+  :class:`HeaderRelayContract`).  No check ever reads another chain.
+* :func:`validate` is the one entry point both AC3WN contracts call.
 
 ``docs/protocols.md`` ("The evidence rule") is the long form.
 """
@@ -39,8 +33,8 @@ from dataclasses import dataclass
 from ..chain.block import BlockHeader, receipt_leaf
 from ..chain.chain import Blockchain
 from ..chain.contracts import ExecutionContext, SmartContract, register_contract, requires
-from ..chain.lightclient import LightClient, verify_header_linkage
 from ..chain.messages import CallMessage, DeployMessage
+from ..chain.pow import check_pow
 from ..crypto.merkle import MerkleProof
 from ..errors import EvidenceError
 
@@ -72,8 +66,7 @@ class PublicationEvidence:
             leaf in the block's receipt tree.
         headers: contiguous main-chain headers, starting at the verifier's
             trusted anchor (inclusive) and ending at a tip that buries the
-            inclusion block to the required depth.  Full-replica and
-            light-client validators ignore this field.
+            inclusion block to the required depth.
     """
 
     chain_id: str
@@ -164,24 +157,10 @@ Evidence = PublicationEvidence | StateEvidence
 # ---------------------------------------------------------------------------
 
 
-def headers_required(validators) -> bool:
-    """Whether evidence destined for a chain with this validator registry
-    must carry the header segment.
-
-    Relay/anchor verification replays the headers; full-replica and
-    light-client validators consult their own copy of the validated chain
-    and say so (``reads_headers = False``), so builders may skip the
-    (long) header run for them.  No registry, or an unknown validator
-    type, gets headers — the safe default.
-    """
-    return getattr(validators, "reads_headers", True)
-
-
 def _inclusion(
     chain: Blockchain,
     message: DeployMessage | CallMessage,
     anchor: BlockHeader | None,
-    include_headers: bool,
 ) -> dict:
     """The proof half of an evidence for ``message`` as mined on
     ``chain``: its height, the Merkle proofs of the message and of its
@@ -192,15 +171,12 @@ def _inclusion(
         raise EvidenceError(f"{message.kind} message is not on the main chain")
     message_proof, header = found
     _statuses, receipts = chain.receipts_data(header.block_id())
-    headers: tuple[BlockHeader, ...] = ()
-    if include_headers:
-        headers = tuple(chain.header_chain(0 if anchor is None else anchor.height))
     return {
         "chain_id": chain.params.chain_id,
         "height": header.height,
         "message_proof": message_proof,
         "receipt_proof": receipts.proof(message_proof.index),
-        "headers": headers,
+        "headers": tuple(chain.header_chain(0 if anchor is None else anchor.height)),
     }
 
 
@@ -208,18 +184,13 @@ def build_publication_evidence(
     chain: Blockchain,
     deploy: DeployMessage,
     anchor: BlockHeader | None = None,
-    include_headers: bool = True,
 ) -> PublicationEvidence:
     """Assemble publication evidence for a deploy included in ``chain``.
 
     ``anchor`` is the stable header the verifier trusts; the evidence
     carries all main-chain headers from the anchor to the current tip.
-    Pass ``include_headers=False`` when the verifier is known to ignore
-    the header segment (see :func:`headers_required`).
     """
-    return PublicationEvidence(
-        deploy=deploy, **_inclusion(chain, deploy, anchor, include_headers)
-    )
+    return PublicationEvidence(deploy=deploy, **_inclusion(chain, deploy, anchor))
 
 
 def build_state_evidence(
@@ -228,14 +199,13 @@ def build_state_evidence(
     call: CallMessage,
     claimed_state: str,
     anchor: BlockHeader | None = None,
-    include_headers: bool = True,
 ) -> StateEvidence:
     """Assemble state evidence from the authorizing call's inclusion."""
     return StateEvidence(
         contract_id=contract_id,
         state=claimed_state,
         call=call,
-        **_inclusion(chain, call, anchor, include_headers),
+        **_inclusion(chain, call, anchor),
     )
 
 
@@ -264,6 +234,29 @@ def reset_evidence_cache_info() -> None:
     _memo_misses = 0
 
 
+def verify_header_linkage(headers: list[BlockHeader]) -> None:
+    """Check that ``headers`` form a contiguous, PoW-valid chain segment.
+
+    Raises :class:`~repro.errors.EvidenceError` on the first violation.
+    """
+    for i, header in enumerate(headers):
+        if header.height > 0 and not check_pow(header):
+            raise EvidenceError(f"header at height {header.height} fails proof of work")
+        if i == 0:
+            continue
+        prev = headers[i - 1]
+        if header.prev_hash != prev.block_id():
+            raise EvidenceError(
+                f"header at height {header.height} does not link to its predecessor"
+            )
+        if header.height != prev.height + 1:
+            raise EvidenceError("header heights are not consecutive")
+        if header.time_ticks < prev.time_ticks:
+            raise EvidenceError("header timestamps decrease")
+        if header.chain_id != prev.chain_id:
+            raise EvidenceError("header chain ids differ within one segment")
+
+
 def _verify_segment(
     evidence_headers: tuple[BlockHeader, ...],
     anchor: BlockHeader,
@@ -281,24 +274,6 @@ def _verify_segment(
     return headers
 
 
-def _verify_proofs(
-    header: BlockHeader,
-    message_id: bytes,
-    message_proof: MerkleProof,
-    receipt_proof: MerkleProof,
-) -> None:
-    """The one inclusion check: ``header`` commits to the message and to
-    its ``ok`` receipt (a reverted call must not count as a decision)."""
-    if message_proof.leaf != message_id:
-        raise EvidenceError("message proof does not cover the claimed message")
-    if not message_proof.verify(header.merkle_root):
-        raise EvidenceError("message inclusion proof failed")
-    if receipt_proof.leaf != receipt_leaf(message_id, "ok"):
-        raise EvidenceError("receipt proof does not show successful execution")
-    if not receipt_proof.verify(header.receipts_root):
-        raise EvidenceError("receipt inclusion proof failed")
-
-
 def _verify_inclusion_in_segment(
     headers: list[BlockHeader],
     height: int,
@@ -307,7 +282,9 @@ def _verify_inclusion_in_segment(
     receipt_proof: MerkleProof,
     min_depth: int,
 ) -> None:
-    """Check message + ok-receipt inclusion at ``height``, buried ≥ depth."""
+    """Check inclusion at ``height``, buried ≥ depth: the header there
+    commits to the message and to its ``ok`` receipt (a reverted call
+    must not count as a decision)."""
     base = headers[0].height
     tip = headers[-1].height
     if not base <= height <= tip:
@@ -317,7 +294,15 @@ def _verify_inclusion_in_segment(
     depth = tip - height + 1
     if depth < min_depth:
         raise EvidenceError(f"inclusion depth {depth} below required {min_depth}")
-    _verify_proofs(headers[height - base], message_id, message_proof, receipt_proof)
+    header = headers[height - base]
+    if message_proof.leaf != message_id:
+        raise EvidenceError("message proof does not cover the claimed message")
+    if not message_proof.verify(header.merkle_root):
+        raise EvidenceError("message inclusion proof failed")
+    if receipt_proof.leaf != receipt_leaf(message_id, "ok"):
+        raise EvidenceError("receipt proof does not show successful execution")
+    if not receipt_proof.verify(header.receipts_root):
+        raise EvidenceError("receipt inclusion proof failed")
 
 
 def verify_evidence(evidence: Evidence, anchor: BlockHeader, min_depth: int):
@@ -368,124 +353,19 @@ def verify_evidence(evidence: Evidence, anchor: BlockHeader, min_depth: int):
     return payload
 
 
-# ---------------------------------------------------------------------------
-# Validator strategies (pluggable per chain)
-# ---------------------------------------------------------------------------
-
-
-class EvidenceValidator:
-    """How one chain's miners validate foreign-chain evidence.
-
-    A strategy supplies :meth:`included`; every caller — both AC3WN
-    contracts, tests, adversaries — goes through :meth:`validate`.
-    """
-
-    #: Whether :meth:`included` replays ``evidence.headers`` (see
-    #: :func:`headers_required`).
-    reads_headers = True
-
-    def included(self, evidence: Evidence, min_depth: int) -> bool:
-        """Is ``evidence.message`` on ``evidence.chain_id``, executed
-        ``ok`` and buried at depth ≥ ``min_depth``?  May raise
-        :class:`~repro.errors.EvidenceError` in place of ``False``."""
-        raise NotImplementedError
-
-    def validate(self, evidence, min_depth: int):
-        """The authenticated ``evidence.claim()``, or None — never an
-        exception — when ``evidence`` is not an evidence, its message is
-        not provably included, or the claim does not follow from it."""
-        if not isinstance(evidence, Evidence):
-            return None
-        try:
-            return evidence.claim() if self.included(evidence, min_depth) else None
-        except EvidenceError:
-            return None
-
-
-class FullReplicaValidator(EvidenceValidator):
-    """Miners keep full copies of every validated chain (Section 4.3's
-    "simple but impractical" baseline) and consult them directly; the
-    evidence's height, proofs and headers are never read."""
-
-    reads_headers = False
-
-    def __init__(self, chains: dict[str, Blockchain] | None = None) -> None:
-        self.chains: dict[str, Blockchain] = dict(chains or {})
-
-    def watch(self, chain: Blockchain) -> None:
-        self.chains[chain.params.chain_id] = chain
-
-    def included(self, evidence: Evidence, min_depth: int) -> bool:
-        chain = self.chains.get(evidence.chain_id)
-        if chain is None:
-            return False
-        message_id = evidence.message.message_id()
-        if chain.message_depth(message_id) < min_depth:
-            return False
-        receipt = chain.receipt(message_id)
-        return receipt is not None and receipt.status == "ok"
-
-
-class LightClientValidator(EvidenceValidator):
-    """Miners run light nodes of validated chains and check SPV proofs.
-
-    ``sources`` model the light nodes' ongoing header download: before
-    each validation the client syncs new headers from the registered
-    full node.  Proof verification itself uses only the locally
-    validated headers.
-    """
-
-    reads_headers = False
-
-    def __init__(self) -> None:
-        self.clients: dict[str, LightClient] = {}
-        self.sources: dict[str, Blockchain] = {}
-
-    def watch(self, chain: Blockchain) -> None:
-        """Start tracking ``chain`` with a fresh genesis-anchored client."""
-        client = LightClient(chain.params, chain.block_at_height(0).header)
-        client.sync_from(chain)
-        self.clients[chain.params.chain_id] = client
-        self.sources[chain.params.chain_id] = chain
-
-    def included(self, evidence: Evidence, min_depth: int) -> bool:
-        client = self.clients.get(evidence.chain_id)
-        if client is None:
-            return False
-        client.sync_from(self.sources[evidence.chain_id])
-        if client.depth_of_height(evidence.height) < min_depth:
-            return False
-        _verify_proofs(
-            client.header_at(evidence.height),
-            evidence.message.message_id(),
-            evidence.message_proof,
-            evidence.receipt_proof,
-        )
-        return True
-
-
-class AnchorValidator(EvidenceValidator):
-    """Relay-style validation from stored stable anchors (the proposal).
-
-    This is the validator equivalent of pushing the logic into a smart
-    contract: no foreign chain access at all, only the anchors recorded
-    at setup time plus the self-contained evidence.  It is what both
-    AC3WN contracts fall back to, over the anchors they stored, on a
-    chain whose miners run no validator registry.
-    """
-
-    def __init__(self, anchors: dict[str, BlockHeader] | None = None) -> None:
-        self.anchors: dict[str, BlockHeader] = dict(anchors or {})
-
-    def set_anchor(self, chain_id: str, header: BlockHeader) -> None:
-        self.anchors[chain_id] = header
-
-    def included(self, evidence: Evidence, min_depth: int) -> bool:
-        anchor = self.anchors.get(evidence.chain_id)
-        if anchor is None:
-            return False
-        verify_evidence(evidence, anchor, min_depth)
-        return True
+def validate(evidence, anchors: dict[str, BlockHeader], min_depth: int):
+    """The authenticated ``evidence.claim()``, or None — never an
+    exception — when ``evidence`` is not an evidence, no anchor is stored
+    for its chain, or :func:`verify_evidence` rejects it."""
+    if not isinstance(evidence, Evidence):
+        return None
+    anchor = anchors.get(evidence.chain_id)
+    if anchor is None:
+        return None
+    try:
+        return verify_evidence(evidence, anchor, min_depth)
+    except EvidenceError:
+        return None
 
 
 # ---------------------------------------------------------------------------

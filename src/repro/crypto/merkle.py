@@ -1,10 +1,9 @@
 """Merkle trees and inclusion proofs.
 
 Block headers commit to their transaction set through a Merkle root
-(Section 2.1).  Light clients and the relay-contract validator of
-Section 4.3 verify that a transaction occurred in a block by checking a
-Merkle *inclusion proof* against the committed root, without downloading
-the block body.
+(Section 2.1).  The relay-contract validator of Section 4.3 verifies
+that a transaction occurred in a block by checking a Merkle *inclusion
+proof* against the committed root, without downloading the block body.
 """
 
 from __future__ import annotations

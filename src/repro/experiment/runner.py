@@ -191,7 +191,6 @@ def build_environment(spec: ExperimentSpec, traffic: list) -> ScenarioEnvironmen
         seed=spec.seed,
         funding=spec.chains.funding,
         funding_chunks=spec.chains.funding_chunks,
-        validator_mode=spec.chains.validator_mode,
         block_interval=spec.chains.block_interval,
         confirmation_depth=spec.chains.confirmation_depth,
         fee_policy=spec.fee_market.build(),

@@ -29,7 +29,7 @@ from ..chain.params import ChainParams, fast_chain
 from ..economy import FeeBudget, FeePolicy
 from ..errors import SpecError
 from ..workloads.graphs import DEFAULT_AMOUNT
-from ..workloads.scenarios import DEFAULT_FUNDING, VALIDATOR_MODES, is_traffic_name
+from ..workloads.scenarios import DEFAULT_FUNDING, is_traffic_name
 
 # ---------------------------------------------------------------------------
 # Registry-backed choice sets: read at every check, so a plug-in
@@ -84,6 +84,7 @@ class ChainOverride:
     (),
 )
 @serde.retired("extra_funding_chunks", "a funded extra holds 64 UTXOs", 64)
+@serde.retired("validator_mode", "evidence is checked against relay anchors", "anchor")
 @dataclass(frozen=True)
 class ChainsSpec:
     """The world's chains: their names and their parameters."""
@@ -98,9 +99,6 @@ class ChainsSpec:
     confirmation_depth: int = serde.field(2, ge=1, doc="default for every chain")
     overrides: dict[str, ChainOverride] = serde.field(
         default_factory=dict, doc="per-chain-id parameter overrides"
-    )
-    validator_mode: str = serde.field(
-        "anchor", choices=VALIDATOR_MODES, doc="Section 4.3 evidence validation"
     )
     funding: int = serde.field(
         DEFAULT_FUNDING, ge=1, doc="per-participant genesis balance on each chain"

@@ -16,7 +16,6 @@ from ..chain.chain import Blockchain, Genesis, build_genesis
 from ..chain.mempool import Mempool
 from ..chain.miner import MinerNode
 from ..chain.params import ChainParams, fast_chain
-from ..core.evidence import FullReplicaValidator, LightClientValidator
 from ..economy import FeeBudget, FeeEstimator, FeePolicy
 from ..core.graph import AssetEdge, SwapGraph
 from ..core.participant import ChainHandle, Participant
@@ -29,9 +28,6 @@ from .graphs import DEFAULT_AMOUNT, participant_keys
 
 DEFAULT_FUNDING = 100_000
 
-#: Evidence-validation strategies a scenario can wire up (Section 4.3).
-VALIDATOR_MODES = ("anchor", "full-replica", "light-client")
-
 
 @dataclass
 class ScenarioEnvironment(SwapEnvironment):
@@ -40,7 +36,6 @@ class ScenarioEnvironment(SwapEnvironment):
     miners: dict[str, MinerNode] = field(default_factory=dict)
     injector: FailureInjector | None = None
     witness_chain_id: str = "witness"
-    validator_mode: str = "anchor"
     #: Fee-market configuration; None when mempools are unpriced.
     fee_policy: FeePolicy | None = None
     fee_estimators: dict[str, FeeEstimator] = field(default_factory=dict)
@@ -80,7 +75,6 @@ def _assemble_world(
     chain_params: dict[str, ChainParams] | None,
     seed: int,
     funding: int,
-    validator_mode: str,
     block_interval: float,
     confirmation_depth: int,
     fee_policy: FeePolicy | None,
@@ -96,10 +90,6 @@ def _assemble_world(
     member list, in ``ordered_chains`` order.  The grouping lives in this
     call, so a second world or a restore builds its own.
     """
-    if validator_mode not in VALIDATOR_MODES:
-        raise ProtocolError(
-            f"validator_mode must be one of {VALIDATOR_MODES}, got {validator_mode!r}"
-        )
     simulator = Simulator(seed=seed)
     actors = {name: Participant(simulator, name) for name in chains_of}
 
@@ -136,8 +126,6 @@ def _assemble_world(
         for name in members:
             actors[name].join_chain(handle)
 
-    _wire_validators(chains, witness_chain_id, validator_mode)
-
     env = ScenarioEnvironment(
         simulator=simulator,
         chains=chains,
@@ -146,7 +134,6 @@ def _assemble_world(
         miners=miners,
         injector=FailureInjector(simulator),
         witness_chain_id=witness_chain_id,
-        validator_mode=validator_mode,
         fee_policy=fee_policy,
         fee_estimators=estimators,
     )
@@ -163,7 +150,6 @@ def build_scenario(
     seed: int = 0,
     funding: int = DEFAULT_FUNDING,
     funding_chunks: int = 8,
-    validator_mode: str = "anchor",
     block_interval: float = 1.0,
     confirmation_depth: int = 2,
     fee_policy: FeePolicy | None = None,
@@ -183,9 +169,6 @@ def build_scenario(
         funding: genesis balance of every participant on every chain.
         funding_chunks: how many UTXOs the funding is split into (more
             chunks allow more concurrent in-flight messages).
-        validator_mode: how miners validate foreign-chain evidence —
-            "anchor" (relay contracts, the paper's proposal),
-            "full-replica", or "light-client" (Section 4.3).
         block_interval / confirmation_depth: defaults for fast chains.
         fee_policy: when set, every chain's mempool prices block space
             under this policy (plus a :class:`~repro.economy.FeeEstimator`);
@@ -213,34 +196,10 @@ def build_scenario(
         chain_params=chain_params,
         seed=seed,
         funding=funding,
-        validator_mode=validator_mode,
         block_interval=block_interval,
         confirmation_depth=confirmation_depth,
         fee_policy=fee_policy,
     )
-
-
-def _wire_validators(
-    chains: dict[str, Blockchain], witness_chain_id: str, mode: str
-) -> None:
-    """Configure Section 4.3 evidence validation for every chain.
-
-    * "anchor": no validator registries; contracts verify self-contained
-      relay evidence against the stable headers stored at registration
-      (the paper's proposal — fully decentralized).
-    * "full-replica": every chain's miners hold full copies of all other
-      chains and consult them directly.
-    * "light-client": every chain's miners run header-only light nodes of
-      all other chains.
-    """
-    if mode == "anchor":
-        return
-    strategy = FullReplicaValidator if mode == "full-replica" else LightClientValidator
-    for chain_id, chain in chains.items():
-        chain.validators = strategy()
-        for other_id, other in chains.items():
-            if other_id != chain_id:
-                chain.validators.watch(other)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +397,6 @@ def build_multi_scenario(
     seed: int = 0,
     funding: int = DEFAULT_FUNDING,
     funding_chunks: int = 4,
-    validator_mode: str = "anchor",
     block_interval: float = 1.0,
     confirmation_depth: int = 2,
     fee_policy: FeePolicy | None = None,
@@ -493,7 +451,6 @@ def build_multi_scenario(
         chain_params=chain_params,
         seed=seed,
         funding=funding,
-        validator_mode=validator_mode,
         block_interval=block_interval,
         confirmation_depth=confirmation_depth,
         fee_policy=fee_policy,

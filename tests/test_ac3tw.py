@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.ac3tw import AC3TWConfig, AC3TWDriver, TrustedWitness
-from repro.crypto.commitment import CommitmentPurpose, SignatureCommitment
+from repro.core.ac3tw import AC3TWConfig, AC3TWDriver, CentralizedSC, TrustedWitness
 from repro.errors import WitnessError
 from repro.workloads.graphs import two_party_swap
 from repro.workloads.scenarios import build_scenario
@@ -54,10 +53,9 @@ class TestTrentStore:
     def test_refund_without_decision(self):
         trent, _, _, ms_id = self._registered()
         signature = trent.request_refund(ms_id)
-        commitment = SignatureCommitment(
-            ms_id, trent.public_key, CommitmentPurpose.REFUND
-        )
-        assert commitment.verify(signature)
+        contract = CentralizedSC()
+        contract.ms_id, contract.witness_key_raw = ms_id, trent.public_key.to_bytes()
+        assert contract.is_refundable(None, signature)
 
     def test_refund_is_idempotent(self):
         trent, _, _, ms_id = self._registered()

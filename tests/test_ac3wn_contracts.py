@@ -7,11 +7,7 @@ from repro.chain.chain import Blockchain
 from repro.chain.messages import CallMessage, DeployMessage, sign_message
 from repro.chain.params import fast_chain
 from repro.core.ac3wn import EdgeSpec, WitnessState
-from repro.core.evidence import (
-    AnchorValidator,
-    build_publication_evidence,
-    build_state_evidence,
-)
+from repro.core.evidence import build_publication_evidence, build_state_evidence, validate
 from repro.crypto.keys import KeyPair
 from repro.errors import ContractRequireError
 from repro.workloads.graphs import two_party_swap
@@ -255,8 +251,8 @@ class TestVerifyContractsEndToEnd:
             build_publication_evidence(other, d, anchor=other.block_at_height(0).header)
             for d in deploys.values()
         )
-        validator = AnchorValidator({"othernet": other.block_at_height(0).header})
-        assert all(validator.validate(e, 1) == e.deploy for e in evidences)
+        anchors = {"othernet": other.block_at_height(0).header}
+        assert all(validate(e, anchors, 1) == e.deploy for e in evidences)
         auth = call_contract(
             chain, scw_deploy.contract_id(), "authorize_redeem", (evidences,), BOB, 20.0
         )

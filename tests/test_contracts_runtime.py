@@ -125,9 +125,7 @@ class TestDeployment:
             change=change,
         )
         with pytest.raises(ValidationError):
-            chain.state_at().clone().apply_message(
-                msg, chain.params, 1, 1.0, chain.registry
-            )
+            chain.state_at().clone().apply_message(msg, chain.params, 1, 1.0)
 
     def test_underfunded_deploy_rejected(self, chain):
         msg = DeployMessage(
@@ -141,9 +139,7 @@ class TestDeployment:
         )
         msg = sign_message(msg, ALICE)
         with pytest.raises(FeeError):
-            chain.state_at().clone().apply_message(
-                msg, chain.params, 1, 1.0, chain.registry
-            )
+            chain.state_at().clone().apply_message(msg, chain.params, 1, 1.0)
 
     def test_unknown_class_rejected(self, chain):
         inputs, change = funding_for(chain, ALICE, 10)
@@ -160,9 +156,7 @@ class TestDeployment:
             ALICE,
         )
         with pytest.raises(ContractError):
-            chain.state_at().clone().apply_message(
-                msg, chain.params, 1, 1.0, chain.registry
-            )
+            chain.state_at().clone().apply_message(msg, chain.params, 1, 1.0)
 
 
 class TestCalls:
@@ -316,14 +310,15 @@ class TestHostileMessages:
     """
 
     @staticmethod
-    def _world(validator_mode="anchor"):
-        """A two-party world with a live, undecided ``SCw``."""
+    def _world(anchored=False):
+        """A two-party world with a live, undecided ``SCw`` (storing
+        chain ``a``'s genesis as its relay anchor if ``anchored``)."""
         from repro.core.ac3wn import EdgeSpec
         from repro.workloads.graphs import two_party_swap
         from repro.workloads.scenarios import build_scenario
 
         graph = two_party_swap(chain_a="a", chain_b="b", timestamp=1)
-        env = build_scenario(graph=graph, seed=19, validator_mode=validator_mode)
+        env = build_scenario(graph=graph, seed=19)
         env.warm_up(2)
         alice = env.participant("alice")
         keypairs = {n: env.participant(n).keypair for n in graph.participant_names()}
@@ -339,7 +334,7 @@ class TestHostileMessages:
                 graph.multisign(keypairs),
                 graph.digest(),
                 specs,
-                (),
+                (("a", env.chain("a").block_at_height(0).header),) if anchored else (),
             ),
         )
         witness = env.chain("witness")
@@ -388,41 +383,23 @@ class TestHostileMessages:
         deploy = env.participant("bob").deploy_contract(chain_id, contract_class, args)
         self._survives(env, scw_id, chain_id, deploy, "deploy")
 
-    def test_negative_height_evidence_under_light_client(self):
-        """Well-typed evidence with ``height=-1`` raised ``EvidenceError``
-        out of the light-client strategy, whose contract is "return
-        None", and on out of the witness chain's miner."""
+    def test_negative_height_evidence(self):
+        """Well-typed evidence with ``height=-1``, anchored where ``SCw``
+        stored its anchor, must come out of ``validate`` as None and
+        revert the call, not raise out of the witness chain's miner."""
         from dataclasses import replace
 
         from repro.core.evidence import build_publication_evidence
 
-        env, scw_id = self._world(validator_mode="light-client")
+        env, scw_id = self._world(anchored=True)
         bob = env.participant("bob")
         vault = bob.deploy_contract("a", "DemoVault", (bob.address.raw,))
         env.simulator.run_until_true(
             lambda: env.chain("a").find_message(vault.message_id()) is not None,
             timeout=10.0,
         )
-        evidence = build_publication_evidence(env.chain("a"), vault, include_headers=False)
+        evidence = build_publication_evidence(env.chain("a"), vault)
         call = bob.call_contract(
             "witness", scw_id, "authorize_redeem", ((replace(evidence, height=-1),),)
         )
         self._survives(env, scw_id, "witness", call, "call")
-
-    def test_light_client_refuses_a_negative_height(self, chain):
-        """``headers[-1]`` is the tip and ``depth_of_height(-1)`` was
-        ``height + 2``: a message mined one block ago passed
-        ``min_depth=3`` — a bypass of the Section 6.3 depth rule."""
-        from repro.chain.lightclient import LightClient
-
-        for timestamp in (1.0, 2.0, 3.0):
-            chain.add_block(chain.make_block([], MINER.address, timestamp))
-        deploy = deploy_vault(chain)  # mined in the tip block, depth 1
-        client = LightClient(chain.params, chain.block_at_height(0).header)
-        client.sync_from(chain)
-        proof, header = chain.inclusion_proof(deploy.message_id())
-        assert header.height == client.height == 4
-        assert client.verify_inclusion(deploy.message_id(), proof, 4, min_depth=1)
-        assert not client.verify_inclusion(deploy.message_id(), proof, 4, min_depth=3)
-        assert not client.verify_inclusion(deploy.message_id(), proof, -1, min_depth=3)
-        assert client.depth_of_height(-1) == 0

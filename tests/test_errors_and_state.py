@@ -53,7 +53,7 @@ class TestChainStateClone:
         state = chain.state_at()
         clone = state.clone()
         msg = transfer_message(chain, ALICE, BOB, 100)
-        clone.apply_message(msg, chain.params, 1, 1.0, chain.registry)
+        clone.apply_message(msg, chain.params, 1, 1.0)
         # The original state is untouched.
         assert state.balance_of(BOB.address) == 100_000
         assert clone.balance_of(BOB.address) == 100_100
@@ -80,7 +80,7 @@ class TestChainStateClone:
             ),
             BOB,
         )
-        clone.apply_message(call, chain.params, 2, 2.0, chain.registry)
+        clone.apply_message(call, chain.params, 2, 2.0)
         assert clone.contract(deploy.contract_id()).balance == 400
         assert state.contract(deploy.contract_id()).balance == 500
 

@@ -1,6 +1,8 @@
 """Tests for Section 4.3 evidence construction and validation."""
 
+import ast
 import functools
+import tokenize
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,18 +15,19 @@ import repro
 from repro.chain.chain import Blockchain
 from repro.chain.messages import CallMessage, DeployMessage, sign_message
 from repro.chain.params import fast_chain
+from repro.chain.pow import check_pow, mine_header
 from repro.core.evidence import (
-    AnchorValidator,
-    FullReplicaValidator,
-    LightClientValidator,
     PublicationEvidence,
     StateEvidence,
     build_publication_evidence,
     build_state_evidence,
+    validate,
     verify_evidence,
+    verify_header_linkage,
 )
 from repro.errors import EvidenceError
 from tests.conftest import ALICE, BOB, CAROL, MINER
+from tests.test_chain import transfer_message
 from tests.test_contracts_runtime import funding_for
 
 
@@ -208,7 +211,67 @@ class TestStateEvidence:
             verify_evidence(forged, anchor, min_depth=1)
 
 
-class TestValidatorStrategies:
+class TestHeaderLinkage:
+    def test_valid_run(self, chain):
+        grow(chain, 4)
+        verify_header_linkage(chain.header_chain(0))
+
+    def test_broken_link_detected(self, chain):
+        grow(chain, 3)
+        headers = chain.header_chain(0)
+        with pytest.raises(EvidenceError):
+            verify_header_linkage([headers[0], headers[2]])
+
+    def test_cross_chain_mix_detected(self, chain):
+        other = Blockchain(fast_chain("other"), [(ALICE.address, 10)])
+        grow(chain, 1)
+        grow(other, 1)
+        with pytest.raises(EvidenceError):
+            verify_header_linkage([chain.header_chain(0)[0], other.header_chain(0)[1]])
+
+    def test_competing_header_detected(self, chain):
+        """A block mined at height 1 on the same parent, spliced into the
+        main chain's run: the header above it does not link to it."""
+        grow(chain, 2)
+        headers = chain.header_chain(0)
+        fork = chain.make_block(
+            [transfer_message(chain, ALICE, BOB, 1)],
+            MINER.address,
+            1.0,
+            parent_hash=headers[0].block_id(),
+        )
+        assert fork.header.block_id() != headers[1].block_id()
+        verify_header_linkage([headers[0], fork.header])
+        with pytest.raises(EvidenceError, match="does not link"):
+            verify_header_linkage([headers[0], fork.header, headers[2]])
+
+    def test_failed_proof_of_work_detected(self, chain):
+        grow(chain, 1)
+        genesis, mined = chain.header_chain(0)
+        unmined = next(
+            header
+            for nonce in range(mined.nonce + 1, mined.nonce + 1000)
+            if not check_pow(header := replace(mined, nonce=nonce))
+        )
+        with pytest.raises(EvidenceError, match="proof of work"):
+            verify_header_linkage([genesis, unmined])
+
+    def test_skipped_height_detected(self, chain):
+        grow(chain, 1)
+        genesis, mined = chain.header_chain(0)
+        skipped = mine_header(replace(mined, height=2))
+        with pytest.raises(EvidenceError, match="consecutive"):
+            verify_header_linkage([genesis, skipped])
+
+    def test_decreasing_timestamp_detected(self, chain):
+        grow(chain, 2)
+        genesis, first, second = chain.header_chain(0)
+        early = mine_header(replace(second, time_ticks=first.time_ticks - 1))
+        with pytest.raises(EvidenceError, match="timestamps"):
+            verify_header_linkage([genesis, first, early])
+
+
+class TestValidate:
     def _setup(self, chain):
         deploy = deploy_counter_like_witness(chain)
         call = authorize_refund(chain, deploy.contract_id())
@@ -220,64 +283,36 @@ class TestValidatorStrategies:
         )
         return deploy, pub, state, anchor
 
-    def test_full_replica_validator(self, chain):
-        deploy, pub, state, _ = self._setup(chain)
-        validator = FullReplicaValidator({chain.params.chain_id: chain})
-        assert validator.validate(pub, 2) is not None
-        assert validator.validate(state, 2) == (deploy.contract_id(), "RFauth")
-
-    def test_full_replica_unknown_chain(self, chain):
-        _, pub, state, _ = self._setup(chain)
-        validator = FullReplicaValidator({})
-        assert validator.validate(pub, 1) is None
-        assert validator.validate(state, 1) is None
-
-    def test_full_replica_depth(self, chain):
-        _, pub, _, _ = self._setup(chain)
-        validator = FullReplicaValidator({chain.params.chain_id: chain})
-        assert validator.validate(pub, 100) is None
-
-    def test_light_client_validator(self, chain):
-        deploy, pub, state, _ = self._setup(chain)
-        validator = LightClientValidator()
-        validator.watch(chain)
-        assert validator.validate(pub, 2) is not None
-        assert validator.validate(state, 2) == (deploy.contract_id(), "RFauth")
-
-    def test_light_client_untracked_chain(self, chain):
-        _, pub, _, _ = self._setup(chain)
-        validator = LightClientValidator()
-        assert validator.validate(pub, 1) is None
-
-    def test_anchor_validator(self, chain):
+    def test_anchored_evidence_yields_its_claim(self, chain):
         deploy, pub, state, anchor = self._setup(chain)
-        validator = AnchorValidator({chain.params.chain_id: anchor})
-        assert validator.validate(pub, 2) is not None
-        assert validator.validate(state, 2) == (deploy.contract_id(), "RFauth")
+        anchors = {chain.params.chain_id: anchor}
+        assert validate(pub, anchors, 2) == deploy
+        assert validate(state, anchors, 2) == (deploy.contract_id(), "RFauth")
 
-    def test_anchor_validator_missing_anchor(self, chain):
-        _, pub, _, _ = self._setup(chain)
-        validator = AnchorValidator({})
-        assert validator.validate(pub, 1) is None
+    def test_missing_anchor(self, chain):
+        _, pub, state, _ = self._setup(chain)
+        assert validate(pub, {}, 1) is None
+        assert validate(state, {"othernet": chain.block_at_height(0).header}, 1) is None
 
-    def test_anchor_validator_returns_none_not_raises(self, chain):
+    def test_returns_none_not_raises(self, chain):
         _, pub, _, anchor = self._setup(chain)
-        validator = AnchorValidator({chain.params.chain_id: anchor})
         bad = replace(pub, height=pub.height + 1)
-        assert validator.validate(bad, 1) is None
+        assert validate(bad, {chain.params.chain_id: anchor}, 1) is None
+        assert validate(pub, {chain.params.chain_id: anchor}, 100) is None
 
 
 class TestHeaderRelayContract:
-    def test_relay_flips_on_valid_evidence(self, chain):
-        """Figure 6's end-to-end flow on a second chain."""
-        from repro.chain.chain import Blockchain
-        from repro.chain.params import fast_chain
+    """Figure 6's relay as an on-chain inclusion check: the stored stable
+    header, a linked run of headers from it, and the Merkle proofs of the
+    watched message and of its ``ok`` receipt in a block ``min_depth``
+    deep."""
 
-        validated = chain
-        deploy = deploy_counter_like_witness(validated)
-        grow(validated, 3)
-        anchor = validated.block_at_height(0).header
-
+    @staticmethod
+    def _relay(validated, watched_id, min_depth=2, anchor=None):
+        """Deploy a relay for ``validated`` on a fresh chain; return the
+        chain, the relay's id and ``submit(evidence, timestamp)``, which
+        mines one ``submit_evidence`` call and returns its receipt."""
+        anchor = validated.block_at_height(0).header if anchor is None else anchor
         validator_chain = Blockchain(
             fast_chain("validator"),
             [(ALICE.address, 100_000), (BOB.address, 100_000)],
@@ -287,12 +322,7 @@ class TestHeaderRelayContract:
             DeployMessage(
                 sender=ALICE.public_key,
                 contract_class="HeaderRelay",
-                args=(
-                    validated.params.chain_id,
-                    anchor,
-                    deploy.message_id(),
-                    2,
-                ),
+                args=(validated.params.chain_id, anchor, watched_id, min_depth),
                 fee=10,
                 inputs=inputs,
                 change=change,
@@ -302,40 +332,120 @@ class TestHeaderRelayContract:
         validator_chain.add_block(
             validator_chain.make_block([relay_deploy], MINER.address, 1.0)
         )
-        evidence = build_publication_evidence(validated, deploy, anchor=anchor)
-        inputs, change = funding_for(validator_chain, BOB, 5)
-        submit = sign_message(
-            CallMessage(
-                sender=BOB.public_key,
-                contract_id=relay_deploy.contract_id(),
-                function="submit_evidence",
-                args=(
-                    evidence.headers,
-                    evidence.height,
-                    evidence.message_proof,
-                    evidence.receipt_proof,
+
+        def submit(evidence, timestamp=2.0):
+            inputs, change = funding_for(validator_chain, BOB, 5)
+            call = sign_message(
+                CallMessage(
+                    sender=BOB.public_key,
+                    contract_id=relay_deploy.contract_id(),
+                    function="submit_evidence",
+                    args=(
+                        evidence.headers,
+                        evidence.height,
+                        evidence.message_proof,
+                        evidence.receipt_proof,
+                    ),
+                    fee=5,
+                    inputs=inputs,
+                    change=change,
                 ),
-                fee=5,
-                inputs=inputs,
-                change=change,
-            ),
-            BOB,
-        )
-        validator_chain.add_block(
-            validator_chain.make_block([submit], MINER.address, 2.0)
-        )
-        relay = validator_chain.contract(relay_deploy.contract_id())
+                BOB,
+            )
+            validator_chain.add_block(
+                validator_chain.make_block([call], MINER.address, timestamp)
+            )
+            return validator_chain.receipt(call.message_id())
+
+        return validator_chain, relay_deploy.contract_id(), submit
+
+    def test_relay_flips_on_valid_evidence(self, chain):
+        """Figure 6's end-to-end flow on a second chain."""
+        deploy = deploy_counter_like_witness(chain)
+        grow(chain, 3)
+        validator_chain, relay_id, submit = self._relay(chain, deploy.message_id())
+        evidence = build_publication_evidence(chain, deploy)
+        assert submit(evidence).status == "ok"
+        relay = validator_chain.contract(relay_id)
         assert relay.state == "S2"
         assert relay.observed_height == evidence.height
 
+    def test_inclusion_verifies_at_exact_depth(self, chain):
+        deploy = deploy_counter_like_witness(chain)
+        grow(chain, 1)  # the deploy's block is now two deep
+        validator_chain, relay_id, submit = self._relay(chain, deploy.message_id())
+        assert submit(build_publication_evidence(chain, deploy)).status == "ok"
+        assert validator_chain.contract(relay_id).state == "S2"
+
+    def test_insufficient_depth_reverts(self, chain):
+        deploy = deploy_counter_like_witness(chain)
+        validator_chain, relay_id, submit = self._relay(chain, deploy.message_id())
+        receipt = submit(build_publication_evidence(chain, deploy))
+        assert receipt.status == "reverted" and "depth 1 below required 2" in receipt.error
+        assert validator_chain.contract(relay_id).state == "S1"
+
+    def test_other_message_reverts(self, chain):
+        """Well-proven inclusion of a message the relay does not watch."""
+        deploy = deploy_counter_like_witness(chain)
+        grow(chain, 3)
+        validator_chain, relay_id, submit = self._relay(chain, b"\xff" * 32)
+        receipt = submit(build_publication_evidence(chain, deploy))
+        assert receipt.status == "reverted" and "does not cover" in receipt.error
+        assert validator_chain.contract(relay_id).state == "S1"
+
+    def test_height_beyond_the_run_reverts(self, chain):
+        deploy = deploy_counter_like_witness(chain)
+        grow(chain, 3)
+        validator_chain, relay_id, submit = self._relay(chain, deploy.message_id())
+        evidence = build_publication_evidence(chain, deploy)
+        short = replace(evidence, headers=evidence.headers[: evidence.height])
+        receipt = submit(short)
+        assert receipt.status == "reverted" and "outside evidence segment" in receipt.error
+        assert validator_chain.contract(relay_id).state == "S1"
+
+    def test_non_genesis_stable_header(self, chain):
+        """The stored header may be any stable header below the message:
+        the run then starts there, not at genesis."""
+        grow(chain, 2, start=1.0)
+        anchor = chain.block_at_height(2).header
+        deploy = deploy_counter_like_witness(chain, timestamp=3.0)
+        grow(chain, 2)
+        validator_chain, relay_id, submit = self._relay(
+            chain, deploy.message_id(), anchor=anchor
+        )
+        evidence = build_publication_evidence(chain, deploy, anchor=anchor)
+        assert evidence.headers[0] == anchor
+        assert submit(evidence).status == "ok"
+        assert validator_chain.contract(relay_id).observed_height == 3
+
+    def test_run_from_another_header_reverts(self, chain):
+        grow(chain, 2, start=1.0)
+        deploy = deploy_counter_like_witness(chain, timestamp=3.0)
+        grow(chain, 2)
+        validator_chain, relay_id, submit = self._relay(
+            chain, deploy.message_id(), anchor=chain.block_at_height(2).header
+        )
+        receipt = submit(build_publication_evidence(chain, deploy))
+        assert receipt.status == "reverted" and "not anchored" in receipt.error
+        assert validator_chain.contract(relay_id).state == "S1"
+
+    def test_satisfied_relay_refuses_more_evidence(self, chain):
+        deploy = deploy_counter_like_witness(chain)
+        grow(chain, 3)
+        validator_chain, relay_id, submit = self._relay(chain, deploy.message_id())
+        evidence = build_publication_evidence(chain, deploy)
+        assert submit(evidence).status == "ok"
+        receipt = submit(evidence, timestamp=3.0)
+        assert receipt.status == "reverted" and "already satisfied" in receipt.error
+        assert validator_chain.contract(relay_id).observed_height == evidence.height
+
 
 # ---------------------------------------------------------------------------
-# The rule, generated: one verdict from four implementations
+# The rule, generated: one verdict from both entry points
 # ---------------------------------------------------------------------------
 
 #: Mutations of an honest evidence.  Unmutated evidence is accepted iff
-#: it is deep enough; every mutation must be rejected by every
-#: implementation that can see it.
+#: it is deep enough; every mutation must be rejected.
 MUTATIONS = (
     "none",
     "height-plus",
@@ -356,25 +466,6 @@ MUTATIONS = (
     "foreign-headers",
     "not-an-evidence",
 )
-#: Where the message is: height and proofs.  A full replica looks the
-#: message up in its own copy of the chain by id and never reads them,
-#: so to it these leave a true claim true — it accepts iff deep enough.
-LOCATOR = {
-    "height-plus",
-    "height-minus",
-    "negative-height",
-    "aliased-negative-height",
-    "swapped-proofs",
-}
-#: The header run is read by the anchor strategy (and the pure verifier)
-#: only; full-replica and light-client validators consult their own
-#: headers (``reads_headers = False``) and accept iff deep enough.
-HEADER_RUN = {
-    "truncated-headers",
-    "unanchored-headers",
-    "reordered-headers",
-    "foreign-headers",
-}
 STATE_ONLY = {"wrong-contract", "wrong-state", "non-authorizing-function", "reverted-call"}
 
 
@@ -384,7 +475,7 @@ def _world(pre: int, post: int):
     ``authorize_refund`` (ok), then one block holding a second
     ``authorize_refund`` (reverted) and a ``verify_contracts`` (ok, not
     authorizing), then ``post`` empty blocks — plus a foreign chain of
-    the same height and validators that watch both."""
+    the same height."""
     allocations = [(k.address, 100_000) for k in (ALICE, BOB, CAROL)]
     chain = Blockchain(fast_chain("testnet"), allocations)
     other = Blockchain(fast_chain("othernet"), allocations)
@@ -399,13 +490,9 @@ def _world(pre: int, post: int):
     assert chain.receipt(plain.message_id()).status == "ok"
     grow(chain, post, start=20.0)
     grow(other, chain.height, start=1.0)
-    light = LightClientValidator()
-    light.watch(chain)
-    light.watch(other)
-    full = FullReplicaValidator({"testnet": chain, "othernet": other})
     return SimpleNamespace(
         chain=chain, other=other, deploy=deploy, scw=scw, refund=refund,
-        reverted=reverted, plain=plain, light=light, full=full,
+        reverted=reverted, plain=plain,
     )
 
 
@@ -480,57 +567,61 @@ def evidence_cases(draw, mutation):
 
 
 class TestEvidenceRuleGenerated:
-    """``verify_evidence`` and the three strategies' ``validate`` are
-    four routes to one verdict (Section 4.3): same accept/reject, same
-    claim, and no exception out of ``validate``, whatever is submitted."""
+    """``verify_evidence`` and ``validate`` are two routes to one verdict
+    (Section 4.3): same accept/reject, same claim, and no exception out
+    of ``validate``, whatever is submitted."""
 
     @pytest.mark.parametrize("mutation", MUTATIONS)
     @given(data=st.data())
     @settings(max_examples=25, deadline=None, derandomize=True)
-    def test_four_implementations_one_verdict(self, mutation, data):
+    def test_both_entry_points_one_verdict(self, mutation, data):
         case = data.draw(evidence_cases(mutation))
         world, evidence, min_depth = case.world, case.evidence, case.min_depth
         anchors = {"testnet": case.anchor, "othernet": world.other.block_at_height(0).header}
-        verdicts = {
-            "full-replica": world.full.validate(evidence, min_depth),
-            "light-client": world.light.validate(evidence, min_depth),
-            "anchor": AnchorValidator(anchors).validate(evidence, min_depth),
-        }
+        verdicts = {"anchor": validate(evidence, anchors, min_depth)}
         if case.mutation != "not-an-evidence":
             try:
                 verdicts["pure"] = verify_evidence(evidence, case.anchor, min_depth)
             except EvidenceError:
                 verdicts["pure"] = None
-        visible = case.mutation != "none"
-        expected = {
-            "pure": case.deep and not visible,
-            "anchor": case.deep and not visible,
-            "light-client": case.deep and (not visible or case.mutation in HEADER_RUN),
-            "full-replica": case.deep
-            and (not visible or case.mutation in HEADER_RUN | LOCATOR),
-        }
+        expected = case.claim if case.deep and case.mutation == "none" else None
         for name, verdict in verdicts.items():
-            assert verdict == (case.claim if expected[name] else None), (name, case.mutation)
+            assert verdict == expected, (name, case.mutation)
 
     @given(case=evidence_cases("none"))
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_verdict_memo_is_per_anchor_and_depth(self, case):
         """One evidence instance, asked under two depths and two anchors:
         the verdict memo must not answer one question with another's."""
-        validator = AnchorValidator({"testnet": case.anchor})
-        stranger = AnchorValidator({"testnet": case.world.other.block_at_height(0).header})
-        assert validator.validate(case.honest, case.depth) == case.claim
-        assert validator.validate(case.honest, case.depth + 1) is None
-        assert stranger.validate(case.honest, case.depth) is None
-        assert validator.validate(case.honest, case.depth) == case.claim
+        anchors = {"testnet": case.anchor}
+        stranger = {"testnet": case.world.other.block_at_height(0).header}
+        assert validate(case.honest, anchors, case.depth) == case.claim
+        assert validate(case.honest, anchors, case.depth + 1) is None
+        assert validate(case.honest, stranger, case.depth) is None
+        assert validate(case.honest, anchors, case.depth) == case.claim
+
+
+def _identifiers(path: Path) -> set[str]:
+    with path.open("rb") as handle:
+        return {t.string for t in tokenize.tokenize(handle.readline) if t.type == tokenize.NAME}
 
 
 def test_each_decision_is_written_once():
-    """Structural: the copies this module used to keep apart are gone."""
-    source = "".join(
-        path.read_text()
-        for path in sorted((Path(repro.__file__).parent / "core").glob("*.py"))
-    )
+    """Structural: the copies this module used to keep apart are gone,
+    one function validates an evidence, and no chain carries a validator
+    registry for it."""
+    package = Path(repro.__file__).parent
+    source = "".join(path.read_text() for path in sorted((package / "core").glob("*.py")))
     assert source.count('receipt_leaf(message_id, "ok")') == 1
     assert source.count("AUTHORIZING_FUNCTIONS.get(") == 1
     assert "ctx.validators is not None" not in source
+    tree = ast.parse((package / "core" / "evidence.py").read_text())
+    entry_points = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in ("validate", "included")
+    ]
+    assert entry_points == ["validate"]
+    assert validate.__module__ == "repro.core.evidence" and "." not in validate.__qualname__
+    for path in sorted((package / "chain").glob("*.py")):
+        assert "validators" not in _identifiers(path), path.name

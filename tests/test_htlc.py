@@ -76,7 +76,7 @@ class TestHTLCDeploy:
             ALICE,
         )
         with pytest.raises(ContractRequireError):
-            chain.state_at().clone().apply_message(msg, chain.params, 1, 1.0, chain.registry)
+            chain.state_at().clone().apply_message(msg, chain.params, 1, 1.0)
 
 
 class TestHTLCRedeem:

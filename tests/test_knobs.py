@@ -262,8 +262,8 @@ def test_every_listed_row_names_a_setter_that_holds():
 
 def test_the_free_tags_read_what_they_name():
     # The workflow sets no knob: "ci" is not a tag.
-    assert not tag_holds("ci", "ChainsSpec.validator_mode")
-    assert "ChainsSpec.validator_mode" in named_by_roadmap()["M"]
+    assert not tag_holds("ci", "EngineSpec.eager")
+    assert "EngineSpec.eager" in named_by_roadmap()["A"]
     docs = named_by_docs()
     assert {"ChainOverride.confirmation_depth", "FeeShockSpec.count", "ChainsSpec.witness"} <= docs
     assert "TrafficSpec.prefix" not in docs

@@ -240,41 +240,6 @@ class TestPresetByteIdentity:
         assert hashlib.sha256(result.to_json().encode()).hexdigest() == digests[preset]
 
 
-    def test_validator_modes_pinned_and_equivalent(self):
-        """Every preset runs ``validator_mode="anchor"``, so nothing
-        above exercises the full-replica and light-client strategies.
-        The digests are of ``run --preset engine-smoke --set
-        traffic.num_swaps=16 --set chains.validator_mode=M --json``
-        (``result.to_json()``, as above), captured from the commit before
-        the evidence rule was unified (PR 14's rule).  Section 4.3's
-        three mechanisms authenticate the same claims, so the swaps must
-        end identically; only the evidence memo, which the anchor
-        strategy alone uses, tells the artifacts apart."""
-        from repro.experiment import apply_overrides, preset_spec, run_experiment
-
-        digests = json.loads((GOLDEN_DIR / "golden-artifact-digests.json").read_text())
-        endings, memos = {}, {}
-        for mode in ("anchor", "full-replica", "light-client"):
-            spec = apply_overrides(
-                preset_spec("engine-smoke"),
-                {"traffic.num_swaps": 16, "chains.validator_mode": mode},
-            )
-            result = run_experiment(spec)
-            artifact = json.loads(result.to_json())
-            endings[mode] = [
-                (o["swap_id"], o["decision"], o["latency"]) for o in artifact["outcomes"]
-            ]
-            memos[mode] = artifact["reports"]["caches"]["evidence_memo"]
-            assert result.metrics.atomicity_violations == 0
-            if mode != "anchor":
-                assert _sha(result.to_json()) == digests["validator-modes"][mode]
-        assert endings["anchor"] == endings["full-replica"] == endings["light-client"]
-        assert [decision for _, decision, _ in endings["anchor"]] == ["commit"] * 16
-        assert (memos["anchor"]["hits"], memos["anchor"]["misses"]) == (20, 12)
-        for mode in ("full-replica", "light-client"):
-            assert (memos[mode]["hits"], memos[mode]["misses"]) == (0, 0)
-
-
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chain.messages import DeployMessage
 from repro.core.ac3wn import run_ac3wn
 from repro.core.herlihy import compute_publish_waves, run_herlihy
 from repro.core.nolan import run_nolan, validate_two_party
@@ -71,13 +72,41 @@ class TestAC3WNCommit:
         outcome = run_ac3wn(env, graph, witness_chain_id="a")
         assert outcome.decision == "commit"
 
-    @pytest.mark.parametrize("mode", ["anchor", "full-replica", "light-client"])
-    def test_all_validator_modes(self, mode):
+    def test_relay_anchored_commit(self):
+        """``SCw`` stores one relay anchor per asset chain and every asset
+        contract one of the witness chain: each a main-chain header below
+        the message that the evidence checked against it proves."""
         graph = two_party_swap(chain_a="a", chain_b="b", timestamp=6)
-        env = build_scenario(graph=graph, seed=6, validator_mode=mode)
+        env = build_scenario(graph=graph, seed=6)
         env.warm_up(2)
         outcome = run_ac3wn(env, graph, witness_chain_id="witness")
-        assert outcome.decision == "commit", mode
+        assert outcome.decision == "commit"
+
+        def on_main_chain_below(chain_id, header, height):
+            chain = env.chain(chain_id)
+            assert header.chain_id == chain_id
+            assert chain.block_at_height(header.height).header == header
+            assert header.height <= height
+
+        witness = env.chain("witness")
+        scw_id = outcome.coordinator_contract_id
+        scw = witness.contract(scw_id)
+        scw_height = next(
+            block.header.height
+            for block in witness.main_chain()
+            for message in block.messages
+            if isinstance(message, DeployMessage) and message.contract_id() == scw_id
+        )
+        assert sorted(scw.anchors) == sorted(graph.chains_used())
+        for record in outcome.contracts.values():
+            chain_id = record.edge.chain_id
+            chain = env.chain(chain_id)
+            deploy_height = chain.find_message(record.deploy_message_id).height
+            on_main_chain_below(chain_id, scw.anchors[chain_id], deploy_height)
+            contract = chain.contract(record.contract_id)
+            assert contract.witness_contract_id == scw_id
+            assert contract.witness_min_depth == witness.params.confirmation_depth
+            on_main_chain_below("witness", contract.witness_anchor, scw_height)
 
 
 class TestAC3WNAbort:

@@ -129,24 +129,6 @@ class TestScenarioBuilder:
         with pytest.raises(ProtocolError):
             build_scenario()
 
-    def test_invalid_validator_mode(self):
-        graph = two_party_swap()
-        with pytest.raises(ProtocolError):
-            build_scenario(graph=graph, validator_mode="telepathy")
-
-    def test_validator_wiring_full_replica(self):
-        graph = two_party_swap(chain_a="x", chain_b="y")
-        env = build_scenario(graph=graph, validator_mode="full-replica")
-        witness = env.chain("witness")
-        assert witness.validators is not None
-        assert "x" in witness.validators.chains
-        assert "witness" not in witness.validators.chains
-
-    def test_validator_wiring_anchor_mode(self):
-        graph = two_party_swap(chain_a="x", chain_b="y")
-        env = build_scenario(graph=graph, validator_mode="anchor")
-        assert all(chain.validators is None for chain in env.chains.values())
-
     def test_chain_params_override(self):
         graph = two_party_swap(chain_a="x", chain_b="y")
         env = build_scenario(

@@ -9,17 +9,21 @@ dependency — with deterministic RFC-6979-style nonces so that every run
 of the simulator is reproducible.
 
 Every multiplication runs on one Jacobian-coordinate kernel, specialised
-to this curve.  ``k·G`` is read out of a lazily built table of signed
-6-bit windows of ``G`` (~42 mixed additions, no doublings).  ``k·Q`` for
-any other point splits ``k = k1 + k2·λ`` along the curve's endomorphism
-``λ·(x, y) = (β·x, y)`` (Gallant–Lambert–Vanstone) and runs the two
-128-bit halves as interleaved width-5 wNAF streams over one chain of
-~128 doublings.  A verification accumulates ``u2·Q + u1·G`` in one
-Jacobian point and accepts by comparing ``r·Z²`` with ``X``, so it
-inverts nothing but ``s`` and the odd-multiples table of ``Q``.  No cost
-is quoted here because it is a property of the host; the ledger measures
-it as ``crypto.sign_per_s``, ``crypto.verify_first_sight_per_s`` and
-``crypto.keygen_per_s`` (``python3 benchmarks/ledger/run.py --only
+to this curve.  A scalar splits as ``k = k1 + k2·λ`` along the curve's
+endomorphism ``λ·(x, y) = (β·x, y)`` (Gallant–Lambert–Vanstone), each
+128-bit half is recoded once in wNAF, and a digit is read from one of
+four bases ``T, 2³³·T, 2⁶⁶·T, 2⁹⁹·T`` (Lim–Lee fixed-base
+precomputation), so every multiplication runs one chain of at most 33
+doublings.  ``G``'s table is built once per process; a key's — 32
+points, ~100 doublings, 28 mixed additions and two batch inversions —
+by its first verify, and kept in a bounded LRU, since a run verifies
+each signer three to five times.  A verification accumulates
+``u2·Q + u1·G`` on that one chain (≤ 33 doublings and ~67 mixed
+additions on a warm key) and accepts by comparing ``r·Z²`` with ``X``,
+so it inverts nothing but ``s`` and, for a cold key, its table.  No
+time is quoted here because it is a property of the host; the ledger
+measures it as ``crypto.sign_per_s``, ``crypto.verify_first_sight_per_s``
+and ``crypto.keygen_per_s`` (``python3 benchmarks/ledger/run.py --only
 micro``).
 """
 
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..errors import InvalidKeyError, InvalidSignatureError
@@ -171,60 +176,6 @@ def _batch_to_affine(points: list[tuple[int, int, int]]) -> list[tuple[int, int]
     return affine
 
 
-# Signed fixed-window table for the generator, built by the first
-# multiplication by G (never at import): row i holds j · 64^i · G for
-# j = 1..32 in affine coordinates (a negative digit flips y) — 43 rows,
-# ~0.4 MB, published by one assignment.  The width is chosen by count:
-# 6 bits cost ~42 additions per k·G over 1376 points, 5 bits ~50 over
-# 832, 7 bits ~37 over 2368 — and a process performs a few hundred k·G.
-_G_WINDOW = 6
-_G_HALF = 1 << (_G_WINDOW - 1)
-_G_ROWS = -(-258 // _G_WINDOW)  # 256 bits of scalar and room for the bias
-# Adding half a window to every row turns the unsigned windows of
-# ``k + bias`` into the signed digits ``window - 32`` in [-32, 31] of
-# ``k``, with no carry to propagate.
-_G_BIAS = sum(_G_HALF << (_G_WINDOW * row) for row in range(_G_ROWS))
-_G_TABLE: tuple[list[tuple[int, int]], ...] = ()
-
-
-def _generator_table() -> tuple[list[tuple[int, int]], ...]:
-    global _G_TABLE
-    if not _G_TABLE:
-        bases = [(GX, GY, 1)]
-        for _ in range(_G_ROWS - 1):
-            bases.append(_jacobian_double(*bases[-1], _G_WINDOW))
-        multiples = []
-        for bx, by in _batch_to_affine(bases):
-            multiples.append((bx, by, 1))
-            for _ in range(_G_HALF - 1):
-                multiples.append(_jacobian_add_affine(*multiples[-1], bx, by))
-        flat = _batch_to_affine(multiples)
-        _G_TABLE = tuple(
-            flat[i : i + _G_HALF] for i in range(0, len(flat), _G_HALF)
-        )
-    return _G_TABLE
-
-
-def _add_generator_multiple(
-    k: int, jx: int, jy: int, jz: int
-) -> tuple[int, int, int]:
-    """Add ``k·G`` (``0 <= k < 2**256``) to a Jacobian accumulator.
-
-    One table lookup and at most one mixed addition per signed 6-bit
-    window of ``k``; no doublings.
-    """
-    k += _G_BIAS
-    for row in _generator_table():
-        digit = k % (2 * _G_HALF) - _G_HALF
-        k >>= _G_WINDOW
-        if digit > 0:
-            jx, jy, jz = _jacobian_add_affine(jx, jy, jz, *row[digit - 1])
-        elif digit:
-            ax, ay = row[-digit - 1]
-            jx, jy, jz = _jacobian_add_affine(jx, jy, jz, ax, P - ay)
-    return jx, jy, jz
-
-
 # The GLV endomorphism of secp256k1: λ·(x, y) = (β·x, y) with λ³ ≡ 1
 # (mod N) and β³ ≡ 1 (mod P), so λ·Q costs one field multiplication.
 # (A1, B1) and (A2, B2) are the standard reduced basis of the lattice
@@ -248,63 +199,105 @@ def _glv_split(k: int) -> tuple[int, int]:
     return k - c1 * _A1 - c2 * _A2, c1 * _MINUS_B1 - c2 * _A1
 
 
-def _odd_multiples(point: Point) -> tuple[list[tuple[int, int]], ...]:
-    """Affine ``Q, 3Q, ..., 15Q`` and their images under λ, for on-curve ``Q``.
+# A GLV half's wNAF has at most 129 positions, so every multiplication
+# runs one chain of at most 33 doublings over four bases T, 2^33·T,
+# 2^66·T and 2^99·T: position p is read from base ⌊p/33⌋ at chain
+# offset p mod 33.  A table holds the affine odd multiples m·2^(33j)·T
+# for m = 1, 3, ..., 2^(w-1) - 1 as entry j·2^(w-2) + m // 2.  G's table
+# (width 10, 1024 points) is built by the first multiplication by G,
+# never at import; a key's (width 5, 32 points) by its first verify, and
+# kept in a bounded LRU: a signer is verified three to five times a run,
+# and its table pays for itself by the second.
+_SPAN = 33
+_G_TABLE: tuple[tuple[int, int], ...] = ()
+_KEY_TABLES: "OrderedDict[tuple[int, int], tuple]" = OrderedDict()
+_KEY_TABLES_MAX = 512
 
-    ``2Q`` is computed in Jacobian form and the curve is carried by the
-    isomorphism ``(x, y) -> (x·Z², y·Z³)`` onto the one where that ``2Q``
-    is affine, so the seven additions are mixed ones and the whole table
-    costs a single inversion; a point ``(X, Y, Z')`` over there is
-    ``(X, Y, Z'·Z)`` back here.
+
+def _base_table(point: Point, width: int) -> tuple[tuple[int, int], ...]:
+    """The width-``width`` table of on-curve ``point``: 100 doublings,
+    ``4·(2^(w-2) - 1)`` mixed additions and two batch inversions."""
+    chain = [(point.x, point.y, 1)]
+    for _ in range(3):
+        chain.append(_jacobian_double(*chain[-1]))
+        chain.append(_jacobian_double(*chain[-1], _SPAN - 1))
+    chain.append(_jacobian_double(*chain[-1]))
+    affine = _batch_to_affine(chain)  # base, 2·base, next base, ...
+    multiples = []
+    for (bx, by), (dx, dy) in zip(affine[::2], affine[1::2]):
+        multiples.append((bx, by, 1))
+        for _ in range((1 << (width - 2)) - 1):
+            multiples.append(_jacobian_add_affine(*multiples[-1], dx, dy))
+    return tuple(_batch_to_affine(multiples))
+
+
+def _generator_table() -> tuple[tuple[int, int], ...]:
+    global _G_TABLE
+    if not _G_TABLE:
+        _G_TABLE = _base_table(G, 10)
+    return _G_TABLE
+
+
+def _key_table(point: Point) -> tuple[tuple[int, int], ...]:
+    """``point``'s width-5 table, built on first use and kept (LRU)."""
+    key = (point.x, point.y)
+    table = _KEY_TABLES.get(key)
+    if table is None:
+        table = _KEY_TABLES[key] = _base_table(point, 5)
+        if len(_KEY_TABLES) > _KEY_TABLES_MAX:
+            _KEY_TABLES.popitem(last=False)
+    else:
+        _KEY_TABLES.move_to_end(key)
+    return table
+
+
+def _wnaf_addends(k: int, table: tuple, addends: list) -> None:
+    """Append ``(chain offset, x, y)`` per non-zero wNAF digit of ``k``'s halves.
+
+    ``k = k1 + k2·λ``; each half is recoded once, at the width ``w`` of
+    ``table``, into odd digits in ``(-2^(w-1), 2^(w-1))`` at least ``w``
+    positions apart.  The point
+    is ``|digit|`` from the base of the digit's position, mapped by λ
+    (``x`` times β) for ``k2`` and negated (``y`` flipped) when the
+    signs of the digit and of the half differ.
     """
-    dx, dy, dz = _jacobian_double(point.x, point.y, 1)
-    dzsq = dz * dz % P
-    odd = [(point.x * dzsq % P, point.y * dzsq * dz % P, 1)]
-    for _ in range(7):
-        odd.append(_jacobian_add_affine(*odd[-1], dx, dy))
-    table = _batch_to_affine([(x, y, z * dz % P) for x, y, z in odd])
-    return table, [(BETA * x % P, y) for x, y in table]
+    row = len(table) >> 2  # 2^(w-2) odd multiples per base
+    window = row << 2
+    for half, image in zip(_glv_split(k), (False, True)):
+        negative = half < 0
+        half = abs(half)
+        position = 0
+        while half:
+            zeros = (half & -half).bit_length() - 1
+            half >>= zeros
+            position += zeros
+            digit = half & (window - 1)
+            if digit > window >> 1:
+                digit -= window
+            half -= digit
+            base, offset = divmod(position, _SPAN)
+            x, y = table[base * row + (abs(digit) >> 1)]
+            if image:
+                x = BETA * x % P
+            addends.append((offset, x, P - y if (digit < 0) != negative else y))
 
 
-def _wnaf_addends(k: int, table) -> list[tuple[int, int, int]]:
-    """``(bit position, x, y)`` per non-zero width-5 wNAF digit of ``k``.
+def _multiply(*terms: tuple[int, tuple]) -> tuple[int, int, int]:
+    """Jacobian ``Σ k·T`` over ``(k, table of T)`` terms, ``0 <= k < N``.
 
-    Digits are odd, in ``[-15, 15]`` and at least five positions apart;
-    the point is ``|digit|`` from the odd-multiples ``table``, negated
-    (``y`` flipped) when the signs of the digit and of ``k`` differ.
+    Every stream's addends share one chain: sorted by offset, added, and
+    doubled down to the next offset, at most 32 doublings in all.
     """
-    negative = k < 0
-    k = abs(k)
-    addends = []
-    position = 0
-    while k:
-        zeros = (k & -k).bit_length() - 1
-        k >>= zeros
-        position += zeros
-        digit = k & 31
-        if digit > 16:
-            digit -= 32
-        k -= digit
-        x, y = table[abs(digit) >> 1]
-        addends.append((position, x, P - y if (digit < 0) != negative else y))
-    return addends
-
-
-def _glv_mult(k: int, multiples) -> tuple[int, int, int]:
-    """Jacobian ``k·Q`` for ``0 <= k < N`` from ``_odd_multiples(Q)``.
-
-    ``k = k1 + k2·λ`` with 128-bit halves, so ``k1·Q + k2·(λQ)`` shares
-    one chain of ~128 doublings between two wNAF streams of ~21 mixed
-    additions each.
-    """
-    k1, k2 = _glv_split(k)
-    addends = _wnaf_addends(k1, multiples[0]) + _wnaf_addends(k2, multiples[1])
+    addends: list[tuple[int, int, int]] = []
+    for k, table in terms:
+        _wnaf_addends(k, table, addends)
     addends.sort(reverse=True)
     jx, jy, jz = 0, 1, 0  # Jacobian infinity
-    below = [position for position, _, _ in addends[1:]] + [0]
-    for (position, ax, ay), lower in zip(addends, below):
+    below = [offset for offset, _, _ in addends[1:]] + [0]
+    for (offset, ax, ay), lower in zip(addends, below):
         jx, jy, jz = _jacobian_add_affine(jx, jy, jz, ax, ay)
-        jx, jy, jz = _jacobian_double(jx, jy, jz, position - lower)
+        if offset != lower:
+            jx, jy, jz = _jacobian_double(jx, jy, jz, offset - lower)
     return jx, jy, jz
 
 
@@ -319,20 +312,18 @@ def scalar_mult(k: int, point: Point) -> Point:
     """Compute ``k * point`` for a point on the curve.
 
     ``k`` is reduced modulo the group order (so negative scalars negate).
-    Multiples of ``G`` — key derivation and signing — come from the
-    signed fixed-window table: at most 43 mixed additions and no
-    doublings.  Any other point takes the endomorphism-split wNAF path.
-    Both stay in Jacobian coordinates and pay one modular inversion for
-    the final conversion; the ledger's ``crypto.keygen_per_s`` and
-    ``crypto.sign_per_s`` track the first path,
-    ``crypto.verify_first_sight_per_s`` the second.
+    Multiples of ``G`` — key derivation and signing — read G's width-10
+    table; any other point its width-5 table from the key LRU.  Both run
+    the same chain of at most 33 doublings and pay one modular inversion
+    for the final conversion; the ledger's ``crypto.keygen_per_s`` and
+    ``crypto.sign_per_s`` track the first.
     """
     k %= N
     if k == 0 or point.is_infinity:
         return INFINITY
     if point == G:
-        return _jacobian_to_point(*_add_generator_multiple(k, 0, 1, 0))
-    return _jacobian_to_point(*_glv_mult(k, _odd_multiples(point)))
+        return _jacobian_to_point(*_multiply((k, _generator_table())))
+    return _jacobian_to_point(*_multiply((k, _key_table(point))))
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +459,8 @@ def verify_digest(public_point: Point, digest: bytes, signature: EcdsaSignature)
     w = _inverse_mod(s, N)
     u1 = z * w % N
     u2 = r * w % N
-    # u2·Q first (u2 != 0), then u1·G from the table into the same
-    # Jacobian accumulator, which is never converted to affine.
-    accumulator = _glv_mult(u2, _odd_multiples(public_point))
-    jx, _, jz = _add_generator_multiple(u1, *accumulator)
+    # One chain for u2·Q and u1·G; the sum is never converted to affine.
+    jx, _, jz = _multiply((u2, _key_table(public_point)), (u1, _generator_table()))
     if jz == 0:
         return False
     # x = X/Z² must reduce to r modulo N; x < P < 2N leaves two

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import ecdsa
+from repro.crypto import ecdsa, keys
 from repro.crypto.hashing import sha256
 from repro.crypto.keys import PublicKey
 from repro.errors import InvalidKeyError, InvalidSignatureError
@@ -82,10 +82,9 @@ class TestCurveArithmetic:
         assert ecdsa.is_on_curve(ecdsa.derive_public_point(d))
 
 
-#: Scalars whose 6-bit windows sit above half a window (all of them, or
-#: every other one), so their signed digits are negative and the top row
-#: of the generator table — which holds no bit of the scalar itself —
-#: carries the compensating +1; and the all-ones 256-bit word.
+#: Long runs of set bits (all of them, or in alternating 6-bit groups):
+#: a wNAF recodes them into negative digits and carries that ripple up
+#: through the 33-position base boundaries; and the all-ones 256-bit word.
 WINDOW_EDGES = [
     2**252 - 1,
     sum(33 << (6 * row) for row in range(42)),
@@ -151,8 +150,9 @@ class TestKernelAgainstReference:
             "from repro.crypto import ecdsa\n"
             "assert ecdsa._G_TABLE == (), 'table built at import'\n"
             "ecdsa.sign_digest(7, bytes(32))\n"
-            "assert len(ecdsa._G_TABLE) == 43\n"
-            "assert all(len(row) == 32 for row in ecdsa._G_TABLE)\n"
+            "assert len(ecdsa._G_TABLE) == 4 * 256  # four bases, width 10\n"
+            "assert all(len(entry) == 2 for entry in ecdsa._G_TABLE)\n"
+            "assert not ecdsa._KEY_TABLES, 'signing built a key table'\n"
         )
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -160,27 +160,44 @@ class TestKernelAgainstReference:
         subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=60)
 
 
-class TestGeneratorWindows:
-    """Signed 6-bit windows: 43 rows, digits in [-32, 31], no doublings."""
+def table_entry(table, j, m):
+    """``m·2^(33j)·T`` as the kernel reads it from ``T``'s table."""
+    return ecdsa.Point(*table[j * len(table) // 4 + m // 2])
 
-    @pytest.mark.parametrize("k", WINDOW_EDGES + [0, 31, 32, 33, 63, 64, 2**252, N - 1])
+
+#: Scalars with a digit on either side of each base boundary (positions
+#: 32/33, 65/66, 98/99) and at the top of a 128-bit half.
+BASE_EDGES = [1 << p for p in (32, 33, 65, 66, 98, 99, 127, 128)] + [
+    (1 << 33) - 1,
+    (1 << 66) - 1,
+    (1 << 128) - 1,
+    ((1 << 33) - 1) << 66,
+]
+
+
+class TestGeneratorWindows:
+    """``G``'s width-10 wNAF over the four bases ``2^(33j)·G``."""
+
+    @pytest.mark.parametrize(
+        "k", WINDOW_EDGES + BASE_EDGES + [0, 31, 32, 33, 63, 64, 2**252, N - 1]
+    )
     def test_window_edges_match_reference(self, k):
-        summed = ecdsa._add_generator_multiple(k, 0, 1, 0)
-        assert ecdsa._jacobian_to_point(*summed) == reference_mult(k, G)
+        assert ecdsa.scalar_mult(k, G) == reference_mult(k, G)
 
     def test_rows_hold_the_multiples_they_are_read_as(self):
         table = ecdsa._generator_table()
-        for row in (0, 1, 21, 42):
-            base = reference_mult(64**row, G)
-            for j in (1, 2, 31, 32):
-                assert ecdsa.Point(*table[row][j - 1]) == reference_mult(j, base)
+        for j in range(4):
+            base = reference_mult(2 ** (33 * j), G)
+            for m in (1, 3, 255, 511):
+                assert table_entry(table, j, m) == reference_mult(m, base)
 
-    @given(st.integers(min_value=0, max_value=2**256 - 1), scalars)
+    @given(scalars, scalars, scalars)
     @settings(max_examples=25, deadline=None)
-    def test_adds_onto_any_accumulator(self, k, d):
-        start = reference_mult(d, G)
-        summed = ecdsa._add_generator_multiple(k, start.x, start.y, 1)
-        assert ecdsa._jacobian_to_point(*summed) == reference_mult(k + d, G)
+    def test_adds_onto_any_accumulator(self, k, e, d):
+        # k·G from G's table and e·Q from Q's, on one chain.
+        q = reference_mult(d, G)
+        summed = ecdsa._multiply((k, ecdsa._generator_table()), (e, ecdsa._key_table(q)))
+        assert ecdsa._jacobian_to_point(*summed) == reference_mult(k + e * d, G)
 
 
 class TestEndomorphism:
@@ -236,14 +253,18 @@ class TestEndomorphism:
     @given(scalars)
     @settings(max_examples=10, deadline=None)
     def test_odd_multiples_table(self, d):
+        # Every row of a key's table reads back as m·2^(33j)·Q, and its
+        # λ-image, taken on the fly as (β·x, y), as m·2^(33j)·λ·Q.
         q = reference_mult(d, G)
-        table, images = ecdsa._odd_multiples(q)
-        assert [ecdsa.Point(*entry) for entry in table] == [
-            reference_mult(j, q) for j in range(1, 16, 2)
-        ]
-        assert [ecdsa.Point(*entry) for entry in images] == [
-            reference_mult(j * LAMBDA, q) for j in range(1, 16, 2)
-        ]
+        table = ecdsa._base_table(q, 5)
+        assert len(table) == 32
+        for j in range(4):
+            base = reference_mult(2 ** (33 * j), q)
+            for m in range(1, 16, 2):
+                entry = table_entry(table, j, m)
+                assert entry == reference_mult(m, base)
+                image = ecdsa.Point(BETA * entry.x % P, entry.y)
+                assert image == reference_mult(m * LAMBDA, base)
 
 
 class TestCanonicalPoints:
@@ -378,13 +399,69 @@ class TestSignVerify:
         assert not ecdsa.verify_digest(ecdsa.derive_public_point(d), d2, sig)
 
 
+def forget(point):
+    """Drop ``point``'s table so its next verify is cold."""
+    ecdsa._KEY_TABLES.pop((point.x, point.y), None)
+
+
+class TestKeyTables:
+    """The per-key tables: built by a key's first verify, kept in an LRU."""
+
+    @given(scalars, digests, st.sampled_from(["valid", "r", "s", "digest"]))
+    @settings(max_examples=20, deadline=None)
+    def test_cold_and_warm_agree_with_reference(self, d, digest, tamper):
+        public = reference_mult(d, G)
+        signature = ecdsa.sign_digest(d, digest)
+        r, s = signature.r, signature.s
+        if tamper == "r":
+            r = r % (N - 1) + 1
+        elif tamper == "s":
+            s = s % (N - 1) + 1
+        elif tamper == "digest":
+            digest = sha256(digest)
+        signature = ecdsa.EcdsaSignature(r, s)
+        expected = reference_verify(public, digest, signature)
+        assert expected == (tamper == "valid")
+        forget(public)
+        assert ecdsa.verify_digest(public, digest, signature) == expected  # cold
+        assert (public.x, public.y) in ecdsa._KEY_TABLES
+        assert ecdsa.verify_digest(public, digest, signature) == expected  # warm
+
+    def test_lru_evicts_the_oldest_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(ecdsa, "_KEY_TABLES_MAX", 2)
+        keys.clear_verify_cache()
+        a, b, c = (reference_mult(d, G) for d in (11, 12, 13))
+        digest = sha256(b"lru")
+        for point in (a, b, a, c):  # a is refreshed, so b is the oldest
+            ecdsa.verify_digest(point, digest, ecdsa.sign_digest(1, digest))
+        assert list(ecdsa._KEY_TABLES) == [(a.x, a.y), (c.x, c.y)]
+        keys.clear_verify_cache()
+        assert not ecdsa._KEY_TABLES
+
+    def test_a_warm_table_never_accepts_another_keys_signature(self):
+        a, b = 0xA11CE, 0xB0B
+        key_a, key_b = reference_mult(a, G), reference_mult(b, G)
+        minus_a = ecdsa.point_neg(key_a)  # same x: the LRU keys on (x, y)
+        for index in range(4):
+            digest = sha256(b"warm-%d" % index)
+            by_a, by_b = ecdsa.sign_digest(a, digest), ecdsa.sign_digest(b, digest)
+            by_minus_a = ecdsa.sign_digest(N - a, digest)
+            assert ecdsa.verify_digest(key_a, digest, by_a)
+            assert not ecdsa.verify_digest(key_a, digest, by_b)
+            assert not ecdsa.verify_digest(key_a, digest, by_minus_a)
+            assert not ecdsa.verify_digest(minus_a, digest, by_a)
+            assert ecdsa.verify_digest(minus_a, digest, by_minus_a)
+            assert ecdsa.verify_digest(key_b, digest, by_b)
+            assert not ecdsa.verify_digest(key_b, digest, by_a)
+
+
 class TestVerifyAccumulatorCollisions:
     """``u2·Q`` meeting ``±u1·G`` inside the shared Jacobian accumulator.
 
     With ``Q = d·G`` and digest ``z = ±r·d`` the two halves of the
-    verification sum are ``±t·G`` and ``t·G`` for ``t = z/s``; when ``t``
-    fills a single table window the fixed-base addition lands exactly on
-    the accumulator (doubling branch) or on its negation (infinity).
+    verification sum are ``±t·G`` and ``t·G`` for ``t = z/s``; when an
+    addend of one stream is the accumulator (or its negation) the mixed
+    addition takes the doubling (or the infinity) branch.
     """
 
     @staticmethod
@@ -406,12 +483,45 @@ class TestVerifyAccumulatorCollisions:
         assert not reference_verify(public, digest, signature)
         assert not ecdsa.verify_digest(public, digest, signature)
 
-    def test_single_window_addition_takes_the_collision_branches(self):
-        five_g = reference_mult(5, G)
-        doubled = ecdsa._add_generator_multiple(5, five_g.x, five_g.y, 1)
-        assert ecdsa._jacobian_to_point(*doubled) == reference_mult(10, G)
-        cancelled = ecdsa._add_generator_multiple(5, five_g.x, P - five_g.y, 1)
-        assert ecdsa._jacobian_to_point(*cancelled).is_infinity
+    #: ``Q`` and the ``(u1, u2)`` that put the same point, or its
+    #: negation, in both streams: ``Q = G`` and ``-G`` read ``t·G`` from
+    #: both tables; ``Q = λG`` reads ``t·λG`` from its own table and as the
+    #: λ-image of ``t·G`` in the G stream (``t·λ`` splits as ``(0, t)``).
+    MEETINGS = {
+        "G": (G, lambda t: (t, t)),
+        "-G": (ecdsa.point_neg(G), lambda t: (t, N - t)),
+        "lambda-G": (reference_mult(LAMBDA, G), lambda t: (t * LAMBDA % N, t)),
+    }
+
+    @staticmethod
+    def meeting(q, u1, u2):
+        """The offsets where the two streams' addends share an ``x``."""
+        stream_g, stream_q = [], []
+        ecdsa._wnaf_addends(u1, ecdsa._generator_table(), stream_g)
+        ecdsa._wnaf_addends(u2, ecdsa._key_table(q), stream_q)
+        return {(o, x) for o, x, _ in stream_g} & {(o, x) for o, x, _ in stream_q}
+
+    @pytest.mark.parametrize("t", [5, 5 << 12, 5 << 40, ((1 << 30) + 3) << 70])
+    @pytest.mark.parametrize("sign", [+1, -1], ids=["double", "cancel"])
+    @pytest.mark.parametrize("name", sorted(MEETINGS))
+    def test_streams_meet_mid_chain(self, name, sign, t):
+        q, scalars_of = self.MEETINGS[name]
+        u1, u2 = scalars_of(t)
+        u2 = u2 if sign > 0 else N - u2
+        assert self.meeting(q, u1, u2)
+        summed = ecdsa._multiply((u1, ecdsa._generator_table()), (u2, ecdsa._key_table(q)))
+        expected = ecdsa.point_add(reference_mult(u1, G), reference_mult(u2, q))
+        assert expected.is_infinity == (sign < 0)
+        assert ecdsa._jacobian_to_point(*summed) == expected
+        # The same meeting inside verify_digest, r taken from the sum (or
+        # from 2·t·G where the sum is infinity).
+        r = (reference_mult(2 * t, G) if expected.is_infinity else expected).x % N
+        s = r * pow(u2, -1, N) % N
+        digest = (u1 * s % N).to_bytes(32, "big")
+        signature = ecdsa.EcdsaSignature(r, s)
+        verdict = reference_verify(q, digest, signature)
+        assert verdict == (sign > 0)
+        assert ecdsa.verify_digest(q, digest, signature) == verdict
 
 
 class TestJacobianAcceptance:
@@ -462,29 +572,30 @@ class TestJacobianAcceptance:
         assert not ecdsa.verify_digest(public, digest, signature)
 
 
+def openssl_verdict(public, digest, r, s):
+    """OpenSSL's verdict on ``(r, s)`` over a prehashed 32-byte digest."""
+    pytest.importorskip("cryptography")
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives import hashes
+    from cryptography.hazmat.primitives.asymmetric import ec, utils
+
+    key = ec.EllipticCurvePublicNumbers(public.x, public.y, ec.SECP256K1()).public_key()
+    try:
+        key.verify(
+            utils.encode_dss_signature(r, s),
+            digest,
+            ec.ECDSA(utils.Prehashed(hashes.SHA256())),
+        )
+    except InvalidSignature:
+        return False
+    return True
+
+
 class TestAgainstOpenSSL:
-    """An oracle that shares no code with this repository (optional)."""
+    """An oracle that shares no code with this repository (a test-only
+    dependency: ``cryptography``; skipped where it is not installed)."""
 
     def test_valid_and_bit_flipped_signatures_are_judged_alike(self):
-        pytest.importorskip("cryptography")
-        from cryptography.exceptions import InvalidSignature
-        from cryptography.hazmat.primitives import hashes
-        from cryptography.hazmat.primitives.asymmetric import ec, utils
-
-        def openssl_verdict(public, digest, r, s):
-            key = ec.EllipticCurvePublicNumbers(
-                public.x, public.y, ec.SECP256K1()
-            ).public_key()
-            try:
-                key.verify(
-                    utils.encode_dss_signature(r, s),
-                    digest,
-                    ec.ECDSA(utils.Prehashed(hashes.SHA256())),
-                )
-            except InvalidSignature:
-                return False
-            return True
-
         accepted = 0
         for index in range(200):
             d = int.from_bytes(sha256(b"openssl-key-%d" % (index % 20)), "big") % (N - 1) + 1
@@ -504,6 +615,29 @@ class TestAgainstOpenSSL:
             assert verdict == (index % 4 == 0), index
             accepted += verdict
         assert accepted == 50
+
+    def test_one_key_cold_then_warm(self):
+        # One signer, 52 digests: each signature is judged on a cold
+        # table and again on the warm one, and both verdicts are OpenSSL's.
+        d = int.from_bytes(sha256(b"openssl-warm-key"), "big") % (N - 1) + 1
+        other = d ^ 0xFFFF
+        public = ecdsa.derive_public_point(d)
+        for index in range(52):
+            digest = sha256(b"openssl-warm-message-%d" % index)
+            case = index % 4
+            signature = ecdsa.sign_digest(other if case == 3 else d, digest)
+            r, s = signature.r, signature.s
+            flip = 1 << (index * 41 % 256)
+            if case == 1:
+                r ^= flip
+            elif case == 2:
+                s ^= flip
+            oracle = openssl_verdict(public, digest, r, s)
+            assert oracle == (case == 0), index
+            forget(public)
+            for _ in ("cold", "warm"):
+                verdict = ecdsa.verify_digest(public, digest, ecdsa.EcdsaSignature(r, s))
+                assert verdict == oracle, index
 
 
 class TestKnownAnswerSignatures:

@@ -1,33 +1,42 @@
-"""How often a key is derived, counted, not timed.
+"""How often a key is derived and a key's table is built, counted, not timed.
 
 Every ``KeyPair.from_seed`` is a ``k·G``, so a world that names an
 identity twice (the graph builder, then the participant actor, then a
-restore) must derive it once.
+restore) must derive it once.  Every verify under a key reads that key's
+table, so a run builds it once and every later verify under the key
+runs the short chain.
 """
 
 import contextlib
 import sys
 
 from repro.crypto import ecdsa, keys
+from repro.crypto.hashing import sha256
 from repro.crypto.keys import KeyPair
-from repro.experiment import build_environment, preset_spec, traffic_generator
+from repro.experiment import (
+    build_environment,
+    preset_spec,
+    run_experiment,
+    traffic_generator,
+)
 
 
 @contextlib.contextmanager
-def recorded_calls(function, argument):
-    """The value of ``argument`` at each entry into ``function``, seen the
-    way the ledger's profile counts calls: by code object."""
-    seen = []
-    code = function.__code__
+def recorded_calls(*watched):
+    """For each ``(function, argument)`` pair, the value of ``argument`` at
+    each entry into ``function``, seen the way the ledger's profile counts
+    calls: by code object.  Yields one list per pair."""
+    seen = {function.__code__: (argument, []) for function, argument in watched}
 
     def hook(frame, event, _arg):
-        if event == "call" and frame.f_code is code:
-            seen.append(frame.f_locals[argument])
+        entry = seen.get(frame.f_code) if event == "call" else None
+        if entry is not None:
+            entry[1].append(frame.f_locals[entry[0]])
 
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:
-        yield seen
+        yield [values for _, values in seen.values()]
     finally:
         sys.setprofile(previous)
 
@@ -35,7 +44,7 @@ def recorded_calls(function, argument):
 def test_engine_smoke_world_derives_each_seed_once():
     spec = preset_spec("engine-smoke")
     keys._SEED_CACHE.clear()
-    with recorded_calls(ecdsa.derive_public_point, "d") as scalars:
+    with recorded_calls((ecdsa.derive_public_point, "d")) as (scalars,):
         traffic = traffic_generator(spec.traffic.generator)(spec)
         env = build_environment(spec, traffic)
     names = {name for item in traffic for name, _ in item.graph.participants}
@@ -45,7 +54,7 @@ def test_engine_smoke_world_derives_each_seed_once():
     # the only other identities of this world.
     assert len(scalars) == len(set(scalars))
     assert len(names) < len(scalars) <= len(names) + len(env.miners) + 1
-    with recorded_calls(ecdsa.derive_public_point, "d") as scalars:
+    with recorded_calls((ecdsa.derive_public_point, "d")) as (scalars,):
         for name, actor in env.participants.items():
             assert KeyPair.from_seed(f"participant/{name}") is actor.keypair
     assert scalars == []
@@ -53,7 +62,7 @@ def test_engine_smoke_world_derives_each_seed_once():
 
 def test_str_and_bytes_seeds_share_one_entry():
     keys._SEED_CACHE.clear()
-    with recorded_calls(ecdsa.derive_public_point, "d") as scalars:
+    with recorded_calls((ecdsa.derive_public_point, "d")) as (scalars,):
         pair = KeyPair.from_seed("keys-cost/ünïcode")
         assert KeyPair.from_seed("keys-cost/ünïcode".encode("utf-8")) is pair
         assert KeyPair.from_seed("keys-cost/other") is not pair
@@ -70,3 +79,55 @@ def test_seed_memo_is_bounded_and_evicts_the_oldest(monkeypatch):
     KeyPair.from_seed("keys-cost/2")
     assert list(keys._SEED_CACHE) == [b"keys-cost/0", b"keys-cost/2"]
     keys._SEED_CACHE.clear()
+
+
+def signed(pair, count):
+    """``count`` (digest, signature) pairs under ``pair``."""
+    digests = [sha256(b"keys-cost/verify-%d" % index) for index in range(count)]
+    return [(digest, pair.sign(digest)) for digest in digests]
+
+
+def test_a_warm_verify_runs_at_most_33_doublings():
+    pair = KeyPair.from_seed("keys-cost/warm")
+    point = pair.public_key.point
+    messages = signed(pair, 8)
+    keys.clear_verify_cache()
+    assert ecdsa.verify_digest(point, *messages[0])
+    for digest, signature in messages[1:]:
+        with recorded_calls(
+            (ecdsa._jacobian_double, "times"), (ecdsa._base_table, "point")
+        ) as (doublings, builds):
+            assert ecdsa.verify_digest(point, digest, signature)
+        assert sum(doublings) <= 33
+        assert builds == []
+
+
+def test_a_cold_verify_adds_exactly_one_table_build():
+    pair = KeyPair.from_seed("keys-cost/cold")
+    point = pair.public_key.point
+    [(digest, signature)] = signed(pair, 1)
+    ecdsa._generator_table()
+    keys.clear_verify_cache()
+    counts = []
+    for _ in ("cold", "warm"):
+        with recorded_calls(
+            (ecdsa._jacobian_double, "times"), (ecdsa._base_table, "point")
+        ) as (doublings, builds):
+            assert ecdsa.verify_digest(point, digest, signature)
+        counts.append((sum(doublings), builds))
+    (cold, built), (warm, rebuilt) = counts
+    assert built == [point] and rebuilt == []
+    # The same chain both times; the build adds its four bases' doublings.
+    assert cold == warm + 100
+
+
+def test_engine_smoke_world_builds_one_table_per_verifying_key():
+    ecdsa._generator_table()
+    with recorded_calls(
+        (ecdsa.verify_digest, "public_point"), (ecdsa._base_table, "point")
+    ) as (verified, builds):
+        run_experiment(preset_spec("engine-smoke"))
+    assert len(verified) > 2 * len(set(verified))  # signers repeat ...
+    assert sorted(builds, key=lambda p: (p.x, p.y)) == sorted(
+        set(verified), key=lambda p: (p.x, p.y)
+    )  # ... and each one's table is built exactly once

@@ -145,7 +145,9 @@ class Block:
 
     ``messages`` are chain messages (transfers, deployments, calls — see
     :mod:`repro.chain.messages`); the header's ``merkle_root`` must equal
-    the root over their ids.
+    the root over their ids.  Genesis is the exception: it carries no
+    messages, and its roots commit to the coinbases of its coins
+    (:func:`~repro.chain.chain.build_genesis`).
     """
 
     header: BlockHeader

@@ -24,11 +24,11 @@ from .block import (
     receipts_merkle_tree,
 )
 from .contracts import Receipt, SmartContract
-from .messages import ChainMessage, TransferMessage
+from .messages import ChainMessage, transfer_ids
 from .params import ChainParams
 from .pow import check_pow, mine_header, work_for_bits
 from .state import ChainState
-from .transaction import make_coinbase
+from .transaction import OutPoint, TxOutput, coinbase_encoding
 
 GENESIS_PREV = b"\x00" * 32
 
@@ -46,34 +46,38 @@ class MessageLocation:
 class Genesis:
     """A genesis block's content, everything but its header.
 
-    It depends on the allocations alone (a coinbase pays no fee and reads
-    no params), so chains funded alike share one.  Only the roots are
-    kept: nothing proves inclusion in genesis, and a tree is two digests
-    per coin.  ``state`` is never written: each chain installs a
-    copy-on-write clone of it.
+    It depends on the allocations alone, so chains funded alike share
+    one.  Each allocation is a coin in ``state``: the output of the
+    coinbase that would mint it, never kept as a message, a receipt or an
+    index entry, since no protocol step finds, proves or reads a genesis
+    coin.  The coinbases live on only in the two roots.  ``state`` is
+    never written: each chain installs a copy-on-write clone of it.
     """
 
-    messages: tuple[TransferMessage, ...]
     state: ChainState
     merkle_root: bytes
     receipts_root: bytes
 
 
 def build_genesis(allocations: Iterable[tuple[Address, int]]) -> Genesis:
-    """The genesis minting ``allocations``, ``(address, value)`` pairs, in order."""
+    """The genesis minting ``allocations``, ``(address, value)`` pairs, in
+    order: coin ``nonce`` is output 0 of the coinbase paying that pair
+    under ``nonce``, whose template bytes are hashed into its txid and,
+    for the roots, its message id.  A run of equal allocations holds one
+    :class:`TxOutput`."""
     state = ChainState()
-    messages, leaves = [], []
-    coinbase = None
+    ids = []
+    last = output = None
     for nonce, (address, value) in enumerate(allocations):
-        coinbase = make_coinbase(address, value, nonce, previous=coinbase)
-        messages.append(TransferMessage(coinbase))
-        receipt = state.apply_message(messages[-1], None, 0, 0.0, allow_coinbase=True)
-        leaves.append(receipt_leaf(messages[-1].message_id(), receipt.status))
+        if (address, value, type(value)) != last:
+            last, output = (address, value, type(value)), TxOutput(address, value)
+        txid, message_id = transfer_ids(coinbase_encoding(output, nonce))
+        state.utxos.add(OutPoint(txid, 0), output)
+        ids.append(message_id)
     return Genesis(
-        tuple(messages),
         state,
-        merkle_root([message.message_id() for message in messages]),
-        merkle_root(leaves),
+        merkle_root(ids),
+        merkle_root([receipt_leaf(message_id, "ok") for message_id in ids]),
     )
 
 
@@ -82,8 +86,9 @@ class Blockchain:
 
     A message costs one index entry, its block's hash, and a receipt
     (shared when fee-free).  Of its genesis a chain owns only the header
-    (its ``chain_id``), a state clone and the index entries; the messages,
-    roots and state buckets are the shared :class:`Genesis`'s.
+    (its ``chain_id``) and a state clone; the coins, roots and state
+    buckets are the shared :class:`Genesis`'s, and the genesis block
+    carries no messages.
 
     Args:
         params: static chain configuration.
@@ -135,7 +140,7 @@ class Blockchain:
             nonce=0,
             miner=Address(b"\x00" * 20),
         )
-        self._install(Block(header=header, messages=genesis.messages), genesis.state.clone())
+        self._install(Block(header=header, messages=()), genesis.state.clone())
 
     def _receipts(self, statuses: list[tuple[bytes, str]]) -> tuple[list, MerkleTree]:
         """``statuses`` (a private copy) and the receipts tree over them.
@@ -386,15 +391,11 @@ class Blockchain:
 
     def receipts_data(self, block_hash: bytes) -> tuple[list[tuple[bytes, str]], MerkleTree]:
         """The ``(message_id, status)`` list and receipts Merkle tree of a
-        connected block, in block order: cached from connect time, except
-        genesis's, which is rebuilt from its messages and state on demand
-        (the way :meth:`Block.merkle_tree` rebuilds a messages tree)."""
+        mined block, in block order, as cached at connect time.  Genesis
+        keeps none: its root commits to coinbases no chain holds."""
         data = self._receipt_data.get(block_hash)
         if data is None:
-            receipts = self.state_at(block_hash).receipts
-            ids = [message.message_id() for message in self.block(block_hash).messages]
-            statuses = [(mid, receipts[mid].status) for mid in ids]
-            data = statuses, receipts_merkle_tree(statuses)
+            raise UnknownBlockError(f"no receipts kept for block {block_hash.hex()[:12]}…")
         return data
 
     # -- message queries --------------------------------------------------------

@@ -21,9 +21,9 @@ they differ only in hash domain — and :func:`sign_message` hands it to
 the signed copy, because the signature is not part of it.  The cache
 slots are ``init=False``, so ``dataclasses.replace`` (used by tests to
 build tampered copies) and any re-construction (a fee bump) start with
-them empty and the copy re-derives fresh digests.  A transfer encodes its transaction once
-(a coinbase through its fixed template, ``Transaction.encoded``) for both
-the message id and the txid and keeps only the two digests.
+them empty and the copy re-derives fresh digests.  A transfer encodes its
+transaction once for both the message id and the txid
+(:func:`transfer_ids`) and keeps only the two digests.
 """
 
 from __future__ import annotations
@@ -69,11 +69,17 @@ class TransferMessage(ChainMessage):
     def message_id(self) -> bytes:
         mid = self._mid
         if mid is None:
-            tx_bytes = self.tx.encoded()
-            object.__setattr__(self.tx, "_txid", hash_encoded(tx_bytes, TXID_DOMAIN))
-            mid = hash_encoded(_TRANSFER_PREFIX + tx_bytes, _MESSAGE_DOMAIN)
+            txid, mid = transfer_ids(canonical_encode(self.tx.to_wire()))
+            object.__setattr__(self.tx, "_txid", txid)
             object.__setattr__(self, "_mid", mid)
         return mid
+
+
+def transfer_ids(tx_bytes: bytes) -> tuple[bytes, bytes]:
+    """The txid and the message id of the transfer of the transaction
+    whose canonical encoding is ``tx_bytes``."""
+    txid = hash_encoded(tx_bytes, TXID_DOMAIN)
+    return txid, hash_encoded(_TRANSFER_PREFIX + tx_bytes, _MESSAGE_DOMAIN)
 
 
 def _funding_wire(inputs: tuple[TxInput, ...], change: tuple[TxOutput, ...]):

@@ -1,9 +1,10 @@
 """Chain state: UTXO set + deployed contracts + receipts.
 
-The state at a block is a pure function of the message sequence from
-genesis to that block, which is what makes fork handling correct: after
-a reorg the chain simply exposes the state of the new winning branch
-(computed by replay / incremental application along that branch).
+The state at a block is a pure function of the genesis coins and the
+messages mined after genesis up to that block, which is what makes fork
+handling correct: after a reorg the chain simply exposes the state of
+the new winning branch (computed by replay / incremental application
+along that branch).
 
 Message application rules:
 
@@ -181,7 +182,6 @@ class ChainState:
         params: ChainParams,
         block_height: int,
         block_time: float,
-        allow_coinbase: bool = False,
     ) -> Receipt:
         """Validate and apply one message; returns its receipt.
 
@@ -196,7 +196,7 @@ class ChainState:
             raise ValidationError("message already applied (replay)")
 
         if isinstance(message, TransferMessage):
-            receipt = self._apply_transfer(message, params, allow_coinbase)
+            receipt = self._apply_transfer(message, params)
         elif isinstance(message, DeployMessage):
             receipt = self._apply_deploy(message, params, block_height, block_time, message_id)
         elif isinstance(message, CallMessage):
@@ -208,16 +208,8 @@ class ChainState:
         self.fees_collected += receipt.fee_paid
         return receipt
 
-    def _apply_transfer(
-        self,
-        message: TransferMessage,
-        params: ChainParams,
-        allow_coinbase: bool,
-    ) -> Receipt:
-        if message.tx.is_coinbase and not allow_coinbase:
-            raise ValidationError("coinbase transactions only allowed at genesis")
-        min_fee = 0 if message.tx.is_coinbase else params.fees.transfer
-        fee = self.utxos.apply_transaction(message.tx, min_fee=min_fee)
+    def _apply_transfer(self, message: TransferMessage, params: ChainParams) -> Receipt:
+        fee = self.utxos.apply_transaction(message.tx, min_fee=params.fees.transfer)
         self.transfer_count += 1
         return Receipt(status="ok", fee_paid=fee) if fee else OK_RECEIPT
 
@@ -334,8 +326,9 @@ class ChainState:
         Returns the per-message receipts in block order.  Raises on any
         invalid message — the caller treats the whole block as invalid in
         that case (this state must then be discarded).  Genesis is not a
-        mined block and never comes through here (``Blockchain`` builds
-        its state with ``apply_message(allow_coinbase=True)``).
+        mined block and never comes through here: its coins enter the
+        state by :meth:`UTXOSet.add <repro.chain.utxo.UTXOSet.add>` alone
+        (:func:`~repro.chain.chain.build_genesis`).
         """
         if len(block.messages) > params.max_messages_per_block:
             raise ValidationError(

@@ -74,8 +74,9 @@ class TxInput:
 class Transaction:
     """A transfer of asset ownership (merge/split capable).
 
-    A transaction with no inputs is a *coinbase*: it mints new assets and
-    is only valid as the block reward / genesis allocation.
+    A transaction with no inputs is a *coinbase*.  No block or mempool
+    accepts one: coins are minted only at genesis, straight into the state
+    (their ids hashed from :func:`coinbase_encoding`).
     """
 
     inputs: tuple[TxInput, ...]
@@ -110,23 +111,11 @@ class Transaction:
         }
         return wire_hash(payload, domain="repro/tx-signing")
 
-    def encoded(self) -> bytes:
-        """``canonical_encode(self)``, made afresh each call (never kept); a
-        coinbase's fills the fixed template of :data:`_COINBASE_WIRE`."""
-        if self.inputs or len(self.outputs) != 1:
-            return canonical_encode(self.to_wire())
-        (output,) = self.outputs
-        out = bytearray()
-        for part, leaf in zip(_COINBASE_WIRE, (self.nonce, output.owner.raw, output.value)):
-            out += part
-            _encode_into(leaf, out)
-        return bytes(out)
-
     def txid(self) -> bytes:
         """The transaction id (hash of the canonical encoding)."""
         txid = self._txid
         if txid is None:
-            txid = hash_encoded(self.encoded(), TXID_DOMAIN)
+            txid = hash_encoded(canonical_encode(self.to_wire()), TXID_DOMAIN)
             object.__setattr__(self, "_txid", txid)
         return txid
 
@@ -140,24 +129,22 @@ class Transaction:
         return sum(out.value for out in self.outputs)
 
 
-def make_coinbase(
-    owner: Address, value: int, nonce: int = 0, previous: Transaction | None = None
-) -> Transaction:
-    """Mint ``value`` new units to ``owner`` (genesis / block reward).  A
-    ``previous`` coinbase that paid the same owner the same value lends its
-    outputs: a run of equal allocations holds one :class:`TxOutput`."""
-    if previous is not None:
-        (last,) = previous.outputs
-        if (last.owner, last.value, type(last.value)) == (owner, value, type(value)):
-            return Transaction(inputs=(), outputs=previous.outputs, nonce=nonce)
-    return Transaction(inputs=(), outputs=(TxOutput(owner, value),), nonce=nonce)
-
-
 #: A coinbase's canonical encoding around its three leaves (nonce, owner
 #: bytes, value), as the encoder writes it: a ``None`` in each place.
 _COINBASE_WIRE = canonical_encode(
     {"inputs": [], "kind": "transfer", "nonce": None, "outputs": [{"owner": None, "value": None}]}
 ).split(canonical_encode(None))[:3]
+
+
+def coinbase_encoding(output: TxOutput, nonce: int) -> bytes:
+    """The canonical encoding of the coinbase minting ``output`` under
+    ``nonce`` (no inputs, one output), filled into :data:`_COINBASE_WIRE`
+    without building the transaction."""
+    out = bytearray()
+    for part, leaf in zip(_COINBASE_WIRE, (nonce, output.owner.raw, output.value)):
+        out += part
+        _encode_into(leaf, out)
+    return bytes(out)
 
 
 def sign_transaction(unsigned: Transaction, keypairs) -> Transaction:

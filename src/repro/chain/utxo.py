@@ -125,15 +125,14 @@ class UTXOSet:
     def apply_transaction(self, tx: Transaction, min_fee: int = 0) -> int:
         """Validate and apply ``tx``; returns the fee it pays.
 
-        Validation: every input spends an existing output whose owner
-        matches the input's pubkey, every signature verifies, inputs
-        cover outputs plus ``min_fee``, and no outpoint is spent twice
-        (including twice within this transaction).
+        Validation: ``tx`` is no coinbase (only genesis mints), every
+        input spends an existing output whose owner matches the input's
+        pubkey, every signature verifies, inputs cover outputs plus
+        ``min_fee``, and no outpoint is spent twice (including twice
+        within this transaction).
         """
         if tx.is_coinbase:
-            for index, out in enumerate(tx.outputs):
-                self.add(OutPoint(tx.txid(), index), out)
-            return 0
+            raise ValidationError("coinbase transactions only allowed at genesis")
 
         seen: set[OutPoint] = set()
         digest = tx.signing_digest()

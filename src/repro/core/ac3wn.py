@@ -36,7 +36,6 @@ from ..chain.contracts import (
     requires,
 )
 from ..chain.messages import CallMessage, DeployMessage
-from ..crypto.keys import PublicKey
 from ..crypto.signatures import Multisignature
 from ..errors import FeeTooLowError, ProtocolError
 from .contract_template import AtomicSwapContract
@@ -113,10 +112,9 @@ class WitnessContract(SmartContract):
         edge_specs: tuple[EdgeSpec, ...],
         anchors: tuple[tuple[str, BlockHeader], ...] = (),
     ) -> None:
-        keys = [PublicKey.from_bytes(raw) for raw in participant_keys]
         # Registration validity: all participants signed this exact graph.
         requires(ms.digest == graph_digest, "multisignature covers a different graph")
-        requires(ms.verify(keys), "multisignature incomplete or invalid")
+        requires(ms.verify(participant_keys), "multisignature incomplete or invalid")
         requires(len(edge_specs) > 0, "an AC2T needs at least one edge")
         self.participant_keys = tuple(participant_keys)
         self.ms = ms

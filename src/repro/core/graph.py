@@ -14,7 +14,7 @@ connectivity (the Section 5.3 complex-graph cases of Figure 7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..crypto.keys import KeyPair, PublicKey
 from ..crypto.signatures import Multisignature, multisign
@@ -59,25 +59,30 @@ class SwapGraph:
         edges: the sub-transactions.
         timestamp: integer agreement time distinguishing otherwise
             identical AC2Ts among the same participants.
+        keypairs: vertex name → the key pair its key came from; a world
+            hands each pair to its participant, so no key is derived
+            twice.  Not part of ``D``.
     """
 
     participants: tuple[tuple[str, PublicKey], ...]
     edges: tuple[AssetEdge, ...]
     timestamp: int = 0
+    keypairs: dict[str, KeyPair] = field(default_factory=dict, compare=False, repr=False)
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def build(
         cls,
-        participants: dict[str, PublicKey],
+        participants: dict[str, KeyPair],
         edges: list[AssetEdge],
         timestamp: int = 0,
     ) -> "SwapGraph":
         graph = cls(
-            participants=tuple(sorted(participants.items())),
+            participants=tuple(sorted((n, p.public_key) for n, p in participants.items())),
             edges=tuple(edges),
             timestamp=timestamp,
+            keypairs=dict(participants),
         )
         graph.validate()
         return graph

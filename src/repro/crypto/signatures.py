@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .ecdsa import EcdsaSignature
 from .hashing import tagged_hash
@@ -102,16 +103,20 @@ class Multisignature:
         """
         return tagged_hash("repro/ms-id", self.digest)
 
-    def verify(self, required_signers: list[PublicKey]) -> bool:
+    def verify(self, required_signers: Iterable[PublicKey | bytes]) -> bool:
         """Return True iff every required signer signed the digest validly.
 
         Signature order is irrelevant, matching the paper's remark that
         "the order of participant signatures in ms(D) is not important".
-        The verdict is memoized by (digest, signature set, keyset) —
-        see the module-level cache — so repeated validations of the
-        same multisigned graph skip the component ECDSA verifications.
+        A signer is named by its key or by its compressed bytes, compared
+        as bytes (``SCw`` stores bytes and never decodes them): bytes
+        that are no curve point are no verified signer's compression, so
+        they fail.  The verdict is memoized by (digest, signature set,
+        keyset) — see the module-level cache — so repeated validations of
+        the same multisigned graph skip the component ECDSA verifications.
         """
         global _verify_cache_hits, _verify_cache_misses
+        need = {pk if isinstance(pk, bytes) else pk.to_bytes() for pk in required_signers}
         key = (
             self.digest,
             tuple(
@@ -120,7 +125,7 @@ class Multisignature:
                     for sig in self.signatures
                 )
             ),
-            tuple(sorted(pk.to_bytes() for pk in required_signers)),
+            tuple(sorted(need)),
         )
         cached = _VERIFY_CACHE.get(key)
         if cached is not None:
@@ -133,7 +138,6 @@ class Multisignature:
             for sig in self.signatures
             if sig.digest == self.digest and sig.verify()
         }
-        need = {pk.to_bytes() for pk in required_signers}
         result = need <= have
         _VERIFY_CACHE[key] = result
         while len(_VERIFY_CACHE) > _VERIFY_CACHE_MAX:

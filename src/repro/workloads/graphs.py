@@ -9,7 +9,7 @@ seeded random graphs for property testing.
 
 from __future__ import annotations
 
-from ..crypto.keys import KeyPair, PublicKey
+from ..crypto.keys import KeyPair
 from ..errors import GraphError
 from ..sim.rng import RngStream
 from ..core.graph import AssetEdge, SwapGraph
@@ -17,11 +17,10 @@ from ..core.graph import AssetEdge, SwapGraph
 DEFAULT_AMOUNT = 100
 
 
-def participant_keys(names: list[str]) -> dict[str, PublicKey]:
-    """Deterministic identities for a list of participant names."""
-    return {
-        name: KeyPair.from_seed(f"participant/{name}").public_key for name in names
-    }
+def participant_pairs(names: list[str]) -> dict[str, KeyPair]:
+    """Deterministic identities for a list of participant names (a graph
+    built over them keeps the pairs for the world's participants)."""
+    return {name: KeyPair.from_seed(f"participant/{name}") for name in names}
 
 
 def _names(n: int) -> list[str]:
@@ -40,7 +39,7 @@ def two_party_swap(
 ) -> SwapGraph:
     """Figure 4: Alice swaps X on one chain for Bob's Y on another."""
     alice, bob = names
-    keys = participant_keys([alice, bob])
+    keys = participant_pairs([alice, bob])
     return SwapGraph.build(
         keys,
         [
@@ -63,7 +62,7 @@ def directed_cycle(
     ring of ``n`` participants has diameter exactly ``n``.
     """
     names = _names(n)
-    keys = participant_keys(names)
+    keys = participant_pairs(names)
     edges = []
     for i, name in enumerate(names):
         nxt = names[(i + 1) % n]
@@ -82,7 +81,7 @@ def bidirectional_path(
     if n < 2:
         raise GraphError("a path needs at least two participants")
     names = _names(n)
-    keys = participant_keys(names)
+    keys = participant_pairs(names)
     edges = []
     for i in range(n - 1):
         chain_fwd = chain_ids[(2 * i) % len(chain_ids)] if chain_ids else f"chain-{2 * i}"
@@ -105,7 +104,7 @@ def figure7a_cyclic(
     Herlihy's single-leader protocol cannot execute it; AC3WN can.
     """
     names = ["a", "b", "c", "d"]
-    keys = participant_keys(names)
+    keys = participant_pairs(names)
 
     def chain(i: int) -> str:
         return chain_ids[i % len(chain_ids)] if chain_ids else f"chain-{i}"
@@ -133,7 +132,7 @@ def figure7b_disconnected(
     AC3WN commits or aborts the whole batch.
     """
     names = ["a", "b", "c", "d"]
-    keys = participant_keys(names)
+    keys = participant_pairs(names)
 
     def chain(i: int) -> str:
         return chain_ids[i % len(chain_ids)] if chain_ids else f"chain-{i}"
@@ -155,7 +154,7 @@ def complete_digraph(
 ) -> SwapGraph:
     """Every ordered pair trades: ``n·(n-1)`` contracts, ``Diam = 2``."""
     names = _names(n)
-    keys = participant_keys(names)
+    keys = participant_pairs(names)
     edges = []
     i = 0
     for src in names:
@@ -178,7 +177,7 @@ def random_graph(
 ) -> SwapGraph:
     """A seeded Erdős–Rényi digraph (at least one edge guaranteed)."""
     names = _names(n)
-    keys = participant_keys(names)
+    keys = participant_pairs(names)
     edges = []
     i = 0
     for src in names:

@@ -20,11 +20,12 @@ from ..economy import FeeBudget, FeeEstimator, FeePolicy
 from ..core.graph import AssetEdge, SwapGraph
 from ..core.participant import ChainHandle, Participant
 from ..core.protocol import SwapEnvironment
+from ..crypto.keys import KeyPair
 from ..errors import InsufficientFundsError, ProtocolError, ValidationError
 from ..sim.failures import FailureInjector, FailureSchedule
 from ..sim.rng import RngStream
 from ..sim.simulator import Simulator
-from .graphs import DEFAULT_AMOUNT, participant_keys
+from .graphs import DEFAULT_AMOUNT, participant_pairs
 
 DEFAULT_FUNDING = 100_000
 
@@ -78,20 +79,23 @@ def _assemble_world(
     block_interval: float,
     confirmation_depth: int,
     fee_policy: FeePolicy | None,
+    keypairs: dict[str, KeyPair],
 ) -> ScenarioEnvironment:
     """The one world assembly behind both scenario builders.
 
     ``chains_of`` maps each participant (in creation and genesis order)
     to the chains it is funded on and joins; ``piece_of`` is the UTXO
-    size its ``funding`` is split into.  Genesis allocation order is
-    part of every block id, so it follows ``chains_of`` exactly.  Chains
-    with the same member list are funded alike, so they share one
-    :class:`~repro.chain.chain.Genesis`: a world builds one per distinct
-    member list, in ``ordered_chains`` order.  The grouping lives in this
-    call, so a second world or a restore builds its own.
+    size its ``funding`` is split into; ``keypairs`` holds the key pairs
+    the graphs were built from (a participant without one derives its
+    own).  Genesis allocation order is part of every block id, so it
+    follows ``chains_of`` exactly.  Chains with the same member list are
+    funded alike, so they share one :class:`~repro.chain.chain.Genesis`:
+    a world builds one per distinct member list, in ``ordered_chains``
+    order.  The grouping lives in this call, so a second world or a
+    restore builds its own.
     """
     simulator = Simulator(seed=seed)
-    actors = {name: Participant(simulator, name) for name in chains_of}
+    actors = {name: Participant(simulator, name, keypairs.get(name)) for name in chains_of}
 
     chains: dict[str, Blockchain] = {}
     mempools: dict[str, Mempool] = {}
@@ -199,6 +203,7 @@ def build_scenario(
         block_interval=block_interval,
         confirmation_depth=confirmation_depth,
         fee_policy=fee_policy,
+        keypairs=graph.keypairs if graph is not None else {},
     )
 
 
@@ -274,7 +279,7 @@ def swap_graph(
         )
         for j in range(len(names))
     ]
-    return SwapGraph.build(participant_keys(names), edges, timestamp=index)
+    return SwapGraph.build(participant_pairs(names), edges, timestamp=index)
 
 
 def is_traffic_name(name: str, prefix: str) -> bool:
@@ -454,6 +459,7 @@ def build_multi_scenario(
         block_interval=block_interval,
         confirmation_depth=confirmation_depth,
         fee_policy=fee_policy,
+        keypairs={name: pair for graph in graphs for name, pair in graph.keypairs.items()},
     )
 
 

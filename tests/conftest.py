@@ -7,6 +7,7 @@ from repro.chain.contracts import DEFAULT_REGISTRY
 from repro.chain.mempool import Mempool
 from repro.chain.miner import MinerNode
 from repro.chain.params import fast_chain
+from repro.chain.transaction import Transaction, TxOutput
 from repro.crypto.keys import KeyPair
 from repro.sim.simulator import Simulator
 
@@ -14,6 +15,13 @@ ALICE = KeyPair.from_seed("alice")
 BOB = KeyPair.from_seed("bob")
 CAROL = KeyPair.from_seed("carol")
 MINER = KeyPair.from_seed("miner")
+
+
+def make_coinbase(owner, value, nonce=0) -> Transaction:
+    """The coinbase minting ``value`` to ``owner`` under ``nonce``: what
+    genesis coin ``nonce`` of a ``(owner, value)`` allocation is output 0
+    of.  No chain holds one; blocks and mempools refuse it."""
+    return Transaction(inputs=(), outputs=(TxOutput(owner, value),), nonce=nonce)
 
 
 @pytest.fixture

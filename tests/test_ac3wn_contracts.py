@@ -8,8 +8,9 @@ from repro.chain.messages import CallMessage, DeployMessage, sign_message
 from repro.chain.params import fast_chain
 from repro.core.ac3wn import EdgeSpec, WitnessState
 from repro.core.evidence import build_publication_evidence, build_state_evidence, validate
+from repro.crypto import ecdsa
 from repro.crypto.keys import KeyPair
-from repro.errors import ContractRequireError
+from repro.errors import ContractRequireError, ValidationError
 from repro.workloads.graphs import two_party_swap
 from tests.conftest import ALICE, BOB, MINER
 from tests.test_contracts_runtime import funding_for
@@ -41,7 +42,7 @@ def edge_specs(min_depth=1):
     )
 
 
-def deploy_witness(chain, anchors=(), ms=None, digest=None, timestamp=1.0):
+def deploy_witness(chain, anchors=(), ms=None, digest=None, timestamp=1.0, keys=None):
     ms = ms if ms is not None else GRAPH.multisign(KEYPAIRS)
     digest = digest if digest is not None else GRAPH.digest()
     inputs, change = funding_for(chain, ALICE, 10)
@@ -49,7 +50,7 @@ def deploy_witness(chain, anchors=(), ms=None, digest=None, timestamp=1.0):
         DeployMessage(
             sender=ALICE.public_key,
             contract_class="AC3WN-Witness",
-            args=(graph_keys(), ms, digest, edge_specs(), tuple(anchors)),
+            args=(keys or graph_keys(), ms, digest, edge_specs(), tuple(anchors)),
             fee=10,
             inputs=inputs,
             change=change,
@@ -101,6 +102,25 @@ class TestWitnessConstructor:
     def test_digest_mismatch_rejected(self, chain):
         with pytest.raises(Exception):
             deploy_witness(chain, digest=b"\x00" * 32)
+
+    def test_participant_keys_are_compared_as_bytes_never_decoded(self, chain, monkeypatch):
+        decoded = []
+        monkeypatch.setattr(ecdsa, "decompress_point", lambda data: decoded.append(data))
+        deploy = deploy_witness(chain)
+        assert chain.contract(deploy.contract_id()).participant_keys == graph_keys()
+        assert decoded == []
+
+    @pytest.mark.parametrize(
+        "extra",
+        [b"\x02" + b"\xff" * 32, b"\x05" + b"\x01" * 32, b"xx", b""],
+        ids=["x-beyond-p", "bad-prefix", "two-bytes", "empty"],
+    )
+    def test_a_key_that_is_no_curve_point_fails(self, chain, extra):
+        # ms(D) is complete for the graph's keys; the extra name is no
+        # verified signer's compression, so registration fails.
+        with pytest.raises(ValidationError, match="multisignature incomplete or invalid"):
+            deploy_witness(chain, keys=graph_keys() + (extra,))
+        assert chain.height == 0
 
 
 class TestWitnessStateMachine:

@@ -21,11 +21,11 @@ from repro.chain.pow import (
     target_for_bits,
     work_for_bits,
 )
-from repro.chain.transaction import make_coinbase
 from repro.chain.wire import canonical_encode
 from repro.crypto.hashing import double_sha256
 from repro.crypto.keys import KeyPair
 from repro.errors import InvalidBlockError
+from tests.conftest import make_coinbase
 
 MINER = KeyPair.from_seed("miner").address
 

@@ -1,5 +1,7 @@
 """Tests for the block tree: fork choice, reorgs, depth, state queries."""
 
+import dataclasses
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
@@ -19,7 +21,7 @@ from repro.chain.transaction import (
 from repro.errors import InvalidBlockError, UnknownBlockError
 from repro.workloads import scenarios
 from repro.workloads.scenarios import build_multi_scenario, build_scenario, swap_traffic_graphs
-from tests.conftest import ALICE, BOB, CAROL, MINER
+from tests.conftest import ALICE, BOB, CAROL, MINER, make_coinbase
 
 
 def transfer_message(chain, sender, recipient, amount, fee=1):
@@ -68,19 +70,26 @@ allocation_lists = st.lists(
 
 
 def genesis_bytes(chain):
-    """Everything genesis commits to, as bytes and receipts."""
+    """Everything genesis commits to, as bytes, and the coins it holds."""
     block = chain.block_at_height(0)
-    ids = [message.message_id() for message in block.messages]
-    receipts = chain.state_at(block.block_id()).receipts
+    utxos = chain.state_at(block.block_id()).utxos
     return (
         block.header.wire_bytes(),
         block.block_id(),
         block.header.merkle_root,
         block.header.receipts_root,
-        ids,
-        [receipts[message_id] for message_id in ids],
-        chain.receipts_data(block.block_id())[0],
+        block.messages,
+        {op: utxos.get(op) for owner in OWNERS for op in utxos.outpoints_of(owner)},
+        len(chain.state_at(block.block_id()).receipts),
     )
+
+
+def coin_ids(allocations):
+    """The message id of the coinbase behind each genesis coin."""
+    return [
+        TransferMessage(make_coinbase(owner, value, nonce)).message_id()
+        for nonce, (owner, value) in enumerate(allocations)
+    ]
 
 
 def observed(chain, message_ids):
@@ -111,14 +120,14 @@ class TestSharedGenesis:
             assert genesis_bytes(together) == genesis_bytes(alone)
             genesis = together.block_at_height(0)
             assert genesis.header.chain_id == name
-            assert genesis.messages is shared.messages
+            assert genesis.messages == () and genesis_bytes(together)[-1] == 0
 
     def test_one_chain_moving_leaves_its_twin_unchanged(self):
         allocations = [(ALICE.address, 50_000)] * 3 + [(CAROL.address, 100_000)] * 2
         shared = build_genesis(allocations)
         moved = Blockchain(fast_chain("moved"), shared)
         twin = Blockchain(fast_chain("twin"), shared)
-        genesis_ids = [message.message_id() for message in shared.messages]
+        genesis_ids = coin_ids(allocations)
 
         spend = transfer_message(moved, ALICE, BOB, 500)
         paid = transfer_message(moved, CAROL, ALICE, 900, fee=7)
@@ -164,7 +173,8 @@ class TestWorldGenesis:
         states = set()
         for chain_id, chain in env.chains.items():
             block = chain.block_at_height(0)
-            assert block.messages is genesis.messages
+            assert block.messages == ()
+            assert block.header.merkle_root == genesis.merkle_root
             assert block.header.chain_id == chain_id
             states.add(id(chain.state_at(block.block_id())))
         assert len(states) == 3 and id(genesis.state) not in states
@@ -445,24 +455,33 @@ class TestMessageIndex:
         assert located(a1, 0) == 3
         assert chain.find_message(other.message_id()) is None
 
-    def test_a_genesis_coin_is_located_in_genesis(self, chain):
+    def test_a_genesis_coin_is_no_message(self):
+        allocations = [(ALICE.address, 7), (ALICE.address, 7), (BOB.address, 9)]
+        chain = Blockchain(fast_chain("coins"), allocations)
         genesis = chain.block_at_height(0)
-        assert genesis._positions is None  # not built until a coin is asked
-        for index, message in enumerate(genesis.messages):
-            location = chain.find_message(message.message_id())
-            assert location == MessageLocation(genesis.block_id(), 0, index)
-            proof, header = chain.inclusion_proof(message.message_id())
-            assert header is genesis.header and proof.verify(header.merkle_root)
-        assert chain.find_message(b"\x00" * 32) is None
-        assert chain.inclusion_proof(b"\x00" * 32) is None
-        assert chain.message_depth(b"\x00" * 32) == 0
+        for message_id in coin_ids(allocations) + [b"\x00" * 32]:
+            assert chain.find_message(message_id) is None
+            assert chain.receipt(message_id) is None
+            assert chain.inclusion_proof(message_id) is None
+            assert chain.message_depth(message_id) == 0
+        # Its root commits to receipts no chain holds: asking for them is
+        # an error, not a tree that no longer matches the header.
+        with pytest.raises(UnknownBlockError, match="no receipts"):
+            chain.receipts_data(genesis.block_id())
+        assert chain._message_index == {} and genesis.messages == ()
+        block = chain.make_block([], MINER.address, 1.0)
+        chain.add_block(block)
+        assert chain.receipts_data(block.block_id())[1].root() == block.header.receipts_root
 
 
 class TestReceipts:
-    def test_fee_free_receipts_are_one_instance_and_fee_paying_are_not(self, chain):
-        receipts = chain.state_at().receipts
-        genesis = chain.block_at_height(0)
-        assert all(receipts[m.message_id()] is OK_RECEIPT for m in genesis.messages)
+    def test_fee_free_receipts_are_one_instance_and_fee_paying_are_not(self):
+        params = fast_chain("fee-free")
+        params = dataclasses.replace(params, fees=dataclasses.replace(params.fees, transfer=0))
+        chain = Blockchain(params, [(ALICE.address, 100), (BOB.address, 100)])
+        free = [transfer_message(chain, sender, CAROL, 10, fee=0) for sender in (ALICE, BOB)]
+        chain.add_block(chain.make_block(free, MINER.address, 0.5))
+        assert all(chain.receipt(m.message_id()) is OK_RECEIPT for m in free)
         msg = transfer_message(chain, ALICE, BOB, 10, fee=7)
         chain.add_block(chain.make_block([msg], MINER.address, 1.0))
         receipt = chain.receipt(msg.message_id())

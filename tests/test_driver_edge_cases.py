@@ -116,9 +116,9 @@ class TestHerlihyConfigs:
         from repro.core.graph import AssetEdge, SwapGraph
         from repro.core.herlihy import compute_publish_waves
         from repro.errors import GraphError
-        from repro.workloads.graphs import participant_keys
+        from repro.workloads.graphs import participant_pairs
 
-        keys = participant_keys(["a", "b", "c"])
+        keys = participant_pairs(["a", "b", "c"])
         graph = SwapGraph.build(
             keys,
             [

@@ -196,7 +196,7 @@ class TestPriorityMempool:
         base.submit(message)
         with pytest.raises(ValidationError):
             base.submit(message)
-        from repro.chain.transaction import make_coinbase
+        from tests.conftest import make_coinbase
 
         with pytest.raises(ValidationError):
             base.submit(TransferMessage(make_coinbase(ALICE.address, 5)))

@@ -1,13 +1,16 @@
 """Tests for the error hierarchy and chain-state invariants."""
 
+import dataclasses
+
 import pytest
 
 from repro import errors
+from repro.chain.block import Block
+from repro.chain.pow import mine_header
 from repro.chain.state import ChainState
-from repro.chain.params import fast_chain
-from repro.chain.transaction import make_coinbase
+from repro.crypto.merkle import MerkleTree
 from repro.chain.messages import TransferMessage
-from tests.conftest import ALICE, BOB, MINER
+from tests.conftest import ALICE, BOB, MINER, make_coinbase
 from tests.test_chain import transfer_message
 
 
@@ -92,15 +95,25 @@ class TestChainStateClone:
         state = chain.state_at()
         assert state.deploy_count == 1
         assert state.call_count == 1
-        assert state.transfer_count >= 3  # genesis coinbases
+        assert state.transfer_count == 0  # genesis coins are no transfers
 
-    def test_replay_rejected(self):
-        state = ChainState()
-        coinbase = TransferMessage(make_coinbase(ALICE.address, 5))
-        params = fast_chain("replay")
-        state.apply_message(coinbase, params, 0, 0.0, allow_coinbase=True)
-        with pytest.raises(errors.ValidationError):
-            state.apply_message(coinbase, params, 0, 0.0, allow_coinbase=True)
+    def test_replay_rejected(self, chain):
+        state = chain.state_at().clone()
+        transfer = transfer_message(chain, ALICE, BOB, 5)
+        state.apply_message(transfer, chain.params, 1, 1.0)
+        with pytest.raises(errors.ValidationError, match="replay"):
+            state.apply_message(transfer, chain.params, 1, 1.0)
+
+    def test_a_coinbase_is_refused_in_a_mined_block(self, chain):
+        coinbase = TransferMessage(make_coinbase(ALICE.address, 0))
+        with pytest.raises(errors.ValidationError, match="coinbase"):
+            ChainState().apply_message(coinbase, chain.params, 1, 1.0)
+        header = chain.make_block([], MINER.address, 1.0).header
+        root = MerkleTree([coinbase.message_id()]).root()
+        header = mine_header(dataclasses.replace(header, merkle_root=root))
+        with pytest.raises(errors.InvalidBlockError, match="coinbase"):
+            chain.add_block(Block(header, (coinbase,)))
+        assert chain.height == 0 and chain.find_message(coinbase.message_id()) is None
 
     def test_fee_mint_conserves_value(self, chain):
         """Total UTXO value is invariant across blocks with fees."""

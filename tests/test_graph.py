@@ -14,7 +14,7 @@ from repro.workloads.graphs import (
     directed_cycle,
     figure7a_cyclic,
     figure7b_disconnected,
-    participant_keys,
+    participant_pairs,
     random_graph,
     two_party_swap,
 )
@@ -33,16 +33,16 @@ class TestAssetEdge:
 
 class TestGraphValidation:
     def test_unknown_endpoint_rejected(self):
-        keys = participant_keys(["a", "b"])
+        keys = participant_pairs(["a", "b"])
         with pytest.raises(GraphError):
             SwapGraph.build(keys, [AssetEdge("a", "ghost", "c", 1)])
 
     def test_empty_edges_rejected(self):
         with pytest.raises(GraphError):
-            SwapGraph.build(participant_keys(["a", "b"]), [])
+            SwapGraph.build(participant_pairs(["a", "b"]), [])
 
     def test_duplicate_edges_rejected(self):
-        keys = participant_keys(["a", "b"])
+        keys = participant_pairs(["a", "b"])
         edge = AssetEdge("a", "b", "c", 1)
         with pytest.raises(GraphError):
             SwapGraph.build(keys, [edge, edge])

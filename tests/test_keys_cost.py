@@ -10,10 +10,13 @@ runs the short chain.
 import contextlib
 import sys
 
+import pytest
+
 from repro.crypto import ecdsa, keys
 from repro.crypto.hashing import sha256
 from repro.crypto.keys import KeyPair
 from repro.experiment import (
+    apply_overrides,
     build_environment,
     preset_spec,
     run_experiment,
@@ -49,15 +52,38 @@ def test_engine_smoke_world_derives_each_seed_once():
         env = build_environment(spec, traffic)
     names = {name for item in traffic for name, _ in item.graph.participants}
     assert set(env.participants) == names
-    # The graph builder and the participant actor both ask for
-    # ``participant/<name>``; miners and the default coinbase address are
-    # the only other identities of this world.
-    assert len(scalars) == len(set(scalars))
-    assert len(names) < len(scalars) <= len(names) + len(env.miners) + 1
+    # Building the graphs derives ``participant/<name>`` and the
+    # participant actor is handed that pair; miners are the only other
+    # identities of this world (no witness key is derived before a
+    # protocol driver runs).
+    assert len(scalars) == len(set(scalars)) == len(names) + len(env.miners)
     with recorded_calls((ecdsa.derive_public_point, "d")) as (scalars,):
         for name, actor in env.participants.items():
             assert KeyPair.from_seed(f"participant/{name}") is actor.keypair
     assert scalars == []
+
+
+@pytest.mark.parametrize("swaps", [6, 24])
+def test_a_world_derives_each_key_once_whatever_the_memo_size(monkeypatch, swaps):
+    # A memo of two keys evicts every participant's key long before the
+    # world is assembled; the graphs carry the pairs, so nothing derives
+    # one again.
+    spec = apply_overrides(preset_spec("engine-smoke"), {"traffic.num_swaps": swaps})
+    keys._SEED_CACHE.clear()
+    monkeypatch.setattr(keys, "_SEED_CACHE_MAX", 2)
+    with recorded_calls((ecdsa.derive_public_point, "d")) as (scalars,):
+        traffic = traffic_generator(spec.traffic.generator)(spec)
+        env = build_environment(spec, traffic)
+    names = {name for item in traffic for name, _ in item.graph.participants}
+    assert len(names) == 2 * swaps
+    # No witness key is among them: AC3TW's Trent is derived by its
+    # protocol driver, not by the world.
+    assert len(scalars) == len(names) + len(env.miners)
+    for item in traffic:
+        for name, key in item.graph.participants:
+            assert env.participant(name).keypair is item.graph.keypairs[name]
+            assert env.participant(name).public_key is key
+    keys._SEED_CACHE.clear()
 
 
 def test_str_and_bytes_seeds_share_one_entry():

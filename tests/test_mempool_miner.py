@@ -7,10 +7,9 @@ from repro.chain.mempool import Mempool
 from repro.chain.miner import AttackMiner, MinerNode
 from repro.chain.messages import TransferMessage
 from repro.chain.params import fast_chain
-from repro.chain.transaction import make_coinbase
 from repro.errors import ValidationError
 from repro.sim.simulator import Simulator
-from tests.conftest import ALICE, BOB, MINER
+from tests.conftest import ALICE, BOB, MINER, make_coinbase
 from tests.test_chain import transfer_message
 
 
@@ -50,7 +49,7 @@ class TestMempool:
             mempool.submit(msg)
 
     def test_coinbase_rejected(self, chain, mempool):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="coinbase"):
             mempool.submit(TransferMessage(make_coinbase(ALICE.address, 5)))
 
     def test_requeue_preserves_order(self, chain, mempool):

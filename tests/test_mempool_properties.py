@@ -16,11 +16,11 @@ from repro.chain.chain import Blockchain
 from repro.chain.mempool import Mempool
 from repro.chain.messages import CallMessage, DeployMessage, TransferMessage
 from repro.chain.params import fast_chain
-from repro.chain.transaction import Transaction, TxInput, TxOutput, make_coinbase
+from repro.chain.transaction import Transaction, TxInput, TxOutput
 from repro.crypto.ecdsa import EcdsaSignature
 from repro.economy import FeePolicy
 from repro.errors import FeeTooLowError, ValidationError
-from tests.conftest import ALICE
+from tests.conftest import ALICE, make_coinbase
 
 COINS = 6
 COIN_VALUE = 100

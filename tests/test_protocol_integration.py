@@ -207,9 +207,9 @@ class TestHerlihyAndNolan:
 
     def test_validate_two_party_rejects_one_direction(self):
         from repro.core.graph import AssetEdge, SwapGraph
-        from repro.workloads.graphs import participant_keys
+        from repro.workloads.graphs import participant_pairs
 
-        keys = participant_keys(["a", "b"])
+        keys = participant_pairs(["a", "b"])
         graph = SwapGraph.build(
             keys,
             [AssetEdge("a", "b", "c1", 10), AssetEdge("a", "b", "c2", 20)],

@@ -10,12 +10,12 @@ from repro.chain.transaction import (
     Transaction,
     TxInput,
     TxOutput,
-    make_coinbase,
     sign_transaction,
 )
 from repro.chain.utxo import UTXOSet
 from repro.crypto.keys import KeyPair
 from repro.errors import DoubleSpendError, ValidationError
+from tests.conftest import make_coinbase
 
 ALICE = KeyPair.from_seed("alice")
 BOB = KeyPair.from_seed("bob")
@@ -23,12 +23,13 @@ CAROL = KeyPair.from_seed("carol")
 
 
 def fresh_utxos(*allocations):
-    """UTXO set with coinbase allocations [(keypair, value), ...]."""
+    """UTXO set with genesis allocations [(keypair, value), ...]: output 0
+    of each coinbase, added the way genesis adds it."""
     utxos = UTXOSet()
     coinbases = []
     for i, (kp, value) in enumerate(allocations):
         cb = make_coinbase(kp.address, value, nonce=i)
-        utxos.apply_transaction(cb)
+        utxos.add(OutPoint(cb.txid(), 0), cb.outputs[0])
         coinbases.append(cb)
     return utxos, coinbases
 
@@ -45,6 +46,13 @@ class TestCoinbase:
 
     def test_is_coinbase(self):
         assert make_coinbase(ALICE.address, 5).is_coinbase
+
+    def test_a_coinbase_is_never_applied(self):
+        utxos = UTXOSet()
+        for value in (0, 5):
+            with pytest.raises(ValidationError, match="coinbase"):
+                utxos.apply_transaction(make_coinbase(ALICE.address, value))
+        assert len(utxos) == 0
 
 
 class TestTransfer:

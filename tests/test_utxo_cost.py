@@ -10,6 +10,8 @@ history grow.
 
 import hashlib
 
+from repro.chain.chain import build_genesis
+from repro.chain.contracts import OK_RECEIPT
 from repro.chain.messages import TransferMessage
 from repro.chain.params import fast_chain
 from repro.chain.state import ChainState
@@ -18,7 +20,6 @@ from repro.chain.transaction import (
     Transaction,
     TxInput,
     TxOutput,
-    make_coinbase,
     sign_transaction,
 )
 from repro.chain.utxo import UTXOSet
@@ -71,12 +72,14 @@ def test_wallet_queries_do_not_visit_foreign_owners():
 
 
 def funded_state(coins: int) -> ChainState:
-    """A state holding ``coins`` genesis outputs (half ALICE's) and their receipts."""
-    state = ChainState()
+    """A state holding ``coins`` genesis outputs (half ALICE's) and as many
+    receipts, as if that many messages had been mined since."""
+    state = build_genesis(
+        (ALICE.address if index % 2 else Address(digest("owner", index)[:20]), 100)
+        for index in range(coins)
+    ).state.clone()
     for index in range(coins):
-        owner = ALICE.address if index % 2 else Address(digest("owner", index)[:20])
-        message = TransferMessage(make_coinbase(owner, 100, nonce=index))
-        state.apply_message(message, PARAMS, block_height=0, block_time=0.0, allow_coinbase=True)
+        state.receipts[digest("message", index)] = OK_RECEIPT
     return state
 
 

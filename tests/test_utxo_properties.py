@@ -10,11 +10,14 @@ own dict after every step, so a write that leaks through a shared bucket
 The same for :meth:`~repro.chain.state.ChainState.clone` and receipts.
 """
 
+import functools
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from repro.chain.chain import Blockchain
+from repro.chain.block import receipt_leaf
+from repro.chain.chain import Blockchain, build_genesis
 from repro.chain.messages import TransferMessage
 from repro.chain.params import fast_chain
 from repro.chain.state import ChainState
@@ -23,13 +26,13 @@ from repro.chain.transaction import (
     Transaction,
     TxInput,
     TxOutput,
-    make_coinbase,
     sign_transaction,
 )
 from repro.chain.utxo import UTXOSet
 from repro.crypto.keys import Address
+from repro.crypto.merkle import merkle_root
 from repro.errors import DoubleSpendError, ValidationError
-from tests.conftest import ALICE, BOB
+from tests.conftest import ALICE, BOB, make_coinbase
 
 LIVE = 5
 SIGNERS = (ALICE, BOB)
@@ -176,11 +179,9 @@ class TestUtxoSchedules:
                     continue
                 produced = [OutPoint(tx.txid(), i) for i in range(len(tx.outputs))]
                 universe.update(produced)
-                valid = kind == "ok" or (kind == "coinbase" and produced[0] not in model)
-                if valid:
+                if kind == "ok":
                     spent = sum(model[inp.outpoint].value for inp in tx.inputs)
-                    fee = 0 if tx.is_coinbase else spent - tx.total_output()
-                    assert utxos.apply_transaction(tx) == fee
+                    assert utxos.apply_transaction(tx) == spent - tx.total_output()
                     apply_to_model(model, tx)
                 else:
                     expected = DoubleSpendError if kind in ("twice", "unknown") else ValidationError
@@ -200,11 +201,13 @@ class TestUtxoSchedules:
                 check_set(other, other_model, universe)
 
 
+#: The coins the clone schedules spend: coin ``k`` is ``SIGNERS[k % 2]``'s.
+COINS = 41
 clones = st.integers(0, LIVE - 1)
 state_steps = st.lists(
     st.one_of(
-        st.tuples(st.just("mint"), clones, st.sampled_from(OWNERS), st.integers(0, 40)),
-        st.tuples(st.just("mint"), clones, st.sampled_from(OWNERS), st.integers(0, 40)),
+        st.tuples(st.just("spend"), clones, st.sampled_from(OWNERS), st.integers(0, COINS - 1)),
+        st.tuples(st.just("spend"), clones, st.sampled_from(OWNERS), st.integers(0, COINS - 1)),
         st.tuples(st.just("replay"), clones, st.integers(0, 63)),
         st.tuples(st.just("refused"), clones, st.integers(0, 40)),
         st.tuples(st.just("clone"), clones, clones),
@@ -226,67 +229,72 @@ def entries(utxos: UTXOSet) -> dict:
 
 
 class TestGenesisState:
-    """A chain's genesis state and roots against the same coinbases applied
-    one by one to a fresh state and against a plain-dict model."""
+    """A genesis against the coinbase-by-coinbase model it replaced: each
+    allocation a ``TransferMessage(make_coinbase(…))``, the roots over
+    their ids and ``"ok"`` receipt leaves, the coins a plain dict."""
 
     @given(allocations)
     @example([])
     @settings(max_examples=80, deadline=None, derandomize=True)
-    def test_genesis_equals_the_coinbases_applied_one_by_one(self, drawn):
+    def test_genesis_equals_the_coinbases_it_hashes(self, drawn):
         chain = Blockchain(PARAMS, drawn)
         genesis = chain.block_at_height(0)
         built = chain.state_at(genesis.block_id())
-        applied = ChainState()
-        for message in genesis.messages:
-            applied.apply_message(message, PARAMS, block_height=0, block_time=0.0, allow_coinbase=True)
 
+        messages = [
+            TransferMessage(make_coinbase(owner, value, nonce))
+            for nonce, (owner, value) in enumerate(drawn)
+        ]
+        ids = [message.message_id() for message in messages]
+        assert genesis.header.merkle_root == merkle_root(ids)
+        assert genesis.header.receipts_root == merkle_root(
+            [receipt_leaf(message_id, "ok") for message_id in ids]
+        )
         model = {
             OutPoint(message.tx.txid(), 0): TxOutput(owner, value)
-            for message, (owner, value) in zip(genesis.messages, drawn, strict=True)
+            for message, (owner, value) in zip(messages, drawn, strict=True)
         }
-        assert entries(built.utxos) == entries(applied.utxos) == model
+        assert entries(built.utxos) == model
         check_set(built.utxos, model, model)
         for owner in OWNERS:
-            assert built.utxos.outpoints_of(owner) == applied.utxos.outpoints_of(owner)
-        ids = [message.message_id() for message in genesis.messages]
-        assert len(built.receipts) == len(applied.receipts) == len(ids)
-        for message_id in ids:
-            assert built.receipts[message_id] == applied.receipts[message_id]
+            assert built.utxos.outpoints_of(owner) == scan_outpoints(model, owner)
+        # Nothing of the coinbases is kept but the coins.
+        assert genesis.messages == () and len(built.receipts) == 0
+        assert chain._message_index == {}
         for counter in ("transfer_count", "fees_collected", "deploy_count", "call_count"):
-            assert getattr(built, counter) == getattr(applied, counter)
-        assert built.utxos.total_value() == applied.utxos.total_value()
+            assert getattr(built, counter) == 0
+        # Consecutive equal allocations share one output, others never.
+        outputs = [built.utxos.get(outpoint) for outpoint in model]
+        for before, after, pair_before, pair_after in zip(outputs, outputs[1:], drawn, drawn[1:]):
+            assert (before is after) == (pair_before == pair_after)
 
-        statuses, tree = chain.receipts_data(genesis.block_id())
-        assert statuses == [(message_id, "ok") for message_id in ids]
-        assert tree.root() == genesis.header.receipts_root
-        assert genesis.compute_merkle_root() == genesis.header.merkle_root
-        # Consecutive equal allocations share one output tuple, others never.
-        for (before, pair_before), (after, pair_after) in zip(
-            zip(genesis.messages, drawn), zip(genesis.messages[1:], drawn[1:])
-        ):
-            shared = before.tx.outputs is after.tx.outputs
-            assert shared == (pair_before == pair_after)
-
-    def test_genesis_keeps_the_coinbase_refusals(self):
-        first = TransferMessage(make_coinbase(ALICE.address, 5, nonce=0))
-        twin = TransferMessage(make_coinbase(BOB.address, 5, nonce=1))
-        twin.message_id()
-        # A second coinbase under the first's txid: a distinct message
-        # that would mint an existing outpoint.
-        object.__setattr__(twin.tx, "_txid", first.tx.txid())
-        for refusal, second in (("replay", first), ("already exists", twin)):
-            state = ChainState()
-            apply(state, first)
-            with pytest.raises(ValidationError, match=refusal):
-                apply(state, second)
+    def test_genesis_keeps_the_output_refusals(self):
         with pytest.raises(ValidationError, match="non-negative"):
             Blockchain(PARAMS, [(ALICE.address, 5), (BOB.address, -1)])
+        # A second coin under the first's outpoint (a txid collision).
+        coin = OutPoint(make_coinbase(ALICE.address, 5).txid(), 0)
+        state = Blockchain(PARAMS, [(ALICE.address, 5)]).state_at().clone()
+        with pytest.raises(ValidationError, match="already exists"):
+            state.utxos.add(coin, TxOutput(BOB.address, 5))
+        assert state.utxos.outpoints_of(BOB.address) == []
 
 
-def apply(state: ChainState, message, allow_coinbase: bool = True):
-    return state.apply_message(
-        message, PARAMS, block_height=1, block_time=1.0, allow_coinbase=allow_coinbase
-    )
+FUNDED = build_genesis(
+    [(SIGNERS[k % 2].address, 5 + PARAMS.fees.transfer) for k in range(COINS)]
+)
+
+
+@functools.cache
+def spend_of(recipient: Address, k: int) -> TransferMessage:
+    """The transfer of coin ``k`` paying ``recipient`` 5 (fee taken)."""
+    signer = SIGNERS[k % 2]
+    coin = OutPoint(make_coinbase(signer.address, 5 + PARAMS.fees.transfer, k).txid(), 0)
+    tx = Transaction(inputs=(TxInput(coin),), outputs=(TxOutput(recipient, 5),))
+    return TransferMessage(sign_transaction(tx, signer))
+
+
+def apply(state: ChainState, message):
+    return state.apply_message(message, PARAMS, block_height=1, block_time=1.0)
 
 
 class TestChainStateClones:
@@ -294,16 +302,19 @@ class TestChainStateClones:
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_live_clones_keep_their_own_receipts(self, schedule):
         # model: message id -> (message, receipt) in application order
-        live: list[tuple[ChainState, dict]] = [(ChainState(), {})]
+        live: list[tuple[ChainState, dict]] = [(FUNDED.state.clone(), {})]
         universe: dict[bytes, TransferMessage] = {}
+        supply = FUNDED.state.utxos.total_value()
 
         for step in schedule:
             state, model = live[step[1] % len(live)]
 
-            if step[0] == "mint":
-                message = TransferMessage(make_coinbase(step[2], 5, nonce=step[3]))
+            if step[0] == "spend":
+                message = spend_of(step[2], step[3])
                 universe[message.message_id()] = message
-                if message.message_id() in model:
+                spent = {m.tx.inputs[0].outpoint for m, _ in model.values()}
+                if message.tx.inputs[0].outpoint in spent:
+                    # The same transfer again, or another spend of its coin.
                     with pytest.raises(ValidationError):
                         apply(state, message)
                 else:
@@ -313,11 +324,11 @@ class TestChainStateClones:
                 with pytest.raises(ValidationError):
                     apply(state, message)
             elif step[0] == "refused":
-                # A coinbase outside genesis: refused before any write.
+                # A coinbase: refused before any write.
                 message = TransferMessage(make_coinbase(ALICE.address, 5, nonce=100 + step[2]))
                 universe[message.message_id()] = message
-                with pytest.raises(ValidationError):
-                    apply(state, message, allow_coinbase=False)
+                with pytest.raises(ValidationError, match="coinbase"):
+                    apply(state, message)
             elif step[0] == "clone":
                 twin = (state.clone(), dict(model))
                 if len(live) < LIVE:
@@ -333,4 +344,6 @@ class TestChainStateClones:
                     assert (message_id in other.receipts) == (applied is not None)
                     assert other.receipts.get(message_id) is (applied and applied[1])
                     assert (OutPoint(message.tx.txid(), 0) in other.utxos) == (applied is not None)
-                assert other.utxos.total_value() == 5 * len(other_model)
+                fees = PARAMS.fees.transfer * len(other_model)
+                assert other.utxos.total_value() == supply - fees
+                assert other.fees_collected == fees

@@ -19,11 +19,10 @@ from repro.chain.transaction import (
     Transaction,
     TxInput,
     TxOutput,
-    make_coinbase,
     sign_transaction,
 )
 from repro.chain.wire import canonical_encode, wire_hash
-from tests.conftest import ALICE, BOB
+from tests.conftest import ALICE, BOB, make_coinbase
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "golden-artifact-digests.json").read_text()

@@ -19,22 +19,30 @@ from hypothesis import strategies as st
 
 from repro.chain.block import BlockHeader
 from repro.chain.chain import Blockchain
-from repro.chain.messages import CallMessage, DeployMessage, TransferMessage, sign_message
+from repro.chain.contracts import Receipt
+from repro.chain.messages import (
+    CallMessage,
+    DeployMessage,
+    TransferMessage,
+    sign_message,
+    transfer_ids,
+)
 from repro.chain.params import fast_chain
 from repro.chain.pow import mine_header
 from repro.chain.transaction import (
     TXID_DOMAIN,
     OutPoint,
+    Transaction,
     TxInput,
     TxOutput,
-    make_coinbase,
+    coinbase_encoding,
 )
 from repro.chain.wire import canonical_encode, wire_hash
 from repro.crypto.keys import Address
 from repro.economy.policy import bump_fee
 from repro.errors import ValidationError
 from repro.workloads.scenarios import build_scenario
-from tests.conftest import ALICE, BOB
+from tests.conftest import ALICE, BOB, make_coinbase
 
 GENESIS_TRANSFERS = 64
 
@@ -89,26 +97,22 @@ def all_digests(message):
     return digests
 
 
-def test_genesis_encodes_each_transfer_once():
+def test_genesis_encodes_its_header_alone():
     allocations = [
         (Address(index.to_bytes(20, "big")), 1_000 + index)
         for index in range(GENESIS_TRANSFERS)
     ]
     with counted_encodes() as calls:
         chain = Blockchain(fast_chain("encode-cost"), allocations)
-    # The genesis header alone: a coinbase's bytes are its fixed template
-    # (message id and txid share them), receipt leaves are a template too,
-    # and neither Merkle tree encodes.
+    # One canonical_encode per genesis, its header's: a coinbase's bytes
+    # are its fixed template (txid and message id share them), receipt
+    # leaves are a template too, and neither Merkle root encodes.
     assert calls[0] == 1
-    assert chain.state_at().utxos.total_value() == sum(v for _, v in allocations)
-    genesis = chain.block_at_height(0)
     utxos = chain.state_at().utxos
-    with counted_encodes() as calls:
-        for message, (owner, value) in zip(genesis.messages, allocations):
-            assert utxos.get(OutPoint(message.tx.txid(), 0)) == TxOutput(owner, value)
-        assert genesis.compute_merkle_root() == genesis.header.merkle_root
-        chain.receipts_data(genesis.block_id())[1].root()
-    assert calls[0] == 0
+    assert utxos.total_value() == sum(v for _, v in allocations)
+    for nonce, (owner, value) in enumerate(allocations):
+        coin = OutPoint(make_coinbase(owner, value, nonce).txid(), 0)
+        assert utxos.get(coin) == TxOutput(owner, value)
 
 
 def generic_ids(message: TransferMessage) -> tuple[bytes, bytes]:
@@ -126,11 +130,12 @@ amounts = st.one_of(st.sampled_from([0, 1, 2**63, 10**30]), st.integers(0, 2**80
 @given(owners, amounts, st.one_of(amounts, st.integers(-(2**40), -1)))
 @settings(max_examples=300, derandomize=True)
 def test_coinbase_template_is_the_canonical_encoding(owner, value, nonce):
-    coinbase = make_coinbase(owner, value, nonce)
-    assert coinbase.encoded() == canonical_encode(coinbase)
+    template = coinbase_encoding(TxOutput(owner, value), nonce)
     message = TransferMessage(make_coinbase(owner, value, nonce))
-    assert (message.message_id(), message.tx.txid()) == generic_ids(message)
-    assert make_coinbase(owner, value, nonce).txid() == message.tx.txid()
+    assert template == canonical_encode(message.tx)
+    txid, message_id = transfer_ids(template)
+    assert (message_id, txid) == generic_ids(message)
+    assert (message.message_id(), message.tx.txid()) == (message_id, txid)
 
 
 class Shown(int):
@@ -165,14 +170,19 @@ def test_odd_coinbase_fields_encode_as_the_encoder_does_or_are_refused():
     encoded = 0
     for owner, value, nonce in odd_coinbases():
         try:
-            message = TransferMessage(make_coinbase(owner, value, nonce))
-            ids = (message.message_id(), message.tx.txid())
+            template = coinbase_encoding(TxOutput(owner, value), nonce)
         except ValidationError:
             continue
-        assert message.tx.encoded() == canonical_encode(message.tx)
-        assert ids == generic_ids(message)
+        message = TransferMessage(make_coinbase(owner, value, nonce))
+        assert template == canonical_encode(message.tx)
+        txid, message_id = transfer_ids(template)
+        assert (message_id, txid) == generic_ids(message)
         encoded += 1
     assert encoded == 8  # every one but the negative value
+
+
+def live_instances(*classes) -> int:
+    return sum(type(obj) in classes for obj in gc.get_objects())
 
 
 def genesis_cost(allocations):
@@ -191,38 +201,40 @@ def genesis_cost(allocations):
     return chain, len(gc.get_objects()) - tracked, live
 
 
-def test_a_genesis_coin_costs_its_hashes():
+def test_a_genesis_coin_is_one_utxo_entry():
     coins = 4096
     owners = [Address(bytes([index + 1]) * 20) for index in range(16)]
     # World-shaped: each owner's funding split into a run of equal pieces;
     # the baseline pays the same owners a different value every coin.
     runs = [(owners[index * 16 // coins], 1_000) for index in range(coins)]
     distinct = [(owner, 1_000 + index) for index, (owner, _) in enumerate(runs)]
+    kept = (TransferMessage, Transaction, Receipt)
+    before = live_instances(*kept)
     chain, objects, live = genesis_cost(runs)
+    assert live_instances(*kept) == before
     _, distinct_objects, distinct_live = genesis_cost(distinct)
 
-    # A coin repeating its predecessor's (owner, value) shares its TxOutput
-    # and outputs tuple: two objects and their bytes fewer, measured in this
-    # interpreter against the baseline, so no object layout is assumed
-    # (90 %: tracemalloc misses the few tuples a free list hands out).
+    # A coin repeating its predecessor's (owner, value) shares its
+    # TxOutput: one object and its bytes fewer, measured in this
+    # interpreter against the baseline, so no object layout is assumed.
     shared = coins - len(owners)
-    outputs = chain.block_at_height(0).messages[0].tx.outputs
-    assert distinct_objects - objects >= 2 * shared
-    record = sys.getsizeof(outputs) + sys.getsizeof(outputs[0])
-    assert distinct_live - live >= 0.9 * shared * record
-    # No genesis tree outlives construction: nothing proves inclusion in
-    # genesis, and a tree is two digests a coin.
-    genesis = chain.block_at_height(0).block_id()
-    assert chain._receipts_memo is None and genesis not in chain._receipt_data
-    assert chain.block_at_height(0)._tree is None
-    assert chain.state_at().utxos.total_value() == 1_000 * coins
+    utxos = chain.state_at().utxos
+    output = utxos.get(utxos.outpoints_of(owners[0])[0])
+    assert distinct_objects - objects >= shared
+    assert distinct_live - live >= 0.9 * shared * sys.getsizeof(output)
+    # No message, receipt, index entry or tree is kept for a coin.
+    genesis = chain.block_at_height(0)
+    assert genesis.messages == () and chain._message_index == {}
+    assert len(chain.state_at().receipts) == 0
+    assert chain._receipts_memo is None and genesis.block_id() not in chain._receipt_data
+    assert utxos.total_value() == 1_000 * coins
     if sys.version_info[:2] == (3, 11):
         # Absolute per-coin cost, measured on CPython 3.11 (CI's; the layout
-        # of objects differs between versions): the transaction, its
-        # message and outpoint.  The receipt is shared and the message
-        # index holds the genesis hash itself (3.15 objects, 499 bytes).
-        assert objects / coins <= 3.5
-        assert live / coins <= 540
+        # of objects differs between versions): the outpoint and its txid,
+        # and the coin's two dict slots (1.08 objects, 194 bytes here; the
+        # message-shaped genesis cost 3.15 objects and 499 bytes).
+        assert objects / coins <= 1.2
+        assert live / coins <= 220
 
 
 def world_cost(chain_ids, names):
@@ -247,12 +259,12 @@ def test_a_world_funded_alike_pays_one_genesis():
     one, one_objects, one_live = world_cost([], names)
     three, objects, live = world_cost(["chain-a", "chain-b"], names)
     assert len(one.chains) == 1 and len(three.chains) == 3
-    genesis = [chain.block_at_height(0) for chain in three.chains.values()]
-    assert len(genesis[0].messages) == 16 * 256
-    assert all(block.messages is genesis[0].messages for block in genesis)
+    for chain in three.chains.values():
+        assert chain.block_at_height(0).messages == ()
+        assert len(chain.state_at().utxos) == 16 * 256
     if sys.version_info[:2] == (3, 11):
         # Measured on CPython 3.11: the two extra chains cost their
-        # headers, state clones and message index entries, not a genesis.
+        # headers and state clones, not a genesis.
         assert objects <= 1.2 * one_objects
         assert live <= 1.3 * one_live
 

@@ -568,10 +568,8 @@ class ByzantineParticipant:
                 config = HerlihyConfig()
             elif request.protocol == "ac3tw":
                 config = AC3TWConfig()
-            elif request.protocol == "ac3wn":
-                config = AC3WNConfig(witness_chain_id=self.engine.witness_chain_id)
             else:
-                return  # unknown plug-in protocol: leave it alone
+                config = AC3WNConfig(witness_chain_id=self.engine.witness_chain_id)
         merged = {
             key: getattr(config, key) | value for key, value in changes.items()
         }

@@ -22,22 +22,10 @@ import math
 from dataclasses import dataclass, field
 
 from .. import serde
+from ..engine.engine import registered_phases
 
 #: Byzantine participant behaviours.
 BYZANTINE_BEHAVIORS = ("withhold-settle", "decline", "withhold-signature")
-
-
-def driver_phases() -> tuple[str, ...]:
-    """Every phase a registered protocol's table declares.
-
-    An eclipse keyed to a phase its protocol never enters would silently
-    disarm, so the spec only accepts declared phases (and
-    :meth:`ExperimentSpec.validate` those of the spec's own protocol).
-    Read at every check, like the other registry-backed choice sets.
-    """
-    from ..engine.engine import registered_phases
-
-    return registered_phases()
 
 
 @dataclass(frozen=True)
@@ -184,7 +172,10 @@ class EclipseSpec:
 
     enabled: bool = False
     role: str = serde.field("a", nonempty=True, doc="victim role letter or literal name")
-    phase: str = serde.field("settle", choices=driver_phases)
+    # Only a phase some driver's table declares: one no protocol enters
+    # would silently disarm (ExperimentSpec.validate narrows it to the
+    # spec's own protocol).
+    phase: str = serde.field("settle", choices=registered_phases())
     duration: float = serde.field(3.0, gt=0, doc="seconds isolated, then recovery")
     share: float = serde.field(
         1.0, ge=0, le=1, doc="fraction of swaps eclipsed (adversary/eclipse stream)"

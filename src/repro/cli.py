@@ -39,7 +39,7 @@ as JSON.  ``sweep`` is its multi-point sibling: a named sweep campaign
 executes them across ``--workers`` processes, prints the joined summary
 table, and exports the campaign as CSV and/or JSON — one command per
 paper figure.  ``serve`` swaps the fixed horizon for a live session
-(:mod:`repro.service`): pluggable traffic sources, a replayable request
+(:mod:`repro.service`): live traffic sources, a replayable request
 log, and mid-flight checkpoints that ``--restore`` resumes with
 byte-identical subsequent behavior;
 ``replay`` re-executes a recorded log, reproducing outcomes exactly.  The datastore commands sit on top of the campaign
@@ -70,19 +70,17 @@ from .experiment import (
     ExperimentSpec,
     apply_overrides,
     parse_set_args,
-    preset_description,
-    preset_names,
     preset_spec,
     run_experiment,
 )
+from .experiment.presets import PRESETS
 from .sweeps import (
     SweepResult,
     SweepRunner,
     SweepSpec,
-    sweep_description,
-    sweep_names,
     sweep_spec,
 )
+from .sweeps.presets import SWEEPS
 from .workloads.scenarios import LOW_FEE_BUDGET
 
 # ---------------------------------------------------------------------------
@@ -312,8 +310,9 @@ def _profiled(destination: str | None, fn):
 # ---------------------------------------------------------------------------
 
 
-def _print_catalog(names, describe, as_json: bool, kind=None) -> None:
-    """The preset catalog, human table or machine-readable JSON.
+def _print_catalog(catalog: dict, as_json: bool, kind=None) -> None:
+    """A preset catalog (name -> (factory, description)), human table or
+    machine-readable JSON.
 
     ``kind`` (optional, a ``name -> str`` callable) tags each entry
     with what running it produces — ``run``'s catalog merges experiment
@@ -321,33 +320,42 @@ def _print_catalog(names, describe, as_json: bool, kind=None) -> None:
     """
     if as_json:
         rows = []
-        for name in names:
-            row = {"name": name, "description": describe(name)}
+        for name, (_, description) in catalog.items():
+            row = {"name": name, "description": description}
             if kind is not None:
                 row["kind"] = kind(name)
             rows.append(row)
         print(_json.dumps(rows, indent=2))
         return
-    for name in names:
+    for name, (_, description) in catalog.items():
         tag = f"  [{kind(name)}]" if kind is not None else ""
-        print(f"{name:>18}  {describe(name)}{tag}")
+        print(f"{name:>18}  {description}{tag}")
 
 
-def _resolve_spec(args: argparse.Namespace, spec_cls, preset, names):
+def _resolve_spec(args: argparse.Namespace, command: str, spec_cls, preset):
     """The ``--spec | --preset`` + ``--set`` resolver of ``run``,
     ``serve`` and ``sweep``: ``spec_cls`` loads a spec file, ``preset``
-    looks a name up in that command's catalog, ``names`` lists it.  The
-    same dotted-path overrides work one level up: ``sweep --set
+    looks a name up in ``command``'s catalog.  A name only another
+    command's catalog holds is refused with that command.  The same
+    dotted-path overrides work one level up: ``sweep --set
     base.traffic.num_swaps=12`` edits the base experiment, ``--set
     derive_seeds=false`` the sweep itself."""
+    from .service.presets import SERVICE_PRESETS
+
+    catalogs = {"run": PRESETS, "serve": SERVICE_PRESETS, "sweep": SWEEPS}
     if args.spec and args.preset:
         raise SpecError("pass either --preset or --spec, not both")
     if args.spec:
         spec = spec_cls.from_json(serde.read_text(args.spec, SpecError, "spec"))
     elif args.preset:
+        owners = [other for other, names in catalogs.items() if args.preset in names]
+        if owners and command not in owners:
+            raise SpecError(
+                f"preset {args.preset!r} is run by `repro {owners[0]} --preset {args.preset}`"
+            )
         spec = preset(args.preset)
     else:
-        raise SpecError(f"pass --preset or --spec; presets: {', '.join(names())}")
+        raise SpecError(f"pass --preset or --spec; presets: {', '.join(catalogs[command])}")
     return apply_overrides(spec, parse_set_args(args.set or []))
 
 
@@ -402,23 +410,15 @@ def _print_alerts(result: ExperimentResult) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.list_presets:
-        from .service import service_preset_description, service_preset_names
-
-        experiment = list(preset_names())
-        service = list(service_preset_names())
-        kinds = {name: "experiment" for name in experiment}
-        kinds.update({name: "service" for name in service})
-
-        def describe(name: str) -> str:
-            if kinds[name] == "service":
-                return service_preset_description(name)
-            return preset_description(name)
+        from .service.presets import SERVICE_PRESETS
 
         _print_catalog(
-            experiment + service, describe, args.json is not None, kind=kinds.get
+            {**PRESETS, **SERVICE_PRESETS},
+            args.json is not None,
+            kind=lambda name: "experiment" if name in PRESETS else "service",
         )
         return 0
-    spec = _resolve_spec(args, ExperimentSpec, preset_spec, preset_names)
+    spec = _resolve_spec(args, "run", ExperimentSpec, preset_spec)
     if args.trace:
         # --trace is the switch: it arms the recorder even when the
         # preset/spec left obs off, without editing the spec file.
@@ -493,7 +493,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ServiceSpec,
         SwapService,
         check_serve_limits,
-        service_preset_names,
         service_preset_spec,
     )
 
@@ -513,9 +512,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         service = SwapService.restore(args.restore)
     else:
-        spec = _resolve_spec(
-            args, ServiceSpec, service_preset_spec, service_preset_names
-        )
+        spec = _resolve_spec(args, "serve", ServiceSpec, service_preset_spec)
         # Bake --duration into the spec itself so the request log's
         # spec echo is faithful: `repro replay LOG` then runs out the
         # same horizon with no extra flags.  --max-swaps and
@@ -653,9 +650,9 @@ def print_sweep_result(result: SweepResult) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.list_presets:
-        _print_catalog(sweep_names(), sweep_description, args.json is not None)
+        _print_catalog(SWEEPS, args.json is not None)
         return 0
-    spec = _resolve_spec(args, SweepSpec, sweep_spec, sweep_names)
+    spec = _resolve_spec(args, "sweep", SweepSpec, sweep_spec)
 
     import time as _time
 

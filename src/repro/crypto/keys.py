@@ -47,12 +47,15 @@ def verify_cache_info() -> dict:
     }
 
 
-def clear_verify_cache() -> None:
-    """Empty the memo and the per-key tables and reset the counters, so a
-    run starts cold (tests, benchmarks)."""
+def clear_verify_cache(tables: bool = True) -> None:
+    """Empty the memo and reset its counters; with ``tables`` (the
+    default) drop the per-key tables too, so a run starts cold (tests,
+    benchmarks).  The runner keeps them between runs: a table is a pure
+    function of its key, and no count of them enters an artifact."""
     global _verify_cache_hits, _verify_cache_misses
     _VERIFY_CACHE.clear()
-    ecdsa._KEY_TABLES.clear()
+    if tables:
+        ecdsa._KEY_TABLES.clear()
     _verify_cache_hits = 0
     _verify_cache_misses = 0
 

@@ -1,13 +1,6 @@
 """Event-driven execution layer: many concurrent AC2Ts, one simulation."""
 
-from .engine import (
-    PROTOCOLS,
-    EngineResult,
-    SwapEngine,
-    register_protocol,
-    registered_protocols,
-    unregister_protocol,
-)
+from .engine import PROTOCOLS, EngineResult, SwapEngine
 from .metrics import percentile
 
 __all__ = [
@@ -15,7 +8,4 @@ __all__ = [
     "EngineResult",
     "SwapEngine",
     "percentile",
-    "register_protocol",
-    "registered_protocols",
-    "unregister_protocol",
 ]

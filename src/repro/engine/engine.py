@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from typing import Callable
 
+from .. import serde
 from ..core.ac3tw import AC3TWConfig, AC3TWDriver, TrustedWitness
 from ..core.ac3wn import AC3WNConfig, AC3WNDriver
 from ..core.driver import ProtocolDriver
@@ -38,65 +39,82 @@ from ..errors import ProtocolError, ReproError, SchedulingError
 from ..workloads.scenarios import CrashPlan, TrafficItem
 from .metrics import EngineMetrics, MetricsAccumulator
 
-#: The four built-in protocols, in the canonical round-robin order used
-#: by "mixed" workloads.  The *registry* below may hold more: plug-in
-#: protocols registered via :func:`register_protocol` are first-class
-#: citizens of the engine without appearing in this tuple.
-PROTOCOLS = ("nolan", "herlihy", "ac3tw", "ac3wn")
-
 
 @dataclass(frozen=True)
 class ProtocolEntry:
-    """One registered protocol: how to build its driver for a request.
+    """How the engine runs one protocol.
 
     ``factory(engine, request)`` returns a started-ready
     :class:`~repro.core.driver.ProtocolDriver`; ``validate(graph)``
     (optional) raises at submit time for graphs the protocol cannot
     execute, so failures surface at the call site instead of inside an
     arrival event.  ``phases`` names the rows of its driver's phase
-    table (what an eclipse may key on; empty = undeclared).
+    table (what an eclipse may key on).
     """
 
-    name: str
     factory: Callable[["SwapEngine", "SwapRequest"], ProtocolDriver]
     validate: Callable[[SwapGraph], None] | None = None
     phases: tuple[str, ...] = ()
 
 
-_PROTOCOL_REGISTRY: dict[str, ProtocolEntry] = {}
+def _nolan_factory(engine: SwapEngine, request: SwapRequest) -> ProtocolDriver:
+    return NolanDriver(
+        engine.env,
+        request.graph,
+        request.config or HerlihyConfig(),
+        fee_budget=request.fee_budget,
+        jitter_span=engine.jitter_span,
+    )
 
 
-def register_protocol(
-    name: str,
-    factory: Callable[["SwapEngine", "SwapRequest"], ProtocolDriver],
-    validate: Callable[[SwapGraph], None] | None = None,
-    replace: bool = False,
-    phases: tuple[str, ...] = (),
-) -> None:
-    """Register a protocol so engines (and specs) can run it by name.
-
-    New protocols plug in without editing this module: the factory
-    receives the engine (for ``env``, ``jitter_span``, witness services) and
-    the :class:`SwapRequest` (graph, config, fee budget).
-    """
-    if name in _PROTOCOL_REGISTRY and not replace:
-        raise ProtocolError(f"protocol {name!r} is already registered")
-    _PROTOCOL_REGISTRY[name] = ProtocolEntry(name, factory, validate, tuple(phases))
+def _herlihy_factory(engine: SwapEngine, request: SwapRequest) -> ProtocolDriver:
+    return HerlihyDriver(
+        engine.env,
+        request.graph,
+        request.config or HerlihyConfig(),
+        fee_budget=request.fee_budget,
+        jitter_span=engine.jitter_span,
+    )
 
 
-def unregister_protocol(name: str) -> None:
-    """Remove a plug-in protocol (built-ins may be re-registered over)."""
-    _PROTOCOL_REGISTRY.pop(name, None)
+def _ac3tw_factory(engine: SwapEngine, request: SwapRequest) -> ProtocolDriver:
+    return AC3TWDriver(
+        engine.env,
+        request.graph,
+        engine.trusted_witness,
+        request.config or AC3TWConfig(),
+        fee_budget=request.fee_budget,
+        jitter_span=engine.jitter_span,
+    )
 
 
-def registered_protocols() -> tuple[str, ...]:
-    """Every runnable protocol name, registration order."""
-    return tuple(_PROTOCOL_REGISTRY)
+def _ac3wn_factory(engine: SwapEngine, request: SwapRequest) -> ProtocolDriver:
+    return AC3WNDriver(
+        engine.env,
+        request.graph,
+        request.config or AC3WNConfig(witness_chain_id=engine.witness_chain_id),
+        fee_budget=request.fee_budget,
+        jitter_span=engine.jitter_span,
+    )
+
+
+#: The protocol catalog: the paper's AC3WN and AC3TW and the two
+#: hashlock/timelock swaps it is measured against.  A new protocol is an
+#: entry here.
+_PROTOCOL_ENTRIES = {
+    "nolan": ProtocolEntry(_nolan_factory, validate_two_party, NolanDriver.phase_names()),
+    "herlihy": ProtocolEntry(_herlihy_factory, phases=HerlihyDriver.phase_names()),
+    "ac3tw": ProtocolEntry(_ac3tw_factory, phases=AC3TWDriver.phase_names()),
+    "ac3wn": ProtocolEntry(_ac3wn_factory, phases=AC3WNDriver.phase_names()),
+}
+
+#: The four protocols, in the round-robin order of "mixed" workloads.
+PROTOCOLS = tuple(_PROTOCOL_ENTRIES)
 
 
 def registered_phases(protocol: str | None = None) -> tuple[str, ...]:
-    """The phases ``protocol`` declares, or (None) every registered one's."""
-    entries = [e for name, e in _PROTOCOL_REGISTRY.items() if protocol in (None, name)]
+    """The phases ``protocol`` declares, or (None) every protocol's."""
+    entries = [e for name, e in _PROTOCOL_ENTRIES.items() if protocol in (None, name)]
     return tuple(dict.fromkeys(phase for e in entries for phase in e.phases))
 
 
@@ -162,11 +180,7 @@ class SwapEngine:
         eager: bool = True,
         jitter_span: float | None = None,
     ) -> None:
-        if default_protocol not in _PROTOCOL_REGISTRY:
-            raise ProtocolError(
-                f"unknown protocol {default_protocol!r}; "
-                f"expected one of: {', '.join(sorted(_PROTOCOL_REGISTRY))}"
-            )
+        serde.lookup(_PROTOCOL_ENTRIES, default_protocol, "protocol")
         if not eager:
             raise ProtocolError(
                 "SwapEngine(eager=False): the poll-tick driver cadence was "
@@ -254,12 +268,7 @@ class SwapEngine:
         ``crash.delay`` seconds after the arrival.
         """
         protocol = protocol or self.default_protocol
-        entry = _PROTOCOL_REGISTRY.get(protocol)
-        if entry is None:
-            raise ProtocolError(
-                f"unknown protocol {protocol!r}; "
-                f"expected one of: {', '.join(sorted(_PROTOCOL_REGISTRY))}"
-            )
+        entry = serde.lookup(_PROTOCOL_ENTRIES, protocol, "protocol")
         if entry.validate is not None:
             # Fail at the submit call site, not inside an arrival event.
             entry.validate(graph)
@@ -332,7 +341,7 @@ class SwapEngine:
     # -- execution ---------------------------------------------------------
 
     def _make_driver(self, request: SwapRequest) -> ProtocolDriver:
-        return _PROTOCOL_REGISTRY[request.protocol].factory(self, request)
+        return _PROTOCOL_ENTRIES[request.protocol].factory(self, request)
 
     def _launch(self, request: SwapRequest) -> None:
         collector = self.collector
@@ -521,57 +530,3 @@ class SwapEngine:
                 self._adversary.report() if self._adversary is not None else None
             ),
         )
-
-
-# ---------------------------------------------------------------------------
-# Built-in protocol registrations
-# ---------------------------------------------------------------------------
-
-
-def _nolan_factory(engine: SwapEngine, request: SwapRequest) -> ProtocolDriver:
-    return NolanDriver(
-        engine.env,
-        request.graph,
-        request.config or HerlihyConfig(),
-        fee_budget=request.fee_budget,
-        jitter_span=engine.jitter_span,
-    )
-
-
-def _herlihy_factory(engine: SwapEngine, request: SwapRequest) -> ProtocolDriver:
-    return HerlihyDriver(
-        engine.env,
-        request.graph,
-        request.config or HerlihyConfig(),
-        fee_budget=request.fee_budget,
-        jitter_span=engine.jitter_span,
-    )
-
-
-def _ac3tw_factory(engine: SwapEngine, request: SwapRequest) -> ProtocolDriver:
-    return AC3TWDriver(
-        engine.env,
-        request.graph,
-        engine.trusted_witness,
-        request.config or AC3TWConfig(),
-        fee_budget=request.fee_budget,
-        jitter_span=engine.jitter_span,
-    )
-
-
-def _ac3wn_factory(engine: SwapEngine, request: SwapRequest) -> ProtocolDriver:
-    return AC3WNDriver(
-        engine.env,
-        request.graph,
-        request.config or AC3WNConfig(witness_chain_id=engine.witness_chain_id),
-        fee_budget=request.fee_budget,
-        jitter_span=engine.jitter_span,
-    )
-
-
-register_protocol(
-    "nolan", _nolan_factory, validate_two_party, phases=NolanDriver.phase_names()
-)
-register_protocol("herlihy", _herlihy_factory, phases=HerlihyDriver.phase_names())
-register_protocol("ac3tw", _ac3tw_factory, phases=AC3TWDriver.phase_names())
-register_protocol("ac3wn", _ac3wn_factory, phases=AC3WNDriver.phase_names())

@@ -137,9 +137,9 @@ class SpecError(ProtocolError):
     """An :class:`~repro.experiment.ExperimentSpec` is invalid.
 
     Raised for unknown keys or malformed values during deserialization,
-    unknown preset/registry names, bad dotted-path overrides, and
-    semantic validation failures (negative counts, rates outside their
-    domain, unregistered protocols or traffic generators)."""
+    names no catalog holds (presets, protocols, traffic generators),
+    bad dotted-path overrides, and semantic validation failures
+    (negative counts, rates outside their domain)."""
 
 
 class EvidenceError(ProtocolError):

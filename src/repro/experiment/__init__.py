@@ -6,27 +6,17 @@ The public surface:
   schema (:mod:`repro.experiment.spec`);
 * :func:`apply_overrides` / :func:`parse_set_args` — dotted-path spec
   edits, the CLI's ``--set key=value``;
-* :func:`preset_spec` / :func:`register_preset` — the named preset
-  catalog (:mod:`repro.experiment.presets`);
-* :func:`register_traffic` — pluggable workload generators
+* :func:`preset_spec` — the named preset catalog
+  (:mod:`repro.experiment.presets`);
+* :func:`traffic_generator` — the workload generator catalog
   (:mod:`repro.experiment.registry`);
 * :func:`run_experiment` → :class:`ExperimentResult` — the single entry
   point that executes a spec end to end
   (:mod:`repro.experiment.runner`).
 """
 
-from .presets import (
-    preset_description,
-    preset_names,
-    preset_spec,
-    register_preset,
-)
-from .registry import (
-    register_traffic,
-    registered_traffic,
-    traffic_generator,
-    unregister_traffic,
-)
+from .presets import preset_names, preset_spec
+from .registry import traffic_generator
 from .runner import (
     ExperimentResult,
     build_environment,
@@ -64,13 +54,8 @@ __all__ = [
     "build_environment",
     "build_observability",
     "parse_set_args",
-    "preset_description",
     "preset_names",
     "preset_spec",
-    "register_preset",
-    "register_traffic",
-    "registered_traffic",
     "run_experiment",
     "traffic_generator",
-    "unregister_traffic",
 ]

@@ -8,15 +8,13 @@ them.  Presets compose with dotted-path overrides::
     spec = preset_spec("congestion")
     spec = apply_overrides(spec, {"traffic.num_swaps": 60})
 
-Register project-specific presets with :func:`register_preset`.
+A new preset is an entry in :data:`PRESETS`.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
+from .. import serde
 from ..adversary import AdversarySpec, ReorgAttackSpec
-from ..errors import SpecError
 from .spec import (
     ChainsSpec,
     CrashSpec,
@@ -26,35 +24,14 @@ from .spec import (
     TrafficSpec,
 )
 
-PresetFactory = Callable[[], ExperimentSpec]
-
-_PRESETS: dict[str, tuple[PresetFactory, str]] = {}
-
-
-def register_preset(
-    name: str, factory: PresetFactory, description: str = "", replace: bool = False
-) -> None:
-    """Register a named preset (a zero-arg factory returning a spec)."""
-    if name in _PRESETS and not replace:
-        raise SpecError(f"preset {name!r} is already registered")
-    _PRESETS[name] = (factory, description)
-
 
 def preset_names() -> tuple[str, ...]:
-    return tuple(sorted(_PRESETS))
-
-
-def preset_description(name: str) -> str:
-    return _PRESETS[name][1] if name in _PRESETS else ""
+    return tuple(PRESETS)
 
 
 def preset_spec(name: str) -> ExperimentSpec:
     """A fresh spec for a named preset."""
-    if name not in _PRESETS:
-        raise SpecError(
-            f"unknown preset {name!r}; available: {', '.join(preset_names())}"
-        )
-    return _PRESETS[name][0]()
+    return serde.lookup(PRESETS, name, "preset")[0]()
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +170,14 @@ def _security() -> ExperimentSpec:
     )
 
 
-register_preset("swap", _swap, "one two-party AC3WN swap")
-register_preset(
-    "engine-smoke", _engine_smoke, "50 mixed-protocol concurrent AC2Ts (CI tripwire)"
-)
-register_preset(
-    "congestion", _congestion, "oversubscribed fee market: 60 swaps @ 12/s, budget 16"
-)
-register_preset("table1", _table1, "measured swap throughput: 40 AC2Ts @ 8/s")
-register_preset("figure10", _figure10, "one measured Figure 10 latency point")
-register_preset("crash", _crash, "mixed traffic with 25% mid-protocol crashes")
-register_preset(
-    "security", _security, "traffic under a budgeted witness-reorg attacker"
-)
-register_preset("fee-shock", _fee_shock, "congestion plus a whale demand burst")
+#: The preset catalog, name -> (factory, description), sorted.
+PRESETS = {
+    "congestion": (_congestion, "oversubscribed fee market: 60 swaps @ 12/s, budget 16"),
+    "crash": (_crash, "mixed traffic with 25% mid-protocol crashes"),
+    "engine-smoke": (_engine_smoke, "50 mixed-protocol concurrent AC2Ts (CI tripwire)"),
+    "fee-shock": (_fee_shock, "congestion plus a whale demand burst"),
+    "figure10": (_figure10, "one measured Figure 10 latency point"),
+    "security": (_security, "traffic under a budgeted witness-reorg attacker"),
+    "swap": (_swap, "one two-party AC3WN swap"),
+    "table1": (_table1, "measured swap throughput: 40 AC2Ts @ 8/s"),
+}

@@ -1,20 +1,11 @@
-"""Traffic-generator registry: pluggable workloads for experiment specs.
+"""The traffic-generator catalog: the workloads an experiment spec names.
 
 A traffic generator turns an :class:`~repro.experiment.spec.ExperimentSpec`
 into the list of :class:`~repro.workloads.scenarios.TrafficItem` the
-engine will execute.  Generators register by name; a spec selects one
-via ``traffic.generator``, so new workloads plug in without editing the
-spec schema or the runner:
+engine will execute; a spec selects one via ``traffic.generator``, and
+a new workload is an entry in :data:`TRAFFIC`.
 
-    from repro.experiment import register_traffic
-
-    def burst(spec):
-        ...
-        return items
-
-    register_traffic("burst", burst)
-
-The built-in generators are the two workload families: ``"poisson"``
+The two generators are the two workload families: ``"poisson"``
 (homogeneous open-loop arrivals, optional uniform fee budget) and
 ``"congestion"`` (heterogeneous LOW/HIGH fee-budget classes) — one call
 of :func:`~repro.workloads.scenarios.swap_traffic` over the spec's
@@ -26,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Callable
 
+from .. import serde
 from ..errors import SpecError
 from ..workloads.scenarios import (
     HIGH_FEE_BUDGET,
@@ -42,40 +34,13 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 
 TrafficGenerator = Callable[["ExperimentSpec"], list[TrafficItem]]
 
-_TRAFFIC_REGISTRY: dict[str, TrafficGenerator] = {}
-
-
-def register_traffic(
-    name: str, generator: TrafficGenerator, replace: bool = False
-) -> None:
-    """Register a traffic generator under ``name``."""
-    if name in _TRAFFIC_REGISTRY and not replace:
-        raise SpecError(f"traffic generator {name!r} is already registered")
-    _TRAFFIC_REGISTRY[name] = generator
-
-
-def unregister_traffic(name: str) -> None:
-    """Remove a plug-in generator from the registry."""
-    _TRAFFIC_REGISTRY.pop(name, None)
-
-
-def registered_traffic() -> tuple[str, ...]:
-    """Every registered generator name, registration order."""
-    return tuple(_TRAFFIC_REGISTRY)
-
 
 def traffic_generator(name: str) -> TrafficGenerator:
-    generator = _TRAFFIC_REGISTRY.get(name)
-    if generator is None:
-        raise SpecError(
-            f"unknown traffic generator {name!r}; registered: "
-            f"{', '.join(sorted(_TRAFFIC_REGISTRY))}"
-        )
-    return generator
+    return serde.lookup(TRAFFIC, name, "traffic generator")
 
 
 # ---------------------------------------------------------------------------
-# Built-in generators
+# The generators
 # ---------------------------------------------------------------------------
 
 
@@ -144,5 +109,5 @@ def _congestion(spec: "ExperimentSpec") -> list[TrafficItem]:
     return _spec_traffic(spec, congestion_budgets(t.low_fee_share, low, high))
 
 
-register_traffic("poisson", _poisson)
-register_traffic("congestion", _congestion)
+#: The generator catalog a spec's ``traffic.generator`` names.
+TRAFFIC: dict[str, TrafficGenerator] = {"poisson": _poisson, "congestion": _congestion}

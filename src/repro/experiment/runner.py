@@ -216,10 +216,12 @@ def schedule_fee_shocks(spec: ExperimentSpec, env: ScenarioEnvironment) -> None:
 
 
 def _reset_caches() -> None:
-    """Start every run cold so the ``caches`` report is a pure function
-    of the spec — a warm process-global cache would leak one run's state
-    into the next artifact and break byte-identical re-execution."""
-    clear_ecdsa_cache()
+    """Start every run with empty memos so the ``caches`` report is a
+    pure function of the spec — a warm process-global memo would leak one
+    run's state into the next artifact and break byte-identical
+    re-execution.  The ECDSA per-key tables stay warm: they are pure
+    functions of their keys and no artifact counts them."""
+    clear_ecdsa_cache(tables=False)
     clear_multisig_cache()
     reset_evidence_cache_info()
 

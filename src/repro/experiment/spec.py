@@ -27,34 +27,15 @@ from .. import serde
 from ..adversary.spec import AdversarySpec
 from ..chain.params import ChainParams, fast_chain
 from ..economy import FeeBudget, FeePolicy
+from ..engine.engine import PROTOCOLS, registered_phases
 from ..errors import SpecError
+from ..obs.trace import CATEGORIES
 from ..workloads.graphs import DEFAULT_AMOUNT
 from ..workloads.scenarios import DEFAULT_FUNDING, is_traffic_name
+from .registry import TRAFFIC
 
-# ---------------------------------------------------------------------------
-# Registry-backed choice sets: read at every check, so a plug-in
-# registered after import is a valid choice (the imports are lazy so
-# the spec layer pulls in no execution code)
-# ---------------------------------------------------------------------------
-
-
-def protocol_choices() -> tuple[str, ...]:
-    from ..engine.engine import registered_protocols
-
-    return registered_protocols() + ("mixed",)
-
-
-def _traffic_choices() -> tuple[str, ...]:
-    from .registry import registered_traffic
-
-    return registered_traffic()
-
-
-def _category_choices() -> tuple[str, ...]:
-    from ..obs.trace import CATEGORIES
-
-    return CATEGORIES
-
+#: What ``protocol`` may name: a catalog protocol, or all four round-robin.
+PROTOCOL_CHOICES = PROTOCOLS + ("mixed",)
 
 # ---------------------------------------------------------------------------
 # The spec tree
@@ -246,16 +227,15 @@ class FeeShockSpec:
 class TrafficSpec:
     """The workload: which generator produces the AC2T stream, and how.
 
-    ``generator`` names an entry in the traffic registry
+    ``generator`` names an entry in the traffic catalog
     (:mod:`repro.experiment.registry`): ``"poisson"`` (homogeneous
-    open-loop arrivals) and ``"congestion"`` (heterogeneous LOW/HIGH fee
-    budgets) ship built in; new workloads register without editing this
-    file.  Generator-specific knobs (``low_fee_share`` and the budget
+    open-loop arrivals) or ``"congestion"`` (heterogeneous LOW/HIGH fee
+    budgets).  Generator-specific knobs (``low_fee_share`` and the budget
     classes) are ignored by generators that do not use them.
     """
 
     generator: str = serde.field(
-        "poisson", choices=_traffic_choices, unknown="traffic generator"
+        "poisson", choices=tuple(TRAFFIC), unknown="traffic generator"
     )
     num_swaps: int = serde.field(50, ge=1)
     rate: float = serde.field(10.0, gt=0, doc="mean open-loop arrivals per second")
@@ -366,7 +346,7 @@ class ObsSpec:
     enabled: bool = serde.field(False, doc="attach a TraceCollector to the run")
     categories: tuple[str, ...] = serde.field(
         (),
-        choices=_category_choices,
+        choices=CATEGORIES,
         unknown="category",
         doc="[] = all; also scopes what metrics and the monitor see",
     )
@@ -391,7 +371,7 @@ class ExperimentSpec(serde.Serializable):
     seed: int = serde.field(0, doc="master seed for all randomness")
     protocol: str = serde.field(
         "ac3wn",
-        choices=protocol_choices,
+        choices=PROTOCOL_CHOICES,
         unknown="protocol",
         doc="'mixed' round-robins the four built-ins",
     )
@@ -464,8 +444,6 @@ class ExperimentSpec(serde.Serializable):
                     f"names {traffic.prefix}NNNN.<role>"
                 )
         self.adversary.validate(fail, known_chains)
-        from ..engine.engine import registered_phases
-
         phases, phase = registered_phases(self.protocol), self.adversary.eclipse.phase
         if phases and phase not in phases:
             fail(

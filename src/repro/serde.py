@@ -20,6 +20,8 @@ two JSONL headers and the metrics snapshot are declarations on top of:
   :func:`describe` — the same declarations rendered for docs and CLI.
 * :func:`dump_jsonl` / :func:`load_jsonl` (a header record, then one
   row per line) and :func:`check_schema`.
+* :func:`lookup` — a name in a catalog, or the one refusal every
+  catalog and choice set prints.
 * :func:`parse` / :func:`read_text` turn decode and I/O failures into
   the caller's named error; :func:`write_text` replaces atomically.
 
@@ -53,15 +55,11 @@ class Rule(typing.NamedTuple):
     gt: float | None = None
     ge: float | None = None
     le: float | None = None
-    #: The allowed strings: a tuple, or — for a registry that plug-ins
-    #: extend — a zero-argument callable evaluated at every check.
-    choices: typing.Any = None
-    #: Noun for a registry-backed choice set's ``unknown <noun>`` message.
+    #: The allowed strings.
+    choices: tuple[str, ...] | None = None
+    #: Noun for a catalog-backed choice set's :func:`lookup` refusal.
     unknown: str = ""
     nonempty: bool = False
-
-    def members(self) -> tuple:
-        return tuple(self.choices() if callable(self.choices) else self.choices)
 
     def text(self) -> str:
         """The requirement in words, as messages and :func:`describe` say it."""
@@ -75,7 +73,7 @@ class Rule(typing.NamedTuple):
         if self.le is not None:
             return f"at most {self.le}"
         if self.choices is not None:
-            return f"one of {self.members()}"
+            return f"one of {self.choices}"
         return "not empty" if self.nonempty else ""
 
     def broken_by(self, value) -> str:
@@ -84,12 +82,12 @@ class Rule(typing.NamedTuple):
         if isinstance(value, str):
             if self.nonempty and not value:
                 return " must not be empty"
-            if self.choices is not None and value not in self.members():
+            if self.choices is not None and value not in self.choices:
                 if self.unknown:
-                    return (
-                        f": unknown {self.unknown} {value!r}; "
-                        f"expected one of {self.members()}"
-                    )
+                    try:
+                        lookup(self.choices, value, self.unknown)
+                    except SpecError as refused:
+                        return f": {refused}"
                 return f" must be {self.text()}, got {value!r}"
         elif not (
             (self.gt is None or value > self.gt)
@@ -98,6 +96,15 @@ class Rule(typing.NamedTuple):
         ):
             return f" must be {self.text()}"
         return ""
+
+
+def lookup(catalog, name: str, noun: str):
+    """``catalog[name]``, or the one refusal every catalog and choice set
+    prints: ``unknown <noun> 'x'; available: a, b, c`` (``""`` shown as such)."""
+    if name not in catalog:
+        listed = ", ".join(n or '""' for n in catalog)
+        raise SpecError(f"unknown {noun} {name!r}; available: {listed}")
+    return catalog[name]
 
 
 class Field(typing.NamedTuple):
@@ -355,7 +362,8 @@ def check(obj, path: str = "", fail=None) -> None:
     itself — and reports the first leaf, in field order, that breaks
     its field's :class:`Rule`: ``<dotted path> must be positive |
     non-negative | at least N | within [a, b] | one of (…), got X``,
-    ``… must not be empty``, or ``…: unknown <noun> X`` for a registry.
+    ``… must not be empty``, or ``…: unknown <noun> X; available: …``
+    for a catalog.
     The message goes to ``fail(message)``; without one it is raised as
     :class:`SpecError`.
     """

@@ -1,18 +1,16 @@
 """Named service-session presets, mirroring the experiment preset catalog.
 
-Presets are factories so every call returns a fresh spec; register new
-ones with :func:`register_service_preset` without editing this file.
-The stock presets are CI-sized (tens of swaps, tens of sim-seconds) —
-steady Poisson serving, a compressed diurnal cycle, and a flash-crowd
-session over a fee market.
+Presets are factories so every call returns a fresh spec; a new one is
+an entry in :data:`SERVICE_PRESETS`.  The stock presets are CI-sized
+(tens of swaps, tens of sim-seconds) — steady Poisson serving, a
+compressed diurnal cycle, and a flash-crowd session over a fee market.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
 
-from ..errors import SpecError
+from .. import serde
 from ..experiment.spec import (
     ChainsSpec,
     ExperimentSpec,
@@ -24,51 +22,15 @@ from ..experiment.spec import (
 )
 from .spec import ServiceSpec, SourceSpec
 
-ServicePresetFactory = Callable[[], ServiceSpec]
-
-_SERVICE_PRESETS: dict[str, tuple[ServicePresetFactory, str]] = {}
-
-
-def register_service_preset(
-    name: str,
-    factory: ServicePresetFactory,
-    description: str = "",
-    replace: bool = False,
-) -> None:
-    """Register a named service preset (factory returning a fresh spec)."""
-    if not replace and name in _SERVICE_PRESETS:
-        raise SpecError(
-            f"service preset {name!r} is already registered; "
-            f"pass replace=True to override"
-        )
-    _SERVICE_PRESETS[name] = (factory, description)
-
-
-def unregister_service_preset(name: str) -> None:
-    """Remove a registered service preset (tests clean up)."""
-    _SERVICE_PRESETS.pop(name, None)
-
 
 def service_preset_names() -> tuple[str, ...]:
-    """All registered service preset names, sorted."""
-    return tuple(sorted(_SERVICE_PRESETS))
-
-
-def service_preset_description(name: str) -> str:
-    if name not in _SERVICE_PRESETS:
-        raise SpecError(
-            f"unknown service preset {name!r}; available: {service_preset_names()}"
-        )
-    return _SERVICE_PRESETS[name][1]
+    """All service preset names, sorted."""
+    return tuple(SERVICE_PRESETS)
 
 
 def service_preset_spec(name: str) -> ServiceSpec:
-    """A fresh :class:`ServiceSpec` for a registered preset name."""
-    if name not in _SERVICE_PRESETS:
-        raise SpecError(
-            f"unknown service preset {name!r}; available: {service_preset_names()}"
-        )
-    return _SERVICE_PRESETS[name][0]()
+    """A fresh :class:`ServiceSpec` for a service preset name."""
+    return serde.lookup(SERVICE_PRESETS, name, "service preset")[0]()
 
 
 def _serve_world(seed: int) -> ExperimentSpec:
@@ -142,18 +104,18 @@ def _serve_flash_crowd() -> ServiceSpec:
     )
 
 
-register_service_preset(
-    "serve-steady",
-    _serve_steady,
-    "steady Poisson serving at 4 swaps/s for 20 s (AC3WN)",
-)
-register_service_preset(
-    "serve-diurnal",
-    _serve_diurnal,
-    "compressed day/night cycle: peak 6 swaps/s, trough 20%",
-)
-register_service_preset(
-    "serve-flash-crowd",
-    _serve_flash_crowd,
-    "fee-market world with periodic 4x flash-crowd bursts",
-)
+#: The service preset catalog, name -> (factory, description), sorted.
+SERVICE_PRESETS = {
+    "serve-diurnal": (
+        _serve_diurnal,
+        "compressed day/night cycle: peak 6 swaps/s, trough 20%",
+    ),
+    "serve-flash-crowd": (
+        _serve_flash_crowd,
+        "fee-market world with periodic 4x flash-crowd bursts",
+    ),
+    "serve-steady": (
+        _serve_steady,
+        "steady Poisson serving at 4 swaps/s for 20 s (AC3WN)",
+    ),
+}

@@ -50,7 +50,7 @@ from ..workloads.scenarios import (
     swap_traffic_graphs,
 )
 from .requestlog import RequestRecord, dump_request_log
-from .sources import SourceItem, TrafficSource, source_factory
+from .sources import SOURCES, SourceItem, TrafficSource
 from .spec import ServiceSpec, check_serve_limits
 
 #: Checkpoint format identifier (bump on incompatible schema changes).
@@ -357,9 +357,7 @@ class SwapService:
         world = self.spec.world
         self._sources = []
         for source_spec in self.spec.sources:
-            source = source_factory(source_spec.kind)(
-                source_spec, world.seed, world.traffic.amount
-            )
+            source = SOURCES[source_spec.kind](source_spec, world.seed, world.traffic.amount)
             source.resolve_protocol(world.protocol)
             self._sources.append(source)
         self._lookahead = [_UNSET] * len(self._sources)

@@ -13,12 +13,9 @@ randomness.  That purity is what makes checkpoint/restore work:
 (and discarding) them, leaving the stream positioned exactly where the
 interrupted session's was.
 
-The registry mirrors the experiment traffic registry
-(:mod:`repro.experiment.registry`): kinds register by name, specs
-reference them by name, and new sources plug in without editing this
-file.  Built-ins: ``poisson`` (homogeneous arrivals), ``diurnal``
-(sinusoidal day/night cycle) and ``flash-crowd`` (baseline rate with
-multiplicative burst windows).  A recorded request log is re-driven by
+:data:`SOURCES` is the catalog a spec's ``kind`` names: ``poisson``
+(homogeneous arrivals), ``diurnal`` (sinusoidal day/night cycle) and
+``flash-crowd`` (baseline rate with multiplicative burst windows).  A recorded request log is re-driven by
 :meth:`~repro.service.SwapService.replay`, not by a source.
 
 The time-varying sources use *thinning* (Lewis & Shedler): candidates
@@ -31,13 +28,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING
 
 from ..engine.engine import PROTOCOLS
-from ..errors import ServiceError, SpecError
+from ..errors import ServiceError
 from ..experiment.spec import FeeBudgetSpec
 from ..sim.rng import RngStream
-from .spec import SourceSpec
+
+if TYPE_CHECKING:  # pragma: no cover - the spec reads this module's catalog
+    from .spec import SourceSpec
 
 
 @dataclass(frozen=True)
@@ -170,74 +169,10 @@ class FlashCrowdSource(_ThinnedSource):
         return spec.rate
 
 
-# ---------------------------------------------------------------------------
-# The source registry (mirrors repro.experiment.registry)
-# ---------------------------------------------------------------------------
-
-SourceFactory = Callable[[SourceSpec, int, int], TrafficSource]
-
-_SOURCES: dict[str, tuple[SourceFactory, str]] = {}
-
-
-def register_source(
-    kind: str,
-    factory: SourceFactory,
-    description: str = "",
-    replace: bool = False,
-) -> None:
-    """Register a traffic-source kind under ``kind``.
-
-    ``factory(spec, seed, default_amount)`` must return a
-    :class:`TrafficSource`.  Re-registering an existing kind raises
-    :class:`~repro.errors.SpecError` unless ``replace=True``.
-    """
-    if not replace and kind in _SOURCES:
-        raise SpecError(
-            f"traffic source {kind!r} is already registered; "
-            f"pass replace=True to override"
-        )
-    _SOURCES[kind] = (factory, description)
-
-
-def unregister_source(kind: str) -> None:
-    """Remove a registered source kind (tests clean up after themselves)."""
-    _SOURCES.pop(kind, None)
-
-
-def registered_sources() -> tuple[str, ...]:
-    """All registered source kinds, sorted."""
-    return tuple(sorted(_SOURCES))
-
-
-def source_description(kind: str) -> str:
-    if kind not in _SOURCES:
-        raise SpecError(
-            f"unknown traffic source {kind!r}; registered: {registered_sources()}"
-        )
-    return _SOURCES[kind][1]
-
-
-def source_factory(kind: str) -> SourceFactory:
-    """The factory registered under ``kind``."""
-    if kind not in _SOURCES:
-        raise SpecError(
-            f"unknown traffic source {kind!r}; registered: {registered_sources()}"
-        )
-    return _SOURCES[kind][0]
-
-
-register_source(
-    "poisson",
-    PoissonSource,
-    "homogeneous Poisson arrivals at a constant rate",
-)
-register_source(
-    "diurnal",
-    DiurnalSource,
-    "sinusoidal day/night cycle between trough*rate and rate",
-)
-register_source(
-    "flash-crowd",
-    FlashCrowdSource,
-    "baseline rate with multiplicative burst windows",
-)
+#: The source catalog, kind -> class (called with the spec, the world
+#: seed and the default amount).  A new kind is an entry here.
+SOURCES: dict[str, type[TrafficSource]] = {
+    "diurnal": DiurnalSource,
+    "flash-crowd": FlashCrowdSource,
+    "poisson": PoissonSource,
+}

@@ -3,7 +3,7 @@
 A service session is described the same way an experiment is — one
 typed, strictly-serializable spec — but instead of a pre-scheduled
 traffic list it names **traffic sources** (entries in the source
-registry, :mod:`repro.service.sources`) that generate arrivals while
+catalog, :mod:`repro.service.sources`) that generate arrivals while
 the session runs, plus the session's operational envelope: slot
 capacity, serving horizon, checkpoint cadence, and the windowed-metrics
 sampling knobs.
@@ -20,23 +20,18 @@ from dataclasses import dataclass
 
 from .. import serde
 from ..errors import SpecError
-from ..experiment.spec import ExperimentSpec, FeeBudgetSpec, protocol_choices
-
-def _kind_choices() -> tuple[str, ...]:
-    from .sources import registered_sources
-
-    return registered_sources()
+from ..experiment.spec import PROTOCOL_CHOICES, ExperimentSpec, FeeBudgetSpec
+from .sources import SOURCES
 
 
 @serde.retired("path", "the replay source was removed; repro replay re-drives a log", "")
 @dataclass(frozen=True)
 class SourceSpec:
     """One live traffic source feeding a service session; ``kind`` names
-    an entry of :func:`repro.service.sources.register_source`'s registry.
-    A rule holds whatever the kind: a field the kind ignores still has
-    to make sense."""
+    an entry of :data:`repro.service.sources.SOURCES`.  A rule holds
+    whatever the kind: a field the kind ignores still has to make sense."""
 
-    kind: str = serde.field("poisson", choices=_kind_choices, unknown="source kind")
+    kind: str = serde.field("poisson", choices=tuple(SOURCES), unknown="source kind")
     name: str = serde.field(
         "source",
         nonempty=True,
@@ -44,7 +39,7 @@ class SourceSpec:
     )
     protocol: str = serde.field(
         "",
-        choices=lambda: ("",) + protocol_choices(),
+        choices=("",) + PROTOCOL_CHOICES,
         unknown="protocol",
         doc='"" inherits world.protocol',
     )

@@ -19,8 +19,8 @@ The public surface:
   (:mod:`repro.sweeps.runner`);
 * :class:`SweepResult` / :class:`PointResult` — aggregation and export
   (:mod:`repro.sweeps.result`);
-* :func:`sweep_spec` / :func:`register_sweep` — the named campaign
-  catalog (:mod:`repro.sweeps.presets`);
+* :func:`sweep_spec` — the named campaign catalog
+  (:mod:`repro.sweeps.presets`);
 * the figure extractors — :func:`figure10_curves`,
   :func:`table1_series`, :func:`crash_matrix`,
   :func:`arrival_rate_series` (:mod:`repro.sweeps.figures`).
@@ -33,13 +33,7 @@ from .figures import (
     table1_series,
     violation_rate_surface,
 )
-from .presets import (
-    register_sweep,
-    sweep_description,
-    sweep_names,
-    sweep_spec,
-    unregister_sweep,
-)
+from .presets import sweep_names, sweep_spec
 from .result import SweepResult
 from .runner import SweepRunner, run_sweep
 from .spec import SweepAxis, SweepSpec
@@ -52,12 +46,9 @@ __all__ = [
     "arrival_rate_series",
     "crash_matrix",
     "figure10_curves",
-    "register_sweep",
     "run_sweep",
-    "sweep_description",
     "sweep_names",
     "sweep_spec",
     "table1_series",
-    "unregister_sweep",
     "violation_rate_surface",
 ]

@@ -1,54 +1,26 @@
 """The named sweep catalog: every paper figure as one campaign spec.
 
-Mirrors the experiment preset registry: a sweep preset is a zero-arg
+Mirrors the experiment preset catalog: a sweep preset is a zero-arg
 factory returning a fresh :class:`~repro.sweeps.spec.SweepSpec`, so the
 CLI (``repro sweep --preset NAME``), the benchmarks, and CI all
 regenerate the same figures from the same declarative descriptions.
-Register project-specific campaigns with :func:`register_sweep`.
+A new campaign is an entry in :data:`SWEEPS`.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-from ..errors import SpecError
+from .. import serde
 from ..experiment.presets import preset_spec
 from .spec import SweepAxis, SweepSpec
 
-SweepFactory = Callable[[], SweepSpec]
-
-_SWEEPS: dict[str, tuple[SweepFactory, str]] = {}
-
-
-def register_sweep(
-    name: str, factory: SweepFactory, description: str = "", replace: bool = False
-) -> None:
-    """Register a named sweep (a zero-arg factory returning a SweepSpec)."""
-    if name in _SWEEPS and not replace:
-        raise SpecError(f"sweep {name!r} is already registered")
-    _SWEEPS[name] = (factory, description)
-
-
-def unregister_sweep(name: str) -> None:
-    """Remove a plug-in sweep from the catalog."""
-    _SWEEPS.pop(name, None)
-
 
 def sweep_names() -> tuple[str, ...]:
-    return tuple(sorted(_SWEEPS))
-
-
-def sweep_description(name: str) -> str:
-    return _SWEEPS[name][1] if name in _SWEEPS else ""
+    return tuple(SWEEPS)
 
 
 def sweep_spec(name: str) -> SweepSpec:
     """A fresh spec for a named sweep."""
-    if name not in _SWEEPS:
-        raise SpecError(
-            f"unknown sweep {name!r}; available: {', '.join(sweep_names())}"
-        )
-    return _SWEEPS[name][0]()
+    return serde.lookup(SWEEPS, name, "sweep")[0]()
 
 
 # ---------------------------------------------------------------------------
@@ -218,31 +190,24 @@ def _security_smoke() -> SweepSpec:
     )
 
 
-register_sweep(
-    "figure10",
-    _figure10,
-    "measured latency vs diameter, all four protocols (Figure 10)",
-)
-register_sweep(
-    "table1", _table1, "measured engine throughput per protocol (Table 1)"
-)
-register_sweep(
-    "crash-matrix",
-    _crash_matrix,
-    "crash onset x protocol decision matrix (Section 1)",
-)
-register_sweep(
-    "congestion-rates",
-    _congestion_rates,
-    "fee-market commit/priced-out vs arrival rate (6 points)",
-)
-register_sweep(
-    "security-matrix",
-    _security_matrix,
-    "violation rate vs depth d x attacker hashpower x protocol (Section 6.3)",
-)
-register_sweep(
-    "security-smoke",
-    _security_smoke,
-    "CI-sized security matrix: 2 depths x 2 hashpowers, nolan vs ac3wn",
-)
+#: The campaign catalog, name -> (factory, description), sorted.
+SWEEPS = {
+    "congestion-rates": (
+        _congestion_rates,
+        "fee-market commit/priced-out vs arrival rate (6 points)",
+    ),
+    "crash-matrix": (_crash_matrix, "crash onset x protocol decision matrix (Section 1)"),
+    "figure10": (
+        _figure10,
+        "measured latency vs diameter, all four protocols (Figure 10)",
+    ),
+    "security-matrix": (
+        _security_matrix,
+        "violation rate vs depth d x attacker hashpower x protocol (Section 6.3)",
+    ),
+    "security-smoke": (
+        _security_smoke,
+        "CI-sized security matrix: 2 depths x 2 hashpowers, nolan vs ac3wn",
+    ),
+    "table1": (_table1, "measured engine throughput per protocol (Table 1)"),
+}

@@ -11,9 +11,7 @@ whatever the worker count or completion order.
 
 ``workers=1`` is a pure in-process path: no ``multiprocessing`` import,
 no pickling — the debugging mode, and the reference the parallel path
-is pinned against.  Worker processes are forked where the platform
-allows it, so plug-in protocols and traffic generators registered by
-the parent are visible to the children.
+is pinned against.
 
 Campaigns archive to ``store``, a :class:`~repro.store.CampaignStore`
 SQLite database that also indexes every point's metrics for ``repro

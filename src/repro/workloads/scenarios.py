@@ -340,7 +340,7 @@ def swap_traffic(
     """The traffic assembly: arrivals + graphs + crash plans (+ fee
     budgets).
 
-    Both built-in generators (:mod:`repro.experiment.registry`) are this
+    Both traffic generators (:mod:`repro.experiment.registry`) are this
     one function under a different ``budget_sampler``: a constant for
     "poisson", :func:`congestion_budgets` for "congestion".  Each
     concern draws from its own named RNG stream

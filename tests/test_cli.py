@@ -10,6 +10,54 @@ import pytest
 from repro.cli import build_parser, main
 
 
+@pytest.mark.parametrize(
+    "argv, noun, names",
+    [
+        (
+            ["run", "--preset", "zz"],
+            "preset",
+            "congestion, crash, engine-smoke, fee-shock, figure10, security, swap, table1",
+        ),
+        (
+            ["serve", "--preset", "zz"],
+            "service preset",
+            "serve-diurnal, serve-flash-crowd, serve-steady",
+        ),
+        (
+            ["sweep", "--preset", "zz"],
+            "sweep",
+            "congestion-rates, crash-matrix, figure10, security-matrix, security-smoke, table1",
+        ),
+        (
+            ["run", "--preset", "swap", "--set", "protocol=zz"],
+            "protocol",
+            "nolan, herlihy, ac3tw, ac3wn, mixed",
+        ),
+        (
+            ["serve", "--preset", "serve-steady", "--set", 'sources=[{"kind": "zz"}]'],
+            "source kind",
+            "diurnal, flash-crowd, poisson",
+        ),
+        (None, "traffic generator", "poisson, congestion"),
+    ],
+)
+def test_every_catalog_refuses_an_unknown_name_in_one_format(argv, noun, names, capsys):
+    """``unknown <noun> 'x'; available: a, b, c`` — from a preset
+    catalog, a spec's choice set and ``traffic_generator`` alike."""
+    from repro.errors import SpecError
+    from repro.experiment import traffic_generator
+
+    line = f"unknown {noun} 'zz'; available: {names}"
+    if argv is None:
+        with pytest.raises(SpecError) as refused:
+            traffic_generator("zz")
+        assert str(refused.value) == line
+        return
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro {argv[0]}: ") and err.endswith(f"{line}\n")
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

@@ -2,7 +2,7 @@
 
 Pins the spec API's contracts: strict serde (round-trip identity,
 unknown-key and bad-value rejection), dotted-path overrides, the preset
-catalog, the traffic/protocol registries, and — the load-bearing
+catalog, the choice sets read from the catalogs, and — the load-bearing
 guarantee — that a spec alone reproduces a run bit for bit, including
 after a JSON round trip.
 """
@@ -11,12 +11,8 @@ import json
 
 import pytest
 
-from repro.core.herlihy import HerlihyConfig, HerlihyDriver
-from repro.engine import (
-    register_protocol,
-    registered_protocols,
-    unregister_protocol,
-)
+from repro import serde
+from repro.engine import PROTOCOLS
 from repro.errors import SpecError
 from repro.experiment import (
     ChainOverride,
@@ -27,16 +23,21 @@ from repro.experiment import (
     FeeBudgetSpec,
     FeeMarketSpec,
     FeeShockSpec,
+    ObsSpec,
     TrafficSpec,
     apply_overrides,
     parse_set_args,
     preset_names,
     preset_spec,
-    register_traffic,
-    registered_traffic,
     run_experiment,
-    unregister_traffic,
 )
+from repro.experiment.presets import PRESETS
+from repro.experiment.registry import TRAFFIC
+from repro.obs.trace import CATEGORIES
+from repro.service import SourceSpec
+from repro.service.presets import SERVICE_PRESETS
+from repro.service.sources import SOURCES
+from repro.sweeps.presets import SWEEPS
 
 
 def small_spec(**overrides) -> ExperimentSpec:
@@ -263,49 +264,32 @@ class TestPresets:
         assert spec.traffic.num_swaps == 60
 
 
-class TestRegistries:
-    def test_builtin_registrations(self):
-        assert set(registered_traffic()) >= {"poisson", "congestion"}
-        assert set(registered_protocols()) >= {"nolan", "herlihy", "ac3tw", "ac3wn"}
+def choices(cls, key: str) -> tuple:
+    return serde.fields(cls)[key].rule.choices
 
-    def test_custom_traffic_generator_plugs_in(self):
-        def tiny(spec):
-            from repro.workloads.scenarios import swap_traffic
 
-            return swap_traffic(
-                2, rate=spec.traffic.rate, seed=spec.seed,
-                chain_ids=list(spec.chains.asset_ids()),
-            )
+class TestCatalogs:
+    """Every spec choice set is a tuple read from the catalog it names."""
 
-        register_traffic("tiny", tiny)
-        try:
-            result = run_experiment(small_spec(**{"traffic.generator": "tiny"}))
-            assert result.metrics.total == 2
-            assert result.metrics.atomicity_violations == 0
-        finally:
-            unregister_traffic("tiny")
+    def test_protocol_is_the_protocols_plus_mixed(self):
+        assert PROTOCOLS == ("nolan", "herlihy", "ac3tw", "ac3wn")
+        assert choices(ExperimentSpec, "protocol") == PROTOCOLS + ("mixed",)
+        assert choices(SourceSpec, "protocol") == ("",) + PROTOCOLS + ("mixed",)
 
-    def test_duplicate_traffic_registration_rejected(self):
-        with pytest.raises(SpecError, match="already registered"):
-            register_traffic("poisson", lambda spec: [])
+    def test_traffic_generator_is_the_generator_keys(self):
+        assert choices(TrafficSpec, "generator") == tuple(TRAFFIC) == ("poisson", "congestion")
 
-    def test_custom_protocol_plugs_in(self):
-        def factory(engine, request):
-            return HerlihyDriver(
-                engine.env,
-                request.graph,
-                request.config or HerlihyConfig(),
-                fee_budget=request.fee_budget,
-            )
+    def test_source_kind_is_the_source_keys(self):
+        assert choices(SourceSpec, "kind") == tuple(SOURCES)
+        assert tuple(SOURCES) == ("diurnal", "flash-crowd", "poisson")
 
-        register_protocol("herlihy-clone", factory)
-        try:
-            result = run_experiment(small_spec(protocol="herlihy-clone"))
-            assert result.metrics.total == 6
-            assert result.metrics.committed == 6
-            assert all(o.protocol == "herlihy" for o in result.outcomes)
-        finally:
-            unregister_protocol("herlihy-clone")
+    def test_obs_categories_are_the_trace_categories(self):
+        assert choices(ObsSpec, "categories") == CATEGORIES
+
+    def test_preset_catalogs_are_written_sorted(self):
+        """``--list-presets`` and the unknown-name refusal print them in order."""
+        for catalog in (PRESETS, SERVICE_PRESETS, SWEEPS):
+            assert list(catalog) == sorted(catalog)
 
 
 class TestRunExperiment:

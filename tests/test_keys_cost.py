@@ -149,6 +149,7 @@ def test_a_cold_verify_adds_exactly_one_table_build():
 
 def test_engine_smoke_world_builds_one_table_per_verifying_key():
     ecdsa._generator_table()
+    keys.clear_verify_cache()  # a run keeps the tables an earlier one built
     with recorded_calls(
         (ecdsa.verify_digest, "public_point"), (ecdsa._base_table, "point")
     ) as (verified, builds):
@@ -157,3 +158,21 @@ def test_engine_smoke_world_builds_one_table_per_verifying_key():
     assert sorted(builds, key=lambda p: (p.x, p.y)) == sorted(
         set(verified), key=lambda p: (p.x, p.y)
     )  # ... and each one's table is built exactly once
+
+
+def test_a_run_resets_the_memo_but_keeps_the_key_tables():
+    """A table is a pure function of its key, so the per-run reset keeps
+    it: A, B, A in one process gives byte-identical A artifacts, and the
+    second A builds no table the first one built."""
+    spec_a = apply_overrides(preset_spec("engine-smoke"), {"traffic.num_swaps": 6})
+    spec_b = apply_overrides(preset_spec("crash"), {"traffic.num_swaps": 6})
+    keys.clear_verify_cache()
+    first = run_experiment(spec_a).to_json()
+    built = set(ecdsa._KEY_TABLES)
+    assert built
+    run_experiment(spec_b)
+    assert built <= set(ecdsa._KEY_TABLES)
+    with recorded_calls((ecdsa._base_table, "point")) as (builds,):
+        again = run_experiment(spec_a).to_json()
+    assert again == first
+    assert not {(p.x, p.y) for p in builds} & built

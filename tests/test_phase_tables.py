@@ -15,12 +15,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.adversary.spec import driver_phases
+from repro import serde
+from repro.adversary import EclipseSpec
 from repro.core.ac3tw import AC3TWConfig, AC3TWDriver, TrustedWitness
 from repro.core.ac3wn import AC3WNConfig, AC3WNDriver
 from repro.core.driver import END, SETTLE, ProtocolDriver
 from repro.core.herlihy import HerlihyDriver
 from repro.core.nolan import NolanDriver
+from repro.engine import PROTOCOLS
+from repro.engine.engine import registered_phases
 from repro.errors import ProtocolError, ReproError
 from repro.experiment import apply_overrides, preset_spec, run_experiment
 from repro.workloads.graphs import two_party_swap
@@ -50,8 +53,11 @@ class TestTablesAreTheSpelling:
         assert not diff, f"docs/protocols.md is stale; paste the rendered tables:\n{diff}"
 
     def test_the_eclipse_choice_set_is_the_union_of_the_tables(self):
+        """The rows of the four drivers, in ``PROTOCOLS`` order."""
+        assert [cls.__name__.removesuffix("Driver").lower() for cls in DRIVERS] == list(PROTOCOLS)
         union = tuple(dict.fromkeys(p for cls in DRIVERS for p in cls.phase_names()))
-        assert driver_phases() == union
+        assert registered_phases() == union
+        assert serde.fields(EclipseSpec)["phase"].rule.choices == union
         assert set(union) == {"publish", "scw-wait", "deploy", "decision-wait", "settle"}
 
     def test_every_successor_is_a_row_and_every_row_a_method(self):

@@ -34,13 +34,8 @@ from repro.service import (
     SwapService,
     dump_request_log,
     load_request_log,
-    register_source,
-    registered_sources,
     service_preset_names,
     service_preset_spec,
-    source_description,
-    source_factory,
-    unregister_source,
 )
 from repro.service.sources import DiurnalSource, FlashCrowdSource
 from repro.sim import Simulator
@@ -156,23 +151,6 @@ class TestSources:
         baseline = sum(1 for t in times if t < 10.0)
         burst = sum(1 for t in times if 10.0 <= t < 20.0)
         assert burst > baseline
-
-    def test_registry_round_trip(self):
-        assert {"poisson", "diurnal", "flash-crowd"} <= set(
-            registered_sources()
-        )
-        assert source_description("poisson")
-        register_source("svc-test-kind", PoissonSource, "a test kind")
-        try:
-            assert source_factory("svc-test-kind") is PoissonSource
-            with pytest.raises(SpecError):
-                register_source("svc-test-kind", PoissonSource)
-            register_source("svc-test-kind", DiurnalSource, replace=True)
-            assert source_factory("svc-test-kind") is DiurnalSource
-        finally:
-            unregister_source("svc-test-kind")
-        with pytest.raises(SpecError):
-            source_factory("svc-test-kind")
 
 
 class TestServiceSpec:

@@ -36,6 +36,23 @@ class TestListPresetsKinds:
         assert kinds["engine-smoke"] == "experiment"
         assert all(entry["description"] for entry in catalog)
 
+    @pytest.mark.parametrize(
+        "command, name, owner",
+        [
+            ("run", "serve-steady", "serve"),
+            ("serve", "engine-smoke", "run"),
+            ("run", "security-smoke", "sweep"),
+            ("sweep", "serve-diurnal", "serve"),
+        ],
+    )
+    def test_a_listed_preset_names_the_command_that_runs_it(
+        self, command, name, owner, capsys
+    ):
+        assert main([command, "--preset", name]) == 2
+        assert capsys.readouterr().err == (
+            f"repro {command}: preset {name!r} is run by `repro {owner} --preset {name}`\n"
+        )
+
 
 class TestServeCli:
     def test_serve_restore_replay_byte_identity(self, tmp_path, spec_path, capsys):

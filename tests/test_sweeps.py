@@ -23,12 +23,10 @@ from repro.sweeps import (
     arrival_rate_series,
     crash_matrix,
     figure10_curves,
-    register_sweep,
     run_sweep,
     sweep_names,
     sweep_spec,
     table1_series,
-    unregister_sweep,
 )
 from repro.sweeps.result import ROW_METRICS
 
@@ -357,17 +355,6 @@ class TestCatalog:
     def test_unknown_sweep(self):
         with pytest.raises(SpecError, match="unknown sweep"):
             sweep_spec("warp")
-
-    def test_register_and_unregister(self):
-        register_sweep("tiny-test", tiny_sweep, "a test campaign")
-        try:
-            assert "tiny-test" in sweep_names()
-            assert sweep_spec("tiny-test") == tiny_sweep()
-            with pytest.raises(SpecError, match="already registered"):
-                register_sweep("tiny-test", tiny_sweep)
-        finally:
-            unregister_sweep("tiny-test")
-        assert "tiny-test" not in sweep_names()
 
     def test_figure10_expansion_shape(self):
         expansion = sweep_spec("figure10").expand()

@@ -1,8 +1,9 @@
 """Shared helpers for the benchmark suite.
 
 Every benchmark regenerates one table or figure of the paper's Section 6
-(see DESIGN.md's experiment index) and prints the corresponding rows so
-the output can be compared against the paper side by side.  The
+(each file's name says which, e.g. ``bench_fig10_latency.py``) and
+prints the corresponding rows so the output can be compared against the
+paper side by side.  The
 pytest-benchmark fixture wraps the measured portion.
 """
 

@@ -12,8 +12,9 @@ HTLC violates all-or-nothing atomicity while AC3WN does not.
 Run:  python examples/crash_failure_comparison.py
 """
 
-from repro import build_scenario, run_ac3wn, run_nolan, two_party_swap
+from repro.core import run_ac3wn, run_nolan
 from repro.sim.failures import FailureSchedule
+from repro.workloads import build_scenario, two_party_swap
 
 CRASH_AT = 5.5  # just before Alice's reveal lands on-chain (eager cadence)
 RECOVER_AT = 500.0  # far past every timelock

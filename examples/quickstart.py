@@ -9,8 +9,8 @@ miners), runs the four AC3WN phases, and prints what happened.
 Run:  python examples/quickstart.py
 """
 
-from repro import build_scenario, run_ac3wn, two_party_swap
-from repro.core import AC3WNDriver
+from repro.core import AC3WNDriver, run_ac3wn
+from repro.workloads import build_scenario, two_party_swap
 
 
 def main() -> None:

@@ -16,8 +16,9 @@ aborts and refunds the entire batch.
 Run:  python examples/supply_chain_swaps.py
 """
 
-from repro import build_scenario, run_ac3wn, run_herlihy
+from repro.core import run_ac3wn, run_herlihy
 from repro.errors import GraphError
+from repro.workloads import build_scenario
 from repro.workloads.graphs import figure7a_cyclic, figure7b_disconnected
 
 

@@ -16,8 +16,10 @@ change its state) on any chain and have the change publicly recognized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..core.graph import SwapGraph
+if TYPE_CHECKING:  # annotations only: `repro paper` never loads the drivers
+    from ..core.graph import SwapGraph
 
 #: Number of constant Δ-phases in AC3WN (Figure 9).
 AC3WN_PHASES = 4

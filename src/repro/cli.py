@@ -25,9 +25,7 @@
     python -m repro store ingest --db camp.db result.json bench-timings.json
     python -m repro store list --db camp.db
     python -m repro store artifact --db camp.db --point 3 -o point3.json
-    python -m repro figure10 --max-diameter 8
-    python -m repro table1
-    python -m repro witness-depth --value-at-risk 1000000
+    python -m repro paper --max-diameter 8 --value-at-risk 1000000
 
 ``run`` is the single-scenario entry point: it resolves a named preset
 or a JSON spec file into an :class:`~repro.experiment.ExperimentSpec`,
@@ -47,8 +45,13 @@ database (:mod:`repro.store`): ``sweep --store`` archives every point
 durably, ``query`` evaluates an indexed predicate over stored points,
 ``compare`` joins two campaigns and flags metric regressions, and
 ``store ingest|list|artifact`` import and inspect existing artifacts.
-The analytic printouts (``figure10``, ``table1``, ``witness-depth``)
-need no simulation at all.
+``paper`` prints the paper's analytic claims (Figure 10, the Section
+6.3 depth rule, Table 1 with the Section 6.4 example) and needs no
+simulation at all.
+
+Each command imports only what it runs: the readers (``trace``,
+``alerts``, ``query``, ``compare``, ``store``) load :mod:`repro.obs` or
+:mod:`repro.store` and never the engine.
 """
 
 from __future__ import annotations
@@ -59,29 +62,14 @@ import dataclasses
 import json as _json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from . import serde
-from .analysis.latency import figure10_series
-from .analysis.security import PAPER_WITNESS_CANDIDATES
-from .analysis.throughput import TABLE1_ROWS, paper_example
 from .errors import ReproError, ServiceError, SpecError, StoreError
-from .experiment import (
-    ExperimentResult,
-    ExperimentSpec,
-    apply_overrides,
-    parse_set_args,
-    preset_spec,
-    run_experiment,
-)
-from .experiment.presets import PRESETS
-from .sweeps import (
-    SweepResult,
-    SweepRunner,
-    SweepSpec,
-    sweep_spec,
-)
-from .sweeps.presets import SWEEPS
-from .workloads.scenarios import LOW_FEE_BUDGET
+
+if TYPE_CHECKING:  # annotations only: each command imports what it runs
+    from .experiment.runner import ExperimentResult
+    from .sweeps.result import SweepResult
 
 # ---------------------------------------------------------------------------
 # Result printing
@@ -104,6 +92,8 @@ def _print_throughput(result: ExperimentResult) -> None:
 
 
 def _print_fee_market(result: ExperimentResult) -> None:
+    from .workloads.scenarios import LOW_FEE_BUDGET
+
     spec, env = result.spec, result.env
 
     # Fee-class breakdown: who did congestion price out?
@@ -242,20 +232,25 @@ def _narration(*paths: str | None):
     return sys.stderr if "-" in paths else sys.stdout
 
 
+def _exit_status(runs) -> int:
+    """The one exit rule of ``run``, ``serve``, ``replay`` and ``sweep``
+    over ``(adversary spec, violations)`` pairs: exit 1 iff a run with no
+    armed adversary violated atomicity (under an armed adversary
+    violations are the *measurement* — the security matrix exists to
+    count them — not a failure)."""
+    return int(any(violations and not adversary.any_enabled for adversary, violations in runs))
+
+
 def _finish(result, json_path: str | None, adversary) -> int:
-    """Export a run / session result; exit 1 iff an honest run violated
-    atomicity (under an armed adversary violations are the *measurement*
-    — the security matrix exists to count them — not a failure)."""
+    """Export a run / session result and apply :func:`_exit_status`."""
     if json_path:
         _emit(json_path, result.to_json() + "\n")
         if json_path != "-":
             print(f"\nwrote {json_path}")
-    if adversary.any_enabled:
-        return 0
-    return 0 if result.metrics.atomicity_violations == 0 else 1
+    return _exit_status([(adversary, result.metrics.atomicity_violations)])
 
 
-class _StderrDiagnostics:
+def _diagnose(text: str) -> None:
     """The single writer every diagnostic goes through.
 
     Progress lines, cProfile tables, event-queue stats, and live alert
@@ -264,15 +259,8 @@ class _StderrDiagnostics:
     at block boundaries, never mid-line (the ``--profile`` +
     ``--progress`` race this fixes).
     """
-
-    def write(self, text: str) -> None:
-        if not text.endswith("\n"):
-            text += "\n"
-        sys.stderr.write(text)
-        sys.stderr.flush()
-
-
-_diagnostics = _StderrDiagnostics()
+    sys.stderr.write(text if text.endswith("\n") else text + "\n")
+    sys.stderr.flush()
 
 
 def _profiled(destination: str | None, fn):
@@ -301,7 +289,7 @@ def _profiled(destination: str | None, fn):
         if destination != "-":
             profiler.dump_stats(destination)
             block += f"wrote profile data to {destination}\n"
-        _diagnostics.write(block)
+        _diagnose(block)
     return result
 
 
@@ -332,30 +320,48 @@ def _print_catalog(catalog: dict, as_json: bool, kind=None) -> None:
         print(f"{name:>18}  {description}{tag}")
 
 
-def _resolve_spec(args: argparse.Namespace, command: str, spec_cls, preset):
+def _spec_kinds() -> dict:
+    """``command -> (spec class, preset catalog, preset loader)`` for the
+    three commands that run a spec (``describe`` shows the same three)."""
+    from .experiment import ExperimentSpec, preset_spec
+    from .experiment.presets import PRESETS
+    from .service import ServiceSpec, service_preset_spec
+    from .service.presets import SERVICE_PRESETS
+    from .sweeps import SweepSpec, sweep_spec
+    from .sweeps.presets import SWEEPS
+
+    return {
+        "run": (ExperimentSpec, PRESETS, preset_spec),
+        "serve": (ServiceSpec, SERVICE_PRESETS, service_preset_spec),
+        "sweep": (SweepSpec, SWEEPS, sweep_spec),
+    }
+
+
+def _resolve_spec(args: argparse.Namespace, command: str):
     """The ``--spec | --preset`` + ``--set`` resolver of ``run``,
-    ``serve`` and ``sweep``: ``spec_cls`` loads a spec file, ``preset``
-    looks a name up in ``command``'s catalog.  A name only another
-    command's catalog holds is refused with that command.  The same
-    dotted-path overrides work one level up: ``sweep --set
+    ``serve`` and ``sweep``: a spec file loads as ``command``'s spec
+    class, a preset is looked up in ``command``'s catalog.  A name only
+    another command's catalog holds is refused with that command.  The
+    same dotted-path overrides work one level up: ``sweep --set
     base.traffic.num_swaps=12`` edits the base experiment, ``--set
     derive_seeds=false`` the sweep itself."""
-    from .service.presets import SERVICE_PRESETS
+    from .experiment import apply_overrides, parse_set_args
 
-    catalogs = {"run": PRESETS, "serve": SERVICE_PRESETS, "sweep": SWEEPS}
+    kinds = _spec_kinds()
+    spec_cls, catalog, preset = kinds[command]
     if args.spec and args.preset:
         raise SpecError("pass either --preset or --spec, not both")
     if args.spec:
         spec = spec_cls.from_json(serde.read_text(args.spec, SpecError, "spec"))
     elif args.preset:
-        owners = [other for other, names in catalogs.items() if args.preset in names]
+        owners = [other for other, (_, names, _) in kinds.items() if args.preset in names]
         if owners and command not in owners:
             raise SpecError(
                 f"preset {args.preset!r} is run by `repro {owners[0]} --preset {args.preset}`"
             )
         spec = preset(args.preset)
     else:
-        raise SpecError(f"pass --preset or --spec; presets: {', '.join(catalogs[command])}")
+        raise SpecError(f"pass --preset or --spec; presets: {', '.join(catalog)}")
     return apply_overrides(spec, parse_set_args(args.set or []))
 
 
@@ -365,7 +371,7 @@ def _print_queue_stats(result: ExperimentResult) -> None:
     peak = (
         f", peak {stats['max_pending']}" if "max_pending" in stats else ""
     )
-    _diagnostics.write(
+    _diagnose(
         f"event queue: {stats['events_processed']} events processed, "
         f"{stats['cancelled']} cancelled, {stats['pool_reuses']} pool "
         f"reuses, {stats['compactions']} compactions, "
@@ -409,16 +415,19 @@ def _print_alerts(result: ExperimentResult) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.list_presets:
-        from .service.presets import SERVICE_PRESETS
+    from .experiment import apply_overrides
+    from .experiment.runner import run_experiment
 
+    if args.list_presets:
+        kinds = _spec_kinds()
+        presets = kinds["run"][1]
         _print_catalog(
-            {**PRESETS, **SERVICE_PRESETS},
+            {**presets, **kinds["serve"][1]},
             args.json is not None,
-            kind=lambda name: "experiment" if name in PRESETS else "service",
+            kind=lambda name: "experiment" if name in presets else "service",
         )
         return 0
-    spec = _resolve_spec(args, "run", ExperimentSpec, preset_spec)
+    spec = _resolve_spec(args, "run")
     if args.trace:
         # --trace is the switch: it arms the recorder even when the
         # preset/spec left obs off, without editing the spec file.
@@ -489,12 +498,7 @@ def _print_service_result(result) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .service import (
-        ServiceSpec,
-        SwapService,
-        check_serve_limits,
-        service_preset_spec,
-    )
+    from .service import SwapService, check_serve_limits
 
     if args.checkpoint_every is not None and args.checkpoint is None:
         raise SpecError("--checkpoint-every needs --checkpoint PATH")
@@ -512,7 +516,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         service = SwapService.restore(args.restore)
     else:
-        spec = _resolve_spec(args, "serve", ServiceSpec, service_preset_spec)
+        spec = _resolve_spec(args, "serve")
         # Bake --duration into the spec itself so the request log's
         # spec echo is faithful: `repro replay LOG` then runs out the
         # same horizon with no extra flags.  --max-swaps and
@@ -605,16 +609,6 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _point_adversary_enabled(point) -> bool:
-    """Whether a sweep point's spec echo armed any adversary actor."""
-    adversary = point.spec.get("adversary", {})
-    return any(
-        actor.get("enabled", False)
-        for actor in adversary.values()
-        if isinstance(actor, dict)
-    )
-
-
 def print_sweep_result(result: SweepResult) -> None:
     """The joined campaign table, one row per executed point."""
     axes = [axis.name for axis in result.spec.axes]
@@ -649,13 +643,15 @@ def print_sweep_result(result: SweepResult) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.list_presets:
-        _print_catalog(SWEEPS, args.json is not None)
-        return 0
-    spec = _resolve_spec(args, "sweep", SweepSpec, sweep_spec)
-
     import time as _time
 
+    from .adversary import AdversarySpec
+    from .sweeps import SweepRunner
+
+    if args.list_presets:
+        _print_catalog(_spec_kinds()["sweep"][1], args.json is not None)
+        return 0
+    spec = _resolve_spec(args, "sweep")
     started = _time.monotonic()
     worker_walls: dict[int, list[float]] = {}
 
@@ -682,17 +678,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 line += f" | {beat['wall']:.2f}s"
         else:
             line += " | resumed"
-        _diagnostics.write(line)
-
-    def throughput_summary() -> None:
-        for pid in sorted(worker_walls):
-            walls = worker_walls[pid]
-            busy = sum(walls)
-            rate = len(walls) / busy if busy > 0 else 0.0
-            _diagnostics.write(
-                f"  worker {pid}: {len(walls)} point(s) in {busy:.2f}s "
-                f"({rate:.2f} pts/s)"
-            )
+        _diagnose(line)
 
     narrate = _narration(args.csv, args.json)
     runner = SweepRunner(
@@ -707,8 +693,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         file=narrate,
     )
     result = _profiled(args.profile, runner.run)
-    if args.progress and worker_walls:
-        throughput_summary()
+    for pid, walls in sorted(worker_walls.items()):  # filled by progress lines only
+        busy = sum(walls)
+        rate = len(walls) / busy if busy > 0 else 0.0
+        _diagnose(f"  worker {pid}: {len(walls)} point(s) in {busy:.2f}s ({rate:.2f} pts/s)")
     if args.store:
         print(
             f"resumed {len(runner.resumed)} point(s) from {args.store}",
@@ -716,19 +704,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     with contextlib.redirect_stdout(narrate):
         print_sweep_result(result)
-    # The violation exit-gate is an *honest-run* tripwire: points that
-    # armed an adversary measure violations on purpose, so only
-    # violations in adversary-free points fail the command.
-    honest_violations = sum(
-        point.metrics["atomicity_violations"]
-        for point in result.points
-        if not _point_adversary_enabled(point)
-    )
     exports = ((args.csv, result.to_csv), (args.json, lambda: result.to_json() + "\n"))
     for path, render in exports:
         if path:
             _emit(path, render(), wrote=narrate)
-    return 0 if honest_violations == 0 else 1
+    return _exit_status(
+        (serde.load(AdversarySpec, point.spec["adversary"]), point.metrics["atomicity_violations"])
+        for point in result.points
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -737,54 +720,50 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
-    from .service import ServiceSpec
-
-    cls = {"run": ExperimentSpec, "serve": ServiceSpec, "sweep": SweepSpec}[args.spec]
-    print(serde.describe(cls, args.path))
+    print(serde.describe(_spec_kinds()[args.spec][0], args.path))
     return 0
 
 
 # ---------------------------------------------------------------------------
-# Analytic printouts (no simulation)
+# repro paper: the analytic claims (no simulation)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_figure10(args: argparse.Namespace) -> int:
-    """Print Figure 10's analytic latency curves."""
-    print(f"{'Diam(D)':>8} | {'Herlihy (Δ)':>12} | {'AC3WN (Δ)':>10} | speedup")
-    for point in figure10_series(args.max_diameter):
-        print(
-            f"{point.diameter:>8} | {point.herlihy_deltas:>12.0f} | "
-            f"{point.ac3wn_deltas:>10.0f} | {point.speedup:.1f}x"
-        )
-    return 0
+def _cmd_paper(args: argparse.Namespace) -> int:
+    """Figure 10's latency curves, the Section 6.3 depth per candidate
+    witness, and Table 1 with the Section 6.4 example.  Every block is
+    computed before any is printed, so a refused ``--value-at-risk``
+    prints nothing but its one line."""
+    from .analysis.latency import figure10_series
+    from .analysis.security import PAPER_WITNESS_CANDIDATES
+    from .analysis.throughput import TABLE1_ROWS, paper_example
 
-
-def _cmd_witness_depth(args: argparse.Namespace) -> int:
-    """Section 6.3: required depth per candidate witness."""
     va = args.value_at_risk
     try:
-        rows = [
+        depths = [
             (choice.chain_id, choice.depth_for(va), choice.confirmation_latency_hours(va))
             for choice in PAPER_WITNESS_CANDIDATES
         ]
     except ValueError as exc:
         raise SpecError(f"--value-at-risk: {exc}") from None
-    print(f"value at risk: ${va:,.0f}")
-    for chain_id, depth, hours in rows:
-        print(f"  {chain_id:>14}: d = {depth:>6}  (~{hours:.1f} h of burial)")
-    return 0
-
-
-def _cmd_table1(args: argparse.Namespace) -> int:
-    """Table 1 plus the paper's throughput example."""
-    for name, _, tps in TABLE1_ROWS:
-        print(f"  {name:>14}: {tps:>3} tps")
     example = paper_example()
-    print(
+    lines = [f"{'Diam(D)':>8} | {'Herlihy (Δ)':>12} | {'AC3WN (Δ)':>10} | speedup"]
+    lines += [
+        f"{point.diameter:>8} | {point.herlihy_deltas:>12.0f} | "
+        f"{point.ac3wn_deltas:>10.0f} | {point.speedup:.1f}x"
+        for point in figure10_series(args.max_diameter)
+    ]
+    lines.append(f"value at risk: ${va:,.0f}")
+    lines += [
+        f"  {chain_id:>14}: d = {depth:>6}  (~{hours:.1f} h of burial)"
+        for chain_id, depth, hours in depths
+    ]
+    lines += [f"  {name:>14}: {tps:>3} tps" for name, _, tps in TABLE1_ROWS]
+    lines.append(
         f"\nETH+LTC witnessed by Bitcoin: {example.tps} tps "
         f"(bottleneck: {example.bottleneck})"
     )
+    print("\n".join(lines))
     return 0
 
 
@@ -983,6 +962,46 @@ def _cmd_store(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _source_options(parser, preset: str, spec: str, override: str) -> None:
+    """``--preset`` / ``--spec`` / ``--set``, the three ways to name what
+    :func:`_resolve_spec` runs; the words are each command's own."""
+    parser.add_argument("--preset", default=None, help=f"named {preset}")
+    parser.add_argument("--spec", default=None, help=f"path to {spec} JSON file")
+    parser.add_argument(
+        "--set", action="append", metavar="KEY=VALUE", help=f"dotted-path {override}"
+    )
+
+
+def _json_option(parser, artifact: str, catalog: bool = False) -> None:
+    """``--json [PATH]``: the full artifact, to stdout when given no value."""
+    listing = "; with --list-presets: emit the catalog as JSON" if catalog else ""
+    parser.add_argument(
+        "--json",
+        nargs="?",
+        const="-",
+        default=None,
+        metavar="PATH",
+        help=f"write the full {artifact} JSON here ('-' or no value: stdout{listing})",
+    )
+
+
+def _profile_option(parser, help: str) -> None:
+    parser.add_argument("--profile", nargs="?", const="-", default=None, metavar="FILE", help=help)
+
+
+def _list_presets_option(parser, catalog: str) -> None:
+    parser.add_argument(
+        "--list-presets", action="store_true", help=f"list the {catalog} catalog and exit"
+    )
+
+
+def _db_option(parser, verb: str) -> None:
+    parser.add_argument(
+        "--db", default="repro.db", metavar="DB",
+        help=f"campaign database to {verb} (default: %(default)s)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -993,30 +1012,14 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser(
         "run", help="run any experiment from a preset or a JSON spec"
     )
-    run.add_argument("--preset", default=None, help="named preset (see --list-presets)")
-    run.add_argument("--spec", default=None, help="path to an ExperimentSpec JSON file")
-    run.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help="dotted-path spec override, e.g. --set traffic.rate=12.0 (repeatable)",
+    _source_options(
+        run, "preset (see --list-presets)", "an ExperimentSpec",
+        "spec override, e.g. --set traffic.rate=12.0 (repeatable)",
     )
-    run.add_argument(
-        "--json",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="PATH",
-        help="write the full ExperimentResult JSON here ('-' or no value: "
-        "stdout; with --list-presets: emit the catalog as JSON)",
-    )
-    run.add_argument(
-        "--profile",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="FILE",
-        help="profile the run under cProfile and print the top 25 "
+    _json_option(run, "ExperimentResult", catalog=True)
+    _profile_option(
+        run,
+        "profile the run under cProfile and print the top 25 "
         "cumulative-time entries to stderr; with FILE, also dump the raw "
         "pstats data there",
     )
@@ -1043,28 +1046,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --metrics: stream each monitor alert to stderr the "
         "moment it fires",
     )
-    run.add_argument(
-        "--list-presets", action="store_true", help="list the preset catalog and exit"
-    )
+    _list_presets_option(run, "preset")
     run.set_defaults(func=_cmd_run)
 
     serve = sub.add_parser(
         "serve",
         help="run the engine as a long-running, checkpointable swap service",
     )
-    serve.add_argument(
-        "--preset",
-        default=None,
-        help="named service preset (see run --list-presets)",
-    )
-    serve.add_argument(
-        "--spec", default=None, help="path to a ServiceSpec JSON file"
-    )
-    serve.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help="dotted-path spec override, e.g. --set world.seed=7 (repeatable)",
+    _source_options(
+        serve, "service preset (see run --list-presets)", "a ServiceSpec",
+        "spec override, e.g. --set world.seed=7 (repeatable)",
     )
     serve.add_argument(
         "--duration",
@@ -1117,14 +1108,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DB",
         help="file every checkpoint epoch into this campaign database",
     )
-    serve.add_argument(
-        "--json",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="PATH",
-        help="write the full ServiceResult JSON here ('-' or no value: stdout)",
-    )
+    _json_option(serve, "ServiceResult")
     serve.set_defaults(func=_cmd_serve)
 
     replay = sub.add_parser(
@@ -1139,14 +1123,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-dump the replayed request log here (byte-compare it "
         "against the original)",
     )
-    replay.add_argument(
-        "--json",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="PATH",
-        help="write the full ServiceResult JSON here ('-' or no value: stdout)",
-    )
+    _json_option(replay, "ServiceResult")
     replay.set_defaults(func=_cmd_replay)
 
     trace = sub.add_parser(
@@ -1181,15 +1158,9 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run a multi-point sweep campaign across worker processes",
     )
-    sweep.add_argument(
-        "--preset", default=None, help="named sweep (see sweep --list-presets)"
-    )
-    sweep.add_argument("--spec", default=None, help="path to a SweepSpec JSON file")
-    sweep.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help="dotted-path sweep override, e.g. --set base.traffic.num_swaps=12",
+    _source_options(
+        sweep, "sweep (see sweep --list-presets)", "a SweepSpec",
+        "sweep override, e.g. --set base.traffic.num_swaps=12",
     )
     sweep.add_argument(
         "--workers",
@@ -1210,33 +1181,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--csv", default=None, metavar="PATH",
         help="write the summary table as CSV ('-' for stdout)",
     )
-    sweep.add_argument(
-        "--json",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="PATH",
-        help="write the full SweepResult JSON here ('-' or no value: stdout; "
-        "with --list-presets: emit the catalog as JSON)",
-    )
+    _json_option(sweep, "SweepResult", catalog=True)
     sweep.add_argument(
         "--progress",
         action=argparse.BooleanOptionalAction,
         default=True,
         help="print per-point progress lines to stderr as points finish",
     )
-    sweep.add_argument(
-        "--profile",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="FILE",
-        help="profile the whole sweep under cProfile (top 25 cumulative "
+    _profile_option(
+        sweep,
+        "profile the whole sweep under cProfile (top 25 cumulative "
         "entries to stderr; with FILE, also dump raw pstats data)",
     )
-    sweep.add_argument(
-        "--list-presets", action="store_true", help="list the sweep catalog and exit"
-    )
+    _list_presets_option(sweep, "sweep")
     sweep.set_defaults(func=_cmd_sweep)
 
     describe = sub.add_parser(
@@ -1256,16 +1213,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     describe.set_defaults(func=_cmd_describe)
 
-    fig10 = sub.add_parser("figure10", help="print Figure 10's latency curves")
-    fig10.add_argument("--max-diameter", type=int, default=14)
-    fig10.set_defaults(func=_cmd_figure10)
-
-    depth = sub.add_parser("witness-depth", help="Section 6.3 depth rule")
-    depth.add_argument("--value-at-risk", type=float, default=1_000_000.0)
-    depth.set_defaults(func=_cmd_witness_depth)
-
-    table1 = sub.add_parser("table1", help="Table 1 + Section 6.4 example")
-    table1.set_defaults(func=_cmd_table1)
+    paper = sub.add_parser(
+        "paper",
+        help="print Figure 10's latency curves, the Section 6.3 depth rule, "
+        "and Table 1 + the Section 6.4 example",
+    )
+    paper.add_argument("--max-diameter", type=int, default=14)
+    paper.add_argument("--value-at-risk", type=float, default=1_000_000.0)
+    paper.set_defaults(func=_cmd_paper)
 
     query = sub.add_parser(
         "query",
@@ -1280,10 +1235,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="predicate expression, e.g. \"violation_rate > 0 AND "
         "protocol='nolan'\"",
     )
-    query.add_argument(
-        "--db", default="repro.db", metavar="DB",
-        help="campaign database to query (default: %(default)s)",
-    )
+    _db_option(query, "query")
     query.add_argument(
         "--campaign",
         default=None,
@@ -1357,34 +1309,23 @@ def build_parser() -> argparse.ArgumentParser:
         "paths", nargs="+", metavar="PATH",
         help="ExperimentResult JSON or bench timing JSON",
     )
-    ingest.add_argument(
-        "--db", default="repro.db", metavar="DB",
-        help="campaign database to ingest into (default: %(default)s)",
-    )
+    _db_option(ingest, "ingest into")
     ingest.add_argument(
         "--campaign", default=None, metavar="NAME",
         help="campaign name (default: each path's basename)",
     )
-    ingest.set_defaults(func=_cmd_store)
     store_list = store_sub.add_parser(
         "list", help="list the campaigns a database holds"
     )
-    store_list.add_argument(
-        "--db", default="repro.db", metavar="DB",
-        help="campaign database to list (default: %(default)s)",
-    )
+    _db_option(store_list, "list")
     store_list.add_argument(
         "--json", action="store_true", help="emit the campaign list as JSON"
     )
-    store_list.set_defaults(func=_cmd_store)
     artifact = store_sub.add_parser(
         "artifact",
         help="recover one point's byte-exact ExperimentResult JSON",
     )
-    artifact.add_argument(
-        "--db", default="repro.db", metavar="DB",
-        help="campaign database to read (default: %(default)s)",
-    )
+    _db_option(artifact, "read")
     artifact.add_argument(
         "--campaign", default=None, metavar="ID|NAME",
         help="campaign (id or name, latest wins); default: latest",
@@ -1397,7 +1338,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", "-o", default="-", metavar="PATH",
         help="write the artifact bytes here ('-' for stdout)",
     )
-    artifact.set_defaults(func=_cmd_store)
+    store.set_defaults(func=_cmd_store)
     return parser
 
 

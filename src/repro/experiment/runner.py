@@ -75,6 +75,32 @@ def _outcome_to_dict(outcome: SwapOutcome, swap_id: int, arrival: float) -> dict
     }
 
 
+def _artifact_dict(result, requests, chain_reorgs: dict, reports: dict) -> dict:
+    """The keys an :class:`ExperimentResult` and a service session's
+    artifact share: the spec echo, aggregate and per-protocol metrics,
+    per-swap outcomes, the reorg counts, and ``reports`` — to which the
+    observability keys are added only when their feature was armed, so
+    disabled artifacts stay byte-identical to the goldens."""
+    if result.metrics_registry is not None:
+        reports["metrics"] = result.metrics_registry.to_dict()
+    if result.alerts is not None:
+        reports["alerts"] = [alert.to_dict() for alert in result.alerts]
+    return {
+        "spec": result.spec.to_dict(),
+        "metrics": asdict(result.metrics),
+        "by_protocol": {
+            name: asdict(metrics) for name, metrics in result.by_protocol.items()
+        },
+        "outcomes": [
+            _outcome_to_dict(r.outcome, r.swap_id, r.arrival_time)
+            for r in requests
+            if r.outcome is not None
+        ],
+        "chain_reorgs": dict(chain_reorgs),
+        "reports": reports,
+    }
+
+
 @dataclass
 class ExperimentResult:
     """Everything one experiment produced, as one serializable artifact.
@@ -125,8 +151,7 @@ class ExperimentResult:
         ]
 
     def to_dict(self) -> dict:
-        requests = self.engine_result.requests
-        reports: dict = {
+        reports = {
             "adversary": self.engine_result.adversary,
             "caches": self.caches,
             "throughput": [asdict(row) for row in self.throughput],
@@ -143,26 +168,9 @@ class ExperimentResult:
                 ]
             ),
         }
-        # Observability keys appear only when their feature was armed,
-        # so disabled artifacts stay byte-identical to the goldens.
-        if self.metrics_registry is not None:
-            reports["metrics"] = self.metrics_registry.to_dict()
-        if self.alerts is not None:
-            reports["alerts"] = [alert.to_dict() for alert in self.alerts]
-        return {
-            "spec": self.spec.to_dict(),
-            "metrics": asdict(self.metrics),
-            "by_protocol": {
-                name: asdict(metrics) for name, metrics in self.by_protocol.items()
-            },
-            "outcomes": [
-                _outcome_to_dict(r.outcome, r.swap_id, r.arrival_time)
-                for r in requests
-                if r.outcome is not None
-            ],
-            "chain_reorgs": dict(self.engine_result.chain_reorgs),
-            "reports": reports,
-        }
+        return _artifact_dict(
+            self, self.engine_result.requests, self.engine_result.chain_reorgs, reports
+        )
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

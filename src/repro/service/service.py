@@ -38,7 +38,7 @@ from ..engine.engine import SwapRequest
 from ..engine.metrics import EngineMetrics
 from ..errors import ServiceError
 from ..experiment.runner import (
-    _outcome_to_dict,
+    _artifact_dict,
     _reset_caches,
     build_environment,
     build_observability,
@@ -100,24 +100,8 @@ class ServiceResult:
     alerts: list | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
-        from dataclasses import asdict
-
-        reports: dict = {}
-        if self.metrics_registry is not None:
-            reports["metrics"] = self.metrics_registry.to_dict()
-        if self.alerts is not None:
-            reports["alerts"] = [alert.to_dict() for alert in self.alerts]
         return {
-            "spec": self.spec.to_dict(),
-            "metrics": asdict(self.metrics),
-            "by_protocol": {
-                name: asdict(metrics) for name, metrics in self.by_protocol.items()
-            },
-            "outcomes": [
-                _outcome_to_dict(r.outcome, r.swap_id, r.arrival_time)
-                for r in self.requests
-                if r.outcome is not None
-            ],
+            **_artifact_dict(self, self.requests, self.chain_reorgs, {}),
             "accepted": self.accepted,
             "windows": self.windows,
             # ``epochs`` is deliberately NOT exported: how often a
@@ -125,8 +109,6 @@ class ServiceResult:
             # including it would make a restored session's artifact
             # differ from the uninterrupted one it must byte-match.
             "stall": self.stall,
-            "chain_reorgs": dict(self.chain_reorgs),
-            "reports": reports,
         }
 
     def to_json(self, indent: int | None = 2) -> str:

@@ -7,7 +7,8 @@ matrices.  This subsystem turns each of them into one declarative
 plus named axes of dotted-path overrides), expands it deterministically
 into N experiment points, executes the points across a worker-process
 pool (:class:`SweepRunner` — serialized specs in, serialized artifacts
-out), and joins the per-point metrics into one :class:`SweepResult`
+out), and joins the per-point metrics into one
+:class:`~repro.sweeps.result.SweepResult`
 table with CSV/JSON export and per-figure curve extractors
 (:mod:`repro.sweeps.figures`).
 
@@ -17,7 +18,7 @@ The public surface:
   (:mod:`repro.sweeps.spec`);
 * :class:`SweepRunner` / :func:`run_sweep` — execution
   (:mod:`repro.sweeps.runner`);
-* :class:`SweepResult` / :class:`PointResult` — aggregation and export
+* ``SweepResult`` / ``PointResult`` — aggregation and export
   (:mod:`repro.sweeps.result`);
 * :func:`sweep_spec` — the named campaign catalog
   (:mod:`repro.sweeps.presets`);
@@ -34,13 +35,11 @@ from .figures import (
     violation_rate_surface,
 )
 from .presets import sweep_names, sweep_spec
-from .result import SweepResult
 from .runner import SweepRunner, run_sweep
 from .spec import SweepAxis, SweepSpec
 
 __all__ = [
     "SweepAxis",
-    "SweepResult",
     "SweepRunner",
     "SweepSpec",
     "arrival_rate_series",

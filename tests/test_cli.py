@@ -3,6 +3,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,6 +85,9 @@ class TestParser:
             ["congestion"],
             ["crash-sweep"],
             ["sweep", "--preset", "table1", "--resume", "dir"],
+            ["figure10"],
+            ["table1"],
+            ["witness-depth"],
         ],
     )
     def test_removed_commands_and_flags_rejected(self, argv, capsys):
@@ -101,7 +106,7 @@ class TestParser:
 
 class TestCommands:
     def test_table1(self, capsys):
-        assert main(["table1"]) == 0
+        assert main(["paper"]) == 0
         out = capsys.readouterr().out
         assert "Bitcoin" in out and "7 tps" in out
         assert "bottleneck: bitcoin" in out
@@ -109,35 +114,43 @@ class TestCommands:
     def test_table1_example_is_the_analysis_example(self, capsys, monkeypatch):
         """The printed example is ``paper_example()``, not a second copy of
         its chains: a different answer there shows up here."""
-        from repro import cli
+        from repro.analysis import throughput
         from repro.analysis.throughput import ThroughputResult
 
         monkeypatch.setattr(
-            cli, "paper_example",
+            throughput, "paper_example",
             lambda: ThroughputResult(("ethereum",), "litecoin", 56.0, "litecoin"),
         )
-        assert main(["table1"]) == 0
+        assert main(["paper"]) == 0
         assert capsys.readouterr().out.endswith(
             "\nETH+LTC witnessed by Bitcoin: 56.0 tps (bottleneck: litecoin)\n"
         )
 
     def test_figure10(self, capsys):
-        assert main(["figure10", "--max-diameter", "4"]) == 0
+        assert main(["paper", "--max-diameter", "4"]) == 0
         out = capsys.readouterr().out
         assert "speedup" in out
         assert "2.0x" in out  # diameter 4
 
     def test_witness_depth(self, capsys):
-        assert main(["witness-depth", "--value-at-risk", "1000000"]) == 0
+        assert main(["paper", "--value-at-risk", "1000000"]) == 0
         out = capsys.readouterr().out
         assert "bitcoin: d =     21" in out
         # The depth rule needs a finite value >= 0; anything else used to
         # be a traceback out of math.floor.
-        assert main(["witness-depth", "--value-at-risk", "nan"]) == 2
+        assert main(["paper", "--value-at-risk", "nan"]) == 2
         assert capsys.readouterr().err == (
-            "repro witness-depth: --value-at-risk: value at risk must be a "
+            "repro paper: --value-at-risk: value at risk must be a "
             "finite number >= 0, got nan\n"
         )
+
+    def test_paper_computes_every_block_before_printing_any(self, capsys):
+        """A refused ``--value-at-risk`` leaves stdout empty: Figure 10's
+        block, which comes first, is not printed half-way."""
+        assert main(["paper", "--max-diameter", "4", "--value-at-risk", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("repro paper: ")
 
     def test_swap_ac3wn(self, capsys):
         assert main(["run", "--preset", "swap", "--set", "seed=5"]) == 0
@@ -529,13 +542,13 @@ class TestHostileSpecs:
     def test_any_library_error_is_exit_2_not_a_traceback(self, capsys, monkeypatch):
         """``run`` used to catch ``(SpecError, OSError)`` only; the one
         handler in ``main`` takes every ``ReproError``."""
-        from repro import cli
         from repro.errors import InsufficientFundsError
+        from repro.experiment import runner
 
         def broke(spec):
             raise InsufficientFundsError("alice has 1 spendable, needs 10")
 
-        monkeypatch.setattr(cli, "run_experiment", broke)
+        monkeypatch.setattr(runner, "run_experiment", broke)
         assert main(["run", "--preset", "swap"]) == 2
         assert capsys.readouterr().err == "repro run: alice has 1 spendable, needs 10\n"
 
@@ -683,8 +696,7 @@ class TestFrontDoor:
             ("trace",): ["trace", "{file}"],
             ("alerts",): ["alerts", "{file}"],
             ("sweep",): ["sweep", "--spec", sweep, "--no-progress"],
-            ("figure10",): ["figure10"],
-            ("witness-depth",): ["witness-depth"],
+            ("paper",): ["paper"],
             ("query",): ["query", "commit_rate >= 0", "--db", db],
             ("compare",): ["compare", "{db_a}", "{db_b}"],
             ("store", "ingest"): ["store", "ingest", result, "{paths}", "--db", "new.db"],
@@ -729,6 +741,65 @@ class TestFrontDoor:
             said = [line for line in err.splitlines() if line.startswith(f"repro {words[0]}")]
             assert len(said) == 1, err
             assert list(tmp_path.iterdir()) == [], f"{argv} was refused but wrote files"
+
+
+#: What no reader command may load: the engine and everything it stands on.
+ENGINE_MODULES = (
+    "repro.engine",
+    "repro.core",
+    "repro.chain",
+    "repro.crypto",
+    "repro.experiment",
+    "repro.sweeps",
+    "repro.service",
+)
+
+
+class TestImportFootprint:
+    """The readers load :mod:`repro.store` or :mod:`repro.obs`, never the
+    engine.  Each runs in a fresh interpreter, so nothing another test
+    imported first can hide an import."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["store", "ingest", "{result}", "--db", "{new}"],
+            ["store", "list", "--db", "{db}"],
+            ["store", "artifact", "--db", "{db}", "--point", "0"],
+            ["query", "commit_rate >= 0", "--db", "{db}"],
+            ["compare", "{db}", "{db}"],
+            ["trace", "{trace}"],
+            ["trace", "{trace}", "--swap", "0"],
+            ["alerts", "{trace}"],
+        ],
+        ids=" ".join,
+    )
+    def test_a_reader_loads_no_engine_module(self, inputs, tmp_path, argv):
+        db, trace, _, result = inputs
+        slots = {"{db}": db, "{trace}": trace, "{result}": result, "{new}": str(tmp_path / "new.db")}
+        argv = [slots.get(arg, arg) for arg in argv]
+        probe = (
+            "import contextlib, io, json, sys\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = main({argv!r})\n"
+            "print(json.dumps([status, sorted(sys.modules)]))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        status, modules = json.loads(done.stdout)
+        assert status == 0, done.stderr
+        loaded = [
+            name
+            for name in modules
+            if any(name == top or name.startswith(top + ".") for top in ENGINE_MODULES)
+        ]
+        assert loaded == []
+        assert "repro.store" in modules or "repro.obs" in modules
 
 
 class TestDescribe:
@@ -831,6 +902,27 @@ class TestAdversaryCli:
         data = json.loads(json_path.read_text())
         assert data["reports"]["adversary"]["reorg"]["attacks_launched"] >= 1
         assert "chain_reorgs" in data
+
+    def test_a_sweep_whose_violations_are_all_armed_exits_zero(self, tmp_path, capsys):
+        """``sweep`` keeps ``run``'s exit rule point by point: the armed
+        point's violations are the measurement, and the one point with no
+        adversary is honest and clean, so the campaign exits 0."""
+        from repro.experiment import apply_overrides, preset_spec
+        from repro.sweeps import SweepAxis, SweepSpec
+
+        base = apply_overrides(
+            preset_spec("security"), {"protocol": "nolan", "chains.confirmation_depth": 1}
+        )
+        axis = SweepAxis(name="armed", path="adversary.reorg.enabled", values=(True, False))
+        spec_path, json_path = tmp_path / "sweep.json", tmp_path / "out.json"
+        spec_path.write_text(SweepSpec(name="armed-only", base=base, axes=(axis,)).to_json())
+        argv = ["sweep", "--spec", str(spec_path), "--no-progress", "--json", str(json_path)]
+        assert main(argv) == 0
+        violations = [
+            point["result"]["metrics"]["atomicity_violations"]
+            for point in json.loads(json_path.read_text())["points"]
+        ]
+        assert violations[0] > 0 and violations[1] == 0
 
 
 class TestStoreCli:

@@ -1,7 +1,8 @@
 """Reproducibility tests: identical seeds produce identical worlds.
 
-Determinism is a design pillar (DESIGN.md): every experiment in the
-benchmark suite must be exactly repeatable.  These tests pin it at every
+Determinism is a design pillar (docs/experiments.md, "Determinism
+contract"): every experiment in the benchmark suite must be exactly
+repeatable.  These tests pin it at every
 level — crypto, chain, protocol — and across interpreters: nothing a
 command prints or writes follows ``str`` hash order.
 """

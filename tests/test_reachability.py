@@ -160,9 +160,7 @@ def drive(work: Path) -> None:
     for topic in ("run", "serve", "sweep"):
         repro("describe", topic)
     repro("describe", "run", "traffic.crash")
-    repro("figure10")
-    repro("table1")
-    repro("witness-depth")
+    repro("paper")
 
     for example in sorted((ROOT / "examples").glob("*.py")):
         with contextlib.redirect_stdout(io.StringIO()):

@@ -1,9 +1,12 @@
-"""Setup shim: enables legacy editable installs in offline environments
-(no `wheel` package available, so PEP 660 builds are impossible).
-This file is the only packaging metadata; the tests additionally need
-pytest, pytest-benchmark and hypothesis, and use the optional
-`cryptography` package as an OpenSSL oracle for the ECDSA kernel (those
-tests skip without it; see .github/workflows/ci.yml)."""
+"""Setup shim: the package's only packaging metadata.
+
+Offline, without the `wheel` package, `pip install -e .` cannot build
+(PEP 660 and `bdist_wheel` both need it); `python setup.py develop` is
+the offline editable install, and it installs the `repro` console
+script.  The tests additionally need pytest, pytest-benchmark and
+hypothesis, and use the optional `cryptography` package as an OpenSSL
+oracle for the ECDSA kernel (those tests skip without it; see
+.github/workflows/ci.yml)."""
 
 from setuptools import find_packages, setup
 

@@ -19,7 +19,13 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from ..chain.params import ATTACK_COST_PER_HOUR_USD
+#: Hourly 51%-attack cost in USD quoted in Section 6.3 (crypto51.app, 2019).
+ATTACK_COST_PER_HOUR_USD: dict[str, float] = {
+    "bitcoin": 300_000.0,
+    "ethereum": 100_000.0,
+    "litecoin": 25_000.0,
+    "bitcoin-cash": 10_000.0,
+}
 
 
 def attack_cost_usd(depth: int, hourly_cost: float, blocks_per_hour: float) -> float:

@@ -76,22 +76,6 @@ class ChainParams:
 # Presets mirroring the paper's published numbers
 # ---------------------------------------------------------------------------
 
-#: Table 1 throughput (tps) of the top-4 permissionless cryptocurrencies.
-TABLE1_TPS: dict[str, int] = {
-    "bitcoin": 7,
-    "ethereum": 25,
-    "litecoin": 56,
-    "bitcoin-cash": 61,
-}
-
-#: Hourly 51%-attack cost in USD quoted in Section 6.3 (crypto51.app, 2019).
-ATTACK_COST_PER_HOUR_USD: dict[str, float] = {
-    "bitcoin": 300_000.0,
-    "ethereum": 100_000.0,
-    "litecoin": 25_000.0,
-    "bitcoin-cash": 10_000.0,
-}
-
 
 def bitcoin_like() -> ChainParams:
     """Bitcoin: 10-minute blocks, depth 6, 7 tps."""

@@ -738,6 +738,10 @@ def _cmd_paper(args: argparse.Namespace) -> int:
     from .analysis.security import PAPER_WITNESS_CANDIDATES
     from .analysis.throughput import TABLE1_ROWS, paper_example
 
+    if args.max_diameter < 2:
+        raise SpecError(
+            f"--max-diameter: Figure 10 starts at diameter 2, got {args.max_diameter}"
+        )
     va = args.value_at_risk
     try:
         depths = [

@@ -34,6 +34,7 @@ from ..core.graph import SwapGraph
 from ..core.herlihy import HerlihyConfig, HerlihyDriver
 from ..core.nolan import NolanDriver, validate_two_party
 from ..core.protocol import SwapEnvironment, SwapOutcome
+from ..crypto.keys import verifying
 from ..economy import FeeBudget
 from ..errors import ProtocolError, ReproError, SchedulingError
 from ..workloads.scenarios import CrashPlan, TrafficItem
@@ -471,12 +472,14 @@ class SwapEngine:
         (see :meth:`MetricsAccumulator.windowed`).  Callable mid-run."""
         return self._metrics.windowed(window, end=end)
 
+    @verifying()
     def run(self, max_events: int = 50_000_000) -> EngineResult:
         """Drive the simulation until every submitted swap terminates.
 
         The engine never blocks inside a driver: it simply pumps the
         shared event queue; drivers, miners, failure injectors, and
-        arrival callbacks all interleave on the simulator clock.
+        arrival callbacks all interleave on the simulator clock.  First-
+        sight signature checks run beside it (:func:`verifying`).
         """
         sim = self.env.simulator
         processed = 0

@@ -33,6 +33,7 @@ from typing import Any, Iterable
 
 from .. import serde
 from ..adversary import build_roster
+from ..crypto.keys import verifying
 from ..engine import SwapEngine
 from ..engine.engine import SwapRequest
 from ..engine.metrics import EngineMetrics
@@ -344,6 +345,7 @@ class SwapService:
             self._sources.append(source)
         self._lookahead = [_UNSET] * len(self._sources)
 
+    @verifying()
     def serve(
         self,
         duration: float | None = None,
@@ -411,6 +413,7 @@ class SwapService:
             self._advance_to(deadline)
         return self.accepted
 
+    @verifying()
     def drain(self, max_wall_s: float | None = 60.0) -> None:
         """Quiesce the session: wait out in-flight swaps (bounded by
         ``spec.drain_timeout`` sim-seconds), stop the miners, and run
@@ -591,8 +594,9 @@ class SwapService:
                 f"requests but carries {len(saved.records)} records"
             )
         service = cls(saved.spec)
-        service._replay_records(saved.records)
-        service._advance_to(saved.clock)
+        with verifying():
+            service._replay_records(saved.records)
+            service._advance_to(saved.clock)
         service.epoch = saved.epoch
         digest = service._digest()
         if digest != saved.digest:
@@ -621,8 +625,9 @@ class SwapService:
         and re-dumped request log are byte-identical to the original's.
         """
         service = cls(spec)
-        service._replay_records(records)
-        if spec.duration is not None:
-            service._advance_to(service.start + spec.duration)
-        service.drain()
+        with verifying():
+            service._replay_records(records)
+            if spec.duration is not None:
+                service._advance_to(service.start + spec.duration)
+            service.drain()
         return service.result()

@@ -27,6 +27,7 @@ import os
 import time
 from typing import TYPE_CHECKING, Callable
 
+from ..crypto.keys import set_verifier
 from ..errors import SpecError
 from ..experiment.runner import run_experiment
 from ..experiment.spec import ExperimentSpec
@@ -170,7 +171,10 @@ class SweepRunner:
                 except ValueError:  # pragma: no cover - non-POSIX platforms
                     context = multiprocessing.get_context("spawn")
                 workers = min(self.workers, len(payloads))
-                with context.Pool(processes=workers) as pool:
+                # The pool already uses the cores: no verifier process per worker.
+                with context.Pool(
+                    processes=workers, initializer=set_verifier, initargs=(False,)
+                ) as pool:
                     for item in pool.imap_unordered(
                         run_point_payload, payloads, chunksize=1
                     ):

@@ -1,5 +1,9 @@
 """Shared fixtures for the test suite."""
 
+import glob
+import os
+import signal
+
 import pytest
 
 from repro.chain.chain import Blockchain
@@ -22,6 +26,31 @@ def make_coinbase(owner, value, nonce=0) -> Transaction:
     genesis coin ``nonce`` of a ``(owner, value)`` allocation is output 0
     of.  No chain holds one; blocks and mempools refuse it."""
     return Transaction(inputs=(), outputs=(TxOutput(owner, value),), nonce=nonce)
+
+
+def live_children() -> list[int]:
+    """Pids of this process's children that exist now (Linux; [] elsewhere)."""
+    pids = []
+    for path in glob.glob(f"/proc/{os.getpid()}/task/*/children"):
+        with open(path, encoding="ascii") as listing:
+            pids += [int(pid) for pid in listing.read().split()]
+    return pids
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """A test that leaves a child process running fails (and the child
+    is killed and reaped, so the next test starts clean)."""
+    yield
+    left = live_children()
+    for pid in left:
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass
+    if left:
+        pytest.fail(f"the test left child process(es) running: {left}")
 
 
 @pytest.fixture

@@ -144,6 +144,15 @@ class TestCommands:
             "finite number >= 0, got nan\n"
         )
 
+    @pytest.mark.parametrize("diameter", ["1", "0", "-1"])
+    def test_paper_refuses_a_curve_with_no_rows(self, capsys, diameter):
+        assert main(["paper", "--max-diameter", diameter]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro paper: --max-diameter: Figure 10 starts at diameter 2, got {diameter}\n"
+        )
+
     def test_paper_computes_every_block_before_printing_any(self, capsys):
         """A refused ``--value-at-risk`` leaves stdout empty: Figure 10's
         block, which comes first, is not printed half-way."""
@@ -756,9 +765,10 @@ ENGINE_MODULES = (
 
 
 class TestImportFootprint:
-    """The readers load :mod:`repro.store` or :mod:`repro.obs`, never the
-    engine.  Each runs in a fresh interpreter, so nothing another test
-    imported first can hide an import."""
+    """The readers load :mod:`repro.store` or :mod:`repro.obs`, and
+    ``paper`` only :mod:`repro.analysis`, never the engine (nor the chain
+    or curve modules).  Each runs in a fresh interpreter, so nothing
+    another test imported first can hide an import."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -771,6 +781,7 @@ class TestImportFootprint:
             ["trace", "{trace}"],
             ["trace", "{trace}", "--swap", "0"],
             ["alerts", "{trace}"],
+            ["paper"],
         ],
         ids=" ".join,
     )
@@ -799,7 +810,8 @@ class TestImportFootprint:
             if any(name == top or name.startswith(top + ".") for top in ENGINE_MODULES)
         ]
         assert loaded == []
-        assert "repro.store" in modules or "repro.obs" in modules
+        runs = ("repro.analysis",) if argv == ["paper"] else ("repro.store", "repro.obs")
+        assert any(name in modules for name in runs)
 
 
 class TestDescribe:

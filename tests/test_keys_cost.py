@@ -147,7 +147,16 @@ def test_a_cold_verify_adds_exactly_one_table_build():
     assert cold == warm + 100
 
 
-def test_engine_smoke_world_builds_one_table_per_verifying_key():
+@pytest.fixture
+def inline_verifies():
+    """No verifier process: every verify of a run happens in this
+    process, where the profile hook counts it and its table stays."""
+    keys.set_verifier(False)
+    yield
+    keys.set_verifier(None)
+
+
+def test_engine_smoke_world_builds_one_table_per_verifying_key(inline_verifies):
     ecdsa._generator_table()
     keys.clear_verify_cache()  # a run keeps the tables an earlier one built
     with recorded_calls(
@@ -160,7 +169,7 @@ def test_engine_smoke_world_builds_one_table_per_verifying_key():
     )  # ... and each one's table is built exactly once
 
 
-def test_a_run_resets_the_memo_but_keeps_the_key_tables():
+def test_a_run_resets_the_memo_but_keeps_the_key_tables(inline_verifies):
     """A table is a pure function of its key, so the per-run reset keeps
     it: A, B, A in one process gives byte-identical A artifacts, and the
     second A builds no table the first one built."""

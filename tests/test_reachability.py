@@ -77,6 +77,7 @@ def defined_functions() -> set[str]:
 
 def drive(work: Path) -> None:
     from repro.cli import main
+    from repro.crypto import keys
     from repro.experiment import preset_names
     from repro.service import service_preset_names
     from repro.sweeps import sweep_names, sweep_spec
@@ -86,6 +87,10 @@ def drive(work: Path) -> None:
             status = main([str(arg) for arg in argv])
         assert status in ok, f"repro {' '.join(map(str, argv))} exited {status}"
 
+    # The verifier process is forced on for the commands and off for the
+    # examples, so the reached set does not depend on the host's CPU
+    # count (by default it needs two) and inline verifies are reached too.
+    keys.set_verifier(True)
     repro("run", "--list-presets")
     for name in preset_names():
         trace = work / f"{name}.trace"
@@ -162,6 +167,7 @@ def drive(work: Path) -> None:
     repro("describe", "run", "traffic.crash")
     repro("paper")
 
+    keys.set_verifier(False)
     for example in sorted((ROOT / "examples").glob("*.py")):
         with contextlib.redirect_stdout(io.StringIO()):
             runpy.run_path(str(example), run_name="__main__")

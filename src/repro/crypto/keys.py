@@ -10,6 +10,7 @@ hashing the public key, used as the owner field of assets and contracts.
 from __future__ import annotations
 
 import contextlib
+import mmap
 import os
 import select
 import signal
@@ -74,17 +75,25 @@ def clear_verify_cache(tables: bool = True) -> None:
 # :func:`verifying` scope ``KeyPair.sign`` also writes (point, digest,
 # signature) to one forked process, pinned off this process's CPU, that
 # runs the same ``verify_digest`` and answers one verdict byte per
-# record, in order.  A memo miss in ``PublicKey.verify`` takes the
-# verdicts that have arrived, waits only while its own is pending, and
-# otherwise verifies inline: the memo and its counters see what they
-# would without the process, so no artifact can tell.  At most
-# ``_IN_FLIGHT_MAX`` records are outstanding (40 KB, under a pipe's
-# 64 KB) and the request pipe is non-blocking, so no write ever blocks.
-# Leaving the outermost scope kills and reaps the process; one that dies
-# sooner leaves one stderr line and inline verification.
+# record, in order.  A record nobody has started goes to whichever side
+# needs it first: a shared map holds one claim byte per in-flight slot
+# (0 queued, 1 the verifier has it, 2 the caller took it).  A memo miss
+# in ``PublicKey.verify`` takes the verdicts that have arrived; if its
+# own record is still queued it claims it and verifies inline, and the
+# verifier answers that record with a skip byte, which is discarded; it
+# waits only for a record the verifier has started (at most one check).
+# Both sides reading 0 at once costs one duplicate check, never a wrong
+# verdict: the caller keeps its own result for a record it took.  The
+# memo and its counters see what they would without the process, so no
+# artifact can tell.  At most ``_IN_FLIGHT_MAX`` records are outstanding
+# (40 KB, under a pipe's 64 KB) and the request pipe is non-blocking, so
+# no write ever blocks.  Leaving the outermost scope kills and reaps the
+# process; one that dies sooner leaves one stderr line and inline
+# verification.
 
 _RECORD = 160  # x, y, digest, r, s: 32 bytes each, written in one piece
-_IN_FLIGHT_MAX = 256
+_IN_FLIGHT_MAX = 256  # also the number of claim slots: record n uses n % 256
+_QUEUED, _STARTED, _TAKEN = 0, 1, 2  # claim bytes; _TAKEN is also the skip byte
 _WAIT_S = 30.0
 #: Verdicts that arrived before anyone asked for them (bounded, oldest out).
 _READY: "OrderedDict[tuple, bool]" = OrderedDict()
@@ -128,12 +137,15 @@ def verifying():
 class _Verifier:
     """The parent's end of one verifier process."""
 
-    def __init__(self, pid: int, requests: int, verdicts: int) -> None:
+    def __init__(self, pid: int, requests: int, verdicts: int, claims: mmap.mmap) -> None:
         self.pid = pid
         self.requests = requests  # write end, non-blocking
         self.verdicts = verdicts  # read end, non-blocking
-        #: Keys written and not yet answered, in the order they were written.
-        self.pending: "OrderedDict[tuple, None]" = OrderedDict()
+        self.claims = claims  # one claim byte per slot, shared with the verifier
+        self.written = 0  # records written so far: the next one's slot is this mod 256
+        #: Keys written and not yet answered, in the order they were
+        #: written, each with its slot, or ``None`` once the caller took it.
+        self.pending: "OrderedDict[tuple, int | None]" = OrderedDict()
         self.poller = select.poll()
         self.poller.register(verdicts, select.POLLIN)
 
@@ -151,6 +163,10 @@ class _Verifier:
             (x.to_bytes(32, "big"), y.to_bytes(32, "big"), digest,
              r.to_bytes(32, "big"), s.to_bytes(32, "big"))
         )
+        # The slot's last record has been answered and its verdict read,
+        # so no side looks at this byte until the record below is read.
+        slot = self.written % _IN_FLIGHT_MAX
+        self.claims[slot] = _QUEUED
         try:
             os.write(self.requests, record)  # <= PIPE_BUF: all or nothing
         except BlockingIOError:
@@ -158,11 +174,14 @@ class _Verifier:
         except OSError:
             _stop_verifier(reap=True, lost="exited")
             return
-        self.pending[key] = None
+        self.written += 1
+        self.pending[key] = slot
 
     def collect(self, wait_for: tuple | None = None) -> None:
-        """Move every verdict that has arrived into ``_READY``; while
-        ``wait_for`` is pending, wait for more."""
+        """Move every verdict that has arrived into ``_READY``, dropping
+        those of taken records.  If ``wait_for`` is still pending, take it
+        when the verifier has not started it (the caller then verifies it
+        inline), and otherwise wait for its verdict."""
         while True:
             try:
                 data = os.read(self.verdicts, _IN_FLIGHT_MAX)
@@ -172,8 +191,15 @@ class _Verifier:
                 _stop_verifier(reap=True, lost="exited")
                 return
             for verdict in data or b"":
-                _READY[self.pending.popitem(last=False)[0]] = verdict == 1
-            if wait_for not in self.pending:
+                key, slot = self.pending.popitem(last=False)
+                if slot is not None:
+                    _READY[key] = verdict == 1
+            slot = self.pending.get(wait_for)
+            if slot is None:  # answered, or taken already
+                break
+            if self.claims[slot] == _QUEUED:
+                self.claims[slot] = _TAKEN
+                self.pending[wait_for] = None
                 break
             if not self.poller.poll(_WAIT_S * 1000):
                 _stop_verifier(reap=True, lost=f"gave no verdict in {_WAIT_S:g} s")
@@ -191,6 +217,7 @@ def _start_verifier() -> None:
     except (OSError, ValueError, IndexError):
         cpu = None
     fds: list[int] = []
+    claims = mmap.mmap(-1, _IN_FLIGHT_MAX)  # anonymous and shared: both sides see it
     try:
         fds += os.pipe()
         fds += os.pipe()
@@ -198,6 +225,7 @@ def _start_verifier() -> None:
     except OSError as error:  # out of descriptors or processes
         for fd in fds:
             os.close(fd)
+        claims.close()
         print(f"repro: no signature verifier ({error}); verifying inline", file=sys.stderr)
         return
     requests_r, requests_w, verdicts_r, verdicts_w = fds
@@ -213,7 +241,13 @@ def _start_verifier() -> None:
             if cpu is not None and (others := os.sched_getaffinity(0) - {cpu}):
                 os.sched_setaffinity(0, others)
             # Each record was written whole, so each read returns one.
+            read = 0
             while len(record := os.read(requests_r, _RECORD)) == _RECORD:
+                slot, read = read % _IN_FLIGHT_MAX, read + 1
+                if claims[slot] == _TAKEN:
+                    os.write(verdicts_w, b"\x02")
+                    continue
+                claims[slot] = _STARTED
                 x, y, r, s = (
                     int.from_bytes(record[at : at + 32], "big") for at in (0, 32, 96, 128)
                 )
@@ -227,7 +261,7 @@ def _start_verifier() -> None:
     os.close(verdicts_w)
     os.set_blocking(requests_w, False)
     os.set_blocking(verdicts_r, False)
-    _verifier = _Verifier(pid, requests_w, verdicts_r)
+    _verifier = _Verifier(pid, requests_w, verdicts_r, claims)
 
 
 def _stop_verifier(reap: bool, lost: str | None = None) -> None:
@@ -245,6 +279,7 @@ def _stop_verifier(reap: bool, lost: str | None = None) -> None:
         )
     os.close(verifier.requests)
     os.close(verifier.verdicts)
+    verifier.claims.close()
     if reap:
         with contextlib.suppress(ProcessLookupError, ChildProcessError):
             os.kill(verifier.pid, signal.SIGKILL)

@@ -8,10 +8,15 @@ process (``repro/crypto/keys.py``).  Its contract is tested here:
   named stderr line and a run that finishes as it would have;
 * **checking** — a bad signature is refused by the verifier's own
   verdict, and a sign-only burst cannot deadlock either side;
+* **taking** — a record the verifier has not started is checked by its
+  caller, which never waits behind a stopped verifier, and the verifier
+  skips it; a record it has started is waited for, and no verdict is
+  wrong when claim slots are reused;
 * **invisibility** — every artifact of the smoke presets is
   byte-identical with the verifier forced on and forced off.
 """
 
+import contextlib
 import os
 import signal
 import subprocess
@@ -42,14 +47,42 @@ def verifier_on():
     keys.set_verifier(None)
 
 
-def alive(pid: int) -> bool:
-    """Whether ``pid`` exists and is not a zombie."""
+def state(pid: int) -> bytes | None:
+    """The ``/proc`` state letter of ``pid``, or ``None`` once it is gone."""
     try:
         with open(f"/proc/{pid}/stat", "rb") as stat:
-            state = stat.read().rpartition(b")")[2].split()[0]
+            return stat.read().rpartition(b")")[2].split()[0]
     except FileNotFoundError:
-        return False
-    return state not in (b"Z", b"X")
+        return None
+
+
+def alive(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie."""
+    return state(pid) not in (None, b"Z", b"X")
+
+
+@contextlib.contextmanager
+def stopped(pid: int):
+    """Hold ``pid`` stopped (SIGSTOP, seen in ``/proc``) for the block."""
+    os.kill(pid, signal.SIGSTOP)
+    try:
+        deadline = time.monotonic() + 5.0
+        while state(pid) != b"T":
+            assert time.monotonic() < deadline, f"verifier {pid} did not stop in 5 s"
+            time.sleep(0.001)
+        yield
+    finally:
+        os.kill(pid, signal.SIGCONT)
+
+
+def settle(verifier) -> None:
+    """Collect until every record written to ``verifier`` is answered."""
+    deadline = time.monotonic() + 30.0
+    while verifier.pending:
+        assert keys._verifier is verifier, "the verifier was lost"
+        assert time.monotonic() < deadline, "no verdicts in 30 s"
+        verifier.collect()
+        time.sleep(0.001)
 
 
 def digests(label: str, count: int) -> list[bytes]:
@@ -179,23 +212,61 @@ class TestLifetime:
         assert len(set(signatures)) == 10_000
 
 
+def forging(monkeypatch, forged: set) -> None:
+    """Make ``ecdsa.sign_digest`` return ``s + 1`` for the digests in
+    ``forged``: s <= N/2 (low-s), so s + 1 is in range and wrong."""
+    sign_digest = ecdsa.sign_digest
+
+    def sign(private_scalar, digest):
+        signature = sign_digest(private_scalar, digest)
+        if digest in forged:
+            return ecdsa.EcdsaSignature(signature.r, signature.s + 1)
+        return signature
+
+    monkeypatch.setattr(ecdsa, "sign_digest", sign)
+
+
+def counting_verifies(monkeypatch) -> list:
+    """Count this process's ``ecdsa.verify_digest`` calls from now on."""
+    verify_digest, calls = ecdsa.verify_digest, []
+
+    def counting(*args):
+        calls.append(args)
+        return verify_digest(*args)
+
+    monkeypatch.setattr(ecdsa, "verify_digest", counting)
+    return calls
+
+
+class VerdictSpy:
+    """Stands in for ``keys.os``: records every byte read from ``fd``."""
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+        self.answered = bytearray()
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def read(self, fd, size):
+        data = os.read(fd, size)
+        if fd == self.fd:
+            self.answered += data
+        return data
+
+
 class TestChecking:
     def test_a_bad_s_is_refused_by_the_verifier_itself(self, verifier_on, monkeypatch):
         pair = KeyPair.from_seed("verifier/forger")
-        sign_digest = ecdsa.sign_digest
         good, bad = digests("forger", 2)
         keys.clear_verify_cache()
         with keys.verifying():
-
-            def forging(private_scalar, digest):
-                signature = sign_digest(private_scalar, digest)
-                if digest == bad:  # s <= N/2 (low-s), so s + 1 is in range and wrong
-                    return ecdsa.EcdsaSignature(signature.r, signature.s + 1)
-                return signature
-
-            monkeypatch.setattr(ecdsa, "sign_digest", forging)
+            forging(monkeypatch, {bad})
             signed = {digest: pair.sign(digest) for digest in (good, bad)}
-            assert len(keys._verifier.pending) + len(keys._READY) == 2
+            # Both verdicts are in before either is asked for, so neither
+            # record can be taken by this process.
+            settle(keys._verifier)
+            assert [key[2] for key in keys._READY] == [good, bad]
 
             def inline(*_args):
                 raise AssertionError("verified in this process, not by the verifier")
@@ -205,6 +276,114 @@ class TestChecking:
             assert pair.public_key.verify(good, signed[good]) is True
             assert pair.public_key.verify(bad, signed[bad]) is False
         assert keys.verify_cache_info()["misses"] == 2
+
+
+class TestTaking:
+    def test_a_stopped_verifier_leaves_every_check_to_the_caller(
+        self, verifier_on, monkeypatch, capsys
+    ):
+        pair = KeyPair.from_seed("verifier/stopped")
+        keys.clear_verify_cache()
+        with keys.verifying():
+            verifier = keys._verifier
+            spy = VerdictSpy(verifier.verdicts)
+            calls = counting_verifies(monkeypatch)  # this process only
+            monkeypatch.setattr(keys, "os", spy)
+            with stopped(verifier.pid):
+                signed = [(digest, pair.sign(digest)) for digest in digests("stopped", 8)]
+                for digest, signature in signed:
+                    started = time.monotonic()
+                    assert pair.public_key.verify(digest, signature) is True
+                    assert time.monotonic() - started < 5.0
+                assert len(calls) == 8
+                assert list(verifier.pending.values()) == [None] * 8
+            settle(verifier)
+            assert bytes(spy.answered) == b"\x02" * 8
+            assert not keys._READY  # a skip byte is never a verdict
+        assert capsys.readouterr().err == ""
+
+    def test_a_forged_s_taken_by_the_caller_is_refused_by_its_own_verify(
+        self, verifier_on, monkeypatch
+    ):
+        pair = KeyPair.from_seed("verifier/forged-taken")
+        (bad,) = digests("forged-taken", 1)
+        keys.clear_verify_cache()
+        forging(monkeypatch, {bad})
+        with keys.verifying():
+            verifier = keys._verifier
+            calls = counting_verifies(monkeypatch)
+            with stopped(verifier.pid):
+                signature = pair.sign(bad)
+                assert pair.public_key.verify(bad, signature) is False
+                assert len(calls) == 1 and list(verifier.pending.values()) == [None]
+            settle(verifier)
+        assert not keys._READY
+
+    def test_a_record_the_verifier_has_started_is_waited_for(self, verifier_on, monkeypatch):
+        pair = KeyPair.from_seed("verifier/started")
+        (digest,) = digests("started", 1)
+        keys.clear_verify_cache()
+        verify_digest = ecdsa.verify_digest
+
+        def slow(*args):  # the verifier's copy: long enough to be seen at work
+            time.sleep(0.5)
+            return verify_digest(*args)
+
+        monkeypatch.setattr(ecdsa, "verify_digest", slow)
+        with keys.verifying():
+
+            def inline(*_args):
+                raise AssertionError("verified in this process, not by the verifier")
+
+            monkeypatch.setattr(ecdsa, "verify_digest", inline)
+            signature = pair.sign(digest)
+            verifier = keys._verifier
+            deadline = time.monotonic() + 5.0
+            while verifier.claims[0] != keys._STARTED:
+                assert time.monotonic() < deadline, "the verifier never started the record"
+                time.sleep(0.001)
+            assert pair.public_key.verify(digest, signature) is True
+            assert not verifier.pending
+
+    def test_reused_slots_give_every_verdict_its_inline_value(
+        self, verifier_on, monkeypatch, capsys
+    ):
+        pair = KeyPair.from_seed("verifier/slots")
+        batches = [digests(f"slots/{batch}", 60) for batch in range(10)]
+        forged = {digest for batch in batches for digest in batch[::5]}
+        keys.clear_verify_cache()
+        forging(monkeypatch, forged)
+        signed, verdicts = {}, {}
+        with keys.verifying():
+            verifier = keys._verifier
+            for batch in batches:
+                with stopped(verifier.pid):
+                    signed.update((digest, pair.sign(digest)) for digest in batch)
+                    for digest in batch[::3]:  # taken: the verifier cannot start them
+                        verdicts[digest] = pair.public_key.verify(digest, signed[digest])
+                settle(verifier)
+                for digest in batch:
+                    if digest not in verdicts:  # answered by the verifier
+                        verdicts[digest] = pair.public_key.verify(digest, signed[digest])
+            assert verifier.written == 600 and keys._verifier is verifier
+        point = pair.public_key.point
+        inline = {
+            digest: ecdsa.verify_digest(point, digest, signature)
+            for digest, signature in signed.items()
+        }
+        assert verdicts == inline
+        assert sorted(inline.values()).count(False) == len(forged) == 120
+        assert capsys.readouterr().err == ""
+
+    def test_fifty_scopes_leak_no_descriptor_and_close_their_claim_map(self, verifier_on):
+        pair = KeyPair.from_seed("verifier/scopes")
+        descriptors = len(os.listdir("/proc/self/fd"))
+        for digest in digests("scopes", 50):
+            with keys.verifying():
+                claims = keys._verifier.claims
+                assert pair.public_key.verify(digest, pair.sign(digest))
+            assert claims.closed
+        assert len(os.listdir("/proc/self/fd")) == descriptors
 
 
 def differential_commands(work: Path) -> list[list[str]]:

@@ -528,6 +528,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             spec = dataclasses.replace(spec, duration=args.duration)
         service = SwapService(spec)
     with contextlib.ExitStack() as stack:
+        stack.callback(service.close)  # a refused call closes the session too
         if args.store:
             from .store import CampaignStore
 

@@ -87,7 +87,7 @@ def clear_verify_cache(tables: bool = True) -> None:
 # memo and its counters see what they would without the process, so no
 # artifact can tell.  At most ``_IN_FLIGHT_MAX`` records are outstanding
 # (40 KB, under a pipe's 64 KB) and the request pipe is non-blocking, so
-# no write ever blocks.  Leaving the outermost scope kills and reaps the
+# no write ever blocks.  Leaving the last open scope kills and reaps the
 # process; one that dies sooner leaves one stderr line and inline
 # verification.
 
@@ -114,11 +114,9 @@ def set_verifier(enabled: bool | None) -> None:
 @contextlib.contextmanager
 def verifying():
     """The scope inside which first-sight verifies run beside the caller
-    (see above); nesting it is a no-op, and no verifier process exists
-    once the outermost scope has exited."""
+    (see above); open scopes share one verifier, stopped by the last out."""
     global _scope_depth
-    outermost = _scope_depth == 0
-    if outermost:
+    if _scope_depth == 0:
         wanted = _verifier_wanted
         if wanted is None:
             wanted = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
@@ -129,7 +127,7 @@ def verifying():
         yield
     finally:
         _scope_depth -= 1
-        if outermost and _verifier is not None:
+        if _scope_depth == 0 and _verifier is not None:
             _verifier.collect()  # verdicts that have arrived stay usable
             _stop_verifier(reap=True)
 

@@ -479,7 +479,8 @@ class SwapEngine:
         The engine never blocks inside a driver: it simply pumps the
         shared event queue; drivers, miners, failure injectors, and
         arrival callbacks all interleave on the simulator clock.  First-
-        sight signature checks run beside it (:func:`verifying`).
+        sight signature checks run beside it (:func:`verifying`; inside an
+        open world this scope nests as a no-op).
         """
         sim = self.env.simulator
         processed = 0

@@ -1,9 +1,9 @@
 """The single entry point: ``run_experiment(spec) -> ExperimentResult``.
 
-Builds the world the spec describes (chains, mempools, miners, latency,
-fee market), generates the traffic stream through the generator
-registry, schedules fee shocks, runs the :class:`~repro.engine.SwapEngine`,
-and distills everything into one unified, JSON-exportable artifact: the
+Generates the traffic stream through the generator registry, opens the
+world the spec describes (:func:`open_world`: chains, mempools, miners,
+fee market and shocks), runs the :class:`~repro.engine.SwapEngine`, and
+distills everything into one unified, JSON-exportable artifact: the
 spec echo, aggregate :class:`~repro.engine.EngineMetrics` (overall and
 per protocol), per-swap outcomes, and the analysis reports (measured
 throughput, and fee economics when a fee market is on).
@@ -11,6 +11,7 @@ throughput, and fee economics when a fee market is on).
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -21,6 +22,7 @@ from ..core.evidence import evidence_cache_info, reset_evidence_cache_info
 from ..core.protocol import SwapOutcome
 from ..crypto.keys import clear_verify_cache as clear_ecdsa_cache
 from ..crypto.keys import verify_cache_info as ecdsa_cache_info
+from ..crypto.keys import verifying
 from ..crypto.signatures import clear_verify_cache as clear_multisig_cache
 from ..crypto.signatures import verify_cache_info as multisig_cache_info
 from ..engine import PROTOCOLS, EngineResult, SwapEngine
@@ -208,21 +210,6 @@ def build_environment(spec: ExperimentSpec, traffic: list) -> ScenarioEnvironmen
     return env
 
 
-def schedule_fee_shocks(spec: ExperimentSpec, env: ScenarioEnvironment) -> None:
-    """Arm the spec's fee shocks, timed from now; one that names no
-    chain floods the contended one (:func:`~repro.adversary.decision_chain`)."""
-    contended = decision_chain(spec.protocol, spec.chains.asset_ids(), spec.chains.witness)
-    for shock in spec.fee_shocks:
-        schedule_fee_shock(
-            env,
-            shock.chain_id or contended,
-            at=env.simulator.now + shock.at,
-            count=shock.count,
-            fee_rate=shock.fee_rate,
-            whale=shock.whale,
-        )
-
-
 def _reset_caches() -> None:
     """Start every run with empty memos so the ``caches`` report is a
     pure function of the spec — a warm process-global memo would leak one
@@ -305,10 +292,8 @@ def build_observability(
     all of obs is off: no collector ⇒ every emit-site guard stays
     False).  Metrics and the monitor ride the same event stream as
     sinks; when only they are armed the collector retains nothing — it
-    dispatches each event and lets it go.  Shared between
-    :func:`run_experiment` and the service-mode
-    :class:`~repro.service.SwapService` so both surfaces observe one
-    identical wiring.
+    dispatches each event and lets it go.  :func:`open_world` calls it,
+    so a run and a service session observe one identical wiring.
     """
     obs = spec.obs
     collector = None
@@ -348,42 +333,80 @@ def build_observability(
     return collector, registry, monitor, sampler
 
 
-def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """Validate and execute one spec end to end; never mutates ``spec``."""
-    spec.validate()
+class World(contextlib.ExitStack):
+    """One built world and its lifetime (see :func:`open_world`).
+
+    Closing it (``close()``, or leaving ``with``) stops the time-series
+    sampler and exits the world's signature-verifier scope
+    (:func:`~repro.crypto.keys.verifying`); a second close is a no-op.
+    """
+
+    env: ScenarioEnvironment
+    engine: SwapEngine
+    collector: TraceCollector | None
+    registry: MetricsRegistry | None
+    monitor: InvariantMonitor | None
+    sampler: TimeSeriesSampler | None
+
+
+def open_world(spec: ExperimentSpec, arrivals: list) -> World:
+    """The one wiring behind :func:`run_experiment` and
+    :class:`~repro.service.SwapService`: reset the memos, build the
+    environment that funds ``arrivals`` (a ``TrafficItem`` list), arm the
+    fee shocks (one that names no chain floods the contended one), wire
+    the engine, observability and adversarial roster, and last enter the
+    verifier scope, so a build that raises leaves nothing open."""
     _reset_caches()
-    traffic = traffic_generator(spec.traffic.generator)(spec)
-    env = build_environment(spec, traffic)
-
-    schedule_fee_shocks(spec, env)
-
-    engine = SwapEngine(
+    world = World()
+    world.env = env = build_environment(spec, arrivals)
+    contended = decision_chain(spec.protocol, spec.chains.asset_ids(), spec.chains.witness)
+    for shock in spec.fee_shocks:
+        schedule_fee_shock(
+            env,
+            shock.chain_id or contended,
+            at=env.simulator.now + shock.at,
+            count=shock.count,
+            fee_rate=shock.fee_rate,
+            whale=shock.whale,
+        )
+    world.engine = engine = SwapEngine(
         env,
         default_protocol="ac3wn" if spec.protocol == "mixed" else spec.protocol,
         witness_chain_id=spec.chains.witness,
         eager=spec.engine.eager,
         jitter_span=spec.engine.jitter,
     )
-    collector, registry, monitor, sampler = build_observability(spec, env, engine)
-    # Arm the adversarial roster (a no-op when every actor is disabled).
+    world.collector, world.registry, world.monitor, world.sampler = (
+        build_observability(spec, env, engine)
+    )
+    if world.sampler is not None:
+        world.callback(world.sampler.stop)
     build_roster(spec, env, engine)
-    # Arrivals are generated from t=0; shift them past the warm-up so
-    # the schedule stays genuinely open-loop (no clamped head batch).
-    offset = env.simulator.now
-    if spec.protocol == "mixed":
-        for index, item in enumerate(traffic):
-            engine.submit(
-                item.graph,
-                protocol=PROTOCOLS[index % len(PROTOCOLS)],
-                at=offset + item.at,
-                fee_budget=item.fee_budget,
-                crash=item.crash,
-            )
-    else:
-        engine.submit_many(traffic, offset=offset)
-    raw = engine.run(max_events=spec.engine.max_events)
-    if sampler is not None:
-        sampler.stop()
+    world.enter_context(verifying())
+    return world
+
+
+def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
+    """Validate and execute one spec end to end; never mutates ``spec``."""
+    spec.validate()
+    traffic = traffic_generator(spec.traffic.generator)(spec)
+    with open_world(spec, traffic) as world:
+        env, engine = world.env, world.engine
+        # Arrivals are generated from t=0; shift them past the warm-up so
+        # the schedule stays genuinely open-loop (no clamped head batch).
+        offset = env.simulator.now
+        if spec.protocol == "mixed":
+            for index, item in enumerate(traffic):
+                engine.submit(
+                    item.graph,
+                    protocol=PROTOCOLS[index % len(PROTOCOLS)],
+                    at=offset + item.at,
+                    fee_budget=item.fee_budget,
+                    crash=item.crash,
+                )
+        else:
+            engine.submit_many(traffic, offset=offset)
+        raw = engine.run(max_events=spec.engine.max_events)
 
     congestion_cost = None
     if spec.fee_market.enabled:
@@ -401,7 +424,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         engine_result=raw,
         env=env,
         caches=_caches_report(),
-        trace_collector=collector if spec.obs.enabled else None,
-        metrics_registry=registry,
-        alerts=monitor.alerts if monitor is not None else None,
+        trace_collector=world.collector if spec.obs.enabled else None,
+        metrics_registry=world.registry,
+        alerts=world.monitor.alerts if world.monitor is not None else None,
     )

@@ -27,24 +27,16 @@ makes the reconstructed state *the* state, not a copy of it.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from .. import serde
-from ..adversary import build_roster
-from ..crypto.keys import verifying
-from ..engine import SwapEngine
 from ..engine.engine import SwapRequest
 from ..engine.metrics import EngineMetrics
 from ..errors import ServiceError
-from ..experiment.runner import (
-    _artifact_dict,
-    _reset_caches,
-    build_environment,
-    build_observability,
-    schedule_fee_shocks,
-)
+from ..experiment.runner import _artifact_dict, open_world
 from ..workloads.scenarios import (
     TrafficItem,
     swap_graph,
@@ -119,11 +111,11 @@ class ServiceResult:
 class SwapService:
     """One open-ended swap-serving session over a simulated world.
 
-    Construction builds the full world up front: ``capacity`` swap
-    slots are pre-provisioned (per-slot participants funded at genesis
-    — a session can accept at most ``capacity`` swaps), the world warms
-    up, fee shocks are scheduled, and the observability stack from the
-    embedded world spec is wired exactly as ``run_experiment`` wires it.
+    Construction opens the world up front, as ``run_experiment`` does
+    (:func:`~repro.experiment.runner.open_world`), with ``capacity`` swap
+    slots pre-provisioned (a session can accept at most ``capacity``
+    swaps).  The world and its one signature verifier live until
+    :meth:`close`, which :meth:`drain` ends with.
 
     The lifecycle is serve → drain → result::
 
@@ -140,7 +132,6 @@ class SwapService:
         spec.validate()
         self.spec = spec
         world = spec.world
-        _reset_caches()
         # Slot pre-provisioning: the graphs are built once with the
         # world's default amount so genesis can fund every slot's
         # participants; a slot accepted with a different amount rebuilds
@@ -152,26 +143,11 @@ class SwapService:
             amount=world.traffic.amount,
             prefix=world.traffic.prefix,
         )
-        self.env = build_environment(
+        self._world = open_world(
             world, [TrafficItem(at=0.0, graph=graph) for graph in self._slots]
         )
-        schedule_fee_shocks(world, self.env)
-        self.engine = SwapEngine(
-            self.env,
-            default_protocol=(
-                "ac3wn" if world.protocol == "mixed" else world.protocol
-            ),
-            witness_chain_id=world.chains.witness,
-            eager=world.engine.eager,
-            jitter_span=world.engine.jitter,
-        )
-        (
-            self.collector,
-            self.metrics_registry,
-            self.monitor,
-            self._sampler,
-        ) = build_observability(world, self.env, self.engine)
-        build_roster(world, self.env, self.engine)
+        self.env, self.engine = self._world.env, self._world.engine
+        self.collector = self._world.collector
         #: Session time zero: everything in the request log and the
         #: windowed series is relative to this post-warm-up instant.
         self.start = self.env.simulator.now
@@ -186,23 +162,22 @@ class SwapService:
         self._closed = False
         self._store = None
         self._campaign_id = None
-        self._window_gauges = None
-        if self.metrics_registry is not None:
-            registry = self.metrics_registry
-            self._window_gauges = {
-                name: registry.gauge(
-                    f"repro_service_window_{name}",
-                    f"service sliding-window {name.replace('_', ' ')}",
-                )
-                for name in (
-                    "total",
-                    "commit_rate",
-                    "p50_latency",
-                    "p99_latency",
-                    "priced_out_rate",
-                    "in_flight",
-                )
-            }
+        registry = self._world.registry
+        self._window_gauges = {
+            name: registry.gauge(
+                f"repro_service_window_{name}",
+                f"service sliding-window {name.replace('_', ' ')}",
+            )
+            for name in (
+                "total",
+                "commit_rate",
+                "p50_latency",
+                "p99_latency",
+                "priced_out_rate",
+                "in_flight",
+            )
+            if registry is not None
+        }
 
     # -- session state -----------------------------------------------------
 
@@ -320,14 +295,8 @@ class SwapService:
             "in_flight": self.engine.in_flight,
         }
         self.windows.append(sample)
-        if self._window_gauges is not None:
-            gauges = self._window_gauges
-            gauges["total"].set(float(wm.total))
-            gauges["commit_rate"].set(wm.commit_rate)
-            gauges["p50_latency"].set(wm.p50_latency)
-            gauges["p99_latency"].set(wm.p99_latency)
-            gauges["priced_out_rate"].set(wm.priced_out_rate)
-            gauges["in_flight"].set(float(self.engine.in_flight))
+        for name, gauge in self._window_gauges.items():
+            gauge.set(float(sample[name]))
         collector = self.collector
         if collector is not None and collector.wants("service"):
             collector.emit("service", "window", **sample)
@@ -345,7 +314,6 @@ class SwapService:
             self._sources.append(source)
         self._lookahead = [_UNSET] * len(self._sources)
 
-    @verifying()
     def serve(
         self,
         duration: float | None = None,
@@ -413,13 +381,12 @@ class SwapService:
             self._advance_to(deadline)
         return self.accepted
 
-    @verifying()
     def drain(self, max_wall_s: float | None = 60.0) -> None:
         """Quiesce the session: wait out in-flight swaps (bounded by
         ``spec.drain_timeout`` sim-seconds), stop the miners, and run
         the queue dry under :meth:`~repro.sim.Simulator.run_until_idle`
         guards.  A non-idle stop is surfaced as a ``service/stall``
-        trace event and in :attr:`stall`.  Closes the session.
+        trace event and in :attr:`stall`.  Ends with :meth:`close`.
         """
         if self._closed:
             return
@@ -433,8 +400,8 @@ class SwapService:
         # session's queue deliberately non-empty.
         for miner in self.env.miners.values():
             miner.stop()
-        if self._sampler is not None:
-            self._sampler.stop()
+        if self._world.sampler is not None:
+            self._world.sampler.stop()
         reason, processed = sim.run_until_idle(
             max_wall_s=max_wall_s, max_events=self.spec.world.engine.max_events
         )
@@ -446,7 +413,14 @@ class SwapService:
         # A drained queue with unfinished swaps (drain timeout hit, or a
         # stalled loop) force-finalizes those drivers, like engine.run.
         engine.finish_unfinished()
+        self.close()
+
+    def close(self) -> None:
+        """End the session: close its world, which stops the sampler and
+        the signature verifier.  ``serve`` and ``checkpoint`` refuse a
+        closed session and ``drain`` skips it; closing twice is a no-op."""
         self._closed = True
+        self._world.close()
 
     def run(
         self,
@@ -478,8 +452,8 @@ class SwapService:
             stall=self.stall,
             chain_reorgs=raw.chain_reorgs,
             requests=raw.requests,
-            metrics_registry=self.metrics_registry,
-            alerts=self.monitor.alerts if self.monitor is not None else None,
+            metrics_registry=self._world.registry,
+            alerts=self._world.monitor.alerts if self._world.monitor is not None else None,
         )
 
     def request_log(self) -> str:
@@ -594,22 +568,25 @@ class SwapService:
                 f"requests but carries {len(saved.records)} records"
             )
         service = cls(saved.spec)
-        with verifying():
+        try:
             service._replay_records(saved.records)
             service._advance_to(saved.clock)
-        service.epoch = saved.epoch
-        digest = service._digest()
-        if digest != saved.digest:
-            raise ServiceError(
-                f"checkpoint digest mismatch after replay: checkpoint says "
-                f"{saved.digest}, replay produced {digest} — the spec, "
-                f"code version, or checkpoint file changed"
-            )
-        service._ensure_sources()
-        for source in service._sources:
-            count = saved.cursors.get(source.name, 0)
-            if count:
-                source.skip(count)
+            service.epoch = saved.epoch
+            digest = service._digest()
+            if digest != saved.digest:
+                raise ServiceError(
+                    f"checkpoint digest mismatch after replay: checkpoint says "
+                    f"{saved.digest}, replay produced {digest} — the spec, "
+                    f"code version, or checkpoint file changed"
+                )
+            service._ensure_sources()
+            for source in service._sources:
+                count = saved.cursors.get(source.name, 0)
+                if count:
+                    source.skip(count)
+        except BaseException:
+            service.close()
+            raise
         return service
 
     @classmethod
@@ -624,8 +601,7 @@ class SwapService:
         replay uses the same accept path as live serving, its result
         and re-dumped request log are byte-identical to the original's.
         """
-        service = cls(spec)
-        with verifying():
+        with contextlib.closing(cls(spec)) as service:
             service._replay_records(records)
             if spec.duration is not None:
                 service._advance_to(service.start + spec.duration)

@@ -261,8 +261,10 @@ class TestSerdeFileDigests:
 
         service = SwapService(service_preset_spec("serve-steady"))
         service.serve(max_swaps=8)
+        checkpoint = service.checkpoint()
+        service.close()
         files = self.DIGESTS["files"]
-        assert _sha(service.checkpoint()) == files["serve-steady.max8.checkpoint"]
+        assert _sha(checkpoint) == files["serve-steady.max8.checkpoint"]
         assert _sha(service.request_log()) == files["serve-steady.max8.request-log"]
 
     def test_full_session_request_log(self):

@@ -90,7 +90,9 @@ def session():
     """A small served session: its checkpoint text and request log."""
     service = SwapService(small_service_spec())
     service.serve(max_swaps=3)
-    return {"checkpoint": service.checkpoint(), "log": service.request_log()}
+    files = {"checkpoint": service.checkpoint(), "log": service.request_log()}
+    service.close()
+    return files
 
 
 def trace_text() -> str:
@@ -347,7 +349,9 @@ class TestAtomicWrites:
         # previous one byte for byte; it restores to the same session.
         assert seen_at_target == [first]
         assert path.read_text() == first
+        service.close()
         restored = SwapService.restore(str(path))
+        restored.close()
         assert restored.accepted == 2
         assert restored.request_log() == dump_request_log(
             service.spec, service.records[:2]
@@ -1178,6 +1182,7 @@ class TestRetiredKeys:
         restored = SwapService.restore(str(OLD_SESSION["checkpoint"]))
         assert restored.request_log() == ours["log"]
         assert restored.checkpoint() == service.checkpoint()
+        service.close()
         restored.serve()
         restored.drain()
         uninterrupted = SwapService(service_preset_spec("serve-steady"))

@@ -16,6 +16,7 @@ import sys
 
 import pytest
 
+from repro.crypto import keys
 from repro.engine import PROTOCOLS
 from repro.errors import ServiceError, SpecError
 from repro.experiment import apply_overrides
@@ -281,8 +282,10 @@ class TestSessionBounds:
             for seq in range(2)
         ]
         spec = make_spec(max_swaps=1, capacity=1)
-        with pytest.raises(ServiceError, match="capacity exhausted"):
+        with pytest.raises(ServiceError, match="capacity exhausted") as refused:
             SwapService.replay(spec, records)
+        # ``refused`` keeps the replay's frames: only close() ended its world.
+        assert keys._scope_depth == 0, refused
 
     def test_a_drained_session_is_closed(self):
         service = SwapService(make_spec(duration=1.0))
@@ -308,6 +311,7 @@ class TestSessionBounds:
         service = SwapService(make_spec(duration=1.0))
         with pytest.raises(SpecError) as refused:
             service.serve(checkpoint_path=str(tmp_path / "ck.json"), **limits)
+        service.close()  # the traceback in ``refused`` keeps the session alive
         assert str(refused.value) == said
         assert service.accepted == 0 and not list(tmp_path.iterdir())
 
@@ -317,6 +321,7 @@ class TestSessionBounds:
         service = SwapService(make_spec(rate=6.0, capacity=3))
         assert service.serve() == 3
         assert service.serve() == 3
+        service.close()
         assert [r.seq for r in service.records] == [0, 1, 2]
 
     def test_drain_settles_every_accepted_swap(self):
@@ -372,8 +377,9 @@ class TestCheckpointRestore:
         path = str(tmp_path / "ck.json")
         interrupted.checkpoint(path)
 
-        restored = SwapService.restore(path)
+        restored = SwapService.restore(path)  # while the interrupted world is open
         result = restored.run()
+        interrupted.close()
         assert result.to_json() == baseline.result().to_json()
         assert restored.request_log() == baseline.request_log()
 
@@ -391,6 +397,7 @@ class TestCheckpointRestore:
         assert burst.burst_at < interrupted.env.simulator.now - interrupted.start
         path = str(tmp_path / "ck.json")
         interrupted.checkpoint(path)
+        interrupted.close()
         restored = SwapService.restore(path)
         assert restored.run().to_json() == baseline.result().to_json()
         assert restored.request_log() == baseline.request_log()
@@ -406,6 +413,7 @@ class TestCheckpointRestore:
         interrupted.serve(max_swaps=baseline.accepted // 2)
         ckpt = tmp_path / "ck.json"
         interrupted.checkpoint(str(ckpt))
+        interrupted.close()
 
         script = (
             "import sys\n"
@@ -433,8 +441,10 @@ class TestCheckpointRestore:
         path = str(tmp_path / "ck.json")
         service = SwapService(make_spec(seed=33))
         service.serve(checkpoint_path=path, checkpoint_every=5)
+        service.close()
         assert service.epoch >= 1
         restored = SwapService.restore(path)
+        restored.close()
         assert restored.accepted == int(
             json.loads(open(path).read())["accepted"]
         )
@@ -444,17 +454,21 @@ class TestCheckpointRestore:
         service.serve(max_swaps=6)
         path = tmp_path / "ck.json"
         service.checkpoint(str(path))
+        service.close()
         data = json.loads(path.read_text())
         data["digest"]["committed"] += 1
         path.write_text(json.dumps(data))
-        with pytest.raises(ServiceError, match="digest mismatch"):
+        with pytest.raises(ServiceError, match="digest mismatch") as refused:
             SwapService.restore(str(path))
+        # ``refused`` keeps the restore's frames: only close() ended its world.
+        assert keys._scope_depth == 0, refused
 
     def test_malformed_checkpoints_rejected(self, tmp_path):
         service = SwapService(make_spec(seed=35))
         service.serve(max_swaps=4)
         path = tmp_path / "ck.json"
         service.checkpoint(str(path))
+        service.close()
         good = json.loads(path.read_text())
 
         bad = dict(good)
@@ -485,6 +499,7 @@ class TestCheckpointRestore:
         service.serve(max_swaps=2)
         path = tmp_path / "ck.json"
         path.write_text(json.dumps({**json.loads(service.checkpoint()), field: value}))
+        service.close()
         with pytest.raises(ServiceError, match=rf"checkpoint\.{field}: expected"):
             SwapService.restore(str(path))
 
@@ -495,9 +510,12 @@ class TestCheckpointRestore:
         service.serve(max_swaps=3)
         path = tmp_path / "ck.json"
         checkpoint = service.checkpoint(str(path))
+        service.close()
         header = service.request_log().splitlines()[0]
         assert '"eager":true' in checkpoint and '"eager":true' in header
-        assert SwapService.restore(str(path)).accepted == 3
+        restored = SwapService.restore(str(path))
+        restored.close()
+        assert restored.accepted == 3
         log_spec, records = load_request_log(service.request_log())
         assert log_spec.world.engine.eager is True and len(records) == 3
 
@@ -536,8 +554,10 @@ class TestReplay:
             RequestRecord(seq=1, at=0.5, source="p", protocol="ac3wn", amount=100),
             RequestRecord(seq=0, at=1.0, source="p", protocol="ac3wn", amount=100),
         ]
-        with pytest.raises(ServiceError, match="out of order"):
+        with pytest.raises(ServiceError, match="out of order") as refused:
             SwapService.replay(make_spec(), records)
+        # ``refused`` keeps the replay's frames: only close() ended its world.
+        assert keys._scope_depth == 0, refused
 
     def test_windowed_series_is_replay_stable(self):
         spec = make_spec(seed=42)

@@ -3,7 +3,8 @@
 Inside ``keys.verifying()`` each signature is also checked by one forked
 process (``repro/crypto/keys.py``).  Its contract is tested here:
 
-* **lifetime** — no verifier exists once a public call returns, one
+* **lifetime** — a world (a run, a session, a restore, a replay) forks
+  one verifier, none exists once every open world has closed, one
   whose owner is SIGKILLed exits, and one that dies mid-run leaves one
   named stderr line and a run that finishes as it would have;
 * **checking** — a bad signature is refused by the verifier's own
@@ -30,7 +31,9 @@ from repro.cli import main
 from repro.crypto import ecdsa, keys
 from repro.crypto.hashing import sha256
 from repro.crypto.keys import KeyPair
-from repro.experiment import apply_overrides, preset_spec, run_experiment
+from repro.experiment import apply_overrides, preset_spec, run_experiment, traffic_generator
+from repro.experiment.runner import open_world
+from repro.service import SwapService, service_preset_spec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -89,6 +92,53 @@ def digests(label: str, count: int) -> list[bytes]:
     return [sha256(b"%s/%d" % (label.encode(), index)) for index in range(count)]
 
 
+def session_spec():
+    return apply_overrides(service_preset_spec("serve-steady"), {"duration": 4.0})
+
+
+# Each returns the public calls to count, after any set-up they need; the
+# calls return what they made, which the test keeps alive while it checks.
+
+
+def running(tmp_path):
+    spec = apply_overrides(preset_spec("engine-smoke"), {"traffic.num_swaps": 4})
+    return lambda: run_experiment(spec)
+
+
+def serving_checkpointing_draining(tmp_path):
+    def calls():
+        service = SwapService(session_spec())
+        service.serve()
+        service.checkpoint(str(tmp_path / "ck.json"))
+        service.drain()
+        return service
+
+    return calls
+
+
+def restoring_serving_draining(tmp_path):
+    path = str(tmp_path / "ck.json")
+    interrupted = SwapService(session_spec())
+    interrupted.serve(max_swaps=3)
+    interrupted.checkpoint(path)
+    interrupted.close()
+
+    def calls():
+        restored = SwapService.restore(path)
+        restored.serve()
+        restored.drain()
+        return restored
+
+    return calls
+
+
+def replaying(tmp_path):
+    spec = session_spec()
+    original = SwapService(spec)
+    original.run()
+    return lambda: SwapService.replay(spec, original.records)
+
+
 class TestLifetime:
     def test_no_verifier_outlives_its_scope_and_nesting_keeps_one(self, verifier_on):
         with keys.verifying():
@@ -117,10 +167,30 @@ class TestLifetime:
         finally:
             keys.set_verifier(None)
 
-    def test_a_public_call_leaves_no_verifier(self, verifier_on):
-        spec = apply_overrides(preset_spec("engine-smoke"), {"traffic.num_swaps": 4})
-        run_experiment(spec)
+    def test_worlds_close_in_any_order_and_the_last_stops_the_verifier(self, verifier_on):
+        spec = apply_overrides(preset_spec("engine-smoke"), {"traffic.num_swaps": 2})
+        traffic = traffic_generator(spec.traffic.generator)(spec)
+        first = open_world(spec, traffic)
+        with open_world(spec, traffic):
+            pid = keys._verifier.pid
+            first.close()
+            assert keys._verifier is not None and keys._verifier.pid == pid
+            assert alive(pid)
         assert keys._verifier is None and keys._scope_depth == 0
+        assert not alive(pid)
+
+    @pytest.mark.parametrize(
+        "calls",
+        [running, serving_checkpointing_draining, restoring_serving_draining, replaying],
+    )
+    def test_a_public_call_leaves_no_verifier(self, verifier_on, monkeypatch, tmp_path, calls):
+        """Each call sequence forks exactly one verifier, its world's."""
+        call = calls(tmp_path)
+        fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        made = call()
+        assert len(forks) == 1
+        assert keys._verifier is None and keys._scope_depth == 0, made
 
     def test_a_killed_owner_takes_its_verifier_with_it(self):
         script = (

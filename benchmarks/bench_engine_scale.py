@@ -16,9 +16,10 @@ point a decade below it — 10^3 against 10^2 on every PR, 10^4 against
 local profiling, not per-PR CI).  Chain state that cost the whole world
 per wallet lookup and per block (before PR 15) failed the second gate.
 
-Each point also records ``build_environment_seconds`` — the world
-construction (key derivation, genesis, warm-up) inside its wall time —
-so set-up cost is tracked per commit next to swaps/s.
+Each point also records ``setup_seconds`` — everything inside its wall
+time before ``SwapEngine.run`` starts: traffic, key derivation, genesis,
+warm-up and wiring — so set-up cost is tracked per commit next to
+swaps/s.
 
 When ``ENGINE_SCALE_JSON`` is set, every point appends its wall-clock
 timing to that JSON file — the CI ``benchmarks`` job uploads it so
@@ -37,7 +38,8 @@ from unittest import mock
 
 import pytest
 
-from repro.experiment import preset_spec, run_experiment, runner
+from repro.engine import SwapEngine
+from repro.experiment import preset_spec, run_experiment
 from repro.experiment.spec import TrafficSpec
 
 from conftest import print_table, record_store_timing
@@ -65,25 +67,22 @@ def scale_spec(num_swaps: int):
 
 
 def _run_point(num_swaps: int):
-    """Run one scale point; returns (result, wall_seconds, build_seconds)."""
+    """Run one scale point; returns (result, wall_seconds, setup_seconds)."""
     spec = scale_spec(num_swaps)
-    build_environment = runner.build_environment
-    build_seconds = []
+    run, setup_seconds = SwapEngine.run, []
 
-    def timed_build(*args):
-        start = time.perf_counter()
-        env = build_environment(*args)
-        build_seconds.append(time.perf_counter() - start)
-        return env
+    def timed_run(engine, *args, **kwargs):
+        setup_seconds.append(time.perf_counter() - start)
+        return run(engine, *args, **kwargs)
 
-    with mock.patch.object(runner, "build_environment", timed_build):
+    with mock.patch.object(SwapEngine, "run", timed_run):
         start = time.perf_counter()
         result = run_experiment(spec)
         wall = time.perf_counter() - start
-    return result, wall, build_seconds[0]
+    return result, wall, setup_seconds[0]
 
 
-def _record_timing(num_swaps: int, wall: float, build: float, result) -> None:
+def _record_timing(num_swaps: int, wall: float, setup: float, result) -> None:
     """Append this point's timing to the configured artifacts (the
     ``ENGINE_SCALE_JSON`` file and/or the ``BENCH_STORE_DB`` campaign
     database), if any."""
@@ -91,7 +90,7 @@ def _record_timing(num_swaps: int, wall: float, build: float, result) -> None:
     entry = {
         "num_swaps": num_swaps,
         "wall_seconds": round(wall, 3),
-        "build_environment_seconds": round(build, 3),
+        "setup_seconds": round(setup, 3),
         "swaps_per_second_wall": round(num_swaps / wall, 3),
         "committed": metrics.committed,
         "aborted": metrics.aborted,
@@ -136,7 +135,7 @@ def _assert_holds_rate(rates: dict, num_swaps: int) -> None:
 
 
 def _check_and_report(num_swaps: int, point, table_printer, rates) -> None:
-    result, wall, build = point
+    result, wall, setup = point
     metrics = result.metrics
     rows = [
         [
@@ -158,7 +157,7 @@ def _check_and_report(num_swaps: int, point, table_printer, rates) -> None:
         ]
     )
     table_printer(
-        f"Engine scale {num_swaps}: {wall:.1f}s wall ({build:.1f}s building the world), "
+        f"Engine scale {num_swaps}: {wall:.1f}s wall ({setup:.1f}s before the run), "
         f"{num_swaps / wall:.2f} swaps/s, peak {metrics.max_in_flight}",
         ["protocol", "swaps", "committed", "violations", "p50"],
         rows,
@@ -168,7 +167,7 @@ def _check_and_report(num_swaps: int, point, table_printer, rates) -> None:
     assert metrics.committed + metrics.aborted == num_swaps
     for name in ("ac3tw", "ac3wn"):
         assert result.by_protocol[name].atomicity_violations == 0
-    _record_timing(num_swaps, wall, build, result)
+    _record_timing(num_swaps, wall, setup, result)
     rates[num_swaps] = num_swaps / wall
 
 

@@ -28,7 +28,7 @@ from .messages import ChainMessage, transfer_ids
 from .params import ChainParams
 from .pow import check_pow, mine_header, work_for_bits
 from .state import ChainState
-from .transaction import OutPoint, TxOutput, coinbase_encoding
+from .transaction import OutPoint, TxOutput, coinbase_encoding, coinbase_tail
 
 GENESIS_PREV = b"\x00" * 32
 
@@ -63,15 +63,18 @@ def build_genesis(allocations: Iterable[tuple[Address, int]]) -> Genesis:
     """The genesis minting ``allocations``, ``(address, value)`` pairs, in
     order: coin ``nonce`` is output 0 of the coinbase paying that pair
     under ``nonce``, whose template bytes are hashed into its txid and,
-    for the roots, its message id.  A run of equal allocations holds one
-    :class:`TxOutput`."""
+    for the roots, its message id.  A run of equal allocations (equal
+    value *and* type: ``True`` encodes unlike ``1``) holds one
+    :class:`TxOutput` and encodes it once: each coin adds only its
+    nonce.  Both roots are root-only Merkle passes."""
     state = ChainState()
     ids = []
-    last = output = None
+    last = None
     for nonce, (address, value) in enumerate(allocations):
         if (address, value, type(value)) != last:
             last, output = (address, value, type(value)), TxOutput(address, value)
-        txid, message_id = transfer_ids(coinbase_encoding(output, nonce))
+            tail = coinbase_tail(output)
+        txid, message_id = transfer_ids(coinbase_encoding(output, nonce, tail))
         state.utxos.add(OutPoint(txid, 0), output)
         ids.append(message_id)
     return Genesis(

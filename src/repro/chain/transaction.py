@@ -136,14 +136,23 @@ _COINBASE_WIRE = canonical_encode(
 ).split(canonical_encode(None))[:3]
 
 
-def coinbase_encoding(output: TxOutput, nonce: int) -> bytes:
+def coinbase_tail(output: TxOutput) -> bytes:
+    """The bytes after the nonce of any coinbase minting ``output``."""
+    out = bytearray(_COINBASE_WIRE[1])
+    _encode_into(output.owner.raw, out)
+    out += _COINBASE_WIRE[2]
+    _encode_into(output.value, out)
+    return bytes(out)
+
+
+def coinbase_encoding(output: TxOutput, nonce: int, tail: bytes | None = None) -> bytes:
     """The canonical encoding of the coinbase minting ``output`` under
     ``nonce`` (no inputs, one output), filled into :data:`_COINBASE_WIRE`
-    without building the transaction."""
-    out = bytearray()
-    for part, leaf in zip(_COINBASE_WIRE, (nonce, output.owner.raw, output.value)):
-        out += part
-        _encode_into(leaf, out)
+    without building the transaction; ``tail`` is
+    :func:`coinbase_tail` of ``output`` when the caller has it."""
+    out = bytearray(_COINBASE_WIRE[0])
+    _encode_into(nonce, out)
+    out += coinbase_tail(output) if tail is None else tail
     return bytes(out)
 
 

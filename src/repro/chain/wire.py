@@ -126,15 +126,22 @@ def wire_hash(value: Any, domain: str = "repro/wire") -> bytes:
     return hash_encoded(canonical_encode(value), domain)
 
 
+#: domain -> a SHA-256 that has hashed ``domain`` and the 0 byte; copied per hash.
+_SEEDED: dict[str, Any] = {}
+
+
 def hash_encoded(encoded: bytes, domain: str = "repro/wire") -> bytes:
-    """Domain-separated SHA-256 over an already-canonical encoding.
+    """Domain-separated SHA-256 over an already-canonical encoding:
+    ``sha256(domain || 0x00 || encoded)``.
 
     Messages derive several digests (message id, signing digest, contract
     id) from the *same* canonical bytes; callers that cache the encoding
-    use this to skip re-encoding for each domain.
+    use this to skip re-encoding for each domain.  Each domain's prefix
+    is hashed once, into a hasher every call copies.
     """
-    hasher = hashlib.sha256()
-    hasher.update(domain.encode("utf-8"))
-    hasher.update(b"\x00")
+    seeded = _SEEDED.get(domain)
+    if seeded is None:
+        seeded = _SEEDED[domain] = hashlib.sha256(domain.encode("utf-8") + b"\x00")
+    hasher = seeded.copy()
     hasher.update(encoded)
     return hasher.digest()

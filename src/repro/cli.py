@@ -59,6 +59,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json as _json
 import os
 import sys
@@ -277,6 +278,7 @@ def _profiled(destination: str | None, fn):
     import io
     import pstats
 
+    previous = sys.getprofile()
     profiler = cProfile.Profile()
     profiler.enable()
     try:
@@ -284,11 +286,16 @@ def _profiled(destination: str | None, fn):
     finally:
         profiler.disable()
         stream = io.StringIO()
-        pstats.Stats(profiler, stream=stream).sort_stats("cumulative").print_stats(25)
-        block = stream.getvalue()
-        if destination != "-":
-            profiler.dump_stats(destination)
-            block += f"wrote profile data to {destination}\n"
+        try:
+            pstats.Stats(profiler, stream=stream).sort_stats("cumulative").print_stats(25)
+            block = stream.getvalue()
+            if destination != "-":
+                profiler.dump_stats(destination)
+                block += f"wrote profile data to {destination}\n"
+        finally:
+            # Each stats call disables the profiler again, and with it any
+            # outer hook (the reachability drive's): put that one back.
+            sys.setprofile(previous)
         _diagnose(block)
     return result
 
@@ -363,6 +370,21 @@ def _resolve_spec(args: argparse.Namespace, command: str):
     else:
         raise SpecError(f"pass --preset or --spec; presets: {', '.join(catalog)}")
     return apply_overrides(spec, parse_set_args(args.set or []))
+
+
+def _print_helper_report() -> None:
+    """What each side of the world's helper process did (``--profile``)."""
+    from .crypto.keys import verifier_report
+
+    report = verifier_report()
+    parent, helper = report["parent"], report["helper"]
+    _diagnose(
+        f"signature helper: this process derived {parent['seeds_derived']} seeds, "
+        f"verified {parent['records_verified']} records, built {parent['key_tables']} "
+        f"key tables; the helper derived {helper['seeds_derived']} seeds, verified "
+        f"{helper['records_verified']} records, skipped {helper['records_skipped']}, "
+        f"built {helper['key_tables']} key tables, {helper['cpu_s']:.2f} s CPU"
+    )
 
 
 def _print_queue_stats(result: ExperimentResult) -> None:
@@ -446,6 +468,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = _profiled(args.profile, lambda: run_experiment(spec))
     if args.profile is not None:
         _print_queue_stats(result)
+        _print_helper_report()
     with contextlib.redirect_stdout(_narration(args.json, args.trace, args.metrics)):
         print_result(result)
         if args.metrics:
@@ -514,7 +537,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "--restore resumes a checkpointed session; pass either "
                 "--restore or --preset/--spec/--set, not both"
             )
-        service = SwapService.restore(args.restore)
+        open_session = functools.partial(SwapService.restore, args.restore)
     else:
         spec = _resolve_spec(args, "serve")
         # Bake --duration into the spec itself so the request log's
@@ -526,28 +549,35 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # must byte-match after restore.
         if args.duration is not None:
             spec = dataclasses.replace(spec, duration=args.duration)
-        service = SwapService(spec)
-    with contextlib.ExitStack() as stack:
-        stack.callback(service.close)  # a refused call closes the session too
-        if args.store:
-            from .store import CampaignStore
+        open_session = functools.partial(SwapService, spec)
 
-            store = stack.enter_context(CampaignStore(args.store))
-            service.attach_store(store)
-        # A restored session's spec already carries whatever was
-        # baked at serve time; CLI flags still override per-call.
-        service.serve(checkpoint_path=args.checkpoint, **limits)
-        every = (
-            args.checkpoint_every
-            if args.checkpoint_every is not None
-            else service.spec.checkpoint_every
-        )
-        if args.checkpoint is not None and every is None:
-            # No cadence anywhere: --checkpoint means "one checkpoint
-            # at the moment serving stops" (the hand-off primitive).
-            service.checkpoint(args.checkpoint)
-        service.drain()
-        result = service.result()
+    def session():
+        service = open_session()
+        with contextlib.ExitStack() as stack:
+            stack.callback(service.close)  # a refused call closes the session too
+            if args.store:
+                from .store import CampaignStore
+
+                store = stack.enter_context(CampaignStore(args.store))
+                service.attach_store(store)
+            # A restored session's spec already carries whatever was
+            # baked at serve time; CLI flags still override per-call.
+            service.serve(checkpoint_path=args.checkpoint, **limits)
+            every = (
+                args.checkpoint_every
+                if args.checkpoint_every is not None
+                else service.spec.checkpoint_every
+            )
+            if args.checkpoint is not None and every is None:
+                # No cadence anywhere: --checkpoint means "one checkpoint
+                # at the moment serving stops" (the hand-off primitive).
+                service.checkpoint(args.checkpoint)
+            service.drain()
+            return service, service.result()
+
+    service, result = _profiled(args.profile, session)
+    if args.profile is not None:
+        _print_helper_report()
     _report_service(result, service.request_log(), args)
     if args.checkpoint is not None:
         print(f"wrote checkpoint {args.checkpoint}", file=_narration(args.json))
@@ -1025,8 +1055,8 @@ def build_parser() -> argparse.ArgumentParser:
     _profile_option(
         run,
         "profile the run under cProfile and print the top 25 "
-        "cumulative-time entries to stderr; with FILE, also dump the raw "
-        "pstats data there",
+        "cumulative-time entries and what the helper process did to "
+        "stderr; with FILE, also dump the raw pstats data there",
     )
     run.add_argument(
         "--trace",
@@ -1114,6 +1144,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="file every checkpoint epoch into this campaign database",
     )
     _json_option(serve, "ServiceResult")
+    _profile_option(
+        serve,
+        "profile the session (open, serve, drain) under cProfile and print "
+        "the top 25 cumulative-time entries and what the helper process "
+        "did to stderr; with FILE, also dump the raw pstats data there",
+    )
     serve.set_defaults(func=_cmd_serve)
 
     replay = sub.add_parser(

@@ -212,6 +212,7 @@ _SPAN = 33
 _G_TABLE: tuple[tuple[int, int], ...] = ()
 _KEY_TABLES: "OrderedDict[tuple[int, int], tuple]" = OrderedDict()
 _KEY_TABLES_MAX = 512
+key_tables_built = 0  # every key-table build so far (a diagnostic count)
 
 
 def _base_table(point: Point, width: int) -> tuple[tuple[int, int], ...]:
@@ -240,9 +241,11 @@ def _generator_table() -> tuple[tuple[int, int], ...]:
 
 def _key_table(point: Point) -> tuple[tuple[int, int], ...]:
     """``point``'s width-5 table, built on first use and kept (LRU)."""
+    global key_tables_built
     key = (point.x, point.y)
     table = _KEY_TABLES.get(key)
     if table is None:
+        key_tables_built += 1
         table = _KEY_TABLES[key] = _base_table(point, 5)
         if len(_KEY_TABLES) > _KEY_TABLES_MAX:
             _KEY_TABLES.popitem(last=False)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ..errors import InvalidProofError
 from .hashing import sha256
@@ -120,22 +121,9 @@ class MerkleTree:
     # -- construction ------------------------------------------------------
 
     def _build(self) -> list[list[bytes]]:
-        """The levels, leaf digests first, each in one comprehension: a pair
-        is hashed as :func:`_node_hash` hashes it, the odd last node is
-        promoted unchanged."""
+        """Every level, leaf digests first (see :func:`_levels`)."""
         if self._levels is None:
-            sha = hashlib.sha256
-            level = [sha(_LEAF_TAG + leaf).digest() for leaf in self.leaves] or [_EMPTY_ROOT]
-            self._levels = [level]
-            while len(level) > 1:
-                parents = [
-                    sha(_NODE_TAG + sha(_DIGEST_PREFIX + a + _DIGEST_PREFIX + b).digest()).digest()
-                    for a, b in zip(level[::2], level[1::2])
-                ]
-                if len(level) % 2:
-                    parents.append(level[-1])
-                self._levels.append(parents)
-                level = parents
+            self._levels = list(_levels(self.leaves))
         return self._levels
 
     # -- queries -----------------------------------------------------------
@@ -170,6 +158,31 @@ class MerkleTree:
         )
 
 
+def _levels(leaves: list[bytes]) -> Iterator[list[bytes]]:
+    """The tree's levels, leaf digests first, each in one comprehension:
+    a pair is hashed as :func:`_node_hash` hashes it, the odd last node
+    is promoted unchanged.  A level is dropped here once its parents are
+    made, so a reader that keeps only the last holds two at a time."""
+    sha = hashlib.sha256
+    level = [sha(_LEAF_TAG + leaf).digest() for leaf in leaves] or [_EMPTY_ROOT]
+    yield level
+    while len(level) > 1:
+        parents = [
+            sha(_NODE_TAG + sha(_DIGEST_PREFIX + a + _DIGEST_PREFIX + b).digest()).digest()
+            for a, b in zip(level[::2], level[1::2])
+        ]
+        if len(level) % 2:
+            parents.append(level[-1])
+        level = parents
+        yield level
+
+
 def merkle_root(leaves: list[bytes]) -> bytes:
-    """Convenience: the Merkle root of ``leaves``."""
-    return MerkleTree(list(leaves)).root()
+    """The Merkle root of ``leaves`` (bytes-like), built without keeping
+    the tree: what :meth:`MerkleTree.root` returns, at most two levels live."""
+    for index, leaf in enumerate(leaves):
+        if not isinstance(leaf, _BYTES_LIKE):
+            raise TypeError(f"merkle leaf {index} is a {type(leaf).__name__}, not bytes")
+    for level in _levels(leaves):
+        pass
+    return level[0]

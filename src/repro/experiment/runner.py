@@ -1,8 +1,8 @@
 """The single entry point: ``run_experiment(spec) -> ExperimentResult``.
 
-Generates the traffic stream through the generator registry, opens the
-world the spec describes (:func:`open_world`: chains, mempools, miners,
-fee market and shocks), runs the :class:`~repro.engine.SwapEngine`, and
+Opens the world the spec describes (:func:`open_world`: the traffic
+stream from the generator registry, chains, mempools, miners, fee market
+and shocks), runs the :class:`~repro.engine.SwapEngine`, and
 distills everything into one unified, JSON-exportable artifact: the
 spec echo, aggregate :class:`~repro.engine.EngineMetrics` (overall and
 per protocol), per-swap outcomes, and the analysis reports (measured
@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import json
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 from ..adversary import build_roster, decision_chain
 from ..analysis.cost import CongestionCostRow, congestion_cost_report
@@ -341,6 +342,7 @@ class World(contextlib.ExitStack):
     (:func:`~repro.crypto.keys.verifying`); a second close is a no-op.
     """
 
+    arrivals: list
     env: ScenarioEnvironment
     engine: SwapEngine
     collector: TraceCollector | None
@@ -349,49 +351,56 @@ class World(contextlib.ExitStack):
     sampler: TimeSeriesSampler | None
 
 
-def open_world(spec: ExperimentSpec, arrivals: list) -> World:
+def open_world(spec: ExperimentSpec, arrivals: Callable[[], list]) -> World:
     """The one wiring behind :func:`run_experiment` and
-    :class:`~repro.service.SwapService`: reset the memos, build the
-    environment that funds ``arrivals`` (a ``TrafficItem`` list), arm the
-    fee shocks (one that names no chain floods the contended one), wire
-    the engine, observability and adversarial roster, and last enter the
-    verifier scope, so a build that raises leaves nothing open."""
+    :class:`~repro.service.SwapService`: reset the memos, enter the
+    verifier scope first, so its helper derives half the keys, then make
+    the ``arrivals`` (a ``TrafficItem`` list, kept as
+    ``world.arrivals``), build the environment that funds them, arm the
+    fee shocks (one that names no chain floods the contended one), and
+    wire the engine, observability and adversarial roster.  A build that
+    raises closes what it opened."""
     _reset_caches()
     world = World()
-    world.env = env = build_environment(spec, arrivals)
-    contended = decision_chain(spec.protocol, spec.chains.asset_ids(), spec.chains.witness)
-    for shock in spec.fee_shocks:
-        schedule_fee_shock(
-            env,
-            shock.chain_id or contended,
-            at=env.simulator.now + shock.at,
-            count=shock.count,
-            fee_rate=shock.fee_rate,
-            whale=shock.whale,
-        )
-    world.engine = engine = SwapEngine(
-        env,
-        default_protocol="ac3wn" if spec.protocol == "mixed" else spec.protocol,
-        witness_chain_id=spec.chains.witness,
-        eager=spec.engine.eager,
-        jitter_span=spec.engine.jitter,
-    )
-    world.collector, world.registry, world.monitor, world.sampler = (
-        build_observability(spec, env, engine)
-    )
-    if world.sampler is not None:
-        world.callback(world.sampler.stop)
-    build_roster(spec, env, engine)
     world.enter_context(verifying())
+    try:
+        world.arrivals = arrivals()
+        world.env = env = build_environment(spec, world.arrivals)
+        contended = decision_chain(spec.protocol, spec.chains.asset_ids(), spec.chains.witness)
+        for shock in spec.fee_shocks:
+            schedule_fee_shock(
+                env,
+                shock.chain_id or contended,
+                at=env.simulator.now + shock.at,
+                count=shock.count,
+                fee_rate=shock.fee_rate,
+                whale=shock.whale,
+            )
+        world.engine = engine = SwapEngine(
+            env,
+            default_protocol="ac3wn" if spec.protocol == "mixed" else spec.protocol,
+            witness_chain_id=spec.chains.witness,
+            eager=spec.engine.eager,
+            jitter_span=spec.engine.jitter,
+        )
+        world.collector, world.registry, world.monitor, world.sampler = (
+            build_observability(spec, env, engine)
+        )
+        if world.sampler is not None:
+            world.callback(world.sampler.stop)
+        build_roster(spec, env, engine)
+    except BaseException:
+        world.close()
+        raise
     return world
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Validate and execute one spec end to end; never mutates ``spec``."""
     spec.validate()
-    traffic = traffic_generator(spec.traffic.generator)(spec)
-    with open_world(spec, traffic) as world:
-        env, engine = world.env, world.engine
+    make_traffic = traffic_generator(spec.traffic.generator)
+    with open_world(spec, lambda: make_traffic(spec)) as world:
+        env, engine, traffic = world.env, world.engine, world.arrivals
         # Arrivals are generated from t=0; shift them past the warm-up so
         # the schedule stays genuinely open-loop (no clamped head batch).
         offset = env.simulator.now

@@ -132,20 +132,24 @@ class SwapService:
         spec.validate()
         self.spec = spec
         world = spec.world
-        # Slot pre-provisioning: the graphs are built once with the
-        # world's default amount so genesis can fund every slot's
-        # participants; a slot accepted with a different amount rebuilds
-        # its graph (same names, keys, chains, timestamp) on the fly.
-        self._slots = swap_traffic_graphs(
-            spec.capacity,
-            list(world.chains.asset_ids()),
-            participants_per_swap=world.traffic.participants_per_swap,
-            amount=world.traffic.amount,
-            prefix=world.traffic.prefix,
-        )
-        self._world = open_world(
-            world, [TrafficItem(at=0.0, graph=graph) for graph in self._slots]
-        )
+
+        def slots() -> list[TrafficItem]:
+            # Slot pre-provisioning: the graphs are built once with the
+            # world's default amount so genesis can fund every slot's
+            # participants; a slot accepted with a different amount
+            # rebuilds its graph (same names, keys, chains, timestamp)
+            # on the fly.
+            graphs = swap_traffic_graphs(
+                spec.capacity,
+                list(world.chains.asset_ids()),
+                participants_per_swap=world.traffic.participants_per_swap,
+                amount=world.traffic.amount,
+                prefix=world.traffic.prefix,
+            )
+            return [TrafficItem(at=0.0, graph=graph) for graph in graphs]
+
+        self._world = open_world(world, slots)
+        self._slots = [item.graph for item in self._world.arrivals]
         self.env, self.engine = self._world.env, self._world.engine
         self.collector = self._world.collector
         #: Session time zero: everything in the request log and the

@@ -20,7 +20,7 @@ DEFAULT_AMOUNT = 100
 def participant_pairs(names: list[str]) -> dict[str, KeyPair]:
     """Deterministic identities for a list of participant names (a graph
     built over them keeps the pairs for the world's participants)."""
-    return {name: KeyPair.from_seed(f"participant/{name}") for name in names}
+    return dict(zip(names, KeyPair.from_seeds([f"participant/{name}" for name in names])))
 
 
 def _names(n: int) -> list[str]:

@@ -115,10 +115,10 @@ def _assemble_world(
             # multiple in-flight messages never contend for one coin.
             allocations = []
             for name in members:
-                remaining = funding
+                address, remaining = actors[name].address, funding
                 while remaining > 0:
                     value = min(piece_of[name], remaining)
-                    allocations.append((actors[name].address, value))
+                    allocations.append((address, value))
                     remaining -= value
             genesis = genesis_of[members] = build_genesis(allocations)
         chain = chains[chain_id] = Blockchain(params, genesis)
@@ -256,20 +256,24 @@ def poisson_arrivals(num_swaps: int, rate: float, stream: RngStream) -> list[flo
     return arrivals
 
 
+def _swap_names(index: int, participants_per_swap: int, prefix: str) -> list[str]:
+    return [f"{prefix}{index:04d}.{chr(ord('a') + j)}" for j in range(participants_per_swap)]
+
+
 def swap_graph(
     index: int,
     chain_ids: list[str],
     participants_per_swap: int,
     amount: int,
     prefix: str,
+    pairs: dict[str, KeyPair] | None = None,
 ) -> SwapGraph:
     """The ``index``-th traffic AC2T: a directed ring over its own
     namespaced participants (``swap0007.a`` …), chains assigned
-    round-robin with a per-swap rotation, ``timestamp=index``."""
-    names = [
-        f"{prefix}{index:04d}.{chr(ord('a') + j)}"
-        for j in range(participants_per_swap)
-    ]
+    round-robin with a per-swap rotation, ``timestamp=index``.  Its
+    key pairs come from ``pairs`` when given (a batch that derived
+    them), else are derived here."""
+    names = _swap_names(index, participants_per_swap, prefix)
     edges = [
         AssetEdge(
             source=names[j],
@@ -279,7 +283,8 @@ def swap_graph(
         )
         for j in range(len(names))
     ]
-    return SwapGraph.build(participant_pairs(names), edges, timestamp=index)
+    keys = participant_pairs(names) if pairs is None else {name: pairs[name] for name in names}
+    return SwapGraph.build(keys, edges, timestamp=index)
 
 
 def is_traffic_name(name: str, prefix: str) -> bool:
@@ -318,8 +323,15 @@ def swap_traffic_graphs(
         raise ProtocolError("a swap needs at least two participants")
     if not chain_ids:
         raise ProtocolError("swap traffic needs at least one asset chain")
+    pairs = participant_pairs(
+        [
+            name
+            for index in range(num_swaps)
+            for name in _swap_names(index, participants_per_swap, prefix)
+        ]
+    )
     return [
-        swap_graph(index, chain_ids, participants_per_swap, amount, prefix)
+        swap_graph(index, chain_ids, participants_per_swap, amount, prefix, pairs)
         for index in range(num_swaps)
     ]
 

@@ -6,13 +6,16 @@ import signal
 
 import pytest
 
+from repro.chain.block import receipt_leaf
 from repro.chain.chain import Blockchain
 from repro.chain.contracts import DEFAULT_REGISTRY
 from repro.chain.mempool import Mempool
+from repro.chain.messages import transfer_ids
 from repro.chain.miner import MinerNode
 from repro.chain.params import fast_chain
-from repro.chain.transaction import Transaction, TxOutput
+from repro.chain.transaction import OutPoint, Transaction, TxOutput, coinbase_encoding
 from repro.crypto.keys import KeyPair
+from repro.crypto.merkle import MerkleTree
 from repro.sim.simulator import Simulator
 
 ALICE = KeyPair.from_seed("alice")
@@ -26,6 +29,21 @@ def make_coinbase(owner, value, nonce=0) -> Transaction:
     genesis coin ``nonce`` of a ``(owner, value)`` allocation is output 0
     of.  No chain holds one; blocks and mempools refuse it."""
     return Transaction(inputs=(), outputs=(TxOutput(owner, value),), nonce=nonce)
+
+
+def genesis_by_coin(allocations) -> tuple[dict, bytes, bytes]:
+    """The genesis of ``allocations`` one coin at a time, the oracle for
+    ``build_genesis``: each coin's own coinbase bytes and ids, both roots
+    from a whole :class:`MerkleTree`.  Returns the coins (outpoint ->
+    output), the Merkle root and the receipts root."""
+    coins, ids = {}, []
+    for nonce, (owner, value) in enumerate(allocations):
+        output = TxOutput(owner, value)
+        txid, message_id = transfer_ids(coinbase_encoding(output, nonce))
+        coins[OutPoint(txid, 0)] = output
+        ids.append(message_id)
+    receipts = [receipt_leaf(message_id, "ok") for message_id in ids]
+    return coins, MerkleTree(ids).root(), MerkleTree(receipts).root()
 
 
 def live_children() -> list[int]:

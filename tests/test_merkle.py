@@ -157,6 +157,11 @@ class TestFlatKernel:
             leaves = [bytes([i]) for i in range(size)]
             assert merkle_root(leaves) == reference_levels(leaves)[-1][0], size
 
+    def test_the_root_only_pass_equals_the_tree_root(self):
+        for size in range(71):
+            leaves = [bytes([i % 7]) * (i % 5) + bytes([i]) for i in range(size)]
+            assert merkle_root(leaves) == MerkleTree(leaves).root(), size
+
     def test_empty_root_is_the_sentinel(self):
         from repro.crypto.hashing import sha256
 

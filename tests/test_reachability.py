@@ -105,6 +105,7 @@ def drive(work: Path) -> None:
         repro("trace", trace, "--series", work / f"{name}.series.csv")
         repro("alerts", trace)
     repro("run", "--preset", "swap", "--metrics", work / "swap.prom")
+    repro("run", "--preset", "swap", "--profile")
 
     for name in service_preset_names():
         checkpoint, log = work / f"{name}.ckpt", work / f"{name}.log"
@@ -116,6 +117,7 @@ def drive(work: Path) -> None:
         )
         repro("serve", "--restore", checkpoint, "--json", work / f"{name}.restored.json", ok=(0, 1))
         repro("replay", log, "--request-log", work / f"{name}.replayed.log", ok=(0, 1))
+    repro("serve", "--preset", "serve-steady", "--max-swaps", "2", "--profile")
 
     repro("sweep", "--list-presets")
     campaigns = work / "campaigns.db"

@@ -32,7 +32,7 @@ from repro.chain.utxo import UTXOSet
 from repro.crypto.keys import Address
 from repro.crypto.merkle import merkle_root
 from repro.errors import DoubleSpendError, ValidationError
-from tests.conftest import ALICE, BOB, make_coinbase
+from tests.conftest import ALICE, BOB, genesis_by_coin, make_coinbase
 
 LIVE = 5
 SIGNERS = (ALICE, BOB)
@@ -277,6 +277,36 @@ class TestGenesisState:
         with pytest.raises(ValidationError, match="already exists"):
             state.utxos.add(coin, TxOutput(BOB.address, 5))
         assert state.utxos.outpoints_of(BOB.address) == []
+
+
+#: Up to 70 coins in runs: equal runs, alternating owners, and ``1``
+#: beside ``True`` (equal in Python, encoded apart, so a run splits there).
+run_allocations = st.lists(
+    st.tuples(st.sampled_from(OWNERS), st.sampled_from([1, True, 0, False, 7]), st.integers(1, 9)),
+    max_size=24,
+).map(lambda runs: [(owner, value) for owner, value, count in runs for _ in range(count)][:70])
+
+
+class TestGenesisOracle:
+    """``build_genesis`` (one encoding per run, root-only Merkle passes)
+    against :func:`tests.conftest.genesis_by_coin`, coin by coin."""
+
+    @given(run_allocations)
+    @example([])
+    @example([(OWNERS[k % 2], 1) for k in range(70)])
+    @example([(ALICE.address, 1), (ALICE.address, True), (ALICE.address, 1), (BOB.address, True)])
+    @example([(ALICE.address, value) for value in (True, 1, 1, True, True, 1)])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_build_genesis_equals_the_coin_by_coin_oracle(self, drawn):
+        genesis = build_genesis(drawn)
+        coins, merkle, receipts = genesis_by_coin(drawn)
+        assert (genesis.merkle_root, genesis.receipts_root) == (merkle, receipts)
+        built = entries(genesis.state.utxos)
+        assert built == coins
+        # 1 == True: the outputs' value types must match too.
+        assert {op: type(out.value) for op, out in built.items()} == {
+            op: type(out.value) for op, out in coins.items()
+        }
 
 
 FUNDED = build_genesis(

@@ -13,6 +13,10 @@ process (``repro/crypto/keys.py``).  Its contract is tested here:
   caller, which never waits behind a stopped verifier, and the verifier
   skips it; a record it has started is waited for, and no verdict is
   wrong when claim slots are reused;
+* **deriving** — a batch of seeds is derived once each across both
+  processes and gives the inline pairs, whether the helper is stopped,
+  killed mid-batch or wrong (a wrong point is refused at its first
+  signature), and :func:`keys.verifier_report` counts each side;
 * **invisibility** — every artifact of the smoke presets is
   byte-identical with the verifier forced on and forced off.
 """
@@ -170,14 +174,61 @@ class TestLifetime:
     def test_worlds_close_in_any_order_and_the_last_stops_the_verifier(self, verifier_on):
         spec = apply_overrides(preset_spec("engine-smoke"), {"traffic.num_swaps": 2})
         traffic = traffic_generator(spec.traffic.generator)(spec)
-        first = open_world(spec, traffic)
-        with open_world(spec, traffic):
+        first = open_world(spec, lambda: traffic)
+        with open_world(spec, lambda: traffic):
             pid = keys._verifier.pid
             first.close()
             assert keys._verifier is not None and keys._verifier.pid == pid
             assert alive(pid)
         assert keys._verifier is None and keys._scope_depth == 0
         assert not alive(pid)
+
+    def test_a_scope_entered_after_its_helper_died_forks_a_new_one(self, verifier_on, capsys):
+        spec = apply_overrides(preset_spec("engine-smoke"), {"traffic.num_swaps": 2})
+        traffic = traffic_generator(spec.traffic.generator)(spec)
+        held = open_world(spec, lambda: traffic)  # never closed before the kill
+        dead = keys._verifier.pid
+        os.kill(dead, signal.SIGKILL)
+        while alive(dead):
+            time.sleep(0.01)
+        second = open_world(spec, lambda: traffic)
+        fresh = keys._verifier.pid
+        assert fresh != dead and alive(fresh) and keys._scope_depth == 2
+        assert capsys.readouterr().err == (
+            f"repro: signature verifier (pid {dead}) exited; verifying inline\n"
+        )
+        held.close()
+        assert keys._verifier.pid == fresh
+        second.close()
+        assert keys._verifier is None and keys._scope_depth == 0
+        assert not alive(fresh)
+
+    def test_a_world_whose_build_raises_leaves_no_helper(self, verifier_on):
+        spec = apply_overrides(preset_spec("engine-smoke"), {"traffic.num_swaps": 2})
+        helpers = []
+
+        def arrivals():
+            helpers.append(keys._verifier.pid)  # up before the first key
+            raise RuntimeError("no traffic")
+
+        with pytest.raises(RuntimeError, match="no traffic") as raised:
+            open_world(spec, arrivals)
+        # The traceback keeps the half-built world alive: it was closed, not collected.
+        assert keys._verifier is None and keys._scope_depth == 0, raised
+        assert not alive(helpers[0])
+
+    def test_a_world_derives_every_key_with_its_helper_up(self, verifier_on, monkeypatch):
+        spec = apply_overrides(preset_spec("engine-smoke"), {"traffic.num_swaps": 4})
+        seed_scalar, up = keys._seed_scalar, []
+
+        def recording(seed):
+            up.append(keys._verifier is not None)
+            return seed_scalar(seed)
+
+        monkeypatch.setattr(keys, "_seed_scalar", recording)
+        keys._SEED_CACHE.clear()
+        run_experiment(spec)
+        assert len(up) >= 8 and all(up)
 
     @pytest.mark.parametrize(
         "calls",
@@ -454,6 +505,172 @@ class TestTaking:
                 assert pair.public_key.verify(digest, pair.sign(digest))
             assert claims.closed
         assert len(os.listdir("/proc/self/fd")) == descriptors
+
+
+def inline_pairs(seeds: list[str]) -> list[KeyPair]:
+    """The pairs of ``seeds`` derived in this process alone, memo untouched."""
+    return [KeyPair.from_scalar(keys._seed_scalar(seed.encode())) for seed in seeds]
+
+
+def seeds(label: str, count: int) -> list[str]:
+    return [f"verifier/{label}/{index}" for index in range(count)]
+
+
+def derived(report: dict) -> tuple[int, int]:
+    return report["parent"]["seeds_derived"], report["helper"]["seeds_derived"]
+
+
+@pytest.fixture
+def held_back(monkeypatch):
+    """Patch ``derive_public_point`` before the fork: the helper's copy
+    runs ``helper(d)``, and this process's first derivation waits (up to
+    10 s) until the helper has claimed the batch's seed ``index``, so
+    the helper reaches it first however late it starts."""
+    parent, derive = os.getpid(), ecdsa.derive_public_point
+
+    def install(index: int, helper=derive):
+        def derive_after_the_helper(d):
+            if os.getpid() != parent:
+                return helper(d)
+            deadline = time.monotonic() + 10.0
+            while keys._verifier is not None and (
+                keys._verifier.claims[keys._DERIVE_CLAIMS_AT + index] == keys._QUEUED
+            ):
+                assert time.monotonic() < deadline, f"the helper never claimed seed {index}"
+                time.sleep(0.001)
+            return derive(d)
+
+        monkeypatch.setattr(ecdsa, "derive_public_point", derive_after_the_helper)
+
+    return install
+
+
+class TestDeriving:
+    def test_a_batch_past_the_memo_derives_each_seed_once(self, verifier_on, monkeypatch):
+        batch = seeds("batch", 64)
+        expected = inline_pairs(batch)
+        monkeypatch.setattr(keys, "_SEED_CACHE_MAX", 16)
+        keys._SEED_CACHE.clear()
+        calls = []
+        derive = ecdsa.derive_public_point
+        monkeypatch.setattr(ecdsa, "derive_public_point", lambda d: calls.append(d) or derive(d))
+        keys.clear_verify_cache()
+        with keys.verifying():
+            pairs = KeyPair.from_seeds(batch)
+        assert pairs == expected
+        mine, helpers = derived(keys.verifier_report())
+        assert mine == len(calls)  # this process's count is its own calls ...
+        assert mine + helpers == 64  # ... and the helper did the rest, once each
+        assert list(keys._SEED_CACHE) == [seed.encode() for seed in batch[-16:]]
+        keys._SEED_CACHE.clear()
+
+    def test_chunks_that_reuse_the_map_give_every_pair_its_inline_value(
+        self, verifier_on, monkeypatch, capsys
+    ):
+        batch = seeds("chunks", 300)
+        expected = inline_pairs(batch)
+        monkeypatch.setattr(keys, "_DERIVE_MAX", 16)  # 19 derive records, one map
+        keys._SEED_CACHE.clear()
+        keys.clear_verify_cache()
+        started = time.monotonic()
+        with keys.verifying():
+            pairs = KeyPair.from_seeds(batch)
+        assert time.monotonic() - started < 30
+        assert pairs == expected
+        # Both sides claiming one seed at once derive it twice: at most
+        # once a record, where the two ends meet.
+        assert 300 <= sum(derived(keys.verifier_report())) <= 300 + 19
+        assert capsys.readouterr().err == ""
+        keys._SEED_CACHE.clear()
+
+    def test_a_stopped_helper_leaves_every_seed_to_the_caller(self, verifier_on, capsys):
+        batch = seeds("stopped", 16)
+        keys._SEED_CACHE.clear()
+        keys.clear_verify_cache()
+        with keys.verifying():
+            verifier = keys._verifier
+            with stopped(verifier.pid):
+                started = time.monotonic()
+                pairs = KeyPair.from_seeds(batch)
+                assert time.monotonic() - started < 5.0
+            settle(verifier)
+        assert derived(keys.verifier_report()) == (16, 0)
+        assert pairs == inline_pairs(batch)
+        assert capsys.readouterr().err == ""
+        keys._SEED_CACHE.clear()
+
+    def test_a_helper_killed_mid_batch_leaves_one_line_and_the_inline_pairs(
+        self, verifier_on, held_back, capsys
+    ):
+        batch = seeds("killed", 16)
+        expected = inline_pairs(batch)
+        derive, done = ecdsa.derive_public_point, []
+
+        def dying(d):  # the helper's copy: dies on its third seed
+            done.append(d)
+            if len(done) == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return derive(d)
+
+        held_back(13, dying)  # seeds 15 and 14 done, 13 claimed when it dies
+        keys._SEED_CACHE.clear()
+        with keys.verifying():
+            pid = keys._verifier.pid
+            pairs = KeyPair.from_seeds(batch)
+            assert keys._verifier is None
+        assert pairs == expected
+        assert capsys.readouterr().err == (
+            f"repro: signature verifier (pid {pid}) exited; verifying inline\n"
+        )
+        assert not alive(pid)
+        keys._SEED_CACHE.clear()
+
+    def test_a_wrong_point_from_the_helper_is_refused_at_its_first_signature(
+        self, verifier_on, held_back
+    ):
+        batch = seeds("wrong", 4)
+        target = keys._seed_scalar(batch[-1].encode())
+        derive = ecdsa.derive_public_point
+        held_back(3, lambda d: derive((d + 1) % ecdsa.N if d == target else d))
+        keys._SEED_CACHE.clear()
+        (digest,) = digests("wrong", 1)
+        try:
+            with keys.verifying():
+                pairs = KeyPair.from_seeds(batch)
+                wrong = pairs[-1]
+                assert wrong.public_key.point == derive((target + 1) % ecdsa.N)
+                assert wrong.public_key.verify(digest, wrong.sign(digest)) is False
+        finally:
+            keys._SEED_CACHE.clear()
+
+
+class TestReport:
+    @pytest.mark.parametrize("calls", [running, serving_checkpointing_draining])
+    def test_a_world_derives_each_seed_once_across_both_sides(self, verifier_on, tmp_path, calls):
+        call = calls(tmp_path)
+        keys._SEED_CACHE.clear()
+        call()
+        report = keys.verifier_report()
+        assert sum(derived(report)) == len(keys._SEED_CACHE) > 0
+        assert report["helper"]["cpu_s"] > 0
+        assert report["parent"]["records_verified"] + report["helper"]["records_verified"] > 0
+        keys._SEED_CACHE.clear()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--preset", "swap", "--profile"],
+            ["serve", "--preset", "serve-steady", "--max-swaps", "2", "--profile"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_profile_prints_what_each_side_did(self, verifier_on, capsys, argv):
+        assert main(argv) == 0
+        (line,) = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("signature helper:")
+        ]
+        assert "this process derived" in line and "s CPU" in line
 
 
 def differential_commands(work: Path) -> list[list[str]]:

@@ -10,7 +10,8 @@ import pytest
 
 from repro.analysis.latency import ac3wn_latency, figure10_series, herlihy_latency
 from repro.experiment import apply_overrides, preset_spec, run_experiment
-from repro.sweeps import SweepRunner, figure10_curves, sweep_spec
+from repro.sweeps import SweepRunner, sweep_spec
+from repro.sweeps.figures import figure10_curves
 
 from conftest import print_table
 
@@ -85,7 +86,7 @@ def test_figure10_measured_series(table_printer):
     """The full measured figure from the ``figure10`` sweep campaign.
 
     A thin consumer: the sweep subsystem expands protocol × diameter,
-    runs every point, and :func:`repro.sweeps.figure10_curves` extracts
+    runs every point, and :func:`repro.sweeps.figures.figure10_curves` extracts
     the per-protocol series — the same one command
     (``repro sweep --preset figure10``) regenerates from the CLI.
     """

@@ -9,7 +9,8 @@ the analytic cost model and the measured surface agree.
 """
 
 from repro.analysis.security import security_report
-from repro.sweeps import run_sweep, sweep_spec, violation_rate_surface
+from repro.sweeps import run_sweep, sweep_spec
+from repro.sweeps.figures import violation_rate_surface
 
 
 def test_security_smoke_matrix(table_printer):

@@ -24,7 +24,8 @@ from repro.chain.miner import MinerNode
 from repro.chain.params import fast_chain
 from repro.crypto.keys import KeyPair
 from repro.sim.simulator import Simulator
-from repro.sweeps import SweepRunner, sweep_spec, table1_series
+from repro.sweeps import SweepRunner, sweep_spec
+from repro.sweeps.figures import table1_series
 
 from conftest import print_table
 

@@ -13,6 +13,10 @@ before the first swap can run:
 * ``wiring``: the rest of the set-up (the helper's fork, traffic,
   warm-up, engine, observability).
 
+Beside the times it prints the seeds each side derived (``parent`` and
+``helper``, from ``keys.verifier_report()`` once the world has closed;
+``-`` for a tree without that report).
+
 ``engine_mixed`` is ``run_experiment`` up to ``SwapEngine.run``; the two
 sessions are ``SwapService(spec)``.  The medians print as one table::
 
@@ -34,6 +38,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("engine_mixed", "service_obs", "large_world")
 PHASES = ("import", "derive", "genesis", "wiring", "setup")
+SIDES = ("parent", "helper")
 
 #: One repetition, run as ``python -c CHILD SRC LEDGER WORKLOAD SEED``.
 CHILD = r"""
@@ -95,10 +100,16 @@ if workload == "engine_mixed":
     except SetUp:
         pass
 else:
-    SwapService(ServiceSpec.from_json(text)).close()
+    service = SwapService(ServiceSpec.from_json(text))
+    if hasattr(service, "close"):  # an older tree has no close
+        service.close()
 setup = time.perf_counter() - start
 wiring = setup - spent["derive"] - spent["genesis"]
-print(json.dumps({"import": imported - started, **spent, "wiring": wiring, "setup": setup}))
+seeds = {}
+if hasattr(keys, "verifier_report"):  # an older tree has no report
+    seeds = {side: work["seeds_derived"] for side, work in keys.verifier_report().items()}
+print(json.dumps({"import": imported - started, **spent, "wiring": wiring, "setup": setup,
+                  "seeds": seeds}))
 """
 
 
@@ -117,11 +128,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--src", default=os.path.join(ROOT, "src"))
     args = parser.parse_args(argv)
-    print(f"| workload | {' | '.join(PHASES)} |")
-    print(f"| --- |{' --- |' * len(PHASES)}")
+    columns = PHASES + tuple(f"{side} seeds" for side in SIDES)
+    print(f"| workload | {' | '.join(columns)} |")
+    print(f"| --- |{' --- |' * len(columns)}")
     for workload in WORKLOADS:
         reps = [measure(args.src, workload, args.seed) for _ in range(args.reps)]
         cells = [f"{statistics.median(rep[phase] for rep in reps):.3f}" for phase in PHASES]
+        for side in SIDES:
+            counts = [rep["seeds"][side] for rep in reps if side in rep["seeds"]]
+            cells.append(f"{statistics.median(counts):g}" if counts else "-")
         print(f"| `{workload}` | {' | '.join(cells)} |")
     return 0
 

@@ -74,60 +74,54 @@ def clear_verify_cache(tables: bool = True) -> None:
 # ---------------------------------------------------------------------------
 #
 # Inside a :func:`verifying` scope one forked process, pinned off this
-# process's CPU, takes two kinds of record from one pipe and answers one
-# byte per record, in order.  A world opens the scope before it derives
-# its first key, so the helper lives from world open to world close.
+# process's CPU, takes records from one pipe and answers one byte per
+# record, in order.  A world opens the scope before it derives its first
+# key, so the helper lives from world open to world close.
 #
-# *Verify records.*  A signature is made well before anyone checks it,
-# so ``KeyPair.sign`` also writes (point, digest, signature) to the
-# helper, which runs the same ``verify_digest`` and answers the verdict.
-# A record nobody has started goes to whichever side needs it first: a
-# shared map holds one claim byte per in-flight slot (0 queued, 1 the
-# helper has it, 2 the caller took it).  A memo miss in
-# ``PublicKey.verify`` takes the verdicts that have arrived; if its own
-# record is still queued it claims it and verifies inline, and the helper
-# answers that record with a skip byte, which is discarded; it waits only
-# for a record the helper has started (at most one check).
+# A record is work its writer will want back later.  A signature is made
+# well before anyone checks it, so ``KeyPair.sign`` writes (point,
+# digest, signature) and the helper runs the same ``verify_digest`` and
+# answers the verdict.  ``KeyPair.from_seeds`` writes one derive record
+# per private scalar ``d`` and the helper leaves ``d·G`` in that slot's
+# result area of a shared map before it answers; the point is copied out
+# when the answer is read, before the slot is reused.  Record n uses slot
+# n % 256, and the map holds one claim byte per slot (0 queued, 1 the
+# helper has it, 2 the caller took it).  A caller that wants an answer
+# takes those that have arrived; if its own record is still queued it
+# claims it and does the work inline, and the helper answers that record
+# with a skip byte, which is discarded; it waits only for a record the
+# helper has started (at most one check or derivation).  ``from_seeds``
+# writes a batch in rounds of at most 256 records and asks from the last
+# back, so it meets the helper once a round.  The parent does not
+# recheck a point: a wrong one is a key no signature of ``d`` verifies
+# under, so its first signature is refused.
 #
-# *Derive records.*  ``KeyPair.from_seeds`` writes up to ``_DERIVE_MAX``
-# private scalars into the map, one claim byte each, and one record
-# naming their count; this process derives ``d·G`` from the front and
-# the helper from the back, each claiming a seed before deriving it, and
-# this process reads the helper's points from the map once its answer
-# byte arrives.  The parent does not recheck a point: a wrong one is a
-# key no signature of ``d`` verifies under, so its first signature is
-# refused.
-#
-# Both sides reading 0 at once costs one duplicate check or derivation,
-# never a wrong result: the caller keeps its own.  The memo and its
-# counters see what they would without the process, so no artifact can
-# tell.  At most ``_IN_FLIGHT_MAX`` records are outstanding (40 KB, under
-# a pipe's 64 KB) and the request pipe is non-blocking, so no write ever
-# blocks.  Leaving the last open scope kills and reaps the process; one
-# that dies sooner leaves one stderr line and inline work, and the next
-# scope entered forks a new one.  :func:`verifier_report` counts the
-# work each side did.
+# Both sides reading 0 at once costs one duplicate piece of work, never a
+# wrong result: the caller keeps its own.  The memo and its counters see
+# what they would without the process, so no artifact can tell.  At most
+# ``_IN_FLIGHT_MAX`` records are outstanding (40 KB, under a pipe's
+# 64 KB) and the request pipe is non-blocking, so no write ever blocks.
+# Leaving the last open scope kills and reaps the process; one that dies
+# sooner leaves one stderr line and inline work, and the next scope
+# entered forks a new one.  :func:`verifier_report` counts the work each
+# side did.
 
-_RECORD = 160  # x, y, digest, r, s: 32 bytes each, written in one piece
-_IN_FLIGHT_MAX = 256  # also the number of claim slots: record n uses n % 256
+_RECORD = 160  # x, y, digest, r, s (or the mark, d, 0, 0, 0): 32 bytes each
+_IN_FLIGHT_MAX = 256  # also the number of slots: record n uses n % 256
 _QUEUED, _STARTED, _TAKEN = 0, 1, 2  # claim bytes; _TAKEN is also the skip byte
-_DONE = 3  # a derive claim only: its point is in the map
 _WAIT_S = 30.0
 #: A derive record's first field: no point has an x this large.
 _DERIVE_MARK = b"\xff" * 32
-_DERIVE_MAX = 1024  # seeds per derive record
-#: The shared map: the verify claims, then the helper's counters (as
-#: :data:`_HELPER_COUNTERS` names them), then per derive seed a claim,
-#: a scalar and a point.
+#: The shared map: the claims, the helper's counters (as
+#: :data:`_HELPER_COUNTERS` names them), then a 64-byte result per slot.
 _HELPER_COUNTERS = ("seeds_derived", "records_verified", "records_skipped", "key_tables")
 _COUNTERS_AT = _IN_FLIGHT_MAX
 _COUNTERS_FORMAT = f"<{len(_HELPER_COUNTERS)}Q"
-_DERIVE_CLAIMS_AT = _COUNTERS_AT + 8 * len(_HELPER_COUNTERS)
-_SCALARS_AT = _DERIVE_CLAIMS_AT + _DERIVE_MAX
-_POINTS_AT = _SCALARS_AT + 32 * _DERIVE_MAX
-_MAP_SIZE = _POINTS_AT + 64 * _DERIVE_MAX
-#: Verdicts that arrived before anyone asked for them (bounded, oldest out).
-_READY: "OrderedDict[tuple, bool]" = OrderedDict()
+_RESULTS_AT = _COUNTERS_AT + 8 * len(_HELPER_COUNTERS)
+_MAP_SIZE = _RESULTS_AT + 64 * _IN_FLIGHT_MAX
+#: Answers that arrived before anyone asked for them (bounded, oldest
+#: out): a verdict under its verify key, a point under its scalar.
+_READY: "OrderedDict[tuple | int, bool | ecdsa.Point]" = OrderedDict()
 _READY_MAX = 8192
 _verifier_wanted: bool | None = None  # None: on iff two CPUs are usable
 _verifier: "_Verifier | None" = None
@@ -191,7 +185,7 @@ def verifying():
     finally:
         _scope_depth -= 1
         if _scope_depth == 0 and _verifier is not None:
-            _verifier.collect()  # verdicts that have arrived stay usable
+            _verifier.collect()  # answers that have arrived stay usable
             _stop_verifier(reap=True)
 
 
@@ -202,13 +196,11 @@ class _Verifier:
         self.pid = pid
         self.requests = requests  # write end, non-blocking
         self.verdicts = verdicts  # read end, non-blocking
-        self.claims = claims  # one claim byte per slot, shared with the verifier
+        self.claims = claims  # the shared map: a claim byte and a result per slot
         self.written = 0  # records written so far: the next one's slot is this mod 256
         #: Keys written and not yet answered, in the order they were
-        #: written, each with its slot, or ``None`` once the caller took
-        #: it (and for derive records, whose answer is dropped too).
-        self.pending: "OrderedDict[tuple, int | None]" = OrderedDict()
-        self.deriving: tuple | None = None  # the last derive record's key
+        #: written, each with its slot, or ``None`` once the caller took it.
+        self.pending: "OrderedDict[tuple | int, int | None]" = OrderedDict()
         self.poller = select.poll()
         self.poller.register(verdicts, select.POLLIN)
 
@@ -223,82 +215,37 @@ class _Verifier:
         """The helper's own counts, as :data:`_HELPER_COUNTERS` names them."""
         return struct.unpack_from(_COUNTERS_FORMAT, self.claims, _COUNTERS_AT)
 
-    def _write(self, key: tuple, record: bytes, slot: int | None) -> bool:
-        """Write one record, pending under ``key`` with ``slot``."""
+    def offer(self, key: "tuple | int") -> None:
+        """Write ``key`` — (x, y, digest, r, s) to verify, or a private
+        scalar to derive — unless it is answered or pending already, or
+        the in-flight bound is reached (then its writer works inline)."""
+        if key in _VERIFY_CACHE or key in _READY or key in self.pending:
+            return
+        if len(self.pending) >= _IN_FLIGHT_MAX:
+            self.collect()
+            if _verifier is not self or len(self.pending) >= _IN_FLIGHT_MAX:
+                return
+        fields = (_DERIVE_MARK, key, 0, 0, 0) if isinstance(key, int) else key
+        record = b"".join(f if isinstance(f, bytes) else f.to_bytes(32, "big") for f in fields)
+        # The slot's last record has been answered and its answer read,
+        # so no side looks at this slot until the record below is read.
+        slot = self.written % _IN_FLIGHT_MAX
+        self.claims[slot] = _QUEUED
         try:
             os.write(self.requests, record)  # <= PIPE_BUF: all or nothing
         except BlockingIOError:
-            return False  # a full pipe: the work is done inline
+            return  # a full pipe: the work is done inline
         except OSError:
             _stop_verifier(reap=True, lost="exited")
-            return False
+            return
         self.written += 1
         self.pending[key] = slot
-        return True
 
-    def _room(self) -> bool:
-        """Whether one more record may be written (collecting if full)."""
-        if len(self.pending) >= _IN_FLIGHT_MAX:
-            self.collect()
-        return _verifier is self and len(self.pending) < _IN_FLIGHT_MAX
-
-    def offer(self, key: tuple) -> None:
-        """Write ``key`` (x, y, digest, r, s) unless it is answered or
-        pending already, or the in-flight bound is reached."""
-        if key in _VERIFY_CACHE or key in _READY or key in self.pending:
-            return
-        if not self._room():
-            return
-        x, y, digest, r, s = key
-        record = b"".join(
-            (x.to_bytes(32, "big"), y.to_bytes(32, "big"), digest,
-             r.to_bytes(32, "big"), s.to_bytes(32, "big"))
-        )
-        # The slot's last record has been answered and its verdict read,
-        # so no side looks at this byte until the record below is read.
-        slot = self.written % _IN_FLIGHT_MAX
-        self.claims[slot] = _QUEUED
-        self._write(key, record, slot)
-
-    def derive(self, scalars: list[int]) -> "list[KeyPair] | None":
-        """The key pair of each of at most ``_DERIVE_MAX`` scalars, this
-        process deriving from the front and the helper from the back;
-        ``None`` when no derive record can be written now (the helper has
-        not answered the last one, or the pipe is full)."""
-        if self.deriving in self.pending:
-            self.collect()
-        if _verifier is not self or self.deriving in self.pending or not self._room():
-            return None
-        count, area = len(scalars), self.claims
-        # The last derive record is answered, so the helper reads none of this.
-        area[_SCALARS_AT : _SCALARS_AT + 32 * count] = b"".join(
-            scalar.to_bytes(32, "big") for scalar in scalars
-        )
-        area[_DERIVE_CLAIMS_AT : _DERIVE_CLAIMS_AT + count] = bytes(count)
-        key = ("derive", self.written)
-        record = _DERIVE_MARK + count.to_bytes(4, "big") + bytes(_RECORD - 36)
-        if not self._write(key, record, None):
-            return None
-        self.deriving = key
-        mine = _derive_claimed(area, range(count))  # the helper has every one after
-        _parent_work["seeds_derived"] += mine
-        pairs = [KeyPair(scalars[index], _derived_key(area, index)) for index in range(mine)]
-        while mine < count and key in self.pending:
-            if not self.poller.poll(_WAIT_S * 1000):
-                _stop_verifier(reap=True, lost=f"gave no answer in {_WAIT_S:g} s")
-            else:
-                self.collect()
-            if _verifier is not self:  # lost: its share is derived here
-                return pairs + [KeyPair.from_scalar(scalar) for scalar in scalars[mine:]]
-        return pairs + [
-            KeyPair(scalars[index], _derived_key(area, index)) for index in range(mine, count)
-        ]
-
-    def collect(self, wait_for: tuple | None = None) -> None:
-        """Move every verdict that has arrived into ``_READY``, dropping
+    def collect(self, wait_for: "tuple | int | None" = None) -> None:
+        """Move every answer that has arrived into ``_READY``, dropping
         those of taken records.  If ``wait_for`` is still pending, take it
-        when the verifier has not started it (the caller then verifies it
-        inline), and otherwise wait for its verdict."""
+        when the verifier has not started it (the caller then does it
+        inline), and otherwise wait for its answer."""
         while True:
             try:
                 data = os.read(self.verdicts, _IN_FLIGHT_MAX)
@@ -307,10 +254,16 @@ class _Verifier:
             if data == b"":
                 _stop_verifier(reap=True, lost="exited")
                 return
-            for verdict in data or b"":
+            for answer in data or b"":
                 key, slot = self.pending.popitem(last=False)
-                if slot is not None:
-                    _READY[key] = verdict == 1
+                if slot is None:
+                    continue
+                if isinstance(key, int):  # copied out before the slot is reused
+                    at = _RESULTS_AT + 64 * slot
+                    x, y = (int.from_bytes(self.claims[i : i + 32], "big") for i in (at, at + 32))
+                    _READY[key] = ecdsa.Point(x, y)
+                else:
+                    _READY[key] = answer == 1
             slot = self.pending.get(wait_for)
             if slot is None:  # answered, or taken already
                 break
@@ -319,10 +272,24 @@ class _Verifier:
                 self.pending[wait_for] = None
                 break
             if not self.poller.poll(_WAIT_S * 1000):
-                _stop_verifier(reap=True, lost=f"gave no verdict in {_WAIT_S:g} s")
+                _stop_verifier(reap=True, lost=f"gave no answer in {_WAIT_S:g} s")
                 return
         while len(_READY) > _READY_MAX:
             _READY.popitem(last=False)
+
+
+def _answer(key: "tuple | int", work: str, inline, *args):
+    """The helper's answer to ``key`` (see above): one that has arrived,
+    or one it has started; otherwise ``inline(*args)``, counted as this
+    process's ``work``."""
+    result = _READY.pop(key, None)
+    if result is None and _verifier is not None:
+        _verifier.collect(wait_for=key)
+        result = _READY.pop(key, None)
+    if result is None:
+        _parent_work[work] += 1
+        result = inline(*args)
+    return result
 
 
 def _start_verifier() -> None:
@@ -364,13 +331,17 @@ def _start_verifier() -> None:
             read = 0
             while len(record := os.read(requests_r, _RECORD)) == _RECORD:
                 slot, read = read % _IN_FLIGHT_MAX, read + 1
-                if record[:32] == _DERIVE_MARK:
-                    count = int.from_bytes(record[32:36], "big")
-                    derived += _derive_claimed(claims, range(count - 1, -1, -1))
-                    answer = b"\x02"
-                elif claims[slot] == _TAKEN:
+                if claims[slot] == _TAKEN:
                     skipped += 1
                     answer = b"\x02"
+                elif record[:32] == _DERIVE_MARK:
+                    claims[slot] = _STARTED
+                    point = ecdsa.derive_public_point(int.from_bytes(record[32:64], "big"))
+                    at = _RESULTS_AT + 64 * slot
+                    claims[at : at + 32] = point.x.to_bytes(32, "big")
+                    claims[at + 32 : at + 64] = point.y.to_bytes(32, "big")
+                    derived += 1
+                    answer = b"\x01"
                 else:
                     claims[slot] = _STARTED
                     x, y, r, s = (
@@ -395,33 +366,6 @@ def _start_verifier() -> None:
     os.set_blocking(verdicts_r, False)
     _verifier = _Verifier(pid, requests_w, verdicts_r, claims)
     _verifier_lost = False
-
-
-def _derive_claimed(area: mmap.mmap, indices: range) -> int:
-    """Derive the seeds of the last derive record at ``indices``, in
-    order, up to the first one the other side has claimed, leaving each
-    point in the map; returns how many.  Both sides run it, from
-    opposite ends."""
-    derived = 0
-    for index in indices:
-        claim = _DERIVE_CLAIMS_AT + index
-        if area[claim] != _QUEUED:
-            break
-        area[claim] = _STARTED
-        at = _SCALARS_AT + 32 * index
-        point = ecdsa.derive_public_point(int.from_bytes(area[at : at + 32], "big"))
-        at = _POINTS_AT + 64 * index
-        area[at : at + 64] = point.x.to_bytes(32, "big") + point.y.to_bytes(32, "big")
-        area[claim] = _DONE
-        derived += 1
-    return derived
-
-
-def _derived_key(area: mmap.mmap, index: int) -> "PublicKey":
-    """The public key :func:`_derive_claimed` left at ``index``."""
-    at = _POINTS_AT + 64 * index
-    x = int.from_bytes(area[at : at + 32], "big")
-    return PublicKey(ecdsa.Point(x, int.from_bytes(area[at + 32 : at + 64], "big")))
 
 
 def _stop_verifier(reap: bool, lost: str | None = None) -> None:
@@ -532,13 +476,8 @@ class PublicKey:
             _VERIFY_CACHE.move_to_end(key)
             return cached
         _verify_cache_misses += 1
-        result = _READY.pop(key, None)
-        if result is None and _verifier is not None:
-            _verifier.collect(wait_for=key)
-            result = _READY.pop(key, None)
-        if result is None:
-            _parent_work["records_verified"] += 1
-            result = ecdsa.verify_digest(self.point, digest, signature)
+        args = (self.point, digest, signature)
+        result = _answer(key, "records_verified", ecdsa.verify_digest, *args)
         _VERIFY_CACHE[key] = result
         while len(_VERIFY_CACHE) > _VERIFY_CACHE_MAX:
             _VERIFY_CACHE.popitem(last=False)
@@ -577,19 +516,11 @@ class KeyPair:
     """A private scalar plus its derived public key.
 
     Use :meth:`from_seed` (or :meth:`from_seeds` for many) for
-    deterministic, reproducible identities in simulations, or
-    :meth:`from_scalar` with a given private scalar.
+    deterministic, reproducible identities in simulations.
     """
 
     private_scalar: int
     public_key: PublicKey
-
-    @classmethod
-    def from_scalar(cls, private_scalar: int) -> "KeyPair":
-        """Derive in this process (counted for :func:`verifier_report`)."""
-        ecdsa.validate_private_scalar(private_scalar)
-        _parent_work["seeds_derived"] += 1
-        return cls(private_scalar, PublicKey(ecdsa.derive_public_point(private_scalar)))
 
     @classmethod
     def from_seed(cls, seed: bytes | str) -> "KeyPair":
@@ -611,13 +542,16 @@ class KeyPair:
                 found[seed] = pair
         missing = [seed for seed in dict.fromkeys(seeds) if seed not in found]
         scalars = [_seed_scalar(seed) for seed in missing]
-        made: list[KeyPair] = []
-        for start in range(0, len(scalars), _DERIVE_MAX):
-            chunk = scalars[start : start + _DERIVE_MAX]
-            shared = _verifier.derive(chunk) if _verifier is not None and len(chunk) > 1 else None
-            made += shared if shared is not None else map(cls.from_scalar, chunk)
-        for seed, pair in zip(missing, made):
-            found[seed] = pair
+        points: dict[int, ecdsa.Point] = {}
+        for start in range(0, len(scalars), _IN_FLIGHT_MAX):
+            chunk = scalars[start : start + _IN_FLIGHT_MAX]
+            if _verifier is not None and len(chunk) > 1:
+                for scalar in chunk:
+                    _verifier.offer(scalar)
+            for d in reversed(chunk):  # the helper answers from the front
+                points[d] = _answer(d, "seeds_derived", ecdsa.derive_public_point, d)
+        for seed, scalar in zip(missing, scalars):
+            found[seed] = pair = cls(scalar, PublicKey(points[scalar]))
             _remember(seed, pair)
         return [found[seed] for seed in seeds]
 

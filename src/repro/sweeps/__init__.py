@@ -21,19 +21,13 @@ The public surface:
 * ``SweepResult`` / ``PointResult`` — aggregation and export
   (:mod:`repro.sweeps.result`);
 * :func:`sweep_spec` — the named campaign catalog
-  (:mod:`repro.sweeps.presets`);
-* the figure extractors — :func:`figure10_curves`,
-  :func:`table1_series`, :func:`crash_matrix`,
-  :func:`arrival_rate_series` (:mod:`repro.sweeps.figures`).
+  (:mod:`repro.sweeps.presets`).
+
+The figure extractors live in :mod:`repro.sweeps.figures`, imported by
+name where a figure is drawn, so ``import repro.sweeps`` does not load
+them.
 """
 
-from .figures import (
-    arrival_rate_series,
-    crash_matrix,
-    figure10_curves,
-    table1_series,
-    violation_rate_surface,
-)
 from .presets import sweep_names, sweep_spec
 from .runner import SweepRunner, run_sweep
 from .spec import SweepAxis, SweepSpec
@@ -42,12 +36,7 @@ __all__ = [
     "SweepAxis",
     "SweepRunner",
     "SweepSpec",
-    "arrival_rate_series",
-    "crash_matrix",
-    "figure10_curves",
     "run_sweep",
     "sweep_names",
     "sweep_spec",
-    "table1_series",
-    "violation_rate_surface",
 ]

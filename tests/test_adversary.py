@@ -33,14 +33,8 @@ from repro.experiment import (
     run_experiment,
 )
 from repro.experiment.spec import ChainOverride, ChainsSpec, TrafficSpec
-from repro.sweeps import (
-    SweepAxis,
-    SweepSpec,
-    run_sweep,
-    sweep_names,
-    sweep_spec,
-    violation_rate_surface,
-)
+from repro.sweeps import SweepAxis, SweepSpec, run_sweep, sweep_names, sweep_spec
+from repro.sweeps.figures import violation_rate_surface
 from repro.workloads.scenarios import build_scenario
 from tests.conftest import MINER
 

@@ -31,10 +31,6 @@ class TestKeyPair:
         digest = sha256(b"payload")
         assert kp.public_key.verify(digest, kp.sign(digest))
 
-    def test_from_scalar_validates(self):
-        with pytest.raises(InvalidKeyError):
-            KeyPair.from_scalar(0)
-
 
 class TestPublicKey:
     def test_bytes_roundtrip(self):

@@ -16,18 +16,8 @@ import pytest
 from repro.errors import SpecError
 from repro.experiment import ChainsSpec, ExperimentSpec, TrafficSpec
 from repro.store import CampaignStore
-from repro.sweeps import (
-    SweepAxis,
-    SweepRunner,
-    SweepSpec,
-    arrival_rate_series,
-    crash_matrix,
-    figure10_curves,
-    run_sweep,
-    sweep_names,
-    sweep_spec,
-    table1_series,
-)
+from repro.sweeps import SweepAxis, SweepRunner, SweepSpec, run_sweep, sweep_names, sweep_spec
+from repro.sweeps.figures import arrival_rate_series, crash_matrix, figure10_curves, table1_series
 from repro.sweeps.result import ROW_METRICS
 
 

@@ -1,7 +1,9 @@
 """The verifier process: first-sight signature checks beside the event loop.
 
-Inside ``keys.verifying()`` each signature is also checked by one forked
-process (``repro/crypto/keys.py``).  Its contract is tested here:
+Inside ``keys.verifying()`` each signature is also checked, and each
+batch of seeds partly derived, by one forked process
+(``repro/crypto/keys.py``).  Both kinds of work are records in one ring
+of claim slots, under one claim rule.  Its contract is tested here:
 
 * **lifetime** — a world (a run, a session, a restore, a replay) forks
   one verifier, none exists once every open world has closed, one
@@ -14,9 +16,12 @@ process (``repro/crypto/keys.py``).  Its contract is tested here:
   skips it; a record it has started is waited for, and no verdict is
   wrong when claim slots are reused;
 * **deriving** — a batch of seeds is derived once each across both
-  processes and gives the inline pairs, whether the helper is stopped,
+  processes (the helper from the first record, the caller from the
+  last) and gives the inline pairs, whether the helper is stopped,
   killed mid-batch or wrong (a wrong point is refused at its first
-  signature), and :func:`keys.verifier_report` counts each side;
+  signature), or its derive records reuse the slots of verify records
+  (every verdict and pair is its inline value), and
+  :func:`keys.verifier_report` counts each side;
 * **invisibility** — every artifact of the smoke presets is
   byte-identical with the verifier forced on and forced off.
 """
@@ -34,7 +39,7 @@ import pytest
 from repro.cli import main
 from repro.crypto import ecdsa, keys
 from repro.crypto.hashing import sha256
-from repro.crypto.keys import KeyPair
+from repro.crypto.keys import KeyPair, PublicKey
 from repro.experiment import apply_overrides, preset_spec, run_experiment, traffic_generator
 from repro.experiment.runner import open_world
 from repro.service import SwapService, service_preset_spec
@@ -509,7 +514,8 @@ class TestTaking:
 
 def inline_pairs(seeds: list[str]) -> list[KeyPair]:
     """The pairs of ``seeds`` derived in this process alone, memo untouched."""
-    return [KeyPair.from_scalar(keys._seed_scalar(seed.encode())) for seed in seeds]
+    scalars = [keys._seed_scalar(seed.encode()) for seed in seeds]
+    return [KeyPair(d, PublicKey(ecdsa.derive_public_point(d))) for d in scalars]
 
 
 def seeds(label: str, count: int) -> list[str]:
@@ -524,8 +530,9 @@ def derived(report: dict) -> tuple[int, int]:
 def held_back(monkeypatch):
     """Patch ``derive_public_point`` before the fork: the helper's copy
     runs ``helper(d)``, and this process's first derivation waits (up to
-    10 s) until the helper has claimed the batch's seed ``index``, so
-    the helper reaches it first however late it starts."""
+    10 s) until the helper has claimed slot ``index`` (a fresh helper's
+    record ``index``: the batch's seed ``index``), so the helper reaches
+    it first however late it starts."""
     parent, derive = os.getpid(), ecdsa.derive_public_point
 
     def install(index: int, helper=derive):
@@ -534,7 +541,7 @@ def held_back(monkeypatch):
                 return helper(d)
             deadline = time.monotonic() + 10.0
             while keys._verifier is not None and (
-                keys._verifier.claims[keys._DERIVE_CLAIMS_AT + index] == keys._QUEUED
+                keys._verifier.claims[index] == keys._QUEUED
             ):
                 assert time.monotonic() < deadline, f"the helper never claimed seed {index}"
                 time.sleep(0.001)
@@ -569,7 +576,7 @@ class TestDeriving:
     ):
         batch = seeds("chunks", 300)
         expected = inline_pairs(batch)
-        monkeypatch.setattr(keys, "_DERIVE_MAX", 16)  # 19 derive records, one map
+        monkeypatch.setattr(keys, "_IN_FLIGHT_MAX", 16)  # 19 rounds over 16 slots
         keys._SEED_CACHE.clear()
         keys.clear_verify_cache()
         started = time.monotonic()
@@ -578,9 +585,55 @@ class TestDeriving:
         assert time.monotonic() - started < 30
         assert pairs == expected
         # Both sides claiming one seed at once derive it twice: at most
-        # once a record, where the two ends meet.
+        # once a round, where the two ends meet.
         assert 300 <= sum(derived(keys.verifier_report())) <= 300 + 19
         assert capsys.readouterr().err == ""
+        keys._SEED_CACHE.clear()
+
+    def test_one_ring_two_kinds(self, verifier_on, monkeypatch, capsys):
+        """Derive records fill the slots left by 200 pending verify
+        records, then reuse theirs.  The helper is stopped until this
+        process's 100th derivation, which then waits (up to 10 s) for the
+        helper's first, so both sides derive some of the batch."""
+        pair = KeyPair.from_seed("verifier/ring")
+        batch, signed_digests = seeds("ring", 300), digests("ring", 200)
+        expected = inline_pairs(batch)
+        forging(monkeypatch, set(signed_digests[::7]))
+        keys._SEED_CACHE.clear()
+        keys.clear_verify_cache()
+        with keys.verifying():
+            verifier = keys._verifier
+            derive, calls = ecdsa.derive_public_point, []
+            with contextlib.ExitStack() as held:
+                held.enter_context(stopped(verifier.pid))
+                signed = {digest: pair.sign(digest) for digest in signed_digests}
+                assert len(verifier.pending) == 200  # slots 0-199
+
+                def resuming(d):  # this process's copy: the helper's is the real one
+                    calls.append(d)
+                    if len(calls) == 100:
+                        held.close()
+                        deadline = time.monotonic() + 10.0
+                        while derived(keys.verifier_report())[1] == 0:
+                            assert time.monotonic() < deadline, "the helper derived nothing"
+                            time.sleep(0.001)
+                    return derive(d)
+
+                monkeypatch.setattr(ecdsa, "derive_public_point", resuming)
+                pairs = KeyPair.from_seeds(batch)
+            assert verifier.written > 256  # slots were reused
+            verify = pair.public_key.verify
+            verdicts = {digest: verify(digest, sig) for digest, sig in signed.items()}
+        assert pairs == expected
+        point = pair.public_key.point
+        assert verdicts == {
+            digest: ecdsa.verify_digest(point, digest, sig) for digest, sig in signed.items()
+        }
+        assert list(verdicts.values()).count(False) == len(signed_digests[::7])
+        mine, helpers = derived(keys.verifier_report())
+        assert helpers > 0 and 300 <= mine + helpers <= 300 + 2  # two rounds
+        assert capsys.readouterr().err == ""
+        assert not alive(verifier.pid)
         keys._SEED_CACHE.clear()
 
     def test_a_stopped_helper_leaves_every_seed_to_the_caller(self, verifier_on, capsys):
@@ -612,7 +665,7 @@ class TestDeriving:
                 os.kill(os.getpid(), signal.SIGKILL)
             return derive(d)
 
-        held_back(13, dying)  # seeds 15 and 14 done, 13 claimed when it dies
+        held_back(2, dying)  # seeds 0 and 1 done, 2 claimed when it dies
         keys._SEED_CACHE.clear()
         with keys.verifying():
             pid = keys._verifier.pid
@@ -629,15 +682,15 @@ class TestDeriving:
         self, verifier_on, held_back
     ):
         batch = seeds("wrong", 4)
-        target = keys._seed_scalar(batch[-1].encode())
+        target = keys._seed_scalar(batch[0].encode())
         derive = ecdsa.derive_public_point
-        held_back(3, lambda d: derive((d + 1) % ecdsa.N if d == target else d))
+        held_back(0, lambda d: derive((d + 1) % ecdsa.N if d == target else d))
         keys._SEED_CACHE.clear()
         (digest,) = digests("wrong", 1)
         try:
             with keys.verifying():
                 pairs = KeyPair.from_seeds(batch)
-                wrong = pairs[-1]
+                wrong = pairs[0]
                 assert wrong.public_key.point == derive((target + 1) % ecdsa.N)
                 assert wrong.public_key.verify(digest, wrong.sign(digest)) is False
         finally:

@@ -96,14 +96,34 @@ class _ActiveAttack:
     flip_outpoints: tuple = ()
 
 
+def _request_owning(requests, contract_id: bytes):
+    """The request whose swap deployed ``contract_id`` (as coordinator or
+    asset contract), or None.  Linear over requests — its callers are
+    attack records, rare events off any hot path."""
+    if not contract_id:
+        return None
+    for request in requests:
+        outcome = request.driver.outcome if request.driver is not None else request.outcome
+        if outcome is not None and (
+            outcome.coordinator_contract_id == contract_id
+            or any(r.contract_id == contract_id for r in outcome.contracts.values())
+        ):
+            return request
+    return None
+
+
 class ReorgAttacker:
-    """The rented-hashpower fork attacker (see module docstring)."""
+    """The rented-hashpower fork attacker (see module docstring).
+
+    Like every actor it keeps what it reads of the engine (its request
+    list, its collector), not the engine, which holds the roster."""
 
     kind = "reorg"
 
     def __init__(self, env, engine, spec: ReorgAttackSpec, chain_id: str) -> None:
         self.env = env
-        self.engine = engine
+        self.requests = engine.requests
+        self.collector = engine.collector
         self.spec = spec
         self.chain_id = chain_id
         self.chain = env.chain(chain_id)
@@ -162,7 +182,7 @@ class ReorgAttacker:
 
     def _swap_id(self, contract_id: bytes) -> int | None:
         """Trace attribution: the swap that owns ``contract_id``, if any."""
-        owner = self.engine.request_owning(contract_id)
+        owner = _request_owning(self.requests, contract_id)
         return None if owner is None else owner.swap_id
 
     def _launch(self, trigger: CallMessage, height: int) -> None:
@@ -179,7 +199,7 @@ class ReorgAttacker:
             launched=False,
         )
         self.records.append(record)
-        collector = self.engine.collector
+        collector = self.collector
         if self.budget_blocks < public_lead + 1:
             # The cost model says this decision is buried too deep to
             # flip profitably — the rational attacker walks away.  This
@@ -268,7 +288,7 @@ class ReorgAttacker:
             record.won = True
             record.resolved_at = sim.now
             self._active = None
-            collector = self.engine.collector
+            collector = self.collector
             if collector is not None:
                 collector.emit(
                     "adversary",
@@ -305,7 +325,7 @@ class ReorgAttacker:
             record.won = False
             record.resolved_at = sim.now
             self._active = None
-            collector = self.engine.collector
+            collector = self.collector
             if collector is not None:
                 collector.emit(
                     "adversary",
@@ -359,7 +379,7 @@ class ReorgAttacker:
         won fork into an atomicity violation.
         """
         state_name = AUTHORIZING_FUNCTIONS.get(self.spec.flip_function)
-        victim = self.engine.request_owning(attack.record.target_contract)
+        victim = _request_owning(self.requests, attack.record.target_contract)
         if victim is None or state_name is None:
             return 0
         refunds = 0
@@ -428,7 +448,7 @@ class ReorgAttacker:
         except ReproError:
             return
         attack.record.exploit_refunds += 1
-        collector = self.engine.collector
+        collector = self.collector
         if collector is not None:
             collector.emit(
                 "adversary",
@@ -523,7 +543,8 @@ class ByzantineParticipant:
 
     def __init__(self, env, engine, spec: ByzantineSpec) -> None:
         self.env = env
-        self.engine = engine
+        self.collector = engine.collector
+        self.witness_chain_id = engine.witness_chain_id
         self.spec = spec
         self._rng = env.simulator.stream("adversary/byzantine")
         self.corrupted: dict[int, str] = {}
@@ -537,7 +558,7 @@ class ByzantineParticipant:
         if victim is None:
             return
         self.corrupted[request.swap_id] = victim
-        collector = self.engine.collector
+        collector = self.collector
         if collector is not None:
             collector.emit(
                 "adversary",
@@ -569,7 +590,7 @@ class ByzantineParticipant:
             elif request.protocol == "ac3tw":
                 config = AC3TWConfig()
             else:
-                config = AC3WNConfig(witness_chain_id=self.engine.witness_chain_id)
+                config = AC3WNConfig(witness_chain_id=self.witness_chain_id)
         merged = {
             key: getattr(config, key) | value for key, value in changes.items()
         }
@@ -606,7 +627,7 @@ class EclipseActor:
 
     def __init__(self, env, engine, spec: EclipseSpec) -> None:
         self.env = env
-        self.engine = engine
+        self.collector = engine.collector
         self.spec = spec
         self._rng = env.simulator.stream("adversary/eclipse")
         self.eclipsed: dict[int, str] = {}
@@ -626,7 +647,7 @@ class EclipseActor:
                 return
             fired.append(self.env.simulator.now)
             self.eclipsed[request.swap_id] = victim_name
-            collector = self.engine.collector
+            collector = self.collector
             if collector is not None:
                 collector.emit(
                     "adversary",
@@ -703,7 +724,7 @@ class AdversaryRoster:
             outcome.attack_cost = 0.0
         if self.reorg is not None:
             for record in self.reorg.records:
-                owner = self.reorg.engine.request_owning(record.target_contract)
+                owner = _request_owning(self.reorg.requests, record.target_contract)
                 outcome = owner.outcome if owner is not None else None
                 if outcome is None:
                     continue
@@ -748,7 +769,7 @@ class AdversaryRoster:
         if self.reorg is None or not any(r.won for r in self.reorg.records):
             return
         env = self.reorg.env
-        collector = self.reorg.engine.collector
+        collector = self.reorg.collector
         for request in requests:
             outcome = request.outcome
             if outcome is None:
@@ -809,7 +830,8 @@ def build_roster(spec, env, engine) -> AdversaryRoster | None:
     """Wire the spec's enabled actors into a live environment + engine.
 
     Returns None when no actor is enabled, so honest runs carry zero
-    adversary machinery.
+    adversary machinery.  Call it once the engine's collector is
+    attached: the actors keep the one they find.
     """
     adversary: AdversarySpec = spec.adversary
     if not adversary.any_enabled:

@@ -216,6 +216,12 @@ class Blockchain:
         except ValueError:
             pass
 
+    def close(self) -> None:
+        """Drop every block and reorg listener (each holds its subscriber,
+        which mostly holds this chain back)."""
+        self._block_listeners.clear()
+        self._reorg_listeners.clear()
+
     # -- reorg listeners -----------------------------------------------------
 
     def add_reorg_listener(self, listener: Callable[[int, int], None]) -> None:

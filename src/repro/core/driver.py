@@ -778,6 +778,17 @@ class ProtocolDriver:
         self.outcome.finished_at = self.sim.now
         self._finalize()
         self.finished = True
+        callbacks = self.on_complete
+        self.detach()
+        for callback in callbacks:
+            callback(self.outcome)
+
+    def detach(self) -> None:
+        """Stop watching the world: cancel the timers, leave every chain,
+        participant and mempool, and drop the callbacks and tracked
+        submissions (each holds something that holds this driver).
+        :meth:`_finish` ends with it; a closing engine detaches the
+        drivers still running."""
         if self._pending_tick is not None:
             self._pending_tick.cancel()
             self._pending_tick = None
@@ -793,8 +804,8 @@ class ProtocolDriver:
         for pool in self._watched_mempools:
             pool.remove_eviction_listener(self._on_eviction)
         self._watched_mempools.clear()
-        for callback in list(self.on_complete):
-            callback(self.outcome)
+        self._tracked.clear()
+        self.on_complete, self.on_phase = [], []
 
     # -- single-swap compatibility -------------------------------------------
 

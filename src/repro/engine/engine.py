@@ -423,23 +423,6 @@ class SwapEngine:
             },
         )
 
-    def request_owning(self, contract_id: bytes) -> SwapRequest | None:
-        """The request whose swap deployed ``contract_id`` (as coordinator
-        or asset contract), or None.  Linear over requests — its callers
-        are the adversary's attack records, rare events off any hot path."""
-        if not contract_id:
-            return None
-        for request in self.requests:
-            outcome = (
-                request.driver.outcome if request.driver is not None else request.outcome
-            )
-            if outcome is not None and (
-                outcome.coordinator_contract_id == contract_id
-                or any(r.contract_id == contract_id for r in outcome.contracts.values())
-            ):
-                return request
-        return None
-
     def _fold(
         self, request: SwapRequest, outcome: SwapOutcome, completes_flight: bool
     ) -> None:
@@ -493,6 +476,13 @@ class SwapEngine:
         # A drained queue with unfinished swaps means a world without miners.
         self.finish_unfinished()
         return self.result(events_processed=processed)
+
+    def close(self) -> None:
+        """Detach every driver still running (:meth:`ProtocolDriver.detach`):
+        a closed world's swaps stay where they are."""
+        for request in self.requests:
+            if request.driver is not None:
+                request.driver.detach()
 
     def finish_unfinished(self) -> None:
         """Finalize every driver still running from whatever state exists

@@ -338,8 +338,12 @@ class World(contextlib.ExitStack):
     """One built world and its lifetime (see :func:`open_world`).
 
     Closing it (``close()``, or leaving ``with``) stops the time-series
-    sampler and exits the world's signature-verifier scope
+    sampler, ends the simulation (no queued event fires after it),
+    detaches the drivers still running and exits the world's
+    signature-verifier scope
     (:func:`~repro.crypto.keys.verifying`); a second close is a no-op.
+    What its parts hold (chains, trace, ``queue_stats()``) stays readable,
+    and none of it is left on a reference cycle.
     """
 
     arrivals: list
@@ -383,6 +387,10 @@ def open_world(spec: ExperimentSpec, arrivals: Callable[[], list]) -> World:
             eager=spec.engine.eager,
             jitter_span=spec.engine.jitter,
         )
+        # Closed in reverse: the events are detached before the drivers
+        # cancel their timers, so those cancels leave ``queue_stats()`` alone.
+        world.callback(engine.close)
+        world.callback(env.close)
         world.collector, world.registry, world.monitor, world.sampler = (
             build_observability(spec, env, engine)
         )

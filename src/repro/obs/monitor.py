@@ -35,6 +35,7 @@ The built-in rules (armed from ``obs.monitor.rules``):
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -313,7 +314,8 @@ class InvariantMonitor:
 
     Register :meth:`observe` as a collector sink.  Alert events the
     monitor itself emits are ignored on the way back in, so rules can
-    never recurse.
+    never recurse.  The collector is held weakly: it holds the monitor
+    (as its sink), and a strong reference back would be a cycle.
     """
 
     def __init__(
@@ -322,7 +324,7 @@ class InvariantMonitor:
         rules: list[Rule],
         stream: Callable[[str], None] | None = None,
     ) -> None:
-        self.collector = collector
+        self._collector = weakref.ref(collector)
         self.rules = list(rules)
         self.stream = stream
         self.alerts: list[Alert] = []
@@ -353,7 +355,7 @@ class InvariantMonitor:
             data=data,
         )
         self.alerts.append(alert)
-        self.collector.emit(
+        self._collector().emit(
             "alert",
             rule.name,
             swap_id=alert.swap_id,

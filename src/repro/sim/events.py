@@ -154,6 +154,15 @@ class EventQueue:
             self._recycle(event)
         return heap[0].time if heap else None
 
+    def close(self) -> None:
+        """Detach every queued and pooled event from its action and from
+        this queue, so nothing fires any more and no event holds a cycle
+        open; the events stay where they are, so :meth:`stats` reads as
+        before."""
+        for event in itertools.chain(self._heap, self._pool):
+            event.action = _noop
+            event._queue = None
+
     # -- internal ----------------------------------------------------------
 
     def _note_cancelled(self) -> None:

@@ -177,6 +177,11 @@ class Simulator:
         """Total events executed so far."""
         return self._events_processed
 
+    def close(self) -> None:
+        """End this simulation: no pending event fires any more (see
+        :meth:`EventQueue.close`); :meth:`queue_stats` is unchanged."""
+        self._queue.close()
+
     def queue_stats(self) -> dict:
         """Event-loop statistics: processed count plus the queue's
         lifetime counters (cancellations, pool reuse, compactions)."""

@@ -41,6 +41,13 @@ class ScenarioEnvironment(SwapEnvironment):
     fee_policy: FeePolicy | None = None
     fee_estimators: dict[str, FeeEstimator] = field(default_factory=dict)
 
+    def close(self) -> None:
+        """End the simulation: no queued event fires and no chain calls a
+        listener after this; what the world holds stays readable."""
+        self.simulator.close()
+        for chain in self.chains.values():
+            chain.close()
+
     def start_mining(self) -> None:
         for miner in self.miners.values():
             miner.start()

@@ -25,7 +25,6 @@ from repro.chain.params import fast_chain
 from repro.crypto.keys import KeyPair
 from repro.sim.simulator import Simulator
 from repro.sweeps import SweepRunner, sweep_spec
-from repro.sweeps.figures import table1_series
 
 from conftest import print_table
 
@@ -136,23 +135,23 @@ def test_engine_swaps_per_second(benchmark, table_printer):
         return SweepRunner(sweep_spec("table1"), workers=1).run()
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
-    series = table1_series(result)
+    rows = result.rows()
     table_printer(
         "Engine throughput (table1 sweep): 40 concurrent AC2Ts at 8 swaps/s",
         ["protocol", "swaps/s", "commit", "p50", "p99", "peak in-flight"],
         [
-            [row.protocol, f"{row.swaps_per_second:.2f}", f"{row.commit_rate:.0%}",
-             f"{row.p50_latency:.1f}s", f"{row.p99_latency:.1f}s", row.max_in_flight]
-            for row in series
+            [row["protocol"], f"{row['swaps_per_second']:.2f}", f"{row['commit_rate']:.0%}",
+             f"{row['p50_latency']:.1f}s", f"{row['p99_latency']:.1f}s", row["max_in_flight"]]
+            for row in rows
         ],
     )
-    assert [row.protocol for row in series] == ["nolan", "herlihy", "ac3tw", "ac3wn"]
+    assert [row["protocol"] for row in rows] == ["nolan", "herlihy", "ac3tw", "ac3wn"]
     assert result.atomicity_violations == 0
-    for row in series:
-        assert row.total == 40
-        assert row.swaps_per_second > 1.0
+    for row in rows:
+        assert row["total"] == 40
+        assert row["swaps_per_second"] > 1.0
         # Open-loop arrivals outpace per-swap latency: real concurrency.
-        assert row.max_in_flight > 10
+        assert row["max_in_flight"] > 10
 
 
 def test_min_rule_on_simulated_chains():

@@ -15,7 +15,6 @@ The paper's worked example: ``Va = $1M`` on Bitcoin (``Ch ≈ $300K/h``,
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -87,60 +86,6 @@ PAPER_WITNESS_CANDIDATES = [
 def paper_worked_example() -> int:
     """The paper's example: $1M at risk witnessed by Bitcoin → d > 20."""
     return required_depth(1_000_000.0, 300_000.0, 6.0)
-
-
-@dataclass(frozen=True)
-class SecurityReportRow:
-    """One empirical-vs-analytic cell of the security matrix.
-
-    ``model_safe`` is the Section 6.3 prediction (``d >=
-    required_depth``); ``empirically_safe`` is what the attacked run
-    measured; ``agrees`` is whether the analytic bound was *sound* for
-    the cell — an unsafe prediction with a safe measurement still
-    agrees (the bound is conservative: losing the mining race or the
-    settlement race can save a swap the cost model alone would give up).
-    """
-
-    protocol: str
-    depth: int
-    hashpower: float
-    total: int
-    violations: int
-    violation_rate: float
-    commit_rate: float
-    attacks_launched: int
-    reorgs_won: int
-    reorgs_lost: int
-    attack_cost: float
-    value_at_risk: float
-    required_depth: int
-    model_safe: bool
-    empirically_safe: bool
-
-    @property
-    def agrees(self) -> bool:
-        """The depth rule is sound iff no model-safe cell was violated."""
-        return self.empirically_safe or not self.model_safe
-
-
-def security_report(sweep) -> list[SecurityReportRow]:
-    """Compare a measured ``security-matrix`` sweep against the model.
-
-    Takes a :class:`~repro.sweeps.result.SweepResult` (fresh or
-    re-loaded from JSON) and returns one row per cell, expansion order.
-    The paper's claim — atomicity holds wherever ``d`` meets the
-    analytic bound — is equivalent to ``all(row.agrees)``.
-    """
-    from ..sweeps.figures import violation_rate_surface
-
-    # A report row is a surface cell plus the empirical verdict, so a
-    # new surface field fails loudly here instead of silently dropping.
-    return [
-        SecurityReportRow(
-            **dataclasses.asdict(cell), empirically_safe=cell.violations == 0
-        )
-        for cell in violation_rate_surface(sweep)
-    ]
 
 
 def depth_table(values_at_risk: list[float]) -> list[dict]:

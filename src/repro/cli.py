@@ -35,8 +35,9 @@ can export the full :class:`~repro.experiment.ExperimentResult` artifact
 as JSON.  ``sweep`` is its multi-point sibling: a named sweep campaign
 (or a ``SweepSpec`` JSON file) expands into N experiment points,
 executes them across ``--workers`` processes, prints the joined summary
-table, and exports the campaign as CSV and/or JSON — one command per
-paper figure.  ``serve`` swaps the fixed horizon for a live session
+table and, for a paper campaign, one row per claim it measures
+(:mod:`repro.sweeps.scorecard`), and exports the campaign as CSV and/or
+JSON.  ``serve`` swaps the fixed horizon for a live session
 (:mod:`repro.service`): live traffic sources, a replayable request
 log, and mid-flight checkpoints that ``--restore`` resumes with
 byte-identical subsequent behavior;
@@ -678,6 +679,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     from .adversary import AdversarySpec
     from .sweeps import SweepRunner
+    from .sweeps.scorecard import render as render_claims, scorecard
 
     if args.list_presets:
         _print_catalog(_spec_kinds()["sweep"][1], args.json is not None)
@@ -733,8 +735,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"resumed {len(runner.resumed)} point(s) from {args.store}",
             file=narrate,
         )
+    claims = scorecard(result)
     with contextlib.redirect_stdout(narrate):
         print_sweep_result(result)
+        if claims:  # the paper claims this campaign measures
+            print("\n" + render_claims(claims), end="")
     exports = ((args.csv, result.to_csv), (args.json, lambda: result.to_json() + "\n"))
     for path, render in exports:
         if path:

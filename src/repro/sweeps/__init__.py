@@ -9,8 +9,7 @@ into N experiment points, executes the points across a worker-process
 pool (:class:`SweepRunner` — serialized specs in, serialized artifacts
 out), and joins the per-point metrics into one
 :class:`~repro.sweeps.result.SweepResult`
-table with CSV/JSON export and per-figure curve extractors
-(:mod:`repro.sweeps.figures`).
+table with CSV/JSON export.
 
 The public surface:
 
@@ -23,9 +22,9 @@ The public surface:
 * :func:`sweep_spec` — the named campaign catalog
   (:mod:`repro.sweeps.presets`).
 
-The figure extractors live in :mod:`repro.sweeps.figures`, imported by
-name where a figure is drawn, so ``import repro.sweeps`` does not load
-them.
+The reproduction scorecard (:mod:`repro.sweeps.scorecard`: one row per
+paper claim a stock campaign measures) is imported by ``repro sweep``
+alone, so ``import repro.sweeps`` does not load it.
 """
 
 from .presets import sweep_names, sweep_spec

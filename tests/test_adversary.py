@@ -20,7 +20,7 @@ from repro.adversary import (
     ReorgAttackSpec,
     decision_chain,
 )
-from repro.analysis.security import required_depth, security_report
+from repro.analysis.security import required_depth
 from repro.chain.miner import AttackMiner
 from repro.core.ac3wn import AC3WNDriver
 from repro.engine import SwapEngine
@@ -34,7 +34,7 @@ from repro.experiment import (
 )
 from repro.experiment.spec import ChainOverride, ChainsSpec, TrafficSpec
 from repro.sweeps import SweepAxis, SweepSpec, run_sweep, sweep_names, sweep_spec
-from repro.sweeps.figures import violation_rate_surface
+from repro.sweeps.scorecard import scorecard
 from repro.workloads.scenarios import build_scenario
 from tests.conftest import MINER
 
@@ -510,34 +510,28 @@ class TestSecurityMatrix:
         matrix.validate()
         assert sweep_spec("security-smoke").num_points() == 2 * 2 * 2
 
-    def test_surface_and_report_on_a_mini_matrix(self):
-        """A 2-point depth slice of the matrix: the unsafe cell bleeds,
-        the model-safe cell is silent, and the analytic comparison
-        agrees everywhere — the acceptance shape in miniature."""
-        spec = SweepSpec(
-            name="security-mini",
-            base=apply_overrides(preset_spec("security"), {"protocol": "nolan"}),
+    def test_cells_and_claim_rows_on_a_mini_matrix(self):
+        """A 2-point depth slice of ``security-smoke`` (Nolan at one
+        hashpower): the unsafe cell bleeds, the model-safe cell is
+        silent, and the scorecard's Section 6.3 rows say so — the
+        acceptance shape in miniature."""
+        smoke = sweep_spec("security-smoke")
+        depth, hashpower, protocol = smoke.axes
+        spec = dataclasses.replace(
+            smoke,
             axes=(
-                SweepAxis(
-                    name="depth", path="chains.confirmation_depth", values=(1, 4)
-                ),
-                SweepAxis(
-                    name="hashpower",
-                    path="adversary.reorg.hashpower",
-                    values=(2.0,),
-                ),
-                SweepAxis(name="protocol", path="protocol", values=("nolan",)),
+                depth,
+                dataclasses.replace(hashpower, values=(2.0,)),
+                dataclasses.replace(protocol, values=("nolan",)),
             ),
-            derive_seeds=False,
         )
         result = run_sweep(spec, workers=1)
-        surface = violation_rate_surface(result)
-        assert [cell.depth for cell in surface] == [1, 4]
-        unsafe, safe = surface
-        assert unsafe.required_depth == 4 and safe.required_depth == 4
-        assert not unsafe.model_safe and safe.model_safe
-        assert unsafe.violations >= 1 and unsafe.violation_rate > 0.0
-        assert safe.violations == 0 and safe.attacks_launched == 0
-        report = security_report(result)
-        assert all(row.agrees for row in report)
-        assert [row.empirically_safe for row in report] == [False, True]
+        reorg = spec.base.adversary.reorg
+        assert required_depth(reorg.value_at_risk, reorg.hourly_cost, reorg.blocks_per_hour) == 4
+        unsafe, safe = result.rows()
+        assert [unsafe["depth"], safe["depth"]] == [1, 4]
+        assert unsafe["atomicity_violations"] >= 1
+        assert safe["atomicity_violations"] == 0 and safe["attacks_launched"] == 0
+        # The depth rule holds, Nolan bleeds below it, and with no
+        # witness-protocol cell Lemma 5.3 is not measured.
+        assert [row.verdict for row in scorecard(result)] == ["holds", "holds", "not measured"]

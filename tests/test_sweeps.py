@@ -17,7 +17,7 @@ from repro.errors import SpecError
 from repro.experiment import ChainsSpec, ExperimentSpec, TrafficSpec
 from repro.store import CampaignStore
 from repro.sweeps import SweepAxis, SweepRunner, SweepSpec, run_sweep, sweep_names, sweep_spec
-from repro.sweeps.figures import arrival_rate_series, crash_matrix, figure10_curves, table1_series
+from repro.sweeps.scorecard import CLAIMS, scorecard
 from repro.sweeps.result import ROW_METRICS
 
 
@@ -362,15 +362,31 @@ class TestCatalog:
         assert all(len(s) == 1 for s in seeds.values())
 
 
-class TestExtractors:
+class TestStockCampaigns:
+    def test_figure10_commits_every_point(self):
+        """Every executed Figure 10 point commits atomically, Herlihy's
+        latency rises with the diameter, and the scorecard's rows come
+        out as ``docs/reproduction.md`` lists them."""
+        result = run_sweep(sweep_spec("figure10"))
+        rows = result.rows()
+        assert {row["protocol"] for row in rows} == {"nolan", "herlihy", "ac3tw", "ac3wn"}
+        assert all(row["committed"] == row["total"] == 1 for row in rows)
+        assert result.atomicity_violations == 0
+        herlihy = [row["mean_latency"] for row in rows if row["protocol"] == "herlihy"]
+        assert herlihy == sorted(herlihy)
+        assert [row.verdict for row in scorecard(result)] == ["holds", "gap", "holds", "holds"]
+
     def test_crash_matrix_reproduces_section1(self):
         """The paper's motivation table: HTLC settles non-atomically in
         the vulnerability window, AC3WN never does."""
         result = run_sweep(sweep_spec("crash-matrix"))
-        matrix = crash_matrix(result)
+        cells = {
+            (float(point.coords["onset"]), point.coords["protocol"]): point.outcomes[0]
+            for point in result.points
+        }
         decisions = {
-            onset: (cells["nolan"].decision, cells["ac3wn"].decision)
-            for onset, cells in matrix.items()
+            onset: (cells[onset, "nolan"]["decision"], cells[onset, "ac3wn"]["decision"])
+            for onset, _ in cells
         }
         assert decisions == {
             0.0: ("abort", "abort"),  # crashed before anything was locked
@@ -379,11 +395,15 @@ class TestExtractors:
             4.5: ("commit", "commit"),  # crashed after settling
             12.0: ("commit", "commit"),
         }
-        assert [onset for onset, cells in matrix.items() if not cells["nolan"].atomic] == [2.0, 3.0]
-        assert all(cells["ac3wn"].atomic for cells in matrix.values())
+        assert [
+            onset for (onset, protocol), cell in cells.items()
+            if protocol == "nolan" and not cell["atomic"]
+        ] == [2.0, 3.0]
+        assert all(cell["atomic"] for (_, protocol), cell in cells.items() if protocol == "ac3wn")
         assert result.atomicity_violations == 2  # both HTLC cells
+        assert [row.verdict for row in scorecard(result)] == ["holds"]
 
-    def test_arrival_rate_series_on_trimmed_sweep(self):
+    def test_trimmed_congestion_sweep_is_worker_count_independent(self):
         spec = sweep_spec("congestion-rates")
         spec = dataclasses.replace(
             spec,
@@ -403,28 +423,18 @@ class TestExtractors:
         result = run_sweep(spec)
         # Fee-market points join to the same bytes from a worker pool.
         assert run_sweep(spec, workers=2).to_json() == result.to_json()
-        series = arrival_rate_series(result)
-        assert [p.rate for p in series] == [6.0, 16.0]
-        assert all(p.atomicity_violations == 0 for p in series)
-        assert all(0.0 <= p.low_commit_rate <= 1.0 for p in series)
+        rows = result.rows()
+        assert [row["rate"] for row in rows] == [6.0, 16.0]
+        assert all(row["atomicity_violations"] == 0 for row in rows)
+        assert all(0.0 <= row["commit_rate"] <= 1.0 for row in rows)
+        assert scorecard(result) == []  # no paper claim rides on this campaign
 
-    def test_table1_and_figure10_extractors_on_synthetic_artifacts(self):
-        """Extractors are pure functions of the artifact dict."""
-        result = run_sweep(
-            tiny_sweep(
-                axes=(
-                    SweepAxis(
-                        name="protocol", path="protocol", values=("ac3wn",)
-                    ),
-                )
-            )
-        )
-        rows = table1_series(result)
-        assert len(rows) == 1 and rows[0].protocol == "ac3wn"
-        # figure10_curves needs a diameter coordinate and 1-swap points.
+    def test_scorecard_reads_only_the_points_that_ran(self):
+        """Rows are a function of the artifact: a one-point ``figure10``
+        grid keeps every claim's row, each one ``not measured``."""
         single = run_sweep(
             SweepSpec(
-                name="f10",
+                name="figure10",
                 base=small_base(traffic=TrafficSpec(num_swaps=1, rate=1.0)),
                 axes=(
                     SweepAxis(
@@ -438,9 +448,11 @@ class TestExtractors:
                 ),
             )
         )
-        curves = figure10_curves(single)
-        assert curves["ac3wn"][0].diameter == 2
-        assert curves["ac3wn"][0].latency_deltas > 0
+        assert single.rows()[0]["protocol"] == "ac3wn"
+        rows = scorecard(single)
+        assert [row.claim for row in rows] == [claim for claim, _, _ in CLAIMS["figure10"]]
+        assert {row.verdict for row in rows} == {"not measured"}
+        assert all(row.measured.startswith("not measured: ") for row in rows)
 
 
 class TestResumableCampaigns:
